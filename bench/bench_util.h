@@ -119,9 +119,10 @@ inline void PrintWaterfallSummary() {
 
 /// Shared `--obs-out <dir>` wiring. When a directory is given, enables the
 /// metrics registry (reset to zero so artifacts cover exactly this run),
-/// the tracer, the lineage ledger, and the pool stats; Finish() writes the
-/// manifest.json / metrics.json / trace.json / lineage.json quartet. When
-/// the directory is empty everything stays in the disabled fast path and
+/// the tracer, the lineage ledger, the pool stats, and the timeline;
+/// Finish() writes the artifact set: manifest.json, metrics.json,
+/// trace.json, audit.bin (the lineage ledger) and timeline.bin. When the
+/// directory is empty everything stays in the disabled fast path and
 /// Finish() is a no-op.
 class ObsRun {
  public:
@@ -148,12 +149,12 @@ class ObsRun {
   bool active() const { return !obs_dir_.empty(); }
   obs::RunManifest& manifest() { return manifest_; }
 
-  /// Writes the artifact quartet; returns 0 on success (and when inactive).
+  /// Writes the artifact set; returns 0 on success (and when inactive).
   int Finish() {
     if (!active()) return 0;
     PrintWaterfallSummary();
-    // Fold the timeline rollup into the manifest BEFORE the JSON quartet
-    // is rendered, so manifest.json and timeline.bin agree on counts.
+    // Fold the timeline rollup into the manifest BEFORE it is rendered,
+    // so manifest.json and timeline.bin agree on counts.
     const obs::Timeline::Summary timeline = obs::Timeline::Global().GetSummary();
     manifest_.timeline.enabled = true;
     manifest_.timeline.steps = timeline.steps;
@@ -174,9 +175,9 @@ class ObsRun {
                   status.error().ToText().c_str());
       return 1;
     }
-    // The indexed binary companion to lineage.json (DESIGN.md §12). It is
-    // a pure function of the final ledger, so it inherits the thread-count
-    // and kill/resume byte-identity the JSON quartet already guarantees.
+    // The lineage ledger's artifact of record (DESIGN.md §12): a pure
+    // function of the final ledger, so it inherits the ledger's
+    // thread-count and kill/resume byte-identity.
     const auto audit_status =
         audit::WriteAuditArtifact(obs_dir_, obs::Lineage::Global());
     if (!audit_status.ok()) {
@@ -192,8 +193,7 @@ class ObsRun {
       return 1;
     }
     std::printf(
-        "wrote %s/{manifest,metrics,trace,lineage}.json + audit.bin + "
-        "timeline.bin\n",
+        "wrote %s/{manifest,metrics,trace}.json + audit.bin + timeline.bin\n",
         obs_dir_.c_str());
     return 0;
   }

@@ -343,7 +343,7 @@ const AuditLedgerFixture& AuditLedger() {
 }
 
 // Serializing the indexed audit artifact from a populated ledger: the
-// per-run cost ObsRun::Finish adds on top of the JSON quartet.
+// per-run cost ObsRun::Finish adds on top of the JSON artifacts.
 void BM_AuditWrite(benchmark::State& state) {
   const auto& fixture = AuditLedger();
   (void)fixture;

@@ -343,7 +343,7 @@ int Main(bool ablation, const std::string& export_dir,
       obs::Registry::Global().GetGauge(prefix + ".p_value")
           ->Set(outcomes[u].row.p_value);
       // Lineage: the estimate and the units backing it, registered in the
-      // same ordered merge so lineage.json is thread-count-invariant.
+      // same ordered merge so audit.bin is thread-count-invariant.
       if (obs::Lineage::enabled()) {
         obs::Lineage::Global().AddEstimate(
             prefix, scenario.treated[u].name, outcomes[u].donors,

@@ -79,9 +79,17 @@ Result<std::string_view> DirectoryLookup(std::string_view section,
   if (section.size() < 8) return Malformed(path, "directory too small");
   const char* base = section.data();
   const std::uint64_t count = ReadRawU64(base, 0);
-  if (8 + count * 32 > section.size()) {
+  if (count > (section.size() - 8) / 32) {
     return Malformed(path, "directory slot table out of bounds");
   }
+  // Offsets and lengths are compared against the bytes left, never summed.
+  const auto in_bounds = [&](std::uint64_t off, std::uint64_t len) {
+    return off <= section.size() && len <= section.size() - off;
+  };
+  const auto slot_ok = [&](const DirSlot& slot) {
+    return in_bounds(slot.name_off, slot.name_len) &&
+           in_bounds(slot.payload_off, slot.payload_len);
+  };
   const auto slot_at = [&](std::uint64_t i) {
     DirSlot slot;
     slot.name_off = ReadRawU64(base, 8 + i * 32);
@@ -98,10 +106,7 @@ Result<std::string_view> DirectoryLookup(std::string_view section,
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     const DirSlot slot = slot_at(mid);
-    if (slot.name_off + slot.name_len > section.size() ||
-        slot.payload_off + slot.payload_len > section.size()) {
-      return Malformed(path, "directory entry out of bounds");
-    }
+    if (!slot_ok(slot)) return Malformed(path, "directory entry out of bounds");
     if (name_at(slot) < name) {
       lo = mid + 1;
     } else {
@@ -110,10 +115,7 @@ Result<std::string_view> DirectoryLookup(std::string_view section,
   }
   if (lo >= count) return std::string_view();
   const DirSlot slot = slot_at(lo);
-  if (slot.name_off + slot.name_len > section.size() ||
-      slot.payload_off + slot.payload_len > section.size()) {
-    return Malformed(path, "directory entry out of bounds");
-  }
+  if (!slot_ok(slot)) return Malformed(path, "directory entry out of bounds");
   if (name_at(slot) != name) return std::string_view();
   return std::string_view(base + slot.payload_off,
                           static_cast<std::size_t>(slot.payload_len));
@@ -182,13 +184,15 @@ Status AuditReader::Open(const std::string& path) {
     return Malformed(path, "file size mismatch (truncated or appended)");
   }
 
-  // -- section table --
-  const std::uint64_t table_bytes = section_count * kAuditTableEntrySize;
+  // -- section table (its count bounded by the bytes after table_offset
+  //    before it is multiplied or reserved) --
   if (table_offset < kAuditHeaderSize || table_offset > size ||
-      table_bytes + 8 > size - table_offset) {
+      section_count > (size - table_offset) / kAuditTableEntrySize ||
+      section_count * kAuditTableEntrySize + 8 > size - table_offset) {
     Close();
     return Malformed(path, "section table out of bounds");
   }
+  const std::uint64_t table_bytes = section_count * kAuditTableEntrySize;
   const std::string_view table_view(b + table_offset,
                                     static_cast<std::size_t>(table_bytes));
   if (core::Fnv1a64(table_view) !=
@@ -231,6 +235,11 @@ Status AuditReader::Open(const std::string& path) {
     return Malformed(path, "schema mismatch (want sisyphus.audit/1)");
   }
   const std::uint64_t run_count = mr.GetU64();
+  // Every run owns a run-header section, so the table bounds the count.
+  if (!mr.ok() || run_count > table_.size()) {
+    Close();
+    return Malformed(path, "run count exceeds the section table");
+  }
   runs_.reserve(static_cast<std::size_t>(run_count));
   for (std::uint64_t r = 0; r < run_count; ++r) {
     const Result<std::string_view> header =
@@ -322,6 +331,11 @@ Result<RecordColumns> AuditReader::Records(std::size_t run) const {
   RecordColumns columns;
   columns.count = ReadRawU64(bytes.data(), 0);
   const std::uint64_t n = columns.count;
+  // A row is 10 bytes (u32 vantage + six u8 columns) before padding, so
+  // this bound keeps the size arithmetic below from wrapping.
+  if (n > (bytes.size() - 8) / 10) {
+    return Malformed(path_, "records section truncated");
+  }
   const auto pad8 = [](std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; };
   std::uint64_t need = 8 + pad8(n * 4);
   for (int i = 0; i < 6; ++i) need += pad8(n);

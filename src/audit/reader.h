@@ -34,8 +34,8 @@ struct RecordColumns {
   const std::uint8_t* seen = nullptr;
 };
 
-/// Intent/fault/vantage breakdowns keyed exactly as the lineage JSON
-/// renders them (intent names, fault-bit names, decimal vantage ids).
+/// Intent/fault/vantage breakdowns keyed by the canonical names from
+/// obs/lineage.h (intent names, fault-bit names, decimal vantage ids).
 struct FacetCounts {
   std::map<std::string, std::uint64_t> intents;
   std::map<std::string, std::uint64_t> faults;
@@ -123,6 +123,8 @@ class AuditReader {
   /// On failure the reader stays closed.
   core::Status Open(const std::string& path);
   bool is_open() const { return map_ != nullptr; }
+  /// The mapped file's path (diagnostics).
+  const std::string& path() const { return path_; }
 
   std::size_t run_count() const { return runs_.size(); }
   const RunSummary& run(std::size_t index) const { return runs_[index]; }
@@ -136,7 +138,7 @@ class AuditReader {
   core::Result<UnitInfo> FindUnit(std::size_t run,
                                   std::string_view name) const;
   /// Binary search in the estimate directory (first insertion wins among
-  /// duplicate labels, matching the JSON scan).
+  /// duplicate labels).
   core::Result<EstimateInfo> FindEstimate(std::size_t run,
                                           std::string_view label) const;
   /// Units/vantages ranked by contributing records (write-time order).

@@ -47,7 +47,7 @@ void PutCountMap(Writer& w,
 }
 
 /// Facet counters over a set of records (intent/fault/vantage name ->
-/// count). String keys match the lineage JSON rendering exactly.
+/// count), keyed by the canonical names from obs/lineage.h.
 struct Facets {
   std::map<std::string, std::uint64_t> intents;
   std::map<std::string, std::uint64_t> faults;
@@ -68,10 +68,9 @@ struct Facets {
   }
 };
 
-/// Mirror of the estimate composition in Lineage::ToJson: records/cells
-/// counted over every id in the units' kept cells, digest = FNV over the
-/// concatenated cell digests, facets over *seen* records only — so the
-/// indexed answers equal the JSON-path answers field for field.
+/// The record composition of a set of units: records/cells counted over
+/// every id in the units' kept cells, digest = FNV over the concatenated
+/// cell digests, facets over *seen* records only.
 struct Composition {
   std::uint64_t records = 0;
   std::uint64_t cells = 0;
@@ -137,52 +136,22 @@ std::string EncodeMeta(std::size_t run_count) {
 
 std::string EncodeRunHeader(const Lineage::RunLedger& run,
                             const std::vector<LineageStage>& stages) {
-  std::uint64_t emitted = 0, delivered = 0, quarantined = 0, archived = 0,
-                untracked = 0, failed = 0;
-  std::array<std::uint64_t, kLineageStageCount> terminal{};
-  for (std::size_t i = 0; i < run.records.size(); ++i) {
-    const Lineage::RecordEntry& entry = run.records[i];
-    if (!entry.seen) {
-      ++untracked;
-      continue;
-    }
-    ++emitted;
-    delivered += entry.copies;
-    if (stages[i] == LineageStage::kQuarantined) {
-      quarantined += entry.copies;
-    } else {
-      archived += entry.copies;
-    }
-    ++terminal[static_cast<std::size_t>(stages[i])];
-  }
-  for (const auto& [reason, count] : run.probe_failures) failed += count;
-  std::uint64_t units_kept = 0, units_dropped = 0, cells_observed = 0,
-                cells_masked = 0;
-  for (const auto& [name, unit] : run.units) {
-    if (unit.dropped) {
-      ++units_dropped;
-    } else {
-      ++units_kept;
-    }
-    cells_observed += unit.observed_cells;
-    cells_masked += unit.masked_cells;
-  }
-
+  const obs::LineageWaterfall waterfall = Lineage::RunWaterfall(run, stages);
   Writer w;
   w.PutString(run.label);
-  w.PutU64(emitted);
-  w.PutU64(untracked);
-  w.PutU64(delivered);
-  w.PutU64(quarantined);
-  w.PutU64(archived);
-  w.PutU64(failed);
-  PutCountMap(w, run.probe_failures);
-  for (std::size_t s = 0; s < kLineageStageCount; ++s) w.PutU64(terminal[s]);
-  w.PutU64(units_kept);
-  w.PutU64(units_dropped);
-  w.PutU64(run.empty_units);
-  w.PutU64(cells_observed);
-  w.PutU64(cells_masked);
+  w.PutU64(waterfall.emitted);
+  w.PutU64(waterfall.untracked);
+  w.PutU64(waterfall.delivered);
+  w.PutU64(waterfall.quarantined_copies);
+  w.PutU64(waterfall.archived_copies);
+  w.PutU64(waterfall.probes_failed);
+  PutCountMap(w, waterfall.failure_reasons);
+  for (std::uint64_t count : waterfall.terminal) w.PutU64(count);
+  w.PutU64(waterfall.units_kept);
+  w.PutU64(waterfall.units_dropped);
+  w.PutU64(waterfall.units_empty);
+  w.PutU64(waterfall.cells_observed);
+  w.PutU64(waterfall.cells_masked);
   w.PutU64(run.records.size());
   w.PutU64(run.units.size());
   w.PutU64(run.estimates.size());
@@ -301,8 +270,7 @@ std::string EncodeUnitIndex(const Lineage::RunLedger& run) {
 
 std::string EncodeEstimateIndex(const Lineage::RunLedger& run) {
   // Stable sort by label keeps the earliest insertion first among equal
-  // labels, so a directory lookup returns the same estimate the JSON
-  // first-match scan does.
+  // labels, so a directory lookup returns the first-registered estimate.
   std::vector<std::size_t> order(run.estimates.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),

@@ -24,7 +24,7 @@
 // re-generated live and their serialized form compared byte-for-byte
 // against the journaled frame — any divergence fails the resume loudly.
 // Because every artifact byte is a pure function of the restored state,
-// a killed-and-resumed run produces panel.csv/metrics.json/lineage.json
+// a killed-and-resumed run produces panel.csv/metrics.json/audit.bin
 // byte-identical to an uninterrupted one, at any SISYPHUS_THREADS.
 #pragma once
 

@@ -1,11 +1,9 @@
 #include "obs/lineage.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/binio.h"
 #include "core/hash.h"
-#include "core/json.h"
 
 namespace sisyphus::obs {
 
@@ -351,42 +349,70 @@ std::vector<LineageStage> Lineage::ResolveStages(const RunLedger& run) {
   return stages;
 }
 
+LineageWaterfall Lineage::RunWaterfall(
+    const RunLedger& run, const std::vector<LineageStage>& stages) {
+  LineageWaterfall w;
+  for (std::size_t i = 0; i < run.records.size(); ++i) {
+    const RecordEntry& entry = run.records[i];
+    if (!entry.seen) {
+      ++w.untracked;
+      continue;
+    }
+    ++w.emitted;
+    w.delivered += entry.copies;
+    if (stages[i] == LineageStage::kQuarantined) {
+      w.quarantined_copies += entry.copies;
+    } else {
+      w.archived_copies += entry.copies;
+    }
+    ++w.terminal[static_cast<std::size_t>(stages[i])];
+  }
+  w.failure_reasons = run.probe_failures;
+  for (const auto& [reason, count] : run.probe_failures) {
+    w.probes_failed += count;
+  }
+  w.probes_attempted = w.emitted + w.probes_failed;
+  w.units_empty = run.empty_units;
+  for (const auto& [name, unit] : run.units) {
+    if (unit.dropped) {
+      ++w.units_dropped;
+    } else {
+      ++w.units_kept;
+    }
+    w.cells_observed += unit.observed_cells;
+    w.cells_masked += unit.masked_cells;
+  }
+  return w;
+}
+
+LineageWaterfall& LineageWaterfall::operator+=(const LineageWaterfall& other) {
+  probes_attempted += other.probes_attempted;
+  probes_failed += other.probes_failed;
+  emitted += other.emitted;
+  delivered += other.delivered;
+  quarantined_copies += other.quarantined_copies;
+  archived_copies += other.archived_copies;
+  untracked += other.untracked;
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    terminal[s] += other.terminal[s];
+  }
+  for (const auto& [reason, count] : other.failure_reasons) {
+    failure_reasons[reason] += count;
+  }
+  units_kept += other.units_kept;
+  units_dropped += other.units_dropped;
+  units_empty += other.units_empty;
+  cells_observed += other.cells_observed;
+  cells_masked += other.cells_masked;
+  return *this;
+}
+
 LineageWaterfall Lineage::Totals() const {
   std::lock_guard<std::mutex> lock(mu_);
   LineageWaterfall total;
   for (const RunLedger& run : runs_) {
-    const std::vector<LineageStage> stages = ResolveStages(run);
-    for (std::size_t i = 0; i < run.records.size(); ++i) {
-      const RecordEntry& entry = run.records[i];
-      if (!entry.seen) {
-        ++total.untracked;
-        continue;
-      }
-      ++total.emitted;
-      total.delivered += entry.copies;
-      if (stages[i] == LineageStage::kQuarantined) {
-        total.quarantined_copies += entry.copies;
-      } else {
-        total.archived_copies += entry.copies;
-      }
-      ++total.terminal[static_cast<std::size_t>(stages[i])];
-    }
-    for (const auto& [reason, count] : run.probe_failures) {
-      total.probes_failed += count;
-      total.failure_reasons[reason] += count;
-    }
-    total.units_empty += run.empty_units;
-    for (const auto& [name, unit] : run.units) {
-      if (unit.dropped) {
-        ++total.units_dropped;
-      } else {
-        ++total.units_kept;
-      }
-      total.cells_observed += unit.observed_cells;
-      total.cells_masked += unit.masked_cells;
-    }
+    total += RunWaterfall(run, ResolveStages(run));
   }
-  total.probes_attempted = total.emitted + total.probes_failed;
   return total;
 }
 
@@ -514,289 +540,6 @@ bool Lineage::Load(core::binio::Reader& r) {
   std::lock_guard<std::mutex> lock(mu_);
   runs_ = std::move(loaded);
   return true;
-}
-
-namespace {
-
-/// Record/intent/fault/vantage composition of a set of units' panel cells.
-struct Composition {
-  std::uint64_t records = 0;
-  std::uint64_t cells = 0;
-  std::uint64_t digest = 0;
-  std::map<std::string, std::uint64_t> intents;
-  std::map<std::string, std::uint64_t> faults;
-  std::map<std::string, std::uint64_t> vantages;
-};
-
-void WriteCountMap(core::json::Writer& w, const char* key,
-                   const std::map<std::string, std::uint64_t>& counts) {
-  w.Key(key);
-  w.BeginObject();
-  for (const auto& [name, count] : counts) {
-    w.Key(name);
-    w.UInt(count);
-  }
-  w.EndObject();
-}
-
-std::string DigestHex(std::uint64_t digest) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return std::string(buffer);
-}
-
-void WriteComposition(core::json::Writer& w, const char* prefix,
-                      const Composition& comp) {
-  w.Key(std::string(prefix) + "_records");
-  w.UInt(comp.records);
-  w.Key(std::string(prefix) + "_cells");
-  w.UInt(comp.cells);
-  w.Key(std::string(prefix) + "_digest");
-  w.String(DigestHex(comp.digest));
-  WriteCountMap(w, (std::string(prefix) + "_intents").c_str(), comp.intents);
-  WriteCountMap(w, (std::string(prefix) + "_faults").c_str(), comp.faults);
-  WriteCountMap(w, (std::string(prefix) + "_vantages").c_str(),
-                comp.vantages);
-}
-
-}  // namespace
-
-std::string Lineage::ToJson(int indent) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  core::json::Writer w(indent);
-  w.BeginObject();
-  w.Key("schema");
-  w.String("sisyphus.lineage/1");
-  w.Key("stages");
-  w.BeginArray();
-  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
-    w.String(ToString(static_cast<LineageStage>(s)));
-  }
-  w.EndArray();
-  w.Key("fault_bits");
-  w.BeginArray();
-  for (const char* name : kLineageFaultNames) w.String(name);
-  w.EndArray();
-  w.Key("runs");
-  w.BeginArray();
-  for (const RunLedger& run : runs_) {
-    const std::vector<LineageStage> stages = ResolveStages(run);
-
-    // Compose the per-unit composition lookup once per run.
-    const auto compose = [&](const std::vector<std::string>& units) {
-      Composition comp;
-      std::string digest_bytes;
-      for (const std::string& unit_name : units) {
-        const auto it = run.units.find(unit_name);
-        if (it == run.units.end() || it->second.dropped) continue;
-        for (const CellEntry& cell : it->second.cells) {
-          ++comp.cells;
-          const std::uint64_t cell_digest = cell.ids.digest();
-          digest_bytes.append(
-              reinterpret_cast<const char*>(&cell_digest),
-              sizeof(cell_digest));
-          for (std::uint64_t id : cell.ids.Expand()) {
-            if (id == 0 || id > run.records.size()) continue;
-            const RecordEntry& entry = run.records[id - 1];
-            ++comp.records;
-            if (!entry.seen) continue;
-            ++comp.intents[LineageIntentName(entry.intent)];
-            ++comp.vantages[std::to_string(entry.vantage)];
-            for (std::size_t bit = 0; bit < kLineageFaultNames.size();
-                 ++bit) {
-              if (entry.fault_mask & (1u << bit)) {
-                ++comp.faults[kLineageFaultNames[bit]];
-              }
-            }
-          }
-        }
-      }
-      comp.digest = core::Fnv1a64(digest_bytes);
-      return comp;
-    };
-
-    w.BeginObject();
-    w.Key("label");
-    w.String(run.label);
-
-    // -- waterfall accounting (the conservation surface) --
-    std::uint64_t emitted = 0, delivered = 0, quarantined = 0, archived = 0,
-                  untracked = 0, failed = 0;
-    std::array<std::uint64_t, kLineageStageCount> terminal{};
-    for (std::size_t i = 0; i < run.records.size(); ++i) {
-      const RecordEntry& entry = run.records[i];
-      if (!entry.seen) {
-        ++untracked;
-        continue;
-      }
-      ++emitted;
-      delivered += entry.copies;
-      if (stages[i] == LineageStage::kQuarantined) {
-        quarantined += entry.copies;
-      } else {
-        archived += entry.copies;
-      }
-      ++terminal[static_cast<std::size_t>(stages[i])];
-    }
-    for (const auto& [reason, count] : run.probe_failures) failed += count;
-    std::uint64_t units_kept = 0, units_dropped = 0, cells_observed = 0,
-                  cells_masked = 0;
-    for (const auto& [name, unit] : run.units) {
-      if (unit.dropped) {
-        ++units_dropped;
-      } else {
-        ++units_kept;
-      }
-      cells_observed += unit.observed_cells;
-      cells_masked += unit.masked_cells;
-    }
-    w.Key("waterfall");
-    w.BeginObject();
-    w.Key("probes_attempted");
-    w.UInt(emitted + failed);
-    w.Key("probes_failed");
-    w.UInt(failed);
-    WriteCountMap(w, "failure_reasons", run.probe_failures);
-    w.Key("emitted");
-    w.UInt(emitted);
-    w.Key("delivered");
-    w.UInt(delivered);
-    w.Key("quarantined_copies");
-    w.UInt(quarantined);
-    w.Key("archived_copies");
-    w.UInt(archived);
-    w.Key("untracked");
-    w.UInt(untracked);
-    w.Key("terminal");
-    w.BeginObject();
-    for (std::size_t s = 0; s < kLineageStageCount; ++s) {
-      w.Key(ToString(static_cast<LineageStage>(s)));
-      w.UInt(terminal[s]);
-    }
-    w.EndObject();
-    w.Key("panel");
-    w.BeginObject();
-    w.Key("units_kept");
-    w.UInt(units_kept);
-    w.Key("units_dropped");
-    w.UInt(units_dropped);
-    w.Key("units_empty");
-    w.UInt(run.empty_units);
-    w.Key("cells_observed");
-    w.UInt(cells_observed);
-    w.Key("cells_masked");
-    w.UInt(cells_masked);
-    w.EndObject();
-    w.EndObject();
-
-    // -- columnar per-record arrays (index = id - 1) --
-    w.Key("records");
-    w.BeginObject();
-    w.Key("count");
-    w.UInt(run.records.size());
-    const auto column = [&](const char* key, auto&& get) {
-      w.Key(key);
-      w.BeginArray();
-      for (std::size_t i = 0; i < run.records.size(); ++i) {
-        w.UInt(get(run.records[i], stages[i]));
-      }
-      w.EndArray();
-    };
-    column("vantage", [](const RecordEntry& r, LineageStage) {
-      return static_cast<std::uint64_t>(r.vantage);
-    });
-    column("intent", [](const RecordEntry& r, LineageStage) {
-      return static_cast<std::uint64_t>(r.intent);
-    });
-    column("attempts", [](const RecordEntry& r, LineageStage) {
-      return static_cast<std::uint64_t>(r.attempts);
-    });
-    column("fault_mask", [](const RecordEntry& r, LineageStage) {
-      return static_cast<std::uint64_t>(r.fault_mask);
-    });
-    column("copies", [](const RecordEntry& r, LineageStage) {
-      return static_cast<std::uint64_t>(r.copies);
-    });
-    column("stage", [](const RecordEntry&, LineageStage stage) {
-      return static_cast<std::uint64_t>(stage);
-    });
-    w.EndObject();
-
-    // -- panel units with per-cell id sets --
-    w.Key("panel_units");
-    w.BeginObject();
-    for (const auto& [name, unit] : run.units) {
-      w.Key(name);
-      w.BeginObject();
-      w.Key("dropped");
-      w.Bool(unit.dropped);
-      w.Key("missing_fraction");
-      w.Double(unit.missing_fraction);
-      w.Key("observed_cells");
-      w.UInt(unit.observed_cells);
-      w.Key("masked_cells");
-      w.UInt(unit.masked_cells);
-      w.Key("used_treated");
-      w.Bool(unit.used_treated);
-      w.Key("used_donor");
-      w.Bool(unit.used_donor);
-      if (unit.dropped) {
-        w.Key("dropped_ids");
-        w.BeginArray();
-        for (std::uint64_t v : unit.dropped_ids.encoded()) w.UInt(v);
-        w.EndArray();
-      }
-      w.Key("cells");
-      w.BeginArray();
-      for (const CellEntry& cell : unit.cells) {
-        w.BeginObject();
-        w.Key("period");
-        w.UInt(cell.period);
-        w.Key("count");
-        w.UInt(cell.ids.size());
-        w.Key("digest");
-        w.String(DigestHex(cell.ids.digest()));
-        w.Key("runs");
-        w.BeginArray();
-        for (std::uint64_t v : cell.ids.encoded()) w.UInt(v);
-        w.EndArray();
-        w.EndObject();
-      }
-      w.EndArray();
-      w.EndObject();
-    }
-    w.EndObject();
-
-    // -- estimates with resolved compositions --
-    w.Key("estimates");
-    w.BeginArray();
-    for (const EstimateEntry& estimate : run.estimates) {
-      w.BeginObject();
-      w.Key("label");
-      w.String(estimate.label);
-      w.Key("treated");
-      w.String(estimate.treated);
-      w.Key("donors");
-      w.BeginArray();
-      for (const std::string& donor : estimate.donors) w.String(donor);
-      w.EndArray();
-      w.Key("effect");
-      w.Double(estimate.effect);
-      w.Key("p_value");
-      w.Double(estimate.p_value);  // NaN serializes as null
-      const Composition treated = compose({estimate.treated});
-      const Composition donors = compose(estimate.donors);
-      WriteComposition(w, "treated", treated);
-      WriteComposition(w, "donor", donors);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return std::move(w).str();
 }
 
 }  // namespace sisyphus::obs

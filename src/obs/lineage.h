@@ -29,8 +29,8 @@
 // code did — never wall-clock — and events raised inside a
 // core::ParallelFor task are captured into the task's buffer and replayed
 // in ascending task-index order (the TaskObserver side-channel shared
-// with the metrics registry), so ToJson() is byte-identical at any
-// SISYPHUS_THREADS.
+// with the metrics registry), so the ledger — and audit.bin, built from
+// it — is byte-identical at any SISYPHUS_THREADS.
 //
 // Layering: obs cannot depend on measure/causal, so the ledger speaks in
 // primitives (ids, unit-key strings, intent codes, fault bits). The
@@ -106,7 +106,7 @@ class IdRunSet {
   std::uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::uint64_t digest() const { return digest_; }
-  /// The raw [gap, len, ...] encoding (serialized verbatim as "runs").
+  /// The raw [gap, len, ...] encoding (serialized verbatim).
   const std::vector<std::uint64_t>& encoded() const { return encoded_; }
   /// Expands back to the sorted id list.
   std::vector<std::uint64_t> Expand() const;
@@ -194,6 +194,9 @@ struct LineageWaterfall {
   std::uint64_t units_empty = 0;
   std::uint64_t cells_observed = 0;
   std::uint64_t cells_masked = 0;
+
+  /// Adds `other` field by field (the cross-run sum).
+  LineageWaterfall& operator+=(const LineageWaterfall& other);
 };
 
 /// The process-wide lineage ledger. All mutators are cheap no-ops while
@@ -256,10 +259,6 @@ class Lineage {
   /// Number of run ledgers (diagnostics/tests).
   std::size_t run_count() const;
 
-  /// Deterministic artifact JSON (schema sisyphus.lineage/1); compact by
-  /// default — the columnar record arrays make indented output huge.
-  std::string ToJson(int indent = 0) const;
-
   /// Applies a captured per-task event buffer in order (called from the
   /// TaskObserver merge on the region's calling thread).
   void Replay(const std::vector<internal::LineageEvent>& events);
@@ -300,7 +299,7 @@ class Lineage {
     std::string treated;
     std::vector<std::string> donors;
     double effect = 0.0;
-    double p_value = 0.0;  ///< NaN = not applicable (serialized null)
+    double p_value = 0.0;  ///< NaN = not applicable
   };
   struct RunLedger {
     std::string label;
@@ -313,9 +312,13 @@ class Lineage {
   };
 
   /// Per-record stages with used_treated/used_donor unit flags folded in
-  /// (pure function of one run ledger; shared by ToJson and the audit
+  /// (pure function of one run ledger; shared by Totals and the audit
   /// artifact writer so both resolve identical terminal states).
   static std::vector<LineageStage> ResolveStages(const RunLedger& run);
+  /// One run's waterfall accounting from its ledger and resolved stages
+  /// (pure; Totals sums it across runs, the audit writer stores it per run).
+  static LineageWaterfall RunWaterfall(const RunLedger& run,
+                                       const std::vector<LineageStage>& stages);
 
   /// Read-only visitor over the run ledgers, invoked with mu_ held: the
   /// audit writer serializes a consistent view without copying the ledger.

@@ -10,8 +10,9 @@ namespace sisyphus::obs {
 using core::Error;
 using core::ErrorCode;
 
-std::string RunManifest::ToJson(const Registry& metrics, int indent) const {
-  core::json::Writer w(indent);
+std::string RunManifest::ToJson(const Registry& metrics,
+                                const Lineage& lineage) const {
+  core::json::Writer w(/*indent=*/2);
   w.BeginObject();
   w.Key("schema");
   w.String(schema);
@@ -105,6 +106,23 @@ std::string RunManifest::ToJson(const Registry& metrics, int indent) const {
     w.UInt(timeline.churn_events);
     w.EndObject();
   }
+  // Lineage rollup: the totals obscheck cross-checks against the summed
+  // run headers of audit.bin, the ledger's one serialized form.
+  const LineageWaterfall totals = lineage.Totals();
+  w.Key("lineage");
+  w.BeginObject();
+  w.Key("runs");
+  w.UInt(lineage.run_count());
+  w.Key("emitted");
+  w.UInt(totals.emitted);
+  w.Key("terminal");
+  w.BeginObject();
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    w.Key(ToString(static_cast<LineageStage>(s)));
+    w.UInt(totals.terminal[s]);
+  }
+  w.EndObject();
+  w.EndObject();
   // ThreadPool behavior stats are wall-clock and therefore live here (the
   // chartered non-deterministic artifact), never in metrics.json.
   if (PoolStats::enabled()) {
@@ -162,10 +180,10 @@ core::Status WriteFile(const std::string& path, const std::string& text) {
 
 core::Status WriteRunArtifacts(const std::string& directory,
                                const RunManifest& manifest,
-                               const Registry& metrics,
-                               const Tracer& tracer) {
+                               const Registry& metrics, const Tracer& tracer,
+                               const Lineage& lineage) {
   if (auto s = WriteFile(directory + "/manifest.json",
-                         manifest.ToJson(metrics));
+                         manifest.ToJson(metrics, lineage));
       !s.ok()) {
     return s;
   }
@@ -176,18 +194,6 @@ core::Status WriteRunArtifacts(const std::string& directory,
   }
   return WriteFile(directory + "/trace.json",
                    tracer.ToChromeTraceJson(/*indent=*/0));
-}
-
-core::Status WriteRunArtifacts(const std::string& directory,
-                               const RunManifest& manifest,
-                               const Registry& metrics, const Tracer& tracer,
-                               const Lineage& lineage) {
-  if (auto s = WriteRunArtifacts(directory, manifest, metrics, tracer);
-      !s.ok()) {
-    return s;
-  }
-  return WriteFile(directory + "/lineage.json",
-                   lineage.ToJson(/*indent=*/0));
 }
 
 }  // namespace sisyphus::obs

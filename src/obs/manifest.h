@@ -1,7 +1,7 @@
 // RunManifest: machine-readable provenance for one experiment run —
-// seeds, config hashes, option key/values, per-phase timings, and the
-// final metric snapshot — written as manifest.json next to metrics.json
-// and trace.json (the `--obs-out <dir>` artifact trio).
+// seeds, config hashes, option key/values, per-phase timings, the final
+// metric snapshot, and the lineage rollup — written as manifest.json next
+// to metrics.json and trace.json (the `--obs-out <dir>` JSON artifacts).
 //
 // The manifest is the *non*-deterministic artifact (it carries wall-clock
 // phase timings); metrics.json is the deterministic one. obscheck and the
@@ -83,8 +83,11 @@ struct RunManifest {
   }
 
   /// Manifest JSON including the registry's metric snapshot under
-  /// "metrics" (so the manifest alone is a complete run record).
-  std::string ToJson(const Registry& metrics, int indent = 2) const;
+  /// "metrics" (so the manifest alone is a complete run record) and the
+  /// ledger's rollup under "lineage": run count, emitted, and per-stage
+  /// terminal totals (obscheck cross-checks these against audit.bin's run
+  /// headers).
+  std::string ToJson(const Registry& metrics, const Lineage& lineage) const;
 };
 
 /// RAII phase timer: measures wall time from construction to Stop() (or
@@ -113,15 +116,10 @@ class ScopedPhase {
   bool stopped_ = false;
 };
 
-/// Writes the artifact trio — manifest.json, metrics.json, trace.json —
-/// into `directory` (which must exist). kInvalidArgument when a file
-/// cannot be opened.
-core::Status WriteRunArtifacts(const std::string& directory,
-                               const RunManifest& manifest,
-                               const Registry& metrics, const Tracer& tracer);
-
-/// Quartet overload: additionally writes lineage.json (the fourth,
-/// deterministic artifact; byte-identical at any SISYPHUS_THREADS).
+/// Writes manifest.json (carrying `lineage`'s rollup block), metrics.json
+/// and trace.json into `directory` (which must exist). The ledger itself
+/// is serialized as audit.bin by audit::WriteAuditArtifact.
+/// kInvalidArgument when a file cannot be opened.
 core::Status WriteRunArtifacts(const std::string& directory,
                                const RunManifest& manifest,
                                const Registry& metrics, const Tracer& tracer,

@@ -1,9 +1,9 @@
 // Tests for the indexed audit store (src/audit): the binary artifact
-// must answer every query with exactly the numbers the lineage JSON
-// holds (round-trip through a real multi-campaign fault run), reject
-// truncation and corruption loudly, and stay byte-identical across
-// thread counts and across a durable stop/resume — the same contract
-// lineage.json itself carries (DESIGN.md §12).
+// must answer every query with exactly the numbers the in-memory lineage
+// ledger holds (round-trip through a real multi-campaign fault run),
+// reject truncation, corruption and hostile counts loudly, and stay
+// byte-identical across thread counts and across a durable stop/resume —
+// the contract the ledger itself carries (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 #include "audit/reader.h"
 #include "audit/writer.h"
 #include "causal/robust_synthetic_control.h"
-#include "core/json.h"
+#include "core/hash.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "durable/service.h"
@@ -33,7 +33,6 @@ namespace sisyphus {
 namespace {
 
 namespace fs = std::filesystem;
-using core::json::Value;
 using obs::Lineage;
 
 /// RAII lineage enable/reset, as in lineage_test.
@@ -123,13 +122,33 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::uint64_t U64(const Value& parent, const std::string& key) {
-  const Value* v = parent.Find(key);
-  EXPECT_NE(v, nullptr) << key;
-  return v != nullptr ? static_cast<std::uint64_t>(v->number) : 0;
+/// Composition oracle straight from the ledger: cells and record ids of
+/// the named kept units, digest = FNV over the concatenated cell digests.
+struct PoolOracle {
+  std::uint64_t records = 0;
+  std::uint64_t cells = 0;
+  std::uint64_t digest = 0;
+};
+
+PoolOracle Pool(const Lineage::RunLedger& run,
+                const std::vector<std::string>& units) {
+  PoolOracle pool;
+  std::string digests;
+  for (const std::string& name : units) {
+    const auto it = run.units.find(name);
+    if (it == run.units.end() || it->second.dropped) continue;
+    for (const Lineage::CellEntry& cell : it->second.cells) {
+      ++pool.cells;
+      pool.records += cell.ids.size();
+      const std::uint64_t digest = cell.ids.digest();
+      digests.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+    }
+  }
+  pool.digest = core::Fnv1a64(digests);
+  return pool;
 }
 
-TEST(AuditStoreTest, RoundTripMatchesJsonLedger) {
+TEST(AuditStoreTest, RoundTripMatchesLedger) {
   ScopedLineage scoped;
   RunTwoCampaigns();
 
@@ -137,135 +156,154 @@ TEST(AuditStoreTest, RoundTripMatchesJsonLedger) {
   const std::string path = TempPath("audit-roundtrip.bin");
   WriteFile(path, artifact);
 
-  auto parsed = core::json::Parse(Lineage::Global().ToJson());
-  ASSERT_TRUE(parsed.ok());
-  const Value& json = parsed.value();
-  const Value* runs = json.Find("runs");
-  ASSERT_NE(runs, nullptr);
-
   audit::AuditReader reader;
   const auto open = reader.Open(path);
   ASSERT_TRUE(open.ok()) << open.error().message();
-  ASSERT_EQ(reader.run_count(), runs->array.size());
   ASSERT_EQ(reader.run_count(), 2u);
   EXPECT_TRUE(reader.VerifyAll().ok());
 
+  // The run headers sum to the totals the manifest's lineage block carries
+  // (the pair obscheck cross-checks).
+  const obs::LineageWaterfall totals = Lineage::Global().Totals();
+  obs::LineageWaterfall sums;
   for (std::size_t i = 0; i < reader.run_count(); ++i) {
-    const Value& json_run = runs->array[i];
-    const audit::RunSummary& run = reader.run(i);
-    EXPECT_EQ(run.label, json_run.Find("label")->string);
-
-    // Waterfall rollup.
-    const Value* w = json_run.Find("waterfall");
-    ASSERT_NE(w, nullptr);
-    EXPECT_EQ(run.waterfall.probes_attempted, U64(*w, "probes_attempted"));
-    EXPECT_EQ(run.waterfall.probes_failed, U64(*w, "probes_failed"));
-    EXPECT_EQ(run.waterfall.emitted, U64(*w, "emitted"));
-    EXPECT_EQ(run.waterfall.delivered, U64(*w, "delivered"));
-    EXPECT_EQ(run.waterfall.quarantined_copies, U64(*w, "quarantined_copies"));
-    EXPECT_EQ(run.waterfall.archived_copies, U64(*w, "archived_copies"));
-    EXPECT_GT(run.waterfall.emitted, 0u);
-
-    // Columnar records: every column must equal the JSON dump.
-    const Value* json_records = json_run.Find("records");
-    ASSERT_NE(json_records, nullptr);
-    const auto columns = reader.Records(i);
-    ASSERT_TRUE(columns.ok());
-    ASSERT_EQ(columns.value().count, U64(*json_records, "count"));
-    const Value* stage_col = json_records->Find("stage");
-    const Value* vantage_col = json_records->Find("vantage");
-    const Value* copies_col = json_records->Find("copies");
-    ASSERT_NE(stage_col, nullptr);
-    std::vector<std::uint64_t> histogram(obs::kLineageStageCount, 0);
-    for (std::uint64_t r = 0; r < columns.value().count; ++r) {
-      EXPECT_EQ(columns.value().stage[r],
-                static_cast<std::uint8_t>(stage_col->array[r].number));
-      EXPECT_EQ(columns.value().vantage[r],
-                static_cast<std::uint32_t>(vantage_col->array[r].number));
-      EXPECT_EQ(columns.value().copies[r],
-                static_cast<std::uint8_t>(copies_col->array[r].number));
-      ++histogram[columns.value().stage[r]];
-    }
-
-    // Terminal posting lists: count per stage == per-record histogram,
-    // and the decoded id set really holds ids with that resolved stage.
-    for (std::size_t s = 0; s < obs::kLineageStageCount; ++s) {
-      const auto slice =
-          reader.Terminal(i, static_cast<obs::LineageStage>(s));
-      ASSERT_TRUE(slice.ok());
-      EXPECT_EQ(slice.value().count, histogram[s]) << "stage " << s;
-      const auto ids =
-          obs::IdRunSet::FromEncoded(slice.value().id_runs).Expand();
-      ASSERT_EQ(ids.size(), histogram[s]);
-      for (std::uint64_t id : ids) {
-        EXPECT_EQ(columns.value().stage[id - 1], s);
-      }
-    }
-
-    // Every panel unit answers identically to the JSON ledger.
-    const Value* units = json_run.Find("panel_units");
-    ASSERT_NE(units, nullptr);
-    EXPECT_FALSE(units->object.empty());
-    for (const auto& [name, json_unit] : units->object) {
-      const auto unit = reader.FindUnit(i, name);
-      ASSERT_TRUE(unit.ok());
-      ASSERT_TRUE(unit.value().found) << name;
-      EXPECT_EQ(unit.value().dropped, json_unit.Find("dropped")->boolean);
-      EXPECT_DOUBLE_EQ(unit.value().missing_fraction,
-                       json_unit.Find("missing_fraction")->number);
-      EXPECT_EQ(unit.value().observed_cells, U64(json_unit, "observed_cells"));
-      EXPECT_EQ(unit.value().masked_cells, U64(json_unit, "masked_cells"));
-      const Value* cells = json_unit.Find("cells");
-      ASSERT_NE(cells, nullptr);
-      ASSERT_EQ(unit.value().cells.size(), cells->array.size());
-      for (std::size_t c = 0; c < cells->array.size(); ++c) {
-        EXPECT_EQ(unit.value().cells[c].period,
-                  U64(cells->array[c], "period"));
-        EXPECT_EQ(unit.value().cells[c].count, U64(cells->array[c], "count"));
-        char digest[17];
-        std::snprintf(digest, sizeof(digest), "%016llx",
-                      static_cast<unsigned long long>(
-                          unit.value().cells[c].digest));
-        EXPECT_EQ(std::string(digest), cells->array[c].Find("digest")->string);
-      }
-    }
-    const auto missing = reader.FindUnit(i, "no such unit");
-    ASSERT_TRUE(missing.ok());
-    EXPECT_FALSE(missing.value().found);
-
-    // Estimates: composition pools must match the precomputed JSON ones.
-    const Value* estimates = json_run.Find("estimates");
-    ASSERT_NE(estimates, nullptr);
-    EXPECT_EQ(run.estimate_count, estimates->array.size());
-    EXPECT_GT(run.estimate_count, 0u);
-    for (const Value& json_estimate : estimates->array) {
-      const std::string& label = json_estimate.Find("label")->string;
-      const auto estimate = reader.FindEstimate(i, label);
-      ASSERT_TRUE(estimate.ok());
-      ASSERT_TRUE(estimate.value().found) << label;
-      EXPECT_EQ(estimate.value().treated,
-                json_estimate.Find("treated")->string);
-      EXPECT_DOUBLE_EQ(estimate.value().effect,
-                       json_estimate.Find("effect")->number);
-      EXPECT_EQ(estimate.value().treated_comp.records,
-                U64(json_estimate, "treated_records"));
-      EXPECT_EQ(estimate.value().treated_comp.cells,
-                U64(json_estimate, "treated_cells"));
-      EXPECT_EQ(estimate.value().donor_comp.records,
-                U64(json_estimate, "donor_records"));
-      EXPECT_EQ(estimate.value().donor_comp.cells,
-                U64(json_estimate, "donor_cells"));
-      char digest[17];
-      std::snprintf(digest, sizeof(digest), "%016llx",
-                    static_cast<unsigned long long>(
-                        estimate.value().treated_comp.digest));
-      EXPECT_EQ(std::string(digest),
-                json_estimate.Find("treated_digest")->string);
-    }
-    const auto absent = reader.FindEstimate(i, "no such estimate");
-    ASSERT_TRUE(absent.ok());
-    EXPECT_FALSE(absent.value().found);
+    sums += reader.run(i).waterfall;
   }
+  EXPECT_EQ(sums.emitted, totals.emitted);
+  EXPECT_EQ(sums.terminal, totals.terminal);
+  EXPECT_GT(totals.emitted, 0u);
+
+  Lineage::Global().VisitRuns([&](const std::vector<Lineage::RunLedger>& runs) {
+    ASSERT_EQ(runs.size(), reader.run_count());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const Lineage::RunLedger& ledger = runs[i];
+      const std::vector<obs::LineageStage> stages =
+          Lineage::ResolveStages(ledger);
+      const audit::RunSummary& run = reader.run(i);
+      EXPECT_EQ(run.label, ledger.label);
+      EXPECT_GT(run.waterfall.emitted, 0u);
+
+      // Columnar records: every column equals the ledger entry, with the
+      // stage resolved.
+      const auto columns = reader.Records(i);
+      ASSERT_TRUE(columns.ok());
+      ASSERT_EQ(columns.value().count, ledger.records.size());
+      std::vector<std::uint64_t> histogram(obs::kLineageStageCount, 0);
+      obs::LineageWaterfall want;
+      for (std::uint64_t r = 0; r < columns.value().count; ++r) {
+        const Lineage::RecordEntry& entry = ledger.records[r];
+        EXPECT_EQ(columns.value().stage[r],
+                  static_cast<std::uint8_t>(stages[r]));
+        EXPECT_EQ(columns.value().vantage[r], entry.vantage);
+        EXPECT_EQ(columns.value().intent[r], entry.intent);
+        EXPECT_EQ(columns.value().attempts[r], entry.attempts);
+        EXPECT_EQ(columns.value().fault_mask[r], entry.fault_mask);
+        EXPECT_EQ(columns.value().copies[r], entry.copies);
+        EXPECT_EQ(columns.value().seen[r], entry.seen ? 1 : 0);
+        ++histogram[columns.value().stage[r]];
+        if (columns.value().seen[r] == 0) {
+          ++want.untracked;
+          continue;
+        }
+        ++want.emitted;
+        want.delivered += columns.value().copies[r];
+        if (columns.value().stage[r] ==
+            static_cast<std::uint8_t>(obs::LineageStage::kQuarantined)) {
+          want.quarantined_copies += columns.value().copies[r];
+        }
+      }
+
+      // The run header, checked against this run's own columns and ledger
+      // rather than against Lineage::RunWaterfall, which wrote it.
+      for (const auto& [reason, count] : ledger.probe_failures) {
+        want.probes_failed += count;
+      }
+      for (const auto& [name, unit] : ledger.units) {
+        ++(unit.dropped ? want.units_dropped : want.units_kept);
+        want.cells_observed += unit.observed_cells;
+        want.cells_masked += unit.masked_cells;
+      }
+      EXPECT_EQ(run.waterfall.emitted, want.emitted);
+      EXPECT_EQ(run.waterfall.untracked, want.untracked);
+      EXPECT_EQ(run.waterfall.delivered, want.delivered);
+      EXPECT_EQ(run.waterfall.quarantined_copies, want.quarantined_copies);
+      EXPECT_EQ(run.waterfall.archived_copies,
+                want.delivered - want.quarantined_copies);
+      EXPECT_EQ(run.waterfall.probes_failed, want.probes_failed);
+      EXPECT_EQ(run.waterfall.probes_attempted,
+                want.emitted + want.probes_failed);
+      EXPECT_EQ(run.waterfall.failure_reasons, ledger.probe_failures);
+      EXPECT_EQ(run.waterfall.units_kept, want.units_kept);
+      EXPECT_EQ(run.waterfall.units_dropped, want.units_dropped);
+      EXPECT_EQ(run.waterfall.units_empty, ledger.empty_units);
+      EXPECT_EQ(run.waterfall.cells_observed, want.cells_observed);
+      EXPECT_EQ(run.waterfall.cells_masked, want.cells_masked);
+
+      // Terminal posting lists: count per stage == per-record histogram
+      // == the run header, and the decoded id set really holds ids with
+      // that resolved stage.
+      for (std::size_t s = 0; s < obs::kLineageStageCount; ++s) {
+        const auto slice =
+            reader.Terminal(i, static_cast<obs::LineageStage>(s));
+        ASSERT_TRUE(slice.ok());
+        EXPECT_EQ(slice.value().count, histogram[s]) << "stage " << s;
+        EXPECT_EQ(run.waterfall.terminal[s], histogram[s]) << "stage " << s;
+        const auto ids =
+            obs::IdRunSet::FromEncoded(slice.value().id_runs).Expand();
+        ASSERT_EQ(ids.size(), histogram[s]);
+        for (std::uint64_t id : ids) {
+          EXPECT_EQ(columns.value().stage[id - 1], s);
+        }
+      }
+
+      // Every panel unit answers identically to the ledger.
+      EXPECT_FALSE(ledger.units.empty());
+      for (const auto& [name, want] : ledger.units) {
+        const auto unit = reader.FindUnit(i, name);
+        ASSERT_TRUE(unit.ok());
+        ASSERT_TRUE(unit.value().found) << name;
+        EXPECT_EQ(unit.value().dropped, want.dropped);
+        EXPECT_DOUBLE_EQ(unit.value().missing_fraction, want.missing_fraction);
+        EXPECT_EQ(unit.value().observed_cells, want.observed_cells);
+        EXPECT_EQ(unit.value().masked_cells, want.masked_cells);
+        EXPECT_EQ(unit.value().used_treated, want.used_treated);
+        EXPECT_EQ(unit.value().used_donor, want.used_donor);
+        ASSERT_EQ(unit.value().cells.size(), want.cells.size());
+        for (std::size_t c = 0; c < want.cells.size(); ++c) {
+          EXPECT_EQ(unit.value().cells[c].period, want.cells[c].period);
+          EXPECT_EQ(unit.value().cells[c].count, want.cells[c].ids.size());
+          EXPECT_EQ(unit.value().cells[c].digest, want.cells[c].ids.digest());
+          EXPECT_EQ(unit.value().cells[c].runs, want.cells[c].ids.encoded());
+        }
+      }
+      const auto missing = reader.FindUnit(i, "no such unit");
+      ASSERT_TRUE(missing.ok());
+      EXPECT_FALSE(missing.value().found);
+
+      // Estimates: composition pools match the ledger's cells.
+      EXPECT_EQ(run.estimate_count, ledger.estimates.size());
+      EXPECT_GT(run.estimate_count, 0u);
+      for (const Lineage::EstimateEntry& want : ledger.estimates) {
+        const auto estimate = reader.FindEstimate(i, want.label);
+        ASSERT_TRUE(estimate.ok());
+        ASSERT_TRUE(estimate.value().found) << want.label;
+        EXPECT_EQ(estimate.value().treated, want.treated);
+        EXPECT_EQ(estimate.value().donors, want.donors);
+        EXPECT_DOUBLE_EQ(estimate.value().effect, want.effect);
+        const PoolOracle treated = Pool(ledger, {want.treated});
+        const PoolOracle donors = Pool(ledger, want.donors);
+        EXPECT_EQ(estimate.value().treated_comp.records, treated.records);
+        EXPECT_EQ(estimate.value().treated_comp.cells, treated.cells);
+        EXPECT_EQ(estimate.value().treated_comp.digest, treated.digest);
+        EXPECT_EQ(estimate.value().donor_comp.records, donors.records);
+        EXPECT_EQ(estimate.value().donor_comp.cells, donors.cells);
+        EXPECT_EQ(estimate.value().donor_comp.digest, donors.digest);
+      }
+      const auto absent = reader.FindEstimate(i, "no such estimate");
+      ASSERT_TRUE(absent.ok());
+      EXPECT_FALSE(absent.value().found);
+    }
+  });
 }
 
 TEST(AuditStoreTest, RejectsTruncationAndGrowth) {
@@ -334,6 +372,154 @@ TEST(AuditStoreTest, RejectsCorruption) {
     ASSERT_TRUE(reader.Open(path).ok());
     EXPECT_FALSE(reader.VerifyAll().ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile counts: each file below carries one oversized count with every
+// FNV checksum recomputed, so the count reaches the decoder instead of
+// tripping a checksum. Each must come back as a Status, never a crash, a
+// wrapped size, or an allocation the file cannot back.
+
+std::uint64_t GetU64At(const std::string& bytes, std::uint64_t offset) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[offset + i]);
+  }
+  return v;
+}
+
+void PutU64At(std::string& bytes, std::uint64_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// A one-run artifact: four records, two kept units with one cell each.
+std::string SmallArtifact() {
+  ScopedLineage scoped;
+  Lineage::Global().BeginRun("crafted");
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    obs::LineageRecordInfo info;
+    info.id = id;
+    info.archived = true;
+    Lineage::Global().RecordEmitted(info);
+  }
+  Lineage::Global().PanelUnitKept("unit-a", 0.0, 1, 0);
+  Lineage::Global().PanelCell("unit-a", 0, obs::IdRunSet::FromSorted({1, 2}));
+  Lineage::Global().PanelUnitKept("unit-b", 0.0, 1, 0);
+  Lineage::Global().PanelCell("unit-b", 0, obs::IdRunSet::FromSorted({3, 4}));
+  return audit::BuildAuditArtifact(Lineage::Global());
+}
+
+/// Byte offset of the table entry for the first section of `kind`.
+std::uint64_t EntryOf(const std::string& file, audit::SectionKind kind) {
+  const std::uint64_t count = GetU64At(file, 16);
+  const std::uint64_t table = GetU64At(file, 24);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t entry = table + i * audit::kAuditTableEntrySize;
+    if (GetU64At(file, entry) == static_cast<std::uint64_t>(kind)) {
+      return entry;
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
+  return table;
+}
+
+/// Byte offset of the first section of `kind`.
+std::uint64_t SectionOf(const std::string& file, audit::SectionKind kind) {
+  return GetU64At(file, EntryOf(file, kind) + 16);
+}
+
+/// Recomputes the checksum of the section of `kind` and of the table.
+void Reseal(std::string& file, audit::SectionKind kind) {
+  const std::uint64_t entry = EntryOf(file, kind);
+  const std::uint64_t offset = GetU64At(file, entry + 16);
+  const std::uint64_t size = GetU64At(file, entry + 24);
+  PutU64At(file, entry + 32, core::Fnv1a64(std::string_view(file).substr(
+                                 offset, size)));
+  const std::uint64_t table = GetU64At(file, 24);
+  const std::uint64_t table_bytes =
+      GetU64At(file, 16) * audit::kAuditTableEntrySize;
+  PutU64At(file, table + table_bytes,
+           core::Fnv1a64(std::string_view(file).substr(table, table_bytes)));
+}
+
+/// Writes `bytes` to a temp file and opens it.
+core::Status OpenCrafted(audit::AuditReader& reader, const std::string& bytes,
+                         const std::string& name) {
+  const std::string path = TempPath(name);
+  WriteFile(path, bytes);
+  return reader.Open(path);
+}
+
+TEST(AuditHostileCountTest, SectionCountThatWrapsTheTableSize) {
+  std::string bad = SmallArtifact();
+  // 2^61 entries of 40 bytes wrap to a 0-byte table, whose checksum is
+  // the FNV of nothing.
+  PutU64At(bad, 16, std::uint64_t{1} << 61);
+  PutU64At(bad, GetU64At(bad, 24), core::Fnv1a64(std::string_view()));
+  PutU64At(bad, 40, core::Fnv1a64(std::string_view(bad).substr(0, 40)));
+  audit::AuditReader reader;
+  const core::Status status = OpenCrafted(reader, bad, "audit-sections.bin");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code(), core::ErrorCode::kParseError);
+  EXPECT_FALSE(reader.is_open());
+}
+
+TEST(AuditHostileCountTest, RunCountBeyondTheSectionTable) {
+  std::string bad = SmallArtifact();
+  // Meta = string schema (u64 length + bytes), then u64 run count.
+  const std::uint64_t meta = SectionOf(bad, audit::SectionKind::kMeta);
+  PutU64At(bad, meta + 8 + GetU64At(bad, meta), std::uint64_t{1} << 62);
+  Reseal(bad, audit::SectionKind::kMeta);
+  audit::AuditReader reader;
+  const core::Status status = OpenCrafted(reader, bad, "audit-runs.bin");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code(), core::ErrorCode::kParseError);
+}
+
+TEST(AuditHostileCountTest, DirectoryCountsAndSpansThatWrap) {
+  const std::string good = SmallArtifact();
+  const std::uint64_t dir = SectionOf(good, audit::SectionKind::kUnitIndex);
+  const std::uint64_t slots = GetU64At(good, dir);
+  ASSERT_EQ(slots, 2u);
+  // Slot fields are {name_off, name_len, payload_off, payload_len}; each
+  // variant makes 8 + count * 32, or an offset + length, wrap to 8.
+  const auto slot_field = [&](std::uint64_t slot, std::uint64_t field) {
+    return dir + 8 + slot * 32 + field * 8;
+  };
+  std::vector<std::string> variants;
+  variants.push_back(good);
+  PutU64At(variants.back(), dir, std::uint64_t{1} << 59);
+  for (const std::uint64_t field : {std::uint64_t{1}, std::uint64_t{3}}) {
+    variants.push_back(good);
+    for (std::uint64_t slot = 0; slot < slots; ++slot) {
+      const std::uint64_t off = GetU64At(good, slot_field(slot, field - 1));
+      PutU64At(variants.back(), slot_field(slot, field), 8 - off);
+    }
+  }
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    Reseal(variants[v], audit::SectionKind::kUnitIndex);
+    audit::AuditReader reader;
+    ASSERT_TRUE(OpenCrafted(reader, variants[v], "audit-dir.bin").ok());
+    const auto unit = reader.FindUnit(0, "unit-b");
+    ASSERT_FALSE(unit.ok()) << "variant " << v;
+    EXPECT_EQ(unit.error().code(), core::ErrorCode::kParseError);
+  }
+}
+
+TEST(AuditHostileCountTest, RecordCountThatWrapsTheColumnSizes) {
+  std::string bad = SmallArtifact();
+  // 2^63 rows: 4n wraps to 0 and 6 * pad8(n) to 0, so the columns would
+  // seem to need 8 bytes.
+  PutU64At(bad, SectionOf(bad, audit::SectionKind::kRecords),
+           std::uint64_t{1} << 63);
+  Reseal(bad, audit::SectionKind::kRecords);
+  audit::AuditReader reader;
+  ASSERT_TRUE(OpenCrafted(reader, bad, "audit-records.bin").ok());
+  const auto columns = reader.Records(0);
+  ASSERT_FALSE(columns.ok());
+  EXPECT_EQ(columns.error().code(), core::ErrorCode::kParseError);
 }
 
 TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {

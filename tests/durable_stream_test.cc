@@ -3,7 +3,7 @@
 //
 //   * crash-at-every-step: stop after step k with no final snapshot (a
 //     crash whose journal survived), resume, and the panel CSV, metrics
-//     snapshot, and lineage ledger must be byte-identical to an
+//     snapshot, and audit.bin must be byte-identical to an
 //     uninterrupted run — for every k, at 1 and 8 threads;
 //   * a torn tail from a crash mid-journal-write is benign;
 //   * a corrupt newest snapshot falls back to the previous one; when every
@@ -26,6 +26,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "audit/writer.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/sim_time.h"
@@ -48,7 +49,7 @@ namespace fs = std::filesystem;
 struct Artifacts {
   std::string panel_csv;
   std::string metrics_json;
-  std::string lineage_json;
+  std::string audit_bin;
 };
 
 // Two days at one-hour steps: 48 steps, small enough that crashing after
@@ -162,7 +163,8 @@ RunResult RunDurable(const RunSpec& spec) {
   if (result.stats.outcome == durable::RunOutcome::kCompleted) {
     result.artifacts.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
     result.artifacts.metrics_json = obs::Registry::Global().SnapshotJson();
-    result.artifacts.lineage_json = obs::Lineage::Global().ToJson();
+    result.artifacts.audit_bin =
+        audit::BuildAuditArtifact(obs::Lineage::Global());
   }
   return result;
 }
@@ -230,7 +232,7 @@ class DurableStreamTest : public ::testing::Test {
     EXPECT_EQ(got.panel_csv, want.panel_csv) << "panel diverged: " << context;
     EXPECT_EQ(got.metrics_json, want.metrics_json)
         << "metrics diverged: " << context;
-    EXPECT_EQ(got.lineage_json, want.lineage_json)
+    EXPECT_EQ(got.audit_bin, want.audit_bin)
         << "lineage diverged: " << context;
   }
 
@@ -283,7 +285,7 @@ TEST_F(DurableStreamTest, DurableRunMatchesPlainStreaming) {
   Artifacts plain;
   plain.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
   plain.metrics_json = obs::Registry::Global().SnapshotJson();
-  plain.lineage_json = obs::Lineage::Global().ToJson();
+  plain.audit_bin = audit::BuildAuditArtifact(obs::Lineage::Global());
   ExpectIdentical(reference, plain, "durable wrapper vs plain streaming");
 }
 
@@ -457,8 +459,10 @@ TEST_F(DurableStreamTest, ShedOverloadIsDeterministicAcrossResume) {
   EXPECT_NE(
       reference.artifacts.metrics_json.find("measure.stream.shed_overload"),
       std::string::npos);
-  EXPECT_NE(reference.artifacts.lineage_json.find("shed_overload"),
-            std::string::npos);
+  // Every shed record terminates in the ledger as shed_overload.
+  EXPECT_EQ(obs::Lineage::Global().Totals().terminal[static_cast<std::size_t>(
+                obs::LineageStage::kShedOverload)],
+            reference.stats.shed_records);
 
   const std::string dir = MakeDir("durable-shedcrash");
   RunSpec crash;

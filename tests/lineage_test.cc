@@ -1,8 +1,9 @@
-// Tests for the measurement lineage ledger: IdRunSet encoding, the
+// Tests for the measurement lineage ledger: IdRunSet encoding and the
 // conservation invariant (every emitted record lands in exactly one
 // terminal state, and the waterfall reconciles with the store and the
-// platform) under every fault scenario, and the determinism headline —
-// the lineage artifact is byte-identical at 1 and 8 lanes.
+// platform) under every fault scenario. The determinism headline — the
+// ledger's artifact, audit.bin, is byte-identical at 1 and 8 lanes — is
+// audit_test's ByteIdenticalAt1And8Lanes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 
 #include "causal/placebo.h"
 #include "causal/robust_synthetic_control.h"
-#include "core/parallel.h"
 #include "core/rng.h"
 #include "measure/faults.h"
 #include "measure/panel.h"
@@ -23,7 +23,6 @@ namespace sisyphus {
 namespace {
 
 using core::SimTime;
-using core::ThreadPool;
 using measure::FaultPlan;
 using obs::IdRunSet;
 using obs::Lineage;
@@ -252,30 +251,6 @@ TEST_F(LineageConservationTest, CombinedPlan) {
   ScopedLineage scoped;
   Lineage::Global().BeginRun("combined");
   ExpectConservation(RunLineageCampaign(&plan));
-}
-
-TEST_F(LineageConservationTest, ArtifactByteIdenticalAt1And8Lanes) {
-  FaultPlan plan;
-  plan.seed = 31;
-  plan.probe_loss_probability = 0.1;
-  plan.duplicate_probability = 0.1;
-  plan.corruption_probability = 0.02;
-  const auto run = [&](std::size_t lanes) {
-    ThreadPool::SetGlobalThreadCount(lanes);
-    ScopedLineage scoped;
-    Lineage::Global().BeginRun("identity");
-    RunLineageCampaign(&plan);
-    std::string artifact = Lineage::Global().ToJson(/*indent=*/1);
-    ThreadPool::SetGlobalThreadCount(0);
-    return artifact;
-  };
-  const std::string serial = run(1);
-  const std::string parallel = run(8);
-  // The whole artifact — per-record stages, cell id-sets, digests,
-  // estimate compositions — is byte-identical regardless of lane count.
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("\"schema\": \"sisyphus.lineage/1\""),
-            std::string::npos);
 }
 
 TEST_F(LineageConservationTest, PlaceboAnalysisMarksRotatedDonors) {

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "measure/platform.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
+#include "obs/lineage.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -122,7 +124,9 @@ TEST_F(ManifestTest, ToJsonCarriesProvenanceAndMetrics) {
   manifest.AddOption("horizon_days", "56");
   manifest.AddPhase("build", 1.5);
 
-  auto parsed = core::json::Parse(manifest.ToJson(Registry::Global()));
+  const Lineage empty_ledger;
+  auto parsed =
+      core::json::Parse(manifest.ToJson(Registry::Global(), empty_ledger));
   ASSERT_TRUE(parsed.ok());
   const auto& root = parsed.value();
   EXPECT_EQ(root.Find("schema")->string, "sisyphus.run_manifest/1");
@@ -135,6 +139,11 @@ TEST_F(ManifestTest, ToJsonCarriesProvenanceAndMetrics) {
   const auto* metrics = root.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_DOUBLE_EQ(metrics->Find("measure.probes.attempted")->number, 12.0);
+  // The lineage block is always written; an empty ledger rolls up to zero.
+  const auto* lineage = root.Find("lineage");
+  ASSERT_NE(lineage, nullptr);
+  EXPECT_DOUBLE_EQ(lineage->Find("runs")->number, 0.0);
+  EXPECT_DOUBLE_EQ(lineage->Find("emitted")->number, 0.0);
 }
 
 TEST_F(ManifestTest, WriteRunArtifactsEmitsParsableTrio) {
@@ -145,20 +154,54 @@ TEST_F(ManifestTest, WriteRunArtifactsEmitsParsableTrio) {
   manifest.tool = "unit_test";
   manifest.seed = 1;
 
+  // A three-record ledger: two archived, one quarantined.
+  Lineage lineage;
+  Lineage::Enable(true);
+  lineage.BeginRun("unit_test");
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    LineageRecordInfo info;
+    info.id = id;
+    info.archived = id != 3;
+    lineage.RecordEmitted(info);
+  }
+  Lineage::Enable(false);
+
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "obs_manifest_test";
   std::filesystem::create_directories(dir);
-  const auto status = WriteRunArtifacts(dir.string(), manifest,
-                                        Registry::Global(), Tracer::Global());
+  const auto status =
+      WriteRunArtifacts(dir.string(), manifest, Registry::Global(),
+                        Tracer::Global(), lineage);
   ASSERT_TRUE(status.ok()) << status.error().ToText();
 
+  std::map<std::string, core::json::Value> parsed;
   for (const char* file : {"manifest.json", "metrics.json", "trace.json"}) {
     std::ifstream in(dir / file, std::ios::binary);
     ASSERT_TRUE(in.good()) << file;
     std::ostringstream text;
     text << in.rdbuf();
-    EXPECT_TRUE(core::json::Parse(text.str()).ok()) << file;
+    auto json = core::json::Parse(text.str());
+    ASSERT_TRUE(json.ok()) << file;
+    parsed[file] = json.value();
   }
+
+  // The manifest's lineage block: run count, emitted, and one terminal
+  // total per stage, in legend order.
+  const core::json::Value* block = parsed["manifest.json"].Find("lineage");
+  ASSERT_NE(block, nullptr);
+  const core::json::Value* terminal = block->Find("terminal");
+  ASSERT_NE(terminal, nullptr);
+  ASSERT_EQ(terminal->object.size(), kLineageStageCount);
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    EXPECT_EQ(terminal->object[s].first,
+              ToString(static_cast<LineageStage>(s)));
+  }
+#if !defined(SISYPHUS_OBS_DISABLED)
+  EXPECT_DOUBLE_EQ(block->Find("runs")->number, 1.0);
+  EXPECT_DOUBLE_EQ(block->Find("emitted")->number, 3.0);
+  EXPECT_DOUBLE_EQ(terminal->Find("archived")->number, 2.0);
+  EXPECT_DOUBLE_EQ(terminal->Find("quarantined")->number, 1.0);
+#endif
 }
 
 TEST_F(ManifestTest, TraceJsonUsesSeparateTracks) {

@@ -1,6 +1,6 @@
 // Streaming-vs-batch byte-identity: the full Table 1 campaign (ScenarioZa
 // under a fault plan) must produce the same panel CSV, the same metrics
-// registry snapshot, and the same lineage ledger whether records flow
+// registry snapshot, and the same audit.bin whether records flow
 // through the batch merge or the sharded streaming ingest, at any thread
 // count (here 1 and 8). This is the property the streaming ctest fixture
 // and the CI streaming-smoke job enforce on the shipped binaries; this
@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "audit/writer.h"
 #include "core/parallel.h"
 #include "measure/export.h"
 #include "measure/faults.h"
@@ -24,7 +25,7 @@ namespace {
 struct Artifacts {
   std::string panel_csv;
   std::string metrics_json;
-  std::string lineage_json;
+  std::string audit_bin;
 };
 
 measure::FaultPlan ParityPlan() {
@@ -89,7 +90,7 @@ Artifacts RunCampaign(bool streaming, std::size_t threads) {
         measure::BuildRttPanel(platform.store(), panel_options));
   }
   out.metrics_json = obs::Registry::Global().SnapshotJson();
-  out.lineage_json = obs::Lineage::Global().ToJson();
+  out.audit_bin = audit::BuildAuditArtifact(obs::Lineage::Global());
   return out;
 }
 
@@ -108,14 +109,14 @@ TEST(StreamParityTest, StreamingMatchesBatchByteForByteAtAnyThreadCount) {
         << "panel diverged at " << threads << " threads";
     EXPECT_EQ(streamed.metrics_json, batch.metrics_json)
         << "metrics diverged at " << threads << " threads";
-    EXPECT_EQ(streamed.lineage_json, batch.lineage_json)
+    EXPECT_EQ(streamed.audit_bin, batch.audit_bin)
         << "lineage diverged at " << threads << " threads";
   }
 
   // The batch path itself must also be thread-count invariant.
   const Artifacts batch8 = RunCampaign(/*streaming=*/false, /*threads=*/8);
   EXPECT_EQ(batch8.metrics_json, batch.metrics_json);
-  EXPECT_EQ(batch8.lineage_json, batch.lineage_json);
+  EXPECT_EQ(batch8.audit_bin, batch.audit_bin);
 
   obs::Registry::Global().ResetAll();
   obs::Lineage::Global().Reset();

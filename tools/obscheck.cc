@@ -1,12 +1,11 @@
 // obscheck — schema validator for the --obs-out artifact set.
 //
 //   obscheck <dir>            validates <dir>/{manifest,metrics,trace}.json
-//                             plus lineage.json, the indexed audit.bin,
-//                             and the telemetry timeline timeline.bin
+//                             plus the lineage artifact audit.bin and the
+//                             telemetry timeline timeline.bin
 //   obscheck --manifest FILE  validates a single artifact by role
 //   obscheck --metrics FILE
 //   obscheck --trace FILE
-//   obscheck --lineage FILE
 //   obscheck --audit FILE
 //   obscheck --timeline FILE
 //
@@ -14,22 +13,20 @@
 // dependency) and conforms to its schema: sisyphus.run_manifest/1 for the
 // manifest (tool, seed, options, phases, headline metric rollup, optional
 // thread-pool stats), sisyphus.metrics/1 for the metric snapshot
-// (counters / gauges / histograms with consistent bucket shapes), Chrome
-// trace format for trace.json, and sisyphus.lineage/1 for the lineage
-// ledger (per-run waterfall whose terminal stages partition the emitted
-// records — deep reconciliation against metrics.json lives in lineageq
-// --check). The binary audit index (sisyphus.audit/1, audit.bin) is
-// opened with the mmap reader, every section checksum is verified, and
-// its run headers are cross-checked against lineage.json — the index
-// must describe the same campaign as the JSON it summarizes. The
-// telemetry timeline (sisyphus.timeline/1, timeline.bin, DESIGN.md §15)
-// is fully re-parsed — section checksums, monotone event steps, series
-// density, event/series cross-references all live in the reader — and
-// its step/series/event counts are cross-checked against manifest.json's
-// "timeline" summary block. Exit 0 = all good; 1 = any violation (each
-// printed with its JSON path). CI runs this after the table1 --obs-out
-// smoke run, and a tier-1 ctest runs it against a real campaign's
-// artifacts.
+// (counters / gauges / histograms with consistent bucket shapes), and
+// Chrome trace format for trace.json. The lineage ledger's one artifact,
+// audit.bin (sisyphus.audit/1, DESIGN.md §12), is opened with the mmap
+// reader, every section checksum is verified, each run's terminal stages
+// must partition its emitted records (deep reconciliation against
+// metrics.json lives in lineageq --check), and the run headers' sums are
+// cross-checked against manifest.json's "lineage" block. The telemetry
+// timeline (sisyphus.timeline/1, timeline.bin, DESIGN.md §15) is fully
+// re-parsed — section checksums, monotone event steps, series density,
+// event/series cross-references all live in the reader — and its
+// step/series/event counts are cross-checked against manifest.json's
+// "timeline" block. Exit 0 = all good; 1 = any violation (each printed
+// with its JSON path). CI runs this after the table1 --obs-out smoke run,
+// and a tier-1 ctest runs it against a real campaign's artifacts.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -255,111 +252,41 @@ void CheckTrace(const Value& root) {
   }
 }
 
-void CheckLineage(const Value& root) {
-  const std::string where = "lineage";
-  if (!root.is_object()) {
-    Fail(where, "root is not an object");
-    return;
+/// The manifest's summary block for one binary artifact ("lineage" for
+/// audit.bin, "timeline" for timeline.bin); nullptr (and one recorded
+/// failure) when the manifest carries none.
+const Value* SummaryBlock(const Value& manifest_root, const std::string& key,
+                          const std::string& artifact) {
+  const Value* block = manifest_root.Find(key);
+  if (block == nullptr || !block->is_object()) {
+    Fail("manifest." + key, "missing — manifest written without a " + key +
+                                " summary, or from a different run than " +
+                                artifact);
+    return nullptr;
   }
-  if (const Value* schema =
-          Require(root, where, "schema", Value::Kind::kString);
-      schema != nullptr && schema->string != "sisyphus.lineage/1") {
-    Fail(where + ".schema", "expected sisyphus.lineage/1, got '" +
-                                schema->string + "'");
-  }
-  const Value* stages = Require(root, where, "stages", Value::Kind::kArray);
-  const std::size_t stage_count =
-      stages != nullptr ? stages->array.size() : 0;
-  (void)Require(root, where, "fault_bits", Value::Kind::kArray);
-  const Value* runs = Require(root, where, "runs", Value::Kind::kArray);
-  if (runs == nullptr) return;
-  if (runs->array.empty()) {
-    Fail(where + ".runs",
-         "no runs recorded — artifact truncated, or the producing binary "
-         "ran with lineage disabled");
-    return;
-  }
-  for (std::size_t i = 0; i < runs->array.size(); ++i) {
-    const std::string run_where = where + ".runs[" + std::to_string(i) + "]";
-    const Value& run = runs->array[i];
-    if (!run.is_object()) {
-      Fail(run_where, "not an object");
-      continue;
-    }
-    (void)Require(run, run_where, "label", Value::Kind::kString);
-    const Value* waterfall =
-        Require(run, run_where, "waterfall", Value::Kind::kObject);
-    double emitted = 0.0;
-    if (waterfall != nullptr) {
-      for (const char* key :
-           {"probes_attempted", "probes_failed", "emitted", "delivered",
-            "quarantined_copies", "archived_copies", "untracked"}) {
-        (void)Require(*waterfall, run_where + ".waterfall", key,
-                      Value::Kind::kNumber);
-      }
-      if (const Value* e = waterfall->Find("emitted");
-          e != nullptr && e->is_number()) {
-        emitted = e->number;
-      }
-      // Terminal stages must cover the legend and partition the emitted
-      // records: every record ends in exactly one stage.
-      if (const Value* terminal = Require(*waterfall, run_where + ".waterfall",
-                                          "terminal", Value::Kind::kObject);
-          terminal != nullptr) {
-        if (stage_count != 0 && terminal->object.size() != stage_count) {
-          Fail(run_where + ".waterfall.terminal",
-               "expected one entry per legend stage");
-        }
-        double sum = 0.0;
-        for (const auto& [_, count] : terminal->object) sum += count.number;
-        if (sum != emitted) {
-          Fail(run_where + ".waterfall.terminal",
-               "stage counts do not sum to emitted");
-        }
-      }
-      (void)Require(*waterfall, run_where + ".waterfall", "panel",
-                    Value::Kind::kObject);
-    }
-    if (const Value* records =
-            Require(run, run_where, "records", Value::Kind::kObject);
-        records != nullptr) {
-      const Value* count =
-          Require(*records, run_where + ".records", "count",
-                  Value::Kind::kNumber);
-      if (count != nullptr && count->number != emitted) {
-        Fail(run_where + ".records.count", "!= waterfall.emitted");
-      }
-      for (const char* column :
-           {"vantage", "intent", "attempts", "fault_mask", "copies",
-            "stage"}) {
-        const Value* array = Require(*records, run_where + ".records", column,
-                                     Value::Kind::kArray);
-        if (array != nullptr && count != nullptr &&
-            array->array.size() != static_cast<std::size_t>(count->number)) {
-          Fail(run_where + ".records." + column, "wrong length");
-        }
-        if (array != nullptr && std::strcmp(column, "stage") == 0 &&
-            stage_count != 0) {
-          for (const Value& stage : array->array) {
-            if (!stage.is_number() || stage.number < 0 ||
-                stage.number >= static_cast<double>(stage_count)) {
-              Fail(run_where + ".records.stage", "stage code out of range");
-              break;
-            }
-          }
-        }
-      }
-    }
-    (void)Require(run, run_where, "panel_units", Value::Kind::kObject);
-    (void)Require(run, run_where, "estimates", Value::Kind::kArray);
+  return block;
+}
+
+/// One count of a manifest summary block (path `where`) against the
+/// artifact's own count.
+void CrossCheck(const Value& block, const std::string& where,
+                const std::string& key, std::uint64_t actual,
+                const std::string& artifact) {
+  const Value* json = Require(block, where, key, Value::Kind::kNumber);
+  if (json != nullptr && static_cast<std::uint64_t>(json->number) != actual) {
+    Fail(where + "." + key,
+         "manifest says " +
+             std::to_string(static_cast<std::uint64_t>(json->number)) + ", " +
+             artifact + " says " + std::to_string(actual));
   }
 }
 
-/// Validates the binary audit index: structural integrity (every section
-/// checksum) plus agreement with the lineage JSON when available — run
-/// count, labels, and emitted totals must match, or the index was
-/// written from a different campaign than the JSON sitting next to it.
-void CheckAuditFile(const std::string& path, const Value* lineage_root) {
+/// Validates the lineage artifact: structural integrity (every section
+/// checksum), per-run conservation, and — given the manifest — agreement
+/// of the summed run headers with its "lineage" block (run count,
+/// emitted, every terminal stage), or manifest.json and audit.bin came
+/// from different runs.
+void CheckAuditFile(const std::string& path, const Value* manifest_root) {
   sisyphus::audit::AuditReader reader;
   if (const auto status = reader.Open(path); !status.ok()) {
     Fail(path, status.error().message());
@@ -377,6 +304,7 @@ void CheckAuditFile(const std::string& path, const Value* lineage_root) {
          "ran with lineage disabled");
     return;
   }
+  sisyphus::obs::LineageWaterfall sums;
   for (std::size_t i = 0; i < reader.run_count(); ++i) {
     const sisyphus::audit::RunSummary& run = reader.run(i);
     const std::string run_where = where + ".runs[" + std::to_string(i) + "]";
@@ -388,37 +316,23 @@ void CheckAuditFile(const std::string& path, const Value* lineage_root) {
     if (run.record_rows != run.waterfall.emitted) {
       Fail(run_where + ".records", "row count != waterfall.emitted");
     }
+    sums += run.waterfall;
   }
-  if (lineage_root == nullptr) return;
-  const Value* runs = lineage_root->Find("runs");
-  if (runs == nullptr || !runs->is_array()) return;  // reported by CheckLineage
-  if (runs->array.size() != reader.run_count()) {
-    Fail(where + ".runs",
-         "index has " + std::to_string(reader.run_count()) +
-             " run(s), lineage.json has " + std::to_string(runs->array.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < runs->array.size(); ++i) {
-    const std::string run_where = where + ".runs[" + std::to_string(i) + "]";
-    const Value& json_run = runs->array[i];
-    if (const Value* label = json_run.Find("label");
-        label != nullptr && label->is_string() &&
-        label->string != reader.run(i).label) {
-      Fail(run_where + ".label", "index says '" + reader.run(i).label +
-                                     "', lineage.json says '" + label->string +
-                                     "'");
-    }
-    const Value* waterfall = json_run.Find("waterfall");
-    const Value* emitted =
-        waterfall != nullptr ? waterfall->Find("emitted") : nullptr;
-    if (emitted != nullptr && emitted->is_number() &&
-        static_cast<std::uint64_t>(emitted->number) !=
-            reader.run(i).waterfall.emitted) {
-      Fail(run_where + ".emitted",
-           "index says " + std::to_string(reader.run(i).waterfall.emitted) +
-               ", lineage.json says " +
-               std::to_string(static_cast<std::uint64_t>(emitted->number)));
-    }
+  if (manifest_root == nullptr) return;
+  const Value* lineage = SummaryBlock(*manifest_root, "lineage", "audit.bin");
+  if (lineage == nullptr) return;
+  CrossCheck(*lineage, "manifest.lineage", "runs", reader.run_count(),
+             "audit.bin");
+  CrossCheck(*lineage, "manifest.lineage", "emitted", sums.emitted,
+             "audit.bin");
+  const Value* terminal = Require(*lineage, "manifest.lineage", "terminal",
+                                  Value::Kind::kObject);
+  if (terminal == nullptr) return;
+  for (std::size_t s = 0; s < sisyphus::obs::kLineageStageCount; ++s) {
+    CrossCheck(*terminal, "manifest.lineage.terminal",
+               sisyphus::obs::ToString(
+                   static_cast<sisyphus::obs::LineageStage>(s)),
+               sums.terminal[s], "audit.bin");
   }
 }
 
@@ -461,23 +375,11 @@ void CheckTimelineFile(const std::string& path, const Value* manifest_root) {
     }
   }
   if (manifest_root == nullptr) return;
-  const Value* timeline = manifest_root->Find("timeline");
-  if (timeline == nullptr || !timeline->is_object()) {
-    Fail("manifest.timeline",
-         "missing — manifest written without a timeline summary, or from "
-         "a different run than timeline.bin");
-    return;
-  }
+  const Value* timeline =
+      SummaryBlock(*manifest_root, "timeline", "timeline.bin");
+  if (timeline == nullptr) return;
   const auto cross_check = [&](const char* key, std::uint64_t artifact) {
-    const Value* json =
-        Require(*timeline, "manifest.timeline", key, Value::Kind::kNumber);
-    if (json != nullptr &&
-        static_cast<std::uint64_t>(json->number) != artifact) {
-      Fail(std::string("manifest.timeline.") + key,
-           "manifest says " +
-               std::to_string(static_cast<std::uint64_t>(json->number)) +
-               ", timeline.bin says " + std::to_string(artifact));
-    }
+    CrossCheck(*timeline, "manifest.timeline", key, artifact, "timeline.bin");
   };
   cross_check("steps", reader.steps());
   cross_check("first_step", reader.first_step());
@@ -509,7 +411,7 @@ void PrintUsage() {
   std::printf(
       "usage: obscheck <obs-out-dir>\n"
       "       obscheck --manifest FILE | --metrics FILE | --trace FILE |"
-      " --lineage FILE | --audit FILE | --timeline FILE\n");
+      " --audit FILE | --timeline FILE\n");
 }
 
 }  // namespace
@@ -525,8 +427,6 @@ int main(int argc, char** argv) {
     LoadAndCheck(argv[2], CheckMetrics);
   } else if (std::strcmp(argv[1], "--trace") == 0 && argc > 2) {
     LoadAndCheck(argv[2], CheckTrace);
-  } else if (std::strcmp(argv[1], "--lineage") == 0 && argc > 2) {
-    LoadAndCheck(argv[2], CheckLineage);
   } else if (std::strcmp(argv[1], "--audit") == 0 && argc > 2) {
     CheckAuditFile(argv[2], nullptr);
   } else if (std::strcmp(argv[1], "--timeline") == 0 && argc > 2) {
@@ -541,18 +441,14 @@ int main(int argc, char** argv) {
         LoadAndCheck(dir + "/manifest.json", CheckManifest, &manifest_root);
     LoadAndCheck(dir + "/metrics.json", CheckMetrics);
     LoadAndCheck(dir + "/trace.json", CheckTrace);
-    // The writer emits the full artifact set, so a missing lineage.json,
-    // audit.bin, or timeline.bin means the run died mid-write or the dir
-    // predates the schema — either way "skip silently" would let a
-    // broken producer pass CI. Use --lineage / --audit / --timeline on a
-    // single file to validate legacy dirs piecemeal.
-    Value lineage_root;
-    const bool have_lineage =
-        LoadAndCheck(dir + "/lineage.json", CheckLineage, &lineage_root);
-    CheckAuditFile(dir + "/" + sisyphus::audit::kAuditFileName,
-                   have_lineage ? &lineage_root : nullptr);
-    CheckTimelineFile(dir + "/timeline.bin",
-                      have_manifest ? &manifest_root : nullptr);
+    // The writer emits the full artifact set, so a missing audit.bin or
+    // timeline.bin means the run died mid-write or the dir predates the
+    // schema — either way "skip silently" would let a broken producer
+    // pass CI. Use --audit / --timeline on a single file to validate
+    // legacy dirs piecemeal.
+    const Value* manifest = have_manifest ? &manifest_root : nullptr;
+    CheckAuditFile(dir + "/" + sisyphus::audit::kAuditFileName, manifest);
+    CheckTimelineFile(dir + "/timeline.bin", manifest);
   }
   if (g_errors > 0) {
     std::printf("obscheck: %d violation(s)\n", g_errors);
