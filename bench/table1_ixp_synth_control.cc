@@ -48,7 +48,6 @@ struct DurableArgs {
   std::uint64_t snapshot_every = 16;
   std::uint64_t fsync_every = 8;
   std::uint64_t shed_max = 0;
-  bool pipeline = false;
   std::string chaos_spec;
 };
 
@@ -188,7 +187,6 @@ int Main(bool ablation, const std::string& export_dir,
       durable_options.snapshot_every = durable_args.snapshot_every;
       durable_options.fsync_every = durable_args.fsync_every;
       durable_options.max_step_records = durable_args.shed_max;
-      durable_options.pipelined = durable_args.pipeline;
       if (!durable_args.chaos_spec.empty()) {
         auto chaos = durable::ParseChaosSpec(durable_args.chaos_spec);
         if (!chaos.ok()) {
@@ -457,8 +455,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shed-max") == 0 && i + 1 < argc) {
       durable_args.shed_max =
           static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      durable_args.pipeline = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
       durable_args.chaos_spec = argv[++i];
     }

@@ -69,6 +69,10 @@ class Reader {
 
   bool ok() const { return ok_; }
 
+  /// Marks the stream malformed (say, a decoded count the remaining bytes
+  /// cannot hold); every later read yields zero.
+  void Fail() { ok_ = false; }
+
   /// Bytes not yet consumed (0 when failed).
   std::size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
@@ -123,7 +127,8 @@ class Reader {
   bool ok_ = true;
 };
 
-/// Convenience helpers for homogeneous vectors.
+/// Convenience helpers for homogeneous vectors. A count larger than the
+/// remaining bytes can hold fails the reader and yields an empty vector.
 inline void PutDoubleVector(Writer& w, const std::vector<double>& v) {
   w.PutU64(v.size());
   for (double x : v) w.PutDouble(x);
@@ -132,7 +137,10 @@ inline void PutDoubleVector(Writer& w, const std::vector<double>& v) {
 inline std::vector<double> GetDoubleVector(Reader& r) {
   const std::uint64_t n = r.GetU64();
   std::vector<double> out;
-  if (!r.ok() || n > r.remaining() / 8) return out;
+  if (n > r.remaining() / 8) {
+    r.Fail();
+    return out;
+  }
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.GetDouble());
   return out;
@@ -146,7 +154,10 @@ inline void PutU64Vector(Writer& w, const std::vector<std::uint64_t>& v) {
 inline std::vector<std::uint64_t> GetU64Vector(Reader& r) {
   const std::uint64_t n = r.GetU64();
   std::vector<std::uint64_t> out;
-  if (!r.ok() || n > r.remaining() / 8) return out;
+  if (n > r.remaining() / 8) {
+    r.Fail();
+    return out;
+  }
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.GetU64());
   return out;

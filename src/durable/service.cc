@@ -1,14 +1,10 @@
 #include "durable/service.h"
 
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
+#include <exception>
 #include <filesystem>
-#include <mutex>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/binio.h"
@@ -110,6 +106,22 @@ core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec) {
 // ---------------------------------------------------------------------------
 // Step / snapshot serialization
 
+namespace {
+
+void EncodeFailures(binio::Writer& w,
+                    const std::vector<measure::ProbeFailure>& failures) {
+  w.PutU64(failures.size());
+  for (const measure::ProbeFailure& f : failures) {
+    w.PutI64(f.time.minutes());
+    w.PutU32(f.vantage);
+    w.PutU8(static_cast<std::uint8_t>(f.intent));
+    w.PutU8(static_cast<std::uint8_t>(f.reason));
+    w.PutU32(f.attempts);
+  }
+}
+
+}  // namespace
+
 std::string EncodeStep(const measure::StepOutput& step,
                        std::uint64_t next_record_id_after) {
   binio::Writer w;
@@ -132,30 +144,11 @@ std::string EncodeStep(const measure::StepOutput& step,
     w.PutBool(pending.duplicate);
     w.PutU8(pending.fault_mask);
   }
-  w.PutU64(step.failures.size());
-  for (const measure::ProbeFailure& f : step.failures) {
-    w.PutI64(f.time.minutes());
-    w.PutU32(f.vantage);
-    w.PutU8(static_cast<std::uint8_t>(f.intent));
-    w.PutU8(static_cast<std::uint8_t>(f.reason));
-    w.PutU32(f.attempts);
-  }
+  EncodeFailures(w, step.failures);
   return std::move(w).Take();
 }
 
 namespace {
-
-void EncodeFailures(binio::Writer& w,
-                    const std::vector<measure::ProbeFailure>& failures) {
-  w.PutU64(failures.size());
-  for (const measure::ProbeFailure& f : failures) {
-    w.PutI64(f.time.minutes());
-    w.PutU32(f.vantage);
-    w.PutU8(static_cast<std::uint8_t>(f.intent));
-    w.PutU8(static_cast<std::uint8_t>(f.reason));
-    w.PutU32(f.attempts);
-  }
-}
 
 bool DecodeFailures(binio::Reader& r,
                     std::vector<measure::ProbeFailure>* failures) {
@@ -220,120 +213,6 @@ bool DecodeSnapshotHead(const std::string& payload, SnapshotHead* head) {
   head->tail = payload.substr(payload.size() - r.remaining());
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Pipelined ingest queue + supervisor
-
-/// Thrown by Push/Drain when the consumer failed: the error deterministically
-/// names the step whose ingest raised, regardless of how far ahead the
-/// producer ran.
-class IngestFailedError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class StepQueue {
- public:
-  struct Item {
-    std::uint64_t seq = 0;
-    measure::StepOutput step;
-  };
-
-  explicit StepQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Producer. Blocks while the queue is full (backpressure: timing only —
-  /// batch content is fixed before Push). Throws if the consumer failed.
-  void Push(Item item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock,
-                [&] { return failed_ || items_.size() < capacity_; });
-    ThrowIfFailedLocked();
-    items_.push_back(std::move(item));
-    ready_.notify_one();
-  }
-
-  /// Consumer. False once closed and empty.
-  bool Pop(Item* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    busy_ = true;
-    space_.notify_all();
-    return true;
-  }
-
-  /// Consumer, after each successful ingest.
-  void ItemDone() {
-    std::lock_guard<std::mutex> lock(mu_);
-    busy_ = false;
-    space_.notify_all();
-  }
-
-  /// Consumer, on ingest exception: records which step failed; further
-  /// Push/Drain calls throw.
-  void Fail(std::uint64_t seq, std::string what) {
-    std::lock_guard<std::mutex> lock(mu_);
-    failed_ = true;
-    failed_seq_ = seq;
-    failure_ = std::move(what);
-    busy_ = false;
-    items_.clear();
-    space_.notify_all();
-    ready_.notify_all();
-  }
-
-  /// Producer. Waits until every queued batch is fully ingested (snapshots
-  /// and shutdown quiesce through this). Throws if the consumer failed.
-  void Drain() {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock, [&] { return failed_ || (items_.empty() && !busy_); });
-    ThrowIfFailedLocked();
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    ready_.notify_all();
-  }
-
-  /// Producer-side backlog snapshot (log-line telemetry only — never a
-  /// gauge input; depth depends on consumer timing).
-  std::size_t Depth() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size() + (busy_ ? 1 : 0);
-  }
-
- private:
-  void ThrowIfFailedLocked() {
-    if (failed_) {
-      throw IngestFailedError("streaming ingest failed at step " +
-                              std::to_string(failed_seq_) + ": " + failure_);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable ready_, space_;
-  std::deque<Item> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool busy_ = false;
-  bool failed_ = false;
-  std::uint64_t failed_seq_ = 0;
-  std::string failure_;
-};
-
-/// Joins the consumer on every exit path (including exceptions).
-struct ConsumerGuard {
-  StepQueue* queue = nullptr;
-  std::thread thread;
-  ~ConsumerGuard() {
-    if (queue != nullptr) queue->Close();
-    if (thread.joinable()) thread.join();
-  }
-};
 
 bool FlipByte(const std::string& path, std::size_t offset) {
   std::FILE* file = std::fopen(path.c_str(), "r+b");
@@ -493,7 +372,11 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
                          "durable resume: snapshot state failed to load "
                          "(checksum passed but decoding diverged)");
     }
-    platform_.RestoreStreamState(head.stream);
+    if (const core::Status s = platform_.RestoreStreamState(head.stream);
+        !s.ok()) {
+      return core::Error(core::ErrorCode::kInvalidArgument,
+                         "durable resume: " + s.error().message());
+    }
     rng.RestoreState(head.rng);
     core::LogLine(core::LogLevel::kInfo, "durable: resumed from snapshot",
                   {{"seq", start_seq}, {"journal_high_water", high_water}});
@@ -519,41 +402,10 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
     }
   }
 
-  // Pin the fixed produce-phase series ids before the consumer thread can
-  // declare its first rtt.mean.* series (idempotent after a resume — the
-  // restored timeline already holds them).
   measure::DeclareStreamTelemetrySeries();
 
-  // -- pipelined consumer ---------------------------------------------------
-  StepQueue queue(options_.queue_capacity);
-  ConsumerGuard consumer;
-  if (options_.pipelined) {
-    consumer.queue = &queue;
-    consumer.thread = std::thread([this, &queue] {
-      StepQueue::Item item;
-      while (queue.Pop(&item)) {
-        try {
-          if (options_.ingest_fault) options_.ingest_fault(item.seq);
-          campaign_.IngestBatchSerial(item.step.records);
-          platform_.CommitFailures(item.step.failures);
-          // Ingest-phase timeline sample, before ItemDone so quiesce
-          // points (snapshots, chaos kills) never see a half-sampled step.
-          measure::SampleTimelineIngest(item.seq, campaign_);
-          queue.ItemDone();
-        } catch (const std::exception& e) {
-          queue.Fail(item.seq, e.what());
-          return;
-        }
-      }
-    });
-  }
-
-  const auto quiesce = [&] {
-    if (options_.pipelined) queue.Drain();
-  };
   std::uint64_t last_snapshot_seq = start_seq;
   const auto write_snapshot = [&](std::uint64_t seq) -> core::Result<bool> {
-    quiesce();
     journal.Flush();
     const std::string payload =
         EncodeSnapshotPayload(seq, rng, platform_, campaign_);
@@ -574,154 +426,132 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
 
   // -- the step loop --------------------------------------------------------
   std::uint64_t seq = start_seq;
-  // Committed-record total for the heartbeat gauges. Tracked locally
-  // (campaign_.ingested() lags the producer in pipelined mode); seeded
-  // from the restored snapshot so a resumed run's gauge stream continues
-  // exactly where the killed run's left off.
-  std::uint64_t committed_records = campaign_.ingested();
   std::uint64_t next_record_id_after = restored ? head.stream.next_record_id : 1;
   stats.outcome = RunOutcome::kCompleted;
-  try {
-    while (platform_.Now() < until) {
-      if (InterruptRequested()) {
-        stats.outcome = RunOutcome::kInterrupted;
-        break;
-      }
-      measure::StepOutput step = platform_.GenerateStep(until, rng);
-      ++seq;
-      if (!step.records.empty()) {
-        next_record_id_after = step.records.back().record.id.value() + 1;
-      }
-      const std::string payload = EncodeStep(step, next_record_id_after);
+  while (platform_.Now() < until) {
+    if (InterruptRequested()) {
+      stats.outcome = RunOutcome::kInterrupted;
+      break;
+    }
+    measure::StepOutput step = platform_.GenerateStep(until, rng);
+    ++seq;
+    if (!step.records.empty()) {
+      next_record_id_after = step.records.back().record.id.value() + 1;
+    }
+    const std::string payload = EncodeStep(step, next_record_id_after);
 
-      if (seq <= high_water) {
-        // Verified re-execution: the regenerated step must match the
-        // journaled frame byte-for-byte, or the restored state diverged
-        // from the original run.
-        const JournalFrame& frame = scan.frames[seq - 1];
-        if (frame.payload != payload) {
-          return core::Error(
-              core::ErrorCode::kInvalidArgument,
-              "durable resume: journal verification failed at step " +
-                  std::to_string(seq) +
-                  " (regenerated step diverges from journaled frame)");
-        }
-        ++stats.replayed_steps;
-      } else {
-        if (!journal.Append(seq, payload)) {
-          return core::Error(core::ErrorCode::kInvalidArgument,
-                             "durable: journal append failed at step " +
-                                 std::to_string(seq));
-        }
-        stats.journal_high_water = seq;
+    if (seq <= high_water) {
+      // Verified re-execution: the regenerated step must match the
+      // journaled frame byte-for-byte, or the restored state diverged
+      // from the original run.
+      const JournalFrame& frame = scan.frames[seq - 1];
+      if (frame.payload != payload) {
+        return core::Error(
+            core::ErrorCode::kInvalidArgument,
+            "durable resume: journal verification failed at step " +
+                std::to_string(seq) +
+                " (regenerated step diverges from journaled frame)");
       }
-
-      // Shed-on-overload: deterministic per-step cap, applied AFTER the
-      // journal append (the journal witnesses the pre-shed batch) and
-      // BEFORE ingest. Dropped records terminate in lineage as
-      // shed_overload with zero delivered copies.
-      if (options_.max_step_records > 0 &&
-          step.records.size() > options_.max_step_records) {
-        const std::uint64_t shed =
-            step.records.size() - options_.max_step_records;
-        if (obs::Lineage::enabled()) {
-          for (std::size_t i = options_.max_step_records;
-               i < step.records.size(); ++i) {
-            const measure::PendingRecord& pending = step.records[i];
-            obs::LineageRecordInfo info;
-            info.id = pending.record.id.value();
-            info.vantage = pending.record.vantage_pop;
-            info.intent = static_cast<std::uint8_t>(pending.record.intent);
-            info.attempts = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(pending.record.attempts, 255));
-            info.fault_mask = pending.fault_mask;
-            info.copies = pending.duplicate ? 2 : 1;
-            obs::Lineage::Global().RecordShed(info);
-          }
-        }
-        SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
-        step.records.resize(options_.max_step_records);
-        stats.shed_records += shed;
+      ++stats.replayed_steps;
+    } else {
+      if (!journal.Append(seq, payload)) {
+        return core::Error(core::ErrorCode::kInvalidArgument,
+                           "durable: journal append failed at step " +
+                               std::to_string(seq));
       }
-
-      const std::uint64_t step_records = step.records.size();
-      if (options_.pipelined) {
-        StepQueue::Item item;
-        item.seq = seq;
-        item.step = std::move(step);
-        queue.Push(std::move(item));
-      } else {
-        try {
-          if (options_.ingest_fault) options_.ingest_fault(seq);
-          campaign_.IngestBatch(step.records);
-          platform_.CommitFailures(step.failures);
-        } catch (const IngestFailedError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw IngestFailedError("streaming ingest failed at step " +
-                                  std::to_string(seq) + ": " + e.what());
-        }
-      }
-      ++stats.steps;
-      committed_records += step_records;
-      measure::EmitStepTelemetry(
-          seq, committed_records, options_.pipelined ? queue.Depth() : 0,
-          platform_.options().heartbeat_every_steps, &campaign_,
-          /*ingest_sampled_elsewhere=*/options_.pipelined);
-
-      // Chaos: die at this step boundary, optionally corrupting state
-      // first, exactly as a crash would — _exit, no unwinding.
-      if (chaos_kill_seq != 0 && seq == chaos_kill_seq) {
-        quiesce();
-        journal.Flush();
-        if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kSnapshot) {
-          auto written = write_snapshot(seq);
-          if (written.ok()) {
-            FlipByte(SnapshotPath(options_.dir, seq), 20);
-          }
-        }
-        if (options_.chaos.mid_write) {
-          journal.AppendTorn(seq + 1, payload, 13);
-        }
-        if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kJournal) {
-          // Offset 26 lands inside the FIRST frame's payload, so the
-          // damage is before the journal tail and must be detected (use
-          // kill-after >= 2 so the frame is not the last one).
-          FlipByte(journal_path, 26);
-        }
-        std::printf("chaos: killed after step %llu\n",
-                    static_cast<unsigned long long>(seq));
-        std::fflush(stdout);
-        std::_Exit(137);
-      }
-
-      if (options_.snapshot_every > 0 &&
-          seq % options_.snapshot_every == 0 && platform_.Now() < until) {
-        auto written = write_snapshot(seq);
-        if (!written.ok()) return written.error();
-      }
-
-      if (options_.stop_after_steps > 0 &&
-          stats.steps >= options_.stop_after_steps &&
-          platform_.Now() < until) {
-        stats.outcome = RunOutcome::kStopped;
-        break;
-      }
+      stats.journal_high_water = seq;
     }
 
-    // -- shutdown -----------------------------------------------------------
-    quiesce();
-    journal.Flush();
-    if (stats.outcome != RunOutcome::kStopped) {
-      // Completed or interrupted: leave a snapshot at the boundary so a
-      // later resume (or a post-interrupt restart) fast-forwards instead
-      // of replaying the whole journal. kStopped emulates a crash, so it
-      // deliberately leaves only the journal.
+    // Shed-on-overload: deterministic per-step cap, applied AFTER the
+    // journal append (the journal witnesses the pre-shed batch) and
+    // BEFORE ingest. Dropped records terminate in lineage as
+    // shed_overload with zero delivered copies.
+    if (options_.max_step_records > 0 &&
+        step.records.size() > options_.max_step_records) {
+      const std::uint64_t shed =
+          step.records.size() - options_.max_step_records;
+      if (obs::Lineage::enabled()) {
+        for (std::size_t i = options_.max_step_records;
+             i < step.records.size(); ++i) {
+          const measure::PendingRecord& pending = step.records[i];
+          obs::LineageRecordInfo info;
+          info.id = pending.record.id.value();
+          info.vantage = pending.record.vantage_pop;
+          info.intent = static_cast<std::uint8_t>(pending.record.intent);
+          info.attempts = static_cast<std::uint8_t>(
+              std::min<std::uint32_t>(pending.record.attempts, 255));
+          info.fault_mask = pending.fault_mask;
+          info.copies = pending.duplicate ? 2 : 1;
+          obs::Lineage::Global().RecordShed(info);
+        }
+      }
+      SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
+      step.records.resize(options_.max_step_records);
+      stats.shed_records += shed;
+    }
+
+    try {
+      if (options_.ingest_fault) options_.ingest_fault(seq);
+      campaign_.IngestBatch(step.records);
+      platform_.CommitFailures(step.failures);
+    } catch (const std::exception& e) {
+      return core::Error(core::ErrorCode::kInvalidArgument,
+                         "streaming ingest failed at step " +
+                             std::to_string(seq) + ": " + e.what());
+    }
+    ++stats.steps;
+    measure::EmitStepTelemetry(seq, campaign_.ingested(), 0,
+                               platform_.options().heartbeat_every_steps,
+                               &campaign_, false);
+
+    // Chaos: die at this step boundary, optionally corrupting state
+    // first, exactly as a crash would — _exit, no unwinding.
+    if (chaos_kill_seq != 0 && seq == chaos_kill_seq) {
+      journal.Flush();
+      if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kSnapshot) {
+        auto written = write_snapshot(seq);
+        if (written.ok()) {
+          FlipByte(SnapshotPath(options_.dir, seq), 20);
+        }
+      }
+      if (options_.chaos.mid_write) {
+        journal.AppendTorn(seq + 1, payload, 13);
+      }
+      if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kJournal) {
+        // Offset 26 lands inside the FIRST frame's payload, so the
+        // damage is before the journal tail and must be detected (use
+        // kill-after >= 2 so the frame is not the last one).
+        FlipByte(journal_path, 26);
+      }
+      std::printf("chaos: killed after step %llu\n",
+                  static_cast<unsigned long long>(seq));
+      std::fflush(stdout);
+      std::_Exit(137);
+    }
+
+    if (options_.snapshot_every > 0 &&
+        seq % options_.snapshot_every == 0 && platform_.Now() < until) {
       auto written = write_snapshot(seq);
       if (!written.ok()) return written.error();
     }
-  } catch (const IngestFailedError& e) {
-    return core::Error(core::ErrorCode::kInvalidArgument, e.what());
+
+    if (options_.stop_after_steps > 0 &&
+        stats.steps >= options_.stop_after_steps &&
+        platform_.Now() < until) {
+      stats.outcome = RunOutcome::kStopped;
+      break;
+    }
+  }
+
+  // -- shutdown -------------------------------------------------------------
+  journal.Flush();
+  if (stats.outcome != RunOutcome::kStopped) {
+    // Completed or interrupted: leave a snapshot at the boundary so a
+    // later resume (or a post-interrupt restart) fast-forwards instead
+    // of replaying the whole journal. kStopped emulates a crash, so it
+    // deliberately leaves only the journal.
+    auto written = write_snapshot(seq);
+    if (!written.ok()) return written.error();
   }
 
   stats.snapshot_seq = last_snapshot_seq;

@@ -10,8 +10,8 @@
 //   3. shed — an optional deterministic per-step record cap; dropped
 //      records terminate in lineage as shed_overload with zero delivered
 //      copies (conservation stays exact);
-//   4. ingest — StreamingCampaign::IngestBatch (or, pipelined, a bounded
-//      queue feeding a consumer thread running the serial ingest path);
+//   4. ingest — StreamingCampaign::IngestBatch, then the step's telemetry
+//      and timeline commit, all on the step-loop thread;
 //   5. snapshot — every `snapshot_every` steps, the full mutable state
 //      (RNG, platform stream state, metrics registry, lineage ledger,
 //      store arenas, panel aggregates) is written atomically.
@@ -72,14 +72,10 @@ struct DurableOptions {
   std::uint64_t fsync_every = 8;
   /// Shed-on-overload: per-step record cap, keeping the first N in merge
   /// order (0 = unbounded). Deterministic — a pure function of the batch,
-  /// never of queue depth or wall-clock — so replays shed identically.
+  /// never of wall-clock — so replays shed identically.
   std::uint64_t max_step_records = 0;
   /// Snapshots retained (older ones pruned).
   std::size_t keep_snapshots = 3;
-  /// Pipelined mode: generation and ingest overlap via a bounded queue
-  /// (backpressure changes timing only, never artifact content).
-  bool pipelined = false;
-  std::size_t queue_capacity = 4;
   // Heartbeat cadence comes from PlatformOptions::heartbeat_every_steps —
   // one source of truth, so the durable loop's gauge/log stream (and the
   // timeline sampler riding the same hook) is identical to the plain
@@ -88,9 +84,9 @@ struct DurableOptions {
   /// emulates a crash whose journal survived (the crash-at-every-step
   /// property test drives this).
   std::uint64_t stop_after_steps = 0;
-  /// Test hook: called with each step's seq on the ingest path before the
-  /// batch is applied; a throw exercises the supervisor (the step fails
-  /// deterministically, naming the step).
+  /// Test hook: called with each step's seq just before the batch is
+  /// ingested; a throw fails the run with an error naming the step (the
+  /// step is already journaled, so a resume recovers it).
   std::function<void(std::uint64_t)> ingest_fault;
   ChaosOptions chaos;
 };

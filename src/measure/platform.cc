@@ -374,104 +374,87 @@ Platform::StreamState Platform::CaptureStreamState() const {
   return state;
 }
 
-void Platform::RestoreStreamState(const StreamState& state) {
+core::Status Platform::RestoreStreamState(const StreamState& state) {
+  if (state.ewma_rtt.size() != vantages_.size()) {
+    return core::Error(core::ErrorCode::kInvalidArgument,
+                       "saved stream state holds " +
+                           std::to_string(state.ewma_rtt.size()) +
+                           " vantage EWMAs but this platform has " +
+                           std::to_string(vantages_.size()) + " vantages");
+  }
   next_record_id_ = state.next_record_id;
   route_change_cursor_ = static_cast<std::size_t>(state.route_change_cursor);
-  for (std::size_t i = 0;
-       i < vantages_.size() && i < state.ewma_rtt.size(); ++i) {
+  for (std::size_t i = 0; i < vantages_.size(); ++i) {
     vantages_[i].ewma_rtt = state.ewma_rtt[i];
   }
   failures_ = state.failures;
+  return core::Status::Ok();
 }
 
-void EmitStreamHeartbeat(std::uint64_t committed_steps,
-                         std::uint64_t committed_records,
-                         std::size_t live_queue_depth, std::size_t every) {
+namespace {
+
+/// The fixed stream series, in timeline id order.
+constexpr const char* kStreamSeries[] = {
+    "measure.stream.records_ingested",  "measure.stream.journal_high_water",
+    "measure.stream.shed_overload",     "netsim.bgp.invalidated_destinations",
+    "netsim.bgp.retained_destinations", "netsim.bgp.frontier_pops",
+    "netsim.bgp.route_cache_hits",      "netsim.bgp.route_cache_misses",
+    "netsim.bgp.tables_computed"};
+
+std::uint32_t DeclareStreamSeries(obs::Timeline& timeline,
+                                  std::string_view name) {
+  // Route-churn detector: every step in which destinations were
+  // invalidated is a route event (ScenarioZa's treatment flap included).
+  const obs::ChurnConfig churn;
+  return timeline.DeclareCounter(
+      name, name == "netsim.bgp.invalidated_destinations" ? &churn : nullptr);
+}
+
+}  // namespace
+
+void DeclareStreamTelemetrySeries() {
+  if (!obs::Timeline::enabled()) return;
+  for (const char* name : kStreamSeries) {
+    DeclareStreamSeries(obs::Timeline::Global(), name);
+  }
+}
+
+void EmitStepTelemetry(std::uint64_t committed_steps,
+                       std::uint64_t committed_records, std::size_t,
+                       std::size_t every, const StreamingCampaign* campaign,
+                       bool) {
   SISYPHUS_METRIC_GAUGE("measure.stream.records_ingested",
                         static_cast<double>(committed_records));
   SISYPHUS_METRIC_GAUGE("measure.stream.journal_high_water",
                         static_cast<double>(committed_steps));
-  SISYPHUS_METRIC_GAUGE("measure.stream.queue_depth", 0.0);
-  if (every == 0 || committed_steps % every != 0) return;
-  core::LogLine(core::LogLevel::kInfo, "stream heartbeat",
-                {{"step", committed_steps},
-                 {"records", committed_records},
-                 {"queue_depth", static_cast<std::uint64_t>(live_queue_depth)}});
-}
-
-void DeclareStreamTelemetrySeries() {
-  if (!obs::Timeline::enabled()) return;
-  obs::Timeline& timeline = obs::Timeline::Global();
-  timeline.DeclareCounter("measure.stream.records_ingested");
-  timeline.DeclareCounter("measure.stream.journal_high_water");
-  timeline.DeclareCounter("measure.stream.shed_overload");
-  const obs::ChurnConfig churn;
-  timeline.DeclareCounter("netsim.bgp.invalidated_destinations", &churn);
-  timeline.DeclareCounter("netsim.bgp.retained_destinations");
-  timeline.DeclareCounter("netsim.bgp.frontier_pops");
-  timeline.DeclareCounter("netsim.bgp.route_cache_hits");
-  timeline.DeclareCounter("netsim.bgp.route_cache_misses");
-  timeline.DeclareCounter("netsim.bgp.tables_computed");
-}
-
-void EmitStepTelemetry(std::uint64_t committed_steps,
-                       std::uint64_t committed_records,
-                       std::size_t live_queue_depth, std::size_t every,
-                       const StreamingCampaign* campaign,
-                       bool ingest_sampled_elsewhere) {
-  EmitStreamHeartbeat(committed_steps, committed_records, live_queue_depth,
-                      every);
+  if (every != 0 && committed_steps % every == 0) {
+    core::LogLine(core::LogLevel::kInfo, "stream heartbeat",
+                  {{"step", committed_steps}, {"records", committed_records}});
+  }
   if (!obs::Timeline::enabled()) return;
   obs::Timeline& timeline = obs::Timeline::Global();
   const obs::Registry& registry = obs::Registry::Global();
-  timeline.SampleCounter(
-      committed_steps,
-      timeline.DeclareCounter("measure.stream.records_ingested"),
-      committed_records);
-  timeline.SampleCounter(
-      committed_steps,
-      timeline.DeclareCounter("measure.stream.journal_high_water"),
-      committed_steps);
-  timeline.SampleCounter(
-      committed_steps,
-      timeline.DeclareCounter("measure.stream.shed_overload"),
-      registry.CounterValue("measure.stream.shed_overload"));
-  // Route-churn detector: every step in which destinations were
-  // invalidated is a route event (ScenarioZa's treatment flap included).
-  const obs::ChurnConfig churn;
-  timeline.SampleCounter(
-      committed_steps,
-      timeline.DeclareCounter("netsim.bgp.invalidated_destinations", &churn),
-      registry.CounterValue("netsim.bgp.invalidated_destinations"));
-  for (const char* name :
-       {"netsim.bgp.retained_destinations", "netsim.bgp.frontier_pops",
-        "netsim.bgp.route_cache_hits", "netsim.bgp.route_cache_misses",
-        "netsim.bgp.tables_computed"}) {
-    timeline.SampleCounter(committed_steps, timeline.DeclareCounter(name),
-                           registry.CounterValue(name));
+  for (const char* name : kStreamSeries) {
+    const std::string_view series(name);
+    const std::uint64_t value =
+        series == "measure.stream.records_ingested" ? committed_records
+        : series == "measure.stream.journal_high_water"
+            ? committed_steps
+            : registry.CounterValue(name);
+    timeline.SampleCounter(committed_steps,
+                           DeclareStreamSeries(timeline, series), value);
   }
-  timeline.ClosePhase(committed_steps, obs::Timeline::Phase::kProduce);
-  if (ingest_sampled_elsewhere) return;
   if (campaign != nullptr) {
-    SampleTimelineIngest(committed_steps, *campaign);
-  } else {
-    timeline.ClosePhase(committed_steps, obs::Timeline::Phase::kIngest);
+    const obs::LevelShiftConfig shift;
+    campaign->panel_builder().VisitRunningMeans(
+        [&](std::string_view unit, std::uint64_t count, double sum) {
+          std::string name = "rtt.mean.";
+          name.append(unit);
+          const std::uint32_t id = timeline.DeclareRunningMean(name, &shift);
+          timeline.SampleRunningMean(committed_steps, id, count, sum);
+        });
   }
-}
-
-void SampleTimelineIngest(std::uint64_t step,
-                          const StreamingCampaign& campaign) {
-  if (!obs::Timeline::enabled()) return;
-  obs::Timeline& timeline = obs::Timeline::Global();
-  const obs::LevelShiftConfig shift;
-  campaign.panel_builder().VisitRunningMeans(
-      [&](std::string_view unit, std::uint64_t count, double sum) {
-        std::string name = "rtt.mean.";
-        name.append(unit);
-        const std::uint32_t id = timeline.DeclareRunningMean(name, &shift);
-        timeline.SampleRunningMean(step, id, count, sum);
-      });
-  timeline.ClosePhase(step, obs::Timeline::Phase::kIngest);
+  timeline.CommitStep(committed_steps);
 }
 
 void Platform::RunLoop(core::SimTime until, core::Rng& rng,
@@ -494,7 +477,7 @@ void Platform::RunLoop(core::SimTime until, core::Rng& rng,
     ++steps;
     records += step_records;
     EmitStepTelemetry(steps, records, 0, options_.heartbeat_every_steps,
-                      streaming, /*ingest_sampled_elsewhere=*/false);
+                      streaming, false);
   }
 }
 
@@ -525,26 +508,6 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   core::ParallelFor(shards, [&](std::size_t s) {
     IngestShard(s, batch, units, by_shard[s]);
   });
-  ++batches_;
-  ingested_ += batch.size();
-}
-
-void StreamingCampaign::IngestBatchSerial(
-    const std::vector<PendingRecord>& batch) {
-  const std::size_t shards = store_.shard_count();
-  std::vector<std::string> units(batch.size());
-  std::vector<std::vector<std::uint32_t>> by_shard(shards);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    units[i] = batch[i].record.UnitKey();
-    by_shard[store_.ShardOf(units[i])].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  // Same shard-index order the pool replays lineage buffers in, minus the
-  // pool. Used by the pipelined consumer thread, which must not carve a
-  // nested pool region of its own.
-  for (std::size_t s = 0; s < shards; ++s) {
-    IngestShard(s, batch, units, by_shard[s]);
-  }
   ++batches_;
   ingested_ += batch.size();
 }

@@ -19,6 +19,7 @@
 #include <map>
 #include <vector>
 
+#include "core/result.h"
 #include "core/rng.h"
 #include "measure/edge_steering.h"
 #include "measure/faults.h"
@@ -122,14 +123,6 @@ class StreamingCampaign {
   /// metrics/lineage the batch path records.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
-  /// Serial variant of IngestBatch: identical verdicts, metrics, lineage,
-  /// and panel folds, but shards are walked in order on the calling thread
-  /// with no pool region. This is the pipelined-consumer path (DESIGN.md
-  /// §11): the consumer thread must not open parallel regions of its own,
-  /// and serial shard order equals the pool's index-ordered replay, so the
-  /// artifacts stay byte-identical either way.
-  void IngestBatchSerial(const std::vector<PendingRecord>& batch);
-
   /// Serializes / restores the full campaign state (store arenas, panel
   /// aggregates, batch counters) for a durable snapshot (DESIGN.md §11).
   void Save(core::binio::Writer& w) const;
@@ -147,9 +140,8 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
-  /// Shared per-shard ingest body: one shard's slice of a batch, applied
-  /// on whatever thread owns the shard for this batch (a pool task or the
-  /// serial consumer). `units[i]` is batch[i]'s precomputed unit key.
+  /// Per-shard ingest body: one shard's slice of a batch, applied inside
+  /// the shard's pool task. `units[i]` is batch[i]'s precomputed unit key.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
                    const std::vector<std::string>& units,
                    const std::vector<std::uint32_t>& indices);
@@ -241,7 +233,9 @@ class Platform {
     std::vector<ProbeFailure> failures;
   };
   StreamState CaptureStreamState() const;
-  void RestoreStreamState(const StreamState& state);
+  /// Fails, changing nothing, when `state` was captured on a platform with
+  /// a different vantage count (one EWMA per vantage).
+  core::Status RestoreStreamState(const StreamState& state);
 
   MeasurementStore& store() { return store_; }
   const MeasurementStore& store() const { return store_; }
@@ -316,51 +310,23 @@ class Platform {
   FaultInjector* injector_ = nullptr;
 };
 
-/// Streaming telemetry heartbeat, shared by the platform step loop (batch
-/// and streaming branches) and the durable service's step loop so the
-/// gauges agree across every execution path. Every call refreshes the
-/// measure.stream.{records_ingested,journal_high_water,queue_depth}
-/// gauges with values that are pure functions of the committed step
-/// stream (queue_depth is always 0 at a step boundary — a live depth
-/// would leak scheduling into metrics.json and break batch/stream
-/// parity). Every `every` steps it additionally emits an info-level
-/// progress line, where `live_queue_depth` (the pipelined consumer's
-/// backlog, timing-dependent) is allowed to appear because log lines are
-/// not part of the artifact contract.
-void EmitStreamHeartbeat(std::uint64_t committed_steps,
-                         std::uint64_t committed_records,
-                         std::size_t live_queue_depth, std::size_t every);
-
-/// Step-boundary telemetry: the heartbeat above plus the timeline sample
-/// for this committed step (DESIGN.md §15). Produce-phase series — stream
-/// counters and the netsim.bgp.* reconvergence counters, all pure
-/// functions of the committed step stream — are sampled and the produce
-/// phase closed. The ingest phase is then closed too: with the running
-/// means from `campaign` when it is non-null (batch-path callers pass
-/// null: no panel builder, so no RTT series), or empty — unless
-/// `ingest_sampled_elsewhere` is set, which the pipelined durable loop
-/// uses because its consumer thread closes the ingest phase itself via
-/// SampleTimelineIngest after the step's batch lands.
+/// Step-boundary telemetry, called once per committed step by every step
+/// loop (batch, streaming, durable) so all of them emit the same stream:
+/// the measure.stream.{records_ingested,journal_high_water} gauges, an
+/// info-level progress line every `every` steps, and the step's timeline
+/// sample and commit (DESIGN.md §15) — the stream and netsim.bgp.*
+/// counters plus, when `campaign` is non-null, each panel unit's running
+/// RTT mean (`rtt.mean.<unit>`). The third and sixth parameters are
+/// unused; they remain so existing callers keep compiling.
 void EmitStepTelemetry(std::uint64_t committed_steps,
-                       std::uint64_t committed_records,
-                       std::size_t live_queue_depth, std::size_t every,
-                       const StreamingCampaign* campaign,
-                       bool ingest_sampled_elsewhere);
+                       std::uint64_t committed_records, std::size_t,
+                       std::size_t every, const StreamingCampaign* campaign,
+                       bool);
 
-/// Samples every panel unit's running RTT mean into the timeline (series
-/// `rtt.mean.<unit>`, level-shift detector attached) and closes the
-/// step's ingest phase. Call exactly once per committed step, after the
-/// step's batch has been ingested; in the pipelined durable loop this
-/// runs on the consumer thread before the step is marked done, so
-/// quiesce/snapshot points never see a half-sampled step.
-void SampleTimelineIngest(std::uint64_t step,
-                          const StreamingCampaign& campaign);
-
-/// Declares the fixed produce-phase series (stream counters + netsim.bgp
-/// reconvergence counters) up front. Step loops call this before their
-/// first step so series ids are pinned before the pipelined consumer can
-/// declare its first rtt.mean.* series — otherwise id assignment (and so
-/// the artifact bytes) would depend on which thread sampled first.
+/// Declares the fixed stream series (stream counters + netsim.bgp
+/// reconvergence counters) up front, so their timeline ids come first and
+/// in a fixed order whatever else a run declares. Step loops call this
+/// before their first step; it is idempotent.
 void DeclareStreamTelemetrySeries();
 
 }  // namespace sisyphus::measure

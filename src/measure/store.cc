@@ -315,6 +315,19 @@ bool ShardedMeasurementStore::Load(core::binio::Reader& r) {
     }
     arena.quarantined = r.GetU64();
     if (!r.ok()) return false;
+    // Every column runs parallel to `id` and every unit index names an
+    // interned key; anything else would index past a column's end later.
+    const std::size_t rows = arena.id.size();
+    for (const std::size_t column :
+         {arena.time_minutes.size(), arena.unit.size(), arena.rtt_ms.size(),
+          arena.loss_rate.size(), arena.throughput_mbps.size(),
+          arena.intent.size(), arena.attempts.size(),
+          arena.vantage_pop.size()}) {
+      if (column != rows) return false;
+    }
+    for (const std::uint32_t unit : arena.unit) {
+      if (unit >= arena.unit_names.size()) return false;
+    }
   }
   shards_ = std::move(loaded);
   return true;

@@ -187,7 +187,8 @@ class ShardedMeasurementStore {
 
   /// Serializes / restores every shard arena for a durable snapshot
   /// (DESIGN.md §11). Load replaces all arenas; the shard count in the
-  /// snapshot must match this store's (false on mismatch or truncation).
+  /// snapshot must match this store's. False on a mismatch, truncation,
+  /// ragged columns or a unit index with no interned key.
   void Save(core::binio::Writer& w) const;
   bool Load(core::binio::Reader& r);
 

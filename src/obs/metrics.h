@@ -63,10 +63,10 @@ class Counter {
 
  private:
   std::string name_;
-  // Relaxed atomic: increments commute, so concurrent producer/consumer
-  // threads in the pipelined ingest mode (DESIGN.md §11) still yield a
-  // deterministic total. Everything else in the registry stays
-  // single-writer via the capture/replay path.
+  // Relaxed atomic. Pool tasks never write here directly: their writes
+  // are captured and replayed on the thread that opened the region. The
+  // atomic keeps a write from any other thread race-free, and increments
+  // commute, so the total stays deterministic.
   std::atomic<std::uint64_t> value_{0};
 };
 

@@ -133,6 +133,7 @@ void Timeline::Reset() {
   series_.clear();
   by_name_.clear();
   pending_.clear();
+  pending_step_ = 0;
   events_.clear();
   committed_step_ = 0;
   first_step_ = 0;
@@ -191,7 +192,7 @@ std::uint32_t Timeline::DeclareRunningMean(std::string_view name,
 
 std::uint64_t Timeline::AbsoluteStepLocked(std::uint64_t step) {
   std::uint64_t abs = step + step_offset_;
-  if (abs <= committed_step_ && pending_.empty()) {
+  if (abs <= committed_step_ && pending_step_ == 0) {
     // A step at or below the last commit with nothing in flight means a
     // new campaign started in this process: offset it to stay monotone.
     step_offset_ = committed_step_ - step + 1;
@@ -200,65 +201,31 @@ std::uint64_t Timeline::AbsoluteStepLocked(std::uint64_t step) {
   return abs;
 }
 
-Timeline::PendingStep& Timeline::PendingLocked(std::uint64_t abs_step) {
-  return pending_[abs_step];
+void Timeline::Sample(std::uint64_t step, std::uint32_t series,
+                      SampleValue value) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t abs = AbsoluteStepLocked(step);
+  if (abs <= committed_step_ || series >= series_.size()) return;
+  SISYPHUS_REQUIRE(pending_step_ == 0 || pending_step_ == abs,
+                   "Timeline: sample for a step other than the one in flight");
+  pending_step_ = abs;
+  pending_[series] = value;
 }
 
 void Timeline::SampleCounter(std::uint64_t step, std::uint32_t series,
                              std::uint64_t value) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{value, 0.0};
+  Sample(step, series, SampleValue{value, 0.0});
 }
 
 void Timeline::SampleGauge(std::uint64_t step, std::uint32_t series,
                            double value) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{0, value};
+  Sample(step, series, SampleValue{0, value});
 }
 
 void Timeline::SampleRunningMean(std::uint64_t step, std::uint32_t series,
                                  std::uint64_t count, double sum) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{count, sum};
-}
-
-void Timeline::ClosePhase(std::uint64_t step, Phase phase) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_) return;
-  PendingStep& pending = PendingLocked(abs);
-  if (phase == Phase::kProduce) {
-    pending.produce_closed = true;
-  } else {
-    pending.ingest_closed = true;
-  }
-  CommitReadyLocked();
-}
-
-void Timeline::CommitReadyLocked() {
-  while (!pending_.empty()) {
-    auto front = pending_.begin();
-    if (!front->second.produce_closed || !front->second.ingest_closed) {
-      return;
-    }
-    // Steps arrive sequentially, so the smallest both-phases-closed entry
-    // is always the next step in order.
-    SISYPHUS_REQUIRE(
-        committed_step_ == 0 || front->first == committed_step_ + 1,
-        "Timeline: non-contiguous step commit");
-    CommitStepLocked(front->first, front->second);
-    pending_.erase(front);
-  }
+  Sample(step, series, SampleValue{count, sum});
 }
 
 void Timeline::RunLevelShiftLocked(std::uint64_t abs_step, std::uint32_t id,
@@ -298,10 +265,18 @@ void Timeline::RunLevelShiftLocked(std::uint64_t abs_step, std::uint32_t id,
   ++series.det_n;
 }
 
-void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
-  // samples is an ordered map, so detector evaluation (and therefore event
+void Timeline::CommitStep(std::uint64_t step) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t abs_step = AbsoluteStepLocked(step);
+  if (abs_step <= committed_step_) return;
+  SISYPHUS_REQUIRE(pending_step_ == 0 || pending_step_ == abs_step,
+                   "Timeline: commit of a step other than the one in flight");
+  SISYPHUS_REQUIRE(committed_step_ == 0 || abs_step == committed_step_ + 1,
+                   "Timeline: non-contiguous step commit");
+  // pending_ is an ordered map, so detector evaluation (and therefore event
   // order within the step) is by ascending series id.
-  for (const auto& [id, sample] : pending.samples) {
+  for (const auto& [id, sample] : pending_) {
     Series& series = series_[id];
     if (series.first_step == 0) series.first_step = abs_step;
     switch (series.kind) {
@@ -364,7 +339,7 @@ void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
   for (std::size_t id = 0; id < series_.size(); ++id) {
     Series& series = series_[id];
     if (series.first_step == 0) continue;
-    if (pending.samples.count(static_cast<std::uint32_t>(id)) != 0) continue;
+    if (pending_.count(static_cast<std::uint32_t>(id)) != 0) continue;
     if (series.kind == SeriesKind::kCounter) {
       AppendVarint(series.data, ZigZag(0));
     } else {
@@ -374,6 +349,8 @@ void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
   }
   if (first_step_ == 0) first_step_ = abs_step;
   committed_step_ = abs_step;
+  pending_.clear();
+  pending_step_ = 0;
 }
 
 Timeline::Summary Timeline::GetSummary() const {
@@ -497,7 +474,7 @@ std::string Timeline::BuildArtifact() const {
 
 void Timeline::Save(core::binio::Writer& w) const {
   std::lock_guard<std::mutex> lock(mu_);
-  SISYPHUS_REQUIRE(pending_.empty(),
+  SISYPHUS_REQUIRE(pending_step_ == 0,
                    "Timeline::Save: partial step in flight at snapshot");
   w.PutU64(committed_step_);
   w.PutU64(first_step_);
@@ -542,6 +519,7 @@ bool Timeline::Load(core::binio::Reader& r) {
   series_.clear();
   by_name_.clear();
   pending_.clear();
+  pending_step_ = 0;
   events_.clear();
   committed_step_ = r.GetU64();
   first_step_ = r.GetU64();

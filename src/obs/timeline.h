@@ -20,13 +20,11 @@
 // (names, counters, gauges, running sums); the sampling glue that knows
 // about platforms and panel builders lives in src/measure.
 //
-// Threading: samples for one step may arrive from two threads (the
-// pipelined durable loop generates on the producer and ingests on a
-// consumer), so a step commits in two phases — kProduce (counters/gauges
-// read at the generation boundary) and kIngest (panel-builder reads after
-// the step's batch landed). All state is mutex-guarded; steps commit in
-// order once both phases close, so series contents and detector decisions
-// never depend on thread interleaving.
+// Sampling model: the step loop samples one step at a time — every
+// Sample* call for step N, then CommitStep(N) — so series contents and
+// detector decisions are a function of the committed step stream alone.
+// All state is mutex-guarded, so readers (summaries, artifact builds) may
+// run on any thread.
 #ifndef SISYPHUS_OBS_TIMELINE_H_
 #define SISYPHUS_OBS_TIMELINE_H_
 
@@ -144,18 +142,15 @@ class Timeline {
                                    const LevelShiftConfig* shift = nullptr);
 
   // -- per-step sampling ---------------------------------------------------
-  // Steps are 1-based and must arrive in order. A step commits once both
-  // phases are closed; commit encodes the step's samples in series-id
-  // order, runs detectors, and appends any events — all under the mutex,
-  // so the outcome is independent of which thread closes last. A series
-  // not sampled for a committed step repeats its previous value (counters:
+  // Steps are 1-based and arrive in order, one in flight at a time: Sample*
+  // calls collect the step's values and CommitStep encodes them in
+  // series-id order, runs detectors, and appends any events. A series not
+  // sampled for a committed step repeats its previous value (counters:
   // zero delta), keeping every series dense from its first step.
   //
   // If a step number at or below the last committed step arrives with no
   // step in flight, a new epoch is assumed (a second campaign in the same
   // process) and subsequent steps are offset to stay globally monotone.
-  enum class Phase : std::uint8_t { kProduce = 0, kIngest = 1 };
-
   void SampleCounter(std::uint64_t step, std::uint32_t series,
                      std::uint64_t value);
   void SampleGauge(std::uint64_t step, std::uint32_t series, double value);
@@ -164,7 +159,8 @@ class Timeline {
   /// previous sample, when `count` grew.
   void SampleRunningMean(std::uint64_t step, std::uint32_t series,
                          std::uint64_t count, double sum);
-  void ClosePhase(std::uint64_t step, Phase phase);
+  /// Commits `step` (the one in flight, or an unsampled next step).
+  void CommitStep(std::uint64_t step);
 
   // -- introspection -------------------------------------------------------
   struct Summary {
@@ -181,8 +177,8 @@ class Timeline {
   std::vector<DetectionEvent> Events() const;
 
   /// Serializes the full timeline.bin byte string — a pure function of
-  /// committed state (pending partial steps are excluded, and are empty at
-  /// every artifact-writing point by construction).
+  /// committed state (an in-flight step is excluded; there is none at any
+  /// artifact-writing point by construction).
   std::string BuildArtifact() const;
 
   // -- durable snapshot capture/restore ------------------------------------
@@ -223,27 +219,20 @@ class Timeline {
     double d = 0.0;       // gauge value / running sum
   };
 
-  struct PendingStep {
-    bool produce_closed = false;
-    bool ingest_closed = false;
-    std::map<std::uint32_t, SampleValue> samples;
-  };
-
   std::uint32_t DeclareLocked(std::string_view name, SeriesKind kind,
                               DetectorKind detector,
                               const LevelShiftConfig* shift,
                               const ChurnConfig* churn);
   std::uint64_t AbsoluteStepLocked(std::uint64_t step);
-  PendingStep& PendingLocked(std::uint64_t step);
-  void CommitReadyLocked();
-  void CommitStepLocked(std::uint64_t abs_step, PendingStep& pending);
+  void Sample(std::uint64_t step, std::uint32_t series, SampleValue value);
   void RunLevelShiftLocked(std::uint64_t abs_step, std::uint32_t id,
                            Series& series, double x);
 
   mutable std::mutex mu_;
   std::vector<Series> series_;
   std::map<std::string, std::uint32_t, std::less<>> by_name_;
-  std::map<std::uint64_t, PendingStep> pending_;  ///< keyed by absolute step
+  std::map<std::uint32_t, SampleValue> pending_;  ///< in-flight step, by id
+  std::uint64_t pending_step_ = 0;  ///< absolute; 0 = no step in flight
   std::vector<DetectionEvent> events_;
   std::uint64_t committed_step_ = 0;  ///< absolute; 0 = nothing committed
   std::uint64_t first_step_ = 0;

@@ -1,10 +1,13 @@
 // Tests for sisyphus::core — Result/Status, strong IDs, Rng determinism
-// and distribution sanity, SimTime arithmetic, logging levels.
+// and distribution sanity, SimTime arithmetic, logging levels, binio
+// vector decoding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <unordered_set>
+#include <vector>
 
+#include "core/binio.h"
 #include "core/error.h"
 #include "core/ids.h"
 #include "core/logging.h"
@@ -246,6 +249,27 @@ TEST(LoggingTest, LevelFilterRoundTrips) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   SISYPHUS_LOG(kDebug) << "should be filtered";  // must not crash
   SetLogLevel(before);
+}
+
+// ---- binio ------------------------------------------------------------------
+
+// A vector count the remaining bytes cannot hold is malformed input: the
+// reader must fail, not hand back an empty vector and go on decoding the
+// elements as the fields that follow.
+TEST(BinioTest, OversizedVectorCountFailsTheReader) {
+  for (const bool doubles : {false, true}) {
+    binio::Writer w;
+    w.PutU64(3);   // claims three elements...
+    w.PutU64(41);  // ...but only two words follow
+    w.PutU64(42);
+    binio::Reader r(w.buffer());
+    const std::size_t size = doubles ? binio::GetDoubleVector(r).size()
+                                     : binio::GetU64Vector(r).size();
+    EXPECT_EQ(size, 0u);
+    EXPECT_FALSE(r.ok()) << (doubles ? "GetDoubleVector" : "GetU64Vector");
+    EXPECT_EQ(r.GetU64(), 0u);
+    EXPECT_FALSE(r.ok());
+  }
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //   * journal corruption before the tail fails loudly;
 //   * the supervisor names the step whose ingest failed, and a resume
 //     recovers that step from the journal;
-//   * shed-on-overload and the pipelined queue preserve byte-identity;
+//   * a resume on a platform with a different vantage count fails loudly;
+//   * shed-on-overload preserves byte-identity;
 //   * SIGTERM interrupts cleanly and the run resumes to the same bytes.
 //
 // The chaos ctest fixtures and the CI chaos-smoke job enforce the same
@@ -83,7 +84,8 @@ struct RunSpec {
   std::uint64_t snapshot_every = 5;  ///< deliberately coprime with nothing
   std::uint64_t fsync_every = 3;
   std::uint64_t shed_max = 0;
-  bool pipelined = false;
+  /// Registers one donor vantage fewer than the reference campaign.
+  bool drop_last_donor = false;
   std::function<void(std::uint64_t)> ingest_fault;
 };
 
@@ -118,8 +120,10 @@ RunResult RunDurable(const RunSpec& spec) {
     vantage.pop = unit.access_pop;
     platform.AddVantage(vantage);
   }
-  for (netsim::PopIndex donor : scenario.donors) {
-    vantage.pop = donor;
+  const std::size_t donors =
+      scenario.donors.size() - (spec.drop_last_donor ? 1 : 0);
+  for (std::size_t i = 0; i < donors; ++i) {
+    vantage.pop = scenario.donors[i];
     platform.AddVantage(vantage);
   }
 
@@ -142,8 +146,6 @@ RunResult RunDurable(const RunSpec& spec) {
   durable_options.snapshot_every = spec.snapshot_every;
   durable_options.fsync_every = spec.fsync_every;
   durable_options.max_step_records = spec.shed_max;
-  durable_options.pipelined = spec.pipelined;
-  durable_options.queue_capacity = 2;
   durable_options.stop_after_steps = spec.stop_after;
   durable_options.ingest_fault = spec.ingest_fault;
 
@@ -413,36 +415,57 @@ TEST_F(DurableStreamTest, JournalCorruptionBeforeTailFailsLoudly) {
 }
 
 // The supervisor: a failing ingest step surfaces as a deterministic error
-// naming the step — serial and pipelined — and because the step was
-// journaled before it failed, a resume recovers it.
+// naming the step, and because the step was journaled before it failed, a
+// resume recovers it.
 TEST_F(DurableStreamTest, SupervisorNamesFailingStepAndResumeRecovers) {
   const Artifacts reference = Reference();
 
-  for (bool pipelined : {false, true}) {
-    const std::string dir = MakeDir("durable-supervise");
-    RunSpec faulty;
-    faulty.dir = dir;
-    faulty.pipelined = pipelined;
-    faulty.ingest_fault = [](std::uint64_t seq) {
-      if (seq == 5) throw std::runtime_error("injected ingest fault");
-    };
-    const RunResult failed = RunDurable(faulty);
-    ASSERT_FALSE(failed.ok) << (pipelined ? "pipelined" : "serial");
-    EXPECT_NE(failed.error.find("failed at step 5"), std::string::npos)
-        << failed.error;
-    EXPECT_NE(failed.error.find("injected ingest fault"), std::string::npos)
-        << failed.error;
+  const std::string dir = MakeDir("durable-supervise");
+  RunSpec faulty;
+  faulty.dir = dir;
+  faulty.ingest_fault = [](std::uint64_t seq) {
+    if (seq == 5) throw std::runtime_error("injected ingest fault");
+  };
+  const RunResult failed = RunDurable(faulty);
+  ASSERT_FALSE(failed.ok);
+  EXPECT_NE(failed.error.find("streaming ingest failed at step 5"),
+            std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("injected ingest fault"), std::string::npos)
+      << failed.error;
 
-    RunSpec resume;
-    resume.dir = dir;
-    resume.resume = true;
-    const RunResult resumed = RunDurable(resume);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
-    ExpectIdentical(resumed.artifacts, reference,
-                    std::string("resume after supervised failure, ") +
-                        (pipelined ? "pipelined" : "serial"));
-  }
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
+  ExpectIdentical(resumed.artifacts, reference,
+                  "resume after supervised failure");
+}
+
+// A snapshot carries one EWMA per vantage. Resuming it on a platform with
+// a different vantage count must fail and say so, not restore a prefix of
+// the EWMAs and carry on with a different campaign. Stopping at step 10
+// with snapshot_every = 5 leaves nothing to replay, so no journal check
+// could catch the mismatch either.
+TEST_F(DurableStreamTest, ResumeRejectsVantageCountMismatch) {
+  const std::string dir = MakeDir("durable-vantages");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 10;
+  const RunResult stopped = RunDurable(crash);
+  ASSERT_TRUE(stopped.ok) << stopped.error;
+  ASSERT_EQ(stopped.stats.snapshot_seq, 10u);
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  resume.drop_last_donor = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_FALSE(resumed.ok);
+  EXPECT_NE(resumed.error.find("vantage"), std::string::npos)
+      << resumed.error;
 }
 
 // Shed-on-overload: deterministic, lineage-conserving (shed records get a
@@ -482,20 +505,6 @@ TEST_F(DurableStreamTest, ShedOverloadIsDeterministicAcrossResume) {
   ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
   ExpectIdentical(resumed.artifacts, reference.artifacts,
                   "shed crash/resume at 8 threads");
-}
-
-// Backpressure changes timing only: the pipelined bounded-queue path emits
-// the same bytes as the serial path.
-TEST_F(DurableStreamTest, PipelinedQueueMatchesSerial) {
-  const Artifacts reference = Reference();
-  RunSpec pipelined;
-  pipelined.dir = MakeDir("durable-pipe");
-  pipelined.pipelined = true;
-  pipelined.threads = 8;
-  const RunResult run = RunDurable(pipelined);
-  ASSERT_TRUE(run.ok) << run.error;
-  ASSERT_EQ(run.stats.outcome, durable::RunOutcome::kCompleted);
-  ExpectIdentical(run.artifacts, reference, "pipelined vs serial");
 }
 
 // SIGTERM → clean interruption (journal flushed, final snapshot written),
