@@ -5,6 +5,7 @@
 #include "core/error.h"
 #include "core/parallel.h"
 #include "obs/metrics.h"
+#include "stats/decomposition.h"
 #include "stats/inference.h"
 
 namespace sisyphus::causal {
@@ -15,12 +16,30 @@ using core::Result;
 
 namespace {
 
+/// `m` without column `j`.
+stats::Matrix WithoutColumn(const stats::Matrix& m, std::size_t j) {
+  stats::Matrix out(m.rows(), m.cols() - 1);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const auto row = m.Row(r);
+    auto dst = out.Row(r);
+    std::copy(row.begin(), row.begin() + j, dst.begin());
+    std::copy(row.begin() + j + 1, row.end(), dst.begin() + j);
+  }
+  return out;
+}
+
+/// Fits `input` with the chosen estimator. A robust fit takes its donor
+/// spectrum from `donor_r`, the R factor of its zero-filled donors, or
+/// factorizes those donors itself when `donor_r` is empty.
 Result<SyntheticControlFit> FitWithMethod(const SyntheticControlInput& input,
-                                          const PlaceboOptions& options) {
+                                          const PlaceboOptions& options,
+                                          const stats::Matrix& donor_r) {
   if (options.method == SyntheticControlMethod::kClassical) {
     return FitSyntheticControl(input, options.classical);
   }
-  auto fit = FitRobustSyntheticControl(input, options.robust);
+  auto fit = donor_r.empty()
+                 ? FitRobustSyntheticControl(input, options.robust)
+                 : FitRobustSyntheticControl(input, options.robust, donor_r);
   if (!fit.ok()) return fit.error();
   return std::move(fit).value().base;
 }
@@ -36,24 +55,13 @@ SyntheticControlInput PlaceboInput(const SyntheticControlInput& input,
   out.placebo = true;  // donor j stands in as treated; lineage keeps it a donor
   if (!input.donor_names.empty()) out.treated_name = input.donor_names[j];
   out.treated = input.donors.Column(j);
-  out.donors = stats::Matrix(input.donors.rows(), input.donors.cols() - 1);
-  const bool masked = !input.donor_observed.empty();
-  if (masked) {
+  out.donors = WithoutColumn(input.donors, j);
+  if (!input.donor_observed.empty()) {
     out.treated_observed = input.donor_observed.Column(j);
-    out.donor_observed =
-        stats::Matrix(input.donors.rows(), input.donors.cols() - 1);
+    out.donor_observed = WithoutColumn(input.donor_observed, j);
   }
-  std::size_t dst = 0;
-  for (std::size_t c = 0; c < input.donors.cols(); ++c) {
-    if (c == j) continue;
-    const auto col = input.donors.Column(c);
-    out.donors.SetColumn(dst, col);
-    if (masked) {
-      const auto mask = input.donor_observed.Column(c);
-      out.donor_observed.SetColumn(dst, mask);
-    }
-    if (!input.donor_names.empty()) out.donor_names.push_back(input.donor_names[c]);
-    ++dst;
+  for (std::size_t c = 0; c < input.donor_names.size(); ++c) {
+    if (c != j) out.donor_names.push_back(input.donor_names[c]);
   }
   return out;
 }
@@ -69,8 +77,23 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
                  "distribution");
   }
 
+  // Robust fits of a tall pool take their spectra from one QR of the
+  // zero-filled donor matrix, D = Q R: the treated fit from R, and the
+  // rotation that drops donor j from R_-j (R without column j). Since
+  // D_-j = Q R_-j and Q has orthonormal columns, R_-j has the singular
+  // values and right singular vectors of D_-j. p̂ and the threshold stay
+  // per fit. Wide pools (rows < cols) have no thin QR, so each of their
+  // fits factorizes its own donor matrix.
+  stats::Matrix shared_r;  // stays empty when every fit factorizes its own
+  if (options.method == SyntheticControlMethod::kRobust &&
+      input.donors.rows() >= input.donors.cols()) {
+    auto qr = stats::QrDecompose(ZeroFilledDonors(input, options.robust));
+    if (!qr.ok()) return qr.error();
+    shared_r = std::move(qr.value().r);
+  }
+
   PlaceboResult out;
-  auto treated = FitWithMethod(input, options);
+  auto treated = FitWithMethod(input, options, shared_r);
   if (!treated.ok()) return treated.error();
   out.treated_fit = std::move(treated).value();
 
@@ -88,7 +111,9 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
         const SyntheticControlInput placebo = PlaceboInput(input, j);
         SISYPHUS_METRIC_COUNT("causal.placebo.runs", 1);
         PlaceboRun run;
-        auto fit = FitWithMethod(placebo, options);
+        auto fit = FitWithMethod(
+            placebo, options,
+            shared_r.empty() ? shared_r : WithoutColumn(shared_r, j));
         if (fit.ok()) {
           run.ok = true;
           run.rmse_ratio = fit.value().rmse_ratio;

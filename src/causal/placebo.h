@@ -42,7 +42,9 @@ struct PlaceboOptions {
 
 /// Runs the chosen estimator on the treated unit, then one placebo run per
 /// donor (that donor becomes "treated", the true treated unit is NOT added
-/// to the pool), and computes the rank p-value.
+/// to the pool), and computes the rank p-value. Robust fits of a pool with
+/// at least as many periods as donors share one QR factorization of the
+/// donor matrix (DESIGN.md §4).
 /// Fails if the treated fit fails or fewer than 2 placebo runs succeed.
 core::Result<PlaceboResult> RunPlaceboAnalysis(
     const SyntheticControlInput& input, const PlaceboOptions& options = {});

@@ -16,11 +16,34 @@ using core::Error;
 using core::ErrorCode;
 using core::Result;
 
-Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
+stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
+                               const RobustSyntheticControlOptions& options) {
+  stats::Matrix donors = input.donors;
+  if (!options.use_mask || input.donor_observed.empty()) return donors;
+  for (std::size_t r = 0; r < donors.rows(); ++r) {
+    for (std::size_t c = 0; c < donors.cols(); ++c) {
+      if (input.donor_observed(r, c) == 0.0) donors(r, c) = 0.0;
+    }
+  }
+  return donors;
+}
+
+namespace {
+
+// The fit body. The donor spectrum comes from `donor_r` (an R factor of
+// the zero-filled donors) when given, else from an SVD of those donors.
+Result<RobustSyntheticControlFit> Fit(
     const SyntheticControlInput& input,
-    const RobustSyntheticControlOptions& options) {
+    const RobustSyntheticControlOptions& options,
+    const stats::Matrix* donor_r) {
   SISYPHUS_METRIC_COUNT("causal.rsc.fits_attempted", 1);
   if (auto s = input.Validate(); !s.ok()) return s.error();
+  if (donor_r != nullptr && donor_r->cols() != input.donors.cols()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "FitRobustSyntheticControl: donor_r has " +
+                     std::to_string(donor_r->cols()) + " columns for " +
+                     std::to_string(input.donors.cols()) + " donors");
+  }
 
   const bool masked = options.use_mask && !input.donor_observed.empty();
 
@@ -28,22 +51,11 @@ Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
   // the observed fraction p̂. The rescaled reconstruction (1/p̂) Y_k is an
   // unbiased estimate of the low-rank signal under uniform missingness
   // (Amjad, Shah & Shen §3).
-  stats::Matrix donors = input.donors;
+  const stats::Matrix donors = ZeroFilledDonors(input, options);
   double p_hat = 1.0;
   if (masked) {
-    std::size_t observed = 0;
-    for (std::size_t r = 0; r < donors.rows(); ++r) {
-      for (std::size_t c = 0; c < donors.cols(); ++c) {
-        if (input.donor_observed(r, c) != 0.0) {
-          ++observed;
-        } else {
-          donors(r, c) = 0.0;
-        }
-      }
-    }
-    p_hat = static_cast<double>(observed) /
-            static_cast<double>(donors.rows() * donors.cols());
-    if (observed == 0) {
+    p_hat = input.DonorObservedFraction();
+    if (p_hat == 0.0) {
       return Error(ErrorCode::kNumericalFailure,
                    "FitRobustSyntheticControl: donor matrix entirely "
                    "unobserved");
@@ -56,9 +68,11 @@ Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     }
   }
 
-  // Step 1: denoise the (masked) donor matrix by hard singular-value
-  // thresholding, rescaling by 1/p̂ on the masked path.
-  auto svd = stats::SvdDecompose(donors);
+  // Step 1: denoise by hard singular-value thresholding. Only the
+  // retained right singular vectors V_k are needed: the denoised donors
+  // are Z V_k^T with Z = D V_k / p̂ (the 1/p̂ rescale on the masked path).
+  auto svd = donor_r != nullptr ? stats::JacobiSvd(*donor_r)
+                                : stats::SvdDecompose(donors);
   if (!svd.ok()) return svd.error();
   double threshold = options.singular_value_threshold;
   if (threshold < 0.0) {
@@ -68,51 +82,59 @@ Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
   std::size_t rank = svd.value().RankAbove(threshold);
   rank = std::max(rank, std::min(options.min_rank,
                                  svd.value().singular_values.size()));
-  stats::Matrix denoised = svd.value().TruncatedReconstruct(rank);
-  if (masked) denoised = (1.0 / p_hat) * denoised;
+  const stats::Matrix vk = svd.value().v.Block(0, donors.cols(), 0, rank);
+  stats::Matrix z = donors * vk;
+  if (masked) z = (1.0 / p_hat) * z;
 
   // Step 2: ridge regression of the treated pre-period series on the
   // denoised donor pre-period columns (no intercept, matching the RSC
   // formulation where the donor span absorbs levels). On the masked path
-  // only OBSERVED treated pre-periods enter the regression.
+  // only OBSERVED treated pre-periods enter the regression. The ridge
+  // solution lies in span(V_k), so it is V_k times the ridge on Z's rows.
   const std::size_t t0 = input.pre_periods;
-  stats::Matrix pre;
-  stats::Vector y_pre;
-  if (!input.treated_observed.empty()) {
-    std::vector<std::size_t> rows;
-    for (std::size_t t = 0; t < t0; ++t) {
-      if (input.treated_observed[t] != 0.0) rows.push_back(t);
+  std::vector<std::size_t> rows;
+  for (std::size_t t = 0; t < t0; ++t) {
+    if (input.treated_observed.empty() || input.treated_observed[t] != 0.0) {
+      rows.push_back(t);
     }
-    if (rows.size() < std::max<std::size_t>(options.min_observed_pre_periods,
-                                            1)) {
-      return Error(ErrorCode::kNumericalFailure,
-                   "FitRobustSyntheticControl: only " +
-                       std::to_string(rows.size()) +
-                       " observed treated pre-periods (need >= " +
-                       std::to_string(options.min_observed_pre_periods) +
-                       ")");
-    }
-    pre = stats::Matrix(rows.size(), denoised.cols());
-    y_pre.resize(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      pre.SetRow(i, denoised.Row(rows[i]));
-      y_pre[i] = input.treated[rows[i]];
-    }
-  } else {
-    pre = denoised.Block(0, t0, 0, denoised.cols());
-    y_pre.assign(input.treated.data(), input.treated.data() + t0);
   }
-  stats::OlsOptions no_intercept;
-  no_intercept.add_intercept = false;
-  auto weights = stats::Ridge(pre, y_pre, options.ridge_lambda, no_intercept);
-  if (!weights.ok()) return weights.error();
+  if (!input.treated_observed.empty() &&
+      rows.size() < std::max<std::size_t>(options.min_observed_pre_periods,
+                                          1)) {
+    return Error(ErrorCode::kNumericalFailure,
+                 "FitRobustSyntheticControl: only " +
+                     std::to_string(rows.size()) +
+                     " observed treated pre-periods (need >= " +
+                     std::to_string(options.min_observed_pre_periods) + ")");
+  }
+  stats::Matrix z_pre(rows.size(), rank);
+  stats::Vector y_pre(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    z_pre.SetRow(i, z.Row(rows[i]));
+    y_pre[i] = input.treated[rows[i]];
+  }
+  stats::Vector coefficients;  // nothing retained (min_rank 0): zero weights
+  if (rank > 0) {
+    stats::OlsOptions no_intercept;
+    no_intercept.add_intercept = false;
+    auto ridge = stats::Ridge(z_pre, y_pre, options.ridge_lambda, no_intercept);
+    if (!ridge.ok()) return ridge.error();
+    coefficients = std::move(ridge).value();
+  }
 
   // Step 3: the counterfactual is the denoised donors combined with the
-  // learned weights across ALL periods.
-  SyntheticControlInput denoised_input = input;
-  denoised_input.donors = denoised;
+  // learned weights across ALL periods: (Z V_k^T)(V_k a) = Z a, so the
+  // diagnostics run on the k columns of Z, and the donor weights are
+  // w = V_k a.
+  SyntheticControlInput reduced;
+  reduced.treated = input.treated;
+  reduced.treated_observed = input.treated_observed;
+  reduced.pre_periods = t0;
+  reduced.donors = std::move(z);
   RobustSyntheticControlFit out;
-  out.base = DiagnoseWeights(denoised_input, std::move(weights).value());
+  out.base = DiagnoseWeights(reduced, coefficients);
+  out.base.weights = vk.Apply(coefficients);
+  out.base.donor_names = input.donor_names;
   out.retained_rank = rank;
   out.threshold_used = threshold;
   out.observed_fraction = p_hat;
@@ -130,6 +152,21 @@ Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
 #endif
   MarkFitLineage(input);
   return out;
+}
+
+}  // namespace
+
+Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options) {
+  return Fit(input, options, nullptr);
+}
+
+Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options,
+    const stats::Matrix& donor_r) {
+  return Fit(input, options, &donor_r);
 }
 
 }  // namespace sisyphus::causal

@@ -19,6 +19,7 @@
 
 #include "causal/synthetic_control.h"
 #include "core/result.h"
+#include "stats/matrix.h"
 
 namespace sisyphus::causal {
 
@@ -50,8 +51,32 @@ struct RobustSyntheticControlFit {
 
 /// Fits robust synthetic control. Same input contract as
 /// FitSyntheticControl.
+///
+/// The fit works in the retained right-singular subspace. With D the
+/// zero-filled donor matrix, V_k its top-k right singular vectors and
+/// Z = D V_k / p̂, the denoised donors are Z V_k^T, and the ridge on their
+/// pre-period rows is exactly w = V_k Ridge(Z_pre, y_pre, lambda): a k x k
+/// solve, and U is never formed (DESIGN.md §4).
 core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options = {});
+
+/// The donor matrix the estimator factorizes: `input.donors` with the
+/// unobserved entries zeroed when the masked path applies (use_mask and a
+/// donor mask present).
+stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
+                               const RobustSyntheticControlOptions& options);
+
+/// FitRobustSyntheticControl with the donor spectrum taken from `donor_r`,
+/// an R factor of the zero-filled donors D (D = Q R with orthonormal Q, so
+/// R has D's singular values and right singular vectors), instead of
+/// factorizing D itself. RunPlaceboAnalysis passes one shared R, with the
+/// rotated donor's column deleted. The result equals the plain call's up
+/// to rounding. Fails (kInvalidArgument) if `donor_r` does not have one
+/// column per donor or has fewer rows than columns.
+core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options,
+    const stats::Matrix& donor_r);
 
 }  // namespace sisyphus::causal

@@ -43,6 +43,33 @@ core::Status SyntheticControlInput::Validate() const {
     return Error(ErrorCode::kInvalidArgument,
                  "SyntheticControlInput: donor_observed shape mismatch");
   }
+  // A NaN or Inf would otherwise surface as a NaN effect, a confident
+  // placebo p-value, or an exception deep inside an estimator.
+  const auto non_finite = [](const std::string& series, std::size_t period,
+                             double value) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "SyntheticControlInput: " + series + " is " +
+                     std::to_string(value) + " at period " +
+                     std::to_string(period));
+  };
+  for (std::size_t t = 0; t < treated.size(); ++t) {
+    if (!std::isfinite(treated[t])) {
+      return non_finite(treated_name.empty()
+                            ? std::string("treated series")
+                            : "treated series '" + treated_name + "'",
+                        t, treated[t]);
+    }
+  }
+  for (std::size_t t = 0; t < donors.rows(); ++t) {
+    const auto row = donors.Row(t);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (std::isfinite(row[c])) continue;
+      return non_finite(donor_names.empty()
+                            ? "donor " + std::to_string(c)
+                            : "donor '" + donor_names[c] + "'",
+                        t, row[c]);
+    }
+  }
   return core::Status::Ok();
 }
 

@@ -46,7 +46,9 @@ struct SyntheticControlInput {
   /// Fraction of donor entries observed (1.0 without a mask).
   double DonorObservedFraction() const;
 
-  /// Shape/parameter validation shared by both estimators.
+  /// Shape/parameter validation shared by both estimators. Also rejects a
+  /// NaN or infinite value in `treated` or `donors` (kInvalidArgument,
+  /// naming the series and the period).
   core::Status Validate() const;
 };
 

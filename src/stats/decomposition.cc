@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/error.h"
+#include "obs/metrics.h"
 
 namespace sisyphus::stats {
 
@@ -12,13 +14,30 @@ using core::Error;
 using core::ErrorCode;
 using core::Result;
 
-Result<QrDecomposition> QrDecompose(const Matrix& a) {
+namespace {
+
+// Rejects NaN/Inf up front, naming the first offending entry: a non-finite
+// entry would otherwise run every Jacobi sweep and surface as a misleading
+// non-convergence error, or flow silently through QR into NaN results.
+core::Status CheckFinite(const Matrix& a, const char* who) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto row = a.Row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (!std::isfinite(row[c])) {
+        return Error(ErrorCode::kInvalidArgument,
+                     std::string(who) + ": non-finite entry at (" +
+                         std::to_string(r) + ", " + std::to_string(c) + ")");
+      }
+    }
+  }
+  return core::Status::Ok();
+}
+
+// Householder thin QR of a checked (finite, rows >= cols) matrix.
+QrDecomposition HouseholderQr(const Matrix& a) {
+  SISYPHUS_METRIC_COUNT("stats.qr.calls", 1);
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  if (m < n) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "QrDecompose: need rows >= cols for thin QR");
-  }
   // Householder on a working copy; accumulate reflectors to form thin Q.
   Matrix r = a;
   std::vector<Vector> reflectors;  // v for each column, length m-k
@@ -94,6 +113,17 @@ Result<QrDecomposition> QrDecompose(const Matrix& a) {
   return out;
 }
 
+}  // namespace
+
+Result<QrDecomposition> QrDecompose(const Matrix& a) {
+  if (a.rows() < a.cols()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "QrDecompose: need rows >= cols for thin QR");
+  }
+  if (auto s = CheckFinite(a, "QrDecompose"); !s.ok()) return s.error();
+  return HouseholderQr(a);
+}
+
 Result<Vector> SolveLeastSquares(const Matrix& a, std::span<const double> b) {
   SISYPHUS_REQUIRE(b.size() == a.rows(), "SolveLeastSquares: size mismatch");
   auto qr = QrDecompose(a);
@@ -146,61 +176,65 @@ std::size_t SvdDecomposition::RankAbove(double threshold) const {
 
 namespace {
 
-// One-sided Jacobi on A (m x n), m >= n: rotates column pairs of a working
-// copy W until all pairs are numerically orthogonal. Then s_j = ||W_j||,
-// U_j = W_j / s_j, and V accumulates the rotations.
-Result<SvdDecomposition> JacobiSvdTall(const Matrix& a) {
+// One-sided Jacobi on A (m x n), m >= n, applied to A itself: rotates
+// column pairs of a working copy W until all pairs are numerically
+// orthogonal. Then s_j = ||W_j||, U_j = W_j / s_j (zero when s_j = 0), and
+// V accumulates the rotations. W and V are held transposed so that every
+// column is one contiguous row; each sum still runs over i ascending.
+Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  Matrix w = a;
-  Matrix v = Matrix::Identity(n);
+  Matrix wt = a.Transposed();
+  Matrix vt = Matrix::Identity(n);
+  const auto rotate = [](double* x, double* y, std::size_t len, double c,
+                         double s) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const double xi = x[i];
+      const double yi = y[i];
+      x[i] = c * xi - s * yi;
+      y[i] = s * xi + c * yi;
+    }
+  };
   const int kMaxSweeps = 60;
   const double kTol = 1e-14;
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    bool rotated = false;
+  int sweeps = 0;
+  bool converged = false;
+  while (!converged && sweeps < kMaxSweeps) {
+    ++sweeps;
+    converged = true;
     for (std::size_t p = 0; p + 1 < n; ++p) {
+      double* wp = wt.Row(p).data();
       for (std::size_t q = p + 1; q < n; ++q) {
+        double* wq = wt.Row(q).data();
         double alpha = 0.0, beta = 0.0, gamma = 0.0;
         for (std::size_t i = 0; i < m; ++i) {
-          const double* row = w.Row(i).data();
-          const double wp = row[p];
-          const double wq = row[q];
-          alpha += wp * wp;
-          beta += wq * wq;
-          gamma += wp * wq;
+          alpha += wp[i] * wp[i];
+          beta += wq[i] * wq[i];
+          gamma += wp[i] * wq[i];
         }
         if (std::abs(gamma) <= kTol * std::sqrt(alpha * beta) ||
             gamma == 0.0) {
           continue;
         }
-        rotated = true;
+        converged = false;
         const double zeta = (beta - alpha) / (2.0 * gamma);
         const double t =
             (zeta >= 0.0 ? 1.0 : -1.0) /
             (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (std::size_t i = 0; i < m; ++i) {
-          double* row = w.Row(i).data();
-          const double wp = row[p];
-          const double wq = row[q];
-          row[p] = c * wp - s * wq;
-          row[q] = s * wp + c * wq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          double* row = v.Row(i).data();
-          const double vp = row[p];
-          const double vq = row[q];
-          row[p] = c * vp - s * vq;
-          row[q] = s * vp + c * vq;
-        }
+        rotate(wp, wq, m, c, s);
+        rotate(vt.Row(p).data(), vt.Row(q).data(), n, c, s);
       }
     }
-    if (!rotated) break;
-    if (sweep == kMaxSweeps - 1) {
-      return Error(ErrorCode::kNumericalFailure,
-                   "SvdDecompose: Jacobi sweeps did not converge");
-    }
+  }
+  // One count per decomposition, never per rotation: the sweep total is a
+  // deterministic work measure for metrics.json.
+  SISYPHUS_METRIC_COUNT("stats.svd.calls", 1);
+  SISYPHUS_METRIC_COUNT("stats.svd.sweeps", static_cast<std::uint64_t>(sweeps));
+  if (!converged) {
+    return Error(ErrorCode::kNumericalFailure,
+                 "SvdDecompose: Jacobi sweeps did not converge");
   }
   SvdDecomposition out;
   out.singular_values.assign(n, 0.0);
@@ -212,7 +246,7 @@ Result<SvdDecomposition> JacobiSvdTall(const Matrix& a) {
   Vector norms(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < m; ++i) sum += w(i, j) * w(i, j);
+    for (double x : wt.Row(j)) sum += x * x;
     norms[j] = std::sqrt(sum);
   }
   std::sort(order.begin(), order.end(),
@@ -222,21 +256,45 @@ Result<SvdDecomposition> JacobiSvdTall(const Matrix& a) {
     const double s = norms[src];
     out.singular_values[dst] = s;
     for (std::size_t i = 0; i < m; ++i)
-      out.u(i, dst) = s > 0.0 ? w(i, src) / s : 0.0;
-    for (std::size_t i = 0; i < n; ++i) out.v(i, dst) = v(i, src);
+      out.u(i, dst) = s > 0.0 ? wt(src, i) / s : 0.0;
+    for (std::size_t i = 0; i < n; ++i) out.v(i, dst) = vt(src, i);
   }
   return out;
 }
 
+// SVD of a checked matrix with rows >= cols. Square input goes to Jacobi
+// directly. Taller input is QR-preconditioned (Drmač–Veselić): A = Q R,
+// Jacobi on the n x n factor R = U_R S V^T, then U = Q U_R. Every rotation
+// then costs O(n) instead of O(m), and no Gram matrix is formed, so the
+// condition number is not squared (DESIGN.md §4).
+Result<SvdDecomposition> TallSvd(const Matrix& a) {
+  if (a.rows() == a.cols()) return OneSidedJacobi(a);
+  QrDecomposition qr = HouseholderQr(a);
+  auto svd = OneSidedJacobi(qr.r);
+  if (!svd.ok()) return svd.error();
+  svd.value().u = qr.q * svd.value().u;
+  return svd;
+}
+
 }  // namespace
+
+Result<SvdDecomposition> JacobiSvd(const Matrix& a) {
+  if (a.empty() || a.rows() < a.cols()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "JacobiSvd: need a non-empty matrix with rows >= cols");
+  }
+  if (auto s = CheckFinite(a, "JacobiSvd"); !s.ok()) return s.error();
+  return OneSidedJacobi(a);
+}
 
 Result<SvdDecomposition> SvdDecompose(const Matrix& a) {
   if (a.empty()) {
     return Error(ErrorCode::kInvalidArgument, "SvdDecompose: empty matrix");
   }
-  if (a.rows() >= a.cols()) return JacobiSvdTall(a);
+  if (auto s = CheckFinite(a, "SvdDecompose"); !s.ok()) return s.error();
+  if (a.rows() >= a.cols()) return TallSvd(a);
   // Wide matrix: decompose the transpose and swap U <-> V.
-  auto svd = JacobiSvdTall(a.Transposed());
+  auto svd = TallSvd(a.Transposed());
   if (!svd.ok()) return svd.error();
   SvdDecomposition out;
   out.u = std::move(svd.value().v);

@@ -18,7 +18,8 @@ struct QrDecomposition {
   Matrix r;
 };
 
-/// Computes the thin QR of `a`. Fails (kInvalidArgument) if rows < cols.
+/// Computes the thin QR of `a`. Fails (kInvalidArgument) if rows < cols or
+/// an entry is NaN or infinite.
 core::Result<QrDecomposition> QrDecompose(const Matrix& a);
 
 /// Solves min_x ||A x - b||_2 via QR. Fails (kNumericalFailure) if A is
@@ -46,12 +47,22 @@ struct SvdDecomposition {
   std::size_t RankAbove(double threshold) const;
 };
 
-/// One-sided Jacobi SVD. Chosen over Golub–Kahan for simplicity and high
-/// relative accuracy at this library's panel sizes (see DESIGN.md §4;
-/// scaling measured in bench/perf_linalg). Works for any m, n (internally
-/// transposes if m < n). Fails (kNumericalFailure) if Jacobi sweeps do not
-/// converge.
+/// QR-preconditioned one-sided Jacobi SVD. Chosen over Golub–Kahan for
+/// simplicity and high relative accuracy at this library's panel sizes
+/// (see DESIGN.md §4; scaling measured in bench/perf_linalg). Tall input
+/// is factored A = Q R and Jacobi runs on the small R; square input goes
+/// to Jacobi directly. Works for any m, n (internally transposes if
+/// m < n). Fails (kInvalidArgument) on an empty matrix or a NaN/infinite
+/// entry, (kNumericalFailure) if Jacobi sweeps do not converge.
 core::Result<SvdDecomposition> SvdDecompose(const Matrix& a);
+
+/// One-sided Jacobi applied to `a` itself (rows >= cols), with no QR
+/// preconditioning: the kernel SvdDecompose runs on square input and on
+/// the R factor of tall input, and the reference the tests hold the
+/// preconditioned path to. Callers that already hold an R factor (the
+/// placebo engine) use it to get that factor's spectrum. Same failure
+/// contract as SvdDecompose; wide input is kInvalidArgument.
+core::Result<SvdDecomposition> JacobiSvd(const Matrix& a);
 
 /// Minimum-norm least squares via SVD with relative cutoff `rcond` on
 /// singular values (like LAPACK gelsd).

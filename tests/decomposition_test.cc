@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/rng.h"
 #include "stats/decomposition.h"
@@ -47,6 +48,32 @@ TEST(QrTest, RIsUpperTriangular) {
 TEST(QrTest, WideMatrixRejected) {
   const Matrix a(2, 3);
   EXPECT_FALSE(QrDecompose(a).ok());
+}
+
+// NaN/Inf must come back as a Status naming the entry before any sweep
+// runs; unchecked, a NaN costs every Jacobi sweep and then reads as
+// non-convergence.
+TEST(NonFiniteInputTest, DecompositionsRejectNanAndInf) {
+  core::Rng rng(11);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix a = RandomMatrix(224, 30, rng);
+    a(57, 4) = bad;
+    auto svd = SvdDecompose(a);
+    ASSERT_FALSE(svd.ok());
+    EXPECT_EQ(svd.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(svd.error().message().find("(57, 4)"), std::string::npos);
+    auto qr = QrDecompose(a);
+    ASSERT_FALSE(qr.ok());
+    EXPECT_EQ(qr.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(qr.error().message().find("(57, 4)"), std::string::npos);
+    auto jacobi = JacobiSvd(a);
+    ASSERT_FALSE(jacobi.ok());
+    EXPECT_EQ(jacobi.error().code(), core::ErrorCode::kInvalidArgument);
+    // Wide input goes through the transpose; the check covers it too.
+    EXPECT_FALSE(SvdDecompose(a.Transposed()).ok());
+  }
 }
 
 TEST(LeastSquaresTest, ExactSystem) {
@@ -162,6 +189,133 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 10, 3), std::make_tuple(20, 7, 4),
                       std::make_tuple(7, 20, 5), std::make_tuple(50, 10, 6),
                       std::make_tuple(1, 5, 7), std::make_tuple(5, 1, 8)));
+
+// ---- QR-preconditioned tall path vs the unpreconditioned oracle -------------
+
+// Columns of U with a positive singular value are orthonormal; columns for
+// an exactly zero singular value are zero.
+void ExpectLeftFactorContract(const SvdDecomposition& d, double tol) {
+  const Matrix gram = d.u.Transposed() * d.u;
+  for (std::size_t i = 0; i < d.u.cols(); ++i) {
+    for (std::size_t j = 0; j < d.u.cols(); ++j) {
+      double expected = 0.0;
+      if (i == j && d.singular_values[i] > 0.0) expected = 1.0;
+      EXPECT_NEAR(gram(i, j), expected, tol) << "U^T U at " << i << "," << j;
+    }
+  }
+}
+
+void ExpectMatchesOracle(const Matrix& a) {
+  ASSERT_GT(a.rows(), a.cols());
+  auto svd = SvdDecompose(a);
+  auto oracle = JacobiSvd(a);
+  ASSERT_TRUE(svd.ok());
+  ASSERT_TRUE(oracle.ok());
+  const auto& d = svd.value();
+  const double norm = a.FrobeniusNorm();
+  ASSERT_EQ(d.singular_values.size(), a.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    EXPECT_NEAR(d.singular_values[i], oracle.value().singular_values[i],
+                1e-12 * norm)
+        << "singular value " << i;
+  }
+  ExpectLeftFactorContract(d, 1e-12);
+  EXPECT_TRUE(IsOrthonormalColumns(d.v, 1e-12));
+  EXPECT_LE(d.Reconstruct().MaxAbsDiff(a), 1e-12 * norm);
+}
+
+TEST(PreconditionedSvdTest, MatchesOracleOnRandomInput) {
+  core::Rng rng(31);
+  ExpectMatchesOracle(RandomMatrix(40, 9, rng));
+  ExpectMatchesOracle(RandomMatrix(9, 1, rng));
+}
+
+TEST(PreconditionedSvdTest, MatchesOracleOnTableOnePanelShape) {
+  // 224 periods x 30 donors, RTT-like levels and a shared diurnal factor.
+  core::Rng rng(32);
+  Matrix a(224, 30);
+  for (std::size_t t = 0; t < a.rows(); ++t) {
+    const double cycle = std::sin(2.0 * M_PI * static_cast<double>(t) / 4.0);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      a(t, j) = 20.0 + 0.3 * static_cast<double>(j) +
+                (1.0 + 0.05 * static_cast<double>(j)) * cycle +
+                rng.Gaussian();
+    }
+  }
+  ExpectMatchesOracle(a);
+}
+
+TEST(PreconditionedSvdTest, MatchesOracleOnDuplicateColumns) {
+  // Rank-deficient, as a donor pool with a duplicated donor is.
+  core::Rng rng(33);
+  Matrix a = RandomMatrix(60, 8, rng);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    a(r, 5) = a(r, 2);
+    a(r, 7) = a(r, 2);
+  }
+  ExpectMatchesOracle(a);
+  auto svd = SvdDecompose(a);
+  ASSERT_TRUE(svd.ok());
+  EXPECT_EQ(svd.value().RankAbove(1e-9 * a.FrobeniusNorm()), 6u);
+}
+
+TEST(PreconditionedSvdTest, ZeroSingularValuesKeepZeroLeftVectors) {
+  const Matrix zeros(50, 6);
+  ExpectMatchesOracle(zeros);
+  auto svd = SvdDecompose(zeros);
+  ASSERT_TRUE(svd.ok());
+  for (double s : svd.value().singular_values) EXPECT_EQ(s, 0.0);
+  EXPECT_EQ(svd.value().u.FrobeniusNorm(), 0.0);
+
+  // One all-zero column: exactly one zero singular value, zero U column.
+  core::Rng rng(34);
+  Matrix a = RandomMatrix(50, 6, rng);
+  for (std::size_t r = 0; r < a.rows(); ++r) a(r, 3) = 0.0;
+  ExpectMatchesOracle(a);
+  auto with_zero = SvdDecompose(a);
+  ASSERT_TRUE(with_zero.ok());
+  EXPECT_EQ(with_zero.value().singular_values.back(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    EXPECT_EQ(with_zero.value().u(r, a.cols() - 1), 0.0);
+  }
+}
+
+// Column scales from 1 down to 1e-10: one-sided Jacobi keeps high
+// relative accuracy on such graded matrices, and the QR step must not
+// lose it (no Gram matrix, so the condition number is not squared).
+class GradedSvdTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GradedSvdTest, SingularValuesMatchOracleToRelativeAccuracy) {
+  core::Rng rng(static_cast<std::uint64_t>(40 + GetParam()));
+  const std::size_t n = 11;
+  Matrix a = RandomMatrix(80 + 20 * static_cast<std::size_t>(GetParam()), n,
+                          rng);
+  for (std::size_t c = 0; c < n; ++c) {
+    const double scale = std::pow(10.0, -static_cast<double>(c));
+    for (std::size_t r = 0; r < a.rows(); ++r) a(r, c) *= scale;
+  }
+  auto svd = SvdDecompose(a);
+  auto oracle = JacobiSvd(a);
+  ASSERT_TRUE(svd.ok());
+  ASSERT_TRUE(oracle.ok());
+  const auto& s = svd.value().singular_values;
+  const auto& o = oracle.value().singular_values;
+  EXPECT_LT(o.back(), 1e-9 * o.front());  // really graded
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(s[i], o[i], 1e-12 * o[i]) << "singular value " << i;
+  }
+  EXPECT_TRUE(IsOrthonormalColumns(svd.value().u, 1e-12));
+  EXPECT_TRUE(IsOrthonormalColumns(svd.value().v, 1e-12));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GradedSvdTest, ::testing::Range(0, 4));
+
+TEST(PreconditionedSvdTest, OracleRejectsWideInput) {
+  core::Rng rng(35);
+  auto svd = JacobiSvd(RandomMatrix(3, 5, rng));
+  ASSERT_FALSE(svd.ok());
+  EXPECT_EQ(svd.error().code(), core::ErrorCode::kInvalidArgument);
+}
 
 // ---- SVD solvers -------------------------------------------------------------
 

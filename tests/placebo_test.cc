@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "causal/placebo.h"
 #include "core/rng.h"
@@ -105,6 +106,141 @@ TEST(PlaceboTest, InvalidInputPropagates) {
   bad.donors = stats::Matrix(2, 3);
   bad.pre_periods = 0;
   EXPECT_FALSE(RunPlaceboAnalysis(bad).ok());
+}
+
+TEST(PlaceboTest, NonFiniteTreatedPostPeriodRejected) {
+  // Unchecked, a NaN/Inf post-period yields effect = NaN/Inf and a
+  // "significant" p-value.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    core::Rng rng(7);
+    auto input = MakeInput(120, 80, 20, 0.0, 0.5, rng);
+    input.treated_name = "unit";
+    input.treated[100] = bad;
+    auto result = RunPlaceboAnalysis(input);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(result.error().message().find("treated series 'unit'"),
+              std::string::npos);
+    EXPECT_NE(result.error().message().find("period 100"), std::string::npos);
+  }
+}
+
+TEST(PlaceboTest, NonFiniteDonorCellRejected) {
+  core::Rng rng(8);
+  auto input = MakeInput(120, 80, 20, 0.0, 0.5, rng);
+  input.donors(30, 4) = std::numeric_limits<double>::quiet_NaN();
+  auto result = RunPlaceboAnalysis(input);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), core::ErrorCode::kInvalidArgument);
+  EXPECT_NE(result.error().message().find("donor 'd4'"), std::string::npos);
+  EXPECT_NE(result.error().message().find("period 30"), std::string::npos);
+}
+
+// ---- Shared-QR rotations vs explicitly built leave-one-out fits ------------
+
+/// The placebo input of rotation j, built independently of placebo.cc:
+/// donor j becomes the treated series (with its mask), the rest the pool.
+SyntheticControlInput LeaveOneOut(const SyntheticControlInput& input,
+                                  std::size_t j) {
+  SyntheticControlInput out;
+  out.pre_periods = input.pre_periods;
+  out.treated = input.donors.Column(j);
+  std::vector<stats::Vector> pool, masks;
+  for (std::size_t c = 0; c < input.donors.cols(); ++c) {
+    if (c == j) continue;
+    pool.push_back(input.donors.Column(c));
+    if (!input.donor_observed.empty()) {
+      masks.push_back(input.donor_observed.Column(c));
+    }
+  }
+  out.donors = stats::Matrix::FromColumns(pool);
+  if (!input.donor_observed.empty()) {
+    out.treated_observed = input.donor_observed.Column(j);
+    out.donor_observed = stats::Matrix::FromColumns(masks);
+  }
+  return out;
+}
+
+void ExpectNear(double actual, double expected, const std::string& what) {
+  EXPECT_NEAR(actual, expected, 1e-9 * std::max(std::abs(expected), 1e-12))
+      << what;
+}
+
+/// Every rotation's RMSE ratio and skip decision, and the treated fit,
+/// must equal single fits of the explicitly built inputs through
+/// FitRobustSyntheticControl.
+void ExpectRotationsMatchSingleFits(const SyntheticControlInput& input) {
+  const PlaceboOptions options;
+  auto result = RunPlaceboAnalysis(input, options);
+  ASSERT_TRUE(result.ok()) << result.error().ToText();
+  auto treated = FitRobustSyntheticControl(input, options.robust);
+  ASSERT_TRUE(treated.ok());
+  ExpectNear(result.value().treated_fit.average_effect,
+             treated.value().base.average_effect, "treated effect");
+  ExpectNear(result.value().treated_fit.rmse_ratio,
+             treated.value().base.rmse_ratio, "treated RMSE ratio");
+  stats::Vector ratios;
+  std::size_t skipped = 0;
+  for (std::size_t j = 0; j < input.donors.cols(); ++j) {
+    auto fit = FitRobustSyntheticControl(LeaveOneOut(input, j),
+                                         options.robust);
+    if (!fit.ok() ||
+        fit.value().base.rmse_pre >
+            options.max_pre_rmse_multiple *
+                std::max(treated.value().base.rmse_pre, 1e-9)) {
+      ++skipped;
+      continue;
+    }
+    ratios.push_back(fit.value().base.rmse_ratio);
+  }
+  EXPECT_EQ(result.value().skipped_donors, skipped);
+  ASSERT_EQ(result.value().placebo_ratios.size(), ratios.size());
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    ExpectNear(result.value().placebo_ratios[i], ratios[i],
+               "placebo ratio " + std::to_string(i));
+  }
+}
+
+TEST(PlaceboRotationTest, UnmaskedPanelMatchesSingleFits) {
+  core::Rng rng(60);
+  ExpectRotationsMatchSingleFits(MakeInput(120, 80, 20, 3.0, 0.5, rng));
+}
+
+TEST(PlaceboRotationTest, MaskedPanelMatchesSingleFits) {
+  core::Rng rng(61);
+  auto input = MakeInput(120, 80, 16, 3.0, 0.5, rng);
+  input.treated_observed.assign(input.treated.size(), 1.0);
+  input.donor_observed =
+      stats::Matrix(input.donors.rows(), input.donors.cols(), 1.0);
+  for (std::size_t t = 0; t < input.donors.rows(); ++t) {
+    for (std::size_t j = 0; j < input.donors.cols(); ++j) {
+      if (rng.Bernoulli(0.2)) input.donor_observed(t, j) = 0.0;
+    }
+  }
+  // Donor 0 has no observed pre-periods: its rotation must be skipped.
+  for (std::size_t t = 0; t < input.pre_periods; ++t) {
+    input.donor_observed(t, 0) = 0.0;
+  }
+  ExpectRotationsMatchSingleFits(input);
+  auto result = RunPlaceboAnalysis(input);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result.value().skipped_donors, 1u);
+}
+
+TEST(PlaceboRotationTest, DuplicateDonorPanelMatchesSingleFits) {
+  // Donors 3 and 9 are the same series: the pool is rank-deficient, and
+  // so is every rotation that keeps both.
+  core::Rng rng(62);
+  auto input = MakeInput(120, 80, 14, 3.0, 0.5, rng);
+  input.donors.SetColumn(9, input.donors.Column(3));
+  ExpectRotationsMatchSingleFits(input);
+}
+
+TEST(PlaceboRotationTest, WidePanelMatchesSingleFits) {
+  // Fewer periods than donors: no thin QR, every fit factorizes itself.
+  core::Rng rng(63);
+  ExpectRotationsMatchSingleFits(MakeInput(24, 16, 30, 3.0, 0.5, rng));
 }
 
 // Calibration sweep: under the null, the placebo p-value should be

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "causal/robust_synthetic_control.h"
 #include "causal/synthetic_control.h"
 #include "core/rng.h"
+#include "stats/decomposition.h"
+#include "stats/regression.h"
 
 namespace sisyphus::causal {
 namespace {
@@ -74,6 +77,50 @@ TEST(SyntheticControlInputTest, ValidationCatchesShapeErrors) {
   EXPECT_FALSE(input.Validate().ok());
   input.donor_names = {"a", "b"};
   EXPECT_TRUE(input.Validate().ok());
+}
+
+// A NaN or Inf anywhere in the panel is an argument error naming the
+// series and the period, for every entry point. Unchecked, the classical
+// fit throws from ProjectToSimplex, the robust fit reports
+// non-convergence after 60 sweeps, and a bad treated post-period yields
+// effect = NaN.
+TEST(SyntheticControlInputTest, NonFiniteValuesAreRejected) {
+  struct Case {
+    bool donor;
+    std::size_t period;
+    double value;
+    std::string series;  // expected series label in the message
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Case& c : {Case{true, 12, nan, "donor 'donor3'"},
+                        Case{true, 50, -inf, "donor 'donor3'"},
+                        Case{false, 45, nan, "treated series 'unit'"},
+                        Case{false, 5, inf, "treated series 'unit'"}}) {
+    core::Rng rng(30);
+    auto panel = MakePanel(60, 40, 2.0, 0.3, rng, 4);
+    panel.input.treated_name = "unit";
+    if (c.donor) {
+      panel.input.donors(c.period, 3) = c.value;
+    } else {
+      panel.input.treated[c.period] = c.value;
+    }
+    const std::string period = "period " + std::to_string(c.period);
+    const auto status = panel.input.Validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(status.error().message().find(c.series), std::string::npos)
+        << status.error().message();
+    EXPECT_NE(status.error().message().find(period), std::string::npos)
+        << status.error().message();
+    auto classical = FitSyntheticControl(panel.input);
+    ASSERT_FALSE(classical.ok());
+    EXPECT_EQ(classical.error().code(), core::ErrorCode::kInvalidArgument);
+    auto robust = FitRobustSyntheticControl(panel.input);
+    ASSERT_FALSE(robust.ok());
+    EXPECT_EQ(robust.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(robust.error().message().find(period), std::string::npos);
+  }
 }
 
 // ---- Classical estimator --------------------------------------------------------
@@ -199,6 +246,50 @@ TEST(RobustSyntheticControlTest, ExplicitThresholdControlsRank) {
   EXPECT_EQ(fit.value().retained_rank, 2u);  // floor respected
 }
 
+// The retained-subspace fit (w = V_k Ridge(Z_pre, y, lambda)) against the
+// full-width formulation it replaced: ridge on the pre-period rows of the
+// explicitly reconstructed denoised matrix U_k S_k V_k^T.
+TEST(RobustSyntheticControlTest, ReducedRidgeMatchesFullDenoisedRidge) {
+  core::Rng rng(10);
+  auto panel = MakePanel(120, 80, 3.0, 0.5, rng, 6);
+  RobustSyntheticControlOptions options;
+  options.ridge_lambda = 1.0;
+  auto fit = FitRobustSyntheticControl(panel.input, options);
+  ASSERT_TRUE(fit.ok());
+
+  auto svd = stats::SvdDecompose(panel.input.donors);
+  ASSERT_TRUE(svd.ok());
+  const double threshold = stats::DefaultSingularValueThreshold(
+      svd.value(), panel.input.donors.rows(), panel.input.donors.cols());
+  const std::size_t rank = std::max<std::size_t>(
+      svd.value().RankAbove(threshold), options.min_rank);
+  ASSERT_EQ(fit.value().retained_rank, rank);
+  ASSERT_LT(rank, panel.input.donors.cols());  // the reduction is real
+  const stats::Matrix denoised = svd.value().TruncatedReconstruct(rank);
+  const std::size_t t0 = panel.input.pre_periods;
+  stats::OlsOptions no_intercept;
+  no_intercept.add_intercept = false;
+  auto full = stats::Ridge(denoised.Block(0, t0, 0, denoised.cols()),
+                           std::span<const double>(panel.input.treated.data(),
+                                                   t0),
+                           options.ridge_lambda, no_intercept);
+  ASSERT_TRUE(full.ok());
+  double scale = 0.0;
+  for (double w : full.value()) scale = std::max(scale, std::abs(w));
+  ASSERT_GT(scale, 0.0);
+  const auto& weights = fit.value().base.weights;
+  ASSERT_EQ(weights.size(), full.value().size());
+  for (std::size_t j = 0; j < weights.size(); ++j) {
+    EXPECT_NEAR(weights[j], full.value()[j], 1e-6 * scale) << "donor " << j;
+  }
+  const stats::Vector synthetic = denoised.Apply(full.value());
+  for (std::size_t t = 0; t < synthetic.size(); ++t) {
+    EXPECT_NEAR(fit.value().base.synthetic[t], synthetic[t],
+                1e-6 * std::abs(synthetic[t]))
+        << "period " << t;
+  }
+}
+
 // ---- Masked (missing-data) robust estimator -------------------------------
 
 /// Marks a fraction of donor entries unobserved, plus optionally some
@@ -294,6 +385,40 @@ TEST(MaskedRobustSyntheticControlTest, ValidationCatchesMaskShapeErrors) {
   panel.input.treated_observed.clear();
   panel.input.donor_observed = stats::Matrix(3, 3, 1.0);  // wrong shape
   EXPECT_FALSE(panel.input.Validate().ok());
+}
+
+// The overload fed an R factor of the zero-filled donors (what the placebo
+// engine passes) fits the same as the plain call, which factorizes those
+// donors itself. An R without one column per donor is rejected.
+TEST(MaskedRobustSyntheticControlTest, DonorRFactorMatchesOwnFactorization) {
+  core::Rng rng(26);
+  auto panel = MakePanel(120, 80, 3.0, 0.5, rng, 6);
+  MaskPanel(panel.input, 0.2, rng, /*treated_pre_missing=*/5);
+  const RobustSyntheticControlOptions options;
+  auto own = FitRobustSyntheticControl(panel.input, options);
+  ASSERT_TRUE(own.ok());
+  auto qr = stats::QrDecompose(ZeroFilledDonors(panel.input, options));
+  ASSERT_TRUE(qr.ok());
+  const stats::Matrix& r = qr.value().r;
+  auto shared = FitRobustSyntheticControl(panel.input, options, r);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared.value().retained_rank, own.value().retained_rank);
+  EXPECT_EQ(shared.value().observed_fraction, own.value().observed_fraction);
+  const auto near = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want)));
+  };
+  near(shared.value().base.average_effect, own.value().base.average_effect);
+  near(shared.value().base.rmse_ratio, own.value().base.rmse_ratio);
+  ASSERT_EQ(shared.value().base.weights.size(),
+            own.value().base.weights.size());
+  for (std::size_t j = 0; j < own.value().base.weights.size(); ++j) {
+    near(shared.value().base.weights[j], own.value().base.weights[j]);
+  }
+
+  auto narrow = FitRobustSyntheticControl(panel.input, options,
+                                          r.Block(0, r.rows(), 1, r.cols()));
+  ASSERT_FALSE(narrow.ok());
+  EXPECT_EQ(narrow.error().code(), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(DiagnoseWeightsTest, EffectAndRmseArithmetic) {
