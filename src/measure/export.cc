@@ -81,14 +81,18 @@ std::string QuarantineToCsv(const MeasurementStore& store) {
 
 std::string PanelToCsv(const Panel& panel) {
   std::string out = "period";
-  for (const auto& unit : panel.units) out += "," + Quote(unit.unit);
+  for (const auto& unit : panel.units) {
+    out += ',';
+    out += Quote(unit.unit);
+  }
   out += "\n";
   const std::size_t periods =
       panel.units.empty() ? 0 : panel.units.front().values.size();
   for (std::size_t t = 0; t < periods; ++t) {
     out += std::to_string(t);
     for (const auto& unit : panel.units) {
-      out += "," + FormatDouble(unit.values[t]);
+      out += ',';
+      out += FormatDouble(unit.values[t]);
     }
     out += "\n";
   }

@@ -156,7 +156,7 @@ ProbeFault FaultInjector::SampleProbeFault(double congestion_signal,
 }
 
 bool FaultInjector::ApplyRecordFaults(SpeedTestRecord& record,
-                                      core::Rng& rng,
+                                      std::size_t path_hops, core::Rng& rng,
                                       std::uint8_t* fault_mask) {
   const auto mark = [fault_mask](std::uint8_t bit) {
     if (fault_mask != nullptr) *fault_mask |= bit;
@@ -175,16 +175,18 @@ bool FaultInjector::ApplyRecordFaults(SpeedTestRecord& record,
 
   const bool truncate =
       DecisionBernoulli(rng, plan_.traceroute_truncation_probability);
-  const std::size_t hops = record.traceroute.hops.size();
   // Drawn unconditionally to keep the stream aligned (see header).
   const std::int64_t drop = DecisionInt(
       rng, 1,
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(hops)));
-  if (truncate && hops > plan_.truncation_min_hops) {
-    const std::size_t keep = std::max(
-        plan_.truncation_min_hops, hops - static_cast<std::size_t>(drop));
-    if (keep < hops) {
-      record.traceroute.hops.resize(keep);
+      std::max<std::int64_t>(1, static_cast<std::int64_t>(path_hops)));
+  if (truncate && path_hops > plan_.truncation_min_hops) {
+    const std::size_t keep =
+        std::max(plan_.truncation_min_hops,
+                 path_hops - static_cast<std::size_t>(drop));
+    if (keep < path_hops) {
+      if (record.traceroute.hops.size() > keep) {
+        record.traceroute.hops.resize(keep);
+      }
       stats_.traceroutes_truncated.fetch_add(1, std::memory_order_relaxed);
       mark(obs::kLineageFaultTruncated);
     }

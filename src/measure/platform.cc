@@ -29,16 +29,18 @@ void Platform::AddVantage(VantageConfig config) {
   vantages_.push_back(state);
 }
 
-void Platform::RunTests(VantageState& vantage, std::size_t count,
-                        Intent intent, double congestion_signal,
-                        core::Rng& rng, VantageBatch& batch) {
+void Platform::RunTests(const VantageState& vantage,
+                        const StepSignal& signal, std::size_t count,
+                        Intent intent, bool keep_routes, core::Rng& rng,
+                        VantageBatch& batch) {
   for (std::size_t i = 0; i < count; ++i) {
-    RunOneTest(vantage, intent, congestion_signal, rng, batch);
+    RunOneTest(vantage, signal, intent, keep_routes, rng, batch);
   }
 }
 
-void Platform::RunOneTest(VantageState& vantage, Intent intent,
-                          double congestion_signal, core::Rng& rng,
+void Platform::RunOneTest(const VantageState& vantage,
+                          const StepSignal& signal, Intent intent,
+                          bool keep_routes, core::Rng& rng,
                           VantageBatch& batch) {
   SISYPHUS_METRIC_COUNT("measure.probes.attempted", 1);
   const netsim::PopIndex pop = vantage.config.pop;
@@ -82,35 +84,47 @@ void Platform::RunOneTest(VantageState& vantage, Intent intent,
     }
     if (injector_ != nullptr) {
       const ProbeFault fault =
-          injector_->SampleProbeFault(congestion_signal, rng);
+          injector_->SampleProbeFault(signal.congestion(), rng);
       if (fault != ProbeFault::kNone) {
         last_fault = fault;
         continue;
       }
     }
 
-    auto record = RunSpeedTest(simulator_, pop, server, intent, rng,
-                               options_.test_model);
-    if (!record.ok()) {
+    // The step's resolved path to the configured server, or under edge
+    // steering the chosen server's path, resolved here (steered steps run
+    // serially, so this read of the route cache is the campaign thread's).
+    std::optional<ProbePath> steered;
+    if (steering_ != nullptr) {
+      if (auto resolved = ResolveProbePath(simulator_, pop, server);
+          resolved.ok()) {
+        steered = std::move(resolved).value();
+      }
+    }
+    const std::optional<ProbePath>& path =
+        steering_ != nullptr ? steered : signal.path;
+    if (!path.has_value()) {
       // No route: retrying within the step cannot help (routing only
       // changes between steps), so fail fast.
       batch.failures.push_back({simulator_.Now(), pop, intent,
                                 ProbeFault::kUnreachable, attempt});
       return;
     }
-    record.value().time = attempt_time;
-    record.value().attempts = attempt;
+    SpeedTestRecord record = SampleSpeedTest(simulator_.latency(), *path,
+                                             intent, rng, options_.test_model);
+    record.time = attempt_time;
+    record.attempts = attempt;
+    if (keep_routes) AttachRoute(simulator_.topology(), *path, record);
     SISYPHUS_METRIC_COUNT("measure.probes.succeeded", 1);
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
-      duplicate =
-          injector_->ApplyRecordFaults(record.value(), rng, &fault_mask);
+      duplicate = injector_->ApplyRecordFaults(record, path->hop_count(), rng,
+                                               &fault_mask);
     }
     // The id is assigned at merge time (vantage order), not here: task
     // scheduling must not influence archive contents.
-    batch.records.push_back(
-        {std::move(record).value(), duplicate, fault_mask});
+    batch.records.push_back({std::move(record), duplicate, fault_mask});
     return;
   }
   batch.failures.push_back(
@@ -198,6 +212,11 @@ void Platform::RunStreaming(core::SimTime until, core::Rng& rng,
 }
 
 StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
+  return Generate(until, rng, /*keep_routes=*/false);
+}
+
+StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
+                              bool keep_routes) {
   const core::SimTime step_end =
       std::min(until, simulator_.Now() + options_.step);
   simulator_.AdvanceTo(step_end);
@@ -212,31 +231,20 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
   const double step_days =
       static_cast<double>(options_.step.minutes()) / (24.0 * 60.0);
 
-  // Serial prewarm: per-vantage network signals. Besides computing the
-  // inputs the probe tasks need, this touches every (vantage, server)
-  // route from the campaign thread, so the BGP route cache is warm and
-  // the tasks below only ever read it.
-  struct StepSignal {
-    bool path_changed = false;
-    double current_rtt = -1.0;
-    double congestion_signal = 0.0;
-  };
+  // Serial prewarm: resolve each vantage's (vantage, server) path once,
+  // on the campaign thread. The network does not change within a step,
+  // so every test the vantage runs samples this one path, and the probe
+  // tasks below never touch the route cache.
   std::vector<StepSignal> signals(vantages_.size());
   for (std::size_t i = 0; i < vantages_.size(); ++i) {
     StepSignal& signal = signals[i];
     signal.path_changed =
         std::find(changed_pops.begin(), changed_pops.end(),
                   vantages_[i].config.pop) != changed_pops.end();
-    // Current network-level RTT (deterministic mean) drives perceived
-    // performance; the path loss rate doubles as the congestion signal
-    // that MNAR fault plans couple probe loss to.
-    if (auto route =
-            simulator_.RouteBetween(vantages_[i].config.pop, options_.server);
-        route.ok()) {
-      signal.current_rtt =
-          simulator_.latency().PathRttMs(route.value(), simulator_.Now());
-      signal.congestion_signal =
-          simulator_.latency().PathLossRate(route.value(), simulator_.Now());
+    if (auto path = ResolveProbePath(simulator_, vantages_[i].config.pop,
+                                     options_.server);
+        path.ok()) {
+      signal.path = std::move(path).value();
     }
   }
 
@@ -254,37 +262,37 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
     // Baseline schedule: timing independent of network state.
     const std::uint32_t baseline = task_rng.Poisson(
         vantage.config.baseline_tests_per_day * step_days);
-    RunTests(vantage, baseline, Intent::kBaseline, signal.congestion_signal,
+    RunTests(vantage, signal, baseline, Intent::kBaseline, keep_routes,
              task_rng, batch);
 
     // User-initiated: rate inflated by dissatisfaction and route churn —
     // the collider mechanism.
-    if (vantage.config.user_tests_per_day > 0.0 &&
-        signal.current_rtt > 0.0) {
+    const double current_rtt = signal.current_rtt();
+    if (vantage.config.user_tests_per_day > 0.0 && current_rtt > 0.0) {
       double rate = vantage.config.user_tests_per_day * step_days;
       if (vantage.ewma_rtt > 0.0) {
         const double excess =
-            std::max(0.0, signal.current_rtt / vantage.ewma_rtt - 1.0);
+            std::max(0.0, current_rtt / vantage.ewma_rtt - 1.0);
         rate *= 1.0 + vantage.config.dissatisfaction_gain * excess;
       }
       if (signal.path_changed) rate *= vantage.config.route_change_multiplier;
-      RunTests(vantage, task_rng.Poisson(rate), Intent::kUserInitiated,
-               signal.congestion_signal, task_rng, batch);
+      RunTests(vantage, signal, task_rng.Poisson(rate),
+               Intent::kUserInitiated, keep_routes, task_rng, batch);
     }
 
     // §4 proposal 1: conditional activation on external signals.
     if (options_.conditional_activation && signal.path_changed) {
-      RunTests(vantage, options_.event_burst_tests, Intent::kEventTriggered,
-               signal.congestion_signal, task_rng, batch);
+      RunTests(vantage, signal, options_.event_burst_tests,
+               Intent::kEventTriggered, keep_routes, task_rng, batch);
     }
 
     // Habituate (this task owns vantages_[i]; no sharing).
-    if (signal.current_rtt > 0.0) {
+    if (current_rtt > 0.0) {
       vantage.ewma_rtt =
           vantage.ewma_rtt < 0.0
-              ? signal.current_rtt
+              ? current_rtt
               : (1.0 - options_.ewma_alpha) * vantage.ewma_rtt +
-                    options_.ewma_alpha * signal.current_rtt;
+                    options_.ewma_alpha * current_rtt;
     }
   };
   if (steering_ != nullptr) {
@@ -463,7 +471,9 @@ void Platform::RunLoop(core::SimTime until, core::Rng& rng,
   std::uint64_t steps = 0;
   std::uint64_t records = 0;
   while (simulator_.Now() < until) {
-    StepOutput step = GenerateStep(until, rng);
+    // Only the batch store keeps traceroutes and AS paths.
+    StepOutput step =
+        Generate(until, rng, /*keep_routes=*/streaming == nullptr);
     const std::uint64_t step_records = step.records.size();
     if (streaming != nullptr) {
       // Streaming commit: the whole step's merge-ordered batch goes to the
@@ -489,16 +499,23 @@ StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
 
 void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   const std::size_t shards = store_.shard_count();
-  // Serial pre-pass: compute every record's unit key once and group batch
-  // indices by owning shard. The grouping is a pure function of the batch
-  // contents, so each shard task sees a fixed record sequence no matter
-  // how many lanes execute.
-  std::vector<std::string> units(batch.size());
-  std::vector<std::vector<std::uint32_t>> by_shard(shards);
+  // Serial pre-pass: build each unit key once per run of consecutive
+  // records with the same ⟨ASN, city⟩ (one run per vantage in a merged
+  // step) and group batch indices by owning shard. The grouping is a pure
+  // function of the batch contents, so each shard task sees a fixed record
+  // sequence no matter how many lanes execute.
+  std::vector<std::string> units;
+  std::vector<std::vector<ShardEntry>> by_shard(shards);
+  std::size_t shard = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    units[i] = batch[i].record.UnitKey();
-    by_shard[store_.ShardOf(units[i])].push_back(
-        static_cast<std::uint32_t>(i));
+    const SpeedTestRecord& record = batch[i].record;
+    if (i == 0 || record.asn != batch[i - 1].record.asn ||
+        record.city != batch[i - 1].record.city) {
+      units.push_back(record.UnitKey());
+      shard = store_.ShardOf(units.back());
+    }
+    by_shard[shard].emplace_back(static_cast<std::uint32_t>(i),
+                                 static_cast<std::uint32_t>(units.size() - 1));
   }
   // Telemetry-silent: the ingest fan-out is an execution-strategy detail of
   // a path contracted to produce artifacts byte-identical to the batch
@@ -515,19 +532,20 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
 void StreamingCampaign::IngestShard(std::size_t shard,
                                     const std::vector<PendingRecord>& batch,
                                     const std::vector<std::string>& units,
-                                    const std::vector<std::uint32_t>& indices) {
+                                    const std::vector<ShardEntry>& entries) {
   const bool lineage = obs::Lineage::enabled();
-  for (std::uint32_t i : indices) {
+  for (const auto& [i, unit_index] : entries) {
     const PendingRecord& pending = batch[i];
+    const std::string& unit = units[unit_index];
     // Mirrors the batch merge in Platform::CommitBatch: duplicate copies
     // share id and content, one lineage verdict covers both appends,
     // and only archived copies reach the panel.
     bool archived_first = false;
     if (pending.duplicate) {
-      archived_first = store_.Append(shard, pending.record);
+      archived_first = store_.Append(shard, pending.record, unit);
     }
     const bool archived =
-        store_.Append(shard, pending.record) || archived_first;
+        store_.Append(shard, pending.record, unit) || archived_first;
     if (lineage) {
       obs::LineageRecordInfo info;
       info.id = pending.record.id.value();
@@ -542,10 +560,10 @@ void StreamingCampaign::IngestShard(std::size_t shard,
     }
     if (archived) {
       if (pending.duplicate) {
-        panel_.Observe(shard, units[i], pending.record.time,
+        panel_.Observe(shard, unit, pending.record.time,
                        pending.record.rtt_ms, pending.record.id.value());
       }
-      panel_.Observe(shard, units[i], pending.record.time,
+      panel_.Observe(shard, unit, pending.record.time,
                      pending.record.rtt_ms, pending.record.id.value());
     }
   }

@@ -17,6 +17,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/result.h"
@@ -120,7 +123,9 @@ class StreamingCampaign {
   /// Ingests one merge-ordered batch (ids already assigned). Every record
   /// reaches exactly one terminal verdict: archived into its shard's arena
   /// and folded into the panel, or quarantined — with the same
-  /// metrics/lineage the batch path records.
+  /// metrics/lineage the batch path records. Unit keys are built once per
+  /// run of consecutive records with the same ⟨ASN, city⟩, which the
+  /// vantage-ordered merge makes one run per vantage.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
   /// Serializes / restores the full campaign state (store arenas, panel
@@ -140,11 +145,14 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
+  /// A batch index and the index of its unit key in the batch's key list.
+  using ShardEntry = std::pair<std::uint32_t, std::uint32_t>;
+
   /// Per-shard ingest body: one shard's slice of a batch, applied inside
-  /// the shard's pool task. `units[i]` is batch[i]'s precomputed unit key.
+  /// the shard's pool task, in batch order.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
                    const std::vector<std::string>& units,
-                   const std::vector<std::uint32_t>& indices);
+                   const std::vector<ShardEntry>& entries);
 
   StreamingOptions options_;
   ShardedMeasurementStore store_;
@@ -191,7 +199,8 @@ class Platform {
   /// Streaming variant of Run(): identical step loop, generation, and
   /// merge-time id assignment, but each step's merge-ordered record batch
   /// is handed to `sink.IngestBatch` instead of the in-memory batch store
-  /// (which stays empty). Probe failures are recorded on the platform
+  /// (which stays empty), and its records carry no traceroute or AS path
+  /// (the sink keeps neither). Probe failures are recorded on the platform
   /// either way. Same seed + same fault plan => sink artifacts
   /// byte-identical to the batch path's, at any SISYPHUS_THREADS.
   void RunStreaming(core::SimTime until, core::Rng& rng,
@@ -200,12 +209,15 @@ class Platform {
   // -- step-at-a-time API (the durable service drives these directly) ----
 
   /// Runs ONE step ending at min(Now() + step, until) — advance the
-  /// simulator, fan per-vantage generation across the pool, habituate
-  /// EWMAs — and returns the merge-ordered batch with sequential ids
-  /// assigned in vantage order, WITHOUT committing anything to a store or
-  /// recording failures. Both Run() and RunStreaming() are loops over
-  /// GenerateStep; the durable service journals the StepOutput before
-  /// applying it. Precondition: Now() < until.
+  /// simulator, resolve each vantage's path once, fan per-vantage test
+  /// sampling across the pool, habituate EWMAs — and returns the
+  /// merge-ordered batch with sequential ids assigned in vantage order,
+  /// WITHOUT committing anything to a store or recording failures. The
+  /// records are scalar: no traceroute, no AS path (only the batch store
+  /// keeps those, so only Run() builds them). RunStreaming() and the
+  /// durable service are loops over GenerateStep; the durable service
+  /// journals the StepOutput before applying it. Precondition:
+  /// Now() < until.
   StepOutput GenerateStep(core::SimTime until, core::Rng& rng);
 
   /// Records a step's probe failures (metrics + lineage + failures()).
@@ -269,6 +281,21 @@ class Platform {
     double ewma_rtt = -1.0;  ///< habituated RTT; <0 = uninitialized
   };
 
+  /// One vantage's view of the network for a step, resolved serially on
+  /// the campaign thread before the probe tasks fan out. The tasks sample
+  /// from it and never read the route cache.
+  struct StepSignal {
+    bool path_changed = false;
+    /// Path to options_.server; empty when the vantage cannot reach it.
+    std::optional<ProbePath> path;
+
+    /// Mean network RTT (perceived performance); -1 when unreachable.
+    double current_rtt() const { return path ? path->mean_rtt_ms : -1.0; }
+    /// Path loss rate, the congestion signal MNAR fault plans couple
+    /// probe loss to; 0 when unreachable.
+    double congestion() const { return path ? path->loss_rate : 0.0; }
+  };
+
   /// Per-vantage, per-step output produced inside a parallel task and
   /// merged into store_/failures_ on the campaign thread.
   struct VantageBatch {
@@ -276,14 +303,18 @@ class Platform {
     std::vector<ProbeFailure> failures;
   };
 
-  void RunTests(VantageState& vantage, std::size_t count, Intent intent,
-                double congestion_signal, core::Rng& rng,
-                VantageBatch& batch);
+  /// GenerateStep, with each record's traceroute and AS path built when
+  /// `keep_routes` (the batch store keeps them; Run passes true).
+  StepOutput Generate(core::SimTime until, core::Rng& rng, bool keep_routes);
+
+  void RunTests(const VantageState& vantage, const StepSignal& signal,
+                std::size_t count, Intent intent, bool keep_routes,
+                core::Rng& rng, VantageBatch& batch);
 
   /// One probe with retry/backoff; appends the record or a failure to the
   /// batch.
-  void RunOneTest(VantageState& vantage, Intent intent,
-                  double congestion_signal, core::Rng& rng,
+  void RunOneTest(const VantageState& vantage, const StepSignal& signal,
+                  Intent intent, bool keep_routes, core::Rng& rng,
                   VantageBatch& batch);
 
   /// Appends to failures_ and bumps the failure metrics (total + per
@@ -302,9 +333,10 @@ class Platform {
   MeasurementStore store_;
   std::vector<ProbeFailure> failures_;
   std::size_t route_change_cursor_ = 0;
-  /// Campaign-local record ids (1-based). RunSpeedTest's process-global
-  /// counter would differ across campaigns in one process, breaking the
-  /// byte-identical-replay guarantee of seeded fault plans.
+  /// Campaign-local record ids (1-based), assigned at merge time. A
+  /// process-global counter (RunSpeedTest's) would differ across campaigns
+  /// in one process, breaking the byte-identical-replay guarantee of
+  /// seeded fault plans.
   std::uint64_t next_record_id_ = 1;
   EdgeSteering* steering_ = nullptr;
   FaultInjector* injector_ = nullptr;

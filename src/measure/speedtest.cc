@@ -1,5 +1,6 @@
 #include "measure/speedtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -22,30 +23,41 @@ std::string SpeedTestRecord::UnitKey() const {
   return std::to_string(asn.value()) + " / " + city;
 }
 
-Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
-                                     netsim::PopIndex vantage,
-                                     netsim::PopIndex server, Intent intent,
-                                     core::Rng& rng,
-                                     const SpeedTestModelOptions& options,
-                                     netsim::AddressFamily af) {
-  static std::atomic<std::uint64_t> next_id{1};
-
+Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
+                                   netsim::PopIndex vantage,
+                                   netsim::PopIndex server,
+                                   netsim::AddressFamily af) {
   auto route = simulator.RouteBetween(vantage, server, af);
   if (!route.ok()) return route.error();
 
-  SpeedTestRecord record;
-  record.id = core::MeasurementId(next_id.fetch_add(1));
-  record.time = simulator.Now();
+  ProbePath path;
+  path.vantage = vantage;
+  path.server = server;
+  path.address_family = af;
+  path.time = simulator.Now();
   const auto& pop = simulator.topology().GetPop(vantage);
-  record.asn = pop.asn;
-  record.city = simulator.topology().cities().Get(pop.city).name;
-  record.vantage_pop = vantage;
-  record.server_pop = server;
-  record.intent = intent;
-  record.address_family = af;
+  path.asn = pop.asn;
+  path.city = simulator.topology().cities().Get(pop.city).name;
+  path.mean_rtt_ms = simulator.latency().PathRttMs(route.value(), path.time);
+  path.loss_rate = simulator.latency().PathLossRate(route.value(), path.time);
+  path.route = std::move(route).value();
+  return path;
+}
 
-  const double path_rtt =
-      simulator.latency().SampleRttMs(route.value(), simulator.Now(), rng);
+SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
+                                const ProbePath& path, Intent intent,
+                                core::Rng& rng,
+                                const SpeedTestModelOptions& options) {
+  SpeedTestRecord record;
+  record.time = path.time;
+  record.asn = path.asn;
+  record.city = path.city;
+  record.vantage_pop = path.vantage;
+  record.server_pop = path.server;
+  record.intent = intent;
+  record.address_family = path.address_family;
+
+  const double path_rtt = latency.JitterRttMs(path.mean_rtt_ms, rng);
   double last_mile =
       std::max(0.2, rng.Gaussian(options.last_mile_base_ms,
                                  options.last_mile_sd_ms));
@@ -53,8 +65,7 @@ Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
     last_mile += rng.Exponential(1.0 / options.spike_scale_ms);
   }
   record.rtt_ms = path_rtt + last_mile;
-  record.loss_rate =
-      simulator.latency().PathLossRate(route.value(), simulator.Now());
+  record.loss_rate = path.loss_rate;
 
   const double access_limit =
       options.access_capacity_mbps /
@@ -68,9 +79,29 @@ Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
   record.throughput_mbps =
       mean_throughput *
       std::exp(rng.Gaussian(0.0, options.throughput_noise_sigma));
+  return record;
+}
 
-  record.traceroute = SimulateTraceroute(simulator.topology(), route.value());
-  record.asn_path = route.value().asn_path;
+void AttachRoute(const netsim::Topology& topology, const ProbePath& path,
+                 SpeedTestRecord& record) {
+  record.traceroute = SimulateTraceroute(topology, path.route);
+  record.asn_path = path.route.asn_path;
+}
+
+Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
+                                     netsim::PopIndex vantage,
+                                     netsim::PopIndex server, Intent intent,
+                                     core::Rng& rng,
+                                     const SpeedTestModelOptions& options,
+                                     netsim::AddressFamily af) {
+  static std::atomic<std::uint64_t> next_id{1};
+
+  auto path = ResolveProbePath(simulator, vantage, server, af);
+  if (!path.ok()) return path.error();
+  SpeedTestRecord record =
+      SampleSpeedTest(simulator.latency(), path.value(), intent, rng, options);
+  record.id = core::MeasurementId(next_id.fetch_add(1));
+  AttachRoute(simulator.topology(), path.value(), record);
   return record;
 }
 

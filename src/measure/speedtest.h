@@ -44,6 +44,9 @@ struct SpeedTestRecord {
   /// Extends §4 intent tagging to *failure* provenance: analysts can see
   /// that a record only exists because the platform retried through loss.
   std::uint32_t attempts = 1;
+  /// The probed route's traceroute and AS path, filled only where a store
+  /// keeps them: by RunSpeedTest and the batch Platform::Run. Records from
+  /// Platform::GenerateStep (streaming, durable) leave both empty.
   Traceroute traceroute;
   std::vector<core::Asn> asn_path;
 
@@ -68,8 +71,46 @@ struct SpeedTestModelOptions {
   double mss_bytes = 1460.0;
 };
 
-/// Executes one speed test right now. Fails (kNotFound) when the vantage
-/// cannot reach the server.
+/// A vantage-to-server path resolved at one instant: everything a speed
+/// test reads from the network. The network only changes between platform
+/// steps, so one resolved path serves every test a vantage runs in a step.
+struct ProbePath {
+  netsim::PopIndex vantage = 0;
+  netsim::PopIndex server = 0;
+  netsim::AddressFamily address_family = netsim::AddressFamily::kIpv4;
+  core::SimTime time;        ///< when the path was resolved
+  core::Asn asn;             ///< vantage ASN
+  std::string city;          ///< vantage city name
+  double mean_rtt_ms = 0.0;  ///< LatencyModel::PathRttMs (no jitter)
+  double loss_rate = 0.0;    ///< LatencyModel::PathLossRate
+  netsim::BgpRoute route;    ///< source of the traceroute and AS path
+
+  /// Hop count of the traceroute the route elicits (SimulateTraceroute).
+  std::size_t hop_count() const { return route.pop_path.size(); }
+};
+
+/// Resolves `vantage` -> `server` at the simulator's current time. Fails
+/// (kNotFound) when the vantage cannot reach the server.
+core::Result<ProbePath> ResolveProbePath(
+    netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
+    netsim::PopIndex server,
+    netsim::AddressFamily af = netsim::AddressFamily::kIpv4);
+
+/// Samples one speed test over a resolved path: RTT jitter, last-mile
+/// overhead and spikes, and throughput noise. The record carries no id,
+/// traceroute or AS path.
+SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
+                                const ProbePath& path, Intent intent,
+                                core::Rng& rng,
+                                const SpeedTestModelOptions& options = {});
+
+/// Fills `record`'s traceroute and AS path from the path's route.
+void AttachRoute(const netsim::Topology& topology, const ProbePath& path,
+                 SpeedTestRecord& record);
+
+/// Executes one speed test right now: ResolveProbePath, SampleSpeedTest and
+/// AttachRoute, under a process-unique id. Fails (kNotFound) when the
+/// vantage cannot reach the server.
 core::Result<SpeedTestRecord> RunSpeedTest(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server, Intent intent, core::Rng& rng,

@@ -144,9 +144,9 @@ std::size_t ShardedMeasurementStore::ShardOf(std::string_view unit) const {
 }
 
 bool ShardedMeasurementStore::Append(std::size_t shard,
-                                     const SpeedTestRecord& record) {
+                                     const SpeedTestRecord& record,
+                                     std::string_view unit) {
   Columns& arena = shards_[shard];
-  const std::string unit = record.UnitKey();
   if (auto status = ValidateRecord(record, validation_); !status.ok()) {
     const std::string reason = status.error().ToText();
     const std::string tag = QuarantineReasonTag(reason);
@@ -173,7 +173,7 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
     it = arena.unit_index
              .emplace(unit, static_cast<std::uint32_t>(arena.unit_names.size()))
              .first;
-    arena.unit_names.push_back(unit);
+    arena.unit_names.emplace_back(unit);
   }
   arena.id.push_back(record.id.value());
   arena.time_minutes.push_back(record.time.minutes());

@@ -145,9 +145,12 @@ class ShardedMeasurementStore {
 
   /// Validating columnar append of one record copy into `shard`'s arena.
   /// Returns the same archived/quarantined verdict as
-  /// MeasurementStore::Add and bumps the same metric counters.
-  /// Precondition: shard == ShardOf(record.UnitKey()).
-  bool Append(std::size_t shard, const SpeedTestRecord& record);
+  /// MeasurementStore::Add and bumps the same metric counters. `unit` is
+  /// the caller's copy of record.UnitKey(), so a batch builds each key
+  /// once. Preconditions: unit == record.UnitKey() and
+  /// shard == ShardOf(unit).
+  bool Append(std::size_t shard, const SpeedTestRecord& record,
+              std::string_view unit);
 
   /// One shard's arena, in append order. Parallel arrays: entry i of every
   /// column describes the i-th archived record copy of the shard.

@@ -368,6 +368,15 @@ std::optional<BgpRoute> BgpSimulator::BestOfferAt(const RouteTable& table,
 
 RouteTable BgpSimulator::Compute(PopIndex destination,
                                  AddressFamily af) const {
+  RouteTable table = Converge(destination, af);
+  SISYPHUS_METRIC_COUNT("netsim.bgp.tables_computed", 1);
+  SISYPHUS_METRIC_OBSERVE("netsim.bgp.convergence_sweeps",
+                          static_cast<double>(table.sweeps));
+  return table;
+}
+
+RouteTable BgpSimulator::Converge(PopIndex destination,
+                                  AddressFamily af) const {
   const std::size_t n = topology_.PopCount();
   SISYPHUS_REQUIRE(destination < n, "Compute: bad destination");
   RouteTable table;
@@ -411,9 +420,6 @@ RouteTable BgpSimulator::Compute(PopIndex destination,
       }
     }
   }
-  SISYPHUS_METRIC_COUNT("netsim.bgp.tables_computed", 1);
-  SISYPHUS_METRIC_OBSERVE("netsim.bgp.convergence_sweeps",
-                          static_cast<double>(table.sweeps));
   return table;
 }
 
@@ -571,8 +577,10 @@ void BgpSimulator::RunDifferentialCheck(const char* trigger) const {
     keys.reserve(cache_.size());
     for (const auto& [key, table] : cache_) keys.push_back(key);
   }
+  // Silent: the oracle's recomputation region is no simulation work.
+  core::RegionTelemetrySilencer silencer;
   auto fresh = core::ParallelMap(keys.size(), [&](std::size_t i) {
-    return Compute(keys[i].first, keys[i].second);
+    return Converge(keys[i].first, keys[i].second);
   });
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::lock_guard<std::mutex> lock(cache_mu_);

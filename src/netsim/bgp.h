@@ -179,7 +179,12 @@ class BgpSimulator {
  private:
   using CacheKey = std::pair<PopIndex, AddressFamily>;
 
+  /// Converges `destination`'s table from scratch and counts it in the
+  /// netsim.bgp.tables_computed / convergence_sweeps metrics.
   RouteTable Compute(PopIndex destination, AddressFamily af) const;
+  /// Compute without the metrics: the differential check's oracle, which
+  /// leaves metrics.json as it would be with the check off.
+  RouteTable Converge(PopIndex destination, AddressFamily af) const;
 
   /// One evaluation of PoP `u`'s selection function over its live
   /// neighbors' current routes in `table` — the shared relaxation operator

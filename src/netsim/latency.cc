@@ -78,12 +78,15 @@ double LatencyModel::PathRttMs(const BgpRoute& route,
 
 double LatencyModel::SampleRttMs(const BgpRoute& route, core::SimTime time,
                                  core::Rng& rng) const {
-  const double mean = PathRttMs(route, time);
+  return JitterRttMs(PathRttMs(route, time), rng);
+}
+
+double LatencyModel::JitterRttMs(double mean_rtt_ms, core::Rng& rng) const {
   const double jitter =
       options_.jitter_sigma > 0.0
           ? std::exp(rng.Gaussian(0.0, options_.jitter_sigma))
           : 1.0;
-  return mean * jitter;
+  return mean_rtt_ms * jitter;
 }
 
 }  // namespace sisyphus::netsim

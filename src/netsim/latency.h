@@ -60,6 +60,10 @@ class LatencyModel {
   double SampleRttMs(const BgpRoute& route, core::SimTime time,
                      core::Rng& rng) const;
 
+  /// SampleRttMs for a mean path RTT computed earlier (PathRttMs): the
+  /// same jitter draw and arithmetic, without re-walking the route.
+  double JitterRttMs(double mean_rtt_ms, core::Rng& rng) const;
+
   const LatencyModelOptions& options() const { return options_; }
 
  private:

@@ -122,8 +122,10 @@ TEST(FaultInjectorTest, DecisionsConsumeAFixedNumberOfDraws) {
   auto record_all = MakeRecord();
   none.SampleProbeFault(0.0, rng_none);
   all.SampleProbeFault(0.0, rng_all);
-  none.ApplyRecordFaults(record_none, rng_none);
-  all.ApplyRecordFaults(record_all, rng_all);
+  none.ApplyRecordFaults(record_none, record_none.traceroute.hops.size(),
+                         rng_none);
+  all.ApplyRecordFaults(record_all, record_all.traceroute.hops.size(),
+                        rng_all);
   // Equal consumption leaves the two streams at the same position.
   EXPECT_EQ(rng_none.Next(), rng_all.Next());
 }
@@ -160,7 +162,8 @@ TEST(FaultInjectorTest, ZeroProbabilityPlanIsTransparent) {
   const auto before = record;
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(injector.SampleProbeFault(0.0, rng), ProbeFault::kNone);
-    EXPECT_FALSE(injector.ApplyRecordFaults(record, rng));
+    EXPECT_FALSE(injector.ApplyRecordFaults(
+        record, record.traceroute.hops.size(), rng));
   }
   EXPECT_EQ(record.time, before.time);
   EXPECT_EQ(record.rtt_ms, before.rtt_ms);
@@ -178,11 +181,36 @@ TEST(FaultInjectorTest, TruncationKeepsMinimumHops) {
   core::Rng rng(4);
   for (int i = 0; i < 100; ++i) {
     auto record = MakeRecord(6);
-    injector.ApplyRecordFaults(record, rng);
+    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
     EXPECT_GE(record.traceroute.hops.size(), 2u);
     EXPECT_LE(record.traceroute.hops.size(), 6u);
   }
   EXPECT_GT(injector.stats().traceroutes_truncated, 50u);
+}
+
+TEST(FaultInjectorTest, TruncationFollowsPathHopsWithoutTraceroute) {
+  // A record sampled without its traceroute gets the truncation decision,
+  // stats and lineage bit of the full record: both are decided from the
+  // probed path's hop count, and only a carried traceroute is cut.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.traceroute_truncation_probability = 0.5;
+  FaultInjector full(plan), lean(plan);
+  core::Rng full_rng(4), lean_rng(4);
+  std::size_t truncated = 0;
+  for (int i = 0; i < 100; ++i) {
+    auto with_hops = MakeRecord(6);
+    auto without_hops = MakeRecord(0);
+    std::uint8_t full_mask = 0, lean_mask = 0;
+    full.ApplyRecordFaults(with_hops, 6, full_rng, &full_mask);
+    lean.ApplyRecordFaults(without_hops, 6, lean_rng, &lean_mask);
+    EXPECT_EQ(lean_mask, full_mask);
+    EXPECT_TRUE(without_hops.traceroute.hops.empty());
+    if (with_hops.traceroute.hops.size() < 6) ++truncated;
+  }
+  EXPECT_GT(truncated, 20u);
+  EXPECT_EQ(full.stats().traceroutes_truncated, truncated);
+  EXPECT_EQ(lean.stats().traceroutes_truncated, truncated);
 }
 
 TEST(FaultInjectorTest, CorruptionProducesInvalidRecords) {
@@ -194,7 +222,7 @@ TEST(FaultInjectorTest, CorruptionProducesInvalidRecords) {
   std::size_t invalid = 0;
   for (int i = 0; i < 100; ++i) {
     auto record = MakeRecord();
-    injector.ApplyRecordFaults(record, rng);
+    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
     const bool bad_rtt = record.rtt_ms <= 0.0;
     const bool bad_time = record.time < SimTime(0);
     const bool bad_loss = record.loss_rate > 1.0;
@@ -214,7 +242,7 @@ TEST(FaultInjectorTest, ClockSkewIsBounded) {
   for (int i = 0; i < 200; ++i) {
     auto record = MakeRecord();
     const SimTime original = record.time;
-    injector.ApplyRecordFaults(record, rng);
+    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
     EXPECT_GE(record.time, original - SimTime(5));
     EXPECT_LE(record.time, original + SimTime(5));
   }
@@ -230,7 +258,10 @@ TEST(FaultInjectorTest, DuplicationFlagRateMatchesPlan) {
   int duplicates = 0;
   for (int i = 0; i < 400; ++i) {
     auto record = MakeRecord();
-    if (injector.ApplyRecordFaults(record, rng)) ++duplicates;
+    if (injector.ApplyRecordFaults(record, record.traceroute.hops.size(),
+                                   rng)) {
+      ++duplicates;
+    }
   }
   EXPECT_NEAR(duplicates, 200, 60);
   EXPECT_EQ(injector.stats().records_duplicated,

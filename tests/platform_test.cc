@@ -192,12 +192,24 @@ TEST(PlatformTest, EdgeSteeringRoutesTestsAcrossSites) {
   core::Rng rng(9);
   platform.Run(SimTime::FromDays(5), rng);
 
-  std::size_t to_site2 = 0;
+  // Each record carries the path to the site it was steered to.
+  const auto to_server = f.sim->RouteBetween(f.user, f.server);
+  const auto to_site2 = f.sim->RouteBetween(f.user, site2);
+  ASSERT_TRUE(to_server.ok());
+  ASSERT_TRUE(to_site2.ok());
+  ASSERT_NE(to_server.value().asn_path, to_site2.value().asn_path);
+  std::size_t steered_to_site2 = 0;
   for (const auto& record : platform.store().records()) {
-    if (record.server_pop == site2) ++to_site2;
+    const bool site2_chosen = record.server_pop == site2;
+    if (site2_chosen) ++steered_to_site2;
+    const netsim::BgpRoute& route =
+        site2_chosen ? to_site2.value() : to_server.value();
+    EXPECT_EQ(record.asn_path, route.asn_path);
+    EXPECT_EQ(record.traceroute.ToText(),
+              SimulateTraceroute(f.sim->topology(), route).ToText());
   }
-  EXPECT_GT(to_site2, 0u);
-  EXPECT_LT(to_site2, platform.store().size());
+  EXPECT_GT(steered_to_site2, 0u);
+  EXPECT_LT(steered_to_site2, platform.store().size());
   EXPECT_EQ(steering.decisions().size(), platform.store().size());
 
   // Reverting steering pins back to the configured server.
@@ -205,6 +217,57 @@ TEST(PlatformTest, EdgeSteeringRoutesTestsAcrossSites) {
   platform.Run(SimTime::FromDays(5) + SimTime::FromHours(6), rng);
   const auto& records = platform.store().records();
   EXPECT_EQ(records.back().server_pop, f.server);
+}
+
+TEST(PlatformTest, OnlyTheBatchStoreGetsTraceroutesAndAsPaths) {
+  const SimTime until = SimTime::FromDays(2);
+  PlatformOptions options;
+  VantageConfig vantage;
+  vantage.baseline_tests_per_day = 24.0;
+
+  // Streaming, durable and direct GenerateStep callers get scalar records.
+  Fixture stepped;
+  options.server = stepped.server;
+  vantage.pop = stepped.user;
+  Platform step_platform(*stepped.sim, options);
+  step_platform.AddVantage(vantage);
+  core::Rng step_rng(12);
+  std::vector<SpeedTestRecord> step_records;
+  while (step_platform.Now() < until) {
+    for (PendingRecord& pending :
+         step_platform.GenerateStep(until, step_rng).records) {
+      EXPECT_TRUE(pending.record.traceroute.hops.empty());
+      EXPECT_TRUE(pending.record.asn_path.empty());
+      step_records.push_back(std::move(pending.record));
+    }
+  }
+
+  // The batch store keeps the probed route's AS path and traceroute.
+  Fixture batched;
+  Platform batch_platform(*batched.sim, options);
+  batch_platform.AddVantage(vantage);
+  core::Rng batch_rng(12);
+  batch_platform.Run(until, batch_rng);
+  const auto route = batched.sim->RouteBetween(batched.user, batched.server);
+  ASSERT_TRUE(route.ok());
+  const std::string traceroute =
+      SimulateTraceroute(batched.sim->topology(), route.value()).ToText();
+
+  const auto& records = batch_platform.store().records();
+  ASSERT_GT(records.size(), 20u);
+  ASSERT_EQ(records.size(), step_records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].asn_path, route.value().asn_path);
+    EXPECT_EQ(records[i].traceroute.hops.size(),
+              route.value().pop_path.size());
+    EXPECT_EQ(records[i].traceroute.ToText(), traceroute);
+    // Keeping the route changes nothing else about a record.
+    EXPECT_EQ(records[i].id, step_records[i].id);
+    EXPECT_EQ(records[i].time, step_records[i].time);
+    EXPECT_EQ(records[i].rtt_ms, step_records[i].rtt_ms);
+    EXPECT_EQ(records[i].loss_rate, step_records[i].loss_rate);
+    EXPECT_EQ(records[i].throughput_mbps, step_records[i].throughput_mbps);
+  }
 }
 
 // ---- Fault-injected campaigns ---------------------------------------------

@@ -4,7 +4,9 @@
 // through the batch merge or the sharded streaming ingest, at any thread
 // count (here 1 and 8). This is the property the streaming ctest fixture
 // and the CI streaming-smoke job enforce on the shipped binaries; this
-// test enforces it in-process where a diff is debuggable.
+// test enforces it in-process where a diff is debuggable. A second plan
+// adds traceroute truncation: streaming records carry no traceroute, so
+// their lineage `truncated` bit must come from the path's hop count.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -38,9 +40,16 @@ measure::FaultPlan ParityPlan() {
   return plan;
 }
 
+measure::FaultPlan TruncationPlan() {
+  measure::FaultPlan plan = ParityPlan();
+  plan.traceroute_truncation_probability = 0.3;
+  return plan;
+}
+
 /// One campaign; every obs global is reset first so the snapshots cover
 /// exactly this run. The run label is fixed so ledgers are comparable.
-Artifacts RunCampaign(bool streaming, std::size_t threads) {
+Artifacts RunCampaign(const measure::FaultPlan& plan, bool streaming,
+                      std::size_t threads) {
   core::ThreadPool::SetGlobalThreadCount(threads);
   obs::Registry::Global().ResetAll();
   obs::Lineage::Global().Reset();
@@ -66,7 +75,6 @@ Artifacts RunCampaign(bool streaming, std::size_t threads) {
     platform.AddVantage(vantage);
   }
 
-  const measure::FaultPlan plan = ParityPlan();
   measure::FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
@@ -94,35 +102,61 @@ Artifacts RunCampaign(bool streaming, std::size_t threads) {
   return out;
 }
 
-TEST(StreamParityTest, StreamingMatchesBatchByteForByteAtAnyThreadCount) {
-  const bool metrics_were_enabled = obs::Registry::enabled();
-  const bool lineage_was_enabled = obs::Lineage::enabled();
-  obs::Registry::Enable(true);
-  obs::Lineage::Enable(true);
-
-  const Artifacts batch = RunCampaign(/*streaming=*/false, /*threads=*/1);
-  ASSERT_FALSE(batch.panel_csv.empty());
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const Artifacts streamed = RunCampaign(/*streaming=*/true, threads);
-    EXPECT_EQ(streamed.panel_csv, batch.panel_csv)
-        << "panel diverged at " << threads << " threads";
-    EXPECT_EQ(streamed.metrics_json, batch.metrics_json)
-        << "metrics diverged at " << threads << " threads";
-    EXPECT_EQ(streamed.audit_bin, batch.audit_bin)
-        << "lineage diverged at " << threads << " threads";
+/// Turns on the metrics registry and lineage for each test and restores
+/// their previous state, the pool size and empty globals afterwards.
+class StreamParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    metrics_were_enabled_ = obs::Registry::enabled();
+    lineage_was_enabled_ = obs::Lineage::enabled();
+    obs::Registry::Enable(true);
+    obs::Lineage::Enable(true);
   }
 
+  void TearDown() override {
+    obs::Registry::Global().ResetAll();
+    obs::Lineage::Global().Reset();
+    obs::Registry::Enable(metrics_were_enabled_);
+    obs::Lineage::Enable(lineage_was_enabled_);
+    core::ThreadPool::SetGlobalThreadCount(0);
+  }
+
+  /// Runs `plan` through the batch merge at one lane and returns it after
+  /// checking that streaming at 1 and 8 lanes reproduces it byte for byte.
+  static Artifacts ExpectStreamingMatchesBatch(const measure::FaultPlan& plan) {
+    Artifacts batch = RunCampaign(plan, /*streaming=*/false, /*threads=*/1);
+    EXPECT_FALSE(batch.panel_csv.empty());
+    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      const Artifacts streamed =
+          RunCampaign(plan, /*streaming=*/true, threads);
+      EXPECT_EQ(streamed.panel_csv, batch.panel_csv)
+          << "panel diverged at " << threads << " threads";
+      EXPECT_EQ(streamed.metrics_json, batch.metrics_json)
+          << "metrics diverged at " << threads << " threads";
+      EXPECT_EQ(streamed.audit_bin, batch.audit_bin)
+          << "lineage diverged at " << threads << " threads";
+    }
+    return batch;
+  }
+
+ private:
+  bool metrics_were_enabled_ = false;
+  bool lineage_was_enabled_ = false;
+};
+
+TEST_F(StreamParityTest, StreamingMatchesBatchByteForByteAtAnyThreadCount) {
+  const measure::FaultPlan plan = ParityPlan();
+  const Artifacts batch = ExpectStreamingMatchesBatch(plan);
+
   // The batch path itself must also be thread-count invariant.
-  const Artifacts batch8 = RunCampaign(/*streaming=*/false, /*threads=*/8);
+  const Artifacts batch8 =
+      RunCampaign(plan, /*streaming=*/false, /*threads=*/8);
   EXPECT_EQ(batch8.metrics_json, batch.metrics_json);
   EXPECT_EQ(batch8.audit_bin, batch.audit_bin);
+}
 
-  obs::Registry::Global().ResetAll();
-  obs::Lineage::Global().Reset();
-  obs::Registry::Enable(metrics_were_enabled);
-  obs::Lineage::Enable(lineage_was_enabled);
-  core::ThreadPool::SetGlobalThreadCount(0);
+TEST_F(StreamParityTest, TracerouteTruncationMatchesBatchAtAnyThreadCount) {
+  ExpectStreamingMatchesBatch(TruncationPlan());
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ TEST(ShardedStoreTest, MirrorsBatchStoreValidation) {
   std::size_t sharded_archived = 0;
   for (const auto& r : records) {
     if (batch.Add(r)) ++batch_archived;
-    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) ++sharded_archived;
+    const std::string unit = r.UnitKey();
+    if (sharded.Append(sharded.ShardOf(unit), r, unit)) ++sharded_archived;
   }
 
   EXPECT_EQ(batch_archived, 40u);
@@ -109,7 +110,7 @@ TEST(ShardedStoreTest, ShardOfPartitionsUnitsDeterministically) {
     const std::size_t shard = store.ShardOf(r.UnitKey());
     EXPECT_EQ(shard, store.ShardOf(r.UnitKey()));
     ASSERT_LT(shard, store.shard_count());
-    ASSERT_TRUE(store.Append(shard, r));
+    ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
   }
   // Every unit's arena entry lives in exactly one shard.
   std::size_t interned = 0;
@@ -124,10 +125,10 @@ TEST(ShardedStoreTest, InternsUnitsAndClampsAttempts) {
   auto r = MakeRecord(1, 3741, "East London", 60, 12.0);
   r.attempts = 1000;
   const std::size_t shard = store.ShardOf(r.UnitKey());
-  ASSERT_TRUE(store.Append(shard, r));
+  ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
   r.id = core::MeasurementId(2);
   r.attempts = 3;
-  ASSERT_TRUE(store.Append(shard, r));
+  ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
   const auto& columns = store.shard(shard);
   ASSERT_EQ(columns.size(), 2u);
   EXPECT_EQ(columns.unit[0], columns.unit[1]);  // interned once
@@ -143,7 +144,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
                                 "City" + std::to_string(i % 4),
                                 static_cast<std::int64_t>(i * 30),
                                 10.0 + static_cast<double>(i) * 0.25);
-      store.Append(store.ShardOf(r.UnitKey()), r);
+      store.Append(store.ShardOf(r.UnitKey()), r, r.UnitKey());
     }
   };
   measure::ShardedMeasurementStore a, b;

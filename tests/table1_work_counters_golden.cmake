@@ -1,0 +1,31 @@
+# Compares the structural work counters of a table1 run's metrics.json with
+# the golden copy. These counters count work items (route-cache reads, BGP
+# table builds, SVD and QR calls), never floating-point results, so they
+# hold byte for byte on any host; a change that moves one must update the
+# golden on purpose.
+#
+#   cmake -DMETRICS=<metrics.json> -DGOLDEN=<counters file>
+#         -P table1_work_counters_golden.cmake
+set(counters
+  netsim.bgp.route_cache_hits
+  netsim.bgp.route_cache_misses
+  netsim.bgp.tables_computed
+  stats.svd.calls
+  stats.qr.calls)
+file(READ ${METRICS} metrics)
+set(actual "")
+foreach(counter ${counters})
+  string(REPLACE "." "\\." pattern "${counter}")
+  string(REGEX MATCH "\"${pattern}\": *([0-9]+)" match "${metrics}")
+  if(NOT match)
+    message(FATAL_ERROR "${METRICS} has no counter ${counter}")
+  endif()
+  string(APPEND actual "${counter} ${CMAKE_MATCH_1}\n")
+endforeach()
+file(READ ${GOLDEN} golden)
+if(NOT actual STREQUAL golden)
+  message(FATAL_ERROR
+    "work counters differ from ${GOLDEN}\n"
+    "--- golden\n${golden}--- actual\n${actual}")
+endif()
+message(STATUS "work counters match ${GOLDEN}")
