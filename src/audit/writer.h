@@ -4,9 +4,17 @@
 // The artifact is a pure function of the ledger contents: no wall-clock,
 // no iteration-order dependence (unit and probe-failure maps are already
 // sorted; estimate directories are sorted stably by label at write time).
-// Because the durable layer snapshots and restores the ledger itself
-// (Lineage::Save/Load inside the snapshot payload), a killed-and-resumed
+// The ledger itself is lane-count invariant (per-record verdicts are
+// written in place at each record's id; other task-side events replay in
+// task order), and the durable layer snapshots and restores it
+// (Lineage::Save/Load inside the snapshot payload), so a killed-and-resumed
 // run rebuilds the exact ledger and therefore the exact audit.bin.
+//
+// Cost: a few passes over each run's records plus O(units x facets) per
+// estimate. Facets are dense counters (by intent code, fault bit and a
+// per-run vantage slot) rendered to sorted names only as a section is
+// written; each kept unit's share of a composition is computed once, and
+// an estimate's compositions are sums of shares (DESIGN.md §12).
 #pragma once
 
 #include <string>

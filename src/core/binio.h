@@ -44,17 +44,41 @@ class Writer {
   /// Length-prefixed (u64) raw bytes.
   void PutString(std::string_view s) {
     PutU64(s.size());
-    buffer_.append(s.data(), s.size());
+    PutRaw(s);
   }
 
+  /// Raw bytes with no length prefix (the reader must know the length).
+  void PutRaw(std::string_view s) { buffer_.append(s.data(), s.size()); }
+
+  /// Appends `count` bytes that fill(out) writes into the new space: one
+  /// resize for a whole column instead of `count` single-byte appends.
+  template <typename Fill>
+  void PutFilled(std::size_t count, Fill&& fill) {
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + count);
+    fill(buffer_.data() + at);
+  }
+
+  /// Overwrites the u64 written earlier at byte `offset`: a slot reserved
+  /// for a value known only once what follows it has been written.
+  void PatchU64(std::size_t offset, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      buffer_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+
+  std::size_t size() const { return buffer_.size(); }
+  void Reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() && { return std::move(buffer_); }
 
  private:
   void PutLittleEndian(std::uint64_t v, int bytes) {
+    char out[8];
     for (int i = 0; i < bytes; ++i) {
-      buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+      out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
     }
+    buffer_.append(out, static_cast<std::size_t>(bytes));
   }
 
   std::string buffer_;

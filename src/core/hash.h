@@ -11,9 +11,14 @@
 
 namespace sisyphus::core {
 
-/// 64-bit FNV-1a over bytes. Stable across platforms and runs.
-constexpr std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+/// FNV-1a offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+
+/// 64-bit FNV-1a over bytes. Stable across platforms and runs. Passing an
+/// earlier result as `hash` continues that hash over more bytes:
+/// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b).
+constexpr std::uint64_t Fnv1a64(std::string_view bytes,
+                                std::uint64_t hash = kFnv1a64Offset) {
   for (char c : bytes) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001b3ull;

@@ -473,16 +473,8 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       if (obs::Lineage::enabled()) {
         for (std::size_t i = options_.max_step_records;
              i < step.records.size(); ++i) {
-          const measure::PendingRecord& pending = step.records[i];
-          obs::LineageRecordInfo info;
-          info.id = pending.record.id.value();
-          info.vantage = pending.record.vantage_pop;
-          info.intent = static_cast<std::uint8_t>(pending.record.intent);
-          info.attempts = static_cast<std::uint8_t>(
-              std::min<std::uint32_t>(pending.record.attempts, 255));
-          info.fault_mask = pending.fault_mask;
-          info.copies = pending.duplicate ? 2 : 1;
-          obs::Lineage::Global().RecordShed(info);
+          obs::Lineage::Global().RecordShed(
+              measure::LineageInfoOf(step.records[i], false));
         }
       }
       SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);

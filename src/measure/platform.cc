@@ -331,6 +331,20 @@ void Platform::CommitFailures(const std::vector<ProbeFailure>& failures) {
   for (const ProbeFailure& failure : failures) RecordFailure(failure);
 }
 
+obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending,
+                                     bool archived) {
+  obs::LineageRecordInfo info;
+  info.id = pending.record.id.value();
+  info.vantage = pending.record.vantage_pop;
+  info.intent = static_cast<std::uint8_t>(pending.record.intent);
+  info.attempts = static_cast<std::uint8_t>(
+      std::min<std::uint32_t>(pending.record.attempts, 255));
+  info.fault_mask = pending.fault_mask;
+  info.copies = pending.duplicate ? 2 : 1;
+  info.archived = archived;
+  return info;
+}
+
 void Platform::CommitBatch(StepOutput&& step) {
   for (PendingRecord& pending : step.records) {
     if (!obs::Lineage::enabled()) {
@@ -338,16 +352,9 @@ void Platform::CommitBatch(StepOutput&& step) {
       store_.Add(std::move(pending.record));
       continue;
     }
-    obs::LineageRecordInfo info;
-    info.id = pending.record.id.value();
-    info.vantage = pending.record.vantage_pop;
-    info.intent = static_cast<std::uint8_t>(pending.record.intent);
-    info.attempts = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(pending.record.attempts, 255));
-    info.fault_mask = pending.fault_mask;
-    info.copies = pending.duplicate ? 2 : 1;
     // Duplicate copies share id and content, so one verdict covers
     // both Add() calls.
+    obs::LineageRecordInfo info = LineageInfoOf(pending, false);
     bool archived = false;
     if (pending.duplicate) archived = store_.Add(pending.record);
     info.archived = store_.Add(std::move(pending.record)) || archived;
@@ -507,6 +514,7 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   std::vector<std::string> units;
   std::vector<std::vector<ShardEntry>> by_shard(shards);
   std::size_t shard = 0;
+  std::uint64_t max_id = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const SpeedTestRecord& record = batch[i].record;
     if (i == 0 || record.asn != batch[i - 1].record.asn ||
@@ -516,11 +524,15 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
     }
     by_shard[shard].emplace_back(static_cast<std::uint32_t>(i),
                                  static_cast<std::uint32_t>(units.size() - 1));
+    max_id = std::max(max_id, record.id.value());
   }
+  // Shard tasks write each record's lineage verdict in place at id - 1,
+  // into a column that must already hold every id of the batch.
+  if (obs::Lineage::enabled()) obs::Lineage::Global().ReserveRecords(max_id);
   // Telemetry-silent: the ingest fan-out is an execution-strategy detail of
   // a path contracted to produce artifacts byte-identical to the batch
   // merge (which runs no region here); counting it would leak the strategy
-  // into metrics.json. Task-side metric/lineage writes still replay.
+  // into metrics.json. Task-side metric writes still replay.
   core::RegionTelemetrySilencer silencer;
   core::ParallelFor(shards, [&](std::size_t s) {
     IngestShard(s, batch, units, by_shard[s]);
@@ -539,7 +551,8 @@ void StreamingCampaign::IngestShard(std::size_t shard,
     const std::string& unit = units[unit_index];
     // Mirrors the batch merge in Platform::CommitBatch: duplicate copies
     // share id and content, one lineage verdict covers both appends,
-    // and only archived copies reach the panel.
+    // and only archived copies reach the panel. The verdict is written in
+    // place: this task owns the record's id.
     bool archived_first = false;
     if (pending.duplicate) {
       archived_first = store_.Append(shard, pending.record, unit);
@@ -547,16 +560,7 @@ void StreamingCampaign::IngestShard(std::size_t shard,
     const bool archived =
         store_.Append(shard, pending.record, unit) || archived_first;
     if (lineage) {
-      obs::LineageRecordInfo info;
-      info.id = pending.record.id.value();
-      info.vantage = pending.record.vantage_pop;
-      info.intent = static_cast<std::uint8_t>(pending.record.intent);
-      info.attempts = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(pending.record.attempts, 255));
-      info.fault_mask = pending.fault_mask;
-      info.copies = pending.duplicate ? 2 : 1;
-      info.archived = archived;
-      obs::Lineage::Global().RecordEmitted(info);
+      obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
     }
     if (archived) {
       if (pending.duplicate) {

@@ -30,6 +30,7 @@
 #include "measure/speedtest.h"
 #include "measure/store.h"
 #include "netsim/simulator.h"
+#include "obs/lineage.h"
 
 namespace sisyphus::measure {
 
@@ -354,6 +355,11 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
                        std::uint64_t committed_records, std::size_t,
                        std::size_t every, const StreamingCampaign* campaign,
                        bool);
+
+/// The lineage verdict of one merged record (id, vantage, intent,
+/// attempts clamped to 255, fault bits, copies) with its store outcome.
+obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending,
+                                     bool archived);
 
 /// Declares the fixed stream series (stream counters + netsim.bgp
 /// reconvergence counters) up front, so their timeline ids come first and
