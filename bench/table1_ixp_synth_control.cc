@@ -214,10 +214,11 @@ int Main(bool ablation, const std::string& export_dir,
       manifest.durable.journal_high_water = stats.journal_high_water;
       manifest.durable.journal_entries = stats.journal_entries;
       manifest.durable.shed_records = stats.shed_records;
-      std::printf("durable: %llu live steps (%llu replayed under journal "
-                  "verification), snapshot seq %llu, journal high-water "
-                  "%llu%s%s\n",
+      std::printf("durable: %llu live steps (%llu rebuilt from the journal, "
+                  "%llu replayed under journal verification), snapshot seq "
+                  "%llu, journal high-water %llu%s%s\n",
                   static_cast<unsigned long long>(stats.steps),
+                  static_cast<unsigned long long>(stats.rebuilt_steps),
                   static_cast<unsigned long long>(stats.replayed_steps),
                   static_cast<unsigned long long>(stats.snapshot_seq),
                   static_cast<unsigned long long>(stats.journal_high_water),

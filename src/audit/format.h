@@ -5,9 +5,9 @@
 // determinism guarantee the ledger already carries (byte-identical at any
 // SISYPHUS_THREADS, because per-record verdicts are in-place writes at
 // each record's own id and every other task-side event is captured and
-// replayed in task order; byte-identical across a durable kill/resume via
-// Lineage::Save/Load in the snapshot payload) transfers to audit.bin with
-// no extra machinery. Facet counts are count maps keyed by name, sorted as
+// replayed in task order; byte-identical across a durable kill/resume,
+// which rebuilds the ledger by re-ingesting the journaled steps) transfers
+// to audit.bin with no extra machinery. Facet counts are count maps keyed by name, sorted as
 // strings (vantage "10" before "2"), whatever the writer counts in.
 //
 // Layout (all integers little-endian, fixed-width — core/binio.h rules):

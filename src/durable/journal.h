@@ -8,11 +8,14 @@
 // All integers little-endian; `fnv` is 64-bit FNV-1a over the 8 seq bytes
 // followed by the payload bytes. Appends are buffered and fsynced every
 // `fsync_every` frames (and on Flush), so a crash loses at most the
-// un-synced tail — which recovery simply regenerates, because the journal
-// is an integrity *witness*, not the source of truth: resumed steps are
-// re-executed from the restored RNG/simulator state and the regenerated
-// payload is compared byte-for-byte against the journaled frame
-// (DESIGN.md §11).
+// un-synced tail — which recovery simply regenerates. On a resume from a
+// snapshot at seq k the journal plays two roles (DESIGN.md §11). Frames
+// 1..k are the SOURCE of the ingest side (store arenas, panel aggregates,
+// lineage, probe failures): a snapshot carries only generator state, the
+// registry and the timeline, so those frames are decoded and re-ingested.
+// Frames after k are an integrity *witness*: those steps are re-executed
+// from the restored RNG/simulator state and the regenerated payload is
+// compared byte-for-byte against the journaled frame.
 //
 // Scan semantics: a torn or checksum-bad frame at the TAIL of the file is
 // benign (the valid prefix is kept, the tail truncated on reopen); a bad

@@ -108,17 +108,21 @@ core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec) {
 
 namespace {
 
-void EncodeFailures(binio::Writer& w,
-                    const std::vector<measure::ProbeFailure>& failures) {
-  w.PutU64(failures.size());
-  for (const measure::ProbeFailure& f : failures) {
-    w.PutI64(f.time.minutes());
-    w.PutU32(f.vantage);
-    w.PutU8(static_cast<std::uint8_t>(f.intent));
-    w.PutU8(static_cast<std::uint8_t>(f.reason));
-    w.PutU32(f.attempts);
-  }
-}
+// Bytes of one encoded record besides its city's characters: id, time,
+// asn, city length, vantage, server, rtt, loss, throughput, intent,
+// attempts, duplicate, fault mask.
+constexpr std::uint64_t kRecordMinBytes =
+    8 + 8 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 1 + 1;
+// Bytes of one encoded failure: time, vantage, intent, reason, attempts.
+constexpr std::uint64_t kFailureBytes = 8 + 4 + 1 + 1 + 4;
+
+constexpr auto kMaxIntent =
+    static_cast<std::uint8_t>(measure::Intent::kEventTriggered);
+constexpr auto kMaxProbeFault =
+    static_cast<std::uint8_t>(measure::ProbeFault::kUnreachable);
+constexpr std::uint8_t kFaultMaskBits =
+    obs::kLineageFaultSkewed | obs::kLineageFaultTruncated |
+    obs::kLineageFaultCorrupted | obs::kLineageFaultDuplicated;
 
 }  // namespace
 
@@ -144,54 +148,132 @@ std::string EncodeStep(const measure::StepOutput& step,
     w.PutBool(pending.duplicate);
     w.PutU8(pending.fault_mask);
   }
-  EncodeFailures(w, step.failures);
+  w.PutU64(step.failures.size());
+  for (const measure::ProbeFailure& f : step.failures) {
+    w.PutI64(f.time.minutes());
+    w.PutU32(f.vantage);
+    w.PutU8(static_cast<std::uint8_t>(f.intent));
+    w.PutU8(static_cast<std::uint8_t>(f.reason));
+    w.PutU32(f.attempts);
+  }
   return std::move(w).Take();
+}
+
+core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
+                                             std::uint64_t first_record_id) {
+  const auto malformed = [](const std::string& why) {
+    return core::Error(core::ErrorCode::kParseError, why);
+  };
+  const auto truncated = [&] { return malformed("truncated payload"); };
+  // "record 3 has intent byte 7": built only for the entry that fails.
+  const auto bad = [&](const char* entry, std::uint64_t i, const char* field,
+                       std::uint64_t value) {
+    return malformed(std::string(entry) + " " + std::to_string(i) + " has " +
+                     field + " " + std::to_string(value));
+  };
+  binio::Reader r(payload);
+  measure::StepOutput step;
+  step.step_end = core::SimTime(r.GetI64());
+  const std::uint64_t watermark = r.GetU64();
+  const std::uint64_t record_count = r.GetU64();
+  if (!r.ok()) return truncated();
+  if (record_count > r.remaining() / kRecordMinBytes) {
+    return malformed("record count " + std::to_string(record_count) +
+                     " exceeds the payload's bytes");
+  }
+  step.records.reserve(static_cast<std::size_t>(record_count));
+  for (std::uint64_t i = 0; i < record_count; ++i) {
+    measure::PendingRecord pending;
+    measure::SpeedTestRecord& rec = pending.record;
+    const std::uint64_t id = r.GetU64();
+    rec.time = core::SimTime(r.GetI64());
+    rec.asn = core::Asn(r.GetU32());
+    rec.city = r.GetString();
+    rec.vantage_pop = r.GetU32();
+    rec.server_pop = r.GetU32();
+    rec.rtt_ms = r.GetDouble();
+    rec.loss_rate = r.GetDouble();
+    rec.throughput_mbps = r.GetDouble();
+    const std::uint8_t intent = r.GetU8();
+    rec.attempts = r.GetU32();
+    const std::uint8_t duplicate = r.GetU8();
+    pending.fault_mask = r.GetU8();
+    if (!r.ok()) return truncated();
+    if (id != first_record_id + i) {
+      return malformed("record " + std::to_string(i) + " has id " +
+                       std::to_string(id) + ", expected " +
+                       std::to_string(first_record_id + i));
+    }
+    if (intent > kMaxIntent) return bad("record", i, "intent byte", intent);
+    if (duplicate > 1) return bad("record", i, "duplicate byte", duplicate);
+    if ((pending.fault_mask & ~kFaultMaskBits) != 0) {
+      return bad("record", i, "fault-mask byte", pending.fault_mask);
+    }
+    rec.id = core::MeasurementId(id);
+    rec.intent = static_cast<measure::Intent>(intent);
+    pending.duplicate = duplicate == 1;
+    step.records.push_back(std::move(pending));
+  }
+  if (watermark != first_record_id + record_count) {
+    return malformed("watermark " + std::to_string(watermark) +
+                     " is not the last id + 1 (" +
+                     std::to_string(first_record_id + record_count) + ")");
+  }
+  const std::uint64_t failure_count = r.GetU64();
+  if (!r.ok()) return truncated();
+  if (failure_count > r.remaining() / kFailureBytes) {
+    return malformed("failure count " + std::to_string(failure_count) +
+                     " exceeds the payload's bytes");
+  }
+  step.failures.reserve(static_cast<std::size_t>(failure_count));
+  for (std::uint64_t i = 0; i < failure_count; ++i) {
+    measure::ProbeFailure f;
+    f.time = core::SimTime(r.GetI64());
+    f.vantage = r.GetU32();
+    const std::uint8_t intent = r.GetU8();
+    const std::uint8_t reason = r.GetU8();
+    f.attempts = r.GetU32();
+    if (!r.ok()) return truncated();
+    if (intent > kMaxIntent) return bad("failure", i, "intent byte", intent);
+    if (reason > kMaxProbeFault) {
+      return bad("failure", i, "reason byte", reason);
+    }
+    f.intent = static_cast<measure::Intent>(intent);
+    f.reason = static_cast<measure::ProbeFault>(reason);
+    step.failures.push_back(f);
+  }
+  if (r.remaining() != 0) {
+    return malformed(std::to_string(r.remaining()) + " trailing bytes");
+  }
+  return step;
 }
 
 namespace {
 
-bool DecodeFailures(binio::Reader& r,
-                    std::vector<measure::ProbeFailure>* failures) {
-  const std::uint64_t count = r.GetU64();
-  if (!r.ok() || count > r.remaining() / 18) return false;
-  failures->clear();
-  failures->reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    measure::ProbeFailure f;
-    f.time = core::SimTime(r.GetI64());
-    f.vantage = r.GetU32();
-    f.intent = static_cast<measure::Intent>(r.GetU8());
-    f.reason = static_cast<measure::ProbeFault>(r.GetU8());
-    f.attempts = r.GetU32();
-    failures->push_back(f);
-  }
-  return r.ok();
-}
-
+/// A snapshot holds only what the journal cannot reproduce: the seq, the
+/// platform's record-id watermark, route-change cursor and EWMAs, the RNG,
+/// then the registry and timeline. The store, panel aggregates, lineage
+/// ledger and probe failures are rebuilt from journal frames 1..seq.
 std::string EncodeSnapshotPayload(std::uint64_t seq, const core::Rng& rng,
-                                  const measure::Platform& platform,
-                                  const measure::StreamingCampaign& campaign) {
+                                  const measure::Platform& platform) {
   binio::Writer w;
   w.PutU64(seq);
+  const measure::Platform::StreamState stream = platform.CaptureStreamState();
+  w.PutU64(stream.next_record_id);
+  w.PutU64(stream.route_change_cursor);
   const core::Rng::State rng_state = rng.SaveState();
   for (std::uint64_t word : rng_state.s) w.PutU64(word);
   w.PutBool(rng_state.has_cached_gaussian);
   w.PutDouble(rng_state.cached_gaussian);
-  const measure::Platform::StreamState stream = platform.CaptureStreamState();
-  w.PutU64(stream.next_record_id);
-  w.PutU64(stream.route_change_cursor);
   binio::PutDoubleVector(w, stream.ewma_rtt);
-  EncodeFailures(w, stream.failures);
   obs::Registry::Global().Save(w);
-  obs::Lineage::Global().Save(w);
-  campaign.Save(w);
   obs::Timeline::Global().Save(w);
   return std::move(w).Take();
 }
 
 /// The part of a snapshot that must be parsed BEFORE the fast-forward
-/// (seq, RNG, platform state); `tail` holds the registry/lineage/campaign
-/// bytes applied after it.
+/// (seq, platform state, RNG); `tail` holds the registry/timeline bytes
+/// applied after it.
 struct SnapshotHead {
   std::uint64_t seq = 0;
   core::Rng::State rng;
@@ -202,16 +284,26 @@ struct SnapshotHead {
 bool DecodeSnapshotHead(const std::string& payload, SnapshotHead* head) {
   binio::Reader r(payload);
   head->seq = r.GetU64();
+  head->stream.next_record_id = r.GetU64();
+  head->stream.route_change_cursor = r.GetU64();
   for (std::uint64_t& word : head->rng.s) word = r.GetU64();
   head->rng.has_cached_gaussian = r.GetBool();
   head->rng.cached_gaussian = r.GetDouble();
-  head->stream.next_record_id = r.GetU64();
-  head->stream.route_change_cursor = r.GetU64();
   head->stream.ewma_rtt = binio::GetDoubleVector(r);
-  if (!DecodeFailures(r, &head->stream.failures)) return false;
   if (!r.ok()) return false;
   head->tail = payload.substr(payload.size() - r.remaining());
   return true;
+}
+
+/// The record-id watermark journal frame `seq` ends at (1 before frame 1):
+/// EncodeStep's second field. 0, never a valid watermark, when the frame
+/// is too short to hold one.
+std::uint64_t FrameWatermark(const JournalScan& scan, std::uint64_t seq) {
+  if (seq == 0) return 1;
+  binio::Reader r(scan.frames[seq - 1].payload);
+  r.GetI64();
+  const std::uint64_t watermark = r.GetU64();
+  return r.ok() ? watermark : 0;
 }
 
 bool FlipByte(const std::string& path, std::size_t offset) {
@@ -227,23 +319,21 @@ bool FlipByte(const std::string& path, std::size_t offset) {
   return ok;
 }
 
-/// Restores the obs enable flags fast-forward turned off, even if the
-/// forward throws.
+/// Pauses the registry and the timeline while a resume re-executes steps
+/// the restored snapshot already counts, restoring both flags even if the
+/// re-execution throws. Lineage stays as the caller set it: the snapshot
+/// does not carry the ledger, so the journal rebuild must write it.
 struct TelemetryPause {
   bool registry_enabled;
-  bool lineage_enabled;
   bool timeline_enabled;
   TelemetryPause()
       : registry_enabled(obs::Registry::enabled()),
-        lineage_enabled(obs::Lineage::enabled()),
         timeline_enabled(obs::Timeline::enabled()) {
     obs::Registry::Enable(false);
-    obs::Lineage::Enable(false);
     obs::Timeline::Enable(false);
   }
   ~TelemetryPause() {
     obs::Registry::Enable(registry_enabled);
-    obs::Lineage::Enable(lineage_enabled);
     obs::Timeline::Enable(timeline_enabled);
   }
 };
@@ -288,9 +378,6 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   RunStats stats;
   stats.resumed = resume;
 
-  // -- recovery: pick the snapshot to restore -----------------------------
-  SnapshotHead head;
-  bool restored = false;
   if (!resume) {
     // Fresh run: stale durable state would otherwise be mistaken for a
     // previous incarnation of this campaign.
@@ -303,24 +390,52 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
         fs::remove(entry.path(), ec);
       }
     }
-  } else {
+  }
+
+  // -- journal scan -------------------------------------------------------
+  JournalScan scan = ScanJournal(journal_path);
+  if (scan.corrupt) {
+    return core::Error(core::ErrorCode::kParseError,
+                       "durable resume: journal corrupt: " + scan.diagnostic);
+  }
+  const std::uint64_t high_water = scan.frames.size();
+  stats.journal_high_water = high_water;
+
+  // -- recovery: pick the snapshot to restore -----------------------------
+  SnapshotHead head;
+  bool restored = false;
+  if (resume) {
     const std::vector<SnapshotEntry> snaps = ListSnapshots(options_.dir);
     std::string diagnostics;
+    const auto reject = [&](const char* what, const std::string& path,
+                            const std::string& why) {
+      core::LogLine(core::LogLevel::kWarn, what,
+                    {{"path", path}, {"why", why}});
+      diagnostics += (diagnostics.empty() ? "" : "; ") + why;
+    };
     for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
       SnapshotRead read = ReadSnapshotFile(it->path);
       if (!read.ok) {
-        core::LogLine(core::LogLevel::kWarn,
-                      "durable: snapshot invalid, falling back",
-                      {{"path", it->path}, {"why", read.diagnostic}});
-        diagnostics += (diagnostics.empty() ? "" : "; ") + read.diagnostic;
+        reject("durable: snapshot invalid, falling back", it->path,
+               read.diagnostic);
         continue;
       }
       if (!DecodeSnapshotHead(read.payload, &head) || head.seq != it->seq) {
-        core::LogLine(core::LogLevel::kWarn,
-                      "durable: snapshot undecodable, falling back",
-                      {{"path", it->path}});
-        diagnostics += (diagnostics.empty() ? "" : "; ") + it->path +
-                       ": undecodable";
+        reject("durable: snapshot undecodable, falling back", it->path,
+               it->path + ": undecodable");
+        continue;
+      }
+      // The snapshot's record ids must resume where journal frame k left
+      // them, or the rebuilt ingest side would disagree with the restored
+      // platform. (A snapshot past the journal fails loudly below.)
+      if (head.seq <= high_water &&
+          head.stream.next_record_id != FrameWatermark(scan, head.seq)) {
+        reject("durable: snapshot disagrees with the journal, falling back",
+               it->path,
+               it->path + ": record-id watermark " +
+                   std::to_string(head.stream.next_record_id) +
+                   " is not journal frame " + std::to_string(head.seq) +
+                   "'s");
         continue;
       }
       restored = true;
@@ -336,14 +451,6 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
     // still verifies the re-execution).
   }
   const std::uint64_t start_seq = restored ? head.seq : 0;
-
-  // -- journal scan -------------------------------------------------------
-  JournalScan scan = ScanJournal(journal_path);
-  if (scan.corrupt) {
-    return core::Error(core::ErrorCode::kParseError,
-                       "durable resume: journal corrupt: " + scan.diagnostic);
-  }
-  std::uint64_t high_water = scan.frames.size();
   if (high_water < start_seq) {
     // The protocol flushes the journal before every snapshot, so a valid
     // snapshot at seq k implies journaled frames through k.
@@ -353,20 +460,40 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
                            " behind snapshot seq " +
                            std::to_string(start_seq));
   }
-  stats.journal_high_water = high_water;
 
-  // -- fast-forward + state restore ---------------------------------------
-  if (restored) {
-    {
-      // Re-executing the skipped steps' clock/route-cache effects must not
-      // re-count telemetry: the restored registry/lineage state already
-      // contains those steps.
-      TelemetryPause pause;
-      for (std::uint64_t i = 0; i < start_seq; ++i) platform_.SkipStep(until);
+  // Applies one step the way a live step commits it. The first-N shed cut
+  // comes after the journal append (the journal witnesses the pre-shed
+  // batch) and before ingest; dropped records terminate in lineage as
+  // shed_overload with zero delivered copies. Returns the records shed.
+  const auto commit = [&](measure::StepOutput& step) -> std::uint64_t {
+    std::uint64_t shed = 0;
+    if (options_.max_step_records > 0 &&
+        step.records.size() > options_.max_step_records) {
+      shed = step.records.size() - options_.max_step_records;
+      if (obs::Lineage::enabled()) {
+        for (std::size_t i = options_.max_step_records;
+             i < step.records.size(); ++i) {
+          obs::Lineage::Global().RecordShed(
+              measure::LineageInfoOf(step.records[i], false));
+        }
+      }
+      SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
+      step.records.resize(options_.max_step_records);
     }
+    campaign_.IngestBatch(step.records);
+    platform_.CommitFailures(step.failures);
+    return shed;
+  };
+
+  // -- fast-forward, state restore, journal rebuild ------------------------
+  if (restored) {
+    // The restored registry and timeline already count steps 1..k, so
+    // neither the skipped steps' clock/route-cache effects nor the rebuild
+    // may count them again.
+    TelemetryPause pause;
+    for (std::uint64_t i = 0; i < start_seq; ++i) platform_.SkipStep(until);
     binio::Reader tail(head.tail);
     if (!obs::Registry::Global().Load(tail) ||
-        !obs::Lineage::Global().Load(tail) || !campaign_.Load(tail) ||
         !obs::Timeline::Global().Load(tail) || tail.remaining() != 0) {
       return core::Error(core::ErrorCode::kParseError,
                          "durable resume: snapshot state failed to load "
@@ -378,8 +505,34 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
                          "durable resume: " + s.error().message());
     }
     rng.RestoreState(head.rng);
+    // The ingest side — store arenas, panel aggregates, lineage, probe
+    // failures — is a pure function of frames 1..k: feed each through the
+    // commit its live step made.
+    std::uint64_t next_record_id = 1;
+    for (std::uint64_t seq = 1; seq <= start_seq; ++seq) {
+      core::Result<measure::StepOutput> step =
+          DecodeStep(scan.frames[seq - 1].payload, next_record_id);
+      if (!step.ok()) {
+        return core::Error(core::ErrorCode::kParseError,
+                           "durable resume: journal frame " +
+                               std::to_string(seq) + " does not decode: " +
+                               step.error().message());
+      }
+      next_record_id += step.value().records.size();
+      try {
+        commit(step.value());
+      } catch (const std::exception& e) {
+        return core::Error(core::ErrorCode::kInvalidArgument,
+                           "durable resume: journal frame " +
+                               std::to_string(seq) + " failed to rebuild: " +
+                               e.what());
+      }
+      ++stats.rebuilt_steps;
+    }
     core::LogLine(core::LogLevel::kInfo, "durable: resumed from snapshot",
-                  {{"seq", start_seq}, {"journal_high_water", high_water}});
+                  {{"seq", start_seq},
+                   {"journal_high_water", high_water},
+                   {"rebuilt_records", next_record_id - 1}});
   }
 
   // -- journal writer ------------------------------------------------------
@@ -407,8 +560,7 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   std::uint64_t last_snapshot_seq = start_seq;
   const auto write_snapshot = [&](std::uint64_t seq) -> core::Result<bool> {
     journal.Flush();
-    const std::string payload =
-        EncodeSnapshotPayload(seq, rng, platform_, campaign_);
+    const std::string payload = EncodeSnapshotPayload(seq, rng, platform_);
     std::string error;
     if (!WriteSnapshotFile(SnapshotPath(options_.dir, seq), payload,
                            &error)) {
@@ -462,39 +614,20 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       stats.journal_high_water = seq;
     }
 
-    // Shed-on-overload: deterministic per-step cap, applied AFTER the
-    // journal append (the journal witnesses the pre-shed batch) and
-    // BEFORE ingest. Dropped records terminate in lineage as
-    // shed_overload with zero delivered copies.
-    if (options_.max_step_records > 0 &&
-        step.records.size() > options_.max_step_records) {
-      const std::uint64_t shed =
-          step.records.size() - options_.max_step_records;
-      if (obs::Lineage::enabled()) {
-        for (std::size_t i = options_.max_step_records;
-             i < step.records.size(); ++i) {
-          obs::Lineage::Global().RecordShed(
-              measure::LineageInfoOf(step.records[i], false));
-        }
-      }
-      SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
-      step.records.resize(options_.max_step_records);
-      stats.shed_records += shed;
-    }
-
+    // The telemetry commit is inside the try too: a timeline restored from
+    // a doctored snapshot fails its step-order precondition here.
     try {
       if (options_.ingest_fault) options_.ingest_fault(seq);
-      campaign_.IngestBatch(step.records);
-      platform_.CommitFailures(step.failures);
+      stats.shed_records += commit(step);
+      measure::EmitStepTelemetry(seq, campaign_.ingested(), 0,
+                                 platform_.options().heartbeat_every_steps,
+                                 &campaign_, false);
     } catch (const std::exception& e) {
       return core::Error(core::ErrorCode::kInvalidArgument,
                          "streaming ingest failed at step " +
                              std::to_string(seq) + ": " + e.what());
     }
     ++stats.steps;
-    measure::EmitStepTelemetry(seq, campaign_.ingested(), 0,
-                               platform_.options().heartbeat_every_steps,
-                               &campaign_, false);
 
     // Chaos: die at this step boundary, optionally corrupting state
     // first, exactly as a crash would — _exit, no unwinding.

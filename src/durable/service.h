@@ -12,20 +12,29 @@
 //      copies (conservation stays exact);
 //   4. ingest — StreamingCampaign::IngestBatch, then the step's telemetry
 //      and timeline commit, all on the step-loop thread;
-//   5. snapshot — every `snapshot_every` steps, the full mutable state
-//      (RNG, platform stream state, metrics registry, lineage ledger,
-//      store arenas, panel aggregates) is written atomically.
+//   5. snapshot — every `snapshot_every` steps, the state the journal
+//      cannot reproduce (seq, RNG, the platform's EWMAs, record-id
+//      watermark and route-change cursor, the metrics registry, the
+//      timeline) is written atomically. It does not grow with the record
+//      count: the store, the panel aggregates, the lineage ledger and the
+//      probe failures are left to the journal.
 //
-// Recovery = snapshot restore + deterministic VERIFIED RE-EXECUTION: the
-// journal is an integrity witness, not the source of truth. Resume loads
-// the newest valid snapshot (seq k), fast-forwards the simulator k steps
-// with telemetry disabled, restores the saved state, then re-enters the
-// normal step loop. Steps whose seq is covered by the journal are
-// re-generated live and their serialized form compared byte-for-byte
-// against the journaled frame — any divergence fails the resume loudly.
-// Because every artifact byte is a pure function of the restored state,
-// a killed-and-resumed run produces panel.csv/metrics.json/audit.bin
-// byte-identical to an uninterrupted one, at any SISYPHUS_THREADS.
+// Recovery = snapshot restore + journal rebuild + deterministic VERIFIED
+// RE-EXECUTION. Resume loads the newest valid snapshot (seq k) whose
+// record-id watermark matches journal frame k's, fast-forwards the
+// simulator k steps with the registry and timeline paused, restores the
+// saved state, and then rebuilds the ingest side from frames 1..k: each
+// is decoded (DecodeStep, a Status on any malformed frame) and fed
+// through the commit a live step makes — the shed cut, IngestBatch,
+// CommitFailures — with the registry and timeline still paused (the
+// snapshot already counts those steps) and lineage as the caller set it.
+// Frames after k stay integrity witnesses: those steps are re-generated
+// live and their serialized form compared byte-for-byte against the
+// journaled frame — any divergence fails the resume loudly. Because
+// every artifact byte is a pure function of the restored state and the
+// frames, a killed-and-resumed run produces
+// panel.csv/metrics.json/audit.bin byte-identical to an uninterrupted
+// one, at any SISYPHUS_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +111,7 @@ struct RunStats {
   bool resumed = false;
   std::uint64_t steps = 0;           ///< live steps executed this process
   std::uint64_t replayed_steps = 0;  ///< steps re-executed under journal verification
+  std::uint64_t rebuilt_steps = 0;   ///< journal frames fed to ingest on resume
   std::uint64_t snapshot_seq = 0;    ///< seq of the last snapshot written
   std::uint64_t journal_high_water = 0;  ///< highest journaled seq
   std::uint64_t journal_entries = 0;     ///< frames appended this process
@@ -122,12 +132,25 @@ void ClearInterruptFlag();  ///< tests
 std::string EncodeStep(const measure::StepOutput& step,
                        std::uint64_t next_record_id_after);
 
+/// The exact inverse of EncodeStep for a frame whose records must run on
+/// from `first_record_id` (the previous frame's watermark; 1 for frame 1):
+/// the decoded step re-encodes to `payload` byte for byte, and the
+/// frame's watermark is first_record_id + records.size(). Fails, before
+/// any allocation the payload's bytes cannot back, on a record or failure
+/// count beyond the bytes, an id out of sequence, a watermark other than
+/// the last id + 1, an intent, fault-mask, failure-intent or
+/// failure-reason byte outside its enum, a bool byte other than 0 or 1,
+/// or trailing bytes.
+core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
+                                             std::uint64_t first_record_id);
+
 class DurableStreamingService {
  public:
   /// The platform and campaign must outlive the service. The campaign
   /// must be freshly constructed (Run) or reconstructed identically to
   /// the original run (Resume) — lineage enablement included, since
-  /// IncrementalPanelBuilder snapshots the flag at construction.
+  /// IncrementalPanelBuilder snapshots the flag at construction and the
+  /// resume rebuilds the ledger from the journal.
   DurableStreamingService(measure::Platform& platform,
                           measure::StreamingCampaign& campaign,
                           DurableOptions options);
@@ -136,12 +159,15 @@ class DurableStreamingService {
   /// Clears stale journal/snapshot state in the directory first.
   core::Result<RunStats> Run(core::SimTime until, core::Rng& rng);
 
-  /// Crash-tolerant resume: newest valid snapshot + verified
-  /// re-execution of the journal tail, then normal operation to `until`.
-  /// Corrupt snapshots fall back to the previous one (loud failure when
-  /// none is valid but some exist); journal corruption before the tail
-  /// fails loudly. With no snapshot and no journal this degrades to a
-  /// cold Run without clearing the directory.
+  /// Crash-tolerant resume: newest valid snapshot, the ingest side
+  /// rebuilt from the journal frames it covers, verified re-execution of
+  /// the journal tail, then normal operation to `until`. Corrupt
+  /// snapshots, and snapshots whose record-id watermark disagrees with
+  /// their journal frame, fall back to the previous one (loud failure
+  /// when none is valid but some exist); journal corruption before the
+  /// tail, or a covered frame that does not decode, fails loudly. With no
+  /// snapshot and no journal this degrades to a cold Run without clearing
+  /// the directory.
   core::Result<RunStats> Resume(core::SimTime until, core::Rng& rng);
 
  private:

@@ -22,7 +22,10 @@
 
 namespace sisyphus::durable {
 
-inline constexpr std::uint64_t kSnapshotMagic = 0x50414e5359534953ull;  // "SISYSNAP"
+/// Names the payload layout too: snapshots that still carried the store,
+/// panel and lineage ("SISYSNAP") fail the magic check and are rejected
+/// rather than misread.
+inline constexpr std::uint64_t kSnapshotMagic = 0x32504e5359534953ull;  // "SISYSNP2"
 
 /// `<dir>/snap-00000000000000000042.bin`.
 std::string SnapshotPath(const std::string& dir, std::uint64_t seq);

@@ -20,11 +20,6 @@
 #include "measure/store.h"
 #include "obs/lineage.h"
 
-namespace sisyphus::core::binio {
-class Writer;
-class Reader;
-}  // namespace sisyphus::core::binio
-
 namespace sisyphus::measure {
 
 struct PanelOptions {
@@ -115,10 +110,11 @@ class IncrementalPanelBuilder {
   /// Visits every unit's running in-horizon RTT aggregate — (unit name,
   /// record count, compensated sum) — in ascending unit-name order across
   /// shards. The sum is maintained incrementally in arrival order with
-  /// Neumaier compensation and serialized verbatim by Save/Load, so it is
-  /// bit-identical across thread counts and kill/resume (per-unit arrival
-  /// order is deterministic: one unit lives in one shard, shards replay
-  /// batches in step order). This is the timeline sampler's read API.
+  /// Neumaier compensation, so it is bit-identical across thread counts
+  /// and kill/resume (per-unit arrival order is deterministic: one unit
+  /// lives in one shard, shards replay batches in step order, and a resume
+  /// rebuilds the aggregates by re-ingesting the journaled batches in that
+  /// order). This is the timeline sampler's read API.
   void VisitRunningMeans(
       const std::function<void(std::string_view unit, std::uint64_t count,
                                double sum)>& visit) const;
@@ -129,12 +125,6 @@ class IncrementalPanelBuilder {
   /// Serial; call once, after the last Observe.
   Panel Finalize() const;
 
-  /// Serializes / restores every shard's running cell aggregates for a
-  /// durable snapshot (DESIGN.md §11). Load replaces all shards; shard
-  /// count and period count must match (false on mismatch/truncation).
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
-
  private:
   struct CellAccumulator {
     std::vector<double> values;       ///< arrival order (finalize sorts)
@@ -143,7 +133,7 @@ class IncrementalPanelBuilder {
   struct UnitCells {
     std::vector<CellAccumulator> cells;  ///< length = options.periods
     // Unit-wide running RTT aggregate in arrival order (Neumaier
-    // compensated), for the timeline sampler. Serialized by Save/Load —
+    // compensated), for the timeline sampler. Kept incrementally —
     // recomputing from cell values would change summation order and break
     // kill/resume bit-identity.
     std::uint64_t running_count = 0;

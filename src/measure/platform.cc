@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/binio.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/parallel.h"
@@ -385,7 +384,6 @@ Platform::StreamState Platform::CaptureStreamState() const {
   for (const VantageState& vantage : vantages_) {
     state.ewma_rtt.push_back(vantage.ewma_rtt);
   }
-  state.failures = failures_;
   return state;
 }
 
@@ -402,7 +400,6 @@ core::Status Platform::RestoreStreamState(const StreamState& state) {
   for (std::size_t i = 0; i < vantages_.size(); ++i) {
     vantages_[i].ewma_rtt = state.ewma_rtt[i];
   }
-  failures_ = state.failures;
   return core::Status::Ok();
 }
 
@@ -571,21 +568,6 @@ void StreamingCampaign::IngestShard(std::size_t shard,
                      pending.record.rtt_ms, pending.record.id.value());
     }
   }
-}
-
-void StreamingCampaign::Save(core::binio::Writer& w) const {
-  store_.Save(w);
-  panel_.Save(w);
-  w.PutU64(batches_);
-  w.PutU64(ingested_);
-}
-
-bool StreamingCampaign::Load(core::binio::Reader& r) {
-  if (!store_.Load(r)) return false;
-  if (!panel_.Load(r)) return false;
-  batches_ = r.GetU64();
-  ingested_ = r.GetU64();
-  return r.ok();
 }
 
 void Platform::LogCampaignSummary() const {

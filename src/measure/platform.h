@@ -129,11 +129,6 @@ class StreamingCampaign {
   /// vantage-ordered merge makes one run per vantage.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
-  /// Serializes / restores the full campaign state (store arenas, panel
-  /// aggregates, batch counters) for a durable snapshot (DESIGN.md §11).
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
-
   /// Assembles the panel from the running cell aggregates (serial; call
   /// after the campaign ends).
   Panel FinalizePanel() const { return panel_.Finalize(); }
@@ -237,13 +232,14 @@ class Platform {
   void SkipStep(core::SimTime until);
 
   /// The platform-side mutable state a snapshot must carry: everything a
-  /// resumed process cannot re-derive from re-construction (EWMAs evolve
-  /// per step; ids/cursor/failures accumulate).
+  /// resumed process cannot re-derive from re-construction or the journal
+  /// (EWMAs evolve per step; the id watermark and route-change cursor
+  /// advance). failures() is not part of it: a resume rebuilds it by
+  /// committing the journaled steps' failures (DESIGN.md §11).
   struct StreamState {
     std::uint64_t next_record_id = 1;
     std::uint64_t route_change_cursor = 0;
     std::vector<double> ewma_rtt;  ///< one per vantage, AddVantage order
-    std::vector<ProbeFailure> failures;
   };
   StreamState CaptureStreamState() const;
   /// Fails, changing nothing, when `state` was captured on a platform with

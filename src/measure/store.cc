@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/binio.h"
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/logging.h"
@@ -231,106 +230,6 @@ std::uint64_t ShardedMeasurementStore::CountByIntent(Intent intent) const {
     }
   }
   return count;
-}
-
-void ShardedMeasurementStore::Save(core::binio::Writer& w) const {
-  w.PutU64(shards_.size());
-  for (const Columns& arena : shards_) {
-    core::binio::PutU64Vector(w, arena.id);
-    w.PutU64(arena.time_minutes.size());
-    for (std::int64_t t : arena.time_minutes) w.PutI64(t);
-    w.PutU64(arena.unit.size());
-    for (std::uint32_t u : arena.unit) w.PutU32(u);
-    core::binio::PutDoubleVector(w, arena.rtt_ms);
-    core::binio::PutDoubleVector(w, arena.loss_rate);
-    core::binio::PutDoubleVector(w, arena.throughput_mbps);
-    w.PutU64(arena.intent.size());
-    for (std::uint8_t v : arena.intent) w.PutU8(v);
-    w.PutU64(arena.attempts.size());
-    for (std::uint8_t v : arena.attempts) w.PutU8(v);
-    w.PutU64(arena.vantage_pop.size());
-    for (std::uint32_t v : arena.vantage_pop) w.PutU32(v);
-    w.PutU64(arena.unit_names.size());
-    for (const std::string& name : arena.unit_names) w.PutString(name);
-    w.PutU64(arena.quarantine_reason_counts.size());
-    for (const auto& [tag, count] : arena.quarantine_reason_counts) {
-      w.PutString(tag);
-      w.PutU64(count);
-    }
-    w.PutU64(arena.quarantined);
-  }
-}
-
-bool ShardedMeasurementStore::Load(core::binio::Reader& r) {
-  const std::uint64_t shard_count = r.GetU64();
-  if (!r.ok() || shard_count != shards_.size()) return false;
-  std::vector<Columns> loaded(shards_.size());
-  for (Columns& arena : loaded) {
-    arena.id = core::binio::GetU64Vector(r);
-    const std::uint64_t time_count = r.GetU64();
-    if (!r.ok() || time_count > r.remaining() / 8) return false;
-    arena.time_minutes.reserve(static_cast<std::size_t>(time_count));
-    for (std::uint64_t i = 0; i < time_count; ++i) {
-      arena.time_minutes.push_back(r.GetI64());
-    }
-    const std::uint64_t unit_count = r.GetU64();
-    if (!r.ok() || unit_count > r.remaining() / 4) return false;
-    arena.unit.reserve(static_cast<std::size_t>(unit_count));
-    for (std::uint64_t i = 0; i < unit_count; ++i) {
-      arena.unit.push_back(r.GetU32());
-    }
-    arena.rtt_ms = core::binio::GetDoubleVector(r);
-    arena.loss_rate = core::binio::GetDoubleVector(r);
-    arena.throughput_mbps = core::binio::GetDoubleVector(r);
-    const std::uint64_t intent_count = r.GetU64();
-    if (!r.ok() || intent_count > r.remaining()) return false;
-    arena.intent.reserve(static_cast<std::size_t>(intent_count));
-    for (std::uint64_t i = 0; i < intent_count; ++i) {
-      arena.intent.push_back(r.GetU8());
-    }
-    const std::uint64_t attempt_count = r.GetU64();
-    if (!r.ok() || attempt_count > r.remaining()) return false;
-    arena.attempts.reserve(static_cast<std::size_t>(attempt_count));
-    for (std::uint64_t i = 0; i < attempt_count; ++i) {
-      arena.attempts.push_back(r.GetU8());
-    }
-    const std::uint64_t vantage_count = r.GetU64();
-    if (!r.ok() || vantage_count > r.remaining() / 4) return false;
-    arena.vantage_pop.reserve(static_cast<std::size_t>(vantage_count));
-    for (std::uint64_t i = 0; i < vantage_count; ++i) {
-      arena.vantage_pop.push_back(r.GetU32());
-    }
-    const std::uint64_t name_count = r.GetU64();
-    if (!r.ok() || name_count > r.remaining()) return false;
-    for (std::uint64_t i = 0; i < name_count; ++i) {
-      std::string name = r.GetString();
-      arena.unit_index.emplace(name,
-                               static_cast<std::uint32_t>(i));
-      arena.unit_names.push_back(std::move(name));
-    }
-    const std::uint64_t reason_count = r.GetU64();
-    for (std::uint64_t i = 0; i < reason_count && r.ok(); ++i) {
-      const std::string tag = r.GetString();
-      arena.quarantine_reason_counts[tag] = r.GetU64();
-    }
-    arena.quarantined = r.GetU64();
-    if (!r.ok()) return false;
-    // Every column runs parallel to `id` and every unit index names an
-    // interned key; anything else would index past a column's end later.
-    const std::size_t rows = arena.id.size();
-    for (const std::size_t column :
-         {arena.time_minutes.size(), arena.unit.size(), arena.rtt_ms.size(),
-          arena.loss_rate.size(), arena.throughput_mbps.size(),
-          arena.intent.size(), arena.attempts.size(),
-          arena.vantage_pop.size()}) {
-      if (column != rows) return false;
-    }
-    for (const std::uint32_t unit : arena.unit) {
-      if (unit >= arena.unit_names.size()) return false;
-    }
-  }
-  shards_ = std::move(loaded);
-  return true;
 }
 
 std::string ShardedMeasurementStore::ToCsv() const {

@@ -20,11 +20,6 @@
 #include "core/result.h"
 #include "measure/speedtest.h"
 
-namespace sisyphus::core::binio {
-class Writer;
-class Reader;
-}  // namespace sisyphus::core::binio
-
 namespace sisyphus::measure {
 
 /// What Add() accepts into the archive. Everything outside these bounds is
@@ -187,13 +182,6 @@ class ShardedMeasurementStore {
   /// replay/determinism audits. Not row-compatible with the batch CSV:
   /// traceroute and AS-path columns do not exist here.
   std::string ToCsv() const;
-
-  /// Serializes / restores every shard arena for a durable snapshot
-  /// (DESIGN.md §11). Load replaces all arenas; the shard count in the
-  /// snapshot must match this store's. False on a mismatch, truncation,
-  /// ragged columns or a unit index with no interned key.
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
 
  private:
   StoreValidationOptions validation_;

@@ -51,11 +51,6 @@
 #include <string_view>
 #include <vector>
 
-namespace sisyphus::core::binio {
-class Writer;
-class Reader;
-}  // namespace sisyphus::core::binio
-
 namespace sisyphus::obs {
 
 /// Pipeline stages a record can terminate in, ordered by depth: a
@@ -147,8 +142,9 @@ class IdRunSet {
   /// Builds from ids sorted ascending (duplicates are collapsed).
   static IdRunSet FromSorted(const std::vector<std::uint64_t>& sorted_ids);
 
-  /// Rebuilds from a previously serialized encoded() vector (snapshot
-  /// restore); size and digest are recomputed from the encoding.
+  /// Adopts an encoded() vector — an Encoder's output, or a slice read
+  /// back from audit.bin; size and digest are recomputed from the
+  /// encoding.
   static IdRunSet FromEncoded(std::vector<std::uint64_t> encoded);
 
   std::uint64_t size() const { return size_; }
@@ -176,11 +172,6 @@ class IdRunSet {
       if (first <= last) fn(first, last);
     }
   }
-
-  /// True when the encoding is whole [gap, len] pairs whose runs neither
-  /// wrap nor name an id past `max_id`, so ForEachRun(max_id) visits
-  /// every id the set holds (a hostile snapshot fails this).
-  bool Within(std::uint64_t max_id) const;
 
   friend bool operator==(const IdRunSet& a, const IdRunSet& b) {
     return a.digest_ == b.digest_ && a.encoded_ == b.encoded_;
@@ -355,13 +346,6 @@ class Lineage {
   /// Applies a captured per-task event buffer in order (called from the
   /// TaskObserver merge on the region's calling thread).
   void Replay(const std::vector<internal::LineageEvent>& events);
-
-  /// Serializes / restores the full ledger (every run, record entry, unit
-  /// cell set, and estimate) for a durable snapshot (DESIGN.md §11). Load
-  /// rejects, leaving the ledger untouched, a stage outside LineageStage
-  /// or an id run that wraps or reaches past its run's record count.
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
 
   // Ledger internals, public so read-only consumers (the audit artifact
   // writer in src/audit/) can walk the resolved ledger through VisitRuns

@@ -350,30 +350,65 @@ void Registry::Save(core::binio::Writer& w) const {
 }
 
 bool Registry::Load(core::binio::Reader& r) {
+  // The whole payload is decoded and checked before any of it is applied,
+  // so a rejected one leaves the registry as it was.
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
   const std::uint64_t counter_count = r.GetU64();
   for (std::uint64_t i = 0; i < counter_count && r.ok(); ++i) {
-    const std::string name = r.GetString();
-    const std::uint64_t value = r.GetU64();
-    if (r.ok()) GetCounter(name)->LoadValue(value);
+    std::string name = r.GetString();
+    counters.emplace_back(std::move(name), r.GetU64());
   }
+  std::vector<std::pair<std::string, double>> gauges;
   const std::uint64_t gauge_count = r.GetU64();
   for (std::uint64_t i = 0; i < gauge_count && r.ok(); ++i) {
-    const std::string name = r.GetString();
-    const double value = r.GetDouble();
-    if (r.ok()) GetGauge(name)->LoadValue(value);
+    std::string name = r.GetString();
+    gauges.emplace_back(std::move(name), r.GetDouble());
   }
+  struct HistogramState {
+    std::string name;
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> counts;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+  };
+  std::vector<HistogramState> histograms;
   const std::uint64_t histogram_count = r.GetU64();
   for (std::uint64_t i = 0; i < histogram_count && r.ok(); ++i) {
-    const std::string name = r.GetString();
-    std::vector<double> bounds = core::binio::GetDoubleVector(r);
-    const std::vector<std::uint64_t> counts = core::binio::GetU64Vector(r);
-    const std::uint64_t count = r.GetU64();
-    const double sum = r.GetDouble();
-    if (r.ok()) {
-      GetHistogram(name, std::move(bounds))->LoadState(counts, count, sum);
+    HistogramState h;
+    h.name = r.GetString();
+    h.bounds = core::binio::GetDoubleVector(r);
+    h.counts = core::binio::GetU64Vector(r);
+    h.count = r.GetU64();
+    h.sum = r.GetDouble();
+    if (!r.ok()) break;
+    // Bounds the Histogram constructor would refuse, a bucket vector that
+    // does not match them, a total that is not the buckets' sum, a name
+    // out of Save's order, or bounds other than the ones already
+    // registered under the name.
+    std::uint64_t bucket_total = 0;
+    for (std::uint64_t c : h.counts) bucket_total += c;
+    if (h.bounds.empty() ||
+        !std::all_of(h.bounds.begin(), h.bounds.end(),
+                     [](double b) { return std::isfinite(b); }) ||
+        !std::is_sorted(h.bounds.begin(), h.bounds.end()) ||
+        h.counts.size() != h.bounds.size() + 1 || bucket_total != h.count ||
+        (!histograms.empty() && h.name <= histograms.back().name)) {
+      return false;
     }
+    if (const Histogram* existing = FindHistogram(h.name);
+        existing != nullptr && existing->upper_bounds() != h.bounds) {
+      return false;
+    }
+    histograms.push_back(std::move(h));
   }
-  return r.ok();
+  if (!r.ok()) return false;
+  for (const auto& [name, value] : counters) GetCounter(name)->LoadValue(value);
+  for (const auto& [name, value] : gauges) GetGauge(name)->LoadValue(value);
+  for (HistogramState& h : histograms) {
+    GetHistogram(h.name, std::move(h.bounds))
+        ->LoadState(h.counts, h.count, h.sum);
+  }
+  return true;
 }
 
 std::string Registry::SnapshotJson(int indent) const {

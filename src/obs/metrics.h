@@ -169,7 +169,12 @@ class Registry {
   /// state) for a durable snapshot. Load() registers any missing metric
   /// and overwrites values — the resumed process may have registered a
   /// subset of the saved names before restore, never a superset with
-  /// different values (DESIGN.md §11 registration-safety invariant).
+  /// different values (DESIGN.md §11 registration-safety invariant). It
+  /// returns false, changing nothing, on a truncated payload or a
+  /// histogram with empty, unsorted or non-finite bounds, a bucket count
+  /// other than bounds + 1, a total other than the buckets' sum, a name
+  /// out of Save's order, or bounds other than an already registered
+  /// histogram's of that name.
   void Save(core::binio::Writer& w) const;
   bool Load(core::binio::Reader& r);
 

@@ -6,7 +6,8 @@
 // panel builder — is sampled into columnar series buffers that are a pure
 // function of committed state, so `timeline.bin` is byte-identical at any
 // SISYPHUS_THREADS and across a kill/resume (timeline state rides in the
-// durable snapshot like the registry and the ledger).
+// durable snapshot beside the registry, where the journal cannot rebuild
+// it: samples are committed per step, not derived from the records).
 //
 // On top of the series run online detectors: an EWMA-referenced CUSUM
 // level-shift detector (per-unit RTT means) and a route-churn detector

@@ -12,6 +12,11 @@
 //   * the supervisor names the step whose ingest failed, and a resume
 //     recovers that step from the journal;
 //   * a resume on a platform with a different vantage count fails loudly;
+//   * a covered journal frame that passes its checksum but does not decode
+//     fails the resume naming the frame, a snapshot whose record-id
+//     watermark disagrees with its frame is fallen back from, and one whose
+//     timeline disagrees with its seq fails the resume with a Status;
+//   * a snapshot's size does not grow with the record count;
 //   * shed-on-overload preserves byte-identity;
 //   * SIGTERM interrupts cleanly and the run resumes to the same bytes.
 //
@@ -19,6 +24,7 @@
 // properties on the shipped table1 binary across real process kills.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +32,8 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "audit/writer.h"
 #include "core/parallel.h"
@@ -41,6 +49,7 @@
 #include "netsim/scenario_za.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
+#include "obs/timeline.h"
 
 namespace sisyphus {
 namespace {
@@ -86,6 +95,9 @@ struct RunSpec {
   std::uint64_t shed_max = 0;
   /// Registers one donor vantage fewer than the reference campaign.
   bool drop_last_donor = false;
+  double baseline_tests_per_day = 10.0;
+  /// Installs SmallPlan's fault injector.
+  bool faults = true;
   std::function<void(std::uint64_t)> ingest_fault;
 };
 
@@ -93,6 +105,7 @@ struct RunResult {
   bool ok = false;
   std::string error;
   durable::RunStats stats;
+  std::uint64_t ingested = 0;  ///< record copies the campaign ingested
   Artifacts artifacts;  ///< filled only when the run completed
 };
 
@@ -104,6 +117,7 @@ RunResult RunDurable(const RunSpec& spec) {
   obs::Registry::Global().ResetAll();
   obs::Lineage::Global().Reset();
   obs::Lineage::Global().BeginRun("durable");
+  obs::Timeline::Global().Reset();
 
   const netsim::ScenarioZaOptions scenario_options = SmallScenario();
   netsim::ScenarioZa scenario = netsim::BuildScenarioZa(scenario_options);
@@ -114,7 +128,7 @@ RunResult RunDurable(const RunSpec& spec) {
   measure::Platform platform(*scenario.simulator, platform_options);
 
   measure::VantageConfig vantage;
-  vantage.baseline_tests_per_day = 10.0;
+  vantage.baseline_tests_per_day = spec.baseline_tests_per_day;
   vantage.user_tests_per_day = 4.0;
   for (const auto& unit : scenario.treated) {
     vantage.pop = unit.access_pop;
@@ -129,7 +143,7 @@ RunResult RunDurable(const RunSpec& spec) {
 
   const measure::FaultPlan plan = SmallPlan();
   measure::FaultInjector injector(plan);
-  platform.SetFaultInjector(&injector);
+  if (spec.faults) platform.SetFaultInjector(&injector);
 
   measure::PanelOptions panel_options;
   panel_options.bucket = core::SimTime::FromHours(6);
@@ -162,6 +176,7 @@ RunResult RunDurable(const RunSpec& spec) {
     return result;
   }
   result.stats = run.value();
+  result.ingested = stream.ingested();
   if (result.stats.outcome == durable::RunOutcome::kCompleted) {
     result.artifacts.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
     result.artifacts.metrics_json = obs::Registry::Global().SnapshotJson();
@@ -197,6 +212,18 @@ std::string NewestSnapshot(const std::string& dir) {
   return snaps.empty() ? std::string() : snaps.back().path;
 }
 
+/// Rewrites the journal at `path` from `frames` through the real writer,
+/// so every frame — a doctored one included — carries a valid
+/// FrameChecksum and passes ScanJournal.
+void WriteJournal(const std::string& path,
+                  const std::vector<durable::JournalFrame>& frames) {
+  durable::Journal journal;
+  ASSERT_TRUE(journal.Open(path, 0, 1));
+  for (const durable::JournalFrame& frame : frames) {
+    ASSERT_TRUE(journal.Append(frame.seq, frame.payload));
+  }
+}
+
 class DurableStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -209,6 +236,8 @@ class DurableStreamTest : public ::testing::Test {
   void TearDown() override {
     obs::Registry::Global().ResetAll();
     obs::Lineage::Global().Reset();
+    obs::Timeline::Global().Reset();
+    obs::Timeline::Enable(false);
     obs::Registry::Enable(metrics_were_enabled_);
     obs::Lineage::Enable(lineage_was_enabled_);
     core::ThreadPool::SetGlobalThreadCount(0);
@@ -505,6 +534,219 @@ TEST_F(DurableStreamTest, ShedOverloadIsDeterministicAcrossResume) {
   ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
   ExpectIdentical(resumed.artifacts, reference.artifacts,
                   "shed crash/resume at 8 threads");
+}
+
+// Frames 1..k of a resume from snapshot k are the source of its ingest
+// side, so a frame there that passes its checksum but does not decode
+// must fail the resume with a Status naming the frame: no exception, and
+// no allocation past what the frames before it hold. Each case rewrites
+// frame `victim` (covered by both snapshots, 5 and 10) and re-checksums it.
+TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
+  const std::string dir = MakeDir("durable-hostile");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;
+  ASSERT_TRUE(RunDurable(crash).ok);
+  const std::string journal = dir + "/journal.bin";
+  const durable::JournalScan scan = durable::ScanJournal(journal);
+  ASSERT_EQ(scan.frames.size(), 12u);
+
+  // DecodeStep is EncodeStep's exact inverse on every frame of the run.
+  std::vector<measure::StepOutput> steps;
+  std::vector<std::uint64_t> first_ids;
+  std::uint64_t next_id = 1;
+  for (const durable::JournalFrame& frame : scan.frames) {
+    core::Result<measure::StepOutput> step =
+        durable::DecodeStep(frame.payload, next_id);
+    ASSERT_TRUE(step.ok()) << "frame " << frame.seq << ": "
+                           << step.error().message();
+    first_ids.push_back(next_id);
+    next_id += step.value().records.size();
+    EXPECT_EQ(durable::EncodeStep(step.value(), next_id), frame.payload)
+        << "frame " << frame.seq;
+    steps.push_back(std::move(step).value());
+  }
+  std::uint64_t victim = 0;
+  for (std::uint64_t seq = 2; seq <= 5 && victim == 0; ++seq) {
+    if (!steps[seq - 1].records.empty()) victim = seq;
+  }
+  ASSERT_NE(victim, 0u) << "no frame in 2..5 has records";
+  const measure::StepOutput& step = steps[victim - 1];
+  const std::uint64_t first_id = first_ids[victim - 1];
+  const std::uint64_t watermark = first_id + step.records.size();
+  const std::string& original = scan.frames[victim - 1].payload;
+
+  const auto with = [&](const std::function<void(measure::StepOutput&)>& edit,
+                        std::uint64_t mark) {
+    measure::StepOutput edited = step;
+    edit(edited);
+    return durable::EncodeStep(edited, mark);
+  };
+  std::string huge_count = original;  // the record count is bytes 16..23
+  for (int i = 0; i < 8; ++i) {
+    huge_count[16 + i] =
+        static_cast<char>(((std::uint64_t{1} << 60) >> (8 * i)) & 0xff);
+  }
+  // Record 0's duplicate flag follows its fixed fields and city string.
+  std::string duplicate_two = original;
+  duplicate_two[24 + 8 + 8 + 4 + 8 + step.records[0].record.city.size() + 4 +
+                4 + 8 + 8 + 8 + 1 + 4] = 2;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"first record id 2^40",
+       with([](measure::StepOutput& s) {
+              s.records[0].record.id = core::MeasurementId(std::uint64_t{1}
+                                                           << 40);
+            },
+            watermark)},
+      {"intent byte 7",
+       with([](measure::StepOutput& s) {
+              s.records[0].record.intent = static_cast<measure::Intent>(7);
+            },
+            watermark)},
+      {"failure-reason byte 9",
+       with([](measure::StepOutput& s) {
+              s.failures.push_back({s.step_end, 0, measure::Intent::kBaseline,
+                                    static_cast<measure::ProbeFault>(9), 3});
+            },
+            watermark)},
+      {"record count 2^60", huge_count},
+      {"watermark off by one",
+       with([](measure::StepOutput&) {}, watermark + 1)},
+      {"one trailing byte", original + std::string(1, '\0')},
+      // The decoder's remaining checks.
+      {"fault-mask byte 16",
+       with([](measure::StepOutput& s) { s.records[0].fault_mask = 16; },
+            watermark)},
+      {"failure-intent byte 3",
+       with([](measure::StepOutput& s) {
+              s.failures.push_back({s.step_end, 0,
+                                    static_cast<measure::Intent>(3),
+                                    measure::ProbeFault::kProbeLoss, 3});
+            },
+            watermark)},
+      {"duplicate byte 2", duplicate_two},
+      {"one byte short", original.substr(0, original.size() - 1)},
+  };
+  for (const auto& [name, payload] : cases) {
+    std::vector<durable::JournalFrame> frames = scan.frames;
+    frames[victim - 1].payload = payload;
+    WriteJournal(journal, frames);
+    ASSERT_FALSE(durable::ScanJournal(journal).corrupt) << name;
+
+    RunSpec resume;
+    resume.dir = dir;
+    resume.resume = true;
+    const RunResult resumed = RunDurable(resume);
+    ASSERT_FALSE(resumed.ok) << name;
+    EXPECT_NE(resumed.error.find("journal frame " + std::to_string(victim) +
+                                 " does not decode"),
+              std::string::npos)
+        << name << ": " << resumed.error;
+    // The ledger's record column — what a hostile id would have grown —
+    // holds no more than the ids of the frames before the victim.
+    std::size_t column = 0;
+    obs::Lineage::Global().VisitRuns(
+        [&](const std::vector<obs::Lineage::RunLedger>& runs) {
+          for (const auto& run : runs) {
+            column = std::max(column, run.records.size());
+          }
+        });
+    EXPECT_LE(column, first_id - 1) << name;
+  }
+}
+
+// A snapshot whose record-id watermark is not its journal frame's would
+// restore a platform the rebuilt ingest side disagrees with. It is
+// rejected before the fast-forward like a corrupt one: the resume falls
+// back to the previous snapshot, rebuilds its 5 frames, and converges.
+TEST_F(DurableStreamTest, SnapshotWatermarkMismatchFallsBack) {
+  const Artifacts reference = Reference();
+  const std::string dir = MakeDir("durable-watermark");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;  // snapshots at 5 and 10
+  ASSERT_TRUE(RunDurable(crash).ok);
+
+  const std::string newest = NewestSnapshot(dir);
+  const durable::SnapshotRead read = durable::ReadSnapshotFile(newest);
+  ASSERT_TRUE(read.ok) << read.diagnostic;
+  std::string payload = read.payload;
+  payload[8] = static_cast<char>(payload[8] + 1);  // the watermark, after seq
+  ASSERT_TRUE(durable::WriteSnapshotFile(newest, payload));
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
+  EXPECT_EQ(resumed.stats.rebuilt_steps, 5u);
+  EXPECT_EQ(resumed.stats.replayed_steps, 7u);
+  ExpectIdentical(resumed.artifacts, reference, "snapshot watermark bumped");
+}
+
+// A snapshot's parts must agree with each other, not only with the
+// journal. Grafting snapshot 5's registry and timeline onto snapshot 10's
+// generator state leaves a timeline five steps behind, whose first
+// re-executed commit fails its step-order precondition: the resume must
+// return that as a Status, not let the exception escape.
+TEST_F(DurableStreamTest, SnapshotWithStaleTimelineFailsResumeCleanly) {
+  obs::Timeline::Enable(true);
+  const std::string dir = MakeDir("durable-stale-timeline");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;  // snapshots at 5 and 10
+  ASSERT_TRUE(RunDurable(crash).ok);
+
+  const auto snaps = durable::ListSnapshots(dir);
+  ASSERT_EQ(snaps.size(), 2u);
+  const std::string older = durable::ReadSnapshotFile(snaps[0].path).payload;
+  const std::string newer = durable::ReadSnapshotFile(snaps[1].path).payload;
+  // The generator state ends with the EWMA vector, whose u64 length sits
+  // after seq, watermark, cursor and the RNG (4 words, a bool, a double).
+  const std::size_t ewma_at = 8 + 8 + 8 + 32 + 1 + 8;
+  ASSERT_GT(newer.size(), ewma_at + 8);
+  std::uint64_t ewmas = 0;
+  for (int i = 0; i < 8; ++i) {
+    ewmas |= std::uint64_t{static_cast<unsigned char>(newer[ewma_at + i])}
+             << (8 * i);
+  }
+  const std::size_t head = ewma_at + 8 + 8 * ewmas;
+  ASSERT_LT(head, older.size());
+  ASSERT_TRUE(durable::WriteSnapshotFile(
+      snaps[1].path, newer.substr(0, head) + older.substr(head)));
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_FALSE(resumed.ok);
+  EXPECT_NE(resumed.error.find("at step 11"), std::string::npos)
+      << resumed.error;
+}
+
+// A snapshot holds generator state, the registry and the timeline, never
+// the records: the same 40 steps at four times the test rate leave a
+// newest snapshot of exactly the same size. Without a fault plan both
+// runs register the same metric names, which is what makes the gate exact.
+TEST_F(DurableStreamTest, SnapshotSizeDoesNotGrowWithRecords) {
+  std::uintmax_t bytes[2] = {0, 0};
+  std::uint64_t records[2] = {0, 0};
+  const double rates[2] = {10.0, 40.0};
+  for (int i = 0; i < 2; ++i) {
+    RunSpec spec;
+    spec.dir = MakeDir("durable-snapsize");
+    spec.stop_after = 40;
+    spec.baseline_tests_per_day = rates[i];
+    spec.faults = false;
+    const RunResult run = RunDurable(spec);
+    ASSERT_TRUE(run.ok) << run.error;
+    ASSERT_EQ(run.stats.snapshot_seq, 40u);
+    bytes[i] = fs::file_size(NewestSnapshot(spec.dir));
+    records[i] = run.ingested;
+  }
+  EXPECT_GT(records[1], 2 * records[0]);
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 // SIGTERM → clean interruption (journal flushed, final snapshot written),

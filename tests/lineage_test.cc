@@ -9,12 +9,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "causal/placebo.h"
 #include "causal/robust_synthetic_control.h"
-#include "core/binio.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "measure/faults.h"
@@ -306,105 +304,6 @@ TEST_F(LineageConservationTest, PlaceboAnalysisMarksRotatedDonors) {
   EXPECT_GT(totals.terminal[static_cast<std::size_t>(
                 obs::LineageStage::kDonor)],
             0u);
-}
-
-// ---------------------------------------------------------------------------
-// Hostile snapshot ledgers. Lineage::Load restores the ledger from a durable
-// snapshot, whose checksum a crafted file can satisfy. A cell or dropped-id
-// run reaching past the run's saved record column would later make
-// Totals() and the audit writer index (or allocate) far past it.
-
-/// One run in Lineage::Save's encoding: `records` archived entries with
-/// stage `stage`, one kept unit whose single cell holds the id-run
-/// encoding `cell`, and, when `dropped` is non-empty, a dropped unit
-/// holding that encoding.
-std::string LedgerBytes(std::uint64_t records,
-                        const std::vector<std::uint64_t>& cell,
-                        const std::vector<std::uint64_t>& dropped = {},
-                        std::uint8_t stage = 2) {
-  core::binio::Writer w;
-  w.PutU64(1);  // runs
-  w.PutString("hostile");
-  w.PutU64(records);
-  for (std::uint64_t i = 0; i < records; ++i) {
-    w.PutU32(7);      // vantage
-    w.PutU8(0);       // intent
-    w.PutU8(1);       // attempts
-    w.PutU8(0);       // fault mask
-    w.PutU8(1);       // copies
-    w.PutU8(stage);   // stage
-    w.PutBool(true);  // seen
-  }
-  w.PutU64(0);  // probe failures
-  w.PutU64(dropped.empty() ? 1 : 2);
-  w.PutString("unit-a");
-  w.PutBool(false);  // dropped
-  w.PutDouble(0.0);
-  w.PutU64(1);  // observed cells
-  w.PutU64(0);  // masked cells
-  w.PutU64(1);  // cells
-  w.PutU32(0);  // period
-  core::binio::PutU64Vector(w, cell);
-  core::binio::PutU64Vector(w, {});
-  w.PutBool(false);
-  w.PutBool(false);
-  if (!dropped.empty()) {
-    w.PutString("unit-b");
-    w.PutBool(true);
-    w.PutDouble(1.0);
-    w.PutU64(0);
-    w.PutU64(1);
-    w.PutU64(0);  // cells
-    core::binio::PutU64Vector(w, dropped);
-    w.PutBool(false);
-    w.PutBool(false);
-  }
-  w.PutU64(0);  // estimates
-  w.PutU64(0);  // empty units
-  w.PutU64(1);  // event count
-  return std::move(w).Take();
-}
-
-TEST(LineageLoadTest, AcceptsRunsWithinTheRecordColumn) {
-  Lineage ledger;
-  const std::string bytes = LedgerBytes(3, {1, 2}, {2, 1});  // {1,2}, {3}
-  core::binio::Reader reader(bytes);
-  ASSERT_TRUE(ledger.Load(reader));
-  EXPECT_EQ(ledger.run_count(), 1u);
-  const LineageWaterfall totals = ledger.Totals();
-  EXPECT_EQ(totals.emitted, 3u);
-  EXPECT_EQ(totals.terminal[static_cast<std::size_t>(
-                obs::LineageStage::kArchived)],
-            3u);
-}
-
-TEST(LineageLoadTest, RejectsACellPastTheRecordColumn) {
-  // Three records, and the one cell covers ids 1..2^40.
-  Lineage ledger;
-  const std::string bytes = LedgerBytes(3, {1, std::uint64_t{1} << 40});
-  core::binio::Reader reader(bytes);
-  EXPECT_FALSE(ledger.Load(reader));
-  EXPECT_EQ(ledger.run_count(), 0u);
-  EXPECT_EQ(ledger.Totals().emitted, 0u);
-}
-
-TEST(LineageLoadTest, RejectsWrappedAndMalformedRuns) {
-  const std::uint64_t max = ~std::uint64_t{0};
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"cell one id past the column", LedgerBytes(3, {1, 3, 0, 1})},
-      {"cell gap plus length wraps", LedgerBytes(3, {max, 2})},
-      {"second cell run wraps", LedgerBytes(3, {1, 1, max - 1, 2})},
-      {"dropped ids past the column", LedgerBytes(3, {1, 1}, {4, 1})},
-      {"dropped ids wrap", LedgerBytes(3, {1, 1}, {2, max})},
-      {"odd-length encoding", LedgerBytes(3, {1})},
-      {"stage outside LineageStage", LedgerBytes(3, {1, 1}, {}, 9)},
-  };
-  for (const auto& [name, bytes] : cases) {
-    Lineage ledger;
-    core::binio::Reader reader(bytes);
-    EXPECT_FALSE(ledger.Load(reader)) << name;
-    EXPECT_EQ(ledger.run_count(), 0u) << name;
-  }
 }
 
 // ---------------------------------------------------------------------------

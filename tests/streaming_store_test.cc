@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/binio.h"
 #include "measure/export.h"
 #include "measure/panel.h"
 #include "measure/platform.h"
@@ -153,50 +152,6 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
   const std::string csv = a.ToCsv();
   EXPECT_EQ(csv, b.ToCsv());
   EXPECT_NE(csv.find("shard,id,time_minutes,unit"), std::string::npos);
-}
-
-// A one-shard snapshot payload with one archived row: `unit` is the row's
-// unit index, `extra_ids` appends ids with no matching row in the other
-// columns.
-std::string OneRowShardPayload(std::uint32_t unit, std::size_t extra_ids) {
-  core::binio::Writer w;
-  w.PutU64(1);  // shard count
-  std::vector<std::uint64_t> ids = {1};
-  for (std::size_t i = 0; i < extra_ids; ++i) ids.push_back(2 + i);
-  core::binio::PutU64Vector(w, ids);
-  w.PutU64(1);  // time_minutes
-  w.PutI64(60);
-  w.PutU64(1);  // unit
-  w.PutU32(unit);
-  core::binio::PutDoubleVector(w, {12.5});  // rtt_ms
-  core::binio::PutDoubleVector(w, {0.01});  // loss_rate
-  core::binio::PutDoubleVector(w, {40.0});  // throughput_mbps
-  w.PutU64(1);  // intent
-  w.PutU8(0);
-  w.PutU64(1);  // attempts
-  w.PutU8(1);
-  w.PutU64(1);  // vantage_pop
-  w.PutU32(3);
-  w.PutU64(1);  // unit_names
-  w.PutString("AS3741|East London");
-  w.PutU64(0);  // quarantine reasons
-  w.PutU64(0);  // quarantined
-  return std::move(w).Take();
-}
-
-// Load must refuse a payload that decodes cleanly but is inconsistent: a
-// unit index past the interned names (ToCsv would read unit_names[99]) or
-// an id column longer than the others.
-TEST(ShardedStoreTest, LoadRejectsInconsistentColumns) {
-  const auto load = [](const std::string& payload) {
-    measure::ShardedMeasurementStore store({}, 1);
-    core::binio::Reader r(payload);
-    return store.Load(r);
-  };
-  EXPECT_TRUE(load(OneRowShardPayload(0, 0)));
-  EXPECT_FALSE(load(OneRowShardPayload(99, 0)));
-  EXPECT_FALSE(load(OneRowShardPayload(1, 0)));
-  EXPECT_FALSE(load(OneRowShardPayload(0, 1)));
 }
 
 // ---- IncrementalPanelBuilder vs BuildRttPanel -----------------------------
