@@ -1,5 +1,5 @@
-// On-disk layout of the indexed audit artifact (audit.bin, schema
-// sisyphus.audit/1 — DESIGN.md §12).
+// On-disk layout of the indexed audit artifact (audit.bin, version 2,
+// section schema sisyphus.audit/1 — DESIGN.md §12).
 //
 // The file is a pure function of the final lineage ledger, so every
 // determinism guarantee the ledger already carries (byte-identical at any
@@ -13,18 +13,22 @@
 // Layout (all integers little-endian, fixed-width — core/binio.h rules):
 //
 //   [0,  8)  magic "SISYAUD1"
-//   [8, 12)  u32 version (1)
+//   [8, 12)  u32 version (2)
 //   [12,16)  u32 flags (0)
 //   [16,24)  u64 section_count
 //   [24,32)  u64 table_offset
 //   [32,40)  u64 file_size
-//   [40,48)  u64 header_checksum = FNV-1a over bytes [0, 40)
+//   [40,48)  u64 header_checksum = Checksum64 over bytes [0, 40)
 //   ...      sections, each 8-byte aligned (zero padding between)
 //   table_offset:
 //            section_count entries of 40 bytes each:
 //              u64 kind, u64 run (~0 = global), u64 offset, u64 size,
-//              u64 checksum (FNV-1a over the section's bytes)
-//   ...      u64 table_checksum = FNV-1a over the table entry bytes
+//              u64 checksum (Checksum64 over the section's bytes)
+//   ...      u64 table_checksum = Checksum64 over the table entry bytes
+//
+// Checksum64 is core/hash.h's XXH64 with seed 0. Version 1 had the same
+// bytes with FNV-1a checksums; it is refused by its version word, not
+// read.
 //
 // A reader validates the header and table (O(index)), then verifies each
 // section checksum lazily on first access. Sections are 8-byte aligned so
@@ -38,7 +42,7 @@ namespace sisyphus::audit {
 
 inline constexpr char kAuditMagic[8] = {'S', 'I', 'S', 'Y',
                                         'A', 'U', 'D', '1'};
-inline constexpr std::uint32_t kAuditVersion = 1;
+inline constexpr std::uint32_t kAuditVersion = 2;
 inline constexpr const char* kAuditSchema = "sisyphus.audit/1";
 inline constexpr const char* kAuditFileName = "audit.bin";
 
@@ -49,7 +53,7 @@ inline constexpr std::uint64_t kAuditGlobalRun = ~std::uint64_t{0};
 
 /// Section kinds. Per run the writer emits one of each run-scoped kind;
 /// kMeta is global. Unknown kinds are skipped by readers (forward
-/// compatibility within version 1).
+/// compatibility within a version).
 enum class SectionKind : std::uint64_t {
   /// Global: schema string, run count, stage names, fault-bit names.
   kMeta = 1,

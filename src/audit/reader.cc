@@ -167,15 +167,18 @@ Status AuditReader::Open(const std::string& path) {
     Close();
     return Malformed(path, "bad magic (not an audit.bin)");
   }
-  if (ReadRawU32(b, 8) != kAuditVersion) {
+  if (const std::uint32_t version = ReadRawU32(b, 8);
+      version != kAuditVersion) {
     Close();
-    return Malformed(path, "unsupported version");
+    return Malformed(path, "unsupported version " + std::to_string(version) +
+                               " (this reader reads version " +
+                               std::to_string(kAuditVersion) + ")");
   }
   const std::uint64_t section_count = ReadRawU64(b, 16);
   const std::uint64_t table_offset = ReadRawU64(b, 24);
   const std::uint64_t file_size = ReadRawU64(b, 32);
   const std::uint64_t header_checksum = ReadRawU64(b, 40);
-  if (core::Fnv1a64(std::string_view(b, 40)) != header_checksum) {
+  if (core::Checksum64(std::string_view(b, 40)) != header_checksum) {
     Close();
     return Malformed(path, "header checksum mismatch");
   }
@@ -195,7 +198,7 @@ Status AuditReader::Open(const std::string& path) {
   const std::uint64_t table_bytes = section_count * kAuditTableEntrySize;
   const std::string_view table_view(b + table_offset,
                                     static_cast<std::size_t>(table_bytes));
-  if (core::Fnv1a64(table_view) !=
+  if (core::Checksum64(table_view) !=
       ReadRawU64(b, table_offset + table_bytes)) {
     Close();
     return Malformed(path, "section table checksum mismatch");
@@ -286,7 +289,7 @@ Status AuditReader::VerifyEntry(std::size_t index) const {
   const SectionEntry& entry = table_[index];
   const std::string_view bytes(base() + entry.offset,
                                static_cast<std::size_t>(entry.size));
-  if (core::Fnv1a64(bytes) != entry.checksum) {
+  if (core::Checksum64(bytes) != entry.checksum) {
     return Malformed(path_, "section checksum mismatch (kind " +
                                 std::to_string(entry.kind) + ", run " +
                                 (entry.run == kAuditGlobalRun

@@ -499,7 +499,7 @@ std::string BuildAuditArtifact(const obs::Lineage& lineage) {
     entry.offset = w.size();
     encode();
     entry.size = w.size() - entry.offset;
-    entry.checksum = core::Fnv1a64(
+    entry.checksum = core::Checksum64(
         std::string_view(w.buffer()).substr(entry.offset, entry.size));
     table.push_back(entry);
   };
@@ -539,7 +539,8 @@ std::string BuildAuditArtifact(const obs::Lineage& lineage) {
     w.PutU64(entry.size);
     w.PutU64(entry.checksum);
   }
-  w.PutU64(core::Fnv1a64(std::string_view(w.buffer()).substr(table_offset)));
+  w.PutU64(
+      core::Checksum64(std::string_view(w.buffer()).substr(table_offset)));
 
   // Header, then its checksum over the first 40 bytes.
   Writer header;
@@ -549,7 +550,7 @@ std::string BuildAuditArtifact(const obs::Lineage& lineage) {
   header.PutU64(table.size());
   header.PutU64(table_offset);
   header.PutU64(w.size());
-  header.PutU64(core::Fnv1a64(header.buffer()));
+  header.PutU64(core::Checksum64(header.buffer()));
   std::string file = std::move(w).Take();
   std::memcpy(file.data(), header.buffer().data(), header.size());
   return file;

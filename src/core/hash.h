@@ -1,7 +1,16 @@
-// FNV-1a hashing for provenance fingerprints (run manifests hash the
-// scenario options and fault plan so a reader can tell two runs apart
-// without diffing configs). Not cryptographic — collision resistance is
-// not a requirement here, stability across runs and platforms is.
+// The repo's two 64-bit hashes, one per purpose. Neither is cryptographic;
+// both are stable across runs and platforms.
+//
+// - Fnv1a64: content digests whose VALUE is part of an output or of a
+//   decision — cell and composition digests, shard choice (ShardOf),
+//   manifest and detector fingerprints, the chaos kill step. It runs a
+//   byte at a time, so it is kept off bulk data.
+// - Checksum64: the integrity checksum of every framed file (audit.bin,
+//   timeline.bin, journal frames, snapshots). It is XXH64: four 64-bit
+//   lanes over 32-byte stripes of little-endian words, an order of
+//   magnitude faster than Fnv1a64 on large buffers. Its value is never
+//   content; a format that changes checksum function changes its version
+//   word or magic.
 #pragma once
 
 #include <cstdint>
@@ -33,5 +42,9 @@ inline std::string Fnv1a64Hex(std::string_view bytes) {
                 static_cast<unsigned long long>(Fnv1a64(bytes)));
   return buffer;
 }
+
+/// XXH64 of `bytes` under `seed`: the integrity checksum of every framed
+/// file. Not incremental; each call hashes one contiguous buffer.
+std::uint64_t Checksum64(std::string_view bytes, std::uint64_t seed = 0);
 
 }  // namespace sisyphus::core

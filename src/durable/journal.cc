@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/binio.h"
@@ -21,19 +20,15 @@ namespace sisyphus::durable {
 namespace binio = core::binio;
 
 std::uint64_t FrameChecksum(std::uint64_t seq, std::string_view payload) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](std::uint8_t byte) {
-    hash ^= byte;
-    hash *= 0x100000001b3ull;
-  };
-  for (int shift = 0; shift < 64; shift += 8) {
-    mix(static_cast<std::uint8_t>(seq >> shift));
-  }
-  for (char c : payload) mix(static_cast<std::uint8_t>(c));
-  return hash;
+  return core::Checksum64(payload, seq);
 }
 
 namespace {
+
+/// Frame magic of the FNV-1a-checksummed format ("SISYJRNL"). It is
+/// recognised only to be refused by name: such a frame is corruption
+/// wherever it sits, never a torn tail.
+constexpr std::uint64_t kFnvJournalMagic = 0x4c4e524a59534953ull;
 
 std::string EncodeFrame(std::uint64_t seq, std::string_view payload) {
   binio::Writer w;
@@ -56,11 +51,15 @@ bool SyncFile(std::FILE* file) {
 
 JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
   JournalScan scan;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return scan;  // no journal yet: empty, valid
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
+  // One buffer sized from the file's length; each payload is copied out
+  // of it once, into its frame.
+  const std::streamoff length = in.tellg();
+  std::string bytes(length > 0 ? static_cast<std::size_t>(length) : 0, '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
 
   std::uint64_t expected_seq = first_seq;
   std::size_t offset = 0;
@@ -68,11 +67,13 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
     binio::Reader r(std::string_view(bytes).substr(offset));
     const std::uint64_t magic = r.GetU64();
     const std::uint64_t seq = r.GetU64();
-    const std::string payload = r.GetString();
+    std::string payload = r.GetString();
     const std::uint64_t checksum = r.GetU64();
 
     std::string what;
-    if (!r.ok()) {
+    if (magic == kFnvJournalMagic) {
+      what = "frame magic SISYJRNL (the FNV-1a journal format, not read)";
+    } else if (!r.ok()) {
       what = "incomplete frame";
     } else if (magic != kJournalMagic) {
       what = "bad frame magic";
@@ -85,11 +86,12 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
       // A bad FINAL frame (its declared extent reaches end of file, or the
       // file simply ran out) is a torn tail from a crash mid-write —
       // benign. A bad frame with data beyond it means the middle of the
-      // journal was damaged.
+      // journal was damaged, and a frame of the older format means the
+      // whole journal is one this build does not read.
       const std::size_t consumed =
           bytes.size() - offset - static_cast<std::size_t>(r.remaining());
       const bool reaches_eof = !r.ok() || offset + consumed >= bytes.size();
-      if (reaches_eof) {
+      if (reaches_eof && magic != kFnvJournalMagic) {
         scan.torn_tail = true;
       } else {
         scan.corrupt = true;
@@ -103,7 +105,7 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
         bytes.size() - offset - static_cast<std::size_t>(r.remaining());
     offset += consumed;
     scan.valid_bytes = offset;
-    scan.frames.push_back(JournalFrame{seq, payload});
+    scan.frames.push_back(JournalFrame{seq, std::move(payload)});
     ++expected_seq;
   }
   return scan;

@@ -3,24 +3,28 @@
 // One frame per platform step, appended BEFORE the step's batch is applied
 // to the campaign sink:
 //
-//   [u64 magic][u64 seq][u64 payload_len][payload bytes][u64 fnv]
+//   [u64 magic][u64 seq][u64 payload_len][payload bytes][u64 checksum]
 //
-// All integers little-endian; `fnv` is 64-bit FNV-1a over the 8 seq bytes
-// followed by the payload bytes. Appends are buffered and fsynced every
-// `fsync_every` frames (and on Flush), so a crash loses at most the
-// un-synced tail — which recovery simply regenerates. On a resume from a
-// snapshot at seq k the journal plays two roles (DESIGN.md §11). Frames
-// 1..k are the SOURCE of the ingest side (store arenas, panel aggregates,
-// lineage, probe failures): a snapshot carries only generator state, the
-// registry and the timeline, so those frames are decoded and re-ingested.
-// Frames after k are an integrity *witness*: those steps are re-executed
-// from the restored RNG/simulator state and the regenerated payload is
-// compared byte-for-byte against the journaled frame.
+// All integers little-endian; `checksum` is core::Checksum64 of the
+// payload bytes under seed `seq`. The magic is "SISYJRN2"; frames of the
+// FNV-1a format ("SISYJRNL") are refused by name, not read. Appends are
+// buffered and fsynced every `fsync_every` frames (and on Flush), so a
+// crash loses at most the un-synced tail — which recovery simply
+// regenerates.
+//
+// On a resume from a snapshot at seq k the journal plays two roles
+// (DESIGN.md §11). Frames 1..k are the SOURCE of the ingest side (store
+// arenas, panel aggregates, lineage, probe failures): a snapshot carries
+// only generator state, the registry and the timeline, so those frames
+// are decoded and re-ingested. Frames after k are an integrity *witness*:
+// those steps are re-executed from the restored RNG/simulator state and
+// the regenerated payload is compared byte-for-byte against the journaled
+// frame.
 //
 // Scan semantics: a torn or checksum-bad frame at the TAIL of the file is
 // benign (the valid prefix is kept, the tail truncated on reopen); a bad
-// frame with more data after it is corruption and must fail the resume
-// loudly.
+// frame with more data after it, or a frame of the older format anywhere,
+// is corruption and must fail the resume loudly.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +35,10 @@
 
 namespace sisyphus::durable {
 
-inline constexpr std::uint64_t kJournalMagic = 0x4c4e524a59534953ull;  // "SISYJRNL"
+inline constexpr std::uint64_t kJournalMagic = 0x324e524a59534953ull;  // "SISYJRN2"
 
-/// FNV-1a over the frame's seq (8 LE bytes) + payload — the checksum
-/// stored in the frame trailer.
+/// core::Checksum64(payload, seq) — the checksum stored in the frame
+/// trailer.
 std::uint64_t FrameChecksum(std::uint64_t seq, std::string_view payload);
 
 struct JournalFrame {

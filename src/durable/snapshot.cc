@@ -21,6 +21,20 @@ namespace sisyphus::durable {
 namespace binio = core::binio;
 namespace fs = std::filesystem;
 
+namespace {
+
+/// A magic word as its eight characters, '?' for a non-printable byte.
+std::string MagicText(std::uint64_t magic) {
+  std::string text(8, '?');
+  for (int i = 0; i < 8; ++i) {
+    const char c = static_cast<char>(magic >> (8 * i));
+    if (c >= 0x20 && c < 0x7f) text[i] = c;
+  }
+  return text;
+}
+
+}  // namespace
+
 std::string SnapshotPath(const std::string& dir, std::uint64_t seq) {
   char name[48];
   std::snprintf(name, sizeof(name), "snap-%020llu.bin",
@@ -33,7 +47,7 @@ bool WriteSnapshotFile(const std::string& path, std::string_view payload,
   binio::Writer w;
   w.PutU64(kSnapshotMagic);
   w.PutString(payload);
-  w.PutU64(core::Fnv1a64(payload));
+  w.PutU64(core::Checksum64(payload));
   const std::string framed = std::move(w).Take();
 
   const std::string tmp = path + ".tmp";
@@ -89,10 +103,12 @@ SnapshotRead ReadSnapshotFile(const std::string& path) {
     return result;
   }
   if (magic != kSnapshotMagic) {
-    result.diagnostic = "snapshot bad magic: " + path;
+    result.diagnostic = "snapshot bad magic \"" + MagicText(magic) +
+                        "\" (this build reads \"" +
+                        MagicText(kSnapshotMagic) + "\"): " + path;
     return result;
   }
-  if (checksum != core::Fnv1a64(payload)) {
+  if (checksum != core::Checksum64(payload)) {
     result.diagnostic = "snapshot checksum mismatch: " + path;
     return result;
   }

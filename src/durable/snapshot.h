@@ -3,13 +3,14 @@
 //
 // A snapshot file holds one framed payload:
 //
-//   [u64 magic][u64 payload_len][payload bytes][u64 fnv]
+//   [u64 magic][u64 payload_len][payload bytes][u64 checksum]
 //
-// written to `<path>.tmp`, fsynced, then renamed into place — so a crash
-// mid-write leaves either the previous snapshot or a `.tmp` orphan, never
-// a half-written `snap-*.bin`. A flipped byte anywhere in the file fails
-// the FNV-1a check on read, and recovery falls back to the previous
-// snapshot (DESIGN.md §11).
+// with `checksum` = core::Checksum64(payload), written to `<path>.tmp`,
+// fsynced, then renamed into place — so a crash mid-write leaves either
+// the previous snapshot or a `.tmp` orphan, never a half-written
+// `snap-*.bin`. A flipped byte anywhere in the file fails the magic,
+// length or checksum check on read, and recovery falls back to the
+// previous snapshot (DESIGN.md §11).
 //
 // Snapshots are named `snap-<seq, zero-padded>.bin` so a lexicographic
 // directory listing is also seq-ordered.
@@ -22,10 +23,11 @@
 
 namespace sisyphus::durable {
 
-/// Names the payload layout too: snapshots that still carried the store,
-/// panel and lineage ("SISYSNAP") fail the magic check and are rejected
-/// rather than misread.
-inline constexpr std::uint64_t kSnapshotMagic = 0x32504e5359534953ull;  // "SISYSNP2"
+/// Names the payload layout and the checksum: snapshots that still
+/// carried the store, panel and lineage ("SISYSNAP") or were checksummed
+/// with FNV-1a ("SISYSNP2") fail the magic check, which names the magic
+/// found, and are rejected rather than misread.
+inline constexpr std::uint64_t kSnapshotMagic = 0x33504e5359534953ull;  // "SISYSNP3"
 
 /// `<dir>/snap-00000000000000000042.bin`.
 std::string SnapshotPath(const std::string& dir, std::uint64_t seq);

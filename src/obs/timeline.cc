@@ -396,7 +396,7 @@ std::string Timeline::BuildArtifact() const {
     entry.run = run;
     entry.offset = file.size();
     entry.size = payload.size();
-    entry.checksum = core::Fnv1a64(payload);
+    entry.checksum = core::Checksum64(payload);
     table.push_back(entry);
     file += payload;
   };
@@ -458,7 +458,7 @@ std::string Timeline::BuildArtifact() const {
     AppendRawU64(table_bytes, entry.checksum);
   }
   file += table_bytes;
-  AppendRawU64(file, core::Fnv1a64(table_bytes));
+  AppendRawU64(file, core::Checksum64(table_bytes));
 
   std::string header;
   header.append(kTimelineMagic, sizeof(kTimelineMagic));
@@ -467,7 +467,7 @@ std::string Timeline::BuildArtifact() const {
   AppendRawU64(header, table.size());
   AppendRawU64(header, table_offset);
   AppendRawU64(header, file.size());
-  AppendRawU64(header, core::Fnv1a64(header));
+  AppendRawU64(header, core::Checksum64(header));
   std::memcpy(file.data(), header.data(), header.size());
   return file;
 }
@@ -585,26 +585,34 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
   const char* header = bytes_.data();
   const std::uint32_t version = ReadRawU32(header + 8);
   if (version != kTimelineVersion) {
-    return fail("unsupported version " + std::to_string(version));
+    return fail("unsupported version " + std::to_string(version) +
+                " (this reader reads version " +
+                std::to_string(kTimelineVersion) + ")");
   }
   const std::uint64_t section_count = ReadRawU64(header + 16);
   const std::uint64_t table_offset = ReadRawU64(header + 24);
   const std::uint64_t file_size = ReadRawU64(header + 32);
   const std::uint64_t header_checksum = ReadRawU64(header + 40);
-  if (core::Fnv1a64(std::string_view(header, 40)) != header_checksum) {
+  if (core::Checksum64(std::string_view(header, 40)) != header_checksum) {
     return fail("header checksum mismatch");
   }
   if (file_size != bytes_.size()) {
     return fail("file size mismatch (truncated or padded)");
   }
-  const std::uint64_t table_bytes =
-      section_count * kTimelineTableEntrySize;
-  if (table_offset + table_bytes + 8 != bytes_.size()) {
+  // The count is bounded by the bytes after table_offset before it is
+  // multiplied, so no product or sum below can wrap.
+  if (table_offset < kTimelineHeaderSize || table_offset > file_size - 8 ||
+      section_count >
+          (file_size - 8 - table_offset) / kTimelineTableEntrySize ||
+      table_offset + section_count * kTimelineTableEntrySize + 8 !=
+          file_size) {
     return fail("section table does not close the file");
   }
+  const std::uint64_t table_bytes =
+      section_count * kTimelineTableEntrySize;
   const std::string_view table(bytes_.data() + table_offset, table_bytes);
-  if (core::Fnv1a64(table) != ReadRawU64(bytes_.data() + table_offset +
-                                         table_bytes)) {
+  if (core::Checksum64(table) != ReadRawU64(bytes_.data() + table_offset +
+                                            table_bytes)) {
     return fail("table checksum mismatch");
   }
 
@@ -625,10 +633,10 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
     const std::uint64_t offset = ReadRawU64(entry + 16);
     const std::uint64_t size = ReadRawU64(entry + 24);
     const std::uint64_t checksum = ReadRawU64(entry + 32);
-    if (offset + size > table_offset) {
+    if (offset > table_offset || size > table_offset - offset) {
       return fail("section " + std::to_string(i) + " overruns the table");
     }
-    if (core::Fnv1a64(std::string_view(bytes_.data() + offset, size)) !=
+    if (core::Checksum64(std::string_view(bytes_.data() + offset, size)) !=
         checksum) {
       return fail("section " + std::to_string(i) + " checksum mismatch");
     }
@@ -700,6 +708,16 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
   for (const auto& [run, span] : series_sections) {
     if (run >= series_.size() || seen[run]) {
       return fail("series section run id invalid or duplicated");
+    }
+    // A counter delta takes at least one byte and a sample exactly eight,
+    // so the payload bounds every sample count a reader allocates for.
+    const TimelineSeriesView& view = series_[run];
+    const std::uint64_t payload = span.second;
+    if (view.kind == SeriesKind::kCounter
+            ? view.sample_count > payload
+            : payload % 8 != 0 || view.sample_count != payload / 8) {
+      return fail("series '" + view.name +
+                  "' payload cannot hold its sample count");
     }
     seen[run] = true;
     series_payload_[run] = span;

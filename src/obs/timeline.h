@@ -95,12 +95,14 @@ struct DetectionEvent {
 
 // ---------------------------------------------------------------------------
 // Artifact constants (timeline.bin) — same framing as audit.bin
-// (src/audit/format.h): 48-byte header, 8-byte-aligned FNV-1a-checksummed
-// sections, 40-byte table entries, trailing table checksum.
+// (src/audit/format.h): 48-byte header, 8-byte-aligned sections,
+// 40-byte table entries, trailing table checksum. Every checksum is
+// core::Checksum64 (seed 0). Version 2 changed only that function
+// (version 1 used FNV-1a); version 1 files are refused, not read.
 
 inline constexpr char kTimelineMagic[8] = {'S', 'I', 'S', 'Y',
                                           'T', 'M', 'L', '1'};
-inline constexpr std::uint32_t kTimelineVersion = 1;
+inline constexpr std::uint32_t kTimelineVersion = 2;
 inline constexpr std::size_t kTimelineHeaderSize = 48;
 inline constexpr std::size_t kTimelineTableEntrySize = 40;
 inline constexpr std::uint64_t kTimelineGlobalRun = ~std::uint64_t{0};

@@ -454,9 +454,11 @@ TEST(AuditStoreTest, RejectsCorruption) {
 
 // ---------------------------------------------------------------------------
 // Hostile counts: each file below carries one oversized count with every
-// FNV checksum recomputed, so the count reaches the decoder instead of
-// tripping a checksum. Each must come back as a Status, never a crash, a
-// wrapped size, or an allocation the file cannot back.
+// checksum recomputed, so the count reaches the decoder instead of
+// tripping a checksum. Each must come back as a Status naming the check
+// that caught it — never a crash, a wrapped size, an allocation the file
+// cannot back, or a checksum failure (which would mean a stale seal kept
+// the count from the decoder).
 
 std::uint64_t GetU64At(const std::string& bytes, std::uint64_t offset) {
   std::uint64_t v = 0;
@@ -508,18 +510,38 @@ std::uint64_t SectionOf(const std::string& file, audit::SectionKind kind) {
   return GetU64At(file, EntryOf(file, kind) + 16);
 }
 
-/// Recomputes the checksum of the section of `kind` and of the table.
-void Reseal(std::string& file, audit::SectionKind kind) {
-  const std::uint64_t entry = EntryOf(file, kind);
-  const std::uint64_t offset = GetU64At(file, entry + 16);
-  const std::uint64_t size = GetU64At(file, entry + 24);
-  PutU64At(file, entry + 32, core::Fnv1a64(std::string_view(file).substr(
-                                 offset, size)));
+std::uint64_t Checksum(std::string_view bytes) {
+  return core::Checksum64(bytes);
+}
+
+std::uint64_t Fnv(std::string_view bytes) { return core::Fnv1a64(bytes); }
+
+/// Recomputes every section checksum, then the table's and the header's,
+/// with `hash`; the section table itself must be intact.
+void Reseal(std::string& file,
+            std::uint64_t (*hash)(std::string_view) = Checksum) {
+  const std::uint64_t count = GetU64At(file, 16);
   const std::uint64_t table = GetU64At(file, 24);
-  const std::uint64_t table_bytes =
-      GetU64At(file, 16) * audit::kAuditTableEntrySize;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t entry = table + i * audit::kAuditTableEntrySize;
+    PutU64At(file, entry + 32,
+             hash(std::string_view(file).substr(GetU64At(file, entry + 16),
+                                                GetU64At(file, entry + 24))));
+  }
+  const std::uint64_t table_bytes = count * audit::kAuditTableEntrySize;
   PutU64At(file, table + table_bytes,
-           core::Fnv1a64(std::string_view(file).substr(table, table_bytes)));
+           hash(std::string_view(file).substr(table, table_bytes)));
+  PutU64At(file, 40, hash(std::string_view(file).substr(0, 40)));
+}
+
+/// `outcome` (a Status or a Result) failed as a parse error whose message
+/// contains `what`.
+template <typename Outcome>
+void ExpectParseError(const Outcome& outcome, const std::string& what) {
+  ASSERT_FALSE(outcome.ok()) << "expected \"" << what << "\"";
+  EXPECT_EQ(outcome.error().code(), core::ErrorCode::kParseError);
+  EXPECT_NE(outcome.error().message().find(what), std::string::npos)
+      << outcome.error().message();
 }
 
 /// Writes `bytes` to a temp file and opens it.
@@ -533,14 +555,13 @@ core::Status OpenCrafted(audit::AuditReader& reader, const std::string& bytes,
 TEST(AuditHostileCountTest, SectionCountThatWrapsTheTableSize) {
   std::string bad = SmallArtifact();
   // 2^61 entries of 40 bytes wrap to a 0-byte table, whose checksum is
-  // the FNV of nothing.
+  // the checksum of nothing.
   PutU64At(bad, 16, std::uint64_t{1} << 61);
-  PutU64At(bad, GetU64At(bad, 24), core::Fnv1a64(std::string_view()));
-  PutU64At(bad, 40, core::Fnv1a64(std::string_view(bad).substr(0, 40)));
+  PutU64At(bad, GetU64At(bad, 24), core::Checksum64(std::string_view()));
+  PutU64At(bad, 40, core::Checksum64(std::string_view(bad).substr(0, 40)));
   audit::AuditReader reader;
-  const core::Status status = OpenCrafted(reader, bad, "audit-sections.bin");
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code(), core::ErrorCode::kParseError);
+  ExpectParseError(OpenCrafted(reader, bad, "audit-sections.bin"),
+                   "section table out of bounds");
   EXPECT_FALSE(reader.is_open());
 }
 
@@ -549,11 +570,10 @@ TEST(AuditHostileCountTest, RunCountBeyondTheSectionTable) {
   // Meta = string schema (u64 length + bytes), then u64 run count.
   const std::uint64_t meta = SectionOf(bad, audit::SectionKind::kMeta);
   PutU64At(bad, meta + 8 + GetU64At(bad, meta), std::uint64_t{1} << 62);
-  Reseal(bad, audit::SectionKind::kMeta);
+  Reseal(bad);
   audit::AuditReader reader;
-  const core::Status status = OpenCrafted(reader, bad, "audit-runs.bin");
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code(), core::ErrorCode::kParseError);
+  ExpectParseError(OpenCrafted(reader, bad, "audit-runs.bin"),
+                   "run count exceeds the section table");
 }
 
 TEST(AuditHostileCountTest, DirectoryCountsAndSpansThatWrap) {
@@ -577,12 +597,12 @@ TEST(AuditHostileCountTest, DirectoryCountsAndSpansThatWrap) {
     }
   }
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    Reseal(variants[v], audit::SectionKind::kUnitIndex);
+    Reseal(variants[v]);
     audit::AuditReader reader;
     ASSERT_TRUE(OpenCrafted(reader, variants[v], "audit-dir.bin").ok());
     const auto unit = reader.FindUnit(0, "unit-b");
-    ASSERT_FALSE(unit.ok()) << "variant " << v;
-    EXPECT_EQ(unit.error().code(), core::ErrorCode::kParseError);
+    ExpectParseError(unit, v == 0 ? "directory slot table out of bounds"
+                                  : "directory entry out of bounds");
   }
 }
 
@@ -592,12 +612,37 @@ TEST(AuditHostileCountTest, RecordCountThatWrapsTheColumnSizes) {
   // seem to need 8 bytes.
   PutU64At(bad, SectionOf(bad, audit::SectionKind::kRecords),
            std::uint64_t{1} << 63);
-  Reseal(bad, audit::SectionKind::kRecords);
+  Reseal(bad);
   audit::AuditReader reader;
   ASSERT_TRUE(OpenCrafted(reader, bad, "audit-records.bin").ok());
   const auto columns = reader.Records(0);
-  ASSERT_FALSE(columns.ok());
-  EXPECT_EQ(columns.error().code(), core::ErrorCode::kParseError);
+  ExpectParseError(columns, "records section truncated");
+}
+
+// ---------------------------------------------------------------------------
+// Version 1 — the same bytes checksummed with FNV-1a — is refused by its
+// version word, not misread and not reported as a checksum failure.
+
+TEST(AuditFormatTest, RefusesTheFnvVersion1FramingByVersion) {
+  std::string old = SmallArtifact();
+  ASSERT_EQ(GetU64At(old, 8) & 0xffffffffu, audit::kAuditVersion);
+  old[8] = 1;
+  Reseal(old, Fnv);
+  audit::AuditReader reader;
+  ExpectParseError(OpenCrafted(reader, old, "audit-v1.bin"),
+                   "unsupported version 1");
+  EXPECT_FALSE(reader.is_open());
+
+  // The current version word under the old checksums is a damaged file.
+  std::string mixed = SmallArtifact();
+  Reseal(mixed, Fnv);
+  ExpectParseError(OpenCrafted(reader, mixed, "audit-v2-fnv.bin"),
+                   "header checksum mismatch");
+
+  // Resealing is the only difference: the same file opens once resealed.
+  Reseal(mixed);
+  ASSERT_TRUE(OpenCrafted(reader, mixed, "audit-v2.bin").ok());
+  EXPECT_TRUE(reader.VerifyAll().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -608,8 +653,11 @@ TEST(AuditHostileCountTest, RecordCountThatWrapsTheColumnSizes) {
 // and 10 ("10" sorts before "2" as a string), an intent code without a
 // canonical name, every fault bit, duplicated, shed, out-of-panel and
 // untracked records, a dropped unit, and donor lists that repeat a unit and
-// name unknown and dropped ones. The constant is the FNV-1a of the artifact
-// written by the string-keyed facet writer this format shipped with.
+// name unknown and dropped ones. The masked constant is the FNV-1a of the
+// artifact with its version word and every checksum zeroed; it was first
+// taken from the string-keyed facet writer this format shipped with, and
+// it held when version 2 replaced FNV-1a checksums with Checksum64. The
+// full-file constant pins those words too.
 
 obs::LineageRecordInfo EdgeRecord(std::uint64_t id, std::uint32_t vantage,
                                   std::uint8_t intent,
@@ -681,7 +729,18 @@ TEST(AuditStoreTest, EdgeCaseLedgerBytesArePinned) {
   BuildEdgeCaseLedger();
   const std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
   EXPECT_EQ(artifact.size(), 6952u);
-  EXPECT_EQ(core::Fnv1a64(artifact), 0xfa8120684de4c18cull);
+  EXPECT_EQ(core::Fnv1a64(artifact), 0xa0e90671fd32197aull);
+
+  std::string masked = artifact;
+  const std::uint64_t count = GetU64At(masked, 16);
+  const std::uint64_t table = GetU64At(masked, 24);
+  masked.replace(8, 4, 4, '\0');    // version word
+  masked.replace(40, 8, 8, '\0');   // header checksum
+  for (std::uint64_t i = 0; i < count; ++i) {
+    masked.replace(table + i * audit::kAuditTableEntrySize + 32, 8, 8, '\0');
+  }
+  masked.replace(table + count * audit::kAuditTableEntrySize, 8, 8, '\0');
+  EXPECT_EQ(core::Fnv1a64(masked), 0x35ae449cd688017aull);
 }
 
 TEST(AuditStoreTest, EdgeCaseLedgerMatchesOracle) {

@@ -36,6 +36,8 @@
 #include <vector>
 
 #include "audit/writer.h"
+#include "core/binio.h"
+#include "core/hash.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/sim_time.h"
@@ -848,7 +850,65 @@ TEST(DurableJournalTest, ChecksumCoversSeqAndPayload) {
   EXPECT_NE(durable::FrameChecksum(1, "alpha"),
             durable::FrameChecksum(1, "alphb"));
   EXPECT_EQ(durable::FrameChecksum(7, "payload"),
-            durable::FrameChecksum(7, "payload"));
+            core::Checksum64("payload", 7));
+}
+
+/// Writes `bytes` as the whole file at `path`.
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One frame of the FNV-1a journal format: magic "SISYJRNL", and FNV-1a
+/// over the 8 seq bytes and then the payload.
+std::string FnvJournalFrame(std::uint64_t seq, const std::string& payload) {
+  core::binio::Writer seq_bytes;
+  seq_bytes.PutU64(seq);
+  core::binio::Writer w;
+  w.PutRaw("SISYJRNL");
+  w.PutU64(seq);
+  w.PutString(payload);
+  w.PutU64(core::Fnv1a64(payload, core::Fnv1a64(seq_bytes.buffer())));
+  return std::move(w).Take();
+}
+
+TEST(DurableJournalTest, ScanRefusesTheFnvFrameFormatByMagic) {
+  const std::string dir = MakeDir("durable-jfnv");
+  const std::string path = dir + "/journal.bin";
+
+  // Its only frame is the file's tail, yet it is no torn write: the scan
+  // names the format instead of truncating it away.
+  const std::string frame = FnvJournalFrame(1, "alpha");
+  WriteBytes(path, frame);
+  const durable::JournalScan only = durable::ScanJournal(path);
+  EXPECT_TRUE(only.frames.empty());
+  EXPECT_FALSE(only.torn_tail);
+  EXPECT_TRUE(only.corrupt);
+  EXPECT_NE(only.diagnostic.find("frame magic SISYJRNL"), std::string::npos)
+      << only.diagnostic;
+  EXPECT_EQ(only.valid_bytes, 0u);
+
+  // Cut short, it is still refused by name.
+  WriteBytes(path, frame.substr(0, frame.size() - 3));
+  const durable::JournalScan cut = durable::ScanJournal(path);
+  EXPECT_TRUE(cut.corrupt);
+  EXPECT_NE(cut.diagnostic.find("frame magic SISYJRNL"), std::string::npos)
+      << cut.diagnostic;
+
+  // After valid frames, it ends the valid prefix and fails the scan.
+  durable::Journal journal;
+  ASSERT_TRUE(journal.Open(path, 0, 1));
+  ASSERT_TRUE(journal.Append(1, "alpha"));
+  journal.Close();
+  const std::uint64_t first_frame = fs::file_size(path);
+  std::ofstream(path, std::ios::binary | std::ios::app)
+      << FnvJournalFrame(2, "bravo");
+  const durable::JournalScan mixed = durable::ScanJournal(path);
+  ASSERT_EQ(mixed.frames.size(), 1u);
+  EXPECT_EQ(mixed.valid_bytes, first_frame);
+  EXPECT_TRUE(mixed.corrupt);
+  EXPECT_NE(mixed.diagnostic.find("frame magic SISYJRNL"), std::string::npos)
+      << mixed.diagnostic;
 }
 
 // ---------------------------------------------------------------------------
@@ -871,6 +931,23 @@ TEST(DurableSnapshotTest, RoundTripAndCorruptionDetection) {
   durable::SnapshotRead bad = durable::ReadSnapshotFile(path);
   EXPECT_FALSE(bad.ok);
   EXPECT_FALSE(bad.diagnostic.empty());
+}
+
+TEST(DurableSnapshotTest, RefusesTheFnvFormatByMagic) {
+  const std::string dir = MakeDir("durable-snapfnv");
+  const std::string path = durable::SnapshotPath(dir, 7);
+  // The FNV-1a framing: magic "SISYSNP2", checksum FNV-1a of the payload.
+  core::binio::Writer w;
+  w.PutRaw("SISYSNP2");
+  w.PutString("snapshot payload");
+  w.PutU64(core::Fnv1a64("snapshot payload"));
+  WriteBytes(path, std::move(w).Take());
+  const durable::SnapshotRead read = durable::ReadSnapshotFile(path);
+  EXPECT_FALSE(read.ok);
+  EXPECT_NE(read.diagnostic.find("\"SISYSNP2\""), std::string::npos)
+      << read.diagnostic;
+  EXPECT_NE(read.diagnostic.find("\"SISYSNP3\""), std::string::npos)
+      << read.diagnostic;
 }
 
 TEST(DurableSnapshotTest, PruneKeepsNewest) {

@@ -1,8 +1,9 @@
-# Compares the structural work counters of a table1 run's metrics.json with
-# the golden copy. These counters count work items (route-cache reads, BGP
-# table builds, SVD and QR calls), never floating-point results, so they
-# hold byte for byte on any host; a change that moves one must update the
-# golden on purpose.
+# Compares the structural work counters of a table1 run's metrics.json, and
+# the byte sizes of the audit.bin and timeline.bin beside it, with the
+# golden copy. These count work items (route-cache reads, BGP table builds,
+# SVD and QR calls) and bytes written, never floating-point results, so
+# they hold byte for byte on any host; a change that moves one must update
+# the golden on purpose.
 #
 #   cmake -DMETRICS=<metrics.json> -DGOLDEN=<counters file>
 #         -P table1_work_counters_golden.cmake
@@ -21,6 +22,14 @@ foreach(counter ${counters})
     message(FATAL_ERROR "${METRICS} has no counter ${counter}")
   endif()
   string(APPEND actual "${counter} ${CMAKE_MATCH_1}\n")
+endforeach()
+get_filename_component(run_dir ${METRICS} DIRECTORY)
+foreach(artifact audit.bin timeline.bin)
+  if(NOT EXISTS ${run_dir}/${artifact})
+    message(FATAL_ERROR "${run_dir} has no ${artifact}")
+  endif()
+  file(SIZE ${run_dir}/${artifact} bytes)
+  string(APPEND actual "${artifact}.bytes ${bytes}\n")
 endforeach()
 file(READ ${GOLDEN} golden)
 if(NOT actual STREQUAL golden)

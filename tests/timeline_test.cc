@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/binio.h"
+#include "core/hash.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/sim_time.h"
@@ -369,6 +371,158 @@ TEST_F(TimelineTest, ArtifactRejectsCorruption) {
     std::string error;
     EXPECT_FALSE(reader.Parse(std::move(bad), &error))
         << "flip at offset " << offset << " parsed";
+  }
+}
+
+/// Little-endian u64 at `offset`, read and written byte by byte.
+std::uint64_t GetU64At(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[offset + i]);
+  }
+  return v;
+}
+
+void PutU64At(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+std::uint64_t Checksum(std::string_view bytes) {
+  return core::Checksum64(bytes);
+}
+
+std::uint64_t Fnv(std::string_view bytes) { return core::Fnv1a64(bytes); }
+
+/// Recomputes the table checksum and then the header's with `hash`.
+void ResealTable(std::string& file,
+                 std::uint64_t (*hash)(std::string_view) = Checksum) {
+  const std::size_t table = GetU64At(file, 24);
+  const std::size_t table_bytes =
+      GetU64At(file, 16) * obs::kTimelineTableEntrySize;
+  PutU64At(file, table + table_bytes,
+           hash(std::string_view(file).substr(table, table_bytes)));
+  PutU64At(file, 40, hash(std::string_view(file).substr(0, 40)));
+}
+
+/// Recomputes every section checksum, then the table's and the header's.
+void Reseal(std::string& file,
+            std::uint64_t (*hash)(std::string_view) = Checksum) {
+  const std::uint64_t count = GetU64At(file, 16);
+  const std::uint64_t table = GetU64At(file, 24);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t entry = table + i * obs::kTimelineTableEntrySize;
+    PutU64At(file, entry + 32,
+             hash(std::string_view(file).substr(GetU64At(file, entry + 16),
+                                                GetU64At(file, entry + 24))));
+  }
+  ResealTable(file, hash);
+}
+
+TEST_F(TimelineTest, ArtifactRefusesTheFnvVersion1FramingByVersion) {
+  const std::string artifact = SmallArtifact();
+  ASSERT_EQ(GetU64At(artifact, 8) & 0xffffffffu, obs::kTimelineVersion);
+
+  std::string old = artifact;
+  old[8] = 1;
+  Reseal(old, Fnv);
+  TimelineReader reader;
+  std::string error;
+  EXPECT_FALSE(reader.Parse(old, &error));
+  EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
+
+  // Version 2 under FNV-1a checksums is a damaged file, not version 1.
+  std::string mixed = artifact;
+  Reseal(mixed, Fnv);
+  EXPECT_FALSE(reader.Parse(mixed, &error));
+  EXPECT_EQ(error, "header checksum mismatch");
+  Reseal(mixed);
+  EXPECT_TRUE(reader.Parse(mixed, &error)) << error;
+}
+
+// Hostile counts: each file below carries one count or span that wraps a
+// product or a sum, with every checksum recomputed so it reaches the
+// decoder. Each must fail with the message of the check that caught it —
+// never read out of bounds or allocate for a count the bytes cannot hold.
+
+/// Series with no detector and no events: one counter, one gauge.
+std::string PlainArtifact() {
+  Timeline& timeline = Timeline::Global();
+  const std::uint32_t counter = timeline.DeclareCounter("plain.count");
+  const std::uint32_t gauge = timeline.DeclareGauge("plain.level");
+  for (std::uint64_t step = 1; step <= 4; ++step) {
+    timeline.SampleCounter(step, counter, 3 * step);
+    timeline.SampleGauge(step, gauge, 0.5 * static_cast<double>(step));
+    timeline.CommitStep(step);
+  }
+  return timeline.BuildArtifact();
+}
+
+/// File offset of series `id`'s first_step field in the meta section of a
+/// PlainArtifact; its sample_count follows at +8.
+std::size_t FirstStepFieldOf(const std::string& file, std::uint64_t id) {
+  const std::uint64_t count = GetU64At(file, 16);
+  const std::uint64_t table = GetU64At(file, 24);
+  std::size_t pos = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t entry = table + i * obs::kTimelineTableEntrySize;
+    if (GetU64At(file, entry) ==
+        static_cast<std::uint64_t>(obs::TimelineSectionKind::kMeta)) {
+      pos = GetU64At(file, entry + 16);
+    }
+  }
+  pos += 8 + GetU64At(file, pos);  // schema
+  pos += 5 * 8;  // step count, first, last, series count, event count
+  for (std::uint64_t series = 0;; ++series) {
+    pos += 8 + GetU64At(file, pos);  // name
+    pos += 2 + 8;                    // kind, detector, fingerprint
+    if (series == id) return pos;
+    pos += 16;  // first_step, sample_count
+  }
+}
+
+TEST_F(TimelineTest, ArtifactRejectsHostileCounts) {
+  const std::string good = PlainArtifact();
+  TimelineReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(good, &error)) << error;
+  const auto expect_rejected = [&](const std::string& bad,
+                                   const std::string& what) {
+    TimelineReader hostile;
+    std::string why;
+    EXPECT_FALSE(hostile.Parse(bad, &why)) << "expected \"" << what << "\"";
+    EXPECT_NE(why.find(what), std::string::npos) << why;
+  };
+
+  // 2^61 entries of 40 bytes wrap to an empty table that closes the file.
+  std::string sections = good;
+  PutU64At(sections, 16, std::uint64_t{1} << 61);
+  PutU64At(sections, 24, sections.size() - 8);
+  ResealTable(sections);
+  expect_rejected(sections, "section table does not close the file");
+
+  // A section whose offset + size wraps to a small number.
+  std::string span = good;
+  const std::size_t entry = GetU64At(span, 24);
+  PutU64At(span, entry + 16, ~std::uint64_t{0} - 7);
+  PutU64At(span, entry + 24, 16);
+  ResealTable(span);
+  expect_rejected(span, "section 0 overruns the table");
+
+  // Sample counts past what the payload holds, kept dense to the last
+  // step by moving first_step back by the same amount: 2^61 more gauge
+  // samples wrap count * 8 back to the payload size, and 2^40 more
+  // counter deltas would be reserved before the first one is read.
+  for (const auto& [series, extra] :
+       {std::pair<std::uint64_t, std::uint64_t>{1, std::uint64_t{1} << 61},
+        std::pair<std::uint64_t, std::uint64_t>{0, std::uint64_t{1} << 40}}) {
+    std::string samples = good;
+    const std::size_t field = FirstStepFieldOf(samples, series);
+    PutU64At(samples, field, GetU64At(samples, field) - extra);
+    PutU64At(samples, field + 8, GetU64At(samples, field + 8) + extra);
+    Reseal(samples);
+    expect_rejected(samples, "payload cannot hold its sample count");
   }
 }
 
