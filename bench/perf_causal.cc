@@ -150,13 +150,17 @@ std::vector<measure::PendingRecord> SynthesizeStream(std::size_t count) {
   core::Rng rng(46);
   const auto horizon_minutes =
       static_cast<std::int64_t>(core::SimTime::FromDays(56).minutes());
+  std::vector<measure::Unit> units;
+  for (std::uint32_t k = 0; k < 8; ++k) {
+    units.push_back(
+        measure::Unit::Intern(core::Asn(3741 + k), "City" + std::to_string(k)));
+  }
   std::vector<measure::PendingRecord> batch(count);
   for (std::size_t i = 0; i < count; ++i) {
     measure::SpeedTestRecord& r = batch[i].record;
     r.id = core::MeasurementId(i + 1);
     r.time = core::SimTime(static_cast<std::int64_t>(i) % horizon_minutes);
-    r.asn = core::Asn(3741 + static_cast<std::uint32_t>(i % 8));
-    r.city = "City" + std::to_string(i % 8);
+    r.unit = units[i % 8];
     r.vantage_pop = static_cast<netsim::PopIndex>(i % 64);
     r.rtt_ms = 20.0 + 5.0 * rng.Gaussian();
     if (r.rtt_ms < 1.0) r.rtt_ms = 1.0;

@@ -238,6 +238,53 @@ void BM_CampaignDayThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignDayThroughput)->Unit(benchmark::kMillisecond);
 
+// The streaming counterpart of BM_CampaignDayThroughput: one simulated day
+// of the Table 1 campaign at 40x the default test rates (table1's --scale
+// 40), each step through GenerateStep and StreamingCampaign::IngestBatch —
+// the loop perfbench's stream, audited and durable workloads run. items/s
+// is records generated and ingested.
+void BM_StreamingDayThroughput(benchmark::State& state) {
+  constexpr double kScale = 40.0;
+  const core::SimTime until = core::SimTime::FromDays(1);
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const netsim::ScenarioZaOptions options;
+    auto scenario = netsim::BuildScenarioZa(options);
+    measure::PlatformOptions platform_options;
+    platform_options.server = scenario.content_jnb;
+    platform_options.step = core::SimTime::FromHours(1);
+    measure::Platform platform(*scenario.simulator, platform_options);
+    measure::VantageConfig vantage;
+    vantage.baseline_tests_per_day = 10.0 * kScale;
+    vantage.user_tests_per_day = 4.0 * kScale;
+    for (const auto& unit : scenario.treated) {
+      vantage.pop = unit.access_pop;
+      platform.AddVantage(vantage);
+    }
+    for (auto donor : scenario.donors) {
+      vantage.pop = donor;
+      platform.AddVantage(vantage);
+    }
+    measure::StreamingOptions streaming;
+    streaming.panel.bucket = core::SimTime::FromHours(6);
+    streaming.panel.periods = static_cast<std::size_t>(
+        options.horizon.minutes() / streaming.panel.bucket.minutes());
+    measure::StreamingCampaign campaign(platform_options.validation,
+                                        streaming);
+    core::Rng rng(options.seed);
+    state.ResumeTiming();
+    while (platform.Now() < until) {
+      const measure::StepOutput step = platform.GenerateStep(until, rng);
+      campaign.IngestBatch(step.records);
+    }
+    records += static_cast<std::int64_t>(campaign.ingested());
+    benchmark::DoNotOptimize(campaign.store().size());
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_StreamingDayThroughput)->Unit(benchmark::kMillisecond);
+
 // Write-ahead journal append throughput at representative step-batch
 // payload sizes (a scale-1 table1 step serializes to a few KiB). The cost
 // is dominated by the fsync every 8 frames — the durability tax the

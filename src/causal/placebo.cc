@@ -1,6 +1,7 @@
 #include "causal/placebo.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -96,6 +97,20 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
   auto treated = FitWithMethod(input, options, shared_r);
   if (!treated.ok()) return treated.error();
   out.treated_fit = std::move(treated).value();
+  // An exact fit before and after treatment (an all-zero panel, or one
+  // whose squares underflow) has no RMSE ratio: 0 over the floor would
+  // read as "no effect" with p = 1.
+  if (out.treated_fit.rmse_pre < kRmseFloor &&
+      out.treated_fit.rmse_post < kRmseFloor) {
+    char detail[192];
+    std::snprintf(detail, sizeof(detail),
+                  "RunPlaceboAnalysis: the treated fit's pre- and "
+                  "post-period RMSE (%g, %g) are both below the %g floor, "
+                  "so its RMSE ratio is undefined",
+                  out.treated_fit.rmse_pre, out.treated_fit.rmse_post,
+                  kRmseFloor);
+    return Error(ErrorCode::kNumericalFailure, detail);
+  }
 
   // Donor placebo fits are independent and deterministic (no RNG), so they
   // fan out across the pool; the skip-filter reduction below runs in donor
@@ -129,7 +144,7 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
     }
     if (options.max_pre_rmse_multiple > 0.0 &&
         run.rmse_pre > options.max_pre_rmse_multiple *
-                           std::max(out.treated_fit.rmse_pre, 1e-9)) {
+                           std::max(out.treated_fit.rmse_pre, kRmseFloor)) {
       SISYPHUS_METRIC_COUNT("causal.placebo.skipped", 1);
       ++out.skipped_donors;
       continue;

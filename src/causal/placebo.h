@@ -45,7 +45,10 @@ struct PlaceboOptions {
 /// to the pool), and computes the rank p-value. Robust fits of a pool with
 /// at least as many periods as donors share one QR factorization of the
 /// donor matrix (DESIGN.md §4).
-/// Fails if the treated fit fails or fewer than 2 placebo runs succeed.
+/// Fails if the input does not validate (an overflowing magnitude is a
+/// kNumericalFailure), the treated fit fails, the treated fit's pre- and
+/// post-period RMSE are both below kRmseFloor (kNumericalFailure: the
+/// ratio is undefined), or fewer than 2 placebo runs succeed.
 core::Result<PlaceboResult> RunPlaceboAnalysis(
     const SyntheticControlInput& input, const PlaceboOptions& options = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "core/error.h"
 #include "obs/lineage.h"
@@ -52,6 +53,7 @@ core::Status SyntheticControlInput::Validate() const {
                      std::to_string(value) + " at period " +
                      std::to_string(period));
   };
+  double largest = 0.0;
   for (std::size_t t = 0; t < treated.size(); ++t) {
     if (!std::isfinite(treated[t])) {
       return non_finite(treated_name.empty()
@@ -59,16 +61,37 @@ core::Status SyntheticControlInput::Validate() const {
                             : "treated series '" + treated_name + "'",
                         t, treated[t]);
     }
+    largest = std::max(largest, std::abs(treated[t]));
   }
   for (std::size_t t = 0; t < donors.rows(); ++t) {
     const auto row = donors.Row(t);
     for (std::size_t c = 0; c < row.size(); ++c) {
-      if (std::isfinite(row[c])) continue;
-      return non_finite(donor_names.empty()
-                            ? "donor " + std::to_string(c)
-                            : "donor '" + donor_names[c] + "'",
-                        t, row[c]);
+      if (!std::isfinite(row[c])) {
+        return non_finite(donor_names.empty()
+                              ? "donor " + std::to_string(c)
+                              : "donor '" + donor_names[c] + "'",
+                          t, row[c]);
+      }
+      largest = std::max(largest, std::abs(row[c]));
     }
+  }
+  // Every fit sums squares of the entries and of gaps between them (norms,
+  // Gram products, RMSEs) over at most periods x (donors + 1) terms. Past
+  // this magnitude those sums overflow, and the estimators would fail deep
+  // inside (a simplex projection's precondition, a decomposition's
+  // "non-finite entry") on input that is finite.
+  const double limit = std::sqrt(
+      std::numeric_limits<double>::max() /
+      (4.0 * static_cast<double>(treated.size()) *
+       static_cast<double>(donors.cols() + 1)));
+  if (largest > limit) {
+    char detail[256];
+    std::snprintf(detail, sizeof(detail),
+                  "SyntheticControlInput: entries up to %g overflow the "
+                  "fits' sums of squares (limit %g for %zu periods x %zu "
+                  "donors)",
+                  largest, limit, treated.size(), donors.cols());
+    return Error(ErrorCode::kNumericalFailure, detail);
   }
   return core::Status::Ok();
 }
@@ -137,8 +160,7 @@ SyntheticControlFit DiagnoseWeights(const SyntheticControlInput& input,
   fit.rmse_pre = masked_rmse(0, input.pre_periods);
   fit.rmse_post = masked_rmse(input.pre_periods, periods);
   // Guard the ratio against a (near-)perfect pre fit.
-  const double floor = 1e-9;
-  fit.rmse_ratio = fit.rmse_post / std::max(fit.rmse_pre, floor);
+  fit.rmse_ratio = fit.rmse_post / std::max(fit.rmse_pre, kRmseFloor);
 
   fit.post_effects.resize(periods - input.pre_periods);
   double sum = 0.0;

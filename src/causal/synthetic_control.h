@@ -48,9 +48,16 @@ struct SyntheticControlInput {
 
   /// Shape/parameter validation shared by both estimators. Also rejects a
   /// NaN or infinite value in `treated` or `donors` (kInvalidArgument,
-  /// naming the series and the period).
+  /// naming the series and the period), and entries so large that the
+  /// sums of squares every fit forms would overflow (kNumericalFailure,
+  /// naming the overflow).
   core::Status Validate() const;
 };
+
+/// The RMSE below which a fit counts as exact: the RMSE ratio divides by
+/// at least this, and a placebo analysis rejects a treated fit whose pre-
+/// and post-period RMSE are both below it.
+inline constexpr double kRmseFloor = 1e-9;
 
 /// A fitted synthetic control with the paper's diagnostics.
 struct SyntheticControlFit {

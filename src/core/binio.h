@@ -119,13 +119,17 @@ class Reader {
     return v;
   }
 
-  std::string GetString() {
-    const std::uint64_t length = GetU64();
+  std::string GetString() { return std::string(GetRaw(GetU64())); }
+
+  /// The next `length` raw bytes, viewed in place (PutRaw's inverse; a
+  /// length-prefixed string is GetRaw(GetU64())).
+  std::string_view GetRaw(std::uint64_t length) {
     if (!ok_ || length > data_.size() - pos_) {
       ok_ = false;
-      return std::string();
+      return std::string_view();
     }
-    std::string out(data_.substr(pos_, static_cast<std::size_t>(length)));
+    const std::string_view out =
+        data_.substr(pos_, static_cast<std::size_t>(length));
     pos_ += static_cast<std::size_t>(length);
     return out;
   }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "core/binio.h"
@@ -136,8 +137,8 @@ std::string EncodeStep(const measure::StepOutput& step,
     const measure::SpeedTestRecord& r = pending.record;
     w.PutU64(r.id.value());
     w.PutI64(r.time.minutes());
-    w.PutU32(r.asn.value());
-    w.PutString(r.city);
+    w.PutU32(r.unit.asn().value());
+    w.PutString(r.unit.city());
     w.PutU32(r.vantage_pop);
     w.PutU32(r.server_pop);
     w.PutDouble(r.rtt_ms);
@@ -159,8 +160,9 @@ std::string EncodeStep(const measure::StepOutput& step,
   return std::move(w).Take();
 }
 
-core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
-                                             std::uint64_t first_record_id) {
+core::Result<measure::StepOutput> DecodeStep(
+    std::string_view payload, std::uint64_t first_record_id,
+    const measure::Platform& platform) {
   const auto malformed = [](const std::string& why) {
     return core::Error(core::ErrorCode::kParseError, why);
   };
@@ -182,14 +184,17 @@ core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
                      " exceeds the payload's bytes");
   }
   step.records.reserve(static_cast<std::size_t>(record_count));
+  // Records come in runs of one vantage: its unit is looked up once a run.
+  std::optional<measure::Unit> unit;
+  netsim::PopIndex unit_vantage = 0;
   for (std::uint64_t i = 0; i < record_count; ++i) {
     measure::PendingRecord pending;
     measure::SpeedTestRecord& rec = pending.record;
     const std::uint64_t id = r.GetU64();
     rec.time = core::SimTime(r.GetI64());
-    rec.asn = core::Asn(r.GetU32());
-    rec.city = r.GetString();
-    rec.vantage_pop = r.GetU32();
+    const std::uint32_t asn = r.GetU32();
+    const std::string_view city = r.GetRaw(r.GetU64());
+    const netsim::PopIndex vantage = r.GetU32();
     rec.server_pop = r.GetU32();
     rec.rtt_ms = r.GetDouble();
     rec.loss_rate = r.GetDouble();
@@ -204,15 +209,32 @@ core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
                        std::to_string(id) + ", expected " +
                        std::to_string(first_record_id + i));
     }
+    if (i == 0 || vantage != unit_vantage) {
+      unit = platform.VantageUnit(vantage);
+      unit_vantage = vantage;
+    }
+    if (!unit.has_value()) {
+      return malformed("record " + std::to_string(i) + " has vantage " +
+                       std::to_string(vantage) +
+                       ", not one of the platform's vantages");
+    }
+    if (asn != unit->asn().value() || city != unit->city()) {
+      return malformed("record " + std::to_string(i) + " names unit " +
+                       std::to_string(asn) + " / " + std::string(city) +
+                       ", not its vantage " + std::to_string(vantage) +
+                       "'s unit " + unit->key());
+    }
     if (intent > kMaxIntent) return bad("record", i, "intent byte", intent);
     if (duplicate > 1) return bad("record", i, "duplicate byte", duplicate);
     if ((pending.fault_mask & ~kFaultMaskBits) != 0) {
       return bad("record", i, "fault-mask byte", pending.fault_mask);
     }
     rec.id = core::MeasurementId(id);
+    rec.unit = *unit;
+    rec.vantage_pop = vantage;
     rec.intent = static_cast<measure::Intent>(intent);
     pending.duplicate = duplicate == 1;
-    step.records.push_back(std::move(pending));
+    step.records.push_back(pending);
   }
   if (watermark != first_record_id + record_count) {
     return malformed("watermark " + std::to_string(watermark) +
@@ -511,7 +533,7 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
     std::uint64_t next_record_id = 1;
     for (std::uint64_t seq = 1; seq <= start_seq; ++seq) {
       core::Result<measure::StepOutput> step =
-          DecodeStep(scan.frames[seq - 1].payload, next_record_id);
+          DecodeStep(scan.frames[seq - 1].payload, next_record_id, platform_);
       if (!step.ok()) {
         return core::Error(core::ErrorCode::kParseError,
                            "durable resume: journal frame " +

@@ -24,8 +24,9 @@
 // record-id watermark matches journal frame k's, fast-forwards the
 // simulator k steps with the registry and timeline paused, restores the
 // saved state, and then rebuilds the ingest side from frames 1..k: each
-// is decoded (DecodeStep, a Status on any malformed frame) and fed
-// through the commit a live step makes — the shed cut, IngestBatch,
+// is decoded (DecodeStep, a Status on any malformed frame, its records
+// resolved against their vantages' interned units) and fed through the
+// commit a live step makes — the shed cut, IngestBatch,
 // CommitFailures — with the registry and timeline still paused (the
 // snapshot already counts those steps) and lineage as the caller set it.
 // Frames after k stay integrity witnesses: those steps are re-generated
@@ -127,22 +128,28 @@ bool InterruptRequested();
 void ClearInterruptFlag();  ///< tests
 
 /// Serialized journal payload of one step: step_end, next-record-id
-/// watermark, then the merge-ordered records and failures. Byte-stable
-/// across thread counts and platforms (little-endian, no padding).
+/// watermark, then the merge-ordered records and failures. A record's
+/// unit is written as its ASN (u32) and city string, never as its handle.
+/// Byte-stable across thread counts and platforms (little-endian, no
+/// padding).
 std::string EncodeStep(const measure::StepOutput& step,
                        std::uint64_t next_record_id_after);
 
 /// The exact inverse of EncodeStep for a frame whose records must run on
-/// from `first_record_id` (the previous frame's watermark; 1 for frame 1):
-/// the decoded step re-encodes to `payload` byte for byte, and the
-/// frame's watermark is first_record_id + records.size(). Fails, before
-/// any allocation the payload's bytes cannot back, on a record or failure
-/// count beyond the bytes, an id out of sequence, a watermark other than
-/// the last id + 1, an intent, fault-mask, failure-intent or
-/// failure-reason byte outside its enum, a bool byte other than 0 or 1,
-/// or trailing bytes.
-core::Result<measure::StepOutput> DecodeStep(std::string_view payload,
-                                             std::uint64_t first_record_id);
+/// from `first_record_id` (the previous frame's watermark; 1 for frame 1)
+/// and come from `platform`'s vantages: the decoded step re-encodes to
+/// `payload` byte for byte, and the frame's watermark is first_record_id +
+/// records.size(). Each record's unit is its vantage's, resolved through
+/// Platform::VantageUnit — a journal never interns one. Fails, before any
+/// allocation the payload's bytes cannot back, on a record or failure
+/// count beyond the bytes, an id out of sequence, a record whose vantage
+/// is not one of the platform's or whose ASN and city bytes are not its
+/// vantage's unit, a watermark other than the last id + 1, an intent,
+/// fault-mask, failure-intent or failure-reason byte outside its enum, a
+/// bool byte other than 0 or 1, or trailing bytes.
+core::Result<measure::StepOutput> DecodeStep(
+    std::string_view payload, std::uint64_t first_record_id,
+    const measure::Platform& platform);
 
 class DurableStreamingService {
  public:

@@ -33,12 +33,12 @@ std::string FormatDouble(double value) {
 
 namespace {
 
-std::string RecordToCsvRow(const SpeedTestRecord& record) {
+std::string RecordToCsvRow(const RoutedRecord& record) {
   std::string out;
   out += std::to_string(record.id.value()) + ",";
   out += std::to_string(record.time.minutes()) + ",";
-  out += std::to_string(record.asn.value()) + ",";
-  out += Quote(record.city) + ",";
+  out += std::to_string(record.unit.asn().value()) + ",";
+  out += Quote(record.unit.city()) + ",";
   out += ToString(record.intent);
   out += ",";
   out += netsim::ToString(record.address_family);

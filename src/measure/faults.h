@@ -145,13 +145,15 @@ class FaultInjector {
   /// number of draws from `rng` (six) regardless of outcome, so decision
   /// streams stay aligned across plans that differ only in probabilities.
   /// Truncation is decided from `path_hops`, the hop count of the probed
-  /// path (ProbePath::hop_count), so a record without a traceroute gets
-  /// the same decision, stats and lineage bit as one with it; a traceroute
-  /// the record does carry is cut to the kept hops. When `fault_mask` is
-  /// non-null, the obs::kLineageFault* bits of the faults that actually
-  /// fired are OR-ed into it (lineage provenance).
+  /// path (ProbePath::hop_count), so a record whose traceroute is not kept
+  /// (the streaming path) gets the same decision, stats and lineage bit as
+  /// one whose traceroute is; a non-null `traceroute` (the batch path's
+  /// kept one) is cut to the kept hops. When `fault_mask` is non-null, the
+  /// obs::kLineageFault* bits of the faults that actually fired are OR-ed
+  /// into it (lineage provenance).
   bool ApplyRecordFaults(SpeedTestRecord& record, std::size_t path_hops,
-                         core::Rng& rng, std::uint8_t* fault_mask = nullptr);
+                         core::Rng& rng, std::uint8_t* fault_mask = nullptr,
+                         Traceroute* traceroute = nullptr);
 
  private:
   /// Atomic mirror of FaultStats (updated from concurrent probe tasks).

@@ -52,11 +52,16 @@ void IncrementalPanelBuilder::Observe(std::size_t shard, std::string_view unit,
                                       core::SimTime time, double rtt_ms,
                                       std::uint64_t id) {
   Shard& owner = shards_[shard];
-  auto it = owner.units.find(unit);
-  if (it == owner.units.end()) {
-    it = owner.units.emplace(std::string(unit), UnitCells{}).first;
-    it->second.cells.resize(options_.periods);
+  if (owner.last_unit == nullptr || *owner.last_unit != unit) {
+    auto it = owner.units.find(unit);
+    if (it == owner.units.end()) {
+      it = owner.units.emplace(std::string(unit), UnitCells{}).first;
+      it->second.cells.resize(options_.periods);
+    }
+    owner.last_unit = &it->first;
+    owner.last_cells = &it->second;
   }
+  UnitCells& unit_cells = *owner.last_cells;
   // Cell attribution mirrors the bucketed-median windows exactly: bucket i
   // covers [origin + i*bucket, origin + (i+1)*bucket).
   const std::int64_t from_origin =
@@ -70,10 +75,9 @@ void IncrementalPanelBuilder::Observe(std::size_t shard, std::string_view unit,
     if (lineage_) obs::Lineage::Global().RecordOutOfPanel(id);
     return;
   }
-  CellAccumulator& cell = it->second.cells[static_cast<std::size_t>(idx)];
+  CellAccumulator& cell = unit_cells.cells[static_cast<std::size_t>(idx)];
   cell.values.push_back(rtt_ms);
   if (lineage_) cell.ids.push_back(id);
-  UnitCells& unit_cells = it->second;
   ++unit_cells.running_count;
   const double t = unit_cells.running_sum + rtt_ms;
   if (std::abs(unit_cells.running_sum) >= std::abs(rtt_ms)) {

@@ -91,6 +91,12 @@ class IncrementalPanelBuilder {
   /// before constructing the builder.
   explicit IncrementalPanelBuilder(PanelOptions options,
                                    std::size_t shard_count = 1);
+  // Each shard caches pointers into its own unit map, which a copy would
+  // leave pointing into the original; a move keeps the map's nodes.
+  IncrementalPanelBuilder(const IncrementalPanelBuilder&) = delete;
+  IncrementalPanelBuilder& operator=(const IncrementalPanelBuilder&) = delete;
+  IncrementalPanelBuilder(IncrementalPanelBuilder&&) = default;
+  IncrementalPanelBuilder& operator=(IncrementalPanelBuilder&&) = default;
 
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t ShardOf(std::string_view unit) const;
@@ -143,6 +149,10 @@ class IncrementalPanelBuilder {
   struct Shard {
     std::map<std::string, UnitCells, std::less<>> units;
     std::uint64_t observed = 0;
+    /// The last observed unit's map entry: a shard's records arrive in
+    /// runs of one unit, so only a run's first record searches `units`.
+    const std::string* last_unit = nullptr;
+    UnitCells* last_cells = nullptr;
   };
 
   PanelOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -23,9 +24,19 @@ Platform::Platform(netsim::NetworkSimulator& simulator,
 
 void Platform::AddVantage(VantageConfig config) {
   simulator_.WatchPath(config.pop, options_.server);
+  const netsim::Topology& topology = simulator_.topology();
+  const auto& pop = topology.GetPop(config.pop);
   VantageState state;
   state.config = config;
+  state.unit = Unit::Intern(pop.asn, topology.cities().Get(pop.city).name);
   vantages_.push_back(state);
+}
+
+std::optional<Unit> Platform::VantageUnit(netsim::PopIndex pop) const {
+  for (const VantageState& vantage : vantages_) {
+    if (vantage.config.pop == pop) return vantage.unit;
+  }
+  return std::nullopt;
 }
 
 void Platform::RunTests(const VantageState& vantage,
@@ -113,17 +124,20 @@ void Platform::RunOneTest(const VantageState& vantage,
                                              intent, rng, options_.test_model);
     record.time = attempt_time;
     record.attempts = attempt;
-    if (keep_routes) AttachRoute(simulator_.topology(), *path, record);
+    ProbeRoute route;
+    if (keep_routes) route = RouteOf(simulator_.topology(), *path);
     SISYPHUS_METRIC_COUNT("measure.probes.succeeded", 1);
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
-      duplicate = injector_->ApplyRecordFaults(record, path->hop_count(), rng,
-                                               &fault_mask);
+      duplicate = injector_->ApplyRecordFaults(
+          record, path->hop_count(), rng, &fault_mask,
+          keep_routes ? &route.traceroute : nullptr);
     }
     // The id is assigned at merge time (vantage order), not here: task
     // scheduling must not influence archive contents.
-    batch.records.push_back({std::move(record), duplicate, fault_mask});
+    batch.records.push_back({record, duplicate, fault_mask});
+    if (keep_routes) batch.routes.push_back(std::move(route));
     return;
   }
   batch.failures.push_back(
@@ -211,11 +225,12 @@ void Platform::RunStreaming(core::SimTime until, core::Rng& rng,
 }
 
 StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
-  return Generate(until, rng, /*keep_routes=*/false);
+  return Generate(until, rng, /*routes=*/nullptr);
 }
 
 StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
-                              bool keep_routes) {
+                              std::vector<ProbeRoute>* routes) {
+  const bool keep_routes = routes != nullptr;
   const core::SimTime step_end =
       std::min(until, simulator_.Now() + options_.step);
   simulator_.AdvanceTo(step_end);
@@ -258,9 +273,17 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
     const StepSignal& signal = signals[i];
     VantageBatch& batch = batches[i];
 
+    // Each test adds at most one record: reserving from each drawn count
+    // keeps the batch from growing by copies.
+    const auto reserve = [&](std::size_t tests) {
+      batch.records.reserve(batch.records.size() + tests);
+      if (keep_routes) batch.routes.reserve(batch.routes.size() + tests);
+    };
+
     // Baseline schedule: timing independent of network state.
     const std::uint32_t baseline = task_rng.Poisson(
         vantage.config.baseline_tests_per_day * step_days);
+    reserve(baseline);
     RunTests(vantage, signal, baseline, Intent::kBaseline, keep_routes,
              task_rng, batch);
 
@@ -275,12 +298,15 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
         rate *= 1.0 + vantage.config.dissatisfaction_gain * excess;
       }
       if (signal.path_changed) rate *= vantage.config.route_change_multiplier;
-      RunTests(vantage, signal, task_rng.Poisson(rate),
-               Intent::kUserInitiated, keep_routes, task_rng, batch);
+      const std::uint32_t user = task_rng.Poisson(rate);
+      reserve(user);
+      RunTests(vantage, signal, user, Intent::kUserInitiated, keep_routes,
+               task_rng, batch);
     }
 
     // §4 proposal 1: conditional activation on external signals.
     if (options_.conditional_activation && signal.path_changed) {
+      reserve(options_.event_burst_tests);
       RunTests(vantage, signal, options_.event_burst_tests,
                Intent::kEventTriggered, keep_routes, task_rng, batch);
     }
@@ -312,10 +338,15 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
   }
   out.records.reserve(total_records);
   out.failures.reserve(total_failures);
+  if (keep_routes) routes->reserve(routes->size() + total_records);
   for (VantageBatch& batch : batches) {
     for (PendingRecord& pending : batch.records) {
       pending.record.id = core::MeasurementId(next_record_id_++);
-      out.records.push_back(std::move(pending));
+      out.records.push_back(pending);
+    }
+    if (keep_routes) {
+      std::move(batch.routes.begin(), batch.routes.end(),
+                std::back_inserter(*routes));
     }
   }
   for (VantageBatch& batch : batches) {
@@ -344,20 +375,19 @@ obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending,
   return info;
 }
 
-void Platform::CommitBatch(StepOutput&& step) {
-  for (PendingRecord& pending : step.records) {
-    if (!obs::Lineage::enabled()) {
-      if (pending.duplicate) store_.Add(pending.record);
-      store_.Add(std::move(pending.record));
-      continue;
-    }
+void Platform::CommitBatch(StepOutput&& step,
+                           std::vector<ProbeRoute>&& routes) {
+  for (std::size_t i = 0; i < step.records.size(); ++i) {
+    const PendingRecord& pending = step.records[i];
+    RoutedRecord routed{pending.record, std::move(routes[i])};
     // Duplicate copies share id and content, so one verdict covers
     // both Add() calls.
-    obs::LineageRecordInfo info = LineageInfoOf(pending, false);
     bool archived = false;
-    if (pending.duplicate) archived = store_.Add(pending.record);
-    info.archived = store_.Add(std::move(pending.record)) || archived;
-    obs::Lineage::Global().RecordEmitted(info);
+    if (pending.duplicate) archived = store_.Add(routed);
+    archived = store_.Add(std::move(routed)) || archived;
+    if (obs::Lineage::enabled()) {
+      obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
+    }
   }
   CommitFailures(step.failures);
 }
@@ -474,10 +504,12 @@ void Platform::RunLoop(core::SimTime until, core::Rng& rng,
   DeclareStreamTelemetrySeries();
   std::uint64_t steps = 0;
   std::uint64_t records = 0;
+  std::vector<ProbeRoute> routes;
   while (simulator_.Now() < until) {
     // Only the batch store keeps traceroutes and AS paths.
+    routes.clear();
     StepOutput step =
-        Generate(until, rng, /*keep_routes=*/streaming == nullptr);
+        Generate(until, rng, streaming == nullptr ? &routes : nullptr);
     const std::uint64_t step_records = step.records.size();
     if (streaming != nullptr) {
       // Streaming commit: the whole step's merge-ordered batch goes to the
@@ -486,7 +518,7 @@ void Platform::RunLoop(core::SimTime until, core::Rng& rng,
       streaming->IngestBatch(step.records);
       CommitFailures(step.failures);
     } else {
-      CommitBatch(std::move(step));
+      CommitBatch(std::move(step), std::move(routes));
     }
     ++steps;
     records += step_records;
@@ -499,28 +531,25 @@ StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
                                      StreamingOptions options)
     : options_(options),
       store_(validation, options.shard_count),
-      panel_(options.panel, options.shard_count) {}
+      panel_(options.panel, options.shard_count),
+      by_shard_(options.shard_count) {}
 
 void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   const std::size_t shards = store_.shard_count();
-  // Serial pre-pass: build each unit key once per run of consecutive
-  // records with the same ⟨ASN, city⟩ (one run per vantage in a merged
-  // step) and group batch indices by owning shard. The grouping is a pure
-  // function of the batch contents, so each shard task sees a fixed record
-  // sequence no matter how many lanes execute.
-  std::vector<std::string> units;
-  std::vector<std::vector<ShardEntry>> by_shard(shards);
+  // Serial pre-pass: hash each record's interned unit key once per run of
+  // consecutive records with the same unit (one run per vantage in a
+  // merged step) and group batch indices by owning shard. The grouping is
+  // a pure function of the batch contents, so each shard task sees a
+  // fixed record sequence no matter how many lanes execute.
+  for (std::vector<std::uint32_t>& entries : by_shard_) entries.clear();
   std::size_t shard = 0;
   std::uint64_t max_id = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const SpeedTestRecord& record = batch[i].record;
-    if (i == 0 || record.asn != batch[i - 1].record.asn ||
-        record.city != batch[i - 1].record.city) {
-      units.push_back(record.UnitKey());
-      shard = store_.ShardOf(units.back());
+    if (i == 0 || record.unit != batch[i - 1].record.unit) {
+      shard = store_.ShardOf(record.UnitKey());
     }
-    by_shard[shard].emplace_back(static_cast<std::uint32_t>(i),
-                                 static_cast<std::uint32_t>(units.size() - 1));
+    by_shard_[shard].push_back(static_cast<std::uint32_t>(i));
     max_id = std::max(max_id, record.id.value());
   }
   // Shard tasks write each record's lineage verdict in place at id - 1,
@@ -531,31 +560,26 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   // merge (which runs no region here); counting it would leak the strategy
   // into metrics.json. Task-side metric writes still replay.
   core::RegionTelemetrySilencer silencer;
-  core::ParallelFor(shards, [&](std::size_t s) {
-    IngestShard(s, batch, units, by_shard[s]);
-  });
+  core::ParallelFor(shards,
+                    [&](std::size_t s) { IngestShard(s, batch, by_shard_[s]); });
   ++batches_;
   ingested_ += batch.size();
 }
 
-void StreamingCampaign::IngestShard(std::size_t shard,
-                                    const std::vector<PendingRecord>& batch,
-                                    const std::vector<std::string>& units,
-                                    const std::vector<ShardEntry>& entries) {
+void StreamingCampaign::IngestShard(
+    std::size_t shard, const std::vector<PendingRecord>& batch,
+    const std::vector<std::uint32_t>& entries) {
   const bool lineage = obs::Lineage::enabled();
-  for (const auto& [i, unit_index] : entries) {
+  for (const std::uint32_t i : entries) {
     const PendingRecord& pending = batch[i];
-    const std::string& unit = units[unit_index];
+    const std::string& unit = pending.record.UnitKey();
     // Mirrors the batch merge in Platform::CommitBatch: duplicate copies
     // share id and content, one lineage verdict covers both appends,
     // and only archived copies reach the panel. The verdict is written in
     // place: this task owns the record's id.
     bool archived_first = false;
-    if (pending.duplicate) {
-      archived_first = store_.Append(shard, pending.record, unit);
-    }
-    const bool archived =
-        store_.Append(shard, pending.record, unit) || archived_first;
+    if (pending.duplicate) archived_first = store_.Append(shard, pending.record);
+    const bool archived = store_.Append(shard, pending.record) || archived_first;
     if (lineage) {
       obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
     }

@@ -13,13 +13,19 @@
 //      away, which is what lets the collider experiment (bench E3) show it.
 //
 // Proposal (3), the exogenous-intervention API, lives in intervention.h.
+//
+// Records are scalar values (speedtest.h): each vantage's ⟨ASN, city⟩
+// unit is interned once, when the vantage is registered, and every record
+// of the vantage carries that handle. Only the batch loop (Run) builds a
+// traceroute and AS path per record, and they go straight to the batch
+// store beside it; GenerateStep's records — the streaming and durable
+// paths — never have one.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/result.h"
@@ -124,9 +130,10 @@ class StreamingCampaign {
   /// Ingests one merge-ordered batch (ids already assigned). Every record
   /// reaches exactly one terminal verdict: archived into its shard's arena
   /// and folded into the panel, or quarantined — with the same
-  /// metrics/lineage the batch path records. Unit keys are built once per
-  /// run of consecutive records with the same ⟨ASN, city⟩, which the
-  /// vantage-ordered merge makes one run per vantage.
+  /// metrics/lineage the batch path records. A record's shard is hashed
+  /// from its interned unit key once per run of consecutive records with
+  /// the same unit, which the vantage-ordered merge makes one run per
+  /// vantage; no key string is built.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
   /// Assembles the panel from the running cell aggregates (serial; call
@@ -141,18 +148,16 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
-  /// A batch index and the index of its unit key in the batch's key list.
-  using ShardEntry = std::pair<std::uint32_t, std::uint32_t>;
-
-  /// Per-shard ingest body: one shard's slice of a batch, applied inside
-  /// the shard's pool task, in batch order.
+  /// Per-shard ingest body: one shard's slice of a batch (its records'
+  /// batch indices), applied inside the shard's pool task, in batch order.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
-                   const std::vector<std::string>& units,
-                   const std::vector<ShardEntry>& entries);
+                   const std::vector<std::uint32_t>& entries);
 
   StreamingOptions options_;
   ShardedMeasurementStore store_;
   IncrementalPanelBuilder panel_;
+  /// Each shard's batch indices, refilled per batch (kept for capacity).
+  std::vector<std::vector<std::uint32_t>> by_shard_;
   std::uint64_t batches_ = 0;
   std::uint64_t ingested_ = 0;
 };
@@ -162,10 +167,15 @@ class Platform {
   /// The simulator must outlive the platform.
   Platform(netsim::NetworkSimulator& simulator, PlatformOptions options);
 
-  /// Registers a vantage point; also registers a path watch on the
-  /// simulator so conditional activation and user reactions can see
-  /// route changes.
+  /// Registers a vantage point and interns its ⟨ASN, city⟩ unit; also
+  /// registers a path watch on the simulator so conditional activation
+  /// and user reactions can see route changes.
   void AddVantage(VantageConfig config);
+
+  /// The unit of the vantage registered at `pop`; nullopt when no vantage
+  /// is. DecodeStep resolves journaled records through this, so it never
+  /// interns from disk.
+  std::optional<Unit> VantageUnit(netsim::PopIndex pop) const;
 
   /// Routes every test's server choice through `steering` (resolver
   /// rotation / anycast model) instead of the fixed options.server.
@@ -195,10 +205,10 @@ class Platform {
   /// Streaming variant of Run(): identical step loop, generation, and
   /// merge-time id assignment, but each step's merge-ordered record batch
   /// is handed to `sink.IngestBatch` instead of the in-memory batch store
-  /// (which stays empty), and its records carry no traceroute or AS path
-  /// (the sink keeps neither). Probe failures are recorded on the platform
-  /// either way. Same seed + same fault plan => sink artifacts
-  /// byte-identical to the batch path's, at any SISYPHUS_THREADS.
+  /// (which stays empty), and no traceroute or AS path is built (the sink
+  /// keeps neither). Probe failures are recorded on the platform either
+  /// way. Same seed + same fault plan => sink artifacts byte-identical to
+  /// the batch path's, at any SISYPHUS_THREADS.
   void RunStreaming(core::SimTime until, core::Rng& rng,
                     StreamingCampaign& sink);
 
@@ -208,20 +218,15 @@ class Platform {
   /// simulator, resolve each vantage's path once, fan per-vantage test
   /// sampling across the pool, habituate EWMAs — and returns the
   /// merge-ordered batch with sequential ids assigned in vantage order,
-  /// WITHOUT committing anything to a store or recording failures. The
-  /// records are scalar: no traceroute, no AS path (only the batch store
-  /// keeps those, so only Run() builds them). RunStreaming() and the
-  /// durable service are loops over GenerateStep; the durable service
-  /// journals the StepOutput before applying it. Precondition:
-  /// Now() < until.
+  /// WITHOUT committing anything to a store or recording failures. No
+  /// route is built: only the batch store keeps traceroutes and AS paths,
+  /// so only Run() does. RunStreaming() and the durable service are loops
+  /// over GenerateStep; the durable service journals the StepOutput
+  /// before applying it. Precondition: Now() < until.
   StepOutput GenerateStep(core::SimTime until, core::Rng& rng);
 
   /// Records a step's probe failures (metrics + lineage + failures()).
   void CommitFailures(const std::vector<ProbeFailure>& failures);
-
-  /// Commits a batch-path step: lineage verdicts + store() ingestion in
-  /// merge order, then the failures.
-  void CommitBatch(StepOutput&& step);
 
   /// Fast-forwards one step of simulated time WITHOUT generating tests,
   /// consuming RNG draws, or touching EWMAs: advances the simulator,
@@ -275,6 +280,7 @@ class Platform {
  private:
   struct VantageState {
     VantageConfig config;
+    Unit unit;               ///< the vantage PoP's ⟨ASN, city⟩
     double ewma_rtt = -1.0;  ///< habituated RTT; <0 = uninitialized
   };
 
@@ -297,12 +303,21 @@ class Platform {
   /// merged into store_/failures_ on the campaign thread.
   struct VantageBatch {
     std::vector<PendingRecord> records;
+    /// The records' probed routes, in record order; kept only for the
+    /// batch store.
+    std::vector<ProbeRoute> routes;
     std::vector<ProbeFailure> failures;
   };
 
-  /// GenerateStep, with each record's traceroute and AS path built when
-  /// `keep_routes` (the batch store keeps them; Run passes true).
-  StepOutput Generate(core::SimTime until, core::Rng& rng, bool keep_routes);
+  /// GenerateStep, with each record's probed route built and appended to
+  /// `*routes` in merge order when `routes` is non-null (the batch store
+  /// keeps them; only Run passes it).
+  StepOutput Generate(core::SimTime until, core::Rng& rng,
+                      std::vector<ProbeRoute>* routes);
+
+  /// Commits a batch-path step: lineage verdicts + store() ingestion in
+  /// merge order, each record beside its route, then the failures.
+  void CommitBatch(StepOutput&& step, std::vector<ProbeRoute>&& routes);
 
   void RunTests(const VantageState& vantage, const StepSignal& signal,
                 std::size_t count, Intent intent, bool keep_routes,

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <mutex>
 
 namespace sisyphus::measure {
 
@@ -19,8 +22,28 @@ const char* ToString(Intent intent) {
   return "?";
 }
 
-std::string SpeedTestRecord::UnitKey() const {
-  return std::to_string(asn.value()) + " / " + city;
+const Unit::Entry Unit::kEmpty{core::Asn(0), "", "0 / "};
+
+Unit Unit::Intern(core::Asn asn, std::string_view city) {
+  // Never destroyed, so every handle stays valid through static
+  // destruction; entries never move once placed in the deque.
+  struct Table {
+    std::mutex mutex;
+    std::deque<Entry> entries;
+    std::map<std::uint32_t, std::vector<const Entry*>> by_asn{
+        {0, {&kEmpty}}};
+  };
+  static Table* const table = new Table;
+  const std::lock_guard<std::mutex> lock(table->mutex);
+  std::vector<const Entry*>& cities = table->by_asn[asn.value()];
+  for (const Entry* entry : cities) {
+    if (entry->city == city) return Unit(entry);
+  }
+  const Entry& entry = table->entries.emplace_back(
+      Entry{asn, std::string(city),
+            std::to_string(asn.value()) + " / " + std::string(city)});
+  cities.push_back(&entry);
+  return Unit(&entry);
 }
 
 Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
@@ -36,8 +59,8 @@ Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
   path.address_family = af;
   path.time = simulator.Now();
   const auto& pop = simulator.topology().GetPop(vantage);
-  path.asn = pop.asn;
-  path.city = simulator.topology().cities().Get(pop.city).name;
+  path.unit =
+      Unit::Intern(pop.asn, simulator.topology().cities().Get(pop.city).name);
   path.mean_rtt_ms = simulator.latency().PathRttMs(route.value(), path.time);
   path.loss_rate = simulator.latency().PathLossRate(route.value(), path.time);
   path.route = std::move(route).value();
@@ -50,8 +73,7 @@ SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
                                 const SpeedTestModelOptions& options) {
   SpeedTestRecord record;
   record.time = path.time;
-  record.asn = path.asn;
-  record.city = path.city;
+  record.unit = path.unit;
   record.vantage_pop = path.vantage;
   record.server_pop = path.server;
   record.intent = intent;
@@ -82,13 +104,11 @@ SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
   return record;
 }
 
-void AttachRoute(const netsim::Topology& topology, const ProbePath& path,
-                 SpeedTestRecord& record) {
-  record.traceroute = SimulateTraceroute(topology, path.route);
-  record.asn_path = path.route.asn_path;
+ProbeRoute RouteOf(const netsim::Topology& topology, const ProbePath& path) {
+  return {SimulateTraceroute(topology, path.route), path.route.asn_path};
 }
 
-Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
+Result<RoutedRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
                                      netsim::PopIndex vantage,
                                      netsim::PopIndex server, Intent intent,
                                      core::Rng& rng,
@@ -98,11 +118,11 @@ Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
 
   auto path = ResolveProbePath(simulator, vantage, server, af);
   if (!path.ok()) return path.error();
-  SpeedTestRecord record =
-      SampleSpeedTest(simulator.latency(), path.value(), intent, rng, options);
-  record.id = core::MeasurementId(next_id.fetch_add(1));
-  AttachRoute(simulator.topology(), path.value(), record);
-  return record;
+  RoutedRecord routed{
+      SampleSpeedTest(simulator.latency(), path.value(), intent, rng, options),
+      RouteOf(simulator.topology(), path.value())};
+  routed.id = core::MeasurementId(next_id.fetch_add(1));
+  return routed;
 }
 
 }  // namespace sisyphus::measure

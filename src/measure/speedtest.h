@@ -1,14 +1,22 @@
 // Speed tests: the measurement primitive of the Table 1 case study.
 //
 // A speed test records RTT and throughput between a vantage point (user
-// behind an access ⟨ASN, city⟩ PoP) and a measurement server, plus the
-// traceroute triggered after the test (as M-Lab does). Every record
-// carries an intent tag — one of the paper's §4 platform proposals — so
-// analysts can condition on *why* a measurement exists and avoid collider
-// bias when they must.
+// behind an access ⟨ASN, city⟩ PoP) and a measurement server. Every
+// record carries an intent tag — one of the paper's §4 platform
+// proposals — so analysts can condition on *why* a measurement exists
+// and avoid collider bias when they must.
+//
+// A SpeedTestRecord is a trivially copyable scalar value: its
+// ⟨ASN, city⟩ unit is a pointer-sized Unit handle to an interned entry,
+// never a string of its own. The traceroute triggered after the test (as
+// M-Lab does) and the route's AS path are not part of it: they ride
+// beside the record in a RoutedRecord, which only RunSpeedTest and the
+// batch store (MeasurementStore) build (DESIGN.md §10).
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/ids.h"
@@ -28,11 +36,50 @@ enum class Intent {
 
 const char* ToString(Intent intent);
 
+/// An interned ⟨ASN, city⟩ unit: a pointer-sized handle to an entry that
+/// lives for the whole process and holds the ASN, the city name and the
+/// unit key ("3741 / East London"). Equal pairs always intern to the same
+/// entry, so handle equality is unit equality.
+///
+/// The contract that keeps artifacts byte-identical: units are interned
+/// where a vantage is registered or a path is resolved — never once per
+/// record, and never from journal bytes (DecodeStep resolves a record
+/// against its vantage's unit) — and nothing orders, hashes or serializes
+/// by the handle's address: shards hash the key string, stores sort by
+/// it, and the journal writes the ASN and city. A default handle is the
+/// empty unit ⟨0, ""⟩, so a record built without a platform never
+/// dangles.
+class Unit {
+ public:
+  constexpr Unit() = default;
+
+  /// The handle of ⟨asn, city⟩, interning it on first use. Thread-safe.
+  static Unit Intern(core::Asn asn, std::string_view city);
+
+  core::Asn asn() const { return entry_->asn; }
+  const std::string& city() const { return entry_->city; }
+  /// "3741 / East London"; the interned string, so no allocation.
+  const std::string& key() const { return entry_->key; }
+
+  friend bool operator==(Unit a, Unit b) { return a.entry_ == b.entry_; }
+
+ private:
+  struct Entry {
+    core::Asn asn;
+    std::string city;
+    std::string key;
+  };
+  static const Entry kEmpty;
+
+  explicit Unit(const Entry* entry) : entry_(entry) {}
+
+  const Entry* entry_ = &kEmpty;
+};
+
 struct SpeedTestRecord {
   core::MeasurementId id;
   core::SimTime time;
-  core::Asn asn;               ///< vantage ASN
-  std::string city;            ///< vantage city name
+  Unit unit;  ///< the vantage's ⟨ASN, city⟩
   netsim::PopIndex vantage_pop = 0;
   netsim::PopIndex server_pop = 0;
   double rtt_ms = 0.0;
@@ -44,15 +91,25 @@ struct SpeedTestRecord {
   /// Extends §4 intent tagging to *failure* provenance: analysts can see
   /// that a record only exists because the platform retried through loss.
   std::uint32_t attempts = 1;
-  /// The probed route's traceroute and AS path, filled only where a store
-  /// keeps them: by RunSpeedTest and the batch Platform::Run. Records from
-  /// Platform::GenerateStep (streaming, durable) leave both empty.
-  Traceroute traceroute;
-  std::vector<core::Asn> asn_path;
 
   /// ⟨ASN, city⟩ unit key, e.g. "3741 / East London".
-  std::string UnitKey() const;
+  const std::string& UnitKey() const { return unit.key(); }
 };
+static_assert(std::is_trivially_copyable_v<Unit> &&
+              sizeof(Unit) == sizeof(void*));
+static_assert(std::is_trivially_copyable_v<SpeedTestRecord>);
+
+/// What a probed route leaves on a record that keeps it: the traceroute
+/// the probe elicits and the route's AS path.
+struct ProbeRoute {
+  Traceroute traceroute;
+  std::vector<core::Asn> asn_path;
+};
+
+/// A record beside its probed route: what RunSpeedTest returns and the
+/// batch store archives. Platform::GenerateStep (the streaming and
+/// durable step) builds no route.
+struct RoutedRecord : SpeedTestRecord, ProbeRoute {};
 
 struct SpeedTestModelOptions {
   /// Last-mile access overhead added to the path RTT (WiFi, DSLAM...).
@@ -79,8 +136,7 @@ struct ProbePath {
   netsim::PopIndex server = 0;
   netsim::AddressFamily address_family = netsim::AddressFamily::kIpv4;
   core::SimTime time;        ///< when the path was resolved
-  core::Asn asn;             ///< vantage ASN
-  std::string city;          ///< vantage city name
+  Unit unit;                 ///< the vantage's ⟨ASN, city⟩, interned
   double mean_rtt_ms = 0.0;  ///< LatencyModel::PathRttMs (no jitter)
   double loss_rate = 0.0;    ///< LatencyModel::PathLossRate
   netsim::BgpRoute route;    ///< source of the traceroute and AS path
@@ -89,29 +145,28 @@ struct ProbePath {
   std::size_t hop_count() const { return route.pop_path.size(); }
 };
 
-/// Resolves `vantage` -> `server` at the simulator's current time. Fails
-/// (kNotFound) when the vantage cannot reach the server.
+/// Resolves `vantage` -> `server` at the simulator's current time and
+/// interns the vantage's unit. Fails (kNotFound) when the vantage cannot
+/// reach the server.
 core::Result<ProbePath> ResolveProbePath(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server,
     netsim::AddressFamily af = netsim::AddressFamily::kIpv4);
 
 /// Samples one speed test over a resolved path: RTT jitter, last-mile
-/// overhead and spikes, and throughput noise. The record carries no id,
-/// traceroute or AS path.
+/// overhead and spikes, and throughput noise. The record carries no id.
 SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
                                 const ProbePath& path, Intent intent,
                                 core::Rng& rng,
                                 const SpeedTestModelOptions& options = {});
 
-/// Fills `record`'s traceroute and AS path from the path's route.
-void AttachRoute(const netsim::Topology& topology, const ProbePath& path,
-                 SpeedTestRecord& record);
+/// The traceroute and AS path of the path's route.
+ProbeRoute RouteOf(const netsim::Topology& topology, const ProbePath& path);
 
 /// Executes one speed test right now: ResolveProbePath, SampleSpeedTest and
-/// AttachRoute, under a process-unique id. Fails (kNotFound) when the
-/// vantage cannot reach the server.
-core::Result<SpeedTestRecord> RunSpeedTest(
+/// RouteOf, under a process-unique id. Fails (kNotFound) when the vantage
+/// cannot reach the server.
+core::Result<RoutedRecord> RunSpeedTest(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server, Intent intent, core::Rng& rng,
     const SpeedTestModelOptions& options = {},

@@ -55,7 +55,7 @@ std::string QuarantineReasonTag(const std::string& reason) {
   return "other";
 }
 
-bool MeasurementStore::Add(SpeedTestRecord record) {
+bool MeasurementStore::Add(RoutedRecord record) {
   if (auto status = ValidateRecord(record, validation_); !status.ok()) {
     const std::string reason = status.error().ToText();
     const std::string tag = QuarantineReasonTag(reason);
@@ -88,9 +88,9 @@ std::vector<std::string> MeasurementStore::Units() const {
   return out;
 }
 
-std::vector<const SpeedTestRecord*> MeasurementStore::ForUnit(
+std::vector<const RoutedRecord*> MeasurementStore::ForUnit(
     const std::string& unit) const {
-  std::vector<const SpeedTestRecord*> out;
+  std::vector<const RoutedRecord*> out;
   const auto it = by_unit_.find(unit);
   if (it == by_unit_.end()) return out;
   out.reserve(it->second.size());
@@ -110,7 +110,7 @@ std::vector<const SpeedTestRecord*> MeasurementStore::Select(
 std::optional<core::SimTime> MeasurementStore::FirstIxpCrossing(
     const netsim::Topology& topology, const std::string& unit,
     core::IxpId ixp) const {
-  for (const SpeedTestRecord* record : ForUnit(unit)) {
+  for (const RoutedRecord* record : ForUnit(unit)) {
     if (CrossesIxp(topology, record->traceroute, ixp)) return record->time;
   }
   return std::nullopt;
@@ -122,7 +122,7 @@ double MeasurementStore::IxpCrossingShare(const netsim::Topology& topology,
                                           core::SimTime start,
                                           core::SimTime end) const {
   std::size_t total = 0, crossing = 0;
-  for (const SpeedTestRecord* record : ForUnit(unit)) {
+  for (const RoutedRecord* record : ForUnit(unit)) {
     if (record->time < start || !(record->time < end)) continue;
     ++total;
     if (CrossesIxp(topology, record->traceroute, ixp)) ++crossing;
@@ -143,8 +143,7 @@ std::size_t ShardedMeasurementStore::ShardOf(std::string_view unit) const {
 }
 
 bool ShardedMeasurementStore::Append(std::size_t shard,
-                                     const SpeedTestRecord& record,
-                                     std::string_view unit) {
+                                     const SpeedTestRecord& record) {
   Columns& arena = shards_[shard];
   if (auto status = ValidateRecord(record, validation_); !status.ok()) {
     const std::string reason = status.error().ToText();
@@ -161,22 +160,28 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
         ->Add(1);
 #endif
     (SISYPHUS_LOG(kDebug) << "record quarantined")
-        .With("unit", unit)
+        .With("unit", record.UnitKey())
         .With("tag", tag)
         .With("reason", reason);
     return false;
   }
   SISYPHUS_METRIC_COUNT("measure.store.archived", 1);
-  auto it = arena.unit_index.find(unit);
-  if (it == arena.unit_index.end()) {
-    it = arena.unit_index
-             .emplace(unit, static_cast<std::uint32_t>(arena.unit_names.size()))
-             .first;
-    arena.unit_names.emplace_back(unit);
+  if (arena.unit_names.empty() || record.unit != arena.last_unit) {
+    const std::string& unit = record.UnitKey();
+    auto it = arena.unit_index.find(unit);
+    if (it == arena.unit_index.end()) {
+      it = arena.unit_index
+               .emplace(unit,
+                        static_cast<std::uint32_t>(arena.unit_names.size()))
+               .first;
+      arena.unit_names.push_back(unit);
+    }
+    arena.last_unit = record.unit;
+    arena.last_unit_index = it->second;
   }
   arena.id.push_back(record.id.value());
   arena.time_minutes.push_back(record.time.minutes());
-  arena.unit.push_back(it->second);
+  arena.unit.push_back(arena.last_unit_index);
   arena.rtt_ms.push_back(record.rtt_ms);
   arena.loss_rate.push_back(record.loss_rate);
   arena.throughput_mbps.push_back(record.throughput_mbps);

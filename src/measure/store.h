@@ -6,6 +6,12 @@
 // throughput) never enter the archive — they land in an inspectable
 // quarantine with a reason, so corrupt data cannot poison downstream
 // panels and estimators while remaining available for debugging.
+//
+// MeasurementStore (the batch store) is the only place that keeps each
+// record's traceroute and AS path: its element is a RoutedRecord, the
+// scalar record beside its probed route. ShardedMeasurementStore (the
+// streaming store) keeps scalar columns only, and the PendingRecords it
+// ingests are trivially copyable values.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/result.h"
@@ -36,7 +43,7 @@ core::Status ValidateRecord(const SpeedTestRecord& record,
 
 /// A rejected record plus why it was rejected.
 struct QuarantinedRecord {
-  SpeedTestRecord record;
+  RoutedRecord record;
   std::string reason;
 };
 
@@ -54,6 +61,7 @@ struct PendingRecord {
   bool duplicate = false;
   std::uint8_t fault_mask = 0;  ///< obs::kLineageFault* bits that fired
 };
+static_assert(std::is_trivially_copyable_v<PendingRecord>);
 
 class MeasurementStore {
  public:
@@ -63,10 +71,10 @@ class MeasurementStore {
 
   /// Archives a valid record (returns true); quarantines an invalid one
   /// (returns false) — the caller-facing verdict lineage records.
-  bool Add(SpeedTestRecord record);
+  bool Add(RoutedRecord record);
 
   std::size_t size() const { return records_.size(); }
-  const std::vector<SpeedTestRecord>& records() const { return records_; }
+  const std::vector<RoutedRecord>& records() const { return records_; }
 
   const std::vector<QuarantinedRecord>& quarantine() const {
     return quarantine_;
@@ -84,7 +92,7 @@ class MeasurementStore {
   std::vector<std::string> Units() const;
 
   /// Records of one unit, in time order.
-  std::vector<const SpeedTestRecord*> ForUnit(const std::string& unit) const;
+  std::vector<const RoutedRecord*> ForUnit(const std::string& unit) const;
 
   /// Records matching a predicate.
   std::vector<const SpeedTestRecord*> Select(
@@ -103,7 +111,7 @@ class MeasurementStore {
 
  private:
   StoreValidationOptions validation_;
-  std::vector<SpeedTestRecord> records_;
+  std::vector<RoutedRecord> records_;
   std::vector<QuarantinedRecord> quarantine_;
   std::map<std::string, std::size_t> quarantine_reason_counts_;
   std::map<std::string, std::vector<std::size_t>> by_unit_;
@@ -118,9 +126,9 @@ class MeasurementStore {
 ///
 /// Only the scalar columns the streaming pipeline consumes are retained
 /// (id, time, unit, rtt, loss, throughput, intent, attempts, vantage);
-/// traceroutes and AS paths are not — per-record payloads are what caps
-/// the batch path near 1M records. Validation, quarantine accounting, and
-/// the metric names mirror MeasurementStore::Add exactly.
+/// traceroutes and AS paths never reach it — per-record payloads are what
+/// caps the batch path near 1M records. Validation, quarantine
+/// accounting, and the metric names mirror MeasurementStore::Add exactly.
 ///
 /// Thread safety: distinct shards may be appended to concurrently; a
 /// single shard must only be touched by one thread at a time (the ingest
@@ -140,12 +148,9 @@ class ShardedMeasurementStore {
 
   /// Validating columnar append of one record copy into `shard`'s arena.
   /// Returns the same archived/quarantined verdict as
-  /// MeasurementStore::Add and bumps the same metric counters. `unit` is
-  /// the caller's copy of record.UnitKey(), so a batch builds each key
-  /// once. Preconditions: unit == record.UnitKey() and
-  /// shard == ShardOf(unit).
-  bool Append(std::size_t shard, const SpeedTestRecord& record,
-              std::string_view unit);
+  /// MeasurementStore::Add and bumps the same metric counters.
+  /// Precondition: shard == ShardOf(record.UnitKey()).
+  bool Append(std::size_t shard, const SpeedTestRecord& record);
 
   /// One shard's arena, in append order. Parallel arrays: entry i of every
   /// column describes the i-th archived record copy of the shard.
@@ -159,8 +164,13 @@ class ShardedMeasurementStore {
     std::vector<std::uint8_t> intent;
     std::vector<std::uint8_t> attempts;  ///< clamped to 255
     std::vector<std::uint32_t> vantage_pop;
-    std::vector<std::string> unit_names;  ///< interned keys, first-seen order
+    std::vector<std::string> unit_names;  ///< unit keys, first-seen order
     std::map<std::string, std::uint32_t, std::less<>> unit_index;
+    /// The unit of the last append and its index: a shard's records
+    /// arrive in runs of one unit, so only a run's first record searches
+    /// unit_index.
+    Unit last_unit;
+    std::uint32_t last_unit_index = 0;
     std::map<std::string, std::uint64_t> quarantine_reason_counts;
     std::uint64_t quarantined = 0;
     std::size_t size() const { return id.size(); }

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -111,6 +112,38 @@ struct RunResult {
   Artifacts artifacts;  ///< filled only when the run completed
 };
 
+/// The scenario and the platform, vantages registered, of a durable
+/// campaign: what a resume must reconstruct identically.
+struct Campaign {
+  netsim::ScenarioZa scenario;
+  std::unique_ptr<measure::Platform> platform;
+};
+
+Campaign MakeCampaign(const RunSpec& spec) {
+  Campaign campaign{netsim::BuildScenarioZa(SmallScenario()), nullptr};
+  const netsim::ScenarioZa& scenario = campaign.scenario;
+  measure::PlatformOptions platform_options;
+  platform_options.server = scenario.content_jnb;
+  platform_options.step = core::SimTime::FromHours(1);
+  campaign.platform = std::make_unique<measure::Platform>(*scenario.simulator,
+                                                          platform_options);
+
+  measure::VantageConfig vantage;
+  vantage.baseline_tests_per_day = spec.baseline_tests_per_day;
+  vantage.user_tests_per_day = 4.0;
+  for (const auto& unit : scenario.treated) {
+    vantage.pop = unit.access_pop;
+    campaign.platform->AddVantage(vantage);
+  }
+  const std::size_t donors =
+      scenario.donors.size() - (spec.drop_last_donor ? 1 : 0);
+  for (std::size_t i = 0; i < donors; ++i) {
+    vantage.pop = scenario.donors[i];
+    campaign.platform->AddVantage(vantage);
+  }
+  return campaign;
+}
+
 /// One durable campaign over a fresh platform + campaign, exactly as the
 /// resume contract requires (identical reconstruction). Every obs global
 /// is reset first; the run label is fixed so ledgers are comparable.
@@ -122,26 +155,8 @@ RunResult RunDurable(const RunSpec& spec) {
   obs::Timeline::Global().Reset();
 
   const netsim::ScenarioZaOptions scenario_options = SmallScenario();
-  netsim::ScenarioZa scenario = netsim::BuildScenarioZa(scenario_options);
-
-  measure::PlatformOptions platform_options;
-  platform_options.server = scenario.content_jnb;
-  platform_options.step = core::SimTime::FromHours(1);
-  measure::Platform platform(*scenario.simulator, platform_options);
-
-  measure::VantageConfig vantage;
-  vantage.baseline_tests_per_day = spec.baseline_tests_per_day;
-  vantage.user_tests_per_day = 4.0;
-  for (const auto& unit : scenario.treated) {
-    vantage.pop = unit.access_pop;
-    platform.AddVantage(vantage);
-  }
-  const std::size_t donors =
-      scenario.donors.size() - (spec.drop_last_donor ? 1 : 0);
-  for (std::size_t i = 0; i < donors; ++i) {
-    vantage.pop = scenario.donors[i];
-    platform.AddVantage(vantage);
-  }
+  Campaign campaign = MakeCampaign(spec);
+  measure::Platform& platform = *campaign.platform;
 
   const measure::FaultPlan plan = SmallPlan();
   measure::FaultInjector injector(plan);
@@ -154,7 +169,7 @@ RunResult RunDurable(const RunSpec& spec) {
 
   measure::StreamingOptions streaming_options;
   streaming_options.panel = panel_options;
-  measure::StreamingCampaign stream(platform_options.validation,
+  measure::StreamingCampaign stream(platform.options().validation,
                                     streaming_options);
 
   durable::DurableOptions durable_options;
@@ -554,12 +569,13 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
   ASSERT_EQ(scan.frames.size(), 12u);
 
   // DecodeStep is EncodeStep's exact inverse on every frame of the run.
+  const Campaign campaign = MakeCampaign(crash);
   std::vector<measure::StepOutput> steps;
   std::vector<std::uint64_t> first_ids;
   std::uint64_t next_id = 1;
   for (const durable::JournalFrame& frame : scan.frames) {
     core::Result<measure::StepOutput> step =
-        durable::DecodeStep(frame.payload, next_id);
+        durable::DecodeStep(frame.payload, next_id, *campaign.platform);
     ASSERT_TRUE(step.ok()) << "frame " << frame.seq << ": "
                            << step.error().message();
     first_ids.push_back(next_id);
@@ -590,9 +606,29 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
         static_cast<char>(((std::uint64_t{1} << 60) >> (8 * i)) & 0xff);
   }
   // Record 0's duplicate flag follows its fixed fields and city string.
+  const measure::SpeedTestRecord& first = step.records[0].record;
   std::string duplicate_two = original;
-  duplicate_two[24 + 8 + 8 + 4 + 8 + step.records[0].record.city.size() + 4 +
-                4 + 8 + 8 + 8 + 1 + 4] = 2;
+  duplicate_two[24 + 8 + 8 + 4 + 8 + first.unit.city().size() + 4 + 4 + 8 +
+                8 + 8 + 1 + 4] = 2;
+  // A record must name its vantage's unit: a renamed city would otherwise
+  // rebuild a phantom unit into the store and the panel. The decoder names
+  // the record.
+  const std::string atlantis = with(
+      [&](measure::StepOutput& s) {
+        s.records[0].record.unit =
+            measure::Unit::Intern(first.unit.asn(), "Atlantis");
+      },
+      watermark);
+  const std::string vantage_9999 = with(
+      [](measure::StepOutput& s) { s.records[0].record.vantage_pop = 9999; },
+      watermark);
+  for (const std::string& payload : {atlantis, vantage_9999}) {
+    const core::Result<measure::StepOutput> decoded =
+        durable::DecodeStep(payload, first_id, *campaign.platform);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().message().rfind("record 0 ", 0), 0u)
+        << decoded.error().message();
+  }
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"first record id 2^40",
        with([](measure::StepOutput& s) {
@@ -628,6 +664,8 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
             watermark)},
       {"duplicate byte 2", duplicate_two},
       {"one byte short", original.substr(0, original.size() - 1)},
+      {"city renamed to Atlantis", atlantis},
+      {"vantage 9999", vantage_9999},
   };
   for (const auto& [name, payload] : cases) {
     std::vector<durable::JournalFrame> frames = scan.frames;

@@ -11,8 +11,8 @@ namespace {
 
 using core::SimTime;
 
-SpeedTestRecord MakeRecord(std::size_t hops = 5) {
-  SpeedTestRecord record;
+RoutedRecord MakeRecord(std::size_t hops = 5) {
+  RoutedRecord record;
   record.time = SimTime::FromHours(12);
   record.rtt_ms = 25.0;
   record.loss_rate = 0.01;
@@ -21,6 +21,14 @@ SpeedTestRecord MakeRecord(std::size_t hops = 5) {
     record.traceroute.hops.push_back({});
   }
   return record;
+}
+
+/// Applies the record faults the batch path applies: decided from the
+/// kept traceroute's hop count, which they may cut.
+bool ApplyKept(FaultInjector& injector, RoutedRecord& record,
+               core::Rng& rng) {
+  return injector.ApplyRecordFaults(record, record.traceroute.hops.size(),
+                                    rng, nullptr, &record.traceroute);
 }
 
 TEST(OutageWindowTest, HalfOpenContainment) {
@@ -122,10 +130,8 @@ TEST(FaultInjectorTest, DecisionsConsumeAFixedNumberOfDraws) {
   auto record_all = MakeRecord();
   none.SampleProbeFault(0.0, rng_none);
   all.SampleProbeFault(0.0, rng_all);
-  none.ApplyRecordFaults(record_none, record_none.traceroute.hops.size(),
-                         rng_none);
-  all.ApplyRecordFaults(record_all, record_all.traceroute.hops.size(),
-                        rng_all);
+  ApplyKept(none, record_none, rng_none);
+  ApplyKept(all, record_all, rng_all);
   // Equal consumption leaves the two streams at the same position.
   EXPECT_EQ(rng_none.Next(), rng_all.Next());
 }
@@ -162,8 +168,7 @@ TEST(FaultInjectorTest, ZeroProbabilityPlanIsTransparent) {
   const auto before = record;
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(injector.SampleProbeFault(0.0, rng), ProbeFault::kNone);
-    EXPECT_FALSE(injector.ApplyRecordFaults(
-        record, record.traceroute.hops.size(), rng));
+    EXPECT_FALSE(ApplyKept(injector, record, rng));
   }
   EXPECT_EQ(record.time, before.time);
   EXPECT_EQ(record.rtt_ms, before.rtt_ms);
@@ -181,7 +186,7 @@ TEST(FaultInjectorTest, TruncationKeepsMinimumHops) {
   core::Rng rng(4);
   for (int i = 0; i < 100; ++i) {
     auto record = MakeRecord(6);
-    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
+    ApplyKept(injector, record, rng);
     EXPECT_GE(record.traceroute.hops.size(), 2u);
     EXPECT_LE(record.traceroute.hops.size(), 6u);
   }
@@ -189,9 +194,9 @@ TEST(FaultInjectorTest, TruncationKeepsMinimumHops) {
 }
 
 TEST(FaultInjectorTest, TruncationFollowsPathHopsWithoutTraceroute) {
-  // A record sampled without its traceroute gets the truncation decision,
-  // stats and lineage bit of the full record: both are decided from the
-  // probed path's hop count, and only a carried traceroute is cut.
+  // A scalar record, whose traceroute is not kept, gets the truncation
+  // decision, stats and lineage bit of a routed one: both are decided from
+  // the probed path's hop count, and only a kept traceroute is cut.
   FaultPlan plan;
   plan.seed = 11;
   plan.traceroute_truncation_probability = 0.5;
@@ -200,12 +205,13 @@ TEST(FaultInjectorTest, TruncationFollowsPathHopsWithoutTraceroute) {
   std::size_t truncated = 0;
   for (int i = 0; i < 100; ++i) {
     auto with_hops = MakeRecord(6);
-    auto without_hops = MakeRecord(0);
+    SpeedTestRecord scalar = MakeRecord(0);
     std::uint8_t full_mask = 0, lean_mask = 0;
-    full.ApplyRecordFaults(with_hops, 6, full_rng, &full_mask);
-    lean.ApplyRecordFaults(without_hops, 6, lean_rng, &lean_mask);
+    full.ApplyRecordFaults(with_hops, 6, full_rng, &full_mask,
+                           &with_hops.traceroute);
+    lean.ApplyRecordFaults(scalar, 6, lean_rng, &lean_mask);
     EXPECT_EQ(lean_mask, full_mask);
-    EXPECT_TRUE(without_hops.traceroute.hops.empty());
+    EXPECT_EQ(scalar.time, with_hops.time);
     if (with_hops.traceroute.hops.size() < 6) ++truncated;
   }
   EXPECT_GT(truncated, 20u);
@@ -222,7 +228,7 @@ TEST(FaultInjectorTest, CorruptionProducesInvalidRecords) {
   std::size_t invalid = 0;
   for (int i = 0; i < 100; ++i) {
     auto record = MakeRecord();
-    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
+    ApplyKept(injector, record, rng);
     const bool bad_rtt = record.rtt_ms <= 0.0;
     const bool bad_time = record.time < SimTime(0);
     const bool bad_loss = record.loss_rate > 1.0;
@@ -242,7 +248,7 @@ TEST(FaultInjectorTest, ClockSkewIsBounded) {
   for (int i = 0; i < 200; ++i) {
     auto record = MakeRecord();
     const SimTime original = record.time;
-    injector.ApplyRecordFaults(record, record.traceroute.hops.size(), rng);
+    ApplyKept(injector, record, rng);
     EXPECT_GE(record.time, original - SimTime(5));
     EXPECT_LE(record.time, original + SimTime(5));
   }
@@ -258,8 +264,7 @@ TEST(FaultInjectorTest, DuplicationFlagRateMatchesPlan) {
   int duplicates = 0;
   for (int i = 0; i < 400; ++i) {
     auto record = MakeRecord();
-    if (injector.ApplyRecordFaults(record, record.traceroute.hops.size(),
-                                   rng)) {
+    if (ApplyKept(injector, record, rng)) {
       ++duplicates;
     }
   }

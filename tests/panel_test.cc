@@ -8,12 +8,11 @@ namespace {
 
 using core::SimTime;
 
-SpeedTestRecord MakeRecord(const std::string& unit_asn,
-                           const std::string& city, SimTime time,
-                           double rtt) {
-  SpeedTestRecord record;
-  record.asn = core::Asn{static_cast<std::uint32_t>(std::stoul(unit_asn))};
-  record.city = city;
+RoutedRecord MakeRecord(const std::string& unit_asn, const std::string& city,
+                        SimTime time, double rtt) {
+  RoutedRecord record;
+  record.unit = Unit::Intern(
+      core::Asn{static_cast<std::uint32_t>(std::stoul(unit_asn))}, city);
   record.time = time;
   record.rtt_ms = rtt;
   return record;

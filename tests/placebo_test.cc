@@ -137,6 +137,64 @@ TEST(PlaceboTest, NonFiniteDonorCellRejected) {
   EXPECT_NE(result.error().message().find("period 30"), std::string::npos);
 }
 
+// ---- Degenerate panels: a Status, never an exception or ratio 0 ------------
+
+/// `input` with every treated and donor entry multiplied by `factor`.
+SyntheticControlInput Scaled(SyntheticControlInput input, double factor) {
+  for (double& value : input.treated) value *= factor;
+  for (std::size_t t = 0; t < input.donors.rows(); ++t) {
+    for (double& value : input.donors.Row(t)) value *= factor;
+  }
+  return input;
+}
+
+constexpr SyntheticControlMethod kMethods[] = {
+    SyntheticControlMethod::kClassical, SyntheticControlMethod::kRobust};
+
+TEST(PlaceboDegenerateTest, OverflowingPanelIsANumericalFailure) {
+  // Finite entries of 1e300: every sum of squares a fit forms overflows.
+  // Neither method may throw (ProjectToSimplex's precondition) or blame
+  // the input for a non-finite entry it does not hold.
+  core::Rng rng(70);
+  const auto input = Scaled(MakeInput(40, 30, 8, 2.0, 0.5, rng), 1e300);
+  ASSERT_TRUE(std::isfinite(input.donors(0, 0)));
+  for (const SyntheticControlMethod method : kMethods) {
+    PlaceboOptions options;
+    options.method = method;
+    core::Result<PlaceboResult> result =
+        core::Error(core::ErrorCode::kInvalidArgument, "not run");
+    ASSERT_NO_THROW(result = RunPlaceboAnalysis(input, options));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), core::ErrorCode::kNumericalFailure);
+    EXPECT_NE(result.error().message().find("overflow"), std::string::npos)
+        << result.error().message();
+    EXPECT_EQ(result.error().message().find("non-finite"), std::string::npos)
+        << result.error().message();
+  }
+}
+
+TEST(PlaceboDegenerateTest, ZeroRmsePanelsAreRejectedNotRatioZero) {
+  // An all-zero panel, and one scaled to 1e-300 (whose squares underflow),
+  // fit with zero error before and after treatment: the RMSE ratio is
+  // undefined, not 0 with p = 1.
+  core::Rng rng(71);
+  const auto base = MakeInput(40, 30, 8, 2.0, 0.5, rng);
+  const SyntheticControlInput panels[] = {Scaled(base, 0.0),
+                                          Scaled(base, 1e-300)};
+  for (const SyntheticControlInput& input : panels) {
+    for (const SyntheticControlMethod method : kMethods) {
+      PlaceboOptions options;
+      options.method = method;
+      const auto result = RunPlaceboAnalysis(input, options);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.error().code(), core::ErrorCode::kNumericalFailure);
+      EXPECT_NE(result.error().message().find("below the 1e-09 floor"),
+                std::string::npos)
+          << result.error().message();
+    }
+  }
+}
+
 // ---- Shared-QR rotations vs explicitly built leave-one-out fits ------------
 
 /// The placebo input of rotation j, built independently of placebo.cc:

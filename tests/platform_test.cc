@@ -4,6 +4,8 @@
 // retries, outage windows, deterministic replay).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "measure/export.h"
 #include "measure/platform.h"
 
@@ -225,7 +227,9 @@ TEST(PlatformTest, OnlyTheBatchStoreGetsTraceroutesAndAsPaths) {
   VantageConfig vantage;
   vantage.baseline_tests_per_day = 24.0;
 
-  // Streaming, durable and direct GenerateStep callers get scalar records.
+  // Streaming, durable and direct GenerateStep callers get scalar records:
+  // a PendingRecord has no route to fill.
+  static_assert(std::is_trivially_copyable_v<PendingRecord>);
   Fixture stepped;
   options.server = stepped.server;
   vantage.pop = stepped.user;
@@ -234,11 +238,9 @@ TEST(PlatformTest, OnlyTheBatchStoreGetsTraceroutesAndAsPaths) {
   core::Rng step_rng(12);
   std::vector<SpeedTestRecord> step_records;
   while (step_platform.Now() < until) {
-    for (PendingRecord& pending :
+    for (const PendingRecord& pending :
          step_platform.GenerateStep(until, step_rng).records) {
-      EXPECT_TRUE(pending.record.traceroute.hops.empty());
-      EXPECT_TRUE(pending.record.asn_path.empty());
-      step_records.push_back(std::move(pending.record));
+      step_records.push_back(pending.record);
     }
   }
 
@@ -263,6 +265,7 @@ TEST(PlatformTest, OnlyTheBatchStoreGetsTraceroutesAndAsPaths) {
     EXPECT_EQ(records[i].traceroute.ToText(), traceroute);
     // Keeping the route changes nothing else about a record.
     EXPECT_EQ(records[i].id, step_records[i].id);
+    EXPECT_TRUE(records[i].unit == step_records[i].unit);
     EXPECT_EQ(records[i].time, step_records[i].time);
     EXPECT_EQ(records[i].rtt_ms, step_records[i].rtt_ms);
     EXPECT_EQ(records[i].loss_rate, step_records[i].loss_rate);
@@ -296,6 +299,37 @@ TEST(PlatformFaultTest, CertainProbeLossLogsFailuresWithProvenance) {
     EXPECT_EQ(failure.attempts, options.retry.max_attempts);
     EXPECT_EQ(failure.vantage, f.user);
   }
+}
+
+TEST(PlatformFaultTest, TruncationCutsTheBatchStoresTraceroutes) {
+  // The batch store keeps each record's traceroute, so a certain
+  // truncation fault cuts every one below the path's hop count. The AS
+  // path stays whole.
+  Fixture f;
+  PlatformOptions options;
+  options.server = f.server;
+  Platform platform(*f.sim, options);
+  VantageConfig vantage;
+  vantage.pop = f.user;
+  vantage.baseline_tests_per_day = 24.0;
+  platform.AddVantage(vantage);
+
+  FaultPlan plan;
+  plan.traceroute_truncation_probability = 1.0;
+  FaultInjector injector(plan);
+  platform.SetFaultInjector(&injector);
+  core::Rng rng(22);
+  platform.Run(SimTime::FromDays(2), rng);
+
+  const auto route = f.sim->RouteBetween(f.user, f.server);
+  ASSERT_TRUE(route.ok());
+  ASSERT_GT(platform.store().size(), 10u);
+  for (const RoutedRecord& record : platform.store().records()) {
+    EXPECT_GE(record.traceroute.hops.size(), plan.truncation_min_hops);
+    EXPECT_LT(record.traceroute.hops.size(), route.value().pop_path.size());
+    EXPECT_EQ(record.asn_path, route.value().asn_path);
+  }
+  EXPECT_EQ(injector.stats().traceroutes_truncated, platform.store().size());
 }
 
 TEST(PlatformFaultTest, RetriesRecoverFromTransientLoss) {

@@ -48,8 +48,8 @@ TEST(SpeedTestTest, RecordFieldsPopulated) {
       RunSpeedTest(*f.sim, f.user, f.server, Intent::kBaseline, rng);
   ASSERT_TRUE(record.ok());
   const auto& r = record.value();
-  EXPECT_EQ(r.asn, Asn{3741});
-  EXPECT_EQ(r.city, "Johannesburg");
+  EXPECT_EQ(r.unit.asn(), Asn{3741});
+  EXPECT_EQ(r.unit.city(), "Johannesburg");
   EXPECT_EQ(r.UnitKey(), "3741 / Johannesburg");
   EXPECT_GT(r.rtt_ms, 0.0);
   EXPECT_GT(r.throughput_mbps, 0.0);
@@ -119,6 +119,21 @@ TEST(SpeedTestTest, UnreachableDestinationFails) {
       RunSpeedTest(*f.sim, f.user, f.server, Intent::kUserInitiated, rng);
   ASSERT_FALSE(record.ok());
   EXPECT_EQ(record.error().code(), core::ErrorCode::kNotFound);
+}
+
+TEST(UnitTest, EqualPairsInternToOneEntry) {
+  const Unit a = Unit::Intern(Asn{3741}, "East London");
+  EXPECT_TRUE(a == Unit::Intern(Asn{3741}, std::string("East ") + "London"));
+  EXPECT_FALSE(a == Unit::Intern(Asn{3741}, "Johannesburg"));
+  EXPECT_FALSE(a == Unit::Intern(Asn{37411}, "East London"));
+  EXPECT_EQ(a.asn(), Asn{3741});
+  EXPECT_EQ(a.city(), "East London");
+  EXPECT_EQ(a.key(), "3741 / East London");
+  // A record built without a platform holds the empty unit, which is the
+  // interned ⟨0, ""⟩ like any other.
+  const SpeedTestRecord record;
+  EXPECT_TRUE(record.unit == Unit::Intern(Asn{0}, ""));
+  EXPECT_EQ(record.UnitKey(), "0 / ");
 }
 
 TEST(IntentTest, NamesStable) {
@@ -212,11 +227,10 @@ TEST(StoreTest, FirstIxpCrossingDetectsTreatmentOnset) {
 
 // ---- Validating ingest / quarantine ---------------------------------------
 
-SpeedTestRecord PlausibleRecord() {
-  SpeedTestRecord record;
+RoutedRecord PlausibleRecord() {
+  RoutedRecord record;
   record.time = SimTime::FromHours(3);
-  record.asn = Asn{100};
-  record.city = "X";
+  record.unit = Unit::Intern(Asn{100}, "X");
   record.rtt_ms = 20.0;
   record.loss_rate = 0.01;
   record.throughput_mbps = 50.0;

@@ -26,8 +26,7 @@ measure::SpeedTestRecord MakeRecord(std::uint64_t id, std::uint32_t asn,
   measure::SpeedTestRecord r;
   r.id = core::MeasurementId(id);
   r.time = core::SimTime(minutes);
-  r.asn = core::Asn(asn);
-  r.city = city;
+  r.unit = measure::Unit::Intern(core::Asn(asn), city);
   r.vantage_pop = static_cast<netsim::PopIndex>(asn % 7);
   r.rtt_ms = rtt_ms;
   r.loss_rate = 0.01;
@@ -77,9 +76,8 @@ TEST(ShardedStoreTest, MirrorsBatchStoreValidation) {
   std::size_t batch_archived = 0;
   std::size_t sharded_archived = 0;
   for (const auto& r : records) {
-    if (batch.Add(r)) ++batch_archived;
-    const std::string unit = r.UnitKey();
-    if (sharded.Append(sharded.ShardOf(unit), r, unit)) ++sharded_archived;
+    if (batch.Add({r, {}})) ++batch_archived;
+    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) ++sharded_archived;
   }
 
   EXPECT_EQ(batch_archived, 40u);
@@ -109,7 +107,7 @@ TEST(ShardedStoreTest, ShardOfPartitionsUnitsDeterministically) {
     const std::size_t shard = store.ShardOf(r.UnitKey());
     EXPECT_EQ(shard, store.ShardOf(r.UnitKey()));
     ASSERT_LT(shard, store.shard_count());
-    ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
+    ASSERT_TRUE(store.Append(shard, r));
   }
   // Every unit's arena entry lives in exactly one shard.
   std::size_t interned = 0;
@@ -124,10 +122,10 @@ TEST(ShardedStoreTest, InternsUnitsAndClampsAttempts) {
   auto r = MakeRecord(1, 3741, "East London", 60, 12.0);
   r.attempts = 1000;
   const std::size_t shard = store.ShardOf(r.UnitKey());
-  ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
+  ASSERT_TRUE(store.Append(shard, r));
   r.id = core::MeasurementId(2);
   r.attempts = 3;
-  ASSERT_TRUE(store.Append(shard, r, r.UnitKey()));
+  ASSERT_TRUE(store.Append(shard, r));
   const auto& columns = store.shard(shard);
   ASSERT_EQ(columns.size(), 2u);
   EXPECT_EQ(columns.unit[0], columns.unit[1]);  // interned once
@@ -143,7 +141,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
                                 "City" + std::to_string(i % 4),
                                 static_cast<std::int64_t>(i * 30),
                                 10.0 + static_cast<double>(i) * 0.25);
-      store.Append(store.ShardOf(r.UnitKey()), r, r.UnitKey());
+      store.Append(store.ShardOf(r.UnitKey()), r);
     }
   };
   measure::ShardedMeasurementStore a, b;
@@ -188,7 +186,7 @@ measure::PanelOptions FixtureOptions() {
 TEST(IncrementalPanelBuilderTest, MatchesBatchBuildRttPanel) {
   const auto records = PanelFixtureRecords();
   measure::MeasurementStore store;
-  for (const auto& r : records) ASSERT_TRUE(store.Add(r));
+  for (const auto& r : records) ASSERT_TRUE(store.Add({r, {}}));
   const measure::Panel batch =
       measure::BuildRttPanel(store, FixtureOptions());
 

@@ -1,12 +1,12 @@
-# Compares the structural work counters of a table1 run's metrics.json, and
-# the byte sizes of the audit.bin and timeline.bin beside it, with the
-# golden copy. These count work items (route-cache reads, BGP table builds,
-# SVD and QR calls) and bytes written, never floating-point results, so
-# they hold byte for byte on any host; a change that moves one must update
-# the golden on purpose.
+# Compares the structural work counters of a table1 run's metrics.json, the
+# byte sizes of the audit.bin and timeline.bin beside it, and the byte size
+# of a durable run's journal.bin with the golden copy. These count work
+# items (route-cache reads, BGP table builds, SVD and QR calls) and bytes
+# written, never floating-point results, so they hold byte for byte on any
+# host; a change that moves one must update the golden on purpose.
 #
-#   cmake -DMETRICS=<metrics.json> -DGOLDEN=<counters file>
-#         -P table1_work_counters_golden.cmake
+#   cmake -DMETRICS=<metrics.json> -DJOURNAL=<journal.bin>
+#         -DGOLDEN=<counters file> -P table1_work_counters_golden.cmake
 set(counters
   netsim.bgp.route_cache_hits
   netsim.bgp.route_cache_misses
@@ -31,6 +31,11 @@ foreach(artifact audit.bin timeline.bin)
   file(SIZE ${run_dir}/${artifact} bytes)
   string(APPEND actual "${artifact}.bytes ${bytes}\n")
 endforeach()
+if(NOT EXISTS ${JOURNAL})
+  message(FATAL_ERROR "no journal at ${JOURNAL}")
+endif()
+file(SIZE ${JOURNAL} bytes)
+string(APPEND actual "journal.bin.bytes ${bytes}\n")
 file(READ ${GOLDEN} golden)
 if(NOT actual STREQUAL golden)
   message(FATAL_ERROR
