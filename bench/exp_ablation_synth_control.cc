@@ -44,13 +44,15 @@ int Main() {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = SimTime::FromHours(6);
+  campaign_options.panel.periods = static_cast<std::size_t>(
+      options.horizon.minutes() / campaign_options.panel.bucket.minutes());
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(7);
-  platform.Run(options.horizon, rng);
-  measure::PanelOptions panel_options;
-  panel_options.bucket = SimTime::FromHours(6);
-  panel_options.periods = static_cast<std::size_t>(
-      options.horizon.minutes() / panel_options.bucket.minutes());
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  platform.Run(options.horizon, rng, campaign);
+  const auto panel = campaign.FinalizePanel();
 
   const double kInjectedEffect = 4.0;
   auto input = measure::MakeSyntheticControlInput(

@@ -83,28 +83,34 @@ int Main() {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = SimTime::FromHours(6);
+  campaign_options.panel.periods = static_cast<std::size_t>(
+      options.horizon.minutes() / campaign_options.panel.bucket.minutes());
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(options.seed);
-  platform.Run(options.horizon, rng);
+  platform.Run(options.horizon, rng, campaign);
+  const measure::ShardedMeasurementStore& store = campaign.store();
 
   const auto& topo = scenario.simulator->topology();
   const auto jnb = topo.cities().Find("Johannesburg").value();
   std::vector<double> member, rtt, distance;
-  for (const std::string& unit : platform.store().Units()) {
-    const auto records = platform.store().ForUnit(unit);
+  for (const std::string& unit : store.Units()) {
+    const auto [arena, rows] = store.RowsOf(unit);
     std::vector<double> post_rtts;
-    for (const auto* record : records) {
-      if (record->time >= options.treatment_time) {
-        post_rtts.push_back(record->rtt_ms);
+    for (const std::size_t i : rows) {
+      if (SimTime(arena->time_minutes[i]) >= options.treatment_time) {
+        post_rtts.push_back(arena->rtt_ms[i]);
       }
     }
     if (post_rtts.size() < 10) continue;
-    const double share = platform.store().IxpCrossingShare(
-        topo, unit, scenario.napafrica_jnb, options.treatment_time,
-        options.horizon);
+    const double share = store.IxpCrossingShare(
+        unit, scenario.napafrica_jnb, options.treatment_time, options.horizon);
     member.push_back(share > 0.5 ? 1.0 : 0.0);
     rtt.push_back(stats::Median(post_rtts));
     distance.push_back(topo.cities().DistanceKm(
-        topo.GetPop(records.front()->vantage_pop).city, jnb));
+        topo.GetPop(arena->vantage_pop[rows.front()]).city, jnb));
   }
   causal::Dataset data;
   (void)data.AddColumn("IxpMember", member);
@@ -127,11 +133,7 @@ int Main() {
 
   // ---- Step 4: report uncertainty ----
   // 4a. Event study with placebo bands for one treated unit.
-  measure::PanelOptions panel_options;
-  panel_options.bucket = SimTime::FromHours(6);
-  panel_options.periods = static_cast<std::size_t>(
-      options.horizon.minutes() / panel_options.bucket.minutes());
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  const auto panel = campaign.FinalizePanel();
   const auto& unit = scenario.treated[0];  // 3741 / East London
   auto input = measure::MakeSyntheticControlInput(
       panel, unit.name, scenario.donor_names, options.treatment_time);

@@ -51,14 +51,10 @@ struct CampaignResult {
 /// campaign, so each needs its own waterfall to reconcile against).
 /// `platform_seed` = 0 means "use the scenario seed"; any other value
 /// reseeds the platform RNG, which gives the estimator's noise floor.
-/// With `streaming` the campaign flows through the sharded columnar store
-/// and the incremental panel builder instead of the batch merge; every
-/// result field (and the determinism CSV) is produced from that path.
 CampaignResult RunCampaign(const std::string& label,
                            const measure::FaultPlan* plan,
                            bool keep_csv = false,
-                           std::uint64_t platform_seed = 0,
-                           bool streaming = false) {
+                           std::uint64_t platform_seed = 0) {
   SISYPHUS_LINEAGE(BeginRun(label));
   netsim::ScenarioZaOptions scenario_options;
   netsim::ScenarioZa scenario = netsim::BuildScenarioZa(scenario_options);
@@ -93,25 +89,16 @@ CampaignResult RunCampaign(const std::string& label,
       scenario_options.horizon.minutes() / panel_options.bucket.minutes());
 
   core::Rng rng(platform_seed != 0 ? platform_seed : scenario_options.seed);
+  measure::StreamingOptions streaming_options;
+  streaming_options.panel = panel_options;
+  measure::StreamingCampaign stream(platform_options.validation,
+                                    streaming_options);
+  platform.Run(scenario_options.horizon, rng, stream);
+  const measure::Panel panel = stream.FinalizePanel();
   CampaignResult out;
-  measure::Panel panel;
-  if (streaming) {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
-    platform.RunStreaming(scenario_options.horizon, rng, stream);
-    panel = stream.FinalizePanel();
-    out.records = stream.store().size();
-    out.quarantined = stream.store().quarantined();
-    if (keep_csv) out.store_csv = stream.store().ToCsv();
-  } else {
-    platform.Run(scenario_options.horizon, rng);
-    panel = measure::BuildRttPanel(platform.store(), panel_options);
-    out.records = platform.store().size();
-    out.quarantined = platform.store().quarantine().size();
-    if (keep_csv) out.store_csv = measure::StoreToCsv(platform.store());
-  }
+  out.records = stream.store().size();
+  out.quarantined = stream.store().quarantined();
+  if (keep_csv) out.store_csv = stream.store().ToCsv();
   out.failures = platform.failures().size();
   out.panel_units = panel.units.size();
   out.panel_dropped = panel.dropped.size();
@@ -154,14 +141,10 @@ measure::FaultPlan AcceptancePlan(const netsim::ScenarioZa& scenario,
   return plan;
 }
 
-int Main(const std::string& obs_dir, bool streaming) {
+int Main(const std::string& obs_dir) {
   bench::PrintHeader("F1", "fault resilience of the Table 1 pipeline",
                      "robustness extension (degraded-data semantics, "
                      "DESIGN.md failure model)");
-  if (streaming) {
-    std::printf("mode: streaming ingest (sharded columnar store + "
-                "incremental panel)\n\n");
-  }
 
   const netsim::ScenarioZaOptions scenario_defaults;
   bench::ObsRun obs("exp_fault_resilience", obs_dir, scenario_defaults.seed);
@@ -169,12 +152,10 @@ int Main(const std::string& obs_dir, bool streaming) {
   manifest.AddOption("horizon_days",
                      std::to_string(scenario_defaults.horizon.days()));
   manifest.AddOption("acceptance_plan_seed", "42");
-  manifest.AddOption("streaming", streaming ? "true" : "false");
 
   std::unique_ptr<obs::ScopedPhase> phase =
       std::make_unique<obs::ScopedPhase>(manifest, "clean_campaign");
-  const CampaignResult clean = RunCampaign("clean", nullptr, false, 0,
-                                           streaming);
+  const CampaignResult clean = RunCampaign("clean", nullptr);
   std::printf("clean campaign: %zu records, %zu panel units, mean IXP "
               "effect %+.3f ms over %zu treated units\n\n",
               clean.records, clean.panel_units, clean.mean_effect,
@@ -206,8 +187,7 @@ int Main(const std::string& obs_dir, bool streaming) {
   phase = std::make_unique<obs::ScopedPhase>(manifest, "noise_floor");
   for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     const CampaignResult reseed = RunCampaign(
-        "noise_floor.seed" + std::to_string(seed), nullptr, false, seed,
-        streaming);
+        "noise_floor.seed" + std::to_string(seed), nullptr, false, seed);
     std::printf("noise floor (clean, platform seed %llu): effect %+.3f ms "
                 "(rel. drift %.2f)\n",
                 static_cast<unsigned long long>(seed), reseed.mean_effect,
@@ -240,8 +220,7 @@ int Main(const std::string& obs_dir, bool streaming) {
           {reference.treated[i % reference.treated.size()].access_pop,
            {{start, start + duration}}});
     }
-    const CampaignResult result =
-        RunCampaign(point.label, &plan, false, 0, streaming);
+    const CampaignResult result = RunCampaign(point.label, &plan);
     const double rel_err =
         std::abs(result.mean_effect - clean.mean_effect) /
         std::max(std::abs(clean.mean_effect), 1e-9);
@@ -260,9 +239,9 @@ int Main(const std::string& obs_dir, bool streaming) {
   manifest.fault_plan_hash =
       core::Fnv1a64Hex(measure::FaultPlanFingerprint(acceptance));
   const CampaignResult run_a = RunCampaign("acceptance.run_a", &acceptance,
-                                           /*keep_csv=*/true, 0, streaming);
+                                           /*keep_csv=*/true);
   const CampaignResult run_b = RunCampaign("acceptance.run_b", &acceptance,
-                                           /*keep_csv=*/true, 0, streaming);
+                                           /*keep_csv=*/true);
   const bool deterministic = run_a.store_csv == run_b.store_csv;
   if (!deterministic) {
     // Leave the evidence where a human can diff it.
@@ -299,13 +278,10 @@ int Main(const std::string& obs_dir, bool streaming) {
 int main(int argc, char** argv) {
   sisyphus::bench::ApplyThreadsFlag(argc, argv);
   std::string obs_dir;
-  bool streaming = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
       obs_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      streaming = true;
     }
   }
-  return Main(obs_dir, streaming);
+  return Main(obs_dir);
 }

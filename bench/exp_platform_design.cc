@@ -97,7 +97,10 @@ int Main() {
     vantage.pop = world.user;
     vantage.baseline_tests_per_day = 4.0;  // sparse fixed-interval floor
     platform.AddVantage(vantage);
-    platform.Run(SimTime::FromDays(kDays), rng);
+    measure::StreamingCampaign campaign(options.validation, {});
+    platform.Run(SimTime::FromDays(kDays), rng, campaign);
+    const auto [arena, rows] =
+        campaign.store().RowsOf(platform.VantageUnit(world.user)->key());
 
     // How many route changes have >= 3 tests within the following hour?
     std::size_t covered = 0, events = 0;
@@ -105,15 +108,16 @@ int Main() {
       if (!change.exogenous) continue;
       ++events;
       std::size_t nearby = 0;
-      for (const auto& record : platform.store().records()) {
-        if (record.time >= change.time &&
-            record.time < change.time + SimTime::FromHours(1)) {
+      for (const std::size_t i : rows) {
+        const SimTime time(arena->time_minutes[i]);
+        if (time >= change.time &&
+            time < change.time + SimTime::FromHours(1)) {
           ++nearby;
         }
       }
       if (nearby >= 3) ++covered;
     }
-    return std::tuple{events, covered, platform.store().size()};
+    return std::tuple{events, covered, rows.size()};
   };
   const auto [events_off, covered_off, n_off] = run(false);
   const auto [events_on, covered_on, n_on] = run(true);
@@ -142,12 +146,18 @@ int Main() {
   vantage.user_tests_per_day = 6.0;
   vantage.dissatisfaction_gain = 12.0;
   tagged.AddVantage(vantage);
-  tagged.Run(SimTime::FromDays(kDays), rng2);
+  measure::StreamingCampaign tagged_campaign(tag_options.validation, {});
+  tagged.Run(SimTime::FromDays(kDays), rng2, tagged_campaign);
+  const auto [tagged_arena, tagged_rows] = tagged_campaign.store().RowsOf(
+      tagged.VantageUnit(tagged_world.user)->key());
+  const auto intent_of = [&](std::size_t i) {
+    return static_cast<measure::Intent>(tagged_arena->intent[i]);
+  };
   std::vector<double> all_rtt, baseline_rtt;
-  for (const auto& record : tagged.store().records()) {
-    all_rtt.push_back(record.rtt_ms);
-    if (record.intent == measure::Intent::kBaseline) {
-      baseline_rtt.push_back(record.rtt_ms);
+  for (const std::size_t i : tagged_rows) {
+    all_rtt.push_back(tagged_arena->rtt_ms[i]);
+    if (intent_of(i) == measure::Intent::kBaseline) {
+      baseline_rtt.push_back(tagged_arena->rtt_ms[i]);
     }
   }
   std::printf("\n(2) intent tagging under endogenous user testing:\n"
@@ -186,9 +196,10 @@ int Main() {
   // Correlate the hourly user-test COUNT with the true (hidden) primary
   // utilization: the sampling bias is itself a congestion sensor.
   std::vector<double> hourly_counts(24 * kDays, 0.0);
-  for (const auto& record : tagged.store().records()) {
-    if (record.intent != measure::Intent::kUserInitiated) continue;
-    const auto hour = static_cast<std::size_t>(record.time.hours());
+  for (const std::size_t i : tagged_rows) {
+    if (intent_of(i) != measure::Intent::kUserInitiated) continue;
+    const auto hour = static_cast<std::size_t>(
+        SimTime(tagged_arena->time_minutes[i]).hours());
     if (hour < hourly_counts.size()) hourly_counts[hour] += 1.0;
   }
   std::vector<double> hourly_util(24 * kDays, 0.0);

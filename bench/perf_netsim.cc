@@ -211,7 +211,8 @@ void BM_ScenarioZaBuild(benchmark::State& state) {
 BENCHMARK(BM_ScenarioZaBuild);
 
 void BM_CampaignDayThroughput(benchmark::State& state) {
-  // One simulated day of the Table 1 measurement campaign.
+  // One simulated day of the Table 1 measurement campaign through
+  // Platform::Run (generation plus the campaign's sharded ingest).
   for (auto _ : state) {
     state.PauseTiming();
     netsim::ScenarioZaOptions options;
@@ -230,10 +231,11 @@ void BM_CampaignDayThroughput(benchmark::State& state) {
       vantage.pop = donor;
       platform.AddVantage(vantage);
     }
+    measure::StreamingCampaign campaign(platform_options.validation, {});
     core::Rng rng(1);
     state.ResumeTiming();
-    platform.Run(core::SimTime::FromDays(1), rng);
-    benchmark::DoNotOptimize(platform.store().size());
+    platform.Run(core::SimTime::FromDays(1), rng, campaign);
+    benchmark::DoNotOptimize(campaign.store().size());
   }
 }
 BENCHMARK(BM_CampaignDayThroughput)->Unit(benchmark::kMillisecond);
@@ -363,12 +365,14 @@ struct AuditLedgerFixture {
       vantage.pop = donor;
       platform.AddVantage(vantage);
     }
+    measure::StreamingOptions campaign_options;
+    campaign_options.panel.bucket = core::SimTime::FromHours(6);
+    campaign_options.panel.periods = 14 * 4;
+    measure::StreamingCampaign campaign(platform_options.validation,
+                                        campaign_options);
     core::Rng rng(17);
-    platform.Run(options.horizon, rng);
-    measure::PanelOptions panel_options;
-    panel_options.bucket = core::SimTime::FromHours(6);
-    panel_options.periods = 14 * 4;
-    const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+    platform.Run(options.horizon, rng, campaign);
+    const auto panel = campaign.FinalizePanel();
     auto input = measure::MakeSyntheticControlInput(
         panel, treated_unit, scenario.donor_names, options.treatment_time);
     if (input.ok()) {

@@ -6,8 +6,11 @@
 //   1. simulate the South African edge for 56 days; eight treated
 //      ⟨ASN, city⟩ units turn up NAPAfrica-JNB peering at day 28;
 //   2. run an M-Lab-style measurement campaign (scheduled + user-initiated
-//      speed tests with post-test traceroutes);
-//   3. detect IXP crossings by matching hop IPs against the IXP LAN;
+//      speed tests with post-test traceroutes) through the one campaign
+//      driver: the sharded store and incremental panel, or with
+//      --durable-dir the durable service;
+//   3. detect IXP crossings by matching hop IPs against the IXP LAN (each
+//      record carries the IXP its traceroute first crosses);
 //   4. per treated unit: robust synthetic control against the
 //      never-crossing donor pool; placebo p-values from donor RMSE-ratio
 //      ranks.
@@ -38,8 +41,8 @@ namespace {
 
 using namespace sisyphus;
 
-/// Durability flags (streaming mode only): with --durable-dir the campaign
-/// runs under the DurableStreamingService (write-ahead journal + periodic
+/// Durability flags: with --durable-dir the campaign runs under the
+/// DurableStreamingService (write-ahead journal + periodic
 /// snapshots), --resume recovers a killed run from that directory, and
 /// --chaos arms the kill/corrupt harness (DESIGN.md §11).
 struct DurableArgs {
@@ -59,14 +62,12 @@ struct Row {
   double paper_delta = 0.0;
 };
 
-/// --export-dir: writes the raw measurements, the panel, and per-unit
-/// event-study gap series as CSV for external plotting (gnuplot / R /
-/// matplotlib) — the paper's public-repo artifacts, regenerated. In
-/// streaming mode `store` is null (the full records are never held in
-/// memory) and speedtests.csv is skipped; panel.csv and the event-study
-/// series are identical either way.
+/// --export-dir: writes the raw measurements (one row per archived record
+/// copy, with the IXP it crosses), the panel, and per-unit event-study gap
+/// series as CSV for external plotting (gnuplot / R / matplotlib) — the
+/// paper's public-repo artifacts, regenerated.
 int ExportArtifacts(const std::string& directory,
-                    const measure::MeasurementStore* store,
+                    const measure::ShardedMeasurementStore& store,
                     const measure::Panel& panel,
                     const netsim::ScenarioZa& scenario) {
   std::error_code ec;
@@ -80,9 +81,7 @@ int ExportArtifacts(const std::string& directory,
     std::printf("wrote %s/%s\n", directory.c_str(), name.c_str());
     return true;
   };
-  if (store != nullptr && !write("speedtests.csv", measure::StoreToCsv(*store))) {
-    return 1;
-  }
+  if (!write("speedtests.csv", store.ToCsv())) return 1;
   if (!write("panel.csv", measure::PanelToCsv(panel))) {
     return 1;
   }
@@ -113,7 +112,7 @@ int ExportArtifacts(const std::string& directory,
 }
 
 int Main(bool ablation, const std::string& export_dir,
-         const std::string& obs_dir, bool streaming, double scale,
+         const std::string& obs_dir, double scale,
          const DurableArgs& durable_args) {
   bench::PrintHeader("T1", "IXP case study via robust synthetic control",
                      "Table 1 (HotNets '25 Sisyphus paper)");
@@ -125,7 +124,6 @@ int Main(bool ablation, const std::string& export_dir,
                     scenario_options.seed);
   obs::RunManifest& manifest = obs.manifest();
   manifest.AddOption("ablation", ablation ? "true" : "false");
-  manifest.AddOption("streaming", streaming ? "true" : "false");
   manifest.AddOption("scale", std::to_string(scale));
   manifest.AddOption("horizon_days",
                      std::to_string(scenario_options.horizon.days()));
@@ -164,119 +162,90 @@ int Main(bool ablation, const std::string& export_dir,
     platform.AddVantage(vantage);
   }
 
-  // Panel geometry is fixed up front: the streaming path folds records
-  // into cells as they arrive, so it needs the bucket grid before the
-  // campaign starts (the batch path simply uses it later).
+  // Panel geometry is fixed up front: the campaign folds records into
+  // cells as they arrive, so it needs the bucket grid before it starts.
   measure::PanelOptions panel_options;
   panel_options.bucket = core::SimTime::FromHours(6);
   panel_options.periods = static_cast<std::size_t>(
       scenario_options.horizon.minutes() / panel_options.bucket.minutes());
 
   core::Rng rng(scenario_options.seed);
-  measure::Panel panel;
   bool partial_run = false;
-  if (streaming) {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
-    if (!durable_args.dir.empty()) {
-      durable::InstallSignalHandlers();
-      durable::DurableOptions durable_options;
-      durable_options.dir = durable_args.dir;
-      durable_options.snapshot_every = durable_args.snapshot_every;
-      durable_options.fsync_every = durable_args.fsync_every;
-      durable_options.max_step_records = durable_args.shed_max;
-      if (!durable_args.chaos_spec.empty()) {
-        auto chaos = durable::ParseChaosSpec(durable_args.chaos_spec);
-        if (!chaos.ok()) {
-          std::printf("%s\n", chaos.error().ToText().c_str());
-          return 2;
-        }
-        durable_options.chaos = chaos.value();
+  measure::StreamingOptions streaming_options;
+  streaming_options.panel = panel_options;
+  measure::StreamingCampaign stream(platform_options.validation,
+                                    streaming_options);
+  if (!durable_args.dir.empty()) {
+    durable::InstallSignalHandlers();
+    durable::DurableOptions durable_options;
+    durable_options.dir = durable_args.dir;
+    durable_options.snapshot_every = durable_args.snapshot_every;
+    durable_options.fsync_every = durable_args.fsync_every;
+    durable_options.max_step_records = durable_args.shed_max;
+    if (!durable_args.chaos_spec.empty()) {
+      auto chaos = durable::ParseChaosSpec(durable_args.chaos_spec);
+      if (!chaos.ok()) {
+        std::printf("%s\n", chaos.error().ToText().c_str());
+        return 2;
       }
-      durable::DurableStreamingService service(platform, stream,
-                                               durable_options);
-      auto run = durable_args.resume
-                     ? service.Resume(scenario_options.horizon, rng)
-                     : service.Run(scenario_options.horizon, rng);
-      if (!run.ok()) {
-        std::printf("durable run failed: %s\n",
-                    run.error().ToText().c_str());
-        return 1;
-      }
-      const durable::RunStats& stats = run.value();
-      partial_run = stats.outcome == durable::RunOutcome::kInterrupted;
-      manifest.durable.enabled = true;
-      manifest.durable.resumed = stats.resumed;
-      manifest.durable.partial = partial_run;
-      manifest.durable.snapshot_seq = stats.snapshot_seq;
-      manifest.durable.journal_high_water = stats.journal_high_water;
-      manifest.durable.journal_entries = stats.journal_entries;
-      manifest.durable.shed_records = stats.shed_records;
-      std::printf("durable: %llu live steps (%llu rebuilt from the journal, "
-                  "%llu replayed under journal verification), snapshot seq "
-                  "%llu, journal high-water %llu%s%s\n",
-                  static_cast<unsigned long long>(stats.steps),
-                  static_cast<unsigned long long>(stats.rebuilt_steps),
-                  static_cast<unsigned long long>(stats.replayed_steps),
-                  static_cast<unsigned long long>(stats.snapshot_seq),
-                  static_cast<unsigned long long>(stats.journal_high_water),
-                  stats.resumed ? ", resumed" : "",
-                  partial_run ? ", PARTIAL (interrupted)" : "");
-    } else {
-      platform.RunStreaming(scenario_options.horizon, rng, stream);
+      durable_options.chaos = chaos.value();
     }
-    phase->SetSimSpan(core::SimTime(0), scenario_options.horizon);
-    std::printf("campaign (streaming): %llu speed tests over %.0f days "
-                "(%llu baseline, %llu user-initiated) across %zu shards in "
-                "%llu step batches\n",
-                static_cast<unsigned long long>(stream.store().size()),
-                scenario_options.horizon.days(),
-                static_cast<unsigned long long>(
-                    stream.store().CountByIntent(measure::Intent::kBaseline)),
-                static_cast<unsigned long long>(stream.store().CountByIntent(
-                    measure::Intent::kUserInitiated)),
-                stream.store().shard_count(),
-                static_cast<unsigned long long>(stream.batches()));
-
-    // ---- 2. Detection ----
-    // IXP-crossing detection matches traceroute hops, which the columnar
-    // arenas do not retain; the detection pass is a batch-only diagnostic
-    // (it feeds no metrics, lineage, or estimates).
-    std::printf("IXP-crossing detection: skipped in streaming mode "
-                "(traceroutes are not retained)\n\n");
-
-    // ---- 3. Panel (incremental finalize) ----
-    phase = std::make_unique<obs::ScopedPhase>(manifest, "build_panel");
-    panel = stream.FinalizePanel();
+    durable::DurableStreamingService service(platform, stream,
+                                             durable_options);
+    auto run = durable_args.resume
+                   ? service.Resume(scenario_options.horizon, rng)
+                   : service.Run(scenario_options.horizon, rng);
+    if (!run.ok()) {
+      std::printf("durable run failed: %s\n", run.error().ToText().c_str());
+      return 1;
+    }
+    const durable::RunStats& stats = run.value();
+    partial_run = stats.outcome == durable::RunOutcome::kInterrupted;
+    manifest.durable.enabled = true;
+    manifest.durable.resumed = stats.resumed;
+    manifest.durable.partial = partial_run;
+    manifest.durable.snapshot_seq = stats.snapshot_seq;
+    manifest.durable.journal_high_water = stats.journal_high_water;
+    manifest.durable.journal_entries = stats.journal_entries;
+    manifest.durable.shed_records = stats.shed_records;
+    std::printf("durable: %llu live steps (%llu rebuilt from the journal, "
+                "%llu replayed under journal verification), snapshot seq "
+                "%llu, journal high-water %llu%s%s\n",
+                static_cast<unsigned long long>(stats.steps),
+                static_cast<unsigned long long>(stats.rebuilt_steps),
+                static_cast<unsigned long long>(stats.replayed_steps),
+                static_cast<unsigned long long>(stats.snapshot_seq),
+                static_cast<unsigned long long>(stats.journal_high_water),
+                stats.resumed ? ", resumed" : "",
+                partial_run ? ", PARTIAL (interrupted)" : "");
   } else {
-    platform.Run(scenario_options.horizon, rng);
-    phase->SetSimSpan(core::SimTime(0), scenario_options.horizon);
-    std::printf("campaign: %zu speed tests over %.0f days (%zu baseline, "
-                "%zu user-initiated)\n",
-                platform.store().size(), scenario_options.horizon.days(),
-                platform.CountByIntent(measure::Intent::kBaseline),
-                platform.CountByIntent(measure::Intent::kUserInitiated));
-
-    // ---- 2. Detection: which units began crossing the IXP? ----
-    phase = std::make_unique<obs::ScopedPhase>(manifest, "detect_crossings");
-    const auto& topology = scenario.simulator->topology();
-    std::size_t detected = 0;
-    for (const auto& unit : scenario.treated) {
-      const auto first = platform.store().FirstIxpCrossing(
-          topology, unit.name, scenario.napafrica_jnb);
-      if (first.has_value()) ++detected;
-    }
-    std::printf("IXP-crossing detection: %zu / %zu treated units observed "
-                "crossing NAPAfrica-JNB after day %.0f\n\n",
-                detected, scenario.treated.size(),
-                scenario_options.treatment_time.days());
-
-    // ---- 3. Panel ----
-    phase = std::make_unique<obs::ScopedPhase>(manifest, "build_panel");
-    panel = measure::BuildRttPanel(platform.store(), panel_options);
+    platform.Run(scenario_options.horizon, rng, stream);
   }
+  phase->SetSimSpan(core::SimTime(0), scenario_options.horizon);
+  const measure::ShardedMeasurementStore& store = stream.store();
+  std::printf("campaign: %llu speed tests over %.0f days (%llu baseline, "
+              "%llu user-initiated)\n",
+              static_cast<unsigned long long>(store.size()),
+              scenario_options.horizon.days(),
+              static_cast<unsigned long long>(
+                  store.CountByIntent(measure::Intent::kBaseline)),
+              static_cast<unsigned long long>(
+                  store.CountByIntent(measure::Intent::kUserInitiated)));
+
+  // ---- 2. Detection: which units began crossing the IXP? ----
+  phase = std::make_unique<obs::ScopedPhase>(manifest, "detect_crossings");
+  std::size_t detected = 0;
+  for (const auto& unit : scenario.treated) {
+    if (store.FirstIxpCrossing(unit.name, scenario.napafrica_jnb)) ++detected;
+  }
+  std::printf("IXP-crossing detection: %zu / %zu treated units observed "
+              "crossing NAPAfrica-JNB after day %.0f\n\n",
+              detected, scenario.treated.size(),
+              scenario_options.treatment_time.days());
+
+  // ---- 3. Panel (incremental finalize) ----
+  phase = std::make_unique<obs::ScopedPhase>(manifest, "build_panel");
+  const measure::Panel panel = stream.FinalizePanel();
   std::printf("panel: %zu units x %zu periods (6h median RTT buckets)\n\n",
               panel.units.size(), panel_options.periods);
 
@@ -387,9 +356,8 @@ int Main(bool ablation, const std::string& export_dir,
 
   if (!export_dir.empty()) {
     std::printf("\nexporting artifacts:\n");
-    if (const int status = ExportArtifacts(
-            export_dir, streaming ? nullptr : &platform.store(), panel,
-            scenario);
+    if (const int status =
+            ExportArtifacts(export_dir, stream.store(), panel, scenario);
         status != 0) {
       return status;
     }
@@ -423,7 +391,6 @@ int Main(bool ablation, const std::string& export_dir,
 int main(int argc, char** argv) {
   sisyphus::bench::ApplyThreadsFlag(argc, argv);
   bool ablation = false;
-  bool streaming = false;
   double scale = 1.0;
   std::string export_dir;
   std::string obs_dir;
@@ -431,8 +398,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ablation") == 0) {
       ablation = true;
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      streaming = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
       scale = std::atof(argv[++i]);
       if (!(scale > 0.0)) {
@@ -460,16 +425,10 @@ int main(int argc, char** argv) {
       durable_args.chaos_spec = argv[++i];
     }
   }
-  if ((!durable_args.dir.empty() || durable_args.resume ||
-       !durable_args.chaos_spec.empty()) &&
-      !streaming) {
-    std::fprintf(stderr, "--durable-dir/--resume/--chaos require --streaming\n");
-    return 2;
-  }
   if (durable_args.dir.empty() &&
       (durable_args.resume || !durable_args.chaos_spec.empty())) {
     std::fprintf(stderr, "--resume/--chaos require --durable-dir\n");
     return 2;
   }
-  return Main(ablation, export_dir, obs_dir, streaming, scale, durable_args);
+  return Main(ablation, export_dir, obs_dir, scale, durable_args);
 }

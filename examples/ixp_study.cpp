@@ -40,25 +40,30 @@ int main() {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  // The campaign folds records into a 28-day panel of 6h buckets as they
+  // arrive.
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = core::SimTime::FromHours(6);
+  campaign_options.panel.periods = 4 * 28;
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(2025);
-  platform.Run(options.horizon, rng);
-  std::printf("campaign: %zu speed tests (%zu user-initiated)\n",
-              platform.store().size(),
-              platform.CountByIntent(measure::Intent::kUserInitiated));
+  platform.Run(options.horizon, rng, campaign);
+  const measure::ShardedMeasurementStore& store = campaign.store();
+  std::printf("campaign: %llu speed tests (%llu user-initiated)\n",
+              static_cast<unsigned long long>(store.size()),
+              static_cast<unsigned long long>(
+                  store.CountByIntent(measure::Intent::kUserInitiated)));
 
   // Pick one unit, confirm the treatment onset from the traceroutes.
   const auto& unit = scenario.treated[1];  // 3741 / Johannesburg
-  const auto onset = platform.store().FirstIxpCrossing(
-      scenario.simulator->topology(), unit.name, scenario.napafrica_jnb);
+  const auto onset = store.FirstIxpCrossing(unit.name, scenario.napafrica_jnb);
   std::printf("%s first seen crossing NAPAfrica-JNB at %s\n",
               unit.name.c_str(),
               onset.has_value() ? onset->ToText().c_str() : "(never)");
 
   // Panel + robust synthetic control + placebo inference.
-  measure::PanelOptions panel_options;
-  panel_options.bucket = core::SimTime::FromHours(6);
-  panel_options.periods = 4 * 28;
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  const auto panel = campaign.FinalizePanel();
   auto input = measure::MakeSyntheticControlInput(
       panel, unit.name, scenario.donor_names, options.treatment_time);
   if (!input.ok()) {

@@ -27,6 +27,8 @@ class Writer {
  public:
   void PutU8(std::uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
 
+  void PutU16(std::uint16_t v) { PutLittleEndian(v, 2); }
+
   void PutU32(std::uint32_t v) { PutLittleEndian(v, 4); }
 
   void PutU64(std::uint64_t v) { PutLittleEndian(v, 8); }
@@ -101,6 +103,10 @@ class Reader {
   std::size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
   std::uint8_t GetU8() { return static_cast<std::uint8_t>(GetLittleEndian(1)); }
+
+  std::uint16_t GetU16() {
+    return static_cast<std::uint16_t>(GetLittleEndian(2));
+  }
 
   std::uint32_t GetU32() {
     return static_cast<std::uint32_t>(GetLittleEndian(4));

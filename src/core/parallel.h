@@ -74,9 +74,9 @@ TaskObserver* GetTaskObserver();
 /// RAII scope marking parallel regions started by this thread as
 /// telemetry-silent. Some regions are internal to a data path whose output
 /// artifacts are contracted to be byte-identical across execution
-/// strategies (e.g. streaming ingest, which runs one region per batch where
-/// the batch path runs none): counting such regions in the metrics registry
-/// would leak the execution shape into metrics.json. Inside this scope the
+/// strategies (e.g. the campaign's shard ingest, one region per step):
+/// counting such regions in the metrics registry would leak the execution
+/// shape into metrics.json. Inside this scope the
 /// observer still buffers and replays per-task side channels (metric writes
 /// made *by* tasks, lineage events, trace spans, pool stats) -- only the
 /// engine's own region/task counters are suppressed. Scopes nest.

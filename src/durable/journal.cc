@@ -25,10 +25,20 @@ std::uint64_t FrameChecksum(std::uint64_t seq, std::string_view payload) {
 
 namespace {
 
-/// Frame magic of the FNV-1a-checksummed format ("SISYJRNL"). It is
-/// recognised only to be refused by name: such a frame is corruption
-/// wherever it sits, never a torn tail.
-constexpr std::uint64_t kFnvJournalMagic = 0x4c4e524a59534953ull;
+/// Frame magics of the older formats, recognised only to be refused by
+/// name: such a frame is corruption wherever it sits, never a torn tail.
+/// nullptr when `magic` is not one of them.
+const char* OldFormat(std::uint64_t magic) {
+  switch (magic) {
+    case 0x4c4e524a59534953ull:
+      return "frame magic SISYJRNL (the FNV-1a journal format, not read)";
+    case 0x324e524a59534953ull:
+      return "frame magic SISYJRN2 (the journal format without IXP "
+             "crossings, not read)";
+    default:
+      return nullptr;
+  }
+}
 
 std::string EncodeFrame(std::uint64_t seq, std::string_view payload) {
   binio::Writer w;
@@ -70,9 +80,10 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
     std::string payload = r.GetString();
     const std::uint64_t checksum = r.GetU64();
 
+    const char* old_format = OldFormat(magic);
     std::string what;
-    if (magic == kFnvJournalMagic) {
-      what = "frame magic SISYJRNL (the FNV-1a journal format, not read)";
+    if (old_format != nullptr) {
+      what = old_format;
     } else if (!r.ok()) {
       what = "incomplete frame";
     } else if (magic != kJournalMagic) {
@@ -91,7 +102,7 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
       const std::size_t consumed =
           bytes.size() - offset - static_cast<std::size_t>(r.remaining());
       const bool reaches_eof = !r.ok() || offset + consumed >= bytes.size();
-      if (reaches_eof && magic != kFnvJournalMagic) {
+      if (reaches_eof && old_format == nullptr) {
         scan.torn_tail = true;
       } else {
         scan.corrupt = true;

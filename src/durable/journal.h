@@ -6,8 +6,9 @@
 //   [u64 magic][u64 seq][u64 payload_len][payload bytes][u64 checksum]
 //
 // All integers little-endian; `checksum` is core::Checksum64 of the
-// payload bytes under seed `seq`. The magic is "SISYJRN2"; frames of the
-// FNV-1a format ("SISYJRNL") are refused by name, not read. Appends are
+// payload bytes under seed `seq`. The magic is "SISYJRN3"; frames of the
+// older formats — "SISYJRN2" (records without an IXP crossing) and
+// "SISYJRNL" (FNV-1a checksums) — are refused by name, not read. Appends are
 // buffered and fsynced every `fsync_every` frames (and on Flush), so a
 // crash loses at most the un-synced tail — which recovery simply
 // regenerates.
@@ -35,7 +36,7 @@
 
 namespace sisyphus::durable {
 
-inline constexpr std::uint64_t kJournalMagic = 0x324e524a59534953ull;  // "SISYJRN2"
+inline constexpr std::uint64_t kJournalMagic = 0x334e524a59534953ull;  // "SISYJRN3"
 
 /// core::Checksum64(payload, seq) — the checksum stored in the frame
 /// trailer.

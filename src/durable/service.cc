@@ -111,9 +111,9 @@ namespace {
 
 // Bytes of one encoded record besides its city's characters: id, time,
 // asn, city length, vantage, server, rtt, loss, throughput, intent,
-// attempts, duplicate, fault mask.
+// attempts, IXP crossing, duplicate, fault mask.
 constexpr std::uint64_t kRecordMinBytes =
-    8 + 8 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 1 + 1;
+    8 + 8 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 2 + 1 + 1;
 // Bytes of one encoded failure: time, vantage, intent, reason, attempts.
 constexpr std::uint64_t kFailureBytes = 8 + 4 + 1 + 1 + 4;
 
@@ -146,6 +146,7 @@ std::string EncodeStep(const measure::StepOutput& step,
     w.PutDouble(r.throughput_mbps);
     w.PutU8(static_cast<std::uint8_t>(r.intent));
     w.PutU32(r.attempts);
+    w.PutU16(r.ixp_crossing);
     w.PutBool(pending.duplicate);
     w.PutU8(pending.fault_mask);
   }
@@ -201,6 +202,7 @@ core::Result<measure::StepOutput> DecodeStep(
     rec.throughput_mbps = r.GetDouble();
     const std::uint8_t intent = r.GetU8();
     rec.attempts = r.GetU32();
+    rec.ixp_crossing = r.GetU16();
     const std::uint8_t duplicate = r.GetU8();
     pending.fault_mask = r.GetU8();
     if (!r.ok()) return truncated();
@@ -225,6 +227,14 @@ core::Result<measure::StepOutput> DecodeStep(
                        "'s unit " + unit->key());
     }
     if (intent > kMaxIntent) return bad("record", i, "intent byte", intent);
+    if (rec.ixp_crossing != measure::kNoIxpCrossing &&
+        rec.ixp_crossing >= platform.topology().IxpCount()) {
+      return malformed("record " + std::to_string(i) + " crosses IXP " +
+                       std::to_string(rec.ixp_crossing) +
+                       ", not one of the topology's " +
+                       std::to_string(platform.topology().IxpCount()) +
+                       " IXPs");
+    }
     if (duplicate > 1) return bad("record", i, "duplicate byte", duplicate);
     if ((pending.fault_mask & ~kFaultMaskBits) != 0) {
       return bad("record", i, "fault-mask byte", pending.fault_mask);

@@ -129,7 +129,8 @@ void ClearInterruptFlag();  ///< tests
 
 /// Serialized journal payload of one step: step_end, next-record-id
 /// watermark, then the merge-ordered records and failures. A record's
-/// unit is written as its ASN (u32) and city string, never as its handle.
+/// unit is written as its ASN (u32) and city string, never as its handle,
+/// and its IXP crossing as a u16 (kNoIxpCrossing for none).
 /// Byte-stable across thread counts and platforms (little-endian, no
 /// padding).
 std::string EncodeStep(const measure::StepOutput& step,
@@ -144,9 +145,10 @@ std::string EncodeStep(const measure::StepOutput& step,
 /// allocation the payload's bytes cannot back, on a record or failure
 /// count beyond the bytes, an id out of sequence, a record whose vantage
 /// is not one of the platform's or whose ASN and city bytes are not its
-/// vantage's unit, a watermark other than the last id + 1, an intent,
-/// fault-mask, failure-intent or failure-reason byte outside its enum, a
-/// bool byte other than 0 or 1, or trailing bytes.
+/// vantage's unit, an IXP crossing the platform's topology does not have,
+/// a watermark other than the last id + 1, an intent, fault-mask,
+/// failure-intent or failure-reason byte outside its enum, a bool byte
+/// other than 0 or 1, or trailing bytes.
 core::Result<measure::StepOutput> DecodeStep(
     std::string_view payload, std::uint64_t first_record_id,
     const measure::Platform& platform);

@@ -31,54 +31,6 @@ std::string FormatDouble(double value) {
 
 }  // namespace
 
-namespace {
-
-std::string RecordToCsvRow(const RoutedRecord& record) {
-  std::string out;
-  out += std::to_string(record.id.value()) + ",";
-  out += std::to_string(record.time.minutes()) + ",";
-  out += std::to_string(record.unit.asn().value()) + ",";
-  out += Quote(record.unit.city()) + ",";
-  out += ToString(record.intent);
-  out += ",";
-  out += netsim::ToString(record.address_family);
-  out += ",";
-  out += FormatDouble(record.rtt_ms) + ",";
-  out += FormatDouble(record.loss_rate) + ",";
-  out += FormatDouble(record.throughput_mbps) + ",";
-  out += std::to_string(record.attempts) + ",";
-  std::string path;
-  for (std::size_t i = 0; i < record.asn_path.size(); ++i) {
-    if (i > 0) path += " ";
-    path += std::to_string(record.asn_path[i].value());
-  }
-  out += Quote(path) + ",";
-  out += Quote(record.traceroute.ToText());
-  return out;
-}
-
-constexpr const char* kRecordCsvHeader =
-    "id,time_minutes,asn,city,intent,address_family,rtt_ms,loss_rate,"
-    "throughput_mbps,attempts,asn_path,traceroute";
-
-}  // namespace
-
-std::string StoreToCsv(const MeasurementStore& store) {
-  std::string out = std::string(kRecordCsvHeader) + "\n";
-  for (const auto& record : store.records()) {
-    out += RecordToCsvRow(record) + "\n";
-  }
-  return out;
-}
-
-std::string QuarantineToCsv(const MeasurementStore& store) {
-  std::string out = std::string(kRecordCsvHeader) + ",reason\n";
-  for (const auto& entry : store.quarantine()) {
-    out += RecordToCsvRow(entry.record) + "," + Quote(entry.reason) + "\n";
-  }
-  return out;
-}
-
 std::string PanelToCsv(const Panel& panel) {
   std::string out = "period";
   for (const auto& unit : panel.units) {

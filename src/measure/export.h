@@ -1,24 +1,15 @@
-// CSV export for measurement stores, panels, and Datasets — the boundary
-// where a downstream analyst takes the data into their own tooling
-// (dagitty, DoWhy, R's Synth...), as the paper expects real studies to.
+// CSV export for panels and Datasets — the boundary where a downstream
+// analyst takes the data into their own tooling (dagitty, DoWhy, R's
+// Synth...), as the paper expects real studies to. A campaign's records
+// export through ShardedMeasurementStore::ToCsv.
 #pragma once
 
 #include <string>
 
 #include "causal/dataset.h"
 #include "measure/panel.h"
-#include "measure/store.h"
 
 namespace sisyphus::measure {
-
-/// One row per speed test:
-/// id,time_minutes,asn,city,intent,rtt_ms,throughput_mbps,attempts,
-/// asn_path,traceroute. Fields containing commas are quoted.
-std::string StoreToCsv(const MeasurementStore& store);
-
-/// One row per quarantined record: the same fields plus the rejection
-/// reason — the inspectable side-channel for corrupt data.
-std::string QuarantineToCsv(const MeasurementStore& store);
 
 /// Wide format: period index column then one column per unit (interpolated
 /// median RTT).

@@ -156,9 +156,9 @@ ProbeFault FaultInjector::SampleProbeFault(double congestion_signal,
 }
 
 bool FaultInjector::ApplyRecordFaults(SpeedTestRecord& record,
-                                      std::size_t path_hops, core::Rng& rng,
-                                      std::uint8_t* fault_mask,
-                                      Traceroute* traceroute) {
+                                      std::size_t path_hops,
+                                      std::size_t ixp_hop, core::Rng& rng,
+                                      std::uint8_t* fault_mask) {
   const auto mark = [fault_mask](std::uint8_t bit) {
     if (fault_mask != nullptr) *fault_mask |= bit;
   };
@@ -185,9 +185,7 @@ bool FaultInjector::ApplyRecordFaults(SpeedTestRecord& record,
         std::max(plan_.truncation_min_hops,
                  path_hops - static_cast<std::size_t>(drop));
     if (keep < path_hops) {
-      if (traceroute != nullptr && traceroute->hops.size() > keep) {
-        traceroute->hops.resize(keep);
-      }
+      if (keep <= ixp_hop) record.ixp_crossing = kNoIxpCrossing;
       stats_.traceroutes_truncated.fetch_add(1, std::memory_order_relaxed);
       mark(obs::kLineageFaultTruncated);
     }

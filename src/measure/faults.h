@@ -12,7 +12,8 @@
 // The injector is consulted by Platform on every probe attempt (probe
 // loss, outage windows) and on every successful record (truncation,
 // duplication, corruption, clock skew). Corrupted records are meant to be
-// caught by MeasurementStore's quarantine, never by downstream estimators.
+// caught by the campaign store's quarantine, never by downstream
+// estimators.
 #pragma once
 
 #include <atomic>
@@ -145,15 +146,15 @@ class FaultInjector {
   /// number of draws from `rng` (six) regardless of outcome, so decision
   /// streams stay aligned across plans that differ only in probabilities.
   /// Truncation is decided from `path_hops`, the hop count of the probed
-  /// path (ProbePath::hop_count), so a record whose traceroute is not kept
-  /// (the streaming path) gets the same decision, stats and lineage bit as
-  /// one whose traceroute is; a non-null `traceroute` (the batch path's
-  /// kept one) is cut to the kept hops. When `fault_mask` is non-null, the
-  /// obs::kLineageFault* bits of the faults that actually fired are OR-ed
-  /// into it (lineage provenance).
+  /// path (ProbePath::hop_count); the traceroute itself is never built. A
+  /// truncation that keeps no more than `ixp_hop` hops (ProbePath::ixp_hop,
+  /// the index of the hop that shows the record's IXP crossing) cuts the
+  /// crossing off, so the record's ixp_crossing is cleared. When
+  /// `fault_mask` is non-null, the obs::kLineageFault* bits of the faults
+  /// that actually fired are OR-ed into it (lineage provenance).
   bool ApplyRecordFaults(SpeedTestRecord& record, std::size_t path_hops,
-                         core::Rng& rng, std::uint8_t* fault_mask = nullptr,
-                         Traceroute* traceroute = nullptr);
+                         std::size_t ixp_hop, core::Rng& rng,
+                         std::uint8_t* fault_mask = nullptr);
 
  private:
   /// Atomic mirror of FaultStats (updated from concurrent probe tasks).

@@ -117,8 +117,8 @@ void IncrementalPanelBuilder::VisitRunningMeans(
 Panel IncrementalPanelBuilder::Finalize() const {
   Panel panel;
   panel.options = options_;
-  // Shards partition units, so the sorted concatenation of the per-shard
-  // maps is exactly the global sorted unit order the batch pass iterates.
+  // Shards partition units, so sorting the concatenation of the per-shard
+  // maps yields each unit once, in global key order.
   std::vector<std::pair<std::string_view, const UnitCells*>> units;
   for (const Shard& shard : shards_) {
     for (const auto& [unit, cells] : shard.units) {
@@ -138,8 +138,7 @@ Panel IncrementalPanelBuilder::Finalize() const {
       if (cell.values.empty()) continue;
       // Sorting pins every aggregate to the cell's value *multiset*:
       // medians by definition, means via compensated summation over the
-      // sorted values — so batch and streaming arrival orders agree
-      // bit-for-bit (the parity audit this builder exists to close).
+      // sorted values — so every arrival order agrees bit-for-bit.
       std::vector<double> sorted = cell.values;
       std::sort(sorted.begin(), sorted.end());
       buckets[t] = stats::Median(sorted);
@@ -214,22 +213,6 @@ Panel IncrementalPanelBuilder::Finalize() const {
     panel.units.push_back(std::move(out));
   }
   return panel;
-}
-
-Panel BuildRttPanel(const MeasurementStore& store,
-                    const PanelOptions& options) {
-  // The batch pass is a single-shard streaming fold: every record is
-  // observed once (duplicate-delivery copies are distinct records in the
-  // archive), then Finalize() assembles cells exactly as the streaming
-  // path does. No pre-sort is needed — aggregation is order-independent.
-  IncrementalPanelBuilder builder(options, 1);
-  for (const std::string& unit : store.Units()) {
-    for (const SpeedTestRecord* record : store.ForUnit(unit)) {
-      builder.Observe(0, unit, record->time, record->rtt_ms,
-                      record->id.value());
-    }
-  }
-  return builder.Finalize();
 }
 
 Result<causal::SyntheticControlInput> MakeSyntheticControlInput(

@@ -4,7 +4,9 @@
 // This mirrors the paper's pipeline: aggregate user tests per ⟨ASN, city⟩
 // per time bucket to medians (robust to last-mile spikes), interpolate
 // sparse buckets, and assemble a SyntheticControlInput for each treated
-// unit against a donor pool that never crosses the IXP.
+// unit against a donor pool that never crosses the IXP. Records are folded
+// into their cells as the campaign ingests them (IncrementalPanelBuilder,
+// fed by StreamingCampaign); no pass over a stored archive is needed.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,7 @@
 
 #include "causal/synthetic_control.h"
 #include "core/result.h"
-#include "measure/store.h"
+#include "core/sim_time.h"
 #include "obs/lineage.h"
 
 namespace sisyphus::measure {
@@ -48,7 +50,7 @@ struct UnitSeries {
   /// Per-period mean RTT over the cell's records (0 at unobserved
   /// periods — consult `observed`). Computed with compensated summation
   /// over the cell's *sorted* values, so it is exactly reproducible no
-  /// matter what order records arrived in (batch or streaming).
+  /// matter what order records arrived in.
   std::vector<double> cell_means;
 };
 
@@ -72,13 +74,12 @@ struct Panel {
 };
 
 /// Maintains per-cell running aggregates as records arrive, so a panel
-/// can be assembled incrementally from ingest batches instead of a full
-/// pass over an in-memory archive. The batch path (BuildRttPanel) and the
-/// streaming path (StreamingCampaign) both fold records through this
-/// builder, which is what makes their panels byte-identical by
-/// construction: every cell aggregate (median, compensated mean, count,
-/// id set) is a pure function of the cell's value multiset, never of
-/// arrival order (DESIGN.md §10).
+/// is assembled incrementally from ingest batches (StreamingCampaign)
+/// instead of a full pass over an in-memory archive. Every cell aggregate
+/// (median, compensated mean, count, id set) is a pure function of the
+/// cell's value multiset, never of arrival order, so the panel is
+/// byte-identical at any thread count and across kill/resume
+/// (DESIGN.md §10).
 ///
 /// Shard discipline mirrors ShardedMeasurementStore: a unit's cells live
 /// in exactly one shard, distinct shards may be fed concurrently, and a
@@ -103,9 +104,8 @@ class IncrementalPanelBuilder {
 
   /// Folds one archived record copy into its unit's cell. Records outside
   /// [origin, origin + periods*bucket) terminate as out-of-panel in the
-  /// lineage ledger, exactly as the batch pass records them — but still
-  /// create the unit entry, so a unit whose records all miss the horizon
-  /// finalizes as "empty", matching BuildRttPanel.
+  /// lineage ledger — but still create the unit entry, so a unit whose
+  /// records all miss the horizon finalizes as "empty".
   /// Precondition: shard == ShardOf(unit).
   void Observe(std::size_t shard, std::string_view unit, core::SimTime time,
                double rtt_ms, std::uint64_t id);
@@ -125,9 +125,10 @@ class IncrementalPanelBuilder {
       const std::function<void(std::string_view unit, std::uint64_t count,
                                double sum)>& visit) const;
 
-  /// Assembles the panel and emits the same per-unit metrics and lineage
-  /// events (units_empty/dropped/kept, cells observed/masked, per-cell id
-  /// sets in ascending period order) as a batch BuildRttPanel pass.
+  /// Assembles the panel — units in ascending key order, empty and
+  /// too-sparse units dropped (and listed in panel.dropped) — and emits
+  /// the per-unit metrics and lineage events (units_empty/dropped/kept,
+  /// cells observed/masked, per-cell id sets in ascending period order).
   /// Serial; call once, after the last Observe.
   Panel Finalize() const;
 
@@ -159,13 +160,6 @@ class IncrementalPanelBuilder {
   bool lineage_ = false;
   std::vector<Shard> shards_;
 };
-
-/// Builds the panel over every unit in the store (RTT medians per bucket).
-/// Units that are entirely empty or too sparse are dropped (and listed in
-/// panel.dropped). Implemented as a single-shard IncrementalPanelBuilder
-/// pass, so cell aggregation is order-independent — clock-skewed or
-/// retry-reordered archives produce the same panel as sorted ones.
-Panel BuildRttPanel(const MeasurementStore& store, const PanelOptions& options);
 
 /// Assembles a synthetic-control input: `treated_unit`'s series versus the
 /// given donor units (donors absent from the panel are skipped; their

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -15,7 +14,7 @@ namespace sisyphus::measure {
 
 Platform::Platform(netsim::NetworkSimulator& simulator,
                    PlatformOptions options)
-    : simulator_(simulator), options_(options), store_(options.validation) {
+    : simulator_(simulator), options_(options) {
   SISYPHUS_REQUIRE(options.step.minutes() > 0, "Platform: zero step");
   SISYPHUS_REQUIRE(options.retry.max_attempts > 0,
                    "Platform: zero max_attempts");
@@ -41,17 +40,15 @@ std::optional<Unit> Platform::VantageUnit(netsim::PopIndex pop) const {
 
 void Platform::RunTests(const VantageState& vantage,
                         const StepSignal& signal, std::size_t count,
-                        Intent intent, bool keep_routes, core::Rng& rng,
-                        VantageBatch& batch) {
+                        Intent intent, core::Rng& rng, VantageBatch& batch) {
   for (std::size_t i = 0; i < count; ++i) {
-    RunOneTest(vantage, signal, intent, keep_routes, rng, batch);
+    RunOneTest(vantage, signal, intent, rng, batch);
   }
 }
 
 void Platform::RunOneTest(const VantageState& vantage,
                           const StepSignal& signal, Intent intent,
-                          bool keep_routes, core::Rng& rng,
-                          VantageBatch& batch) {
+                          core::Rng& rng, VantageBatch& batch) {
   SISYPHUS_METRIC_COUNT("measure.probes.attempted", 1);
   const netsim::PopIndex pop = vantage.config.pop;
   netsim::PopIndex server = options_.server;
@@ -124,20 +121,16 @@ void Platform::RunOneTest(const VantageState& vantage,
                                              intent, rng, options_.test_model);
     record.time = attempt_time;
     record.attempts = attempt;
-    ProbeRoute route;
-    if (keep_routes) route = RouteOf(simulator_.topology(), *path);
     SISYPHUS_METRIC_COUNT("measure.probes.succeeded", 1);
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
       duplicate = injector_->ApplyRecordFaults(
-          record, path->hop_count(), rng, &fault_mask,
-          keep_routes ? &route.traceroute : nullptr);
+          record, path->hop_count(), path->ixp_hop, rng, &fault_mask);
     }
     // The id is assigned at merge time (vantage order), not here: task
     // scheduling must not influence archive contents.
     batch.records.push_back({record, duplicate, fault_mask});
-    if (keep_routes) batch.routes.push_back(std::move(route));
     return;
   }
   batch.failures.push_back(
@@ -172,19 +165,6 @@ std::map<netsim::PopIndex, std::size_t> Platform::FailuresByVantage() const {
   return counts;
 }
 
-std::size_t Platform::CountByIntent(Intent intent) const {
-  std::size_t count = 0;
-  for (const auto& record : store_.records()) {
-    if (record.intent == intent) ++count;
-  }
-  return count;
-}
-
-void Platform::Run(core::SimTime until, core::Rng& rng) {
-  RunLoop(until, rng, nullptr);
-  LogCampaignSummary();
-}
-
 namespace {
 
 /// Appends p50/p95/p99 fields for every registered histogram with data
@@ -204,33 +184,41 @@ void AppendHistogramQuantileFields(std::vector<core::LogField>& fields) {
 
 }  // namespace
 
-void Platform::RunStreaming(core::SimTime until, core::Rng& rng,
-                            StreamingCampaign& sink) {
-  RunLoop(until, rng, &sink);
+void Platform::Run(core::SimTime until, core::Rng& rng,
+                   StreamingCampaign& campaign) {
+  DeclareStreamTelemetrySeries();
+  std::uint64_t steps = 0;
+  std::uint64_t records = 0;
+  while (simulator_.Now() < until) {
+    // The whole step's merge-ordered batch goes to the campaign, whose
+    // per-shard fan-out does validation, store append, lineage, and panel
+    // folds. Failures stay platform-side.
+    const StepOutput step = GenerateStep(until, rng);
+    campaign.IngestBatch(step.records);
+    CommitFailures(step.failures);
+    ++steps;
+    records += step.records.size();
+    EmitStepTelemetry(steps, records, 0, options_.heartbeat_every_steps,
+                      &campaign, false);
+  }
   std::vector<core::LogField> fields;
-  fields.emplace_back("archived", sink.store().size());
-  fields.emplace_back("quarantined", sink.store().quarantined());
+  fields.emplace_back("archived", campaign.store().size());
+  fields.emplace_back("quarantined", campaign.store().quarantined());
   fields.emplace_back("failed_probes", failures_.size());
   fields.emplace_back("vantages", vantages_.size());
-  fields.emplace_back("batches", sink.batches());
-  fields.emplace_back("shards", sink.store().shard_count());
-  for (const auto& [tag, count] : sink.store().QuarantineReasonCounts()) {
+  fields.emplace_back("batches", campaign.batches());
+  fields.emplace_back("shards", campaign.store().shard_count());
+  for (const auto& [tag, count] : campaign.store().QuarantineReasonCounts()) {
     fields.emplace_back("quarantine." + tag, count);
   }
   for (const auto& [reason, count] : FailureReasonCounts()) {
     fields.emplace_back("fail." + reason, count);
   }
   AppendHistogramQuantileFields(fields);
-  core::LogLine(core::LogLevel::kInfo, "streaming campaign complete", fields);
+  core::LogLine(core::LogLevel::kInfo, "campaign complete", fields);
 }
 
 StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
-  return Generate(until, rng, /*routes=*/nullptr);
-}
-
-StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
-                              std::vector<ProbeRoute>* routes) {
-  const bool keep_routes = routes != nullptr;
   const core::SimTime step_end =
       std::min(until, simulator_.Now() + options_.step);
   simulator_.AdvanceTo(step_end);
@@ -277,15 +265,13 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
     // keeps the batch from growing by copies.
     const auto reserve = [&](std::size_t tests) {
       batch.records.reserve(batch.records.size() + tests);
-      if (keep_routes) batch.routes.reserve(batch.routes.size() + tests);
     };
 
     // Baseline schedule: timing independent of network state.
     const std::uint32_t baseline = task_rng.Poisson(
         vantage.config.baseline_tests_per_day * step_days);
     reserve(baseline);
-    RunTests(vantage, signal, baseline, Intent::kBaseline, keep_routes,
-             task_rng, batch);
+    RunTests(vantage, signal, baseline, Intent::kBaseline, task_rng, batch);
 
     // User-initiated: rate inflated by dissatisfaction and route churn —
     // the collider mechanism.
@@ -300,15 +286,15 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
       if (signal.path_changed) rate *= vantage.config.route_change_multiplier;
       const std::uint32_t user = task_rng.Poisson(rate);
       reserve(user);
-      RunTests(vantage, signal, user, Intent::kUserInitiated, keep_routes,
-               task_rng, batch);
+      RunTests(vantage, signal, user, Intent::kUserInitiated, task_rng,
+               batch);
     }
 
     // §4 proposal 1: conditional activation on external signals.
     if (options_.conditional_activation && signal.path_changed) {
       reserve(options_.event_burst_tests);
       RunTests(vantage, signal, options_.event_burst_tests,
-               Intent::kEventTriggered, keep_routes, task_rng, batch);
+               Intent::kEventTriggered, task_rng, batch);
     }
 
     // Habituate (this task owns vantages_[i]; no sharing).
@@ -338,15 +324,10 @@ StepOutput Platform::Generate(core::SimTime until, core::Rng& rng,
   }
   out.records.reserve(total_records);
   out.failures.reserve(total_failures);
-  if (keep_routes) routes->reserve(routes->size() + total_records);
   for (VantageBatch& batch : batches) {
     for (PendingRecord& pending : batch.records) {
       pending.record.id = core::MeasurementId(next_record_id_++);
       out.records.push_back(pending);
-    }
-    if (keep_routes) {
-      std::move(batch.routes.begin(), batch.routes.end(),
-                std::back_inserter(*routes));
     }
   }
   for (VantageBatch& batch : batches) {
@@ -373,23 +354,6 @@ obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending,
   info.copies = pending.duplicate ? 2 : 1;
   info.archived = archived;
   return info;
-}
-
-void Platform::CommitBatch(StepOutput&& step,
-                           std::vector<ProbeRoute>&& routes) {
-  for (std::size_t i = 0; i < step.records.size(); ++i) {
-    const PendingRecord& pending = step.records[i];
-    RoutedRecord routed{pending.record, std::move(routes[i])};
-    // Duplicate copies share id and content, so one verdict covers
-    // both Add() calls.
-    bool archived = false;
-    if (pending.duplicate) archived = store_.Add(routed);
-    archived = store_.Add(std::move(routed)) || archived;
-    if (obs::Lineage::enabled()) {
-      obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
-    }
-  }
-  CommitFailures(step.failures);
 }
 
 void Platform::SkipStep(core::SimTime until) {
@@ -499,34 +463,6 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
   timeline.CommitStep(committed_steps);
 }
 
-void Platform::RunLoop(core::SimTime until, core::Rng& rng,
-                       StreamingCampaign* streaming) {
-  DeclareStreamTelemetrySeries();
-  std::uint64_t steps = 0;
-  std::uint64_t records = 0;
-  std::vector<ProbeRoute> routes;
-  while (simulator_.Now() < until) {
-    // Only the batch store keeps traceroutes and AS paths.
-    routes.clear();
-    StepOutput step =
-        Generate(until, rng, streaming == nullptr ? &routes : nullptr);
-    const std::uint64_t step_records = step.records.size();
-    if (streaming != nullptr) {
-      // Streaming commit: the whole step's merge-ordered batch goes to the
-      // sink, whose per-shard fan-out does validation, store append,
-      // lineage, and panel folds. Failures stay platform-side.
-      streaming->IngestBatch(step.records);
-      CommitFailures(step.failures);
-    } else {
-      CommitBatch(std::move(step), std::move(routes));
-    }
-    ++steps;
-    records += step_records;
-    EmitStepTelemetry(steps, records, 0, options_.heartbeat_every_steps,
-                      streaming, false);
-  }
-}
-
 StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
                                      StreamingOptions options)
     : options_(options),
@@ -555,10 +491,9 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   // Shard tasks write each record's lineage verdict in place at id - 1,
   // into a column that must already hold every id of the batch.
   if (obs::Lineage::enabled()) obs::Lineage::Global().ReserveRecords(max_id);
-  // Telemetry-silent: the ingest fan-out is an execution-strategy detail of
-  // a path contracted to produce artifacts byte-identical to the batch
-  // merge (which runs no region here); counting it would leak the strategy
-  // into metrics.json. Task-side metric writes still replay.
+  // Telemetry-silent: the shard fan-out is an execution detail of ingest,
+  // kept out of metrics.json so the work counters describe the campaign,
+  // not its shard layout. Task-side metric writes still replay.
   core::RegionTelemetrySilencer silencer;
   core::ParallelFor(shards,
                     [&](std::size_t s) { IngestShard(s, batch, by_shard_[s]); });
@@ -573,10 +508,9 @@ void StreamingCampaign::IngestShard(
   for (const std::uint32_t i : entries) {
     const PendingRecord& pending = batch[i];
     const std::string& unit = pending.record.UnitKey();
-    // Mirrors the batch merge in Platform::CommitBatch: duplicate copies
-    // share id and content, one lineage verdict covers both appends,
-    // and only archived copies reach the panel. The verdict is written in
-    // place: this task owns the record's id.
+    // Duplicate copies share id and content: one lineage verdict covers
+    // both appends, and only archived copies reach the panel. The verdict
+    // is written in place: this task owns the record's id.
     bool archived_first = false;
     if (pending.duplicate) archived_first = store_.Append(shard, pending.record);
     const bool archived = store_.Append(shard, pending.record) || archived_first;
@@ -592,22 +526,6 @@ void StreamingCampaign::IngestShard(
                      pending.record.rtt_ms, pending.record.id.value());
     }
   }
-}
-
-void Platform::LogCampaignSummary() const {
-  std::vector<core::LogField> fields;
-  fields.emplace_back("archived", store_.records().size());
-  fields.emplace_back("quarantined", store_.quarantine().size());
-  fields.emplace_back("failed_probes", failures_.size());
-  fields.emplace_back("vantages", vantages_.size());
-  for (const auto& [tag, count] : store_.QuarantineReasonCounts()) {
-    fields.emplace_back("quarantine." + tag, count);
-  }
-  for (const auto& [reason, count] : FailureReasonCounts()) {
-    fields.emplace_back("fail." + reason, count);
-  }
-  AppendHistogramQuantileFields(fields);
-  core::LogLine(core::LogLevel::kInfo, "campaign complete", fields);
 }
 
 }  // namespace sisyphus::measure

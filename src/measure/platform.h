@@ -14,12 +14,13 @@
 //
 // Proposal (3), the exogenous-intervention API, lives in intervention.h.
 //
-// Records are scalar values (speedtest.h): each vantage's ⟨ASN, city⟩
-// unit is interned once, when the vantage is registered, and every record
-// of the vantage carries that handle. Only the batch loop (Run) builds a
-// traceroute and AS path per record, and they go straight to the batch
-// store beside it; GenerateStep's records — the streaming and durable
-// paths — never have one.
+// One driver runs every campaign: Run loops GenerateStep and hands each
+// step's merge-ordered batch to a StreamingCampaign (sharded store +
+// incremental panel), and the durable service (durable/service.h) drives
+// the same step API under a journal. Records are scalar values
+// (speedtest.h): each vantage's ⟨ASN, city⟩ unit is interned once, when
+// the vantage is registered, and every record carries that handle and the
+// IXP its probe path crosses, resolved once per vantage per step.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,8 @@ struct PlatformOptions {
   double ewma_alpha = 0.05;
   SpeedTestModelOptions test_model;
   RetryOptions retry;
-  /// Ingest bounds for the platform's store (quarantine thresholds).
+  /// Quarantine thresholds for the store the platform's records go to
+  /// (StreamingCampaign's first argument).
   StoreValidationOptions validation;
   /// Emit a live progress line every N committed steps (0 = never). The
   /// cadence is step-count-based, never wall-clock, so the line sequence
@@ -93,7 +95,7 @@ struct ProbeFailure {
   std::uint32_t attempts = 0;
 };
 
-/// Options for the streaming ingest path.
+/// Options for a campaign's ingest side.
 struct StreamingOptions {
   PanelOptions panel;
   std::size_t shard_count = ShardedMeasurementStore::kDefaultShardCount;
@@ -112,16 +114,15 @@ struct StepOutput {
   core::SimTime step_end;
 };
 
-/// The streaming campaign sink: owns the sharded columnar store and the
-/// incremental panel builder, and ingests merge-ordered batches as the
-/// platform produces them. One batch = one platform step; within a batch,
-/// ingest fans out across the core::ThreadPool with one task per shard
+/// The campaign sink: owns the sharded columnar store and the incremental
+/// panel builder, and ingests merge-ordered batches as the platform
+/// produces them. One batch = one platform step; within a batch, ingest
+/// fans out across the core::ThreadPool with one task per shard
 /// (shard = hash(unit)), so validation, quarantine metrics, lineage
 /// emission, and panel folds all run inside the owning shard's task.
 /// Because the shard layout is a pure function of unit keys and the pool
 /// replays captured metric/lineage writes in shard-index order, every
-/// artifact is byte-identical to the batch path at any SISYPHUS_THREADS
-/// (DESIGN.md §10).
+/// artifact is byte-identical at any SISYPHUS_THREADS (DESIGN.md §10).
 class StreamingCampaign {
  public:
   StreamingCampaign(StoreValidationOptions validation,
@@ -129,8 +130,8 @@ class StreamingCampaign {
 
   /// Ingests one merge-ordered batch (ids already assigned). Every record
   /// reaches exactly one terminal verdict: archived into its shard's arena
-  /// and folded into the panel, or quarantined — with the same
-  /// metrics/lineage the batch path records. A record's shard is hashed
+  /// and folded into the panel, or quarantined — with its metrics and
+  /// lineage verdict. A record's shard is hashed
   /// from its interned unit key once per run of consecutive records with
   /// the same unit, which the vantage-ordered merge makes one run per
   /// vantage; no key string is built.
@@ -189,28 +190,20 @@ class Platform {
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
   /// Runs the campaign from the simulator's current time to `until`,
-  /// advancing the network and generating tests step by step.
+  /// advancing the network and generating tests step by step, and hands
+  /// each step's merge-ordered batch to `campaign` (IngestBatch) before
+  /// recording the step's probe failures and telemetry.
   ///
   /// Within a step, vantages are independent: each one draws from a
   /// generator forked off a per-step seed (Rng::Fork(step_seed, vantage)),
   /// produces a local batch of records and failures, and the batches are
-  /// merged into the store in vantage order with sequential ids. The
-  /// per-vantage work therefore fans out across the core::ThreadPool with
-  /// results byte-identical to the serial order at any SISYPHUS_THREADS
+  /// merged in vantage order with sequential ids. The per-vantage work
+  /// therefore fans out across the core::ThreadPool with results
+  /// byte-identical to the serial order at any SISYPHUS_THREADS
   /// (DESIGN.md §7). With edge steering installed, the same forked-stream
   /// structure runs serially (the steering decision log is order-sensitive
   /// shared state), producing identical output.
-  void Run(core::SimTime until, core::Rng& rng);
-
-  /// Streaming variant of Run(): identical step loop, generation, and
-  /// merge-time id assignment, but each step's merge-ordered record batch
-  /// is handed to `sink.IngestBatch` instead of the in-memory batch store
-  /// (which stays empty), and no traceroute or AS path is built (the sink
-  /// keeps neither). Probe failures are recorded on the platform either
-  /// way. Same seed + same fault plan => sink artifacts byte-identical to
-  /// the batch path's, at any SISYPHUS_THREADS.
-  void RunStreaming(core::SimTime until, core::Rng& rng,
-                    StreamingCampaign& sink);
+  void Run(core::SimTime until, core::Rng& rng, StreamingCampaign& campaign);
 
   // -- step-at-a-time API (the durable service drives these directly) ----
 
@@ -218,11 +211,10 @@ class Platform {
   /// simulator, resolve each vantage's path once, fan per-vantage test
   /// sampling across the pool, habituate EWMAs — and returns the
   /// merge-ordered batch with sequential ids assigned in vantage order,
-  /// WITHOUT committing anything to a store or recording failures. No
-  /// route is built: only the batch store keeps traceroutes and AS paths,
-  /// so only Run() does. RunStreaming() and the durable service are loops
-  /// over GenerateStep; the durable service journals the StepOutput
-  /// before applying it. Precondition: Now() < until.
+  /// WITHOUT committing anything to a store or recording failures. Run()
+  /// and the durable service are loops over GenerateStep; the durable
+  /// service journals the StepOutput before applying it.
+  /// Precondition: Now() < until.
   StepOutput GenerateStep(core::SimTime until, core::Rng& rng);
 
   /// Records a step's probe failures (metrics + lineage + failures()).
@@ -251,16 +243,14 @@ class Platform {
   /// a different vantage count (one EWMA per vantage).
   core::Status RestoreStreamState(const StreamState& state);
 
-  MeasurementStore& store() { return store_; }
-  const MeasurementStore& store() const { return store_; }
   const PlatformOptions& options() const { return options_; }
+  /// The simulated network's topology (DecodeStep checks a journaled
+  /// record's IXP crossing against its IXPs).
+  const netsim::Topology& topology() const { return simulator_.topology(); }
 
   /// Current simulated time (the step loop driven externally by the
   /// durable service needs the clock the internal loops read).
   core::SimTime Now() const { return simulator_.Now(); }
-
-  /// Total tests by intent (diagnostics).
-  std::size_t CountByIntent(Intent intent) const;
 
   /// Probes that produced no record even after retries, in time order.
   const std::vector<ProbeFailure>& failures() const { return failures_; }
@@ -272,10 +262,6 @@ class Platform {
   /// Failed-probe counts per vantage PoP — the per-vantage outage/loss
   /// picture, queryable without walking failures().
   std::map<netsim::PopIndex, std::size_t> FailuresByVantage() const;
-
-  /// Emits the campaign-end summary line (archive/quarantine/failure
-  /// counts, broken down by reason) at Info level. Called by Run().
-  void LogCampaignSummary() const;
 
  private:
   struct VantageState {
@@ -300,49 +286,28 @@ class Platform {
   };
 
   /// Per-vantage, per-step output produced inside a parallel task and
-  /// merged into store_/failures_ on the campaign thread.
+  /// merged in vantage order on the campaign thread.
   struct VantageBatch {
     std::vector<PendingRecord> records;
-    /// The records' probed routes, in record order; kept only for the
-    /// batch store.
-    std::vector<ProbeRoute> routes;
     std::vector<ProbeFailure> failures;
   };
 
-  /// GenerateStep, with each record's probed route built and appended to
-  /// `*routes` in merge order when `routes` is non-null (the batch store
-  /// keeps them; only Run passes it).
-  StepOutput Generate(core::SimTime until, core::Rng& rng,
-                      std::vector<ProbeRoute>* routes);
-
-  /// Commits a batch-path step: lineage verdicts + store() ingestion in
-  /// merge order, each record beside its route, then the failures.
-  void CommitBatch(StepOutput&& step, std::vector<ProbeRoute>&& routes);
-
   void RunTests(const VantageState& vantage, const StepSignal& signal,
-                std::size_t count, Intent intent, bool keep_routes,
-                core::Rng& rng, VantageBatch& batch);
+                std::size_t count, Intent intent, core::Rng& rng,
+                VantageBatch& batch);
 
   /// One probe with retry/backoff; appends the record or a failure to the
   /// batch.
   void RunOneTest(const VantageState& vantage, const StepSignal& signal,
-                  Intent intent, bool keep_routes, core::Rng& rng,
-                  VantageBatch& batch);
+                  Intent intent, core::Rng& rng, VantageBatch& batch);
 
   /// Appends to failures_ and bumps the failure metrics (total + per
   /// ProbeFault reason), keeping the two views consistent.
   void RecordFailure(ProbeFailure failure);
 
-  /// The shared step loop behind Run and RunStreaming: simulate, fan
-  /// per-vantage generation across the pool, then merge in vantage order —
-  /// into store_ when `streaming` is null, into the sink otherwise.
-  void RunLoop(core::SimTime until, core::Rng& rng,
-               StreamingCampaign* streaming);
-
   netsim::NetworkSimulator& simulator_;
   PlatformOptions options_;
   std::vector<VantageState> vantages_;
-  MeasurementStore store_;
   std::vector<ProbeFailure> failures_;
   std::size_t route_change_cursor_ = 0;
   /// Campaign-local record ids (1-based), assigned at merge time. A
@@ -354,8 +319,9 @@ class Platform {
   FaultInjector* injector_ = nullptr;
 };
 
-/// Step-boundary telemetry, called once per committed step by every step
-/// loop (batch, streaming, durable) so all of them emit the same stream:
+/// Step-boundary telemetry, called once per committed step by both step
+/// loops (Platform::Run and the durable service) so they emit the same
+/// stream:
 /// the measure.stream.{records_ingested,journal_high_water} gauges, an
 /// info-level progress line every `every` steps, and the step's timeline
 /// sample and commit (DESIGN.md §15) — the stream and netsim.bgp.*

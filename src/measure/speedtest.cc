@@ -64,6 +64,10 @@ Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
   path.mean_rtt_ms = simulator.latency().PathRttMs(route.value(), path.time);
   path.loss_rate = simulator.latency().PathLossRate(route.value(), path.time);
   path.route = std::move(route).value();
+  if (const auto hop = FirstIxpHop(simulator.topology(), path.route)) {
+    path.ixp_crossing = static_cast<std::uint16_t>(hop->ixp.value());
+    path.ixp_hop = hop->hop;
+  }
   return path;
 }
 
@@ -78,6 +82,7 @@ SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
   record.server_pop = path.server;
   record.intent = intent;
   record.address_family = path.address_family;
+  record.ixp_crossing = path.ixp_crossing;
 
   const double path_rtt = latency.JitterRttMs(path.mean_rtt_ms, rng);
   double last_mile =
@@ -104,11 +109,7 @@ SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
   return record;
 }
 
-ProbeRoute RouteOf(const netsim::Topology& topology, const ProbePath& path) {
-  return {SimulateTraceroute(topology, path.route), path.route.asn_path};
-}
-
-Result<RoutedRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
+Result<SpeedTestRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
                                      netsim::PopIndex vantage,
                                      netsim::PopIndex server, Intent intent,
                                      core::Rng& rng,
@@ -118,11 +119,10 @@ Result<RoutedRecord> RunSpeedTest(netsim::NetworkSimulator& simulator,
 
   auto path = ResolveProbePath(simulator, vantage, server, af);
   if (!path.ok()) return path.error();
-  RoutedRecord routed{
-      SampleSpeedTest(simulator.latency(), path.value(), intent, rng, options),
-      RouteOf(simulator.topology(), path.value())};
-  routed.id = core::MeasurementId(next_id.fetch_add(1));
-  return routed;
+  SpeedTestRecord record =
+      SampleSpeedTest(simulator.latency(), path.value(), intent, rng, options);
+  record.id = core::MeasurementId(next_id.fetch_add(1));
+  return record;
 }
 
 }  // namespace sisyphus::measure

@@ -9,15 +9,14 @@
 // A SpeedTestRecord is a trivially copyable scalar value: its
 // ⟨ASN, city⟩ unit is a pointer-sized Unit handle to an interned entry,
 // never a string of its own. The traceroute triggered after the test (as
-// M-Lab does) and the route's AS path are not part of it: they ride
-// beside the record in a RoutedRecord, which only RunSpeedTest and the
-// batch store (MeasurementStore) build (DESIGN.md §10).
+// M-Lab does) is not kept either: what the paper reads from it — the IXP
+// whose peering LAN the hops first cross — is resolved once per probe
+// path and rides on the record as one IXP id (DESIGN.md §10).
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "core/ids.h"
 #include "core/rng.h"
@@ -35,6 +34,10 @@ enum class Intent {
 };
 
 const char* ToString(Intent intent);
+
+/// SpeedTestRecord::ixp_crossing of a record whose traceroute crosses no
+/// IXP. Real IXP ids stay below 256 (Topology::AddIxp).
+inline constexpr std::uint16_t kNoIxpCrossing = 0xffff;
 
 /// An interned ⟨ASN, city⟩ unit: a pointer-sized handle to an entry that
 /// lives for the whole process and holds the ASN, the city name and the
@@ -91,25 +94,18 @@ struct SpeedTestRecord {
   /// Extends §4 intent tagging to *failure* provenance: analysts can see
   /// that a record only exists because the platform retried through loss.
   std::uint32_t attempts = 1;
+  /// The IXP whose peering LAN first answers in the test's traceroute
+  /// (the paper's hop-matching rule), or kNoIxpCrossing; cleared when a
+  /// truncation fault cuts the traceroute before that hop.
+  std::uint16_t ixp_crossing = kNoIxpCrossing;
 
   /// ⟨ASN, city⟩ unit key, e.g. "3741 / East London".
   const std::string& UnitKey() const { return unit.key(); }
 };
 static_assert(std::is_trivially_copyable_v<Unit> &&
               sizeof(Unit) == sizeof(void*));
-static_assert(std::is_trivially_copyable_v<SpeedTestRecord>);
-
-/// What a probed route leaves on a record that keeps it: the traceroute
-/// the probe elicits and the route's AS path.
-struct ProbeRoute {
-  Traceroute traceroute;
-  std::vector<core::Asn> asn_path;
-};
-
-/// A record beside its probed route: what RunSpeedTest returns and the
-/// batch store archives. Platform::GenerateStep (the streaming and
-/// durable step) builds no route.
-struct RoutedRecord : SpeedTestRecord, ProbeRoute {};
+static_assert(std::is_trivially_copyable_v<SpeedTestRecord> &&
+              sizeof(SpeedTestRecord) == 72);
 
 struct SpeedTestModelOptions {
   /// Last-mile access overhead added to the path RTT (WiFi, DSLAM...).
@@ -139,34 +135,37 @@ struct ProbePath {
   Unit unit;                 ///< the vantage's ⟨ASN, city⟩, interned
   double mean_rtt_ms = 0.0;  ///< LatencyModel::PathRttMs (no jitter)
   double loss_rate = 0.0;    ///< LatencyModel::PathLossRate
-  netsim::BgpRoute route;    ///< source of the traceroute and AS path
+  netsim::BgpRoute route;
+  /// FirstIxpHop of the route: the IXP (or kNoIxpCrossing) every record
+  /// sampled over this path carries, and the index of the hop that shows
+  /// it, which a truncation must keep for the crossing to survive.
+  std::uint16_t ixp_crossing = kNoIxpCrossing;
+  std::size_t ixp_hop = 0;
 
   /// Hop count of the traceroute the route elicits (SimulateTraceroute).
   std::size_t hop_count() const { return route.pop_path.size(); }
 };
 
-/// Resolves `vantage` -> `server` at the simulator's current time and
-/// interns the vantage's unit. Fails (kNotFound) when the vantage cannot
-/// reach the server.
+/// Resolves `vantage` -> `server` at the simulator's current time, interns
+/// the vantage's unit and finds the route's IXP crossing. Fails
+/// (kNotFound) when the vantage cannot reach the server.
 core::Result<ProbePath> ResolveProbePath(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server,
     netsim::AddressFamily af = netsim::AddressFamily::kIpv4);
 
 /// Samples one speed test over a resolved path: RTT jitter, last-mile
-/// overhead and spikes, and throughput noise. The record carries no id.
+/// overhead and spikes, and throughput noise. The record carries the
+/// path's IXP crossing and no id.
 SpeedTestRecord SampleSpeedTest(const netsim::LatencyModel& latency,
                                 const ProbePath& path, Intent intent,
                                 core::Rng& rng,
                                 const SpeedTestModelOptions& options = {});
 
-/// The traceroute and AS path of the path's route.
-ProbeRoute RouteOf(const netsim::Topology& topology, const ProbePath& path);
-
-/// Executes one speed test right now: ResolveProbePath, SampleSpeedTest and
-/// RouteOf, under a process-unique id. Fails (kNotFound) when the vantage
-/// cannot reach the server.
-core::Result<RoutedRecord> RunSpeedTest(
+/// Executes one speed test right now: ResolveProbePath and SampleSpeedTest,
+/// under a process-unique id. Fails (kNotFound) when the vantage cannot
+/// reach the server.
+core::Result<SpeedTestRecord> RunSpeedTest(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server, Intent intent, core::Rng& rng,
     const SpeedTestModelOptions& options = {},

@@ -55,82 +55,6 @@ std::string QuarantineReasonTag(const std::string& reason) {
   return "other";
 }
 
-bool MeasurementStore::Add(RoutedRecord record) {
-  if (auto status = ValidateRecord(record, validation_); !status.ok()) {
-    const std::string reason = status.error().ToText();
-    const std::string tag = QuarantineReasonTag(reason);
-    ++quarantine_reason_counts_[tag];
-    SISYPHUS_METRIC_COUNT("measure.store.quarantined", 1);
-#if !defined(SISYPHUS_OBS_DISABLED)
-    // Per-reason counters need a dynamic name; quarantine is rare enough
-    // that the registry lookup is fine off the fast path.
-    obs::Registry::Global()
-        .GetCounter("measure.store.quarantined." + tag)
-        ->Add(1);
-#endif
-    (SISYPHUS_LOG(kDebug) << "record quarantined")
-        .With("unit", record.UnitKey())
-        .With("tag", tag)
-        .With("reason", reason);
-    quarantine_.push_back({std::move(record), reason});
-    return false;
-  }
-  SISYPHUS_METRIC_COUNT("measure.store.archived", 1);
-  by_unit_[record.UnitKey()].push_back(records_.size());
-  records_.push_back(std::move(record));
-  return true;
-}
-
-std::vector<std::string> MeasurementStore::Units() const {
-  std::vector<std::string> out;
-  out.reserve(by_unit_.size());
-  for (const auto& [unit, _] : by_unit_) out.push_back(unit);
-  return out;
-}
-
-std::vector<const RoutedRecord*> MeasurementStore::ForUnit(
-    const std::string& unit) const {
-  std::vector<const RoutedRecord*> out;
-  const auto it = by_unit_.find(unit);
-  if (it == by_unit_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::size_t index : it->second) out.push_back(&records_[index]);
-  return out;
-}
-
-std::vector<const SpeedTestRecord*> MeasurementStore::Select(
-    const std::function<bool(const SpeedTestRecord&)>& predicate) const {
-  std::vector<const SpeedTestRecord*> out;
-  for (const auto& record : records_) {
-    if (predicate(record)) out.push_back(&record);
-  }
-  return out;
-}
-
-std::optional<core::SimTime> MeasurementStore::FirstIxpCrossing(
-    const netsim::Topology& topology, const std::string& unit,
-    core::IxpId ixp) const {
-  for (const RoutedRecord* record : ForUnit(unit)) {
-    if (CrossesIxp(topology, record->traceroute, ixp)) return record->time;
-  }
-  return std::nullopt;
-}
-
-double MeasurementStore::IxpCrossingShare(const netsim::Topology& topology,
-                                          const std::string& unit,
-                                          core::IxpId ixp,
-                                          core::SimTime start,
-                                          core::SimTime end) const {
-  std::size_t total = 0, crossing = 0;
-  for (const RoutedRecord* record : ForUnit(unit)) {
-    if (record->time < start || !(record->time < end)) continue;
-    ++total;
-    if (CrossesIxp(topology, record->traceroute, ixp)) ++crossing;
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(crossing) / static_cast<double>(total);
-}
-
 ShardedMeasurementStore::ShardedMeasurementStore(
     StoreValidationOptions validation, std::size_t shard_count)
     : validation_(validation) {
@@ -152,9 +76,9 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
     ++arena.quarantined;
     SISYPHUS_METRIC_COUNT("measure.store.quarantined", 1);
 #if !defined(SISYPHUS_OBS_DISABLED)
-    // Same dynamic per-tag counter the batch store bumps; Registry
-    // registration is mutex-guarded and Add() is capture-aware, so this is
-    // safe (and deterministic) from inside a shard task.
+    // Per-reason counters need a dynamic name; Registry registration is
+    // mutex-guarded and Add() is capture-aware, so this is safe (and
+    // deterministic) from inside a shard task.
     obs::Registry::Global()
         .GetCounter("measure.store.quarantined." + tag)
         ->Add(1);
@@ -189,6 +113,7 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
   arena.attempts.push_back(
       static_cast<std::uint8_t>(std::min<std::uint32_t>(record.attempts, 255)));
   arena.vantage_pop.push_back(record.vantage_pop);
+  arena.ixp_crossing.push_back(record.ixp_crossing);
   return true;
 }
 
@@ -237,10 +162,51 @@ std::uint64_t ShardedMeasurementStore::CountByIntent(Intent intent) const {
   return count;
 }
 
+ShardedMeasurementStore::UnitRows ShardedMeasurementStore::RowsOf(
+    std::string_view unit) const {
+  UnitRows out;
+  const Columns& arena = shards_[ShardOf(unit)];
+  const auto it = arena.unit_index.find(unit);
+  if (it == arena.unit_index.end()) return out;
+  out.arena = &arena;
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    if (arena.unit[i] == it->second) out.rows.push_back(i);
+  }
+  return out;
+}
+
+std::optional<core::SimTime> ShardedMeasurementStore::FirstIxpCrossing(
+    std::string_view unit, core::IxpId ixp) const {
+  const UnitRows unit_rows = RowsOf(unit);
+  for (const std::size_t i : unit_rows.rows) {
+    if (unit_rows.arena->ixp_crossing[i] == ixp.value()) {
+      return core::SimTime(unit_rows.arena->time_minutes[i]);
+    }
+  }
+  return std::nullopt;
+}
+
+double ShardedMeasurementStore::IxpCrossingShare(std::string_view unit,
+                                                 core::IxpId ixp,
+                                                 core::SimTime start,
+                                                 core::SimTime end) const {
+  const UnitRows unit_rows = RowsOf(unit);
+  std::size_t total = 0, crossing = 0;
+  for (const std::size_t i : unit_rows.rows) {
+    const core::SimTime time(unit_rows.arena->time_minutes[i]);
+    if (time < start || !(time < end)) continue;
+    ++total;
+    if (unit_rows.arena->ixp_crossing[i] == ixp.value()) ++crossing;
+  }
+  return total == 0 ? 0.0
+                    : static_cast<double>(crossing) /
+                          static_cast<double>(total);
+}
+
 std::string ShardedMeasurementStore::ToCsv() const {
   std::string out =
       "shard,id,time_minutes,unit,intent,attempts,vantage_pop,rtt_ms,"
-      "loss_rate,throughput_mbps\n";
+      "loss_rate,throughput_mbps,ixp_crossing\n";
   char buffer[64];
   const auto append_double = [&](double value) {
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);
@@ -268,6 +234,10 @@ std::string ShardedMeasurementStore::ToCsv() const {
       append_double(arena.loss_rate[i]);
       out += ',';
       append_double(arena.throughput_mbps[i]);
+      out += ',';
+      if (arena.ixp_crossing[i] != kNoIxpCrossing) {
+        out += std::to_string(arena.ixp_crossing[i]);
+      }
       out += '\n';
     }
   }

@@ -1,17 +1,14 @@
-// MeasurementStore: the archive of speed-test records, queryable by
-// ⟨ASN, city⟩ unit, time window, intent, and IXP-crossing status.
+// The campaign archive of speed-test records, queryable by ⟨ASN, city⟩
+// unit, intent, and IXP-crossing status.
 //
 // Ingest is validating: records that cannot be physically right (negative
 // RTT, out-of-range timestamps, impossible loss rates, non-finite
-// throughput) never enter the archive — they land in an inspectable
-// quarantine with a reason, so corrupt data cannot poison downstream
-// panels and estimators while remaining available for debugging.
+// throughput) never enter the archive — they are quarantined and counted
+// by reason, so corrupt data cannot poison downstream panels and
+// estimators.
 //
-// MeasurementStore (the batch store) is the only place that keeps each
-// record's traceroute and AS path: its element is a RoutedRecord, the
-// scalar record beside its probed route. ShardedMeasurementStore (the
-// streaming store) keeps scalar columns only, and the PendingRecords it
-// ingests are trivially copyable values.
+// ShardedMeasurementStore keeps scalar columns only, and the
+// PendingRecords it ingests are trivially copyable values.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +38,6 @@ struct StoreValidationOptions {
 core::Status ValidateRecord(const SpeedTestRecord& record,
                             const StoreValidationOptions& options = {});
 
-/// A rejected record plus why it was rejected.
-struct QuarantinedRecord {
-  RoutedRecord record;
-  std::string reason;
-};
-
 /// Short stable tag for a quarantine reason ("rtt", "loss_rate",
 /// "throughput", "timestamp", "other") — the key of the queryable
 /// quarantine counter map.
@@ -61,74 +52,19 @@ struct PendingRecord {
   bool duplicate = false;
   std::uint8_t fault_mask = 0;  ///< obs::kLineageFault* bits that fired
 };
-static_assert(std::is_trivially_copyable_v<PendingRecord>);
+static_assert(std::is_trivially_copyable_v<PendingRecord> &&
+              sizeof(PendingRecord) == 80);
 
-class MeasurementStore {
- public:
-  MeasurementStore() = default;
-  explicit MeasurementStore(StoreValidationOptions validation)
-      : validation_(validation) {}
-
-  /// Archives a valid record (returns true); quarantines an invalid one
-  /// (returns false) — the caller-facing verdict lineage records.
-  bool Add(RoutedRecord record);
-
-  std::size_t size() const { return records_.size(); }
-  const std::vector<RoutedRecord>& records() const { return records_; }
-
-  const std::vector<QuarantinedRecord>& quarantine() const {
-    return quarantine_;
-  }
-
-  /// Quarantine counts per reason tag (see QuarantineReasonTag) —
-  /// queryable without iterating the quarantined records themselves.
-  const std::map<std::string, std::size_t>& QuarantineReasonCounts() const {
-    return quarantine_reason_counts_;
-  }
-
-  const StoreValidationOptions& validation() const { return validation_; }
-
-  /// Distinct unit keys, sorted.
-  std::vector<std::string> Units() const;
-
-  /// Records of one unit, in time order.
-  std::vector<const RoutedRecord*> ForUnit(const std::string& unit) const;
-
-  /// Records matching a predicate.
-  std::vector<const SpeedTestRecord*> Select(
-      const std::function<bool(const SpeedTestRecord&)>& predicate) const;
-
-  /// First time a record of `unit` crossed `ixp` (by traceroute hop
-  /// matching); nullopt if it never does.
-  std::optional<core::SimTime> FirstIxpCrossing(
-      const netsim::Topology& topology, const std::string& unit,
-      core::IxpId ixp) const;
-
-  /// Fraction of a unit's tests in [start, end) that cross `ixp`.
-  double IxpCrossingShare(const netsim::Topology& topology,
-                          const std::string& unit, core::IxpId ixp,
-                          core::SimTime start, core::SimTime end) const;
-
- private:
-  StoreValidationOptions validation_;
-  std::vector<RoutedRecord> records_;
-  std::vector<QuarantinedRecord> quarantine_;
-  std::map<std::string, std::size_t> quarantine_reason_counts_;
-  std::map<std::string, std::vector<std::size_t>> by_unit_;
-};
-
-/// The streaming archive: records land in columnar (structure-of-arrays)
+/// The campaign archive: records land in columnar (structure-of-arrays)
 /// arenas, one arena per shard, shard = Fnv1a64(unit key) % shard_count.
 /// Sharding by *unit* — never by thread — keeps every unit's records in
 /// exactly one arena in a deterministic order, which is what lets ingest
 /// fan out across the thread pool while panel/metrics/lineage artifacts
-/// stay byte-identical to the batch path (DESIGN.md §10).
+/// stay byte-identical at any thread count (DESIGN.md §10).
 ///
-/// Only the scalar columns the streaming pipeline consumes are retained
-/// (id, time, unit, rtt, loss, throughput, intent, attempts, vantage);
-/// traceroutes and AS paths never reach it — per-record payloads are what
-/// caps the batch path near 1M records. Validation, quarantine
-/// accounting, and the metric names mirror MeasurementStore::Add exactly.
+/// Only scalar columns are retained (id, time, unit, rtt, loss,
+/// throughput, intent, attempts, vantage, IXP crossing). A unit's rows in
+/// its shard are in archive order: the order the platform merged them.
 ///
 /// Thread safety: distinct shards may be appended to concurrently; a
 /// single shard must only be touched by one thread at a time (the ingest
@@ -147,8 +83,9 @@ class ShardedMeasurementStore {
   std::size_t ShardOf(std::string_view unit) const;
 
   /// Validating columnar append of one record copy into `shard`'s arena.
-  /// Returns the same archived/quarantined verdict as
-  /// MeasurementStore::Add and bumps the same metric counters.
+  /// Returns true when the copy is archived, false when it is quarantined
+  /// (ValidateRecord), bumping measure.store.archived or
+  /// measure.store.quarantined[.<tag>].
   /// Precondition: shard == ShardOf(record.UnitKey()).
   bool Append(std::size_t shard, const SpeedTestRecord& record);
 
@@ -164,6 +101,7 @@ class ShardedMeasurementStore {
     std::vector<std::uint8_t> intent;
     std::vector<std::uint8_t> attempts;  ///< clamped to 255
     std::vector<std::uint32_t> vantage_pop;
+    std::vector<std::uint16_t> ixp_crossing;  ///< or kNoIxpCrossing
     std::vector<std::string> unit_names;  ///< unit keys, first-seen order
     std::map<std::string, std::uint32_t, std::less<>> unit_index;
     /// The unit of the last append and its index: a shard's records
@@ -187,10 +125,27 @@ class ShardedMeasurementStore {
   std::uint64_t CountByIntent(Intent intent) const;
   const StoreValidationOptions& validation() const { return validation_; }
 
+  /// One unit's archived copies: its shard's arena and their rows, in
+  /// archive order. No rows (and a null arena) for an unknown unit.
+  struct UnitRows {
+    const Columns* arena = nullptr;
+    std::vector<std::size_t> rows;
+  };
+  UnitRows RowsOf(std::string_view unit) const;
+
+  /// Time of the first archived copy of `unit` whose traceroute crosses
+  /// `ixp`; nullopt if none does.
+  std::optional<core::SimTime> FirstIxpCrossing(std::string_view unit,
+                                                core::IxpId ixp) const;
+
+  /// Fraction of `unit`'s archived copies in [start, end) that cross
+  /// `ixp` (0 when there are none).
+  double IxpCrossingShare(std::string_view unit, core::IxpId ixp,
+                          core::SimTime start, core::SimTime end) const;
+
   /// Deterministic CSV dump of the scalar columns (shard-major, append
-  /// order within a shard) — the streaming analogue of StoreToCsv for
-  /// replay/determinism audits. Not row-compatible with the batch CSV:
-  /// traceroute and AS-path columns do not exist here.
+  /// order within a shard) for replay/determinism audits and export; an
+  /// empty ixp_crossing field means the record crosses no IXP.
   std::string ToCsv() const;
 
  private:

@@ -53,6 +53,17 @@ std::vector<core::IxpId> DetectIxpCrossings(const netsim::Topology& topology,
   return out;
 }
 
+std::optional<IxpHop> FirstIxpHop(const netsim::Topology& topology,
+                                  const netsim::BgpRoute& route) {
+  // Hop i + 1 answers from link i's far side, on the IXP's LAN when the
+  // link crosses one; the source router's hop never does.
+  for (std::size_t i = 0; i + 1 < route.pop_path.size(); ++i) {
+    const auto& ixp = topology.GetLink(route.links[i]).ixp;
+    if (ixp.has_value()) return IxpHop{*ixp, i + 1};
+  }
+  return std::nullopt;
+}
+
 bool CrossesIxp(const netsim::Topology& topology, const Traceroute& traceroute,
                 core::IxpId ixp) {
   const auto crossings = DetectIxpCrossings(topology, traceroute);

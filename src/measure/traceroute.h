@@ -39,6 +39,19 @@ Traceroute SimulateTraceroute(const netsim::Topology& topology,
 std::vector<core::IxpId> DetectIxpCrossings(const netsim::Topology& topology,
                                             const Traceroute& traceroute);
 
+/// The first hop of a route's traceroute that answers from an IXP peering
+/// LAN: that IXP and the hop's index.
+struct IxpHop {
+  core::IxpId ixp;
+  std::size_t hop = 0;
+};
+
+/// What DetectIxpCrossings(topology, SimulateTraceroute(topology, route))
+/// reports first, with its hop index, found without building the
+/// traceroute; nullopt when no hop is on an IXP LAN.
+std::optional<IxpHop> FirstIxpHop(const netsim::Topology& topology,
+                                  const netsim::BgpRoute& route);
+
 /// True iff `traceroute` crosses the given IXP.
 bool CrossesIxp(const netsim::Topology& topology, const Traceroute& traceroute,
                 core::IxpId ixp);

@@ -74,7 +74,7 @@ RandomInternet BuildRandomInternet(const RandomInternetOptions& options) {
   // IXPs in the first `ixp_count` cities.
   for (std::size_t i = 0; i < options.ixp_count && i < cities.size(); ++i) {
     out.ixps.push_back(
-        topo.AddIxp("IXP-" + std::to_string(i), cities[i]));
+        topo.AddIxp("IXP-" + std::to_string(i), cities[i]).value());
   }
 
   auto attach_to_transit = [&](PopIndex node) {

@@ -139,7 +139,7 @@ ScenarioZa BuildScenarioZa(const ScenarioZaOptions& options) {
   // ---- NAPAfrica-JNB ----
   ScenarioZa out;
   out.options = options;
-  out.napafrica_jnb = topo.AddIxp("NAPAfrica-JNB", jnb);
+  out.napafrica_jnb = topo.AddIxp("NAPAfrica-JNB", jnb).value();
 
   // ---- Transit providers ----
   // Domestic A: JNB, CPT, DUR. Peers with content at JNB (private PNI).

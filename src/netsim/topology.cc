@@ -66,7 +66,12 @@ Result<PopIndex> Topology::AddPop(Asn asn, CityId city, AsRole role) {
   return static_cast<PopIndex>(pops_.size() - 1);
 }
 
-IxpId Topology::AddIxp(std::string name, CityId city) {
+Result<IxpId> Topology::AddIxp(std::string name, CityId city) {
+  // One /24 LAN per IXP, told apart by the third octet: ids must name
+  // exactly one LAN.
+  if (ixps_.size() > 0xff) {
+    return Error(ErrorCode::kCapacity, "AddIxp: IXP limit (256) reached");
+  }
   Ixp ixp;
   ixp.name = std::move(name);
   ixp.city = city;

@@ -90,8 +90,9 @@ class Topology {
   /// Adds a PoP; (asn, city) pairs must be unique (kInvalidArgument).
   core::Result<PopIndex> AddPop(core::Asn asn, core::CityId city, AsRole role);
 
-  /// Adds an IXP. lan octet assigned sequentially.
-  core::IxpId AddIxp(std::string name, core::CityId city);
+  /// Adds an IXP; its LAN octet is assigned sequentially. A 257th IXP is
+  /// refused (kCapacity): it would share IXP 0's 196.60.0.0/24 LAN.
+  core::Result<core::IxpId> AddIxp(std::string name, core::CityId city);
 
   /// Connects two PoPs. Distance-derived propagation delay unless
   /// `propagation_ms` is given. Duplicate links are rejected.

@@ -197,6 +197,7 @@ Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
   };
   const int kMaxSweeps = 60;
   const double kTol = 1e-14;
+  const double kDeflate = 1e-14;
   int sweeps = 0;
   bool converged = false;
   while (!converged && sweeps < kMaxSweeps) {
@@ -214,6 +215,19 @@ Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
         }
         if (std::abs(gamma) <= kTol * std::sqrt(alpha * beta) ||
             gamma == 0.0) {
+          continue;
+        }
+        // A column at the rounding level of its partner is what rotating
+        // (near-)equal columns leaves behind, e.g. R's rows below the first
+        // for a pool of identical donors: its direction is noise, and
+        // rotating it against its partner only redraws that noise, so the
+        // sweeps never settle. Deflate it to exactly zero, as the rotation
+        // would in exact arithmetic.
+        if (std::min(alpha, beta) <=
+            kDeflate * kDeflate * std::max(alpha, beta)) {
+          double* tiny = alpha < beta ? wp : wq;
+          std::fill(tiny, tiny + m, 0.0);
+          converged = false;
           continue;
         }
         converged = false;

@@ -16,8 +16,8 @@ double Mean(std::span<const double> xs);
 /// Neumaier-compensated sum: tracks a running error term so the result is
 /// nearly independent of accumulation order and magnitude disparity. The
 /// panel builder feeds it *sorted* cell values, which pins the result to
-/// the value multiset — the batch and streaming ingest paths then agree
-/// bit-for-bit no matter what order records arrived in.
+/// the value multiset, so cells agree bit-for-bit no matter what order
+/// records arrived in.
 double CompensatedSum(std::span<const double> xs);
 
 /// CompensatedSum(xs) / xs.size(). Precondition: non-empty.

@@ -47,10 +47,10 @@ struct ScopedLineage {
 };
 
 /// One small ZA campaign under `plan`, panel + one robust fit — the full
-/// emit -> panel -> estimate lineage path (mirrors lineage_test). With
-/// `streaming` the records go through the sharded ingest fan-out, whose
-/// tasks write their lineage verdicts in place, instead of the batch merge.
-void RunCampaign(const measure::FaultPlan& plan, bool streaming = false) {
+/// emit -> panel -> estimate lineage path (mirrors lineage_test). The
+/// records go through the sharded ingest fan-out, whose tasks write their
+/// lineage verdicts in place.
+void RunCampaign(const measure::FaultPlan& plan) {
   netsim::ScenarioZaOptions options;
   options.donor_units = 6;
   options.treatment_time = core::SimTime::FromDays(3);
@@ -77,18 +77,12 @@ void RunCampaign(const measure::FaultPlan& plan, bool streaming = false) {
   panel_options.bucket = core::SimTime::FromHours(6);
   panel_options.periods = 4 * 6;
   panel_options.max_missing_fraction = 0.9;
-  measure::Panel panel;
-  if (streaming) {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
-    platform.RunStreaming(options.horizon, rng, stream);
-    panel = stream.FinalizePanel();
-  } else {
-    platform.Run(options.horizon, rng);
-    panel = measure::BuildRttPanel(platform.store(), panel_options);
-  }
+  measure::StreamingOptions streaming_options;
+  streaming_options.panel = panel_options;
+  measure::StreamingCampaign stream(platform_options.validation,
+                                    streaming_options);
+  platform.Run(options.horizon, rng, stream);
+  const measure::Panel panel = stream.FinalizePanel();
   auto input = measure::MakeSyntheticControlInput(
       panel, scenario.treated[0].name, scenario.donor_names,
       options.treatment_time);
@@ -751,7 +745,7 @@ TEST(AuditStoreTest, EdgeCaseLedgerMatchesOracle) {
 
 TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {
   // Skew of up to two hours pushes early and late records outside the
-  // panel's range, so the streaming shard tasks write out_of_panel
+  // panel's range, so the shard tasks write out_of_panel
   // verdicts as well as emitted ones.
   measure::FaultPlan plan;
   plan.seed = 31;
@@ -760,27 +754,26 @@ TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {
   plan.corruption_probability = 0.02;
   plan.max_clock_skew = core::SimTime::FromHours(2);
   std::uint64_t out_of_panel = 0;
-  const auto run = [&](std::size_t lanes, bool streaming) {
+  const auto run = [&](std::size_t lanes) {
     core::ThreadPool::SetGlobalThreadCount(lanes);
     ScopedLineage scoped;
     Lineage::Global().BeginRun("identity");
-    RunCampaign(plan, streaming);
+    RunCampaign(plan);
     std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
     out_of_panel = Lineage::Global().Totals().terminal[static_cast<std::size_t>(
         obs::LineageStage::kOutOfPanel)];
     core::ThreadPool::SetGlobalThreadCount(0);
     return artifact;
   };
-  const std::string serial = run(1, false);
+  const std::string serial = run(1);
   EXPECT_GT(out_of_panel, 0u);
   // The audit artifact is a pure function of the final ledger. The ledger
   // is lane-count invariant: task events are captured and replayed in task
-  // order, and the streaming shard tasks write each record's verdict in
-  // place at its own id. So the whole indexed file, checksums and all, is
-  // byte-identical at any lane count, and between batch and streaming.
-  EXPECT_EQ(serial, run(8, false));
-  EXPECT_EQ(serial, run(1, true));
-  EXPECT_EQ(serial, run(8, true));
+  // order, and the shard tasks write each record's verdict in place at its
+  // own id. So the whole indexed file, checksums and all, is byte-identical
+  // at any lane count.
+  EXPECT_EQ(serial, run(4));
+  EXPECT_EQ(serial, run(8));
   EXPECT_GT(out_of_panel, 0u);
   EXPECT_GT(serial.size(), audit::kAuditHeaderSize);
 }

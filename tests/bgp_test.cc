@@ -209,7 +209,7 @@ TEST(BgpTest, CrossesIxpDetectsTaggedLink) {
   const auto city = topo.cities().Add({"X", {0, 0}, 0});
   const auto a = topo.AddPop(Asn{1}, city, AsRole::kAccess).value();
   const auto b = topo.AddPop(Asn{2}, city, AsRole::kContent).value();
-  const auto ixp = topo.AddIxp("IX", city);
+  const auto ixp = topo.AddIxp("IX", city).value();
   ASSERT_TRUE(topo.AddLink(a, b, Relationship::kPeerToPeer, ixp).ok());
   BgpSimulator bgp(topo);
   auto route = bgp.Route(a, b);

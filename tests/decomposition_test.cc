@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/rng.h"
 #include "stats/decomposition.h"
@@ -257,6 +258,25 @@ TEST(PreconditionedSvdTest, MatchesOracleOnDuplicateColumns) {
   auto svd = SvdDecompose(a);
   ASSERT_TRUE(svd.ok());
   EXPECT_EQ(svd.value().RankAbove(1e-9 * a.FrobeniusNorm()), 6u);
+}
+
+TEST(PreconditionedSvdTest, MatchesOracleOnIdenticalDonorPools) {
+  // A 224-period pool of n copies of one donor: R's rows below the first
+  // are rounding noise, which Jacobi on R must deflate rather than rotate
+  // forever (it reported "Jacobi sweeps did not converge" from n = 9 on).
+  core::Rng rng(35);
+  for (const std::size_t n : {8u, 9u, 10u, 16u, 30u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Matrix a(224, n);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      const double rtt = 20.0 + rng.Gaussian();
+      for (std::size_t c = 0; c < n; ++c) a(r, c) = rtt;
+    }
+    ExpectMatchesOracle(a);
+    auto svd = SvdDecompose(a);
+    ASSERT_TRUE(svd.ok());
+    EXPECT_EQ(svd.value().RankAbove(1e-9 * a.FrobeniusNorm()), 1u);
+  }
 }
 
 TEST(PreconditionedSvdTest, ZeroSingularValuesKeepZeroLeftVectors) {

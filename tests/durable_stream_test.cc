@@ -328,7 +328,7 @@ TEST_F(DurableStreamTest, DurableRunMatchesPlainStreaming) {
   measure::StreamingCampaign stream(platform_options.validation,
                                     streaming_options);
   core::Rng rng(scenario_options.seed);
-  platform.RunStreaming(scenario_options.horizon, rng, stream);
+  platform.Run(scenario_options.horizon, rng, stream);
 
   Artifacts plain;
   plain.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
@@ -605,11 +605,12 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
     huge_count[16 + i] =
         static_cast<char>(((std::uint64_t{1} << 60) >> (8 * i)) & 0xff);
   }
-  // Record 0's duplicate flag follows its fixed fields and city string.
+  // Record 0's duplicate flag follows its fixed fields, city string and
+  // IXP crossing.
   const measure::SpeedTestRecord& first = step.records[0].record;
   std::string duplicate_two = original;
   duplicate_two[24 + 8 + 8 + 4 + 8 + first.unit.city().size() + 4 + 4 + 8 +
-                8 + 8 + 1 + 4] = 2;
+                8 + 8 + 1 + 4 + 2] = 2;
   // A record must name its vantage's unit: a renamed city would otherwise
   // rebuild a phantom unit into the store and the panel. The decoder names
   // the record.
@@ -622,13 +623,23 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
   const std::string vantage_9999 = with(
       [](measure::StepOutput& s) { s.records[0].record.vantage_pop = 9999; },
       watermark);
-  for (const std::string& payload : {atlantis, vantage_9999}) {
+  // A crossing must name one of the topology's IXPs (ScenarioZa has only
+  // NAPAfrica-JNB, id 0).
+  const std::string ixp_7 = with(
+      [](measure::StepOutput& s) { s.records[0].record.ixp_crossing = 7; },
+      watermark);
+  for (const std::string& payload : {atlantis, vantage_9999, ixp_7}) {
     const core::Result<measure::StepOutput> decoded =
         durable::DecodeStep(payload, first_id, *campaign.platform);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.error().message().rfind("record 0 ", 0), 0u)
         << decoded.error().message();
   }
+  EXPECT_NE(durable::DecodeStep(ixp_7, first_id, *campaign.platform)
+                .error()
+                .message()
+                .find("crosses IXP 7, not one of the topology's 1 IXPs"),
+            std::string::npos);
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"first record id 2^40",
        with([](measure::StepOutput& s) {
@@ -666,6 +677,7 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
       {"one byte short", original.substr(0, original.size() - 1)},
       {"city renamed to Atlantis", atlantis},
       {"vantage 9999", vantage_9999},
+      {"crossing of IXP 7", ixp_7},
   };
   for (const auto& [name, payload] : cases) {
     std::vector<durable::JournalFrame> frames = scan.frames;
@@ -682,6 +694,11 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
                                  " does not decode"),
               std::string::npos)
         << name << ": " << resumed.error;
+    if (payload == ixp_7) {
+      EXPECT_NE(resumed.error.find("record 0 crosses IXP 7"),
+                std::string::npos)
+          << resumed.error;
+    }
     // The ledger's record column — what a hostile id would have grown —
     // holds no more than the ids of the frames before the victim.
     std::size_t column = 0;
@@ -947,6 +964,26 @@ TEST(DurableJournalTest, ScanRefusesTheFnvFrameFormatByMagic) {
   EXPECT_TRUE(mixed.corrupt);
   EXPECT_NE(mixed.diagnostic.find("frame magic SISYJRNL"), std::string::npos)
       << mixed.diagnostic;
+}
+
+TEST(DurableJournalTest, ScanRefusesTheUncrossedFrameFormatByMagic) {
+  // A "SISYJRN2" frame (records without an IXP crossing) checksums like a
+  // current one; only its magic tells them apart, and the scan refuses it
+  // by name rather than misreading its records.
+  const std::string dir = MakeDir("durable-jrn2");
+  const std::string path = dir + "/journal.bin";
+  core::binio::Writer w;
+  w.PutRaw("SISYJRN2");
+  w.PutU64(1);
+  w.PutString("alpha");
+  w.PutU64(durable::FrameChecksum(1, "alpha"));
+  WriteBytes(path, w.buffer());
+  const durable::JournalScan scan = durable::ScanJournal(path);
+  EXPECT_TRUE(scan.frames.empty());
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_TRUE(scan.corrupt);
+  EXPECT_NE(scan.diagnostic.find("frame magic SISYJRN2"), std::string::npos)
+      << scan.diagnostic;
 }
 
 // ---------------------------------------------------------------------------

@@ -114,26 +114,6 @@ TEST(EdgeSteeringTest, ModeNamesStable) {
 
 // ---- CSV export -----------------------------------------------------------------
 
-TEST(ExportTest, StoreCsvHasHeaderAndRows) {
-  Fixture f;
-  core::Rng rng(5);
-  MeasurementStore store;
-  for (int i = 0; i < 3; ++i) {
-    auto record =
-        RunSpeedTest(*f.sim, f.user, f.near_site, Intent::kBaseline, rng);
-    ASSERT_TRUE(record.ok());
-    store.Add(std::move(record).value());
-  }
-  const std::string csv = StoreToCsv(store);
-  // Header + 3 rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
-  EXPECT_EQ(csv.substr(0, 3), "id,");
-  EXPECT_NE(csv.find("address_family"), std::string::npos);
-  EXPECT_NE(csv.find("baseline,ipv4"), std::string::npos);
-  EXPECT_NE(csv.find("loss_rate"), std::string::npos);
-  EXPECT_NE(csv.find("100 2 36444"), std::string::npos);  // asn path
-}
-
 TEST(ExportTest, PanelCsvWideFormat) {
   Panel panel;
   panel.units.push_back({"100 / X", {1.0, 2.0}, 0.0, {}});

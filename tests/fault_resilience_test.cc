@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "causal/robust_synthetic_control.h"
-#include "measure/export.h"
 #include "measure/faults.h"
 #include "measure/panel.h"
 #include "measure/platform.h"
@@ -54,19 +53,20 @@ CampaignResult RunCampaign(const measure::FaultPlan* plan,
                                                   : measure::FaultPlan{});
   if (plan != nullptr) platform.SetFaultInjector(&injector);
 
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = core::SimTime::FromHours(6);
+  campaign_options.panel.periods = static_cast<std::size_t>(
+      scenario_options.horizon.minutes() /
+      campaign_options.panel.bucket.minutes());
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(scenario_options.seed);
-  platform.Run(scenario_options.horizon, rng);
-
-  measure::PanelOptions panel_options;
-  panel_options.bucket = core::SimTime::FromHours(6);
-  panel_options.periods = static_cast<std::size_t>(
-      scenario_options.horizon.minutes() / panel_options.bucket.minutes());
-  const measure::Panel panel =
-      measure::BuildRttPanel(platform.store(), panel_options);
+  platform.Run(scenario_options.horizon, rng, campaign);
+  const measure::Panel panel = campaign.FinalizePanel();
 
   CampaignResult out;
-  out.quarantined = platform.store().quarantine().size();
-  if (keep_csv) out.store_csv = measure::StoreToCsv(platform.store());
+  out.quarantined = campaign.store().quarantined();
+  if (keep_csv) out.store_csv = campaign.store().ToCsv();
   double sum = 0.0;
   for (const auto& unit : scenario.treated) {
     auto input = measure::MakeSyntheticControlInput(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "measure/faults.h"
 
@@ -11,24 +12,23 @@ namespace {
 
 using core::SimTime;
 
-RoutedRecord MakeRecord(std::size_t hops = 5) {
-  RoutedRecord record;
+/// A record probed over a path whose traceroute shows IXP 0 at hop 2.
+SpeedTestRecord MakeRecord() {
+  SpeedTestRecord record;
   record.time = SimTime::FromHours(12);
   record.rtt_ms = 25.0;
   record.loss_rate = 0.01;
   record.throughput_mbps = 40.0;
-  for (std::size_t i = 0; i < hops; ++i) {
-    record.traceroute.hops.push_back({});
-  }
+  record.ixp_crossing = 0;
   return record;
 }
 
-/// Applies the record faults the batch path applies: decided from the
-/// kept traceroute's hop count, which they may cut.
-bool ApplyKept(FaultInjector& injector, RoutedRecord& record,
-               core::Rng& rng) {
-  return injector.ApplyRecordFaults(record, record.traceroute.hops.size(),
-                                    rng, nullptr, &record.traceroute);
+/// Applies the record faults of a probe over a 5-hop path whose IXP hop is
+/// hop 2, as MakeRecord's.
+bool Apply(FaultInjector& injector, SpeedTestRecord& record,
+           core::Rng& rng) {
+  return injector.ApplyRecordFaults(record, /*path_hops=*/5, /*ixp_hop=*/2,
+                                    rng);
 }
 
 TEST(OutageWindowTest, HalfOpenContainment) {
@@ -130,8 +130,8 @@ TEST(FaultInjectorTest, DecisionsConsumeAFixedNumberOfDraws) {
   auto record_all = MakeRecord();
   none.SampleProbeFault(0.0, rng_none);
   all.SampleProbeFault(0.0, rng_all);
-  ApplyKept(none, record_none, rng_none);
-  ApplyKept(all, record_all, rng_all);
+  Apply(none, record_none, rng_none);
+  Apply(all, record_all, rng_all);
   // Equal consumption leaves the two streams at the same position.
   EXPECT_EQ(rng_none.Next(), rng_all.Next());
 }
@@ -168,55 +168,64 @@ TEST(FaultInjectorTest, ZeroProbabilityPlanIsTransparent) {
   const auto before = record;
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(injector.SampleProbeFault(0.0, rng), ProbeFault::kNone);
-    EXPECT_FALSE(ApplyKept(injector, record, rng));
+    EXPECT_FALSE(Apply(injector, record, rng));
   }
   EXPECT_EQ(record.time, before.time);
   EXPECT_EQ(record.rtt_ms, before.rtt_ms);
-  EXPECT_EQ(record.traceroute.hops.size(), before.traceroute.hops.size());
+  EXPECT_EQ(record.ixp_crossing, before.ixp_crossing);
   EXPECT_EQ(injector.stats().records_corrupted, 0u);
   EXPECT_EQ(injector.stats().records_skewed, 0u);
 }
 
-TEST(FaultInjectorTest, TruncationKeepsMinimumHops) {
+TEST(FaultInjectorTest, TruncationClearsACrossingItCutsOff) {
+  // Six PoPs in a line, a traceroute hop per PoP, and one IXP whose LAN
+  // answers at whichever hop the sweep below puts it.
+  constexpr std::size_t kHops = 6;
+  netsim::Topology topology;
+  const auto city = topology.cities().Add({"X", {0, 0}, 1.0});
+  for (std::uint32_t i = 0; i < kHops; ++i) {
+    ASSERT_TRUE(
+        topology.AddPop(core::Asn{100 + i}, city, netsim::AsRole::kTransit)
+            .ok());
+  }
+  const core::IxpId ixp = topology.AddIxp("IX", city).value();
+
   FaultPlan plan;
   plan.seed = 11;
   plan.traceroute_truncation_probability = 1.0;
   plan.truncation_min_hops = 2;
   FaultInjector injector(plan);
   core::Rng rng(4);
-  for (int i = 0; i < 100; ++i) {
-    auto record = MakeRecord(6);
-    ApplyKept(injector, record, rng);
-    EXPECT_GE(record.traceroute.hops.size(), 2u);
-    EXPECT_LE(record.traceroute.hops.size(), 6u);
+  for (int trial = 0; trial < 100; ++trial) {
+    // One truncation decision, replayed with the IXP hop at every
+    // position: the crossing survives at exactly the kept positions.
+    const core::Rng decision = rng;
+    std::vector<bool> survives(kHops);
+    std::size_t kept = 0;
+    for (std::size_t hop = 0; hop < kHops; ++hop) {
+      core::Rng replay = decision;
+      SpeedTestRecord record = MakeRecord();
+      injector.ApplyRecordFaults(record, kHops, hop, replay);
+      survives[hop] = record.ixp_crossing == ixp.value();
+      if (survives[hop]) ++kept;
+      rng = replay;
+    }
+    EXPECT_GE(kept, plan.truncation_min_hops);
+    EXPECT_LE(kept, kHops - 1);
+    for (std::size_t hop = 0; hop < kHops; ++hop) {
+      Traceroute traceroute;
+      for (std::uint32_t pop = 0; pop < kHops; ++pop) {
+        traceroute.hops.push_back(
+            {pop == hop ? topology.IxpLanAddress(ixp, pop)
+                        : topology.RouterAddress(pop),
+             core::Asn{100 + pop}, pop});
+      }
+      traceroute.hops.resize(kept);
+      EXPECT_EQ(survives[hop], CrossesIxp(topology, traceroute, ixp))
+          << "trial " << trial << ", IXP hop " << hop << ", kept " << kept;
+    }
   }
-  EXPECT_GT(injector.stats().traceroutes_truncated, 50u);
-}
-
-TEST(FaultInjectorTest, TruncationFollowsPathHopsWithoutTraceroute) {
-  // A scalar record, whose traceroute is not kept, gets the truncation
-  // decision, stats and lineage bit of a routed one: both are decided from
-  // the probed path's hop count, and only a kept traceroute is cut.
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.traceroute_truncation_probability = 0.5;
-  FaultInjector full(plan), lean(plan);
-  core::Rng full_rng(4), lean_rng(4);
-  std::size_t truncated = 0;
-  for (int i = 0; i < 100; ++i) {
-    auto with_hops = MakeRecord(6);
-    SpeedTestRecord scalar = MakeRecord(0);
-    std::uint8_t full_mask = 0, lean_mask = 0;
-    full.ApplyRecordFaults(with_hops, 6, full_rng, &full_mask,
-                           &with_hops.traceroute);
-    lean.ApplyRecordFaults(scalar, 6, lean_rng, &lean_mask);
-    EXPECT_EQ(lean_mask, full_mask);
-    EXPECT_EQ(scalar.time, with_hops.time);
-    if (with_hops.traceroute.hops.size() < 6) ++truncated;
-  }
-  EXPECT_GT(truncated, 20u);
-  EXPECT_EQ(full.stats().traceroutes_truncated, truncated);
-  EXPECT_EQ(lean.stats().traceroutes_truncated, truncated);
+  EXPECT_EQ(injector.stats().traceroutes_truncated, 100u * kHops);
 }
 
 TEST(FaultInjectorTest, CorruptionProducesInvalidRecords) {
@@ -228,7 +237,7 @@ TEST(FaultInjectorTest, CorruptionProducesInvalidRecords) {
   std::size_t invalid = 0;
   for (int i = 0; i < 100; ++i) {
     auto record = MakeRecord();
-    ApplyKept(injector, record, rng);
+    Apply(injector, record, rng);
     const bool bad_rtt = record.rtt_ms <= 0.0;
     const bool bad_time = record.time < SimTime(0);
     const bool bad_loss = record.loss_rate > 1.0;
@@ -248,7 +257,7 @@ TEST(FaultInjectorTest, ClockSkewIsBounded) {
   for (int i = 0; i < 200; ++i) {
     auto record = MakeRecord();
     const SimTime original = record.time;
-    ApplyKept(injector, record, rng);
+    Apply(injector, record, rng);
     EXPECT_GE(record.time, original - SimTime(5));
     EXPECT_LE(record.time, original + SimTime(5));
   }
@@ -264,7 +273,7 @@ TEST(FaultInjectorTest, DuplicationFlagRateMatchesPlan) {
   int duplicates = 0;
   for (int i = 0; i < 400; ++i) {
     auto record = MakeRecord();
-    if (ApplyKept(injector, record, rng)) {
+    if (Apply(injector, record, rng)) {
       ++duplicates;
     }
   }

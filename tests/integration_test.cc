@@ -17,6 +17,7 @@ using core::SimTime;
 struct Pipeline {
   netsim::ScenarioZa scenario;
   std::unique_ptr<measure::Platform> platform;
+  std::unique_ptr<measure::StreamingCampaign> campaign;
   measure::Panel panel;
 
   explicit Pipeline(std::uint64_t seed) {
@@ -43,13 +44,14 @@ struct Pipeline {
       vantage.pop = donor;
       platform->AddVantage(vantage);
     }
+    measure::StreamingOptions campaign_options;
+    campaign_options.panel.bucket = SimTime::FromHours(6);
+    campaign_options.panel.periods = 4 * 28;
+    campaign = std::make_unique<measure::StreamingCampaign>(
+        platform_options.validation, campaign_options);
     core::Rng rng(seed);
-    platform->Run(options.horizon, rng);
-
-    measure::PanelOptions panel_options;
-    panel_options.bucket = SimTime::FromHours(6);
-    panel_options.periods = 4 * 28;
-    panel = measure::BuildRttPanel(platform->store(), panel_options);
+    platform->Run(options.horizon, rng, *campaign);
+    panel = campaign->FinalizePanel();
   }
 };
 
@@ -61,9 +63,8 @@ TEST(IntegrationTest, FullPipelineProducesTable1Rows) {
   std::size_t rows = 0;
   for (const auto& unit : pipe.scenario.treated) {
     // Detection: the unit starts crossing the IXP at the treatment time.
-    const auto first = pipe.platform->store().FirstIxpCrossing(
-        pipe.scenario.simulator->topology(), unit.name,
-        pipe.scenario.napafrica_jnb);
+    const auto first = pipe.campaign->store().FirstIxpCrossing(
+        unit.name, pipe.scenario.napafrica_jnb);
     ASSERT_TRUE(first.has_value()) << unit.name;
     EXPECT_GE(*first, pipe.scenario.options.treatment_time);
     EXPECT_LT(*first,
@@ -120,7 +121,7 @@ TEST(IntegrationTest, LargeInjectedEffectIsDetectedAndPlaceboIsNot) {
 TEST(IntegrationTest, DeterministicForFixedSeed) {
   Pipeline a(3);
   Pipeline b(3);
-  ASSERT_EQ(a.platform->store().size(), b.platform->store().size());
+  ASSERT_EQ(a.campaign->store().size(), b.campaign->store().size());
   ASSERT_EQ(a.panel.units.size(), b.panel.units.size());
   for (std::size_t u = 0; u < a.panel.units.size(); ++u) {
     ASSERT_EQ(a.panel.units[u].unit, b.panel.units[u].unit);
@@ -148,11 +149,13 @@ TEST(IntegrationTest, IntentMixPresent) {
     platform.AddVantage(vantage);
   }
   core::Rng rng(5);
-  platform.Run(options.horizon, rng);
-  EXPECT_GT(platform.CountByIntent(measure::Intent::kBaseline), 0u);
-  EXPECT_GT(platform.CountByIntent(measure::Intent::kUserInitiated), 0u);
+  measure::StreamingCampaign campaign(platform_options.validation, {});
+  platform.Run(options.horizon, rng, campaign);
+  const measure::ShardedMeasurementStore& store = campaign.store();
+  EXPECT_GT(store.CountByIntent(measure::Intent::kBaseline), 0u);
+  EXPECT_GT(store.CountByIntent(measure::Intent::kUserInitiated), 0u);
   // The treatment-time route change triggers event bursts.
-  EXPECT_GT(platform.CountByIntent(measure::Intent::kEventTriggered), 0u);
+  EXPECT_GT(store.CountByIntent(measure::Intent::kEventTriggered), 0u);
 }
 
 }  // namespace

@@ -106,14 +106,15 @@ CampaignOutcome RunLineageCampaign(const FaultPlan* plan) {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = SimTime::FromHours(6);
+  campaign_options.panel.periods = 4 * 6;
+  campaign_options.panel.max_missing_fraction = 0.9;
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(29);
-  platform.Run(options.horizon, rng);
-
-  measure::PanelOptions panel_options;
-  panel_options.bucket = SimTime::FromHours(6);
-  panel_options.periods = 4 * 6;
-  panel_options.max_missing_fraction = 0.9;
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  platform.Run(options.horizon, rng, campaign);
+  const auto panel = campaign.FinalizePanel();
   auto input = measure::MakeSyntheticControlInput(
       panel, scenario.treated[0].name, scenario.donor_names,
       options.treatment_time);
@@ -122,8 +123,8 @@ CampaignOutcome RunLineageCampaign(const FaultPlan* plan) {
   }
 
   CampaignOutcome outcome;
-  outcome.archived = platform.store().records().size();
-  outcome.quarantined = platform.store().quarantine().size();
+  outcome.archived = campaign.store().size();
+  outcome.quarantined = campaign.store().quarantined();
   outcome.probe_failures = platform.failures().size();
   return outcome;
 }
@@ -282,12 +283,14 @@ TEST_F(LineageConservationTest, PlaceboAnalysisMarksRotatedDonors) {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = SimTime::FromHours(6);
+  campaign_options.panel.periods = 4 * 6;
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(17);
-  platform.Run(options.horizon, rng);
-  measure::PanelOptions panel_options;
-  panel_options.bucket = SimTime::FromHours(6);
-  panel_options.periods = 4 * 6;
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  platform.Run(options.horizon, rng, campaign);
+  const auto panel = campaign.FinalizePanel();
   auto input = measure::MakeSyntheticControlInput(
       panel, scenario.treated[0].name, scenario.donor_names,
       options.treatment_time);

@@ -68,8 +68,9 @@ std::string RunSeededCampaignSnapshot(std::uint64_t seed) {
   vantage.pop = user;
   vantage.baseline_tests_per_day = 24.0;
   platform.AddVantage(vantage);
+  measure::StreamingCampaign campaign(options.validation, {});
   core::Rng rng(seed);
-  platform.Run(SimTime::FromDays(2), rng);
+  platform.Run(SimTime::FromDays(2), rng, campaign);
   return Registry::Global().SnapshotJson();
 }
 

@@ -1,6 +1,9 @@
 // Tests for panel construction from raw measurements.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "measure/panel.h"
 
 namespace sisyphus::measure {
@@ -8,31 +11,44 @@ namespace {
 
 using core::SimTime;
 
-RoutedRecord MakeRecord(const std::string& unit_asn, const std::string& city,
-                        SimTime time, double rtt) {
-  RoutedRecord record;
-  record.unit = Unit::Intern(
-      core::Asn{static_cast<std::uint32_t>(std::stoul(unit_asn))}, city);
-  record.time = time;
-  record.rtt_ms = rtt;
-  return record;
+/// One archived record as the panel sees it: unit key, time and RTT.
+struct Record {
+  std::string unit;
+  SimTime time;
+  double rtt_ms = 0.0;
+};
+
+Record MakeRecord(const std::string& unit_asn, const std::string& city,
+                  SimTime time, double rtt) {
+  return {unit_asn + " / " + city, time, rtt};
+}
+
+/// Folds `records` in order through a single-shard builder, ids 1, 2, ...
+Panel BuildPanel(const std::vector<Record>& records,
+                 const PanelOptions& options) {
+  IncrementalPanelBuilder builder(options);
+  std::uint64_t id = 0;
+  for (const Record& record : records) {
+    builder.Observe(0, record.unit, record.time, record.rtt_ms, ++id);
+  }
+  return builder.Finalize();
 }
 
 TEST(PanelTest, BucketedMediansPerUnit) {
-  MeasurementStore store;
+  std::vector<Record> records;
   // Unit A: rtt 10 in bucket 0, 20 in bucket 1.
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(1), 9));
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(2), 10));
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(3), 11));
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(7), 20));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 9));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(2), 10));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(3), 11));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(7), 20));
   // Unit B: constant 30.
-  store.Add(MakeRecord("200", "Y", SimTime::FromHours(1), 30));
-  store.Add(MakeRecord("200", "Y", SimTime::FromHours(8), 30));
+  records.push_back(MakeRecord("200", "Y", SimTime::FromHours(1), 30));
+  records.push_back(MakeRecord("200", "Y", SimTime::FromHours(8), 30));
 
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 2;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   ASSERT_EQ(panel.units.size(), 2u);
   auto a = panel.Find("100 / X");
   ASSERT_TRUE(a.ok());
@@ -42,52 +58,51 @@ TEST(PanelTest, BucketedMediansPerUnit) {
 }
 
 TEST(PanelTest, SparseUnitsDropped) {
-  MeasurementStore store;
+  std::vector<Record> records;
   // Unit with data only in 1 of 8 buckets (87% missing > 25% cap).
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(1), 10));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 8;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   EXPECT_TRUE(panel.units.empty());
 }
 
 TEST(PanelTest, InterpolationFillsGaps) {
-  MeasurementStore store;
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(1), 10));
+  std::vector<Record> records;
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   // bucket 1 empty
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(13), 30));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 3;
   options.max_missing_fraction = 0.5;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   ASSERT_EQ(panel.units.size(), 1u);
   EXPECT_DOUBLE_EQ(panel.units[0].values[1], 20.0);  // midpoint
   EXPECT_NEAR(panel.units[0].missing_fraction, 1.0 / 3.0, 1e-12);
 }
 
-MeasurementStore MakeStoreWithUnits(const std::vector<std::string>& asns,
-                                    std::size_t periods, double base) {
-  MeasurementStore store;
+std::vector<Record> MakeRecordsOfUnits(const std::vector<std::string>& asns,
+                                       std::size_t periods, double base) {
+  std::vector<Record> records;
   for (std::size_t u = 0; u < asns.size(); ++u) {
     for (std::size_t t = 0; t < periods; ++t) {
-      store.Add(MakeRecord(asns[u], "City",
-                           SimTime::FromHours(6.0 * t + 1.0),
-                           base + static_cast<double>(u) +
-                               0.1 * static_cast<double>(t)));
+      records.push_back(MakeRecord(
+          asns[u], "City", SimTime::FromHours(6.0 * t + 1.0),
+          base + static_cast<double>(u) + 0.1 * static_cast<double>(t)));
     }
   }
-  return store;
+  return records;
 }
 
 TEST(SyntheticControlInputBuilderTest, AssemblesTreatedAndDonors) {
-  const auto store =
-      MakeStoreWithUnits({"100", "200", "300", "400"}, 10, 20.0);
+  const auto records =
+      MakeRecordsOfUnits({"100", "200", "300", "400"}, 10, 20.0);
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 10;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   std::vector<std::string> skipped;
   auto input = MakeSyntheticControlInput(
       panel, "100 / City", {"200 / City", "300 / City", "ghost / City"},
@@ -107,11 +122,11 @@ TEST(SyntheticControlInputBuilderTest, AssemblesTreatedAndDonors) {
 }
 
 TEST(SyntheticControlInputBuilderTest, ErrorsSurface) {
-  const auto store = MakeStoreWithUnits({"100", "200"}, 10, 20.0);
+  const auto records = MakeRecordsOfUnits({"100", "200"}, 10, 20.0);
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 10;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   // Unknown treated unit.
   EXPECT_FALSE(MakeSyntheticControlInput(panel, "nope / X", {"200 / City"},
                                          SimTime::FromHours(36))
@@ -131,16 +146,17 @@ TEST(SyntheticControlInputBuilderTest, ErrorsSurface) {
 }
 
 TEST(PanelTest, DroppedUnitFindNamesSparsityCause) {
-  MeasurementStore store;
+  std::vector<Record> records;
   // One healthy unit and one sparse unit (1 of 8 buckets observed).
   for (int t = 0; t < 8; ++t) {
-    store.Add(MakeRecord("100", "X", SimTime::FromHours(6.0 * t + 1), 10));
+    records.push_back(
+        MakeRecord("100", "X", SimTime::FromHours(6.0 * t + 1), 10));
   }
-  store.Add(MakeRecord("200", "Y", SimTime::FromHours(1), 30));
+  records.push_back(MakeRecord("200", "Y", SimTime::FromHours(1), 30));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 8;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   ASSERT_EQ(panel.units.size(), 1u);
   ASSERT_EQ(panel.dropped.size(), 1u);
   EXPECT_EQ(panel.dropped[0].unit, "200 / Y");
@@ -160,15 +176,15 @@ TEST(PanelTest, DroppedUnitFindNamesSparsityCause) {
 }
 
 TEST(PanelTest, ObservedMaskMarksInterpolatedBuckets) {
-  MeasurementStore store;
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(1), 10));
+  std::vector<Record> records;
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   // bucket 1 empty -> interpolated
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(13), 30));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 3;
   options.max_missing_fraction = 0.5;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   ASSERT_EQ(panel.units.size(), 1u);
   const auto& unit = panel.units[0];
   ASSERT_EQ(unit.observed.size(), 3u);
@@ -181,14 +197,14 @@ TEST(PanelTest, OutOfOrderRecordsAreSortedBeforeBucketing) {
   // Clock-skewed / retried records arrive out of time order; the panel
   // builder must tolerate that rather than tripping the time-series
   // monotonicity requirement.
-  MeasurementStore store;
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(13), 30));
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(1), 10));
-  store.Add(MakeRecord("100", "X", SimTime::FromHours(7), 20));
+  std::vector<Record> records;
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
+  records.push_back(MakeRecord("100", "X", SimTime::FromHours(7), 20));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 3;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   ASSERT_EQ(panel.units.size(), 1u);
   EXPECT_DOUBLE_EQ(panel.units[0].values[0], 10.0);
   EXPECT_DOUBLE_EQ(panel.units[0].values[1], 20.0);
@@ -196,23 +212,25 @@ TEST(PanelTest, OutOfOrderRecordsAreSortedBeforeBucketing) {
 }
 
 TEST(SyntheticControlInputBuilderTest, MissingnessMaskPropagates) {
-  MeasurementStore store;
+  std::vector<Record> records;
   // Treated: fully observed. Donor: bucket 1 of 4 missing.
   for (int t = 0; t < 4; ++t) {
-    store.Add(MakeRecord("100", "X", SimTime::FromHours(6.0 * t + 1), 20));
+    records.push_back(
+        MakeRecord("100", "X", SimTime::FromHours(6.0 * t + 1), 20));
     if (t != 1) {
-      store.Add(MakeRecord("200", "Y", SimTime::FromHours(6.0 * t + 1), 30));
+      records.push_back(
+          MakeRecord("200", "Y", SimTime::FromHours(6.0 * t + 1), 30));
     }
   }
-  store.Add(MakeRecord("300", "Z", SimTime::FromHours(1), 25));
-  store.Add(MakeRecord("300", "Z", SimTime::FromHours(7), 25));
-  store.Add(MakeRecord("300", "Z", SimTime::FromHours(13), 25));
-  store.Add(MakeRecord("300", "Z", SimTime::FromHours(19), 25));
+  records.push_back(MakeRecord("300", "Z", SimTime::FromHours(1), 25));
+  records.push_back(MakeRecord("300", "Z", SimTime::FromHours(7), 25));
+  records.push_back(MakeRecord("300", "Z", SimTime::FromHours(13), 25));
+  records.push_back(MakeRecord("300", "Z", SimTime::FromHours(19), 25));
   PanelOptions options;
   options.bucket = SimTime::FromHours(6);
   options.periods = 4;
   options.max_missing_fraction = 0.5;
-  const Panel panel = BuildRttPanel(store, options);
+  const Panel panel = BuildPanel(records, options);
   auto input = MakeSyntheticControlInput(panel, "100 / X",
                                          {"200 / Y", "300 / Z"},
                                          SimTime::FromHours(14));

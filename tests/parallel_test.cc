@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <set>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -161,12 +162,14 @@ causal::SyntheticControlInput BuildPanelInput() {
     vantage.pop = donor;
     platform.AddVantage(vantage);
   }
+  measure::StreamingOptions campaign_options;
+  campaign_options.panel.bucket = core::SimTime::FromHours(6);
+  campaign_options.panel.periods = 4 * 14;
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      campaign_options);
   core::Rng rng(17);
-  platform.Run(options.horizon, rng);
-  measure::PanelOptions panel_options;
-  panel_options.bucket = core::SimTime::FromHours(6);
-  panel_options.periods = 4 * 14;
-  const auto panel = measure::BuildRttPanel(platform.store(), panel_options);
+  platform.Run(options.horizon, rng, campaign);
+  const auto panel = campaign.FinalizePanel();
   return measure::MakeSyntheticControlInput(panel, scenario.treated[0].name,
                                             scenario.donor_names,
                                             options.treatment_time)
@@ -223,32 +226,18 @@ TEST(DeterministicParallelismTest, MeasurementCampaignBitIdenticalAt1And8) {
       vantage.pop = donor;
       platform.AddVantage(vantage);
     }
+    measure::StreamingCampaign campaign(platform_options.validation, {});
     core::Rng rng(23);
-    platform.Run(options.horizon, rng);
-    struct Summary {
-      std::vector<std::uint64_t> ids;
-      std::vector<std::int64_t> times;
-      std::vector<double> rtts;
-      std::size_t failures = 0;
-    } summary;
-    for (const auto& record : platform.store().records()) {
-      summary.ids.push_back(record.id.value());
-      summary.times.push_back(record.time.minutes());
-      summary.rtts.push_back(record.rtt_ms);
-    }
-    summary.failures = platform.failures().size();
+    platform.Run(options.horizon, rng, campaign);
+    // Every column, doubles at round-trip precision: bit-identical.
+    std::string archive = campaign.store().ToCsv();
+    archive += "failures " + std::to_string(platform.failures().size());
     ThreadPool::SetGlobalThreadCount(0);
-    return summary;
+    return archive;
   };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  ASSERT_EQ(serial.ids.size(), parallel.ids.size());
-  EXPECT_EQ(serial.failures, parallel.failures);
-  for (std::size_t i = 0; i < serial.ids.size(); ++i) {
-    EXPECT_EQ(serial.ids[i], parallel.ids[i]) << i;
-    EXPECT_EQ(serial.times[i], parallel.times[i]) << i;
-    EXPECT_EQ(serial.rtts[i], parallel.rtts[i]) << i;  // bit-identical
-  }
+  const std::string serial = run(1);
+  EXPECT_GT(serial.size(), 1000u);
+  EXPECT_EQ(serial, run(8));
 }
 
 }  // namespace

@@ -4,10 +4,15 @@
 // retries, outage windows, deterministic replay).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <type_traits>
+#include <vector>
 
-#include "measure/export.h"
 #include "measure/platform.h"
+#include "netsim/scenario_random.h"
+#include "netsim/scenario_za.h"
 
 namespace sisyphus::measure {
 namespace {
@@ -19,6 +24,34 @@ using netsim::NetworkEvent;
 using netsim::NetworkSimulator;
 using netsim::Relationship;
 using netsim::Topology;
+
+/// The archive a campaign left, read back from the store's columns in id
+/// order (a duplicate's copies side by side). The columns keep no server
+/// or address family, so those fields hold their defaults.
+std::vector<SpeedTestRecord> Archived(const ShardedMeasurementStore& store) {
+  std::vector<SpeedTestRecord> records;
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    const ShardedMeasurementStore::Columns& arena = store.shard(s);
+    for (std::size_t i = 0; i < arena.size(); ++i) {
+      SpeedTestRecord record;
+      record.id = core::MeasurementId(arena.id[i]);
+      record.time = SimTime(arena.time_minutes[i]);
+      record.vantage_pop = arena.vantage_pop[i];
+      record.rtt_ms = arena.rtt_ms[i];
+      record.loss_rate = arena.loss_rate[i];
+      record.throughput_mbps = arena.throughput_mbps[i];
+      record.intent = static_cast<Intent>(arena.intent[i]);
+      record.attempts = arena.attempts[i];
+      record.ixp_crossing = arena.ixp_crossing[i];
+      records.push_back(record);
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const SpeedTestRecord& a, const SpeedTestRecord& b) {
+                     return a.id < b.id;
+                   });
+  return records;
+}
 
 struct Fixture {
   std::unique_ptr<NetworkSimulator> sim;
@@ -57,12 +90,13 @@ TEST(PlatformTest, BaselineRateApproximatelyHonored) {
   vantage.pop = f.user;
   vantage.baseline_tests_per_day = 24.0;
   platform.AddVantage(vantage);
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(1);
-  platform.Run(SimTime::FromDays(10), rng);
+  platform.Run(SimTime::FromDays(10), rng, campaign);
   // Expect ~240 tests, Poisson sd ~ 15.5.
-  EXPECT_NEAR(static_cast<double>(platform.store().size()), 240.0, 60.0);
-  EXPECT_EQ(platform.CountByIntent(Intent::kBaseline),
-            platform.store().size());
+  EXPECT_NEAR(static_cast<double>(campaign.store().size()), 240.0, 60.0);
+  EXPECT_EQ(campaign.store().CountByIntent(Intent::kBaseline),
+            campaign.store().size());
 }
 
 TEST(PlatformTest, UserTestingRateRisesWithDegradation) {
@@ -88,11 +122,12 @@ TEST(PlatformTest, UserTestingRateRisesWithDegradation) {
   shock.shock_extra = 0.55;
   f.sim->schedule().Add(shock);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(2);
-  platform.Run(SimTime::FromDays(10), rng);
+  platform.Run(SimTime::FromDays(10), rng, campaign);
 
   std::size_t before = 0, after = 0;
-  for (const auto& record : platform.store().records()) {
+  for (const auto& record : Archived(campaign.store())) {
     (record.time < SimTime::FromDays(5) ? before : after)++;
   }
   EXPECT_GT(after, before + before / 4);
@@ -119,11 +154,12 @@ TEST(PlatformTest, ConditionalActivationFiresOnRouteChange) {
   down.link = primary;
   f.sim->schedule().Add(down);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(3);
-  platform.Run(SimTime::FromDays(2), rng);
-  EXPECT_EQ(platform.CountByIntent(Intent::kEventTriggered), 6u);
+  platform.Run(SimTime::FromDays(2), rng, campaign);
+  EXPECT_EQ(campaign.store().CountByIntent(Intent::kEventTriggered), 6u);
   // All triggered tests happened at/after the event.
-  for (const auto& record : platform.store().records()) {
+  for (const auto& record : Archived(campaign.store())) {
     if (record.intent == Intent::kEventTriggered) {
       EXPECT_GE(record.time, SimTime::FromDays(1));
     }
@@ -140,9 +176,10 @@ TEST(PlatformTest, NoConditionalActivationWithoutEvents) {
   vantage.pop = f.user;
   vantage.baseline_tests_per_day = 5.0;
   platform.AddVantage(vantage);
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(4);
-  platform.Run(SimTime::FromDays(3), rng);
-  EXPECT_EQ(platform.CountByIntent(Intent::kEventTriggered), 0u);
+  platform.Run(SimTime::FromDays(3), rng, campaign);
+  EXPECT_EQ(campaign.store().CountByIntent(Intent::kEventTriggered), 0u);
 }
 
 TEST(PlatformTest, MultipleVantagesProduceDistinctUnits) {
@@ -163,22 +200,26 @@ TEST(PlatformTest, MultipleVantagesProduceDistinctUnits) {
   platform.AddVantage(vantage);
   vantage.pop = user2;
   platform.AddVantage(vantage);
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(5);
-  platform.Run(SimTime::FromDays(4), rng);
-  EXPECT_EQ(platform.store().Units().size(), 2u);
+  platform.Run(SimTime::FromDays(4), rng, campaign);
+  EXPECT_EQ(campaign.store().Units().size(), 2u);
 }
 
 
 TEST(PlatformTest, EdgeSteeringRoutesTestsAcrossSites) {
   Fixture f;
-  // Second measurement site behind the backup transit.
+  // Second measurement site behind the backup transit, reached across an
+  // IXP LAN: a probe steered there crosses the IXP, one to the configured
+  // server does not.
   auto& topo = f.sim->topology();
   const auto city2 = topo.cities().Add({"Z", {2, 2}, 2.0});
   const auto site2 =
       topo.AddPop(Asn{5}, city2, AsRole::kMeasurement).value();
-  ASSERT_TRUE(
-      topo.AddLink(site2, 2 /* t2 */, Relationship::kCustomerToProvider)
-          .ok());
+  const core::IxpId ixp = topo.AddIxp("IX-Z", city2).value();
+  ASSERT_TRUE(topo.AddLink(site2, 2 /* t2 */,
+                           Relationship::kCustomerToProvider, ixp)
+                  .ok());
 
   PlatformOptions options;
   options.server = f.server;
@@ -191,86 +232,167 @@ TEST(PlatformTest, EdgeSteeringRoutesTestsAcrossSites) {
   EdgeSteering steering(*f.sim, {f.server, site2});
   steering.SetMode(SteeringMode::kRandomSite);
   platform.SetEdgeSteering(&steering);
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(9);
-  platform.Run(SimTime::FromDays(5), rng);
+  platform.Run(SimTime::FromDays(5), rng, campaign);
 
-  // Each record carries the path to the site it was steered to.
-  const auto to_server = f.sim->RouteBetween(f.user, f.server);
-  const auto to_site2 = f.sim->RouteBetween(f.user, site2);
-  ASSERT_TRUE(to_server.ok());
-  ASSERT_TRUE(to_site2.ok());
-  ASSERT_NE(to_server.value().asn_path, to_site2.value().asn_path);
+  // Each record carries the crossing of the path to the site it was
+  // steered to (one decision per record, in merge order).
+  const auto records = Archived(campaign.store());
+  ASSERT_EQ(steering.decisions().size(), records.size());
   std::size_t steered_to_site2 = 0;
-  for (const auto& record : platform.store().records()) {
-    const bool site2_chosen = record.server_pop == site2;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const bool site2_chosen = steering.decisions()[i].server == site2;
     if (site2_chosen) ++steered_to_site2;
-    const netsim::BgpRoute& route =
-        site2_chosen ? to_site2.value() : to_server.value();
-    EXPECT_EQ(record.asn_path, route.asn_path);
-    EXPECT_EQ(record.traceroute.ToText(),
-              SimulateTraceroute(f.sim->topology(), route).ToText());
+    EXPECT_EQ(records[i].ixp_crossing == ixp.value(), site2_chosen) << i;
   }
   EXPECT_GT(steered_to_site2, 0u);
-  EXPECT_LT(steered_to_site2, platform.store().size());
-  EXPECT_EQ(steering.decisions().size(), platform.store().size());
+  EXPECT_LT(steered_to_site2, records.size());
 
   // Reverting steering pins back to the configured server.
   platform.SetEdgeSteering(nullptr);
-  platform.Run(SimTime::FromDays(5) + SimTime::FromHours(6), rng);
-  const auto& records = platform.store().records();
-  EXPECT_EQ(records.back().server_pop, f.server);
+  platform.Run(SimTime::FromDays(5) + SimTime::FromHours(6), rng, campaign);
+  const auto all = Archived(campaign.store());
+  ASSERT_GT(all.size(), records.size());
+  EXPECT_EQ(steering.decisions().size(), records.size());
+  EXPECT_EQ(all.back().ixp_crossing, kNoIxpCrossing);
 }
 
-TEST(PlatformTest, OnlyTheBatchStoreGetsTraceroutesAndAsPaths) {
-  const SimTime until = SimTime::FromDays(2);
-  PlatformOptions options;
-  VantageConfig vantage;
-  vantage.baseline_tests_per_day = 24.0;
-
-  // Streaming, durable and direct GenerateStep callers get scalar records:
-  // a PendingRecord has no route to fill.
+TEST(PlatformTest, RecordsCarryTheProbePathsIxpCrossing) {
+  // A vantage whose path to the server crosses an IXP LAN at hop 1: every
+  // record GenerateStep produces carries that IXP, and the hop-matching
+  // rule on the path's simulated traceroute agrees.
   static_assert(std::is_trivially_copyable_v<PendingRecord>);
-  Fixture stepped;
-  options.server = stepped.server;
-  vantage.pop = stepped.user;
-  Platform step_platform(*stepped.sim, options);
-  step_platform.AddVantage(vantage);
-  core::Rng step_rng(12);
-  std::vector<SpeedTestRecord> step_records;
-  while (step_platform.Now() < until) {
+  Topology topo;
+  const auto city = topo.cities().Add({"X", {0, 0}, 2.0});
+  const auto user = topo.AddPop(Asn{100}, city, AsRole::kAccess).value();
+  const auto server =
+      topo.AddPop(Asn{4}, city, AsRole::kMeasurement).value();
+  const core::IxpId ixp = topo.AddIxp("IX", city).value();
+  ASSERT_TRUE(
+      topo.AddLink(user, server, Relationship::kPeerToPeer, ixp).ok());
+  NetworkSimulator sim(std::move(topo));
+
+  const auto path = ResolveProbePath(sim, user, server);
+  ASSERT_TRUE(path.ok());
+  EXPECT_EQ(path.value().ixp_crossing, ixp.value());
+  EXPECT_EQ(path.value().ixp_hop, 1u);
+  const auto detected = DetectIxpCrossings(
+      sim.topology(), SimulateTraceroute(sim.topology(), path.value().route));
+  ASSERT_EQ(detected.size(), 1u);
+  EXPECT_EQ(detected[0], ixp);
+
+  PlatformOptions options;
+  options.server = server;
+  Platform platform(sim, options);
+  VantageConfig vantage;
+  vantage.pop = user;
+  vantage.baseline_tests_per_day = 24.0;
+  platform.AddVantage(vantage);
+  core::Rng rng(12);
+  std::size_t records = 0;
+  const SimTime until = SimTime::FromDays(2);
+  while (platform.Now() < until) {
     for (const PendingRecord& pending :
-         step_platform.GenerateStep(until, step_rng).records) {
-      step_records.push_back(pending.record);
+         platform.GenerateStep(until, rng).records) {
+      EXPECT_EQ(pending.record.ixp_crossing, ixp.value());
+      ++records;
     }
   }
+  EXPECT_GT(records, 20u);
+}
 
-  // The batch store keeps the probed route's AS path and traceroute.
-  Fixture batched;
-  Platform batch_platform(*batched.sim, options);
-  batch_platform.AddVantage(vantage);
-  core::Rng batch_rng(12);
-  batch_platform.Run(until, batch_rng);
-  const auto route = batched.sim->RouteBetween(batched.user, batched.server);
-  ASSERT_TRUE(route.ok());
-  const std::string traceroute =
-      SimulateTraceroute(batched.sim->topology(), route.value()).ToText();
-
-  const auto& records = batch_platform.store().records();
-  ASSERT_GT(records.size(), 20u);
-  ASSERT_EQ(records.size(), step_records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].asn_path, route.value().asn_path);
-    EXPECT_EQ(records[i].traceroute.hops.size(),
-              route.value().pop_path.size());
-    EXPECT_EQ(records[i].traceroute.ToText(), traceroute);
-    // Keeping the route changes nothing else about a record.
-    EXPECT_EQ(records[i].id, step_records[i].id);
-    EXPECT_TRUE(records[i].unit == step_records[i].unit);
-    EXPECT_EQ(records[i].time, step_records[i].time);
-    EXPECT_EQ(records[i].rtt_ms, step_records[i].rtt_ms);
-    EXPECT_EQ(records[i].loss_rate, step_records[i].loss_rate);
-    EXPECT_EQ(records[i].throughput_mbps, step_records[i].throughput_mbps);
+/// Runs a campaign of `vantages` probing `server` step by step and checks
+/// every path it resolves: a path's IXP crossing and hop are where
+/// DetectIxpCrossings, on the path's simulated traceroute, first finds an
+/// IXP LAN (none when it finds none), and every record carries its path's
+/// crossing. Returns the IXPs the crossing paths cross.
+std::set<std::uint16_t> ExpectCrossingsFollowHopMatching(
+    NetworkSimulator& sim, netsim::PopIndex server,
+    const std::vector<netsim::PopIndex>& vantages, SimTime until) {
+  PlatformOptions options;
+  options.server = server;
+  Platform platform(sim, options);
+  VantageConfig vantage;
+  vantage.baseline_tests_per_day = 2.0;
+  for (const netsim::PopIndex pop : vantages) {
+    vantage.pop = pop;
+    platform.AddVantage(vantage);
   }
+  const Topology& topology = sim.topology();
+  std::set<std::uint16_t> crossed;
+  core::Rng rng(41);
+  while (platform.Now() < until) {
+    const StepOutput step = platform.GenerateStep(until, rng);
+    // The network holds still until the next step: these are the paths
+    // the step resolved.
+    std::map<netsim::PopIndex, std::uint16_t> crossing_of;
+    for (const netsim::PopIndex pop : vantages) {
+      const auto path = ResolveProbePath(sim, pop, server);
+      if (!path.ok()) continue;
+      const Traceroute traceroute =
+          SimulateTraceroute(topology, path.value().route);
+      const auto detected = DetectIxpCrossings(topology, traceroute);
+      if (detected.empty()) {
+        EXPECT_EQ(path.value().ixp_crossing, kNoIxpCrossing);
+      } else {
+        crossed.insert(path.value().ixp_crossing);
+        EXPECT_EQ(path.value().ixp_crossing, detected.front().value());
+        EXPECT_LT(path.value().ixp_hop, traceroute.hops.size());
+        if (path.value().ixp_hop >= traceroute.hops.size()) continue;
+        core::IxpId at_hop;
+        EXPECT_TRUE(topology.IsIxpAddress(
+            traceroute.hops[path.value().ixp_hop].address, &at_hop));
+        EXPECT_EQ(at_hop, detected.front());
+        for (std::size_t hop = 0; hop < path.value().ixp_hop; ++hop) {
+          EXPECT_FALSE(topology.IsIxpAddress(traceroute.hops[hop].address));
+        }
+      }
+      crossing_of[pop] = path.value().ixp_crossing;
+    }
+    for (const PendingRecord& pending : step.records) {
+      EXPECT_EQ(pending.record.ixp_crossing,
+                crossing_of.at(pending.record.vantage_pop));
+    }
+  }
+  return crossed;
+}
+
+TEST(PlatformTest, ZaPathCrossingsFollowHopMatching) {
+  netsim::ScenarioZaOptions options;
+  options.donor_units = 10;
+  netsim::ScenarioZa scenario = netsim::BuildScenarioZa(options);
+  std::vector<netsim::PopIndex> vantages;
+  for (const auto& unit : scenario.treated) vantages.push_back(unit.access_pop);
+  vantages.insert(vantages.end(), scenario.donors.begin(),
+                  scenario.donors.end());
+  // Eight treated units cross NAPAfrica-JNB from day 28 on.
+  const std::set<std::uint16_t> napafrica = {
+      static_cast<std::uint16_t>(scenario.napafrica_jnb.value())};
+  EXPECT_EQ(ExpectCrossingsFollowHopMatching(*scenario.simulator,
+                                             scenario.content_jnb, vantages,
+                                             options.horizon),
+            napafrica);
+}
+
+TEST(PlatformTest, RandomInternetPathCrossingsFollowHopMatching) {
+  netsim::RandomInternetOptions options;
+  options.content_count = 4;
+  options.city_count = 4;
+  options.ixp_count = 4;
+  options.ixp_membership_probability = 0.8;
+  // A campaign per content network: each peers at its own city's IXP.
+  std::set<std::uint16_t> crossed;
+  for (std::size_t server = 0; server < options.content_count; ++server) {
+    netsim::RandomInternet internet = netsim::BuildRandomInternet(options);
+    ASSERT_EQ(internet.ixps.size(), 4u);
+    const auto seen = ExpectCrossingsFollowHopMatching(
+        *internet.simulator, internet.content[server], internet.access,
+        SimTime::FromDays(2));
+    crossed.insert(seen.begin(), seen.end());
+  }
+  // Every IXP shows up as some path's first crossing.
+  EXPECT_EQ(crossed.size(), 4u);
 }
 
 // ---- Fault-injected campaigns ---------------------------------------------
@@ -290,9 +412,10 @@ TEST(PlatformFaultTest, CertainProbeLossLogsFailuresWithProvenance) {
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(21);
-  platform.Run(SimTime::FromDays(2), rng);
-  EXPECT_EQ(platform.store().size(), 0u);
+  platform.Run(SimTime::FromDays(2), rng, campaign);
+  EXPECT_EQ(campaign.store().size(), 0u);
   ASSERT_GT(platform.failures().size(), 10u);
   for (const auto& failure : platform.failures()) {
     EXPECT_EQ(failure.reason, ProbeFault::kProbeLoss);
@@ -301,16 +424,24 @@ TEST(PlatformFaultTest, CertainProbeLossLogsFailuresWithProvenance) {
   }
 }
 
-TEST(PlatformFaultTest, TruncationCutsTheBatchStoresTraceroutes) {
-  // The batch store keeps each record's traceroute, so a certain
-  // truncation fault cuts every one below the path's hop count. The AS
-  // path stays whole.
-  Fixture f;
+TEST(PlatformFaultTest, TruncationClearsTheCrossingItCutsOff) {
+  // The server sits across an IXP LAN at hop 1 of a 2-hop path: a certain
+  // truncation keeps only the vantage's own hop, so every archived record
+  // loses its crossing.
+  Topology topo;
+  const auto city = topo.cities().Add({"X", {0, 0}, 2.0});
+  const auto user = topo.AddPop(Asn{100}, city, AsRole::kAccess).value();
+  const auto server =
+      topo.AddPop(Asn{4}, city, AsRole::kMeasurement).value();
+  const core::IxpId ixp = topo.AddIxp("IX", city).value();
+  ASSERT_TRUE(
+      topo.AddLink(user, server, Relationship::kPeerToPeer, ixp).ok());
+  NetworkSimulator sim(std::move(topo));
   PlatformOptions options;
-  options.server = f.server;
-  Platform platform(*f.sim, options);
+  options.server = server;
+  Platform platform(sim, options);
   VantageConfig vantage;
-  vantage.pop = f.user;
+  vantage.pop = user;
   vantage.baseline_tests_per_day = 24.0;
   platform.AddVantage(vantage);
 
@@ -318,18 +449,16 @@ TEST(PlatformFaultTest, TruncationCutsTheBatchStoresTraceroutes) {
   plan.traceroute_truncation_probability = 1.0;
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(22);
-  platform.Run(SimTime::FromDays(2), rng);
+  platform.Run(SimTime::FromDays(2), rng, campaign);
 
-  const auto route = f.sim->RouteBetween(f.user, f.server);
-  ASSERT_TRUE(route.ok());
-  ASSERT_GT(platform.store().size(), 10u);
-  for (const RoutedRecord& record : platform.store().records()) {
-    EXPECT_GE(record.traceroute.hops.size(), plan.truncation_min_hops);
-    EXPECT_LT(record.traceroute.hops.size(), route.value().pop_path.size());
-    EXPECT_EQ(record.asn_path, route.value().asn_path);
+  ASSERT_GT(campaign.store().size(), 10u);
+  for (const auto& record : Archived(campaign.store())) {
+    EXPECT_EQ(record.ixp_crossing, kNoIxpCrossing);
   }
-  EXPECT_EQ(injector.stats().traceroutes_truncated, platform.store().size());
+  EXPECT_EQ(injector.stats().traceroutes_truncated, campaign.store().size());
+  EXPECT_FALSE(campaign.store().FirstIxpCrossing("100 / X", ixp).has_value());
 }
 
 TEST(PlatformFaultTest, RetriesRecoverFromTransientLoss) {
@@ -349,20 +478,22 @@ TEST(PlatformFaultTest, RetriesRecoverFromTransientLoss) {
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(22);
-  platform.Run(SimTime::FromDays(3), rng);
-  ASSERT_GT(platform.store().size(), 50u);
+  platform.Run(SimTime::FromDays(3), rng, campaign);
+  const auto records = Archived(campaign.store());
+  ASSERT_GT(records.size(), 50u);
   std::size_t retried = 0;
-  for (const auto& record : platform.store().records()) {
+  for (const auto& record : records) {
     EXPECT_GE(record.attempts, 1u);
     EXPECT_LE(record.attempts, 6u);
     if (record.attempts > 1) ++retried;
   }
   // At 50% per-attempt loss, roughly half of surviving records were
   // rescued by a retry.
-  EXPECT_GT(retried, platform.store().size() / 5);
+  EXPECT_GT(retried, records.size() / 5);
   // Final failures need ~6 consecutive losses: rare but accounted for.
-  EXPECT_LT(platform.failures().size(), platform.store().size() / 10);
+  EXPECT_LT(platform.failures().size(), records.size() / 10);
 }
 
 TEST(PlatformFaultTest, VantageOutageWindowSuppressesRecords) {
@@ -381,10 +512,11 @@ TEST(PlatformFaultTest, VantageOutageWindowSuppressesRecords) {
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(23);
-  platform.Run(SimTime::FromDays(3), rng);
+  platform.Run(SimTime::FromDays(3), rng, campaign);
   // Retries back off by minutes; a day-long window swallows all attempts.
-  for (const auto& record : platform.store().records()) {
+  for (const auto& record : Archived(campaign.store())) {
     EXPECT_TRUE(record.time < SimTime::FromDays(1) ||
                 record.time >= SimTime::FromDays(2));
   }
@@ -411,9 +543,10 @@ TEST(PlatformFaultTest, CollectorOutageAffectsAllVantages) {
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(24);
-  platform.Run(SimTime::FromDays(3), rng);
-  for (const auto& record : platform.store().records()) {
+  platform.Run(SimTime::FromDays(3), rng, campaign);
+  for (const auto& record : Archived(campaign.store())) {
     EXPECT_TRUE(record.time < SimTime::FromDays(1) ||
                 record.time >= SimTime::FromDays(2));
   }
@@ -440,16 +573,20 @@ TEST(PlatformFaultTest, CorruptRecordsAreQuarantinedNotArchived) {
   FaultInjector injector(plan);
   platform.SetFaultInjector(&injector);
 
+  StreamingCampaign campaign(options.validation, {});
   core::Rng rng(25);
-  platform.Run(SimTime::FromDays(3), rng);
-  EXPECT_GT(platform.store().quarantine().size(), 10u);
+  platform.Run(SimTime::FromDays(3), rng, campaign);
+  EXPECT_GT(campaign.store().quarantined(), 10u);
   // Everything that made it into the archive still validates.
-  for (const auto& record : platform.store().records()) {
+  for (const auto& record : Archived(campaign.store())) {
     EXPECT_TRUE(ValidateRecord(record, options.validation).ok());
   }
-  for (const auto& entry : platform.store().quarantine()) {
-    EXPECT_FALSE(entry.reason.empty());
+  std::uint64_t tagged = 0;
+  for (const auto& [tag, count] : campaign.store().QuarantineReasonCounts()) {
+    EXPECT_NE(tag, "other");
+    tagged += count;
   }
+  EXPECT_EQ(tagged, campaign.store().quarantined());
 }
 
 TEST(PlatformFaultTest, SameFaultSeedReplaysByteIdenticalStream) {
@@ -470,9 +607,10 @@ TEST(PlatformFaultTest, SameFaultSeedReplaysByteIdenticalStream) {
     platform.AddVantage(vantage);
     FaultInjector injector(plan);
     platform.SetFaultInjector(&injector);
+    StreamingCampaign campaign(options.validation, {});
     core::Rng rng(26);
-    platform.Run(SimTime::FromDays(4), rng);
-    return StoreToCsv(platform.store());
+    platform.Run(SimTime::FromDays(4), rng, campaign);
+    return campaign.store().ToCsv();
   };
   const std::string first = run_campaign();
   const std::string second = run_campaign();

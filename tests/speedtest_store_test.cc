@@ -1,7 +1,9 @@
-// Tests for speed-test execution and the measurement store.
+// Tests for speed-test execution and the campaign store.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <string>
 
 #include "measure/store.h"
 #include "netsim/simulator.h"
@@ -16,6 +18,11 @@ using netsim::NetworkSimulator;
 using netsim::Relationship;
 using netsim::Topology;
 
+/// Appends one record copy to its unit's shard, as campaign ingest does.
+bool Add(ShardedMeasurementStore& store, const SpeedTestRecord& record) {
+  return store.Append(store.ShardOf(record.UnitKey()), record);
+}
+
 struct Fixture {
   std::unique_ptr<NetworkSimulator> sim;
   netsim::PopIndex user = 0, server = 0;
@@ -28,7 +35,7 @@ struct Fixture {
     user = topo.AddPop(Asn{3741}, jnb, AsRole::kAccess).value();
     const auto transit = topo.AddPop(Asn{2}, jnb, AsRole::kTransit).value();
     server = topo.AddPop(Asn{3}, jnb, AsRole::kMeasurement).value();
-    ixp = topo.AddIxp("NAPAfrica-JNB", jnb);
+    ixp = topo.AddIxp("NAPAfrica-JNB", jnb).value();
     EXPECT_TRUE(
         topo.AddLink(user, transit, Relationship::kCustomerToProvider).ok());
     EXPECT_TRUE(
@@ -55,8 +62,13 @@ TEST(SpeedTestTest, RecordFieldsPopulated) {
   EXPECT_GT(r.throughput_mbps, 0.0);
   EXPECT_LT(r.throughput_mbps, 150.0);
   EXPECT_EQ(r.intent, Intent::kBaseline);
-  EXPECT_EQ(r.asn_path.size(), 3u);
-  EXPECT_EQ(r.traceroute.hops.size(), 3u);
+  // The peering link is down: the probe goes user -> transit -> server and
+  // crosses no IXP.
+  EXPECT_EQ(r.ixp_crossing, kNoIxpCrossing);
+  const auto path = ResolveProbePath(*f.sim, f.user, f.server);
+  ASSERT_TRUE(path.ok());
+  EXPECT_EQ(path.value().hop_count(), 3u);
+  EXPECT_EQ(path.value().route.asn_path.size(), 3u);
 }
 
 TEST(SpeedTestTest, RttIncludesLastMileOverhead) {
@@ -145,54 +157,41 @@ TEST(IntentTest, NamesStable) {
 TEST(StoreTest, UnitsIndexedAndOrdered) {
   Fixture f;
   core::Rng rng(5);
-  MeasurementStore store;
+  ShardedMeasurementStore store;
   for (int i = 0; i < 5; ++i) {
     f.sim->AdvanceTo(SimTime::FromHours(static_cast<double>(i + 1)));
-    auto record =
-        RunSpeedTest(*f.sim, f.user, f.server, Intent::kBaseline, rng);
-    ASSERT_TRUE(record.ok());
-    store.Add(std::move(record).value());
-  }
-  EXPECT_EQ(store.size(), 5u);
-  ASSERT_EQ(store.Units().size(), 1u);
-  EXPECT_EQ(store.Units()[0], "3741 / Johannesburg");
-  const auto unit_records = store.ForUnit("3741 / Johannesburg");
-  ASSERT_EQ(unit_records.size(), 5u);
-  for (std::size_t i = 1; i < unit_records.size(); ++i) {
-    EXPECT_LE(unit_records[i - 1]->time, unit_records[i]->time);
-  }
-  EXPECT_TRUE(store.ForUnit("nope").empty());
-}
-
-TEST(StoreTest, SelectByPredicate) {
-  Fixture f;
-  core::Rng rng(6);
-  MeasurementStore store;
-  for (int i = 0; i < 4; ++i) {
     auto record = RunSpeedTest(*f.sim, f.user, f.server,
                                i % 2 == 0 ? Intent::kBaseline
                                           : Intent::kUserInitiated,
                                rng);
     ASSERT_TRUE(record.ok());
-    store.Add(std::move(record).value());
+    EXPECT_TRUE(Add(store, record.value()));
   }
-  const auto baseline = store.Select([](const SpeedTestRecord& r) {
-    return r.intent == Intent::kBaseline;
-  });
-  EXPECT_EQ(baseline.size(), 2u);
+  EXPECT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.CountByIntent(Intent::kBaseline), 3u);
+  EXPECT_EQ(store.CountByIntent(Intent::kUserInitiated), 2u);
+  ASSERT_EQ(store.Units().size(), 1u);
+  EXPECT_EQ(store.Units()[0], "3741 / Johannesburg");
+  const auto [arena, rows] = store.RowsOf("3741 / Johannesburg");
+  ASSERT_EQ(rows.size(), 5u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LT(arena->time_minutes[rows[i - 1]], arena->time_minutes[rows[i]]);
+  }
+  EXPECT_TRUE(store.RowsOf("nope").rows.empty());
 }
 
 TEST(StoreTest, FirstIxpCrossingDetectsTreatmentOnset) {
   Fixture f;
   core::Rng rng(7);
-  MeasurementStore store;
+  ShardedMeasurementStore store;
   // Two pre-treatment tests.
   for (int i = 0; i < 2; ++i) {
     f.sim->AdvanceTo(SimTime::FromHours(static_cast<double>(i + 1)));
     auto record =
         RunSpeedTest(*f.sim, f.user, f.server, Intent::kBaseline, rng);
     ASSERT_TRUE(record.ok());
-    store.Add(std::move(record).value());
+    EXPECT_EQ(record.value().ixp_crossing, kNoIxpCrossing);
+    Add(store, record.value());
   }
   // Peering turns up at t = 3h.
   f.sim->AdvanceTo(SimTime::FromHours(3.0));
@@ -203,32 +202,47 @@ TEST(StoreTest, FirstIxpCrossingDetectsTreatmentOnset) {
     auto record =
         RunSpeedTest(*f.sim, f.user, f.server, Intent::kBaseline, rng);
     ASSERT_TRUE(record.ok());
-    store.Add(std::move(record).value());
+    EXPECT_EQ(record.value().ixp_crossing, f.ixp.value());
+    Add(store, record.value());
   }
-  const auto& topo = f.sim->topology();
-  const auto first =
-      store.FirstIxpCrossing(topo, "3741 / Johannesburg", f.ixp);
+  const auto first = store.FirstIxpCrossing("3741 / Johannesburg", f.ixp);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, SimTime::FromHours(4.0));
+  EXPECT_FALSE(store.FirstIxpCrossing("nope", f.ixp).has_value());
   // Crossing share: 0 before, 1 after.
-  EXPECT_DOUBLE_EQ(store.IxpCrossingShare(topo, "3741 / Johannesburg", f.ixp,
+  EXPECT_DOUBLE_EQ(store.IxpCrossingShare("3741 / Johannesburg", f.ixp,
                                           SimTime(0), SimTime::FromHours(3.0)),
                    0.0);
   EXPECT_DOUBLE_EQ(
-      store.IxpCrossingShare(topo, "3741 / Johannesburg", f.ixp,
+      store.IxpCrossingShare("3741 / Johannesburg", f.ixp,
                              SimTime::FromHours(3.5), SimTime::FromHours(6.0)),
       1.0);
   // Empty window: share 0.
   EXPECT_DOUBLE_EQ(
-      store.IxpCrossingShare(topo, "3741 / Johannesburg", f.ixp,
+      store.IxpCrossingShare("3741 / Johannesburg", f.ixp,
                              SimTime::FromHours(50), SimTime::FromHours(60)),
       0.0);
+  // The CSV export carries the crossing: empty for none, else the IXP id.
+  const std::string csv = store.ToCsv();
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "shard,id,time_minutes,unit,intent,attempts,vantage_pop,rtt_ms,"
+            "loss_rate,throughput_mbps,ixp_crossing");
+  std::size_t none = 0, crossing = 0;
+  for (std::size_t end = csv.find('\n'); end + 1 < csv.size();) {
+    const std::size_t next = csv.find('\n', end + 1);
+    const std::string row = csv.substr(end + 1, next - end - 1);
+    if (row.back() == ',') ++none;
+    if (row.substr(row.rfind(',')) == ",0") ++crossing;
+    end = next;
+  }
+  EXPECT_EQ(none, 2u);
+  EXPECT_EQ(crossing, 2u);
 }
 
 // ---- Validating ingest / quarantine ---------------------------------------
 
-RoutedRecord PlausibleRecord() {
-  RoutedRecord record;
+SpeedTestRecord PlausibleRecord() {
+  SpeedTestRecord record;
   record.time = SimTime::FromHours(3);
   record.unit = Unit::Intern(Asn{100}, "X");
   record.rtt_ms = 20.0;
@@ -267,27 +281,26 @@ TEST(StoreValidationTest, ValidateRecordCatchesEachDefect) {
 }
 
 TEST(StoreValidationTest, CorruptRecordsQuarantinedWithReason) {
-  MeasurementStore store;
-  store.Add(PlausibleRecord());
+  ShardedMeasurementStore store;
+  EXPECT_TRUE(Add(store, PlausibleRecord()));
 
   auto negative_rtt = PlausibleRecord();
   negative_rtt.rtt_ms = -1.0;
-  store.Add(negative_rtt);
+  EXPECT_FALSE(Add(store, negative_rtt));
 
   auto pre_epoch = PlausibleRecord();
   pre_epoch.time = SimTime(-99);
-  store.Add(pre_epoch);
+  EXPECT_FALSE(Add(store, pre_epoch));
 
   EXPECT_EQ(store.size(), 1u);
-  ASSERT_EQ(store.quarantine().size(), 2u);
-  EXPECT_NE(store.quarantine()[0].reason.find("rtt"), std::string::npos);
-  EXPECT_NE(store.quarantine()[1].reason.find("timestamp"),
-            std::string::npos);
-  EXPECT_DOUBLE_EQ(store.quarantine()[0].record.rtt_ms, -1.0);
-  // Quarantined units never surface in queries.
-  for (const auto& record : store.records()) {
-    EXPECT_TRUE(ValidateRecord(record).ok());
-  }
+  EXPECT_EQ(store.quarantined(), 2u);
+  const std::map<std::string, std::uint64_t> reasons = {{"rtt", 1},
+                                                        {"timestamp", 1}};
+  EXPECT_EQ(store.QuarantineReasonCounts(), reasons);
+  // Quarantined copies never surface in queries.
+  const auto [arena, rows] = store.RowsOf(PlausibleRecord().UnitKey());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(arena->rtt_ms[rows[0]], 20.0);
 }
 
 TEST(StoreValidationTest, CustomBoundsRespected) {
@@ -295,21 +308,20 @@ TEST(StoreValidationTest, CustomBoundsRespected) {
   validation.max_rtt_ms = 100.0;
   validation.min_time = SimTime::FromHours(1);
   validation.max_time = SimTime::FromHours(10);
-  MeasurementStore store(validation);
+  ShardedMeasurementStore store(validation);
 
-  auto ok_record = PlausibleRecord();
-  store.Add(ok_record);
+  Add(store, PlausibleRecord());
 
   auto slow = PlausibleRecord();
   slow.rtt_ms = 500.0;  // valid by default bounds, not by these
-  store.Add(slow);
+  Add(store, slow);
 
   auto late = PlausibleRecord();
   late.time = SimTime::FromHours(11);
-  store.Add(late);
+  Add(store, late);
 
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.quarantine().size(), 2u);
+  EXPECT_EQ(store.quarantined(), 2u);
 }
 
 }  // namespace

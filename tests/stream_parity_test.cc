@@ -1,15 +1,19 @@
-// Streaming-vs-batch byte-identity: the full Table 1 campaign (ScenarioZa
-// under a fault plan) must produce the same panel CSV, the same metrics
-// registry snapshot, and the same audit.bin whether records flow
-// through the batch merge or the sharded streaming ingest, at any thread
-// count (here 1 and 8). This is the property the streaming ctest fixture
-// and the CI streaming-smoke job enforce on the shipped binaries; this
-// test enforces it in-process where a diff is debuggable. A second plan
-// adds traceroute truncation: streaming records carry no traceroute, so
-// their lineage `truncated` bit must come from the path's hop count.
+// Lane-count byte-identity: the full Table 1 campaign (ScenarioZa under a
+// fault plan) must produce the same panel CSV, the same metrics registry
+// snapshot, and the same audit.bin at any thread count (here 1 and 8).
+// This is the property the table1 parity fixtures and the CI parity job
+// enforce on the shipped binaries; this test enforces it in-process where
+// a diff is debuggable. A second plan adds traceroute truncation, which
+// clears a record's IXP crossing when it cuts the crossing hop: each
+// treated unit's first crossing and post-treatment crossing share are
+// pinned to the values the traceroute-keeping archive this campaign
+// driver replaced reported for the same campaign.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "audit/writer.h"
 #include "core/parallel.h"
@@ -28,6 +32,9 @@ struct Artifacts {
   std::string panel_csv;
   std::string metrics_json;
   std::string audit_bin;
+  /// Per treated unit: FirstIxpCrossing of NAPAfrica-JNB in minutes (-1
+  /// for none) and the crossing share from the treatment to the horizon.
+  std::vector<std::pair<std::int64_t, double>> crossings;
 };
 
 measure::FaultPlan ParityPlan() {
@@ -48,8 +55,7 @@ measure::FaultPlan TruncationPlan() {
 
 /// One campaign; every obs global is reset first so the snapshots cover
 /// exactly this run. The run label is fixed so ledgers are comparable.
-Artifacts RunCampaign(const measure::FaultPlan& plan, bool streaming,
-                      std::size_t threads) {
+Artifacts RunCampaign(const measure::FaultPlan& plan, std::size_t threads) {
   core::ThreadPool::SetGlobalThreadCount(threads);
   obs::Registry::Global().ResetAll();
   obs::Lineage::Global().Reset();
@@ -83,19 +89,22 @@ Artifacts RunCampaign(const measure::FaultPlan& plan, bool streaming,
   panel_options.periods = static_cast<std::size_t>(
       scenario_options.horizon.minutes() / panel_options.bucket.minutes());
 
+  measure::StreamingOptions streaming_options;
+  streaming_options.panel = panel_options;
+  measure::StreamingCampaign stream(platform_options.validation,
+                                    streaming_options);
   core::Rng rng(scenario_options.seed);
+  platform.Run(scenario_options.horizon, rng, stream);
   Artifacts out;
-  if (streaming) {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
-    platform.RunStreaming(scenario_options.horizon, rng, stream);
-    out.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
-  } else {
-    platform.Run(scenario_options.horizon, rng);
-    out.panel_csv = measure::PanelToCsv(
-        measure::BuildRttPanel(platform.store(), panel_options));
+  out.panel_csv = measure::PanelToCsv(stream.FinalizePanel());
+  for (const auto& unit : scenario.treated) {
+    const auto first =
+        stream.store().FirstIxpCrossing(unit.name, scenario.napafrica_jnb);
+    out.crossings.emplace_back(
+        first.has_value() ? first->minutes() : -1,
+        stream.store().IxpCrossingShare(unit.name, scenario.napafrica_jnb,
+                                        scenario_options.treatment_time,
+                                        scenario_options.horizon));
   }
   out.metrics_json = obs::Registry::Global().SnapshotJson();
   out.audit_bin = audit::BuildAuditArtifact(obs::Lineage::Global());
@@ -121,22 +130,17 @@ class StreamParityTest : public ::testing::Test {
     core::ThreadPool::SetGlobalThreadCount(0);
   }
 
-  /// Runs `plan` through the batch merge at one lane and returns it after
-  /// checking that streaming at 1 and 8 lanes reproduces it byte for byte.
-  static Artifacts ExpectStreamingMatchesBatch(const measure::FaultPlan& plan) {
-    Artifacts batch = RunCampaign(plan, /*streaming=*/false, /*threads=*/1);
-    EXPECT_FALSE(batch.panel_csv.empty());
-    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      const Artifacts streamed =
-          RunCampaign(plan, /*streaming=*/true, threads);
-      EXPECT_EQ(streamed.panel_csv, batch.panel_csv)
-          << "panel diverged at " << threads << " threads";
-      EXPECT_EQ(streamed.metrics_json, batch.metrics_json)
-          << "metrics diverged at " << threads << " threads";
-      EXPECT_EQ(streamed.audit_bin, batch.audit_bin)
-          << "lineage diverged at " << threads << " threads";
-    }
-    return batch;
+  /// Runs `plan` at one lane and returns it after checking that 8 lanes
+  /// reproduce it byte for byte.
+  static Artifacts ExpectSameAt1And8Lanes(const measure::FaultPlan& plan) {
+    Artifacts one = RunCampaign(plan, /*threads=*/1);
+    EXPECT_FALSE(one.panel_csv.empty());
+    const Artifacts eight = RunCampaign(plan, /*threads=*/8);
+    EXPECT_EQ(eight.panel_csv, one.panel_csv);
+    EXPECT_EQ(eight.metrics_json, one.metrics_json);
+    EXPECT_EQ(eight.audit_bin, one.audit_bin);
+    EXPECT_EQ(eight.crossings, one.crossings);
+    return one;
   }
 
  private:
@@ -144,19 +148,26 @@ class StreamParityTest : public ::testing::Test {
   bool lineage_was_enabled_ = false;
 };
 
-TEST_F(StreamParityTest, StreamingMatchesBatchByteForByteAtAnyThreadCount) {
-  const measure::FaultPlan plan = ParityPlan();
-  const Artifacts batch = ExpectStreamingMatchesBatch(plan);
-
-  // The batch path itself must also be thread-count invariant.
-  const Artifacts batch8 =
-      RunCampaign(plan, /*streaming=*/false, /*threads=*/8);
-  EXPECT_EQ(batch8.metrics_json, batch.metrics_json);
-  EXPECT_EQ(batch8.audit_bin, batch.audit_bin);
+TEST_F(StreamParityTest, ArtifactsByteIdenticalAt1And8Lanes) {
+  ExpectSameAt1And8Lanes(ParityPlan());
 }
 
-TEST_F(StreamParityTest, TracerouteTruncationMatchesBatchAtAnyThreadCount) {
-  ExpectStreamingMatchesBatch(TruncationPlan());
+TEST_F(StreamParityTest, TruncationKeepsTheArchivedCrossings) {
+  const Artifacts run = ExpectSameAt1And8Lanes(TruncationPlan());
+  // Recorded from the traceroute-keeping batch store's FirstIxpCrossing
+  // and IxpCrossingShare (hop matching on each kept, possibly truncated,
+  // traceroute) for this campaign; treatment is day 28 (minute 40320).
+  const std::vector<std::pair<std::int64_t, double>> expected = {
+      {40322, 0.6875},               // 3741 / East London
+      {40320, 0.69689737470167068},  // 3741 / Johannesburg
+      {40621, 0.71246819338422396},  // 37053 / Cape Town
+      {40619, 0.66884531590413943},  // 37611 / Edenvale
+      {40560, 0.68876080691642649},  // 37680 / Durban
+      {40438, 0.74285714285714288},  // 327966 / Polokwane
+      {40560, 0.68461538461538463},  // 328622 / eMuziwezinto
+      {40440, 0.671264367816092},    // 328745 / Johannesburg
+  };
+  EXPECT_EQ(run.crossings, expected);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Streaming ingest units: the sharded columnar store must hand down the
-// exact validation/quarantine semantics of MeasurementStore::Add, and the
-// incremental panel builder must reproduce BuildRttPanel cell-for-cell no
-// matter how records are sharded or in what order they arrive — the
-// property the end-to-end byte-identity fixture (stream_parity_test)
-// leans on.
+// Campaign ingest units: the sharded columnar store's validation and
+// quarantine accounting, and an incremental panel builder that reproduces
+// a single-shard, in-order fold cell-for-cell no matter how records are
+// sharded or in what order they arrive — the property the end-to-end
+// byte-identity fixtures (stream_parity_test) lean on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -58,8 +58,7 @@ TEST(CompensatedSumTest, MeanIsExactOnRepresentableCases) {
 
 // ---- ShardedMeasurementStore ----------------------------------------------
 
-TEST(ShardedStoreTest, MirrorsBatchStoreValidation) {
-  measure::MeasurementStore batch;
+TEST(ShardedStoreTest, ValidatesAndTagsQuarantine) {
   measure::ShardedMeasurementStore sharded;
   std::vector<measure::SpeedTestRecord> records;
   for (std::uint64_t i = 1; i <= 40; ++i) {
@@ -73,30 +72,26 @@ TEST(ShardedStoreTest, MirrorsBatchStoreValidation) {
   bad_time.time = core::SimTime(-5);
   records.push_back(bad_time);
 
-  std::size_t batch_archived = 0;
-  std::size_t sharded_archived = 0;
+  std::size_t archived = 0;
+  std::uint64_t baseline = 0;
   for (const auto& r : records) {
-    if (batch.Add({r, {}})) ++batch_archived;
-    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) ++sharded_archived;
+    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) {
+      ++archived;
+      if (r.intent == measure::Intent::kBaseline) ++baseline;
+    }
   }
 
-  EXPECT_EQ(batch_archived, 40u);
-  EXPECT_EQ(sharded_archived, batch_archived);
-  EXPECT_EQ(sharded.size(), batch.size());
-  EXPECT_EQ(sharded.quarantined(), batch.quarantine().size());
-  EXPECT_EQ(sharded.Units(), batch.Units());
-  EXPECT_EQ(sharded.CountByIntent(measure::Intent::kBaseline),
-            batch.Select([](const measure::SpeedTestRecord& r) {
-                   return r.intent == measure::Intent::kBaseline;
-                 }).size());
-  // Same reason tags with the same counts.
-  const auto batch_reasons = batch.QuarantineReasonCounts();
-  const auto sharded_reasons = sharded.QuarantineReasonCounts();
-  ASSERT_EQ(sharded_reasons.size(), batch_reasons.size());
-  for (const auto& [tag, count] : batch_reasons) {
-    ASSERT_TRUE(sharded_reasons.count(tag)) << tag;
-    EXPECT_EQ(sharded_reasons.at(tag), count) << tag;
-  }
+  EXPECT_EQ(archived, 40u);
+  EXPECT_EQ(sharded.size(), 40u);
+  EXPECT_EQ(sharded.quarantined(), 2u);
+  const std::vector<std::string> units = {
+      "3741 / City0", "3742 / City1", "3743 / City2", "3744 / City3",
+      "3745 / City4"};
+  EXPECT_EQ(sharded.Units(), units);
+  EXPECT_EQ(sharded.CountByIntent(measure::Intent::kBaseline), baseline);
+  const std::map<std::string, std::uint64_t> reasons = {{"rtt", 1},
+                                                        {"timestamp", 1}};
+  EXPECT_EQ(sharded.QuarantineReasonCounts(), reasons);
 }
 
 TEST(ShardedStoreTest, ShardOfPartitionsUnitsDeterministically) {
@@ -152,7 +147,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
   EXPECT_NE(csv.find("shard,id,time_minutes,unit"), std::string::npos);
 }
 
-// ---- IncrementalPanelBuilder vs BuildRttPanel -----------------------------
+// ---- IncrementalPanelBuilder ------------------------------------------------
 
 std::vector<measure::SpeedTestRecord> PanelFixtureRecords() {
   std::vector<measure::SpeedTestRecord> records;
@@ -183,14 +178,15 @@ measure::PanelOptions FixtureOptions() {
   return options;
 }
 
-TEST(IncrementalPanelBuilderTest, MatchesBatchBuildRttPanel) {
+TEST(IncrementalPanelBuilderTest, ShardedScrambledMatchesInOrderFold) {
   const auto records = PanelFixtureRecords();
-  measure::MeasurementStore store;
-  for (const auto& r : records) ASSERT_TRUE(store.Add({r, {}}));
-  const measure::Panel batch =
-      measure::BuildRttPanel(store, FixtureOptions());
+  measure::IncrementalPanelBuilder in_order(FixtureOptions(), 1);
+  for (const auto& r : records) {
+    in_order.Observe(0, r.UnitKey(), r.time, r.rtt_ms, r.id.value());
+  }
+  const measure::Panel batch = in_order.Finalize();
 
-  // Streaming: four shards, records arriving in scrambled order.
+  // Four shards, records arriving in scrambled order.
   auto scrambled = records;
   std::shuffle(scrambled.begin(), scrambled.end(),
                std::mt19937(20260808));
@@ -211,8 +207,8 @@ TEST(IncrementalPanelBuilderTest, MatchesBatchBuildRttPanel) {
     EXPECT_EQ(streamed.units[u].cell_means, batch.units[u].cell_means);
     EXPECT_EQ(streamed.units[u].values, batch.units[u].values);
   }
-  // The all-out-of-horizon unit is empty in both paths: neither kept nor
-  // listed as a sparsity drop.
+  // The all-out-of-horizon unit is empty: neither kept nor listed as a
+  // sparsity drop.
   for (const auto& unit : streamed.units) EXPECT_NE(unit.unit, "3760 / Late");
   for (const auto& drop : streamed.dropped) EXPECT_NE(drop.unit, "3760 / Late");
 }

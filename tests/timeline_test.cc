@@ -3,7 +3,7 @@
 // dense-fill and epoch invariants, snapshot Save/Load continuation,
 // artifact framing rejection of truncation/corruption (the audit.bin
 // contract), and the two byte-identity properties the artifact exists
-// for — 1-vs-8-thread identity of a full streaming campaign's
+// for — 1-vs-8-thread identity of a full campaign's
 // timeline.bin, and kill-at-every-step/resume identity under the durable
 // service.
 #include <gtest/gtest.h>
@@ -554,7 +554,6 @@ measure::FaultPlan SmallPlan() {
 /// Builds the scenario/platform/campaign exactly as the durable resume
 /// contract requires and runs it; returns the global timeline's artifact.
 struct CampaignSpec {
-  bool streaming = true;
   std::size_t threads = 1;
   // When `dir` is set the campaign runs under the durable service.
   std::string dir;
@@ -604,21 +603,14 @@ CampaignResult RunTimelineCampaign(const CampaignSpec& spec) {
 
   core::Rng rng(scenario_options.seed);
   CampaignResult result;
-  if (!spec.streaming) {
-    platform.Run(scenario_options.horizon, rng);
-    result.completed = true;
-  } else if (spec.dir.empty()) {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
-    platform.RunStreaming(scenario_options.horizon, rng, stream);
+  measure::StreamingOptions streaming_options;
+  streaming_options.panel = panel_options;
+  measure::StreamingCampaign stream(platform_options.validation,
+                                    streaming_options);
+  if (spec.dir.empty()) {
+    platform.Run(scenario_options.horizon, rng, stream);
     result.completed = true;
   } else {
-    measure::StreamingOptions streaming_options;
-    streaming_options.panel = panel_options;
-    measure::StreamingCampaign stream(platform_options.validation,
-                                      streaming_options);
     durable::DurableOptions durable_options;
     durable_options.dir = spec.dir;
     durable_options.snapshot_every = 5;
@@ -698,31 +690,6 @@ TEST_F(TimelineCampaignTest, StreamingTimelineByteIdenticalAt1And8Threads) {
   EXPECT_EQ(
       reader.series()[churn_events[0].series].name,
       "netsim.bgp.invalidated_destinations");
-}
-
-// The batch path samples the same counters at the same cadence (it just
-// has no panel builder, so no rtt.mean.* series) and must be thread-count
-// invariant too.
-TEST_F(TimelineCampaignTest, BatchTimelineByteIdenticalAt1And8Threads) {
-  CampaignSpec one;
-  one.streaming = false;
-  one.threads = 1;
-  const CampaignResult first = RunTimelineCampaign(one);
-  ASSERT_TRUE(first.completed);
-
-  CampaignSpec eight;
-  eight.streaming = false;
-  eight.threads = 8;
-  const CampaignResult second = RunTimelineCampaign(eight);
-  ASSERT_TRUE(second.completed);
-  EXPECT_EQ(first.artifact, second.artifact);
-
-  TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(first.artifact, &error)) << error;
-  EXPECT_EQ(reader.FindSeries("rtt.mean.test"), nullptr);
-  EXPECT_NE(reader.FindSeries("netsim.bgp.invalidated_destinations"),
-            nullptr);
 }
 
 // Kill after EVERY step (a crash whose journal survived), resume at the

@@ -22,7 +22,7 @@ struct Fixture {
     a_cpt = topo.AddPop(Asn{100}, cpt, AsRole::kAccess).value();
     b_jnb = topo.AddPop(Asn{200}, jnb, AsRole::kTransit).value();
     content = topo.AddPop(Asn{300}, jnb, AsRole::kContent).value();
-    ixp = topo.AddIxp("NAPAfrica-JNB", jnb);
+    ixp = topo.AddIxp("NAPAfrica-JNB", jnb).value();
   }
 };
 
@@ -135,9 +135,34 @@ TEST(TopologyTest, IxpLanAddressing) {
 
 TEST(TopologyTest, SecondIxpGetsDistinctLan) {
   Fixture f;
-  const auto ixp2 = f.topo.AddIxp("NAPAfrica-CPT", f.cpt);
+  const auto ixp2 = f.topo.AddIxp("NAPAfrica-CPT", f.cpt).value();
   EXPECT_EQ(f.topo.IxpLanPrefix(ixp2).ToText(), "196.60.1.0");
   EXPECT_EQ(f.topo.GetIxp(ixp2).name, "NAPAfrica-CPT");
+}
+
+TEST(TopologyTest, IxpBeyondTheLanOctetsIsRefused) {
+  // The fixture holds IXP 0; IXPs 1..255 take the remaining LAN octets.
+  Fixture f;
+  core::IxpId last = f.ixp;
+  for (int i = 1; i < 256; ++i) {
+    const auto ixp = f.topo.AddIxp("IX-" + std::to_string(i), f.jnb);
+    ASSERT_TRUE(ixp.ok()) << i;
+    last = ixp.value();
+  }
+  EXPECT_EQ(f.topo.IxpCount(), 256u);
+  EXPECT_EQ(f.topo.IxpLanPrefix(last).ToText(), "196.60.255.0");
+  core::IxpId which;
+  ASSERT_TRUE(
+      f.topo.IsIxpAddress(f.topo.IxpLanAddress(last, f.a_jnb), &which));
+  EXPECT_EQ(which, last);
+  // A 257th would wrap onto IXP 0's 196.60.0.0/24.
+  const auto wrapped = f.topo.AddIxp("IX-256", f.jnb);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.error().code(), core::ErrorCode::kCapacity);
+  EXPECT_EQ(f.topo.IxpCount(), 256u);
+  ASSERT_TRUE(
+      f.topo.IsIxpAddress(f.topo.IxpLanAddress(f.ixp, f.a_jnb), &which));
+  EXPECT_EQ(which, f.ixp);
 }
 
 TEST(TopologyTest, LinkWithIxpTag) {

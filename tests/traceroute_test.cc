@@ -27,7 +27,7 @@ struct Fixture {
     a = topo.AddPop(Asn{1}, city, AsRole::kAccess).value();
     b = topo.AddPop(Asn{2}, city, AsRole::kTransit).value();
     c = topo.AddPop(Asn{3}, city, AsRole::kContent).value();
-    ixp = topo.AddIxp("IX", city);
+    ixp = topo.AddIxp("IX", city).value();
     transit_ab =
         topo.AddLink(a, b, Relationship::kCustomerToProvider).value();
     transit_bc =
@@ -96,7 +96,7 @@ TEST(TracerouteTest, DetectionDeduplicatesRepeatedLan) {
   const auto a = topo.AddPop(Asn{1}, city, AsRole::kAccess).value();
   const auto b = topo.AddPop(Asn{2}, city, AsRole::kTransit).value();
   const auto c = topo.AddPop(Asn{3}, city, AsRole::kContent).value();
-  const auto ixp = topo.AddIxp("IX", city);
+  const auto ixp = topo.AddIxp("IX", city).value();
   ASSERT_TRUE(topo.AddLink(a, b, Relationship::kPeerToPeer, ixp).ok());
   ASSERT_TRUE(topo.AddLink(b, c, Relationship::kPeerToPeer, ixp).ok());
   netsim::BgpSimulator bgp(topo);
