@@ -1,7 +1,8 @@
 // P1 — linear-algebra microbenchmarks: the blocked matmul kernel against
 // the straightforward reference it replaced, QR / SVD scaling (documents
-// the one-sided-Jacobi choice from DESIGN.md §4), least-squares solve, and
-// the simplex projection used by classical synthetic control.
+// the one-sided-Jacobi choice from DESIGN.md §4), a placebo analysis's
+// leave-one-out spectra in lockstep and one at a time, least-squares
+// solve, and the simplex projection used by classical synthetic control.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -101,6 +102,37 @@ BENCHMARK(BM_SvdPanelShape)
     ->Args({224, 30})    // the Table 1 shape
     ->Args({224, 60})
     ->Args({896, 30});   // hourly buckets
+
+// A placebo analysis's 30 leave-one-out spectra: Jacobi on R without
+// column j, for each j, where R is the QR factor of a 224 x 30 pool.
+// batch:1 takes them through JacobiSvdBatch (AVX2 lockstep, four at a
+// time), batch:0 through a JacobiSvd loop; decomposition_test pins the
+// two to identical results, so the gap is the lockstep kernel's speed.
+void BM_PlaceboSpectra(benchmark::State& state) {
+  const auto qr = stats::QrDecompose(RandomMatrix(224, 30, 8));
+  const stats::Matrix& r = qr.value().r;
+  std::vector<stats::Matrix> factors;
+  for (std::size_t j = 0; j < r.cols(); ++j) {
+    stats::Matrix without(r.rows(), r.cols() - 1);
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+      for (std::size_t c = 0, dst = 0; c < r.cols(); ++c) {
+        if (c != j) without(i, dst++) = r(i, c);
+      }
+    }
+    factors.push_back(std::move(without));
+  }
+  const bool batch = state.range(0) != 0;
+  for (auto _ : state) {
+    if (batch) {
+      benchmark::DoNotOptimize(stats::JacobiSvdBatch(factors));
+    } else {
+      for (const stats::Matrix& f : factors) {
+        benchmark::DoNotOptimize(stats::JacobiSvd(f));
+      }
+    }
+  }
+}
+BENCHMARK(BM_PlaceboSpectra)->ArgName("batch")->Arg(0)->Arg(1);
 
 void BM_SolveLeastSquares(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

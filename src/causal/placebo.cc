@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -29,20 +31,48 @@ stats::Matrix WithoutColumn(const stats::Matrix& m, std::size_t j) {
   return out;
 }
 
-/// Fits `input` with the chosen estimator. A robust fit takes its donor
-/// spectrum from `donor_r`, the R factor of its zero-filled donors, or
-/// factorizes those donors itself when `donor_r` is empty.
-Result<SyntheticControlFit> FitWithMethod(const SyntheticControlInput& input,
-                                          const PlaceboOptions& options,
-                                          const stats::Matrix& donor_r) {
+/// Fits `inputs` with the chosen estimator, in order. `factors` is empty,
+/// and each robust fit factorizes its own donors, or holds an R factor of
+/// each input's zero-filled donors: then the robust fits take their
+/// spectra from one stats::JacobiSvdBatch call. An input whose observed
+/// fraction fails the fit's checks stays out of the batch and fails them
+/// again in its plain fit, before any SVD, as it always did. Validate
+/// cannot fail here: the analysis's input passed it, and so does each of
+/// its rotations, whose entries are a subset of the input's and whose
+/// overflow limit is looser.
+std::vector<Result<SyntheticControlFit>> FitAll(
+    std::span<const SyntheticControlInput> inputs,
+    const PlaceboOptions& options, std::vector<stats::Matrix> factors) {
+  std::vector<Result<SyntheticControlFit>> fits;
+  fits.reserve(inputs.size());
   if (options.method == SyntheticControlMethod::kClassical) {
-    return FitSyntheticControl(input, options.classical);
+    for (const SyntheticControlInput& input : inputs) {
+      fits.push_back(FitSyntheticControl(input, options.classical));
+    }
+    return fits;
   }
-  auto fit = donor_r.empty()
-                 ? FitRobustSyntheticControl(input, options.robust)
-                 : FitRobustSyntheticControl(input, options.robust, donor_r);
-  if (!fit.ok()) return fit.error();
-  return std::move(fit).value().base;
+  constexpr std::size_t kOwnSpectrum = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot(inputs.size(), kOwnSpectrum);
+  std::vector<stats::Matrix> batch;
+  for (std::size_t k = 0; k < factors.size(); ++k) {
+    if (RobustObservedFraction(inputs[k], options.robust).ok()) {
+      slot[k] = batch.size();
+      batch.push_back(std::move(factors[k]));
+    }
+  }
+  const auto spectra = stats::JacobiSvdBatch(batch);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    auto fit = slot[k] == kOwnSpectrum
+                   ? FitRobustSyntheticControl(inputs[k], options.robust)
+                   : FitRobustSyntheticControl(inputs[k], options.robust,
+                                               spectra[slot[k]]);
+    if (fit.ok()) {
+      fits.push_back(std::move(fit).value().base);
+    } else {
+      fits.push_back(fit.error());
+    }
+  }
+  return fits;
 }
 
 /// Builds the placebo input where donor `j` plays the treated unit; the
@@ -94,9 +124,11 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
   }
 
   PlaceboResult out;
-  auto treated = FitWithMethod(input, options, shared_r);
-  if (!treated.ok()) return treated.error();
-  out.treated_fit = std::move(treated).value();
+  std::vector<stats::Matrix> treated_r;
+  if (!shared_r.empty()) treated_r.push_back(shared_r);
+  auto treated = FitAll({&input, 1}, options, std::move(treated_r));
+  if (!treated[0].ok()) return treated[0].error();
+  out.treated_fit = std::move(treated[0]).value();
   // An exact fit before and after treatment (an all-zero panel, or one
   // whose squares underflow) has no RMSE ratio: 0 over the floor would
   // read as "no effect" with p = 1.
@@ -113,29 +145,44 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
   }
 
   // Donor placebo fits are independent and deterministic (no RNG), so they
-  // fan out across the pool; the skip-filter reduction below runs in donor
-  // index order on this thread, making the result identical to the serial
-  // loop at any SISYPHUS_THREADS (DESIGN.md §7).
+  // fan out across the pool, one task per group of kJacobiBatchLanes
+  // donors whose R_-j spectra the lockstep kernel takes at once. Within a
+  // task the rotations fit in donor order, and the skip-filter reduction
+  // below runs in donor index order on this thread, making the result
+  // identical to the serial loop at any SISYPHUS_THREADS (DESIGN.md §7).
   struct PlaceboRun {
     bool ok = false;
     double rmse_ratio = 0.0;
     double rmse_pre = 0.0;
   };
-  const auto runs =
-      core::ParallelMap(input.donors.cols(), [&](std::size_t j) {
-        const SyntheticControlInput placebo = PlaceboInput(input, j);
-        SISYPHUS_METRIC_COUNT("causal.placebo.runs", 1);
-        PlaceboRun run;
-        auto fit = FitWithMethod(
-            placebo, options,
-            shared_r.empty() ? shared_r : WithoutColumn(shared_r, j));
-        if (fit.ok()) {
-          run.ok = true;
-          run.rmse_ratio = fit.value().rmse_ratio;
-          run.rmse_pre = fit.value().rmse_pre;
+  const std::size_t donors = input.donors.cols();
+  constexpr std::size_t kGroup = stats::kJacobiBatchLanes;
+  const auto groups = core::ParallelMap(
+      (donors + kGroup - 1) / kGroup, [&](std::size_t g) {
+        std::vector<SyntheticControlInput> placebos;
+        std::vector<stats::Matrix> factors;
+        for (std::size_t j = g * kGroup; j < std::min(donors, (g + 1) * kGroup);
+             ++j) {
+          placebos.push_back(PlaceboInput(input, j));
+          if (!shared_r.empty()) factors.push_back(WithoutColumn(shared_r, j));
         }
-        return run;
+        std::vector<PlaceboRun> group;
+        for (const auto& fit : FitAll(placebos, options, std::move(factors))) {
+          SISYPHUS_METRIC_COUNT("causal.placebo.runs", 1);
+          PlaceboRun run;
+          if (fit.ok()) {
+            run.ok = true;
+            run.rmse_ratio = fit.value().rmse_ratio;
+            run.rmse_pre = fit.value().rmse_pre;
+          }
+          group.push_back(run);
+        }
+        return group;
       });
+  std::vector<PlaceboRun> runs;
+  for (const std::vector<PlaceboRun>& group : groups) {
+    runs.insert(runs.end(), group.begin(), group.end());
+  }
   for (const PlaceboRun& run : runs) {
     if (!run.ok) {
       SISYPHUS_METRIC_COUNT("causal.placebo.skipped", 1);

@@ -44,7 +44,9 @@ struct PlaceboOptions {
 /// donor (that donor becomes "treated", the true treated unit is NOT added
 /// to the pool), and computes the rank p-value. Robust fits of a pool with
 /// at least as many periods as donors share one QR factorization of the
-/// donor matrix (DESIGN.md §4).
+/// donor matrix, and the placebo runs go to the pool in groups of four
+/// whose leave-one-out spectra one stats::JacobiSvdBatch call takes
+/// (DESIGN.md §4).
 /// Fails if the input does not validate (an overflowing magnitude is a
 /// kNumericalFailure), the treated fit fails, the treated fit's pre- and
 /// post-period RMSE are both below kRmseFloor (kNumericalFailure: the

@@ -28,51 +28,48 @@ stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
   return donors;
 }
 
+Result<double> RobustObservedFraction(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options) {
+  if (!options.use_mask || input.donor_observed.empty()) return 1.0;
+  const double p_hat = input.DonorObservedFraction();
+  if (p_hat == 0.0) {
+    return Error(ErrorCode::kNumericalFailure,
+                 "FitRobustSyntheticControl: donor matrix entirely "
+                 "unobserved");
+  }
+  if (p_hat < options.min_observed_fraction) {
+    return Error(ErrorCode::kNumericalFailure,
+                 "FitRobustSyntheticControl: donor matrix too sparse "
+                 "(observed fraction " + std::to_string(p_hat) + " < " +
+                     std::to_string(options.min_observed_fraction) + ")");
+  }
+  return p_hat;
+}
+
 namespace {
 
-// The fit body. The donor spectrum comes from `donor_r` (an R factor of
-// the zero-filled donors) when given, else from an SVD of those donors.
-Result<RobustSyntheticControlFit> Fit(
-    const SyntheticControlInput& input,
-    const RobustSyntheticControlOptions& options,
-    const stats::Matrix* donor_r) {
+// The checks every fit makes before it takes the donor spectrum; returns
+// p̂. Step 0 of the masked path: unobserved donor entries are zero-filled
+// (ZeroFilledDonors), and the rescaled reconstruction (1/p̂) Y_k is an
+// unbiased estimate of the low-rank signal under uniform missingness
+// (Amjad, Shah & Shen §3).
+Result<double> CheckFit(const SyntheticControlInput& input,
+                        const RobustSyntheticControlOptions& options) {
   SISYPHUS_METRIC_COUNT("causal.rsc.fits_attempted", 1);
   if (auto s = input.Validate(); !s.ok()) return s.error();
-  if (donor_r != nullptr && donor_r->cols() != input.donors.cols()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "FitRobustSyntheticControl: donor_r has " +
-                     std::to_string(donor_r->cols()) + " columns for " +
-                     std::to_string(input.donors.cols()) + " donors");
-  }
+  return RobustObservedFraction(input, options);
+}
 
-  const bool masked = options.use_mask && !input.donor_observed.empty();
-
-  // Step 0 (masked path): zero-fill unobserved donor entries and compute
-  // the observed fraction p̂. The rescaled reconstruction (1/p̂) Y_k is an
-  // unbiased estimate of the low-rank signal under uniform missingness
-  // (Amjad, Shah & Shen §3).
-  const stats::Matrix donors = ZeroFilledDonors(input, options);
-  double p_hat = 1.0;
-  if (masked) {
-    p_hat = input.DonorObservedFraction();
-    if (p_hat == 0.0) {
-      return Error(ErrorCode::kNumericalFailure,
-                   "FitRobustSyntheticControl: donor matrix entirely "
-                   "unobserved");
-    }
-    if (p_hat < options.min_observed_fraction) {
-      return Error(ErrorCode::kNumericalFailure,
-                   "FitRobustSyntheticControl: donor matrix too sparse "
-                   "(observed fraction " + std::to_string(p_hat) + " < " +
-                       std::to_string(options.min_observed_fraction) + ")");
-    }
-  }
-
+// The fit body, given the zero-filled donors D, their observed fraction
+// p̂ and their spectrum `svd` (or its failure).
+Result<RobustSyntheticControlFit> FitFromSpectrum(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options, const stats::Matrix& donors,
+    double p_hat, const Result<stats::SvdDecomposition>& svd) {
   // Step 1: denoise by hard singular-value thresholding. Only the
   // retained right singular vectors V_k are needed: the denoised donors
   // are Z V_k^T with Z = D V_k / p̂ (the 1/p̂ rescale on the masked path).
-  auto svd = donor_r != nullptr ? stats::JacobiSvd(*donor_r)
-                                : stats::SvdDecompose(donors);
   if (!svd.ok()) return svd.error();
   double threshold = options.singular_value_threshold;
   if (threshold < 0.0) {
@@ -84,7 +81,9 @@ Result<RobustSyntheticControlFit> Fit(
                                  svd.value().singular_values.size()));
   const stats::Matrix vk = svd.value().v.Block(0, donors.cols(), 0, rank);
   stats::Matrix z = donors * vk;
-  if (masked) z = (1.0 / p_hat) * z;
+  if (options.use_mask && !input.donor_observed.empty()) {
+    z = (1.0 / p_hat) * z;
+  }
 
   // Step 2: ridge regression of the treated pre-period series on the
   // denoised donor pre-period columns (no intercept, matching the RSC
@@ -159,14 +158,28 @@ Result<RobustSyntheticControlFit> Fit(
 Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options) {
-  return Fit(input, options, nullptr);
+  const auto p_hat = CheckFit(input, options);
+  if (!p_hat.ok()) return p_hat.error();
+  const stats::Matrix donors = ZeroFilledDonors(input, options);
+  return FitFromSpectrum(input, options, donors, p_hat.value(),
+                         stats::SvdDecompose(donors));
 }
 
 Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options,
-    const stats::Matrix& donor_r) {
-  return Fit(input, options, &donor_r);
+    const Result<stats::SvdDecomposition>& donor_svd) {
+  const auto p_hat = CheckFit(input, options);
+  if (!p_hat.ok()) return p_hat.error();
+  if (donor_svd.ok() && donor_svd.value().v.rows() != input.donors.cols()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "FitRobustSyntheticControl: donor spectrum has " +
+                     std::to_string(donor_svd.value().v.rows()) +
+                     " right singular vector rows for " +
+                     std::to_string(input.donors.cols()) + " donors");
+  }
+  return FitFromSpectrum(input, options, ZeroFilledDonors(input, options),
+                         p_hat.value(), donor_svd);
 }
 
 }  // namespace sisyphus::causal

@@ -19,6 +19,7 @@
 
 #include "causal/synthetic_control.h"
 #include "core/result.h"
+#include "stats/decomposition.h"
 #include "stats/matrix.h"
 
 namespace sisyphus::causal {
@@ -56,7 +57,8 @@ struct RobustSyntheticControlFit {
 /// zero-filled donor matrix, V_k its top-k right singular vectors and
 /// Z = D V_k / p̂, the denoised donors are Z V_k^T, and the ridge on their
 /// pre-period rows is exactly w = V_k Ridge(Z_pre, y_pre, lambda): a k x k
-/// solve, and U is never formed (DESIGN.md §4).
+/// solve, and U is never formed (DESIGN.md §4). This overload takes D's
+/// spectrum with stats::SvdDecompose; the one below is handed it.
 core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options = {});
@@ -67,16 +69,28 @@ core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
 stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
                                const RobustSyntheticControlOptions& options);
 
-/// FitRobustSyntheticControl with the donor spectrum taken from `donor_r`,
-/// an R factor of the zero-filled donors D (D = Q R with orthonormal Q, so
-/// R has D's singular values and right singular vectors), instead of
-/// factorizing D itself. RunPlaceboAnalysis passes one shared R, with the
-/// rotated donor's column deleted. The result equals the plain call's up
-/// to rounding. Fails (kInvalidArgument) if `donor_r` does not have one
-/// column per donor or has fewer rows than columns.
+/// The observed fraction p̂ of the donor matrix (1.0 off the masked path),
+/// or the kNumericalFailure a fit returns before it takes any SVD: p̂ is 0,
+/// or below options.min_observed_fraction. With input.Validate(), these
+/// are every check FitRobustSyntheticControl makes before the donor
+/// spectrum, so RunPlaceboAnalysis uses it to leave a rotation that would
+/// fail them out of its SVD batch.
+core::Result<double> RobustObservedFraction(
+    const SyntheticControlInput& input,
+    const RobustSyntheticControlOptions& options);
+
+/// FitRobustSyntheticControl with the donor spectrum already taken:
+/// `donor_svd` is an SVD of the zero-filled donors D or of an R factor of
+/// D (D = Q R with orthonormal Q, so R has D's singular values and right
+/// singular vectors), or that SVD's failure, which the fit returns once
+/// its own checks pass. RunPlaceboAnalysis passes the spectra of one
+/// shared R and of its leave-one-out factors, taken in lockstep batches
+/// (stats::JacobiSvdBatch). The result equals the plain call's up to
+/// rounding. Fails (kInvalidArgument) if the spectrum's V does not have
+/// one row per donor.
 core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options,
-    const stats::Matrix& donor_r);
+    const core::Result<stats::SvdDecomposition>& donor_svd);
 
 }  // namespace sisyphus::causal

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 #include "core/error.h"
 #include "obs/metrics.h"
@@ -176,11 +181,59 @@ std::size_t SvdDecomposition::RankAbove(double threshold) const {
 
 namespace {
 
+// Jacobi's sweep cap and thresholds, shared by the scalar and lockstep
+// kernels.
+constexpr int kMaxSweeps = 60;
+constexpr double kTol = 1e-14;
+constexpr double kDeflate = 1e-14;
+
+// The SVD a Jacobi run leaves once its sweeps end, from its working copy
+// W (held transposed: column j is row j of `wt`) and rotation accumulator
+// V (likewise `vt`): s_j = ||W_j||, U_j = W_j / s_j (zero when s_j = 0),
+// sorted by descending s. Counts the run in stats.svd.*.
+Result<SvdDecomposition> JacobiResult(const Matrix& wt, const Matrix& vt,
+                                      int sweeps, bool converged) {
+  const std::size_t m = wt.cols();
+  const std::size_t n = wt.rows();
+  // One count per decomposition, never per rotation: the sweep total is a
+  // deterministic work measure for metrics.json.
+  SISYPHUS_METRIC_COUNT("stats.svd.calls", 1);
+  SISYPHUS_METRIC_COUNT("stats.svd.sweeps", static_cast<std::uint64_t>(sweeps));
+  if (!converged) {
+    return Error(ErrorCode::kNumericalFailure,
+                 "SvdDecompose: Jacobi sweeps did not converge");
+  }
+  SvdDecomposition out;
+  out.singular_values.assign(n, 0.0);
+  out.u = Matrix(m, n);
+  out.v = Matrix(n, n);
+  // Column norms = singular values; sort descending.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  Vector norms(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double sum = 0.0;
+    for (double x : wt.Row(j)) sum += x * x;
+    norms[j] = std::sqrt(sum);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return norms[x] > norms[y]; });
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    const std::size_t src = order[dst];
+    const double s = norms[src];
+    out.singular_values[dst] = s;
+    for (std::size_t i = 0; i < m; ++i)
+      out.u(i, dst) = s > 0.0 ? wt(src, i) / s : 0.0;
+    for (std::size_t i = 0; i < n; ++i) out.v(i, dst) = vt(src, i);
+  }
+  return out;
+}
+
 // One-sided Jacobi on A (m x n), m >= n, applied to A itself: rotates
 // column pairs of a working copy W until all pairs are numerically
-// orthogonal. Then s_j = ||W_j||, U_j = W_j / s_j (zero when s_j = 0), and
-// V accumulates the rotations. W and V are held transposed so that every
-// column is one contiguous row; each sum still runs over i ascending.
+// orthogonal, with V accumulating the rotations. W and V are held
+// transposed so that every column is one contiguous row; each sum still
+// runs over i ascending.
 Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -195,9 +248,6 @@ Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
       y[i] = s * xi + c * yi;
     }
   };
-  const int kMaxSweeps = 60;
-  const double kTol = 1e-14;
-  const double kDeflate = 1e-14;
   int sweeps = 0;
   bool converged = false;
   while (!converged && sweeps < kMaxSweeps) {
@@ -242,39 +292,171 @@ Result<SvdDecomposition> OneSidedJacobi(const Matrix& a) {
       }
     }
   }
-  // One count per decomposition, never per rotation: the sweep total is a
-  // deterministic work measure for metrics.json.
-  SISYPHUS_METRIC_COUNT("stats.svd.calls", 1);
-  SISYPHUS_METRIC_COUNT("stats.svd.sweeps", static_cast<std::uint64_t>(sweeps));
-  if (!converged) {
-    return Error(ErrorCode::kNumericalFailure,
-                 "SvdDecompose: Jacobi sweeps did not converge");
+  return JacobiResult(wt, vt, sweeps, converged);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define SISYPHUS_HAVE_AVX2_JACOBI 1
+// x[i], y[i] <- c x[i] - s y[i], s x[i] + c y[i] over `len` rows of one
+// column pair in the lockstep layout, in the lanes of `mask` only (in all
+// lanes without kBlend).
+template <bool kBlend>
+__attribute__((target("avx2"))) inline void RotateLanes(
+    double* x, double* y, std::size_t len, __m256d c, __m256d s,
+    __m256d mask) {
+  for (std::size_t i = 0; i < len * kJacobiBatchLanes;
+       i += kJacobiBatchLanes) {
+    const __m256d xi = _mm256_load_pd(x + i);
+    const __m256d yi = _mm256_load_pd(y + i);
+    __m256d xr = _mm256_sub_pd(_mm256_mul_pd(c, xi), _mm256_mul_pd(s, yi));
+    __m256d yr = _mm256_add_pd(_mm256_mul_pd(s, xi), _mm256_mul_pd(c, yi));
+    if (kBlend) {
+      xr = _mm256_blendv_pd(xi, xr, mask);
+      yr = _mm256_blendv_pd(yi, yr, mask);
+    }
+    _mm256_store_pd(x + i, xr);
+    _mm256_store_pd(y + i, yr);
   }
-  SvdDecomposition out;
-  out.singular_values.assign(n, 0.0);
-  out.u = Matrix(m, n);
-  out.v = Matrix(n, n);
-  // Column norms = singular values; sort descending.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Vector norms(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    for (double x : wt.Row(j)) sum += x * x;
-    norms[j] = std::sqrt(sum);
+}
+
+// OneSidedJacobi's sweeps over the first `lanes` (<= 4) lanes of the
+// lockstep layout: w holds the working columns and v the rotation
+// accumulator's, both as [column][row][lane] (n columns of m and of n
+// rows), 32-byte aligned. Every lane computes OneSidedJacobi's values in
+// its order, with separate multiplies and adds (target "avx2" without
+// "fma", so nothing is contracted), correctly rounded division and sqrt,
+// and ordered compares that are false on NaN, as C++'s are. A lane's data
+// changes only in the pairs it rotates or deflates. Writes each lane's
+// sweep count and convergence to sweeps[l] and converged[l].
+__attribute__((target("avx2"))) void LockstepJacobiSweeps(
+    double* w, double* v, std::size_t m, std::size_t n, std::size_t lanes,
+    int* sweeps, bool* converged) {
+  constexpr std::size_t kL = kJacobiBatchLanes;
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d minus_one = _mm256_set1_pd(-1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d tol = _mm256_set1_pd(kTol);
+  const __m256d deflate = _mm256_set1_pd(kDeflate * kDeflate);
+  // Lanes still sweeping: a lane leaves once a sweep moves nothing in it,
+  // or at the sweep cap.
+  __m256d active = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(lanes)),
+      _mm256_setr_epi64x(0, 1, 2, 3)));
+  const int unused = 0xf & ~_mm256_movemask_pd(active);
+  for (int sweep = 1; _mm256_movemask_pd(active) != 0; ++sweep) {
+    __m256d moved = zero;  // lanes that rotated or deflated a pair
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      double* wp = w + p * m * kL;
+      for (std::size_t q = p + 1; q < n; ++q) {
+        double* wq = w + q * m * kL;
+        __m256d alpha = zero, beta = zero, gamma = zero;
+        for (std::size_t i = 0; i < m * kL; i += kL) {
+          const __m256d x = _mm256_load_pd(wp + i);
+          const __m256d y = _mm256_load_pd(wq + i);
+          alpha = _mm256_add_pd(alpha, _mm256_mul_pd(x, x));
+          beta = _mm256_add_pd(beta, _mm256_mul_pd(y, y));
+          gamma = _mm256_add_pd(gamma, _mm256_mul_pd(x, y));
+        }
+        const __m256d orthogonal = _mm256_or_pd(
+            _mm256_cmp_pd(
+                _mm256_andnot_pd(sign_bit, gamma),
+                _mm256_mul_pd(tol, _mm256_sqrt_pd(_mm256_mul_pd(alpha, beta))),
+                _CMP_LE_OQ),
+            _mm256_cmp_pd(gamma, zero, _CMP_EQ_OQ));
+        const __m256d work = _mm256_andnot_pd(orthogonal, active);
+        if (_mm256_movemask_pd(work) == 0) continue;
+        moved = _mm256_or_pd(moved, work);
+        // std::min(alpha, beta) and std::max(alpha, beta): min_pd(x, y)
+        // and max_pd(x, y) return y unless x compares less (greater).
+        const __m256d tiny = _mm256_cmp_pd(
+            _mm256_min_pd(beta, alpha),
+            _mm256_mul_pd(deflate, _mm256_max_pd(beta, alpha)), _CMP_LE_OQ);
+        const __m256d deflated = _mm256_and_pd(work, tiny);
+        if (_mm256_movemask_pd(deflated) != 0) {
+          const __m256d p_tiny = _mm256_cmp_pd(alpha, beta, _CMP_LT_OQ);
+          const __m256d zero_p = _mm256_and_pd(deflated, p_tiny);
+          const __m256d zero_q = _mm256_andnot_pd(p_tiny, deflated);
+          for (std::size_t i = 0; i < m * kL; i += kL) {
+            _mm256_store_pd(wp + i,
+                            _mm256_andnot_pd(zero_p, _mm256_load_pd(wp + i)));
+            _mm256_store_pd(wq + i,
+                            _mm256_andnot_pd(zero_q, _mm256_load_pd(wq + i)));
+          }
+        }
+        const __m256d rotated = _mm256_andnot_pd(tiny, work);
+        if (_mm256_movemask_pd(rotated) == 0) continue;
+        const __m256d zeta = _mm256_div_pd(_mm256_sub_pd(beta, alpha),
+                                           _mm256_mul_pd(two, gamma));
+        const __m256d sign = _mm256_blendv_pd(
+            minus_one, one, _mm256_cmp_pd(zeta, zero, _CMP_GE_OQ));
+        const __m256d t = _mm256_div_pd(
+            sign,
+            _mm256_add_pd(_mm256_andnot_pd(sign_bit, zeta),
+                          _mm256_sqrt_pd(_mm256_add_pd(
+                              one, _mm256_mul_pd(zeta, zeta)))));
+        const __m256d c = _mm256_div_pd(
+            one, _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))));
+        const __m256d s = _mm256_mul_pd(c, t);
+        // No blend when every lane that holds a matrix rotates.
+        if ((_mm256_movemask_pd(rotated) | unused) == 0xf) {
+          RotateLanes<false>(wp, wq, m, c, s, rotated);
+          RotateLanes<false>(v + p * n * kL, v + q * n * kL, n, c, s, rotated);
+        } else {
+          RotateLanes<true>(wp, wq, m, c, s, rotated);
+          RotateLanes<true>(v + p * n * kL, v + q * n * kL, n, c, s, rotated);
+        }
+      }
+    }
+    const int active_bits = _mm256_movemask_pd(active);
+    const int moved_bits = _mm256_movemask_pd(moved);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if ((active_bits >> l & 1) == 0) continue;
+      sweeps[l] = sweep;
+      converged[l] = (moved_bits >> l & 1) == 0;
+    }
+    active = sweep < kMaxSweeps ? _mm256_and_pd(active, moved) : zero;
   }
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t x, std::size_t y) { return norms[x] > norms[y]; });
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    const std::size_t src = order[dst];
-    const double s = norms[src];
-    out.singular_values[dst] = s;
-    for (std::size_t i = 0; i < m; ++i)
-      out.u(i, dst) = s > 0.0 ? wt(src, i) / s : 0.0;
-    for (std::size_t i = 0; i < n; ++i) out.v(i, dst) = vt(src, i);
+}
+
+// JacobiSvd of `count` (<= 4) checked matrices of one shape in one
+// lockstep run.
+std::vector<Result<SvdDecomposition>> LockstepJacobi(
+    const Matrix* const* as, std::size_t count) {
+  constexpr std::size_t kL = kJacobiBatchLanes;
+  const std::size_t m = as[0]->rows();
+  const std::size_t n = as[0]->cols();
+  // Both arrays in one buffer, aligned so every ⟨row, lanes⟩ group is one
+  // aligned load.
+  std::vector<double> buffer((m + n) * n * kL + kL, 0.0);
+  double* w = buffer.data();
+  while (reinterpret_cast<std::uintptr_t>(w) % (kL * sizeof(double)) != 0) ++w;
+  double* v = w + m * n * kL;
+  for (std::size_t l = 0; l < count; ++l) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto row = as[l]->Row(i);
+      for (std::size_t j = 0; j < n; ++j) w[(j * m + i) * kL + l] = row[j];
+    }
+    for (std::size_t j = 0; j < n; ++j) v[(j * n + j) * kL + l] = 1.0;
+  }
+  int sweeps[kL] = {};
+  bool converged[kL] = {};
+  LockstepJacobiSweeps(w, v, m, n, count, sweeps, converged);
+  std::vector<Result<SvdDecomposition>> out;
+  out.reserve(count);
+  Matrix wt(n, m);
+  Matrix vt(n, n);
+  for (std::size_t l = 0; l < count; ++l) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) wt(j, i) = w[(j * m + i) * kL + l];
+      for (std::size_t i = 0; i < n; ++i) vt(j, i) = v[(j * n + i) * kL + l];
+    }
+    out.push_back(JacobiResult(wt, vt, sweeps[l], converged[l]));
   }
   return out;
 }
+#endif  // SISYPHUS_HAVE_AVX2_JACOBI
 
 // SVD of a checked matrix with rows >= cols. Square input goes to Jacobi
 // directly. Taller input is QR-preconditioned (Drmač–Veselić): A = Q R,
@@ -290,15 +472,61 @@ Result<SvdDecomposition> TallSvd(const Matrix& a) {
   return svd;
 }
 
-}  // namespace
-
-Result<SvdDecomposition> JacobiSvd(const Matrix& a) {
+// What JacobiSvd refuses before its sweeps.
+core::Status CheckJacobiInput(const Matrix& a) {
   if (a.empty() || a.rows() < a.cols()) {
     return Error(ErrorCode::kInvalidArgument,
                  "JacobiSvd: need a non-empty matrix with rows >= cols");
   }
-  if (auto s = CheckFinite(a, "JacobiSvd"); !s.ok()) return s.error();
+  return CheckFinite(a, "JacobiSvd");
+}
+
+}  // namespace
+
+Result<SvdDecomposition> JacobiSvd(const Matrix& a) {
+  if (auto s = CheckJacobiInput(a); !s.ok()) return s.error();
   return OneSidedJacobi(a);
+}
+
+std::vector<Result<SvdDecomposition>> JacobiSvdBatch(
+    std::span<const Matrix> batch) {
+  std::vector<Result<SvdDecomposition>> out;
+  out.reserve(batch.size());
+#if SISYPHUS_HAVE_AVX2_JACOBI
+  static const bool have_avx2 = __builtin_cpu_supports("avx2");
+  if (have_avx2) {
+    // Refused matrices get their error in place; the accepted ones, in
+    // order, fill lockstep groups of one shape.
+    std::vector<std::size_t> accepted;
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const core::Status s = CheckJacobiInput(batch[k]);
+      if (s.ok()) {
+        accepted.push_back(k);
+        out.push_back(SvdDecomposition{});
+      } else {
+        out.push_back(s.error());
+      }
+    }
+    const Matrix* group[kJacobiBatchLanes];
+    for (std::size_t begin = 0; begin < accepted.size();) {
+      const Matrix& first = batch[accepted[begin]];
+      std::size_t count = 0;
+      while (count < kJacobiBatchLanes && begin + count < accepted.size()) {
+        const Matrix& a = batch[accepted[begin + count]];
+        if (a.rows() != first.rows() || a.cols() != first.cols()) break;
+        group[count++] = &a;
+      }
+      auto results = LockstepJacobi(group, count);
+      for (std::size_t l = 0; l < count; ++l) {
+        out[accepted[begin + l]] = std::move(results[l]);
+      }
+      begin += count;
+    }
+    return out;
+  }
+#endif
+  for (const Matrix& a : batch) out.push_back(JacobiSvd(a));
+  return out;
 }
 
 Result<SvdDecomposition> SvdDecompose(const Matrix& a) {

@@ -1,9 +1,12 @@
-// Matrix decompositions: Householder QR, one-sided Jacobi SVD, and the
-// solvers built on them (least squares, pseudo-inverse, low-rank
-// approximation for robust synthetic control).
+// Matrix decompositions: Householder QR, one-sided Jacobi SVD (one matrix
+// at a time, or up to four same-shape matrices in AVX2 lockstep with
+// byte-identical results), and the solvers built on them (least squares,
+// pseudo-inverse, low-rank approximation for robust synthetic control).
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "core/result.h"
 #include "stats/matrix.h"
@@ -59,10 +62,28 @@ core::Result<SvdDecomposition> SvdDecompose(const Matrix& a);
 /// One-sided Jacobi applied to `a` itself (rows >= cols), with no QR
 /// preconditioning: the kernel SvdDecompose runs on square input and on
 /// the R factor of tall input, and the reference the tests hold the
-/// preconditioned path to. Callers that already hold an R factor (the
-/// placebo engine) use it to get that factor's spectrum. Same failure
+/// preconditioned path to. Callers that already hold R factors (the
+/// placebo engine) take their spectra through JacobiSvdBatch. Same failure
 /// contract as SvdDecompose; wide input is kInvalidArgument.
 core::Result<SvdDecomposition> JacobiSvd(const Matrix& a);
+
+/// Matrices JacobiSvdBatch's lockstep kernel factors at once: one per
+/// double of an AVX2 vector.
+inline constexpr std::size_t kJacobiBatchLanes = 4;
+
+/// JacobiSvd of every matrix of `batch`: result k is byte for byte what
+/// JacobiSvd(batch[k]) returns (U, singular values and V, or the failure's
+/// code and message), and each factorization counts in stats.svd.calls
+/// and stats.svd.sweeps as that call would. Where the CPU has AVX2, runs
+/// of up to kJacobiBatchLanes consecutive accepted matrices of one shape
+/// share one lockstep kernel, a matrix per vector lane. Each lane does
+/// JacobiSvd's arithmetic in JacobiSvd's order (separate multiply and add,
+/// never a fused one) and keeps its own sweep count and convergence; a
+/// lane that skips or deflates a pair, or has converged, is held by blends
+/// rather than rotated by the identity, which could flip the sign of a
+/// zero. Elsewhere it loops over JacobiSvd (DESIGN.md §4).
+std::vector<core::Result<SvdDecomposition>> JacobiSvdBatch(
+    std::span<const Matrix> batch);
 
 /// Minimum-norm least squares via SVD with relative cutoff `rcond` on
 /// singular values (like LAPACK gelsd).

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/rng.h"
+#include "obs/metrics.h"
 #include "stats/decomposition.h"
 
 namespace sisyphus::stats {
@@ -335,6 +339,211 @@ TEST(PreconditionedSvdTest, OracleRejectsWideInput) {
   auto svd = JacobiSvd(RandomMatrix(3, 5, rng));
   ASSERT_FALSE(svd.ok());
   EXPECT_EQ(svd.error().code(), core::ErrorCode::kInvalidArgument);
+}
+
+// ---- Lockstep batch vs one matrix at a time -----------------------------------
+
+/// Same shape and the same bits in every entry (so 0.0 and -0.0 differ).
+bool SameBits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    if (std::memcmp(a.Row(r).data(), b.Row(r).data(),
+                    a.cols() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct SvdCounts {
+  std::uint64_t calls = 0;
+  std::uint64_t sweeps = 0;
+};
+
+SvdCounts ReadSvdCounts() {
+  const obs::Registry& registry = obs::Registry::Global();
+  return {registry.CounterValue("stats.svd.calls"),
+          registry.CounterValue("stats.svd.sweeps")};
+}
+
+/// JacobiSvd of each matrix of `batch`, with each call's sweep count.
+struct SingleRun {
+  core::Result<SvdDecomposition> svd;
+  std::uint64_t sweeps;
+};
+
+std::vector<SingleRun> JacobiOneByOne(const std::vector<Matrix>& batch) {
+  std::vector<SingleRun> runs;
+  for (const Matrix& a : batch) {
+    const std::uint64_t before = ReadSvdCounts().sweeps;
+    core::Result<SvdDecomposition> svd = JacobiSvd(a);
+    runs.push_back({std::move(svd), ReadSvdCounts().sweeps - before});
+  }
+  return runs;
+}
+
+/// JacobiSvdBatch must return, for every matrix of `batch`, what JacobiSvd
+/// returns for it — U, singular values and V bit for bit, or the same
+/// failure — and count the calls and sweeps those calls count. Returns the
+/// single calls' sweep counts.
+std::vector<std::uint64_t> ExpectBatchMatchesSingles(
+    const std::vector<Matrix>& batch) {
+  obs::Registry::Enable(true);
+  const SvdCounts before = ReadSvdCounts();
+  const std::vector<SingleRun> singles = JacobiOneByOne(batch);
+  const SvdCounts middle = ReadSvdCounts();
+  const auto batched = JacobiSvdBatch(batch);
+  const SvdCounts after = ReadSvdCounts();
+  obs::Registry::Enable(false);
+  EXPECT_EQ(after.calls - middle.calls, middle.calls - before.calls);
+  EXPECT_EQ(after.sweeps - middle.sweeps, middle.sweeps - before.sweeps);
+  std::vector<std::uint64_t> sweeps;
+  EXPECT_EQ(batched.size(), batch.size());
+  for (std::size_t k = 0; k < std::min(batched.size(), batch.size()); ++k) {
+    SCOPED_TRACE("matrix " + std::to_string(k) + " of " +
+                 std::to_string(batch.size()));
+    sweeps.push_back(singles[k].sweeps);
+    const core::Result<SvdDecomposition>& want = singles[k].svd;
+    const core::Result<SvdDecomposition>& got = batched[k];
+    EXPECT_EQ(got.ok(), want.ok());
+    if (got.ok() != want.ok()) continue;
+    if (!want.ok()) {
+      EXPECT_EQ(got.error().code(), want.error().code());
+      EXPECT_EQ(got.error().message(), want.error().message());
+      continue;
+    }
+    EXPECT_TRUE(SameBits(got.value().u, want.value().u)) << "U";
+    EXPECT_TRUE(SameBits(Matrix::ColumnVector(got.value().singular_values),
+                         Matrix::ColumnVector(want.value().singular_values)))
+        << "singular values";
+    EXPECT_TRUE(SameBits(got.value().v, want.value().v)) << "V";
+  }
+  return sweeps;
+}
+
+Matrix WithoutColumn(const Matrix& m, std::size_t j) {
+  Matrix out(m.rows(), m.cols() - 1);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0, dst = 0; c < m.cols(); ++c) {
+      if (c != j) out(r, dst++) = m(r, c);
+    }
+  }
+  return out;
+}
+
+/// The placebo engine's leave-one-out factors of `pool`: its R factor
+/// without column j, for every j.
+std::vector<Matrix> LeaveOneOutFactors(const Matrix& pool) {
+  auto qr = QrDecompose(pool);
+  EXPECT_TRUE(qr.ok());
+  std::vector<Matrix> factors;
+  for (std::size_t j = 0; j < pool.cols(); ++j) {
+    factors.push_back(WithoutColumn(qr.value().r, j));
+  }
+  return factors;
+}
+
+/// A 224-period pool of RTT-like donors sharing a diurnal factor.
+Matrix RttPool(std::size_t donors, core::Rng& rng) {
+  Matrix a(224, donors);
+  for (std::size_t t = 0; t < a.rows(); ++t) {
+    const double cycle = std::sin(2.0 * M_PI * static_cast<double>(t) / 4.0);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      a(t, j) = 20.0 + 0.3 * static_cast<double>(j) +
+                (1.0 + 0.05 * static_cast<double>(j)) * cycle +
+                rng.Gaussian();
+    }
+  }
+  return a;
+}
+
+TEST(JacobiSvdBatchTest, LeaveOneOutFactorsMatchInEveryBatchSize) {
+  core::Rng rng(36);
+  const std::vector<Matrix> factors = LeaveOneOutFactors(RttPool(30, rng));
+  for (const std::size_t size : {1u, 2u, 3u, 4u, 5u, 30u}) {
+    SCOPED_TRACE("batches of " + std::to_string(size));
+    for (std::size_t begin = 0; begin < factors.size(); begin += size) {
+      const std::size_t end = std::min(factors.size(), begin + size);
+      ExpectBatchMatchesSingles(
+          std::vector<Matrix>(factors.begin() + begin, factors.begin() + end));
+    }
+  }
+}
+
+TEST(JacobiSvdBatchTest, IdenticalDonorPoolsDeflateBesideRotatingLanes) {
+  // The leave-one-out factors of a pool of n copies of one donor are
+  // rounding noise below their first row, which Jacobi deflates; they
+  // alternate with a dense pool's factors, so deflating lanes share their
+  // vectors with rotating ones.
+  core::Rng rng(37);
+  for (const std::size_t n : {8u, 9u, 10u, 16u, 30u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Matrix copies(224, n);
+    for (std::size_t r = 0; r < copies.rows(); ++r) {
+      const double rtt = 20.0 + rng.Gaussian();
+      for (std::size_t c = 0; c < n; ++c) copies(r, c) = rtt;
+    }
+    const std::vector<Matrix> flat = LeaveOneOutFactors(copies);
+    const std::vector<Matrix> dense = LeaveOneOutFactors(RttPool(n, rng));
+    std::vector<Matrix> batch;
+    for (std::size_t j = 0; j < n; ++j) {
+      batch.push_back(flat[j]);
+      batch.push_back(dense[j]);
+    }
+    ExpectBatchMatchesSingles(batch);
+    ExpectBatchMatchesSingles(flat);
+  }
+}
+
+TEST(JacobiSvdBatchTest, AllZeroMatrixBesideDenseOnes) {
+  core::Rng rng(38);
+  const Matrix zeros(30, 29);
+  ExpectBatchMatchesSingles({zeros});
+  ExpectBatchMatchesSingles(
+      {RandomMatrix(30, 29, rng), zeros, RandomMatrix(30, 29, rng)});
+}
+
+TEST(JacobiSvdBatchTest, LanesConvergeSweepsApart) {
+  // The identity is orthogonal from the start: one sweep, against the
+  // dense lanes' several. Its off-diagonal zeros are -0.0, which a
+  // rotation by c = 1, s = 0 would turn into +0.0 where a held lane keeps
+  // them.
+  core::Rng rng(39);
+  Matrix identity = Matrix::Identity(29);
+  for (std::size_t r = 0; r < identity.rows(); ++r) {
+    for (std::size_t c = 0; c < identity.cols(); ++c) {
+      if (r != c) identity(r, c) = -0.0;
+    }
+  }
+  const std::vector<std::uint64_t> sweeps = ExpectBatchMatchesSingles(
+      {identity, RandomMatrix(29, 29, rng), RandomMatrix(29, 29, rng)});
+  ASSERT_EQ(sweeps.size(), 3u);
+  EXPECT_EQ(sweeps[0], 1u);
+  EXPECT_GT(sweeps[1], 3u);
+  EXPECT_GT(sweeps[2], 3u);
+}
+
+TEST(JacobiSvdBatchTest, RefusedMatricesFailAloneInTheirSlot) {
+  // A NaN fails its own matrix with JacobiSvd's message; the finite
+  // matrices around it, and those after a wide, an empty or a
+  // different-shape matrix, still match.
+  core::Rng rng(40);
+  Matrix with_nan = RandomMatrix(30, 29, rng);
+  with_nan(5, 3) = std::numeric_limits<double>::quiet_NaN();
+  ExpectBatchMatchesSingles({RandomMatrix(30, 29, rng), with_nan,
+                             RandomMatrix(30, 29, rng),
+                             RandomMatrix(30, 29, rng),
+                             RandomMatrix(30, 29, rng)});
+  ExpectBatchMatchesSingles({RandomMatrix(30, 29, rng), RandomMatrix(3, 5, rng),
+                             Matrix{}, RandomMatrix(30, 29, rng),
+                             RandomMatrix(12, 7, rng),
+                             RandomMatrix(30, 29, rng)});
+  const auto batched = JacobiSvdBatch(std::vector<Matrix>{with_nan});
+  ASSERT_EQ(batched.size(), 1u);
+  ASSERT_FALSE(batched[0].ok());
+  EXPECT_EQ(batched[0].error().code(), core::ErrorCode::kInvalidArgument);
+  EXPECT_NE(batched[0].error().message().find("(5, 3)"), std::string::npos);
+  EXPECT_TRUE(JacobiSvdBatch({}).empty());
 }
 
 // ---- SVD solvers -------------------------------------------------------------

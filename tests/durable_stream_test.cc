@@ -628,58 +628,74 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
   const std::string ixp_7 = with(
       [](measure::StepOutput& s) { s.records[0].record.ixp_crossing = 7; },
       watermark);
-  for (const std::string& payload : {atlantis, vantage_9999, ixp_7}) {
-    const core::Result<measure::StepOutput> decoded =
-        durable::DecodeStep(payload, first_id, *campaign.platform);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.error().message().rfind("record 0 ", 0), 0u)
-        << decoded.error().message();
-  }
-  EXPECT_NE(durable::DecodeStep(ixp_7, first_id, *campaign.platform)
-                .error()
-                .message()
-                .find("crosses IXP 7, not one of the topology's 1 IXPs"),
-            std::string::npos);
-  const std::vector<std::pair<std::string, std::string>> cases = {
+  // Each case names the decoder message its edit must draw, so an edit
+  // whose hand-computed offset lands on another field fails here.
+  struct HostileCase {
+    std::string name;
+    std::string payload;
+    std::string message;
+  };
+  const std::string first_failure = std::to_string(step.failures.size());
+  const std::vector<HostileCase> cases = {
       {"first record id 2^40",
        with([](measure::StepOutput& s) {
               s.records[0].record.id = core::MeasurementId(std::uint64_t{1}
                                                            << 40);
             },
-            watermark)},
+            watermark),
+       "record 0 has id 1099511627776, expected " + std::to_string(first_id)},
       {"intent byte 7",
        with([](measure::StepOutput& s) {
               s.records[0].record.intent = static_cast<measure::Intent>(7);
             },
-            watermark)},
+            watermark),
+       "record 0 has intent byte 7"},
       {"failure-reason byte 9",
        with([](measure::StepOutput& s) {
               s.failures.push_back({s.step_end, 0, measure::Intent::kBaseline,
                                     static_cast<measure::ProbeFault>(9), 3});
             },
-            watermark)},
-      {"record count 2^60", huge_count},
+            watermark),
+       "failure " + first_failure + " has reason byte 9"},
+      {"record count 2^60", huge_count,
+       "record count 1152921504606846976 exceeds the payload's bytes"},
       {"watermark off by one",
-       with([](measure::StepOutput&) {}, watermark + 1)},
-      {"one trailing byte", original + std::string(1, '\0')},
+       with([](measure::StepOutput&) {}, watermark + 1),
+       "watermark " + std::to_string(watermark + 1) +
+           " is not the last id + 1 (" + std::to_string(watermark) + ")"},
+      {"one trailing byte", original + std::string(1, '\0'),
+       "1 trailing bytes"},
       // The decoder's remaining checks.
       {"fault-mask byte 16",
        with([](measure::StepOutput& s) { s.records[0].fault_mask = 16; },
-            watermark)},
+            watermark),
+       "record 0 has fault-mask byte 16"},
       {"failure-intent byte 3",
        with([](measure::StepOutput& s) {
               s.failures.push_back({s.step_end, 0,
                                     static_cast<measure::Intent>(3),
                                     measure::ProbeFault::kProbeLoss, 3});
             },
-            watermark)},
-      {"duplicate byte 2", duplicate_two},
-      {"one byte short", original.substr(0, original.size() - 1)},
-      {"city renamed to Atlantis", atlantis},
-      {"vantage 9999", vantage_9999},
-      {"crossing of IXP 7", ixp_7},
+            watermark),
+       "failure " + first_failure + " has intent byte 3"},
+      {"duplicate byte 2", duplicate_two, "record 0 has duplicate byte 2"},
+      {"one byte short", original.substr(0, original.size() - 1),
+       "truncated payload"},
+      {"city renamed to Atlantis", atlantis,
+       "record 0 names unit " + std::to_string(first.unit.asn().value()) +
+           " / Atlantis, not its vantage " +
+           std::to_string(first.vantage_pop) + "'s unit " + first.unit.key()},
+      {"vantage 9999", vantage_9999,
+       "record 0 has vantage 9999, not one of the platform's vantages"},
+      {"crossing of IXP 7", ixp_7,
+       "record 0 crosses IXP 7, not one of the topology's 1 IXPs"},
   };
-  for (const auto& [name, payload] : cases) {
+  for (const auto& [name, payload, message] : cases) {
+    const core::Result<measure::StepOutput> decoded =
+        durable::DecodeStep(payload, first_id, *campaign.platform);
+    ASSERT_FALSE(decoded.ok()) << name;
+    EXPECT_EQ(decoded.error().message(), message) << name;
+
     std::vector<durable::JournalFrame> frames = scan.frames;
     frames[victim - 1].payload = payload;
     WriteJournal(journal, frames);
@@ -691,14 +707,9 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
     const RunResult resumed = RunDurable(resume);
     ASSERT_FALSE(resumed.ok) << name;
     EXPECT_NE(resumed.error.find("journal frame " + std::to_string(victim) +
-                                 " does not decode"),
+                                 " does not decode: " + message),
               std::string::npos)
         << name << ": " << resumed.error;
-    if (payload == ixp_7) {
-      EXPECT_NE(resumed.error.find("record 0 crosses IXP 7"),
-                std::string::npos)
-          << resumed.error;
-    }
     // The ledger's record column — what a hostile id would have grown —
     // holds no more than the ids of the frames before the victim.
     std::size_t column = 0;

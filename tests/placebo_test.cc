@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "causal/placebo.h"
 #include "core/rng.h"
+#include "obs/metrics.h"
 
 namespace sisyphus::causal {
 namespace {
@@ -195,6 +197,95 @@ TEST(PlaceboDegenerateTest, ZeroRmsePanelsAreRejectedNotRatioZero) {
   }
 }
 
+// ---- Seeded degenerate panels: finite numbers or a Status ------------------
+
+enum class Degeneracy {
+  kConstantDonor,    // one donor's series is flat
+  kDuplicateDonors,  // six copies of one donor: rank-deficient factors
+                     // that Jacobi deflates, inside one lockstep batch
+  kMaskedPrePeriod,  // one donor has no observed pre-period
+  kThreeDonors,      // the smallest pool the engine accepts
+  kWidePool,         // fewer periods than donors: no shared QR
+};
+
+SyntheticControlInput DegeneratePanel(Degeneracy kind, core::Rng& rng) {
+  const double effect = 4.0 * rng.NextDouble() - 2.0;
+  const double noise = 0.1 + rng.NextDouble();
+  switch (kind) {
+    case Degeneracy::kThreeDonors:
+      return MakeInput(120, 80, 3, effect, noise, rng);
+    case Degeneracy::kWidePool:
+      return MakeInput(24, 16, 30, effect, noise, rng);
+    default:
+      break;
+  }
+  SyntheticControlInput input = MakeInput(120, 80, 14, effect, noise, rng);
+  const std::size_t j = static_cast<std::size_t>(rng.NextDouble() * 14.0);
+  if (kind == Degeneracy::kConstantDonor) {
+    input.donors.SetColumn(j, stats::Vector(input.donors.rows(), 20.0));
+  } else if (kind == Degeneracy::kDuplicateDonors) {
+    for (std::size_t copy = 1; copy <= 5; ++copy) {
+      input.donors.SetColumn((j + copy) % 14, input.donors.Column(j));
+    }
+  } else {
+    input.treated_observed.assign(input.treated.size(), 1.0);
+    input.donor_observed =
+        stats::Matrix(input.donors.rows(), input.donors.cols(), 1.0);
+    for (std::size_t t = 0; t < input.donors.rows(); ++t) {
+      for (std::size_t c = 0; c < input.donors.cols(); ++c) {
+        if (t < input.pre_periods ? c == j : rng.Bernoulli(0.1)) {
+          input.donor_observed(t, c) = 0.0;
+        }
+      }
+    }
+  }
+  return input;
+}
+
+class PlaceboDegeneratePanelTest : public ::testing::TestWithParam<Degeneracy> {
+};
+
+TEST_P(PlaceboDegeneratePanelTest, FiniteNumbersOrAStatusUnderBothMethods) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    core::Rng rng(800 + seed);
+    const SyntheticControlInput input = DegeneratePanel(GetParam(), rng);
+    for (const SyntheticControlMethod method : kMethods) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", method " +
+                   std::to_string(static_cast<int>(method)));
+      PlaceboOptions options;
+      options.method = method;
+      core::Result<PlaceboResult> result =
+          core::Error(core::ErrorCode::kInvalidArgument, "not run");
+      ASSERT_NO_THROW(result = RunPlaceboAnalysis(input, options));
+      if (!result.ok()) {
+        EXPECT_FALSE(result.error().message().empty());
+        continue;
+      }
+      const PlaceboResult& placebo = result.value();
+      const SyntheticControlFit& fit = placebo.treated_fit;
+      for (const double x : {fit.average_effect, fit.rmse_pre, fit.rmse_post,
+                             fit.rmse_ratio, placebo.p_value}) {
+        EXPECT_TRUE(std::isfinite(x)) << x;
+      }
+      for (const stats::Vector* values :
+           {&fit.weights, &fit.synthetic, &fit.post_effects,
+            &placebo.placebo_ratios}) {
+        for (const double x : *values) EXPECT_TRUE(std::isfinite(x)) << x;
+      }
+      EXPECT_GT(placebo.p_value, 0.0);
+      EXPECT_LE(placebo.p_value, 1.0);
+      EXPECT_EQ(placebo.placebo_ratios.size() + placebo.skipped_donors,
+                input.donors.cols());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, PlaceboDegeneratePanelTest,
+    ::testing::Values(Degeneracy::kConstantDonor, Degeneracy::kDuplicateDonors,
+                      Degeneracy::kMaskedPrePeriod, Degeneracy::kThreeDonors,
+                      Degeneracy::kWidePool));
+
 // ---- Shared-QR rotations vs explicitly built leave-one-out fits ------------
 
 /// The placebo input of rotation j, built independently of placebo.cc:
@@ -299,6 +390,49 @@ TEST(PlaceboRotationTest, WidePanelMatchesSingleFits) {
   // Fewer periods than donors: no thin QR, every fit factorizes itself.
   core::Rng rng(63);
   ExpectRotationsMatchSingleFits(MakeInput(24, 16, 30, 3.0, 0.5, rng));
+}
+
+// A rotation whose pool fails the observed-fraction check fails before
+// its SVD, so it stays out of its group's lockstep batch: the analysis
+// takes the SVDs (spectra and ridge solves) and fit attempts that plain
+// fits of its treated and leave-one-out inputs take, and no more.
+TEST(PlaceboRotationTest, RotationFailingObservedFractionTakesNoSvd) {
+  core::Rng rng(64);
+  auto input = MakeInput(120, 80, 8, 3.0, 0.5, rng);
+  input.treated_observed.assign(input.treated.size(), 1.0);
+  // Donor 0 is fully observed; donors 1..7 only in 3 pre-periods each, so
+  // rotation 0's pool has p̂ = 3/120 < 0.05 and every other pool passes.
+  input.donor_observed =
+      stats::Matrix(input.donors.rows(), input.donors.cols(), 0.0);
+  for (std::size_t t = 0; t < input.donors.rows(); ++t) {
+    input.donor_observed(t, 0) = 1.0;
+  }
+  for (std::size_t j = 1; j < input.donors.cols(); ++j) {
+    for (std::size_t t = j; t < 60; t += 20) input.donor_observed(t, j) = 1.0;
+  }
+  const PlaceboOptions options;
+  ASSERT_FALSE(RobustObservedFraction(LeaveOneOut(input, 0), options.robust)
+                   .ok());
+  obs::Registry::Enable(true);
+  const auto counts = [] {
+    const obs::Registry& registry = obs::Registry::Global();
+    return std::pair{registry.CounterValue("stats.svd.calls"),
+                     registry.CounterValue("causal.rsc.fits_attempted")};
+  };
+  const auto before = counts();
+  (void)RunPlaceboAnalysis(input, options);
+  const auto middle = counts();
+  (void)FitRobustSyntheticControl(input, options.robust);
+  for (std::size_t j = 0; j < input.donors.cols(); ++j) {
+    (void)FitRobustSyntheticControl(LeaveOneOut(input, j), options.robust);
+  }
+  const auto after = counts();
+  obs::Registry::Enable(false);
+  EXPECT_EQ(middle.first - before.first, after.first - middle.first)
+      << "stats.svd.calls";
+  EXPECT_EQ(middle.second - before.second, after.second - middle.second)
+      << "causal.rsc.fits_attempted";
+  EXPECT_EQ(middle.second - before.second, 9u);
 }
 
 // Calibration sweep: under the null, the placebo p-value should be

@@ -387,10 +387,12 @@ TEST(MaskedRobustSyntheticControlTest, ValidationCatchesMaskShapeErrors) {
   EXPECT_FALSE(panel.input.Validate().ok());
 }
 
-// The overload fed an R factor of the zero-filled donors (what the placebo
-// engine passes) fits the same as the plain call, which factorizes those
-// donors itself. An R without one column per donor is rejected.
-TEST(MaskedRobustSyntheticControlTest, DonorRFactorMatchesOwnFactorization) {
+// The overload handed the spectrum of an R factor of the zero-filled
+// donors (what the placebo engine passes) fits as the plain call, which
+// factorizes those donors itself: bit for bit, since the plain call's SVD
+// is Jacobi on that same R. A spectrum without one V row per donor is
+// rejected, and a failed SVD is returned once the fit's own checks pass.
+TEST(MaskedRobustSyntheticControlTest, RFactorSpectrumMatchesOwnFactorization) {
   core::Rng rng(26);
   auto panel = MakePanel(120, 80, 3.0, 0.5, rng, 6);
   MaskPanel(panel.input, 0.2, rng, /*treated_pre_missing=*/5);
@@ -400,25 +402,33 @@ TEST(MaskedRobustSyntheticControlTest, DonorRFactorMatchesOwnFactorization) {
   auto qr = stats::QrDecompose(ZeroFilledDonors(panel.input, options));
   ASSERT_TRUE(qr.ok());
   const stats::Matrix& r = qr.value().r;
-  auto shared = FitRobustSyntheticControl(panel.input, options, r);
+  auto shared = FitRobustSyntheticControl(panel.input, options,
+                                          stats::JacobiSvd(r));
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(shared.value().retained_rank, own.value().retained_rank);
   EXPECT_EQ(shared.value().observed_fraction, own.value().observed_fraction);
-  const auto near = [](double got, double want) {
-    EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want)));
-  };
-  near(shared.value().base.average_effect, own.value().base.average_effect);
-  near(shared.value().base.rmse_ratio, own.value().base.rmse_ratio);
-  ASSERT_EQ(shared.value().base.weights.size(),
-            own.value().base.weights.size());
-  for (std::size_t j = 0; j < own.value().base.weights.size(); ++j) {
-    near(shared.value().base.weights[j], own.value().base.weights[j]);
-  }
+  EXPECT_EQ(shared.value().threshold_used, own.value().threshold_used);
+  EXPECT_EQ(shared.value().base.average_effect, own.value().base.average_effect);
+  EXPECT_EQ(shared.value().base.rmse_ratio, own.value().base.rmse_ratio);
+  EXPECT_EQ(shared.value().base.weights, own.value().base.weights);
 
-  auto narrow = FitRobustSyntheticControl(panel.input, options,
-                                          r.Block(0, r.rows(), 1, r.cols()));
+  auto narrow = FitRobustSyntheticControl(
+      panel.input, options, stats::JacobiSvd(r.Block(0, r.rows(), 1, r.cols())));
   ASSERT_FALSE(narrow.ok());
   EXPECT_EQ(narrow.error().code(), core::ErrorCode::kInvalidArgument);
+
+  const core::Error no_svd(core::ErrorCode::kNumericalFailure,
+                           "SvdDecompose: Jacobi sweeps did not converge");
+  auto failed = FitRobustSyntheticControl(panel.input, options, no_svd);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().message(), no_svd.message());
+  SyntheticControlInput unobserved = panel.input;
+  unobserved.donor_observed =
+      stats::Matrix(unobserved.donors.rows(), unobserved.donors.cols(), 0.0);
+  auto checked_first = FitRobustSyntheticControl(unobserved, options, no_svd);
+  ASSERT_FALSE(checked_first.ok());
+  EXPECT_NE(checked_first.error().message().find("entirely unobserved"),
+            std::string::npos);
 }
 
 TEST(DiagnoseWeightsTest, EffectAndRmseArithmetic) {

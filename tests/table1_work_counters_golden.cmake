@@ -1,9 +1,10 @@
 # Compares the structural work counters of a table1 run's metrics.json, the
 # byte sizes of the audit.bin and timeline.bin beside it, and the byte size
 # of a durable run's journal.bin with the golden copy. These count work
-# items (route-cache reads, BGP table builds, SVD and QR calls) and bytes
-# written, never floating-point results, so they hold byte for byte on any
-# host; a change that moves one must update the golden on purpose.
+# items (route-cache reads, BGP table builds, SVD calls and their Jacobi
+# sweeps, QR calls) and bytes written, never floating-point results, so
+# they hold byte for byte on any host; a change that moves one must update
+# the golden on purpose.
 #
 #   cmake -DMETRICS=<metrics.json> -DJOURNAL=<journal.bin>
 #         -DGOLDEN=<counters file> -P table1_work_counters_golden.cmake
@@ -12,6 +13,7 @@ set(counters
   netsim.bgp.route_cache_misses
   netsim.bgp.tables_computed
   stats.svd.calls
+  stats.svd.sweeps
   stats.qr.calls)
 file(READ ${METRICS} metrics)
 set(actual "")
