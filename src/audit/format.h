@@ -1,5 +1,5 @@
-// On-disk layout of the indexed audit artifact (audit.bin, version 2,
-// section schema sisyphus.audit/1 — DESIGN.md §12).
+// On-disk schema of the indexed audit artifact (audit.bin: magic
+// SISYAUD1, version 2, section schema sisyphus.audit/1 — DESIGN.md §12).
 //
 // The file is a pure function of the final lineage ledger, so every
 // determinism guarantee the ledger already carries (byte-identical at any
@@ -7,49 +7,33 @@
 // each record's own id and every other task-side event is captured and
 // replayed in task order; byte-identical across a durable kill/resume,
 // which rebuilds the ledger by re-ingesting the journaled steps) transfers
-// to audit.bin with no extra machinery. Facet counts are count maps keyed by name, sorted as
-// strings (vantage "10" before "2"), whatever the writer counts in.
+// to audit.bin with no extra machinery. Facet counts are count maps keyed
+// by name, sorted as strings (vantage "10" before "2"), whatever the
+// writer counts in.
 //
-// Layout (all integers little-endian, fixed-width — core/binio.h rules):
-//
-//   [0,  8)  magic "SISYAUD1"
-//   [8, 12)  u32 version (2)
-//   [12,16)  u32 flags (0)
-//   [16,24)  u64 section_count
-//   [24,32)  u64 table_offset
-//   [32,40)  u64 file_size
-//   [40,48)  u64 header_checksum = Checksum64 over bytes [0, 40)
-//   ...      sections, each 8-byte aligned (zero padding between)
-//   table_offset:
-//            section_count entries of 40 bytes each:
-//              u64 kind, u64 run (~0 = global), u64 offset, u64 size,
-//              u64 checksum (Checksum64 over the section's bytes)
-//   ...      u64 table_checksum = Checksum64 over the table entry bytes
-//
-// Checksum64 is core/hash.h's XXH64 with seed 0. Version 1 had the same
-// bytes with FNV-1a checksums; it is refused by its version word, not
-// read.
+// The container is core/section_file.h's: a 48-byte header, 8-byte-aligned
+// sections and a table of (kind, run, offset, size, checksum) entries that
+// closes the file; this header holds the schema that rides in it. Version
+// 1 had the same bytes with FNV-1a checksums; it is refused by its version
+// word, not read.
 //
 // A reader validates the header and table (O(index)), then verifies each
-// section checksum lazily on first access. Sections are 8-byte aligned so
-// the mmap'd columnar arrays can be read through typed pointers without
-// misaligned loads (UBSan-clean).
+// section checksum lazily on first access; the mmap'd columnar arrays are
+// read through typed pointers, which the container's 8-byte alignment
+// keeps UBSan-clean.
 #pragma once
 
 #include <cstdint>
 
+#include "core/section_file.h"
+
 namespace sisyphus::audit {
 
-inline constexpr char kAuditMagic[8] = {'S', 'I', 'S', 'Y',
-                                        'A', 'U', 'D', '1'};
 inline constexpr std::uint32_t kAuditVersion = 2;
+inline constexpr core::section_file::Format kAuditFormat{"SISYAUD1",
+                                                         kAuditVersion};
 inline constexpr const char* kAuditSchema = "sisyphus.audit/1";
 inline constexpr const char* kAuditFileName = "audit.bin";
-
-inline constexpr std::uint64_t kAuditHeaderSize = 48;
-inline constexpr std::uint64_t kAuditTableEntrySize = 40;
-/// `run` value marking a file-global section.
-inline constexpr std::uint64_t kAuditGlobalRun = ~std::uint64_t{0};
 
 /// Section kinds. Per run the writer emits one of each run-scoped kind;
 /// kMeta is global. Unknown kinds are skipped by readers (forward
@@ -77,15 +61,6 @@ enum class SectionKind : std::uint64_t {
   /// Per run: units and vantages ranked by contributing records (the
   /// --top-k surface), precomputed at write time.
   kRankings = 7,
-};
-
-/// One decoded section-table entry.
-struct SectionEntry {
-  std::uint64_t kind = 0;
-  std::uint64_t run = kAuditGlobalRun;
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
 };
 
 }  // namespace sisyphus::audit

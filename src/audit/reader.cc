@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/binio.h"
-#include "core/hash.h"
 
 namespace sisyphus::audit {
 namespace {
@@ -18,15 +17,10 @@ using core::Error;
 using core::ErrorCode;
 using core::Result;
 using core::Status;
+namespace section_file = core::section_file;
 
 std::uint64_t ReadRawU64(const char* base, std::uint64_t offset) {
   std::uint64_t v = 0;
-  std::memcpy(&v, base + offset, sizeof(v));
-  return v;
-}
-
-std::uint32_t ReadRawU32(const char* base, std::uint64_t offset) {
-  std::uint32_t v = 0;
   std::memcpy(&v, base + offset, sizeof(v));
   return v;
 }
@@ -148,11 +142,9 @@ Status AuditReader::Open(const std::string& path) {
     return Malformed(path, "cannot stat");
   }
   const std::size_t size = static_cast<std::size_t>(st.st_size);
-  if (size < kAuditHeaderSize) {
-    ::close(fd);
-    return Malformed(path, "truncated header (file smaller than 48 bytes)");
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  // mmap refuses an empty mapping; the table check refuses the empty file.
+  void* map = size == 0 ? nullptr
+                        : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (map == MAP_FAILED) {
     return Malformed(path, "mmap failed");
@@ -161,71 +153,19 @@ Status AuditReader::Open(const std::string& path) {
   map_size_ = size;
   path_ = path;
 
-  // -- header --
-  const char* b = base();
-  if (std::memcmp(b, kAuditMagic, sizeof(kAuditMagic)) != 0) {
+  Result<std::vector<section_file::Entry>> table =
+      section_file::ReadTable(file(), kAuditFormat);
+  if (!table.ok()) {
     Close();
-    return Malformed(path, "bad magic (not an audit.bin)");
+    return Malformed(path, table.error().message());
   }
-  if (const std::uint32_t version = ReadRawU32(b, 8);
-      version != kAuditVersion) {
-    Close();
-    return Malformed(path, "unsupported version " + std::to_string(version) +
-                               " (this reader reads version " +
-                               std::to_string(kAuditVersion) + ")");
-  }
-  const std::uint64_t section_count = ReadRawU64(b, 16);
-  const std::uint64_t table_offset = ReadRawU64(b, 24);
-  const std::uint64_t file_size = ReadRawU64(b, 32);
-  const std::uint64_t header_checksum = ReadRawU64(b, 40);
-  if (core::Checksum64(std::string_view(b, 40)) != header_checksum) {
-    Close();
-    return Malformed(path, "header checksum mismatch");
-  }
-  if (file_size != size) {
-    Close();
-    return Malformed(path, "file size mismatch (truncated or appended)");
-  }
-
-  // -- section table (its count bounded by the bytes after table_offset
-  //    before it is multiplied or reserved) --
-  if (table_offset < kAuditHeaderSize || table_offset > size ||
-      section_count > (size - table_offset) / kAuditTableEntrySize ||
-      section_count * kAuditTableEntrySize + 8 > size - table_offset) {
-    Close();
-    return Malformed(path, "section table out of bounds");
-  }
-  const std::uint64_t table_bytes = section_count * kAuditTableEntrySize;
-  const std::string_view table_view(b + table_offset,
-                                    static_cast<std::size_t>(table_bytes));
-  if (core::Checksum64(table_view) !=
-      ReadRawU64(b, table_offset + table_bytes)) {
-    Close();
-    return Malformed(path, "section table checksum mismatch");
-  }
-  table_.reserve(static_cast<std::size_t>(section_count));
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const std::uint64_t at = table_offset + i * kAuditTableEntrySize;
-    SectionEntry entry;
-    entry.kind = ReadRawU64(b, at);
-    entry.run = ReadRawU64(b, at + 8);
-    entry.offset = ReadRawU64(b, at + 16);
-    entry.size = ReadRawU64(b, at + 24);
-    entry.checksum = ReadRawU64(b, at + 32);
-    if (entry.offset < kAuditHeaderSize || entry.offset > table_offset ||
-        entry.size > table_offset - entry.offset ||
-        entry.offset % 8 != 0) {
-      Close();
-      return Malformed(path, "section entry out of bounds");
-    }
-    table_.push_back(entry);
-  }
+  table_ = std::move(table).value();
   verified_.assign(table_.size(), 0);
 
   // -- meta + run headers (small; decoded eagerly so run_count()/run()
   //    need no error paths) --
   const Result<std::string_view> meta =
-      Section(SectionKind::kMeta, kAuditGlobalRun);
+      Section(SectionKind::kMeta, section_file::kGlobal);
   if (!meta.ok()) {
     const Error error = meta.error();
     Close();
@@ -286,17 +226,9 @@ Status AuditReader::Open(const std::string& path) {
 
 Status AuditReader::VerifyEntry(std::size_t index) const {
   if (verified_[index]) return Status::Ok();
-  const SectionEntry& entry = table_[index];
-  const std::string_view bytes(base() + entry.offset,
-                               static_cast<std::size_t>(entry.size));
-  if (core::Checksum64(bytes) != entry.checksum) {
-    return Malformed(path_, "section checksum mismatch (kind " +
-                                std::to_string(entry.kind) + ", run " +
-                                (entry.run == kAuditGlobalRun
-                                     ? std::string("global")
-                                     : std::to_string(entry.run)) +
-                                ")");
-  }
+  const Status status =
+      section_file::VerifySection(file(), table_[index], index);
+  if (!status.ok()) return Malformed(path_, status.error().message());
   verified_[index] = 1;
   return Status::Ok();
 }
@@ -304,7 +236,7 @@ Status AuditReader::VerifyEntry(std::size_t index) const {
 Result<std::string_view> AuditReader::Section(SectionKind kind,
                                               std::uint64_t run) const {
   for (std::size_t i = 0; i < table_.size(); ++i) {
-    const SectionEntry& entry = table_[i];
+    const section_file::Entry& entry = table_[i];
     if (entry.kind != static_cast<std::uint64_t>(kind) || entry.run != run) {
       continue;
     }

@@ -1,10 +1,10 @@
 // Zero-copy memory-mapped reader for audit.bin (format.h, DESIGN.md §12).
 //
 // Open() maps the file and validates only the fixed header and the
-// section table — O(index), no parsing of section payloads — so opening
-// a multi-gigabyte artifact is instant. Section payload checksums are
-// verified lazily, once, on first access (VerifyAll() forces every
-// section for --check / obscheck). Accessors return decoded views; the
+// section table (core/section_file.h's check) — O(index), no parsing of
+// section payloads — so opening a multi-gigabyte artifact is instant.
+// Section payload checksums are verified lazily, once, on first access
+// (VerifyAll() forces every section for --check / obscheck). Accessors return decoded views; the
 // columnar record arrays are handed out as typed pointers straight into
 // the mapping (sections are 8-byte aligned by the writer).
 #pragma once
@@ -17,6 +17,7 @@
 
 #include "audit/format.h"
 #include "core/result.h"
+#include "core/section_file.h"
 #include "obs/lineage.h"
 
 namespace sisyphus::audit {
@@ -153,12 +154,13 @@ class AuditReader {
                                          std::uint64_t run) const;
   core::Status VerifyEntry(std::size_t index) const;
   const char* base() const { return static_cast<const char*>(map_); }
+  std::string_view file() const { return {base(), map_size_}; }
   void Close();
 
   void* map_ = nullptr;
   std::size_t map_size_ = 0;
   std::string path_;
-  std::vector<SectionEntry> table_;
+  std::vector<core::section_file::Entry> table_;
   mutable std::vector<std::uint8_t> verified_;  ///< per table entry
   std::vector<RunSummary> runs_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <string_view>
 #include <unordered_map>
@@ -13,11 +11,14 @@
 #include "audit/format.h"
 #include "core/binio.h"
 #include "core/hash.h"
+#include "core/section_file.h"
 
 namespace sisyphus::audit {
 namespace {
 
 using core::binio::Writer;
+using core::section_file::kGlobal;
+using core::section_file::PadTo8;
 using obs::IdRunSet;
 using obs::kLineageFaultNames;
 using obs::kLineageStageCount;
@@ -28,10 +29,6 @@ using obs::LineageStage;
 /// canonical name, so the intent axis is all 256 of them.
 constexpr std::size_t kIntentCodes = 256;
 constexpr std::size_t kFaultBits = kLineageFaultNames.size();
-
-void PadTo8(Writer& w) {
-  while (w.size() % 8 != 0) w.PutU8(0);
-}
 
 void PutCountMap(Writer& w,
                  const std::map<std::string, std::uint64_t>& counts) {
@@ -488,20 +485,10 @@ void PutRankings(Writer& w, const Lineage::RunLedger& run,
 }  // namespace
 
 std::string BuildAuditArtifact(const obs::Lineage& lineage) {
-  Writer w;
-  std::vector<SectionEntry> table;
+  core::section_file::Builder file;
   const auto section = [&](SectionKind kind, std::uint64_t run,
                            auto&& encode) {
-    PadTo8(w);
-    SectionEntry entry;
-    entry.kind = static_cast<std::uint64_t>(kind);
-    entry.run = run;
-    entry.offset = w.size();
-    encode();
-    entry.size = w.size() - entry.offset;
-    entry.checksum = core::Checksum64(
-        std::string_view(w.buffer()).substr(entry.offset, entry.size));
-    table.push_back(entry);
+    file.Add(static_cast<std::uint64_t>(kind), run, encode);
   };
 
   lineage.VisitRuns([&](const std::vector<Lineage::RunLedger>& runs) {
@@ -509,69 +496,36 @@ std::string BuildAuditArtifact(const obs::Lineage& lineage) {
     // past them keeps the buffer from being copied as it grows.
     std::size_t rows = 0;
     for (const Lineage::RunLedger& run : runs) rows += run.records.size();
-    w.Reserve(kAuditHeaderSize + 16 * rows + (std::size_t{1} << 20));
-    for (std::uint64_t i = 0; i < kAuditHeaderSize / 8; ++i) w.PutU64(0);
+    file.Reserve(core::section_file::kHeaderSize + 16 * rows +
+                 (std::size_t{1} << 20));
 
-    section(SectionKind::kMeta, kAuditGlobalRun,
-            [&] { PutMeta(w, runs.size()); });
+    section(SectionKind::kMeta, kGlobal,
+            [&](Writer& w) { PutMeta(w, runs.size()); });
     for (std::size_t r = 0; r < runs.size(); ++r) {
       const Lineage::RunLedger& run = runs[r];
       const std::vector<LineageStage> stages = Lineage::ResolveStages(run);
       RunIndex index = IndexRun(run, stages);
       section(SectionKind::kRunHeader, r,
-              [&] { PutRunHeader(w, run, stages); });
-      section(SectionKind::kRecords, r, [&] { PutRecords(w, run, stages); });
+              [&](Writer& w) { PutRunHeader(w, run, stages); });
+      section(SectionKind::kRecords, r,
+              [&](Writer& w) { PutRecords(w, run, stages); });
       section(SectionKind::kTerminalIndex, r,
-              [&] { PutTerminalIndex(w, index); });
-      section(SectionKind::kUnitIndex, r, [&] { PutUnitIndex(w, run); });
+              [&](Writer& w) { PutTerminalIndex(w, index); });
+      section(SectionKind::kUnitIndex, r,
+              [&](Writer& w) { PutUnitIndex(w, run); });
       section(SectionKind::kEstimateIndex, r,
-              [&] { PutEstimateIndex(w, run, index); });
-      section(SectionKind::kRankings, r, [&] { PutRankings(w, run, index); });
+              [&](Writer& w) { PutEstimateIndex(w, run, index); });
+      section(SectionKind::kRankings, r,
+              [&](Writer& w) { PutRankings(w, run, index); });
     }
   });
-
-  PadTo8(w);
-  const std::uint64_t table_offset = w.size();
-  for (const SectionEntry& entry : table) {
-    w.PutU64(entry.kind);
-    w.PutU64(entry.run);
-    w.PutU64(entry.offset);
-    w.PutU64(entry.size);
-    w.PutU64(entry.checksum);
-  }
-  w.PutU64(
-      core::Checksum64(std::string_view(w.buffer()).substr(table_offset)));
-
-  // Header, then its checksum over the first 40 bytes.
-  Writer header;
-  header.PutRaw(std::string_view(kAuditMagic, sizeof(kAuditMagic)));
-  header.PutU32(kAuditVersion);
-  header.PutU32(0);  // flags
-  header.PutU64(table.size());
-  header.PutU64(table_offset);
-  header.PutU64(w.size());
-  header.PutU64(core::Checksum64(header.buffer()));
-  std::string file = std::move(w).Take();
-  std::memcpy(file.data(), header.buffer().data(), header.size());
-  return file;
+  return std::move(file).Finish(kAuditFormat);
 }
 
 core::Status WriteAuditArtifact(const std::string& directory,
                                 const obs::Lineage& lineage) {
-  const std::string bytes = BuildAuditArtifact(lineage);
-  const std::string path = directory + "/" + kAuditFileName;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return core::Error(core::ErrorCode::kInvalidArgument,
-                       "audit: cannot open " + path + " for writing");
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !closed) {
-    return core::Error(core::ErrorCode::kCapacity,
-                       "audit: short write to " + path);
-  }
-  return core::Status::Ok();
+  return core::section_file::WriteFile(directory + "/" + kAuditFileName,
+                                       BuildAuditArtifact(lineage));
 }
 
 }  // namespace sisyphus::audit

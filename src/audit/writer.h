@@ -28,8 +28,9 @@ namespace sisyphus::audit {
 /// Deterministic: equal ledgers produce equal bytes.
 std::string BuildAuditArtifact(const obs::Lineage& lineage);
 
-/// Writes `directory`/audit.bin (directory must exist). Returns an error
-/// on I/O failure; never writes a partial file on success.
+/// Writes `directory`/audit.bin (directory must exist) through a
+/// temporary file renamed into place, so a crash mid-write never leaves a
+/// torn audit.bin. Returns an error on I/O failure.
 core::Status WriteAuditArtifact(const std::string& directory,
                                 const obs::Lineage& lineage);
 

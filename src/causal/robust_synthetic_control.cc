@@ -138,7 +138,6 @@ Result<RobustSyntheticControlFit> FitFromSpectrum(
   out.threshold_used = threshold;
   out.observed_fraction = p_hat;
   SISYPHUS_METRIC_COUNT("causal.rsc.fits_succeeded", 1);
-#if !defined(SISYPHUS_OBS_DISABLED)
   // Fit-quality summaries: retained rank is small by construction (hard
   // thresholding), pre-period RMSE is the fit residual headline.
   static obs::Histogram* rank_hist = obs::Registry::Global().GetHistogram(
@@ -148,7 +147,6 @@ Result<RobustSyntheticControlFit> FitFromSpectrum(
       "causal.rsc.pre_rmse_ms",
       {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0});
   rmse_hist->Observe(out.base.rmse_pre);
-#endif
   MarkFitLineage(input);
   return out;
 }

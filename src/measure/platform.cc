@@ -140,13 +140,11 @@ void Platform::RunOneTest(const VantageState& vantage,
 
 void Platform::RecordFailure(ProbeFailure failure) {
   SISYPHUS_METRIC_COUNT("measure.probes.failed", 1);
-#if !defined(SISYPHUS_OBS_DISABLED)
   // Per-reason counters mirror the ProbeFault provenance of failures().
   obs::Registry::Global()
       .GetCounter(std::string("measure.probes.failed.") +
                   std::string(ToString(failure.reason)))
       ->Add(1);
-#endif
   SISYPHUS_LINEAGE(RecordProbeFailure(ToString(failure.reason)));
   failures_.push_back(failure);
 }
@@ -466,9 +464,9 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
 StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
                                      StreamingOptions options)
     : options_(options),
-      store_(validation, options.shard_count),
-      panel_(options.panel, options.shard_count),
-      by_shard_(options.shard_count) {}
+      store_(validation),
+      panel_(options.panel, ShardedMeasurementStore::kDefaultShardCount),
+      by_shard_(ShardedMeasurementStore::kDefaultShardCount) {}
 
 void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   const std::size_t shards = store_.shard_count();

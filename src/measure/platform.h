@@ -98,7 +98,6 @@ struct ProbeFailure {
 /// Options for a campaign's ingest side.
 struct StreamingOptions {
   PanelOptions panel;
-  std::size_t shard_count = ShardedMeasurementStore::kDefaultShardCount;
 };
 
 /// Everything one platform step produced, before any of it is committed:

@@ -75,14 +75,12 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
     ++arena.quarantine_reason_counts[tag];
     ++arena.quarantined;
     SISYPHUS_METRIC_COUNT("measure.store.quarantined", 1);
-#if !defined(SISYPHUS_OBS_DISABLED)
     // Per-reason counters need a dynamic name; Registry registration is
     // mutex-guarded and Add() is capture-aware, so this is safe (and
     // deterministic) from inside a shard task.
     obs::Registry::Global()
         .GetCounter("measure.store.quarantined." + tag)
         ->Add(1);
-#endif
     (SISYPHUS_LOG(kDebug) << "record quarantined")
         .With("unit", record.UnitKey())
         .With("tag", tag)

@@ -106,13 +106,11 @@ void NetworkSimulator::ApplyTePolicies() {
         latency_.LinkUtilization(policy.watched_link, now_);
     // Utilization summary over every watched link at every tick — the
     // netsim-side congestion picture behind MNAR loss coupling.
-#if !defined(SISYPHUS_OBS_DISABLED)
     static obs::Histogram* utilization_hist =
         obs::Registry::Global().GetHistogram(
             "netsim.link.utilization",
             {0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0});
     utilization_hist->Observe(utilization);
-#endif
     if (!policy.active && utilization > policy.threshold) {
       bgp_.SetLocalPrefOverride(policy.pop, policy.watched_link,
                                 policy.shift_delta);

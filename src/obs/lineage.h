@@ -18,9 +18,7 @@
 // per-unit effect and p-value.
 //
 // Cost tiers match the metrics registry:
-//  - compiled out (-DSISYPHUS_OBS=OFF): the SISYPHUS_LINEAGE macro
-//    expands to nothing and Lineage::enabled() is constant false;
-//  - compiled in, disabled (the default): one global-flag load per site;
+//  - disabled (the default): one global-flag load per site;
 //  - enabled (--obs-out): per-record verdicts are writes in place into
 //    the run's record column, without the lock from the shard tasks of a
 //    parallel ingest; panel attribution, fit marks and estimates are
@@ -272,19 +270,12 @@ struct LineageWaterfall {
 
 /// The process-wide lineage ledger. All mutators are cheap no-ops while
 /// disabled; hot call sites additionally go through SISYPHUS_LINEAGE so a
-/// disabled ledger costs one flag load (and nothing at all under
-/// -DSISYPHUS_OBS=OFF).
+/// disabled ledger costs one flag load.
 class Lineage {
  public:
   static Lineage& Global();
   static void Enable(bool on);
-  static bool enabled() {
-#if defined(SISYPHUS_OBS_DISABLED)
-    return false;
-#else
-    return internal::g_lineage_enabled;
-#endif
-  }
+  static bool enabled() { return internal::g_lineage_enabled; }
 
   /// Clears every run (call at the start of an instrumented run).
   void Reset();
@@ -427,15 +418,10 @@ class Lineage {
 
 // Lineage call-site macro: `call` is a member call on the global ledger,
 // e.g. SISYPHUS_LINEAGE(RecordProbeFailure("probe_loss")). Costs one
-// global-flag load while disabled; expands to nothing under
-// -DSISYPHUS_OBS=OFF.
-#if defined(SISYPHUS_OBS_DISABLED)
-#define SISYPHUS_LINEAGE(call) ((void)0)
-#else
+// global-flag load while disabled.
 #define SISYPHUS_LINEAGE(call)                          \
   do {                                                  \
     if (::sisyphus::obs::internal::g_lineage_enabled) { \
       ::sisyphus::obs::Lineage::Global().call;          \
     }                                                   \
   } while (0)
-#endif

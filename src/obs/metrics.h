@@ -2,11 +2,9 @@
 // cheap enough to leave compiled into the hot paths (netsim probe loops,
 // BGP convergence, estimator fits).
 //
-// Three cost tiers:
-//  - compiled out (-DSISYPHUS_OBS_DISABLED, cmake -DSISYPHUS_OBS=OFF): the
-//    SISYPHUS_METRIC_* macros expand to nothing;
-//  - compiled in, registry disabled (the default): one relaxed global-flag
-//    load and branch per call site;
+// Two cost tiers:
+//  - registry disabled (the default): one relaxed global-flag load and
+//    branch per call site;
 //  - enabled: a pointer chase and an integer add (counters/gauges) or a
 //    small branchless-ish bucket scan (histograms).
 //
@@ -199,13 +197,7 @@ class PoolStats {
  public:
   static PoolStats& Global();
   static void Enable(bool on);
-  static bool enabled() {
-#if defined(SISYPHUS_OBS_DISABLED)
-    return false;
-#else
-    return internal_pool_enabled();
-#endif
-  }
+  static bool enabled() { return internal_pool_enabled(); }
 
   /// Zeroes all accumulators (call at the start of an instrumented run).
   void Reset();
@@ -287,11 +279,6 @@ inline void Gauge::Set(double value) {
 
 // Instrumentation macros. `name` must be a string literal (it is looked up
 // once and cached in a function-local static).
-#if defined(SISYPHUS_OBS_DISABLED)
-#define SISYPHUS_METRIC_COUNT(name, n) ((void)0)
-#define SISYPHUS_METRIC_GAUGE(name, v) ((void)0)
-#define SISYPHUS_METRIC_OBSERVE(name, v) ((void)0)
-#else
 #define SISYPHUS_METRIC_COUNT(name, n)                        \
   do {                                                        \
     static ::sisyphus::obs::Counter* sisyphus_metric_c =      \
@@ -310,4 +297,3 @@ inline void Gauge::Set(double value) {
         ::sisyphus::obs::Registry::Global().GetHistogram(name); \
     sisyphus_metric_h->Observe(v);                              \
   } while (0)
-#endif

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "core/error.h"
 #include "core/hash.h"
@@ -17,22 +16,6 @@ bool g_timeline_enabled = false;
 }  // namespace internal
 
 namespace {
-
-void AppendRawU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendRawU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PadTo8(std::string& out) {
-  while (out.size() % 8 != 0) out.push_back('\0');
-}
 
 std::uint64_t ZigZag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -52,7 +35,7 @@ void AppendVarint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-bool ReadVarint(const std::string& data, std::size_t& pos,
+bool ReadVarint(std::string_view data, std::size_t& pos,
                 std::uint64_t* out) {
   std::uint64_t v = 0;
   int shift = 0;
@@ -71,7 +54,9 @@ bool ReadVarint(const std::string& data, std::size_t& pos,
 void AppendRawDouble(std::string& out, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  AppendRawU64(out, bits);
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+  }
 }
 
 double ReadRawDouble(const char* p) {
@@ -79,24 +64,6 @@ double ReadRawDouble(const char* p) {
   std::memcpy(&bits, p, sizeof(bits));
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::uint64_t ReadRawU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint32_t ReadRawU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
   return v;
 }
 
@@ -383,93 +350,57 @@ std::vector<DetectionEvent> Timeline::Events() const {
 
 std::string Timeline::BuildArtifact() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string file(kTimelineHeaderSize, '\0');
-  struct Entry {
-    std::uint64_t kind, run, offset, size, checksum;
-  };
-  std::vector<Entry> table;
-  const auto add_section = [&](TimelineSectionKind kind, std::uint64_t run,
-                               const std::string& payload) {
-    PadTo8(file);
-    Entry entry;
-    entry.kind = static_cast<std::uint64_t>(kind);
-    entry.run = run;
-    entry.offset = file.size();
-    entry.size = payload.size();
-    entry.checksum = core::Checksum64(payload);
-    table.push_back(entry);
-    file += payload;
+  namespace section_file = core::section_file;
+  using core::binio::Writer;
+  section_file::Builder file;
+  const auto section = [&](TimelineSectionKind kind, std::uint64_t run,
+                           auto&& encode) {
+    file.Add(static_cast<std::uint64_t>(kind), run, encode);
   };
 
-  {
-    core::binio::Writer meta;
-    meta.PutString(kTimelineSchema);
-    meta.PutU64(committed_step_ == 0 ? 0
-                                     : committed_step_ - first_step_ + 1);
-    meta.PutU64(first_step_);
-    meta.PutU64(committed_step_);
-    meta.PutU64(series_.size());
-    meta.PutU64(events_.size());
-    for (const Series& series : series_) {
-      meta.PutString(series.name);
-      meta.PutU8(static_cast<std::uint8_t>(series.kind));
-      meta.PutU8(static_cast<std::uint8_t>(series.detector));
-      meta.PutU64(series.fingerprint);
-      meta.PutU64(series.first_step);
-      meta.PutU64(series.sample_count);
-      if (series.detector == DetectorKind::kLevelShift) {
-        meta.PutDouble(series.shift.ewma_alpha);
-        meta.PutDouble(series.shift.drift);
-        meta.PutDouble(series.shift.threshold);
-        meta.PutU64(series.shift.min_samples);
-      } else if (series.detector == DetectorKind::kChurn) {
-        meta.PutU64(series.churn.min_delta);
-      }
-    }
-    add_section(TimelineSectionKind::kMeta, kTimelineGlobalRun,
-                std::move(meta).Take());
-  }
+  section(TimelineSectionKind::kMeta, section_file::kGlobal,
+          [&](Writer& meta) {
+            meta.PutString(kTimelineSchema);
+            meta.PutU64(committed_step_ == 0
+                            ? 0
+                            : committed_step_ - first_step_ + 1);
+            meta.PutU64(first_step_);
+            meta.PutU64(committed_step_);
+            meta.PutU64(series_.size());
+            meta.PutU64(events_.size());
+            for (const Series& series : series_) {
+              meta.PutString(series.name);
+              meta.PutU8(static_cast<std::uint8_t>(series.kind));
+              meta.PutU8(static_cast<std::uint8_t>(series.detector));
+              meta.PutU64(series.fingerprint);
+              meta.PutU64(series.first_step);
+              meta.PutU64(series.sample_count);
+              if (series.detector == DetectorKind::kLevelShift) {
+                meta.PutDouble(series.shift.ewma_alpha);
+                meta.PutDouble(series.shift.drift);
+                meta.PutDouble(series.shift.threshold);
+                meta.PutU64(series.shift.min_samples);
+              } else if (series.detector == DetectorKind::kChurn) {
+                meta.PutU64(series.churn.min_delta);
+              }
+            }
+          });
   for (std::size_t id = 0; id < series_.size(); ++id) {
-    add_section(TimelineSectionKind::kSeries, id, series_[id].data);
+    section(TimelineSectionKind::kSeries, id,
+            [&](Writer& w) { w.PutRaw(series_[id].data); });
   }
-  {
-    core::binio::Writer events;
-    events.PutU64(events_.size());
-    for (const DetectionEvent& event : events_) {
-      events.PutU64(event.step);
-      events.PutU32(event.series);
-      events.PutI64(event.direction);
-      events.PutDouble(event.magnitude);
-      events.PutU64(event.fingerprint);
-    }
-    add_section(TimelineSectionKind::kEvents, kTimelineGlobalRun,
-                std::move(events).Take());
-  }
-
-  PadTo8(file);
-  const std::uint64_t table_offset = file.size();
-  std::string table_bytes;
-  table_bytes.reserve(table.size() * kTimelineTableEntrySize);
-  for (const Entry& entry : table) {
-    AppendRawU64(table_bytes, entry.kind);
-    AppendRawU64(table_bytes, entry.run);
-    AppendRawU64(table_bytes, entry.offset);
-    AppendRawU64(table_bytes, entry.size);
-    AppendRawU64(table_bytes, entry.checksum);
-  }
-  file += table_bytes;
-  AppendRawU64(file, core::Checksum64(table_bytes));
-
-  std::string header;
-  header.append(kTimelineMagic, sizeof(kTimelineMagic));
-  AppendRawU32(header, kTimelineVersion);
-  AppendRawU32(header, 0);  // flags
-  AppendRawU64(header, table.size());
-  AppendRawU64(header, table_offset);
-  AppendRawU64(header, file.size());
-  AppendRawU64(header, core::Checksum64(header));
-  std::memcpy(file.data(), header.data(), header.size());
-  return file;
+  section(TimelineSectionKind::kEvents, section_file::kGlobal,
+          [&](Writer& events) {
+            events.PutU64(events_.size());
+            for (const DetectionEvent& event : events_) {
+              events.PutU64(event.step);
+              events.PutU32(event.series);
+              events.PutI64(event.direction);
+              events.PutDouble(event.magnitude);
+              events.PutU64(event.fingerprint);
+            }
+          });
+  return std::move(file).Finish(kTimelineFormat);
 }
 
 void Timeline::Save(core::binio::Writer& w) const {
@@ -571,98 +502,43 @@ bool Timeline::Load(core::binio::Reader& r) {
 // ---------------------------------------------------------------------------
 // TimelineReader
 
-bool TimelineReader::Parse(std::string bytes, std::string* error) {
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
+core::Status TimelineReader::Parse(std::string bytes) {
+  const auto fail = [](const std::string& what) {
+    return core::Error(core::ErrorCode::kParseError, what);
   };
   bytes_ = std::move(bytes);
-  if (bytes_.size() < kTimelineHeaderSize) return fail("file too small");
-  if (std::memcmp(bytes_.data(), kTimelineMagic, sizeof(kTimelineMagic)) !=
-      0) {
-    return fail("bad magic (not a timeline.bin)");
-  }
-  const char* header = bytes_.data();
-  const std::uint32_t version = ReadRawU32(header + 8);
-  if (version != kTimelineVersion) {
-    return fail("unsupported version " + std::to_string(version) +
-                " (this reader reads version " +
-                std::to_string(kTimelineVersion) + ")");
-  }
-  const std::uint64_t section_count = ReadRawU64(header + 16);
-  const std::uint64_t table_offset = ReadRawU64(header + 24);
-  const std::uint64_t file_size = ReadRawU64(header + 32);
-  const std::uint64_t header_checksum = ReadRawU64(header + 40);
-  if (core::Checksum64(std::string_view(header, 40)) != header_checksum) {
-    return fail("header checksum mismatch");
-  }
-  if (file_size != bytes_.size()) {
-    return fail("file size mismatch (truncated or padded)");
-  }
-  // The count is bounded by the bytes after table_offset before it is
-  // multiplied, so no product or sum below can wrap.
-  if (table_offset < kTimelineHeaderSize || table_offset > file_size - 8 ||
-      section_count >
-          (file_size - 8 - table_offset) / kTimelineTableEntrySize ||
-      table_offset + section_count * kTimelineTableEntrySize + 8 !=
-          file_size) {
-    return fail("section table does not close the file");
-  }
-  const std::uint64_t table_bytes =
-      section_count * kTimelineTableEntrySize;
-  const std::string_view table(bytes_.data() + table_offset, table_bytes);
-  if (core::Checksum64(table) != ReadRawU64(bytes_.data() + table_offset +
-                                            table_bytes)) {
-    return fail("table checksum mismatch");
-  }
+  const core::Result<std::vector<core::section_file::Entry>> table =
+      core::section_file::ReadTable(bytes_, kTimelineFormat);
+  if (!table.ok()) return table.error();
 
-  std::uint64_t meta_offset = 0;
-  std::uint64_t meta_size = 0;
-  std::uint64_t events_offset = 0;
-  std::uint64_t events_size = 0;
-  bool have_meta = false;
-  bool have_events = false;
-  std::vector<std::pair<std::uint64_t, std::pair<std::uint64_t,
-                                                 std::uint64_t>>>
-      series_sections;  // (run, (offset, size))
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const char* entry =
-        bytes_.data() + table_offset + i * kTimelineTableEntrySize;
-    const std::uint64_t kind = ReadRawU64(entry);
-    const std::uint64_t run = ReadRawU64(entry + 8);
-    const std::uint64_t offset = ReadRawU64(entry + 16);
-    const std::uint64_t size = ReadRawU64(entry + 24);
-    const std::uint64_t checksum = ReadRawU64(entry + 32);
-    if (offset > table_offset || size > table_offset - offset) {
-      return fail("section " + std::to_string(i) + " overruns the table");
-    }
-    if (core::Checksum64(std::string_view(bytes_.data() + offset, size)) !=
-        checksum) {
-      return fail("section " + std::to_string(i) + " checksum mismatch");
-    }
-    switch (static_cast<TimelineSectionKind>(kind)) {
+  using core::section_file::Entry;
+  const Entry* meta_entry = nullptr;
+  const Entry* events_entry = nullptr;
+  std::vector<const Entry*> series_sections;
+  for (std::size_t i = 0; i < table.value().size(); ++i) {
+    const Entry& entry = table.value()[i];
+    const core::Status verified =
+        core::section_file::VerifySection(bytes_, entry, i);
+    if (!verified.ok()) return verified;
+    switch (static_cast<TimelineSectionKind>(entry.kind)) {
       case TimelineSectionKind::kMeta:
-        have_meta = true;
-        meta_offset = offset;
-        meta_size = size;
+        meta_entry = &entry;
         break;
       case TimelineSectionKind::kSeries:
-        series_sections.push_back({run, {offset, size}});
+        series_sections.push_back(&entry);
         break;
       case TimelineSectionKind::kEvents:
-        have_events = true;
-        events_offset = offset;
-        events_size = size;
+        events_entry = &entry;
         break;
       default:
         break;  // unknown kinds are skipped (forward compatibility)
     }
   }
-  if (!have_meta) return fail("missing meta section");
-  if (!have_events) return fail("missing events section");
+  if (meta_entry == nullptr) return fail("missing meta section");
+  if (events_entry == nullptr) return fail("missing events section");
 
   core::binio::Reader meta(
-      std::string_view(bytes_.data() + meta_offset, meta_size));
+      std::string_view(bytes_).substr(meta_entry->offset, meta_entry->size));
   const std::string schema = meta.GetString();
   if (schema != kTimelineSchema) return fail("bad schema '" + schema + "'");
   steps_ = meta.GetU64();
@@ -705,14 +581,15 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
   }
   series_payload_.assign(series_.size(), {0, 0});
   std::vector<bool> seen(series_.size(), false);
-  for (const auto& [run, span] : series_sections) {
+  for (const Entry* entry : series_sections) {
+    const std::uint64_t run = entry->run;
     if (run >= series_.size() || seen[run]) {
       return fail("series section run id invalid or duplicated");
     }
     // A counter delta takes at least one byte and a sample exactly eight,
     // so the payload bounds every sample count a reader allocates for.
     const TimelineSeriesView& view = series_[run];
-    const std::uint64_t payload = span.second;
+    const std::uint64_t payload = entry->size;
     if (view.kind == SeriesKind::kCounter
             ? view.sample_count > payload
             : payload % 8 != 0 || view.sample_count != payload / 8) {
@@ -720,11 +597,11 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
                   "' payload cannot hold its sample count");
     }
     seen[run] = true;
-    series_payload_[run] = span;
+    series_payload_[run] = {entry->offset, entry->size};
   }
 
-  core::binio::Reader ev(
-      std::string_view(bytes_.data() + events_offset, events_size));
+  core::binio::Reader ev(std::string_view(bytes_).substr(
+      events_entry->offset, events_entry->size));
   const std::uint64_t declared_events = ev.GetU64();
   if (!ev.ok() || declared_events != event_count) {
     return fail("events section count disagrees with meta");
@@ -756,14 +633,13 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
     events_.push_back(event);
   }
   if (ev.remaining() != 0) return fail("trailing bytes in events section");
-  return true;
+  return core::Status::Ok();
 }
 
-bool TimelineReader::OpenFile(const std::string& path, std::string* error) {
+core::Status TimelineReader::OpenFile(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
+    return core::Error(core::ErrorCode::kNotFound, "cannot open " + path);
   }
   std::string bytes;
   char buffer[1 << 16];
@@ -774,10 +650,9 @@ bool TimelineReader::OpenFile(const std::string& path, std::string* error) {
   const bool read_ok = std::ferror(file) == 0;
   std::fclose(file);
   if (!read_ok) {
-    if (error != nullptr) *error = "read error on " + path;
-    return false;
+    return core::Error(core::ErrorCode::kParseError, "read error on " + path);
   }
-  return Parse(std::move(bytes), error);
+  return Parse(std::move(bytes));
 }
 
 const TimelineSeriesView* TimelineReader::FindSeries(
@@ -788,19 +663,21 @@ const TimelineSeriesView* TimelineReader::FindSeries(
   return nullptr;
 }
 
-bool TimelineReader::SeriesValues(std::uint32_t id, std::vector<double>* out,
-                                  std::string* error) const {
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
+core::Result<std::vector<double>> TimelineReader::SeriesValues(
+    std::uint32_t id) const {
+  const auto fail = [](const std::string& what) {
+    return core::Error(core::ErrorCode::kParseError, what);
   };
-  if (id >= series_.size()) return fail("no series " + std::to_string(id));
+  if (id >= series_.size()) {
+    return core::Error(core::ErrorCode::kNotFound,
+                       "no series " + std::to_string(id));
+  }
   const TimelineSeriesView& view = series_[id];
   const auto [offset, size] = series_payload_[id];
-  out->clear();
-  out->reserve(view.sample_count);
+  std::vector<double> values;
+  values.reserve(view.sample_count);
   if (view.kind == SeriesKind::kCounter) {
-    const std::string data(bytes_.data() + offset, size);
+    const std::string_view data(bytes_.data() + offset, size);
     std::size_t pos = 0;
     std::int64_t value = 0;
     for (std::uint64_t i = 0; i < view.sample_count; ++i) {
@@ -809,7 +686,7 @@ bool TimelineReader::SeriesValues(std::uint32_t id, std::vector<double>* out,
         return fail("series '" + view.name + "' delta stream truncated");
       }
       value += UnZigZag(raw);
-      out->push_back(static_cast<double>(value));
+      values.push_back(static_cast<double>(value));
     }
     if (pos != data.size()) {
       return fail("series '" + view.name + "' has trailing bytes");
@@ -819,56 +696,36 @@ bool TimelineReader::SeriesValues(std::uint32_t id, std::vector<double>* out,
       return fail("series '" + view.name + "' payload size mismatch");
     }
     for (std::uint64_t i = 0; i < view.sample_count; ++i) {
-      out->push_back(ReadRawDouble(bytes_.data() + offset + i * 8));
+      values.push_back(ReadRawDouble(bytes_.data() + offset + i * 8));
     }
   }
-  return true;
+  return values;
 }
 
-bool TimelineReader::ValuesAt(
-    std::uint64_t step, std::vector<std::pair<std::uint32_t, double>>* out,
-    std::string* error) const {
-  out->clear();
+core::Result<std::vector<std::pair<std::uint32_t, double>>>
+TimelineReader::ValuesAt(std::uint64_t step) const {
+  std::vector<std::pair<std::uint32_t, double>> out;
   for (const TimelineSeriesView& view : series_) {
     if (view.first_step == 0 || step < view.first_step || step > last_step_) {
       continue;
     }
-    std::vector<double> values;
-    if (!SeriesValues(view.id, &values, error)) return false;
-    out->push_back({view.id, values[step - view.first_step]});
+    const core::Result<std::vector<double>> values = SeriesValues(view.id);
+    if (!values.ok()) return values.error();
+    out.push_back({view.id, values.value()[step - view.first_step]});
   }
-  return true;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 
 bool WriteTimelineArtifact(const std::string& dir) {
-  namespace fs = std::filesystem;
-  const std::string bytes = Timeline::Global().BuildArtifact();
-  const fs::path path = fs::path(dir) / "timeline.bin";
-  const fs::path tmp = fs::path(dir) / "timeline.bin.tmp";
-  std::FILE* file = std::fopen(tmp.string().c_str(), "wb");
-  if (file == nullptr) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: cannot open for write",
-                  {{"path", tmp.string()}});
-    return false;
+  const core::Status written = core::section_file::WriteFile(
+      dir + "/timeline.bin", Timeline::Global().BuildArtifact());
+  if (!written.ok()) {
+    core::LogLine(core::LogLevel::kWarn, "timeline: write failed",
+                  {{"why", written.error().message()}});
   }
-  const std::size_t written =
-      std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool ok = written == bytes.size() && std::fclose(file) == 0;
-  if (!ok) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: short write",
-                  {{"path", tmp.string()}});
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: rename failed",
-                  {{"path", path.string()}, {"why", ec.message()}});
-    return false;
-  }
-  return true;
+  return written.ok();
 }
 
 }  // namespace sisyphus::obs

@@ -7,7 +7,9 @@
 // function of committed state, so `timeline.bin` is byte-identical at any
 // SISYPHUS_THREADS and across a kill/resume (timeline state rides in the
 // durable snapshot beside the registry, where the journal cannot rebuild
-// it: samples are committed per step, not derived from the records).
+// it: samples are committed per step, not derived from the records). The
+// file is a core/section_file.h container, like audit.bin; this header
+// holds its schema.
 //
 // On top of the series run online detectors: an EWMA-referenced CUSUM
 // level-shift detector (per-unit RTT means) and a route-churn detector
@@ -37,6 +39,8 @@
 #include <vector>
 
 #include "core/binio.h"
+#include "core/result.h"
+#include "core/section_file.h"
 
 namespace sisyphus::obs {
 
@@ -94,18 +98,15 @@ struct DetectionEvent {
 };
 
 // ---------------------------------------------------------------------------
-// Artifact constants (timeline.bin) — same framing as audit.bin
-// (src/audit/format.h): 48-byte header, 8-byte-aligned sections,
-// 40-byte table entries, trailing table checksum. Every checksum is
-// core::Checksum64 (seed 0). Version 2 changed only that function
-// (version 1 used FNV-1a); version 1 files are refused, not read.
+// Artifact schema (timeline.bin). The container is audit.bin's,
+// core/section_file.h: a 48-byte header, 8-byte-aligned sections and a
+// checksummed table that closes the file. Version 2 changed only the
+// checksum function (version 1 used FNV-1a); version 1 files are refused,
+// not read.
 
-inline constexpr char kTimelineMagic[8] = {'S', 'I', 'S', 'Y',
-                                          'T', 'M', 'L', '1'};
 inline constexpr std::uint32_t kTimelineVersion = 2;
-inline constexpr std::size_t kTimelineHeaderSize = 48;
-inline constexpr std::size_t kTimelineTableEntrySize = 40;
-inline constexpr std::uint64_t kTimelineGlobalRun = ~std::uint64_t{0};
+inline constexpr core::section_file::Format kTimelineFormat{"SISYTML1",
+                                                            kTimelineVersion};
 inline constexpr std::string_view kTimelineSchema = "sisyphus.timeline/1";
 
 enum class TimelineSectionKind : std::uint32_t {
@@ -125,13 +126,7 @@ class Timeline {
   /// Collection on/off switch (off by default; ObsRun enables it). When
   /// off, every entry point is a cheap flag check.
   static void Enable(bool on);
-  static bool enabled() {
-#if defined(SISYPHUS_OBS_DISABLED)
-    return false;
-#else
-    return internal::g_timeline_enabled;
-#endif
-  }
+  static bool enabled() { return internal::g_timeline_enabled; }
 
   /// Drops all series, samples, events, and detector state.
   void Reset();
@@ -262,9 +257,10 @@ struct TimelineSeriesView {
 class TimelineReader {
  public:
   /// Parses + fully verifies (header, table, section checksums, meta/event
-  /// invariants). On failure returns false and sets *error.
-  bool Parse(std::string bytes, std::string* error);
-  bool OpenFile(const std::string& path, std::string* error);
+  /// invariants). Malformed bytes are a kParseError naming the check.
+  core::Status Parse(std::string bytes);
+  /// Reads and parses `path`; a missing file is kNotFound.
+  core::Status OpenFile(const std::string& path);
 
   std::uint64_t steps() const { return steps_; }
   std::uint64_t first_step() const { return first_step_; }
@@ -275,16 +271,15 @@ class TimelineReader {
 
   /// Decoded sample values for one series (counters are re-accumulated
   /// from their deltas into absolute values). values[i] belongs to step
-  /// series().first_step + i. Returns false on a malformed section.
-  bool SeriesValues(std::uint32_t id, std::vector<double>* out,
-                    std::string* error) const;
+  /// series().first_step + i. A malformed section is a kParseError, an
+  /// unknown id kNotFound.
+  core::Result<std::vector<double>> SeriesValues(std::uint32_t id) const;
 
   /// The value of every series at `step` (series without a sample at that
   /// step — declared later, or out of range — are skipped). Pairs of
   /// (series id, value).
-  bool ValuesAt(std::uint64_t step,
-                std::vector<std::pair<std::uint32_t, double>>* out,
-                std::string* error) const;
+  core::Result<std::vector<std::pair<std::uint32_t, double>>> ValuesAt(
+      std::uint64_t step) const;
 
  private:
   std::string bytes_;
@@ -298,8 +293,9 @@ class TimelineReader {
 };
 
 /// Builds the current global timeline artifact and writes it to
-/// `<dir>/timeline.bin` (atomic tmp+rename so a live reader never sees a
-/// torn file). Returns false (with a log line) on I/O failure.
+/// `<dir>/timeline.bin` (core::section_file::WriteFile: tmp + rename, so a
+/// live reader never sees a torn file). Returns false (with a log line) on
+/// I/O failure.
 bool WriteTimelineArtifact(const std::string& dir);
 
 }  // namespace sisyphus::obs

@@ -1,9 +1,10 @@
 // Tests for the indexed audit store (src/audit): the binary artifact
 // must answer every query with exactly the numbers the in-memory lineage
 // ledger holds (round-trip through a real multi-campaign fault run),
-// reject truncation, corruption and hostile counts loudly, and stay
-// byte-identical across thread counts and across a durable stop/resume —
-// the contract the ledger itself carries (DESIGN.md §12).
+// reject hostile counts in its schema loudly, and stay byte-identical
+// across thread counts and across a durable stop/resume — the contract the
+// ledger itself carries (DESIGN.md §12). Truncation, corruption and the
+// container's hostile fields are section_file_test's.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,11 +31,13 @@
 #include "netsim/scenario_za.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
+#include "section_file_test.h"
 
 namespace sisyphus {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace section_file_test;  // NOLINT
 using obs::Lineage;
 
 /// RAII lineage enable/reset, as in lineage_test.
@@ -117,16 +120,6 @@ void RunTwoCampaigns() {
   RunCampaign(plan_a);
   Lineage::Global().BeginRun("campaign-b");
   RunCampaign(plan_b);
-}
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(f.is_open()) << path;
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Facet oracle: string-keyed counters added record by record, the way
@@ -378,165 +371,14 @@ TEST(AuditStoreTest, RoundTripMatchesLedger) {
   EXPECT_EQ(Lineage::Global().run_count(), 2u);
 }
 
-TEST(AuditStoreTest, RejectsTruncationAndGrowth) {
-  ScopedLineage scoped;
-  Lineage::Global().BeginRun("truncation");
-  measure::FaultPlan plan;
-  plan.seed = 7;
-  plan.probe_loss_probability = 0.1;
-  RunCampaign(plan);
-  const std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
-
-  // Any size change must fail Open: the header records the exact file
-  // size, so truncation and appended garbage are both caught before any
-  // query runs.
-  for (const std::size_t size :
-       {artifact.size() - 1, artifact.size() / 2, std::size_t{40},
-        std::size_t{0}}) {
-    const std::string path = TempPath("audit-truncated.bin");
-    WriteFile(path, artifact.substr(0, size));
-    audit::AuditReader reader;
-    EXPECT_FALSE(reader.Open(path).ok()) << "size " << size;
-    EXPECT_FALSE(reader.is_open());
-  }
-  {
-    const std::string path = TempPath("audit-grown.bin");
-    WriteFile(path, artifact + "x");
-    audit::AuditReader reader;
-    EXPECT_FALSE(reader.Open(path).ok());
-  }
-  {
-    audit::AuditReader reader;
-    const auto status = reader.Open(TempPath("audit-never-written.bin"));
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.error().code(), core::ErrorCode::kNotFound);
-  }
-}
-
-TEST(AuditStoreTest, RejectsCorruption) {
-  ScopedLineage scoped;
-  Lineage::Global().BeginRun("corruption");
-  measure::FaultPlan plan;
-  plan.seed = 7;
-  plan.duplicate_probability = 0.1;
-  RunCampaign(plan);
-  const std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
-
-  // A flipped byte in the header fails Open outright.
-  {
-    std::string bad = artifact;
-    bad[9] = static_cast<char>(bad[9] ^ 0x5a);
-    const std::string path = TempPath("audit-bad-header.bin");
-    WriteFile(path, bad);
-    audit::AuditReader reader;
-    EXPECT_FALSE(reader.Open(path).ok());
-  }
-  // A flipped byte inside a section payload passes the O(index) Open but
-  // must be caught by the lazy per-section checksum (VerifyAll forces
-  // every section, as obscheck and lineageq --check do).
-  {
-    std::string bad = artifact;
-    const std::size_t mid = bad.size() / 2;
-    bad[mid] = static_cast<char>(bad[mid] ^ 0x5a);
-    const std::string path = TempPath("audit-bad-section.bin");
-    WriteFile(path, bad);
-    audit::AuditReader reader;
-    ASSERT_TRUE(reader.Open(path).ok());
-    EXPECT_FALSE(reader.VerifyAll().ok());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Hostile counts: each file below carries one oversized count with every
-// checksum recomputed, so the count reaches the decoder instead of
-// tripping a checksum. Each must come back as a Status naming the check
+// Hostile counts in the schema: each file below carries one oversized count
+// with every checksum recomputed, so the count reaches the decoder instead
+// of tripping a checksum. Each must come back as a Status naming the check
 // that caught it — never a crash, a wrapped size, an allocation the file
 // cannot back, or a checksum failure (which would mean a stale seal kept
-// the count from the decoder).
-
-std::uint64_t GetU64At(const std::string& bytes, std::uint64_t offset) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[offset + i]);
-  }
-  return v;
-}
-
-void PutU64At(std::string& bytes, std::uint64_t offset, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-/// A one-run artifact: four records, two kept units with one cell each.
-std::string SmallArtifact() {
-  ScopedLineage scoped;
-  Lineage::Global().BeginRun("crafted");
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    obs::LineageRecordInfo info;
-    info.id = id;
-    info.archived = true;
-    Lineage::Global().RecordEmitted(info);
-  }
-  Lineage::Global().PanelUnitKept("unit-a", 0.0, 1, 0);
-  Lineage::Global().PanelCell("unit-a", 0, obs::IdRunSet::FromSorted({1, 2}));
-  Lineage::Global().PanelUnitKept("unit-b", 0.0, 1, 0);
-  Lineage::Global().PanelCell("unit-b", 0, obs::IdRunSet::FromSorted({3, 4}));
-  return audit::BuildAuditArtifact(Lineage::Global());
-}
-
-/// Byte offset of the table entry for the first section of `kind`.
-std::uint64_t EntryOf(const std::string& file, audit::SectionKind kind) {
-  const std::uint64_t count = GetU64At(file, 16);
-  const std::uint64_t table = GetU64At(file, 24);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t entry = table + i * audit::kAuditTableEntrySize;
-    if (GetU64At(file, entry) == static_cast<std::uint64_t>(kind)) {
-      return entry;
-    }
-  }
-  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
-  return table;
-}
-
-/// Byte offset of the first section of `kind`.
-std::uint64_t SectionOf(const std::string& file, audit::SectionKind kind) {
-  return GetU64At(file, EntryOf(file, kind) + 16);
-}
-
-std::uint64_t Checksum(std::string_view bytes) {
-  return core::Checksum64(bytes);
-}
-
-std::uint64_t Fnv(std::string_view bytes) { return core::Fnv1a64(bytes); }
-
-/// Recomputes every section checksum, then the table's and the header's,
-/// with `hash`; the section table itself must be intact.
-void Reseal(std::string& file,
-            std::uint64_t (*hash)(std::string_view) = Checksum) {
-  const std::uint64_t count = GetU64At(file, 16);
-  const std::uint64_t table = GetU64At(file, 24);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t entry = table + i * audit::kAuditTableEntrySize;
-    PutU64At(file, entry + 32,
-             hash(std::string_view(file).substr(GetU64At(file, entry + 16),
-                                                GetU64At(file, entry + 24))));
-  }
-  const std::uint64_t table_bytes = count * audit::kAuditTableEntrySize;
-  PutU64At(file, table + table_bytes,
-           hash(std::string_view(file).substr(table, table_bytes)));
-  PutU64At(file, 40, hash(std::string_view(file).substr(0, 40)));
-}
-
-/// `outcome` (a Status or a Result) failed as a parse error whose message
-/// contains `what`.
-template <typename Outcome>
-void ExpectParseError(const Outcome& outcome, const std::string& what) {
-  ASSERT_FALSE(outcome.ok()) << "expected \"" << what << "\"";
-  EXPECT_EQ(outcome.error().code(), core::ErrorCode::kParseError);
-  EXPECT_NE(outcome.error().message().find(what), std::string::npos)
-      << outcome.error().message();
-}
+// the count from the decoder). The container's own hostile cases are in
+// section_file_test.
 
 /// Writes `bytes` to a temp file and opens it.
 core::Status OpenCrafted(audit::AuditReader& reader, const std::string& bytes,
@@ -546,21 +388,8 @@ core::Status OpenCrafted(audit::AuditReader& reader, const std::string& bytes,
   return reader.Open(path);
 }
 
-TEST(AuditHostileCountTest, SectionCountThatWrapsTheTableSize) {
-  std::string bad = SmallArtifact();
-  // 2^61 entries of 40 bytes wrap to a 0-byte table, whose checksum is
-  // the checksum of nothing.
-  PutU64At(bad, 16, std::uint64_t{1} << 61);
-  PutU64At(bad, GetU64At(bad, 24), core::Checksum64(std::string_view()));
-  PutU64At(bad, 40, core::Checksum64(std::string_view(bad).substr(0, 40)));
-  audit::AuditReader reader;
-  ExpectParseError(OpenCrafted(reader, bad, "audit-sections.bin"),
-                   "section table out of bounds");
-  EXPECT_FALSE(reader.is_open());
-}
-
 TEST(AuditHostileCountTest, RunCountBeyondTheSectionTable) {
-  std::string bad = SmallArtifact();
+  std::string bad = SmallAuditArtifact();
   // Meta = string schema (u64 length + bytes), then u64 run count.
   const std::uint64_t meta = SectionOf(bad, audit::SectionKind::kMeta);
   PutU64At(bad, meta + 8 + GetU64At(bad, meta), std::uint64_t{1} << 62);
@@ -571,7 +400,7 @@ TEST(AuditHostileCountTest, RunCountBeyondTheSectionTable) {
 }
 
 TEST(AuditHostileCountTest, DirectoryCountsAndSpansThatWrap) {
-  const std::string good = SmallArtifact();
+  const std::string good = SmallAuditArtifact();
   const std::uint64_t dir = SectionOf(good, audit::SectionKind::kUnitIndex);
   const std::uint64_t slots = GetU64At(good, dir);
   ASSERT_EQ(slots, 2u);
@@ -601,7 +430,7 @@ TEST(AuditHostileCountTest, DirectoryCountsAndSpansThatWrap) {
 }
 
 TEST(AuditHostileCountTest, RecordCountThatWrapsTheColumnSizes) {
-  std::string bad = SmallArtifact();
+  std::string bad = SmallAuditArtifact();
   // 2^63 rows: 4n wraps to 0 and 6 * pad8(n) to 0, so the columns would
   // seem to need 8 bytes.
   PutU64At(bad, SectionOf(bad, audit::SectionKind::kRecords),
@@ -611,32 +440,6 @@ TEST(AuditHostileCountTest, RecordCountThatWrapsTheColumnSizes) {
   ASSERT_TRUE(OpenCrafted(reader, bad, "audit-records.bin").ok());
   const auto columns = reader.Records(0);
   ExpectParseError(columns, "records section truncated");
-}
-
-// ---------------------------------------------------------------------------
-// Version 1 — the same bytes checksummed with FNV-1a — is refused by its
-// version word, not misread and not reported as a checksum failure.
-
-TEST(AuditFormatTest, RefusesTheFnvVersion1FramingByVersion) {
-  std::string old = SmallArtifact();
-  ASSERT_EQ(GetU64At(old, 8) & 0xffffffffu, audit::kAuditVersion);
-  old[8] = 1;
-  Reseal(old, Fnv);
-  audit::AuditReader reader;
-  ExpectParseError(OpenCrafted(reader, old, "audit-v1.bin"),
-                   "unsupported version 1");
-  EXPECT_FALSE(reader.is_open());
-
-  // The current version word under the old checksums is a damaged file.
-  std::string mixed = SmallArtifact();
-  Reseal(mixed, Fnv);
-  ExpectParseError(OpenCrafted(reader, mixed, "audit-v2-fnv.bin"),
-                   "header checksum mismatch");
-
-  // Resealing is the only difference: the same file opens once resealed.
-  Reseal(mixed);
-  ASSERT_TRUE(OpenCrafted(reader, mixed, "audit-v2.bin").ok());
-  EXPECT_TRUE(reader.VerifyAll().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -731,9 +534,9 @@ TEST(AuditStoreTest, EdgeCaseLedgerBytesArePinned) {
   masked.replace(8, 4, 4, '\0');    // version word
   masked.replace(40, 8, 8, '\0');   // header checksum
   for (std::uint64_t i = 0; i < count; ++i) {
-    masked.replace(table + i * audit::kAuditTableEntrySize + 32, 8, 8, '\0');
+    masked.replace(table + i * kEntrySize + 32, 8, 8, '\0');
   }
-  masked.replace(table + count * audit::kAuditTableEntrySize, 8, 8, '\0');
+  masked.replace(table + count * kEntrySize, 8, 8, '\0');
   EXPECT_EQ(core::Fnv1a64(masked), 0x35ae449cd688017aull);
 }
 
@@ -775,7 +578,7 @@ TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {
   EXPECT_EQ(serial, run(4));
   EXPECT_EQ(serial, run(8));
   EXPECT_GT(out_of_panel, 0u);
-  EXPECT_GT(serial.size(), audit::kAuditHeaderSize);
+  EXPECT_GT(serial.size(), core::section_file::kHeaderSize);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,17 +147,7 @@ void ExpectConservation(const CampaignOutcome& outcome) {
   EXPECT_GT(totals.emitted, 0u);
 }
 
-class LineageConservationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!Lineage::enabled()) {
-      // Enable() is a no-op under SISYPHUS_OBS=OFF; nothing to test there.
-      Lineage::Enable(true);
-      if (!Lineage::enabled()) GTEST_SKIP() << "lineage compiled out";
-      Lineage::Enable(false);
-    }
-  }
-};
+class LineageConservationTest : public ::testing::Test {};
 
 TEST_F(LineageConservationTest, CleanCampaign) {
   ScopedLineage scoped;

@@ -78,16 +78,13 @@ TEST_F(ManifestTest, SeededCampaignSnapshotsAreByteIdentical) {
   const std::string first = RunSeededCampaignSnapshot(7);
   const std::string second = RunSeededCampaignSnapshot(7);
   EXPECT_EQ(first, second);
-#if !defined(SISYPHUS_OBS_DISABLED)
-  // And the campaign actually recorded probe activity (the instrumentation
-  // macros exist only when obs is compiled in).
+  // And the campaign actually recorded probe activity.
   auto parsed = core::json::Parse(first);
   ASSERT_TRUE(parsed.ok());
   const auto* attempted =
       parsed.value().Find("counters")->Find("measure.probes.attempted");
   ASSERT_NE(attempted, nullptr);
   EXPECT_GT(attempted->number, 0.0);
-#endif
 }
 
 TEST_F(ManifestTest, ScopedPhaseAppendsTimings) {
@@ -197,12 +194,10 @@ TEST_F(ManifestTest, WriteRunArtifactsEmitsParsableTrio) {
     EXPECT_EQ(terminal->object[s].first,
               ToString(static_cast<LineageStage>(s)));
   }
-#if !defined(SISYPHUS_OBS_DISABLED)
   EXPECT_DOUBLE_EQ(block->Find("runs")->number, 1.0);
   EXPECT_DOUBLE_EQ(block->Find("emitted")->number, 3.0);
   EXPECT_DOUBLE_EQ(terminal->Find("archived")->number, 2.0);
   EXPECT_DOUBLE_EQ(terminal->Find("quarantined")->number, 1.0);
-#endif
 }
 
 TEST_F(ManifestTest, TraceJsonUsesSeparateTracks) {

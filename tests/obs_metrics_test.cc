@@ -133,12 +133,7 @@ TEST_F(RegistryTest, MacrosRecordThroughTheGlobalRegistry) {
   SISYPHUS_METRIC_COUNT("test.macro.count", 1);
   SISYPHUS_METRIC_GAUGE("test.macro.gauge", 4.0);
   SISYPHUS_METRIC_OBSERVE("test.macro.hist", 3.0);
-#if defined(SISYPHUS_OBS_DISABLED)
-  // Compiled out: the macros above must expand to nothing.
-  EXPECT_EQ(Registry::Global().CounterValue("test.macro.count"), 0u);
-#else
   EXPECT_EQ(Registry::Global().CounterValue("test.macro.count"), 3u);
-#endif
 }
 
 TEST_F(RegistryTest, SnapshotIsDeterministicAndSorted) {

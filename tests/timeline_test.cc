@@ -1,11 +1,11 @@
 // Tests for the deterministic telemetry timeline (src/obs/timeline,
 // DESIGN.md §15): detector semantics against hand-computed recurrences,
 // dense-fill and epoch invariants, snapshot Save/Load continuation,
-// artifact framing rejection of truncation/corruption (the audit.bin
-// contract), and the two byte-identity properties the artifact exists
-// for — 1-vs-8-thread identity of a full campaign's
-// timeline.bin, and kill-at-every-step/resume identity under the durable
-// service.
+// rejection of hostile counts in the artifact's schema (its container is
+// section_file_test's), a cross-commit byte pin, and the two byte-identity
+// properties the artifact exists for — 1-vs-8-thread identity of a full
+// campaign's timeline.bin, and kill-at-every-step/resume identity under
+// the durable service.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,11 +27,13 @@
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
+#include "section_file_test.h"
 
 namespace sisyphus {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace section_file_test;  // NOLINT
 
 using obs::ChurnConfig;
 using obs::DetectionEvent;
@@ -67,6 +69,17 @@ void CounterStep(Timeline& timeline, std::uint64_t step, std::uint32_t id,
                  std::uint64_t value) {
   timeline.SampleCounter(step, id, value);
   timeline.CommitStep(step);
+}
+
+void ExpectOk(const core::Status& status) {
+  EXPECT_TRUE(status.ok()) << status.error().message();
+}
+
+/// Series `id`'s decoded values; a decode failure fails the test.
+std::vector<double> Values(const TimelineReader& reader, std::uint32_t id) {
+  core::Result<std::vector<double>> values = reader.SeriesValues(id);
+  EXPECT_TRUE(values.ok()) << values.error().message();
+  return values.ok() ? std::move(values).value() : std::vector<double>{};
 }
 
 // ---------------------------------------------------------------------------
@@ -196,10 +209,8 @@ TEST_F(TimelineTest, RunningMeanDetectorSeesIncrementMean) {
 
   // The stored samples are the running means, not the increments.
   TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(timeline.BuildArtifact(), &error)) << error;
-  std::vector<double> values;
-  ASSERT_TRUE(reader.SeriesValues(id, &values, &error)) << error;
+  ExpectOk(reader.Parse(timeline.BuildArtifact()));
+  const std::vector<double> values = Values(reader, id);
   ASSERT_EQ(values.size(), 28u);
   EXPECT_DOUBLE_EQ(values[0], 10.0);
   EXPECT_DOUBLE_EQ(values[20], (20 * 10.0 + 16.0) / 21.0);
@@ -227,15 +238,12 @@ TEST_F(TimelineTest, DenseFillRepeatsLastValue) {
   }
 
   TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(timeline.BuildArtifact(), &error)) << error;
+  ExpectOk(reader.Parse(timeline.BuildArtifact()));
   EXPECT_EQ(reader.steps(), 6u);
 
-  std::vector<double> values;
-  ASSERT_TRUE(reader.SeriesValues(counter, &values, &error)) << error;
-  EXPECT_EQ(values, (std::vector<double>{10, 10, 30, 30, 50, 50}));
-  ASSERT_TRUE(reader.SeriesValues(gauge, &values, &error)) << error;
-  EXPECT_EQ(values, (std::vector<double>{1, 1, 3, 3, 5, 5}));
+  EXPECT_EQ(Values(reader, counter),
+            (std::vector<double>{10, 10, 30, 30, 50, 50}));
+  EXPECT_EQ(Values(reader, gauge), (std::vector<double>{1, 1, 3, 3, 5, 5}));
 
   const obs::TimelineSeriesView* late_view = reader.FindSeries("test.late");
   ASSERT_NE(late_view, nullptr);
@@ -243,11 +251,15 @@ TEST_F(TimelineTest, DenseFillRepeatsLastValue) {
   EXPECT_EQ(late_view->sample_count, 3u);
 
   // ValuesAt skips the late series before its first step.
-  std::vector<std::pair<std::uint32_t, double>> at;
-  ASSERT_TRUE(reader.ValuesAt(2, &at, &error)) << error;
-  EXPECT_EQ(at.size(), 2u);
-  ASSERT_TRUE(reader.ValuesAt(5, &at, &error)) << error;
-  EXPECT_EQ(at.size(), 3u);
+  const auto at2 = reader.ValuesAt(2);
+  ASSERT_TRUE(at2.ok()) << at2.error().message();
+  EXPECT_EQ(at2.value().size(), 2u);
+  const auto at5 = reader.ValuesAt(5);
+  ASSERT_TRUE(at5.ok()) << at5.error().message();
+  EXPECT_EQ(at5.value().size(), 3u);
+  const auto unknown = reader.SeriesValues(99);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code(), core::ErrorCode::kNotFound);
 }
 
 // A second campaign in the same process restarts its step counter at 1;
@@ -267,10 +279,8 @@ TEST_F(TimelineTest, SecondCampaignGetsANewEpoch) {
   EXPECT_EQ(summary.last_step, 10u);
 
   TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(timeline.BuildArtifact(), &error)) << error;
-  std::vector<double> values;
-  ASSERT_TRUE(reader.SeriesValues(id, &values, &error)) << error;
+  ExpectOk(reader.Parse(timeline.BuildArtifact()));
+  const std::vector<double> values = Values(reader, id);
   ASSERT_EQ(values.size(), 10u);
   EXPECT_DOUBLE_EQ(values[4], 5.0);
   EXPECT_DOUBLE_EQ(values[5], 101.0);
@@ -321,157 +331,59 @@ TEST_F(TimelineTest, LoadRejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact framing (the audit.bin contract: loud rejection, never a
-// partial answer).
+// Cross-commit byte pin, the counterpart of
+// AuditStoreTest.EdgeCaseLedgerBytesArePinned: the other timeline fixtures
+// compare two runs of one build, so a writer change that moved a byte on
+// both sides would pass them all. The plain series plus a churn counter
+// that fires once cover every section kind, both series encodings and a
+// detector's meta fields. The masked constant is the FNV-1a of the
+// artifact with its version word and every checksum zeroed; all three
+// constants were read from the build before the container writer moved to
+// core/section_file.
 
-std::string SmallArtifact() {
+/// PlainTimelineArtifact's two series plus a churn counter that fires
+/// once, at step 6.
+std::string FlapArtifact() {
   Timeline timeline;
+  PlainTimelineArtifact(timeline);
   ChurnConfig churn;
-  LevelShiftConfig shift;
-  shift.min_samples = 2;
-  shift.threshold = 4.0;
-  const std::uint32_t counter = timeline.DeclareCounter("test.churn", &churn);
-  const std::uint32_t gauge = timeline.DeclareGauge("test.level", &shift);
-  for (std::uint64_t step = 1; step <= 16; ++step) {
-    timeline.SampleCounter(step, counter, step * step);
-    timeline.SampleGauge(step, gauge, step < 8 ? 1.0 : 50.0);
-    timeline.CommitStep(step);
-  }
-  EXPECT_FALSE(timeline.Events().empty());
+  churn.min_delta = 5;
+  const std::uint32_t flaps = timeline.DeclareCounter("pin.flaps", &churn);
+  CounterStep(timeline, 5, flaps, 2);  // delta 2: quiet
+  CounterStep(timeline, 6, flaps, 9);  // delta 7: fires
+  EXPECT_EQ(timeline.Events().size(), 1u);
   return timeline.BuildArtifact();
 }
 
-TEST_F(TimelineTest, ArtifactRejectsEveryTruncationAndGrowth) {
-  const std::string artifact = SmallArtifact();
-  ASSERT_GT(artifact.size(), obs::kTimelineHeaderSize);
+TEST_F(TimelineTest, ArtifactBytesArePinned) {
+  const std::string artifact = FlapArtifact();
+  EXPECT_EQ(artifact.size(), 576u);
+  EXPECT_EQ(core::Fnv1a64(artifact), 0xad61a833ff1cabf8ull);
 
-  // The header records the exact file size and the section table must
-  // close the file, so EVERY proper prefix is rejected.
-  for (std::size_t size = 0; size < artifact.size(); ++size) {
-    TimelineReader reader;
-    std::string error;
-    EXPECT_FALSE(reader.Parse(artifact.substr(0, size), &error))
-        << "prefix of " << size << " bytes parsed";
-  }
-  TimelineReader reader;
-  std::string error;
-  EXPECT_FALSE(reader.Parse(artifact + "x", &error));
-  ASSERT_TRUE(reader.Parse(artifact, &error)) << error;
-}
-
-TEST_F(TimelineTest, ArtifactRejectsCorruption) {
-  const std::string artifact = SmallArtifact();
-  // A flip in the header, in a section payload, and in the section table
-  // each trip a distinct checksum.
-  for (const std::size_t offset :
-       {std::size_t{9}, artifact.size() / 2, artifact.size() - 10}) {
-    std::string bad = artifact;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x5a);
-    TimelineReader reader;
-    std::string error;
-    EXPECT_FALSE(reader.Parse(std::move(bad), &error))
-        << "flip at offset " << offset << " parsed";
-  }
-}
-
-/// Little-endian u64 at `offset`, read and written byte by byte.
-std::uint64_t GetU64At(const std::string& bytes, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[offset + i]);
-  }
-  return v;
-}
-
-void PutU64At(std::string& bytes, std::size_t offset, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-std::uint64_t Checksum(std::string_view bytes) {
-  return core::Checksum64(bytes);
-}
-
-std::uint64_t Fnv(std::string_view bytes) { return core::Fnv1a64(bytes); }
-
-/// Recomputes the table checksum and then the header's with `hash`.
-void ResealTable(std::string& file,
-                 std::uint64_t (*hash)(std::string_view) = Checksum) {
-  const std::size_t table = GetU64At(file, 24);
-  const std::size_t table_bytes =
-      GetU64At(file, 16) * obs::kTimelineTableEntrySize;
-  PutU64At(file, table + table_bytes,
-           hash(std::string_view(file).substr(table, table_bytes)));
-  PutU64At(file, 40, hash(std::string_view(file).substr(0, 40)));
-}
-
-/// Recomputes every section checksum, then the table's and the header's.
-void Reseal(std::string& file,
-            std::uint64_t (*hash)(std::string_view) = Checksum) {
-  const std::uint64_t count = GetU64At(file, 16);
-  const std::uint64_t table = GetU64At(file, 24);
+  std::string masked = artifact;
+  const std::uint64_t count = GetU64At(masked, 16);
+  const std::uint64_t table = GetU64At(masked, 24);
+  masked.replace(8, 4, 4, '\0');   // version word
+  masked.replace(40, 8, 8, '\0');  // header checksum
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t entry = table + i * obs::kTimelineTableEntrySize;
-    PutU64At(file, entry + 32,
-             hash(std::string_view(file).substr(GetU64At(file, entry + 16),
-                                                GetU64At(file, entry + 24))));
+    masked.replace(table + i * kEntrySize + 32, 8, 8, '\0');
   }
-  ResealTable(file, hash);
+  masked.replace(table + count * kEntrySize, 8, 8, '\0');
+  EXPECT_EQ(core::Fnv1a64(masked), 0x15adae3c0cba3c88ull);
 }
 
-TEST_F(TimelineTest, ArtifactRefusesTheFnvVersion1FramingByVersion) {
-  const std::string artifact = SmallArtifact();
-  ASSERT_EQ(GetU64At(artifact, 8) & 0xffffffffu, obs::kTimelineVersion);
-
-  std::string old = artifact;
-  old[8] = 1;
-  Reseal(old, Fnv);
-  TimelineReader reader;
-  std::string error;
-  EXPECT_FALSE(reader.Parse(old, &error));
-  EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
-
-  // Version 2 under FNV-1a checksums is a damaged file, not version 1.
-  std::string mixed = artifact;
-  Reseal(mixed, Fnv);
-  EXPECT_FALSE(reader.Parse(mixed, &error));
-  EXPECT_EQ(error, "header checksum mismatch");
-  Reseal(mixed);
-  EXPECT_TRUE(reader.Parse(mixed, &error)) << error;
-}
-
-// Hostile counts: each file below carries one count or span that wraps a
-// product or a sum, with every checksum recomputed so it reaches the
-// decoder. Each must fail with the message of the check that caught it —
-// never read out of bounds or allocate for a count the bytes cannot hold.
-
-/// Series with no detector and no events: one counter, one gauge.
-std::string PlainArtifact() {
-  Timeline& timeline = Timeline::Global();
-  const std::uint32_t counter = timeline.DeclareCounter("plain.count");
-  const std::uint32_t gauge = timeline.DeclareGauge("plain.level");
-  for (std::uint64_t step = 1; step <= 4; ++step) {
-    timeline.SampleCounter(step, counter, 3 * step);
-    timeline.SampleGauge(step, gauge, 0.5 * static_cast<double>(step));
-    timeline.CommitStep(step);
-  }
-  return timeline.BuildArtifact();
-}
+// ---------------------------------------------------------------------------
+// Hostile counts in the schema: each file below carries one count or
+// reference the rest of the file contradicts, with every checksum
+// recomputed so it reaches the decoder. Each must fail with the message of
+// the check that caught it — never read out of bounds or allocate for a
+// count the bytes cannot hold. The container's own cases (truncation,
+// corruption, table counts and spans, old versions) are section_file_test's.
 
 /// File offset of series `id`'s first_step field in the meta section of a
-/// PlainArtifact; its sample_count follows at +8.
+/// PlainTimelineArtifact; its sample_count follows at +8.
 std::size_t FirstStepFieldOf(const std::string& file, std::uint64_t id) {
-  const std::uint64_t count = GetU64At(file, 16);
-  const std::uint64_t table = GetU64At(file, 24);
-  std::size_t pos = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t entry = table + i * obs::kTimelineTableEntrySize;
-    if (GetU64At(file, entry) ==
-        static_cast<std::uint64_t>(obs::TimelineSectionKind::kMeta)) {
-      pos = GetU64At(file, entry + 16);
-    }
-  }
+  std::size_t pos = SectionOf(file, obs::TimelineSectionKind::kMeta);
   pos += 8 + GetU64At(file, pos);  // schema
   pos += 5 * 8;  // step count, first, last, series count, event count
   for (std::uint64_t series = 0;; ++series) {
@@ -483,32 +395,13 @@ std::size_t FirstStepFieldOf(const std::string& file, std::uint64_t id) {
 }
 
 TEST_F(TimelineTest, ArtifactRejectsHostileCounts) {
-  const std::string good = PlainArtifact();
+  Timeline timeline;
+  const std::string good = PlainTimelineArtifact(timeline);
   TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(good, &error)) << error;
-  const auto expect_rejected = [&](const std::string& bad,
-                                   const std::string& what) {
-    TimelineReader hostile;
-    std::string why;
-    EXPECT_FALSE(hostile.Parse(bad, &why)) << "expected \"" << what << "\"";
-    EXPECT_NE(why.find(what), std::string::npos) << why;
+  ExpectOk(reader.Parse(good));
+  const auto parse = [](const std::string& bad) {
+    return TimelineReader().Parse(bad);
   };
-
-  // 2^61 entries of 40 bytes wrap to an empty table that closes the file.
-  std::string sections = good;
-  PutU64At(sections, 16, std::uint64_t{1} << 61);
-  PutU64At(sections, 24, sections.size() - 8);
-  ResealTable(sections);
-  expect_rejected(sections, "section table does not close the file");
-
-  // A section whose offset + size wraps to a small number.
-  std::string span = good;
-  const std::size_t entry = GetU64At(span, 24);
-  PutU64At(span, entry + 16, ~std::uint64_t{0} - 7);
-  PutU64At(span, entry + 24, 16);
-  ResealTable(span);
-  expect_rejected(span, "section 0 overruns the table");
 
   // Sample counts past what the payload holds, kept dense to the last
   // step by moving first_step back by the same amount: 2^61 more gauge
@@ -522,8 +415,24 @@ TEST_F(TimelineTest, ArtifactRejectsHostileCounts) {
     PutU64At(samples, field, GetU64At(samples, field) - extra);
     PutU64At(samples, field + 8, GetU64At(samples, field + 8) + extra);
     Reseal(samples);
-    expect_rejected(samples, "payload cannot hold its sample count");
+    ExpectParseError(parse(samples), "payload cannot hold its sample count");
   }
+
+  // One sample short of the last step.
+  std::string sparse = good;
+  const std::size_t field = FirstStepFieldOf(sparse, 1);
+  PutU64At(sparse, field + 8, GetU64At(sparse, field + 8) - 1);
+  Reseal(sparse);
+  ExpectParseError(parse(sparse),
+                   "series 'plain.level' is not dense to the last step");
+
+  // An event naming a series the meta section does not declare. Events
+  // are u64 count, then {u64 step, u32 series, ...} each.
+  std::string orphan = FlapArtifact();
+  ExpectOk(parse(orphan));
+  orphan[SectionOf(orphan, obs::TimelineSectionKind::kEvents) + 16] = 7;
+  Reseal(orphan);
+  ExpectParseError(parse(orphan), "event references unknown series 7");
 }
 
 // ---------------------------------------------------------------------------
@@ -676,8 +585,7 @@ TEST_F(TimelineCampaignTest, StreamingTimelineByteIdenticalAt1And8Threads) {
   // the churn detector must pinpoint it: one churn event, in the step
   // ending at the treatment time (day 1 -> step 24 at one-hour steps).
   TimelineReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Parse(first.artifact, &error)) << error;
+  ExpectOk(reader.Parse(first.artifact));
   EXPECT_EQ(reader.steps(), kTotalSteps);
   std::vector<DetectionEvent> churn_events;
   for (const DetectionEvent& event : reader.events()) {

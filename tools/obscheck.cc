@@ -346,9 +346,9 @@ void CheckAuditFile(const std::string& path, const Value* manifest_root) {
 /// timeline.bin came from different runs.
 void CheckTimelineFile(const std::string& path, const Value* manifest_root) {
   sisyphus::obs::TimelineReader reader;
-  std::string error;
-  if (!reader.OpenFile(path, &error)) {
-    Fail(path, error);
+  const sisyphus::core::Status opened = reader.OpenFile(path);
+  if (!opened.ok()) {
+    Fail(path, opened.error().message());
     return;
   }
   std::printf("check %s\n", path.c_str());

@@ -112,12 +112,12 @@ int PrintOneSeries(const TimelineReader& reader, const std::string& name) {
                 name.c_str());
     return 1;
   }
-  std::string error;
-  std::vector<double> values;
-  if (!reader.SeriesValues(series->id, &values, &error)) {
-    std::printf("FAIL: %s\n", error.c_str());
+  const auto decoded = reader.SeriesValues(series->id);
+  if (!decoded.ok()) {
+    std::printf("FAIL: %s\n", decoded.error().message().c_str());
     return 1;
   }
+  const std::vector<double>& values = decoded.value();
   std::printf("# %s (%s, detector %s, fingerprint %016llx)\n",
               series->name.c_str(), KindName(series->kind),
               DetectorName(series->detector),
@@ -138,14 +138,13 @@ int PrintAt(const TimelineReader& reader, std::uint64_t step) {
                 static_cast<unsigned long long>(reader.last_step()));
     return 1;
   }
-  std::string error;
-  std::vector<std::pair<std::uint32_t, double>> values;
-  if (!reader.ValuesAt(step, &values, &error)) {
-    std::printf("FAIL: %s\n", error.c_str());
+  const auto values = reader.ValuesAt(step);
+  if (!values.ok()) {
+    std::printf("FAIL: %s\n", values.error().message().c_str());
     return 1;
   }
   std::printf("step %llu:\n", static_cast<unsigned long long>(step));
-  for (const auto& [id, value] : values) {
+  for (const auto& [id, value] : values.value()) {
     std::printf("  %-40s %.17g\n", reader.series()[id].name.c_str(), value);
   }
   return 0;
@@ -180,8 +179,7 @@ int Follow(const std::string& path, std::uint64_t until_step) {
   bool opened = false;
   for (;;) {
     TimelineReader reader;
-    std::string error;
-    if (reader.OpenFile(path, &error)) {
+    if (reader.OpenFile(path).ok()) {
       if (!opened) {
         opened = true;
         PrintSummary(reader);
@@ -246,9 +244,10 @@ int main(int argc, char** argv) {
   if (mode == "--follow") return Follow(path, until_step);
 
   TimelineReader reader;
-  std::string error;
-  if (!reader.OpenFile(path, &error)) {
-    std::printf("FAIL %s: %s\n", path.c_str(), error.c_str());
+  const sisyphus::core::Status opened = reader.OpenFile(path);
+  if (!opened.ok()) {
+    std::printf("FAIL %s: %s\n", path.c_str(),
+                opened.error().message().c_str());
     return 1;
   }
   if (mode == "--summary") {
