@@ -137,7 +137,17 @@ int Main() {
   const auto& unit = scenario.treated[0];  // 3741 / East London
   auto input = measure::MakeSyntheticControlInput(
       panel, unit.name, scenario.donor_names, options.treatment_time);
+  if (!input.ok()) {
+    std::printf("\nstep 4a — %s: %s\nshape check: FAIL\n", unit.name.c_str(),
+                input.error().ToText().c_str());
+    return 1;
+  }
   auto study = causal::RunEventStudy(input.value());
+  if (!study.ok()) {
+    std::printf("\nstep 4a — event study for %s: %s\nshape check: FAIL\n",
+                unit.name.c_str(), study.error().ToText().c_str());
+    return 1;
+  }
   std::printf("\nstep 4a — event study for %s: pre-band exceedance %.0f%% "
               "(fit quality), post-band exceedance %.0f%% (effect "
               "visibility)\n",

@@ -9,68 +9,32 @@ using core::Error;
 using core::ErrorCode;
 using core::Result;
 
-namespace {
-
-Result<SyntheticControlFit> FitWithMethod(const SyntheticControlInput& input,
-                                          const PlaceboOptions& options) {
-  if (options.method == SyntheticControlMethod::kClassical) {
-    return FitSyntheticControl(input, options.classical);
-  }
-  auto fit = FitRobustSyntheticControl(input, options.robust);
-  if (!fit.ok()) return fit.error();
-  return std::move(fit).value().base;
-}
-
-/// Mirrors placebo.cc: donor `j` plays treated, masks follow the series so
-/// ragged donors are tolerated.
-SyntheticControlInput PlaceboInput(const SyntheticControlInput& input,
-                                   std::size_t j) {
-  SyntheticControlInput out;
-  out.pre_periods = input.pre_periods;
-  out.treated = input.donors.Column(j);
-  out.donors = stats::Matrix(input.donors.rows(), input.donors.cols() - 1);
-  const bool masked = !input.donor_observed.empty();
-  if (masked) {
-    out.treated_observed = input.donor_observed.Column(j);
-    out.donor_observed =
-        stats::Matrix(input.donors.rows(), input.donors.cols() - 1);
-  }
-  std::size_t dst = 0;
-  for (std::size_t c = 0; c < input.donors.cols(); ++c) {
-    if (c == j) continue;
-    const auto col = input.donors.Column(c);
-    out.donors.SetColumn(dst, col);
-    if (masked) {
-      const auto mask = input.donor_observed.Column(c);
-      out.donor_observed.SetColumn(dst, mask);
-    }
-    ++dst;
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<EventStudyResult> RunEventStudy(const SyntheticControlInput& input,
                                        const EventStudyOptions& options) {
   if (auto s = input.Validate(); !s.ok()) return s.error();
+  const auto in_unit = [](double q) { return q >= 0.0 && q <= 1.0; };
+  if (!in_unit(options.band_lower_quantile) ||
+      !in_unit(options.band_upper_quantile)) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "RunEventStudy: band quantiles must lie in [0, 1]");
+  }
   if (options.band_lower_quantile >= options.band_upper_quantile) {
     return Error(ErrorCode::kInvalidArgument,
                  "RunEventStudy: band quantiles out of order");
   }
-  auto treated = FitWithMethod(input, options.placebo);
-  if (!treated.ok()) return treated.error();
+  auto fits = FitPlaceboRotations(input, options.placebo);
+  if (!fits.ok()) return fits.error();
 
   const std::size_t periods = input.treated.size();
-  // Placebo gap series, one row per successful placebo run.
+  // Placebo gap series, one row per successful rotation: donor j's series
+  // minus its synthetic.
   std::vector<std::vector<double>> placebo_gaps;
-  for (std::size_t j = 0; j < input.donors.cols(); ++j) {
-    const SyntheticControlInput placebo = PlaceboInput(input, j);
-    auto fit = FitWithMethod(placebo, options.placebo);
+  for (std::size_t j = 0; j < fits.value().rotations.size(); ++j) {
+    const Result<SyntheticControlFit>& fit = fits.value().rotations[j];
     if (!fit.ok()) continue;
     std::vector<double> gaps(periods);
     for (std::size_t t = 0; t < periods; ++t) {
-      gaps[t] = placebo.treated[t] - fit.value().synthetic[t];
+      gaps[t] = input.donors(t, j) - fit.value().synthetic[t];
     }
     placebo_gaps.push_back(std::move(gaps));
   }
@@ -80,7 +44,7 @@ Result<EventStudyResult> RunEventStudy(const SyntheticControlInput& input,
   }
 
   EventStudyResult out;
-  out.treated_fit = std::move(treated).value();
+  out.treated_fit = std::move(fits.value().treated_fit);
   out.points.resize(periods);
   std::size_t pre_out = 0, post_out = 0;
   for (std::size_t t = 0; t < periods; ++t) {

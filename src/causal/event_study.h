@@ -35,15 +35,20 @@ struct EventStudyResult {
 };
 
 struct EventStudyOptions {
+  /// The estimator and its options. The bands take every rotation whose
+  /// fit succeeds: placebo.max_pre_rmse_multiple does not filter them.
   PlaceboOptions placebo;
-  /// Pointwise band quantiles over placebo gaps.
+  /// Pointwise band quantiles over placebo gaps, in [0, 1], lower < upper.
   double band_lower_quantile = 0.05;
   double band_upper_quantile = 0.95;
 };
 
-/// Runs the treated fit plus one placebo fit per donor and assembles the
-/// per-period gap series with placebo bands. Fails when fewer than 3
-/// placebo runs succeed.
+/// Takes the treated fit and one fit per donor rotation from the placebo
+/// engine (FitPlaceboRotations, the one RunPlaceboAnalysis reads) and
+/// assembles the per-period gap series with placebo bands. Fails if the
+/// input does not validate, a band quantile is NaN or outside [0, 1] or
+/// the two are out of order (kInvalidArgument, before any fit), the
+/// engine fails, or fewer than 3 rotations succeed.
 core::Result<EventStudyResult> RunEventStudy(
     const SyntheticControlInput& input, const EventStudyOptions& options = {});
 

@@ -36,10 +36,12 @@ stats::Matrix WithoutColumn(const stats::Matrix& m, std::size_t j) {
 /// each input's zero-filled donors: then the robust fits take their
 /// spectra from one stats::JacobiSvdBatch call. An input whose observed
 /// fraction fails the fit's checks stays out of the batch and fails them
-/// again in its plain fit, before any SVD, as it always did. Validate
-/// cannot fail here: the analysis's input passed it, and so does each of
-/// its rotations, whose entries are a subset of the input's and whose
-/// overflow limit is looser.
+/// again in its plain fit, before any SVD, as it always did. Validate,
+/// the fit's other check before its SVD, passes here: the engine's input
+/// passed it, and each rotation's entries are a subset of the input's
+/// with a looser overflow limit. The one exception is the empty pool of a
+/// one-donor input's rotation, whose empty factor the batch refuses
+/// before any sweep.
 std::vector<Result<SyntheticControlFit>> FitAll(
     std::span<const SyntheticControlInput> inputs,
     const PlaceboOptions& options, std::vector<stats::Matrix> factors) {
@@ -99,15 +101,10 @@ SyntheticControlInput PlaceboInput(const SyntheticControlInput& input,
 
 }  // namespace
 
-Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
-                                         const PlaceboOptions& options) {
-  if (auto s = input.Validate(); !s.ok()) return s.error();
-  if (input.donors.cols() < 3) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "RunPlaceboAnalysis: need >= 3 donors for a placebo "
-                 "distribution");
-  }
-
+Result<PlaceboFits> FitPlaceboRotations(
+    const SyntheticControlInput& input, const PlaceboOptions& options,
+    const std::function<core::Status(const SyntheticControlFit&)>&
+        check_treated) {
   // Robust fits of a tall pool take their spectra from one QR of the
   // zero-filled donor matrix, D = Q R: the treated fit from R, and the
   // rotation that drops donor j from R_-j (R without column j). Since
@@ -123,41 +120,23 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
     shared_r = std::move(qr.value().r);
   }
 
-  PlaceboResult out;
   std::vector<stats::Matrix> treated_r;
   if (!shared_r.empty()) treated_r.push_back(shared_r);
   auto treated = FitAll({&input, 1}, options, std::move(treated_r));
   if (!treated[0].ok()) return treated[0].error();
-  out.treated_fit = std::move(treated[0]).value();
-  // An exact fit before and after treatment (an all-zero panel, or one
-  // whose squares underflow) has no RMSE ratio: 0 over the floor would
-  // read as "no effect" with p = 1.
-  if (out.treated_fit.rmse_pre < kRmseFloor &&
-      out.treated_fit.rmse_post < kRmseFloor) {
-    char detail[192];
-    std::snprintf(detail, sizeof(detail),
-                  "RunPlaceboAnalysis: the treated fit's pre- and "
-                  "post-period RMSE (%g, %g) are both below the %g floor, "
-                  "so its RMSE ratio is undefined",
-                  out.treated_fit.rmse_pre, out.treated_fit.rmse_post,
-                  kRmseFloor);
-    return Error(ErrorCode::kNumericalFailure, detail);
+  if (check_treated) {
+    if (auto s = check_treated(treated[0].value()); !s.ok()) return s.error();
   }
 
-  // Donor placebo fits are independent and deterministic (no RNG), so they
-  // fan out across the pool, one task per group of kJacobiBatchLanes
-  // donors whose R_-j spectra the lockstep kernel takes at once. Within a
-  // task the rotations fit in donor order, and the skip-filter reduction
-  // below runs in donor index order on this thread, making the result
-  // identical to the serial loop at any SISYPHUS_THREADS (DESIGN.md §7).
-  struct PlaceboRun {
-    bool ok = false;
-    double rmse_ratio = 0.0;
-    double rmse_pre = 0.0;
-  };
+  // Rotations are independent and deterministic (no RNG), so they fan out
+  // across the pool, one task per group of kJacobiBatchLanes donors whose
+  // R_-j spectra the lockstep kernel takes at once. Within a task the
+  // rotations fit in donor order, and the groups join in group order,
+  // making the result identical to the serial loop at any
+  // SISYPHUS_THREADS (DESIGN.md §7).
   const std::size_t donors = input.donors.cols();
   constexpr std::size_t kGroup = stats::kJacobiBatchLanes;
-  const auto groups = core::ParallelMap(
+  auto groups = core::ParallelMap(
       (donors + kGroup - 1) / kGroup, [&](std::size_t g) {
         std::vector<SyntheticControlInput> placebos;
         std::vector<stats::Matrix> factors;
@@ -166,37 +145,58 @@ Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
           placebos.push_back(PlaceboInput(input, j));
           if (!shared_r.empty()) factors.push_back(WithoutColumn(shared_r, j));
         }
-        std::vector<PlaceboRun> group;
-        for (const auto& fit : FitAll(placebos, options, std::move(factors))) {
-          SISYPHUS_METRIC_COUNT("causal.placebo.runs", 1);
-          PlaceboRun run;
-          if (fit.ok()) {
-            run.ok = true;
-            run.rmse_ratio = fit.value().rmse_ratio;
-            run.rmse_pre = fit.value().rmse_pre;
-          }
-          group.push_back(run);
-        }
-        return group;
+        return FitAll(placebos, options, std::move(factors));
       });
-  std::vector<PlaceboRun> runs;
-  for (const std::vector<PlaceboRun>& group : groups) {
-    runs.insert(runs.end(), group.begin(), group.end());
+  PlaceboFits out;
+  out.treated_fit = std::move(treated[0]).value();
+  out.rotations.reserve(donors);
+  for (auto& group : groups) {
+    for (auto& fit : group) out.rotations.push_back(std::move(fit));
   }
-  for (const PlaceboRun& run : runs) {
-    if (!run.ok) {
+  return out;
+}
+
+Result<PlaceboResult> RunPlaceboAnalysis(const SyntheticControlInput& input,
+                                         const PlaceboOptions& options) {
+  if (auto s = input.Validate(); !s.ok()) return s.error();
+  if (input.donors.cols() < 3) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "RunPlaceboAnalysis: need >= 3 donors for a placebo "
+                 "distribution");
+  }
+  // An exact fit before and after treatment (an all-zero panel, or one
+  // whose squares underflow) has no RMSE ratio: 0 over the floor would
+  // read as "no effect" with p = 1.
+  auto fits = FitPlaceboRotations(
+      input, options, [](const SyntheticControlFit& treated) -> core::Status {
+        if (treated.rmse_pre < kRmseFloor && treated.rmse_post < kRmseFloor) {
+          char detail[192];
+          std::snprintf(detail, sizeof(detail),
+                        "RunPlaceboAnalysis: the treated fit's pre- and "
+                        "post-period RMSE (%g, %g) are both below the %g "
+                        "floor, so its RMSE ratio is undefined",
+                        treated.rmse_pre, treated.rmse_post, kRmseFloor);
+          return Error(ErrorCode::kNumericalFailure, detail);
+        }
+        return core::Status::Ok();
+      });
+  if (!fits.ok()) return fits.error();
+
+  // The skip filter runs in donor order on this thread.
+  PlaceboResult out;
+  out.treated_fit = std::move(fits.value().treated_fit);
+  const double max_pre_rmse =
+      options.max_pre_rmse_multiple *
+      std::max(out.treated_fit.rmse_pre, kRmseFloor);
+  for (const Result<SyntheticControlFit>& fit : fits.value().rotations) {
+    SISYPHUS_METRIC_COUNT("causal.placebo.runs", 1);
+    if (!fit.ok() || (options.max_pre_rmse_multiple > 0.0 &&
+                      fit.value().rmse_pre > max_pre_rmse)) {
       SISYPHUS_METRIC_COUNT("causal.placebo.skipped", 1);
       ++out.skipped_donors;
       continue;
     }
-    if (options.max_pre_rmse_multiple > 0.0 &&
-        run.rmse_pre > options.max_pre_rmse_multiple *
-                           std::max(out.treated_fit.rmse_pre, kRmseFloor)) {
-      SISYPHUS_METRIC_COUNT("causal.placebo.skipped", 1);
-      ++out.skipped_donors;
-      continue;
-    }
-    out.placebo_ratios.push_back(run.rmse_ratio);
+    out.placebo_ratios.push_back(fit.value().rmse_ratio);
   }
   if (out.placebo_ratios.size() < 2) {
     return Error(ErrorCode::kNumericalFailure,

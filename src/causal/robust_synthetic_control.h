@@ -73,8 +73,8 @@ stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
 /// or the kNumericalFailure a fit returns before it takes any SVD: p̂ is 0,
 /// or below options.min_observed_fraction. With input.Validate(), these
 /// are every check FitRobustSyntheticControl makes before the donor
-/// spectrum, so RunPlaceboAnalysis uses it to leave a rotation that would
-/// fail them out of its SVD batch.
+/// spectrum, so the placebo engine (FitPlaceboRotations) uses it to leave
+/// a rotation that would fail them out of its SVD batch.
 core::Result<double> RobustObservedFraction(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options);
@@ -83,11 +83,11 @@ core::Result<double> RobustObservedFraction(
 /// `donor_svd` is an SVD of the zero-filled donors D or of an R factor of
 /// D (D = Q R with orthonormal Q, so R has D's singular values and right
 /// singular vectors), or that SVD's failure, which the fit returns once
-/// its own checks pass. RunPlaceboAnalysis passes the spectra of one
-/// shared R and of its leave-one-out factors, taken in lockstep batches
-/// (stats::JacobiSvdBatch). The result equals the plain call's up to
-/// rounding. Fails (kInvalidArgument) if the spectrum's V does not have
-/// one row per donor.
+/// its own checks pass. The placebo engine (FitPlaceboRotations) passes
+/// the spectra of one shared R and of its leave-one-out factors, taken in
+/// lockstep batches (stats::JacobiSvdBatch). The result equals the plain
+/// call's up to rounding. Fails (kInvalidArgument) if the spectrum's V
+/// does not have one row per donor.
 core::Result<RobustSyntheticControlFit> FitRobustSyntheticControl(
     const SyntheticControlInput& input,
     const RobustSyntheticControlOptions& options,

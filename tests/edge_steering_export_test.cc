@@ -116,8 +116,11 @@ TEST(EdgeSteeringTest, ModeNamesStable) {
 
 TEST(ExportTest, PanelCsvWideFormat) {
   Panel panel;
-  panel.units.push_back({"100 / X", {1.0, 2.0}, 0.0, {}});
-  panel.units.push_back({"200 / Y", {3.0, 4.0}, 0.0, {}});
+  panel.units.resize(2);
+  panel.units[0].unit = "100 / X";
+  panel.units[0].values = {1.0, 2.0};
+  panel.units[1].unit = "200 / Y";
+  panel.units[1].values = {3.0, 4.0};
   const std::string csv = PanelToCsv(panel);
   EXPECT_EQ(csv, "period,100 / X,200 / Y\n0,1,3\n1,2,4\n");
 }

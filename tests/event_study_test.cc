@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "causal/event_study.h"
 #include "core/rng.h"
+#include "obs/metrics.h"
 
 namespace sisyphus::causal {
 namespace {
@@ -90,14 +94,32 @@ TEST(EventStudyTest, TooFewDonorsRejected) {
 }
 
 TEST(EventStudyTest, BadQuantilesRejected) {
+  // Out of order, below 0, above 1 and NaN: each is a kInvalidArgument
+  // before any fit, never stats::Quantile's precondition throw.
   core::Rng rng(6);
   const auto input = MakeInput(40, 25, 10, 2.0, 0.5, rng);
-  EventStudyOptions options;
-  options.band_lower_quantile = 0.9;
-  options.band_upper_quantile = 0.1;
-  auto study = RunEventStudy(input, options);
-  ASSERT_FALSE(study.ok());
-  EXPECT_EQ(study.error().code(), core::ErrorCode::kInvalidArgument);
+  const std::pair<double, double> bands[] = {
+      {0.9, 0.1},
+      {-0.1, 0.95},
+      {0.05, 1.5},
+      {std::numeric_limits<double>::quiet_NaN(), 0.95}};
+  obs::Registry::Enable(true);
+  for (const auto& [lower, upper] : bands) {
+    SCOPED_TRACE(std::to_string(lower) + ", " + std::to_string(upper));
+    EventStudyOptions options;
+    options.band_lower_quantile = lower;
+    options.band_upper_quantile = upper;
+    const auto fits_before = obs::Registry::Global().CounterValue(
+        "causal.rsc.fits_attempted");
+    core::Result<EventStudyResult> study =
+        core::Error(core::ErrorCode::kNotFound, "not run");
+    ASSERT_NO_THROW(study = RunEventStudy(input, options));
+    ASSERT_FALSE(study.ok());
+    EXPECT_EQ(study.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(obs::Registry::Global().CounterValue("causal.rsc.fits_attempted"),
+              fits_before);
+  }
+  obs::Registry::Enable(false);
 }
 
 TEST(EventStudyTest, ClassicalMethodSupported) {

@@ -3,13 +3,19 @@
 // construction) is correct.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
+#include "causal/event_study.h"
 #include "causal/placebo.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "obs/metrics.h"
+#include "stats/descriptive.h"
 
 namespace sisyphus::causal {
 namespace {
@@ -318,7 +324,9 @@ void ExpectNear(double actual, double expected, const std::string& what) {
 
 /// Every rotation's RMSE ratio and skip decision, and the treated fit,
 /// must equal single fits of the explicitly built inputs through
-/// FitRobustSyntheticControl.
+/// FitRobustSyntheticControl; so must every point of the event study of
+/// the same input: its gap, and its band edges over the gaps of the
+/// rotations that fit.
 void ExpectRotationsMatchSingleFits(const SyntheticControlInput& input) {
   const PlaceboOptions options;
   auto result = RunPlaceboAnalysis(input, options);
@@ -331,9 +339,14 @@ void ExpectRotationsMatchSingleFits(const SyntheticControlInput& input) {
              treated.value().base.rmse_ratio, "treated RMSE ratio");
   stats::Vector ratios;
   std::size_t skipped = 0;
+  std::vector<stats::Vector> placebo_gaps;  // one per rotation that fits
   for (std::size_t j = 0; j < input.donors.cols(); ++j) {
-    auto fit = FitRobustSyntheticControl(LeaveOneOut(input, j),
-                                         options.robust);
+    const SyntheticControlInput rotation = LeaveOneOut(input, j);
+    auto fit = FitRobustSyntheticControl(rotation, options.robust);
+    if (fit.ok()) {
+      placebo_gaps.push_back(
+          stats::Subtract(rotation.treated, fit.value().base.synthetic));
+    }
     if (!fit.ok() ||
         fit.value().base.rmse_pre >
             options.max_pre_rmse_multiple *
@@ -348,6 +361,25 @@ void ExpectRotationsMatchSingleFits(const SyntheticControlInput& input) {
   for (std::size_t i = 0; i < ratios.size(); ++i) {
     ExpectNear(result.value().placebo_ratios[i], ratios[i],
                "placebo ratio " + std::to_string(i));
+  }
+
+  const EventStudyOptions study_options;
+  auto study = RunEventStudy(input, study_options);
+  ASSERT_TRUE(study.ok()) << study.error().ToText();
+  ASSERT_EQ(study.value().points.size(), input.treated.size());
+  for (std::size_t t = 0; t < input.treated.size(); ++t) {
+    const EventStudyPoint& point = study.value().points[t];
+    stats::Vector column;
+    for (const stats::Vector& gaps : placebo_gaps) column.push_back(gaps[t]);
+    const std::string at = " at period " + std::to_string(t);
+    ExpectNear(point.gap, input.treated[t] - treated.value().base.synthetic[t],
+               "gap" + at);
+    ExpectNear(point.band_low,
+               stats::Quantile(column, study_options.band_lower_quantile),
+               "band_low" + at);
+    ExpectNear(point.band_high,
+               stats::Quantile(column, study_options.band_upper_quantile),
+               "band_high" + at);
   }
 }
 
@@ -375,6 +407,28 @@ TEST(PlaceboRotationTest, MaskedPanelMatchesSingleFits) {
   auto result = RunPlaceboAnalysis(input);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result.value().skipped_donors, 1u);
+
+  // The event study runs the analysis's engine: one shared QR, and the
+  // same SVDs and fit attempts.
+  obs::Registry::Enable(true);
+  const auto counts = [] {
+    const obs::Registry& registry = obs::Registry::Global();
+    return std::array{registry.CounterValue("stats.qr.calls"),
+                      registry.CounterValue("stats.svd.calls"),
+                      registry.CounterValue("causal.rsc.fits_attempted")};
+  };
+  const auto before = counts();
+  (void)RunPlaceboAnalysis(input);
+  const auto middle = counts();
+  (void)RunEventStudy(input);
+  const auto after = counts();
+  obs::Registry::Enable(false);
+  EXPECT_EQ(middle[0] - before[0], 1u) << "stats.qr.calls";
+  const char* names[] = {"stats.qr.calls", "stats.svd.calls",
+                         "causal.rsc.fits_attempted"};
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(after[k] - middle[k], middle[k] - before[k]) << names[k];
+  }
 }
 
 TEST(PlaceboRotationTest, DuplicateDonorPanelMatchesSingleFits) {
@@ -390,6 +444,36 @@ TEST(PlaceboRotationTest, WidePanelMatchesSingleFits) {
   // Fewer periods than donors: no thin QR, every fit factorizes itself.
   core::Rng rng(63);
   ExpectRotationsMatchSingleFits(MakeInput(24, 16, 30, 3.0, 0.5, rng));
+}
+
+TEST(PlaceboRotationTest, EventStudyIsLaneCountInvariant) {
+  core::Rng rng(65);
+  const auto input = MakeInput(120, 80, 18, 3.0, 0.5, rng);
+  const auto run = [&](std::size_t lanes) {
+    core::ThreadPool::SetGlobalThreadCount(lanes);
+    auto study = RunEventStudy(input);
+    core::ThreadPool::SetGlobalThreadCount(0);
+    return study;
+  };
+  const auto serial = run(1);
+  const auto parallel = run(8);
+  ASSERT_TRUE(serial.ok()) << serial.error().ToText();
+  ASSERT_TRUE(parallel.ok());
+  const EventStudyResult& a = serial.value();
+  const EventStudyResult& b = parallel.value();
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t t = 0; t < a.points.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.points[t].gap),
+              std::bit_cast<std::uint64_t>(b.points[t].gap));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.points[t].band_low),
+              std::bit_cast<std::uint64_t>(b.points[t].band_low));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.points[t].band_high),
+              std::bit_cast<std::uint64_t>(b.points[t].band_high));
+    EXPECT_EQ(a.points[t].outside_band, b.points[t].outside_band);
+  }
+  EXPECT_EQ(a.pre_exceedance, b.pre_exceedance);
+  EXPECT_EQ(a.post_exceedance, b.post_exceedance);
+  EXPECT_EQ(a.treated_fit.weights, b.treated_fit.weights);
 }
 
 // A rotation whose pool fails the observed-fraction check fails before
