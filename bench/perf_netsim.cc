@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -240,13 +241,39 @@ void BM_CampaignDayThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignDayThroughput)->Unit(benchmark::kMillisecond);
 
+/// Registers table1's vantages (treated units, then donors) at `scale`
+/// times its default test rates.
+void AddTable1Vantages(measure::Platform& platform,
+                       const netsim::ScenarioZa& scenario, double scale) {
+  measure::VantageConfig vantage;
+  vantage.baseline_tests_per_day = 10.0 * scale;
+  vantage.user_tests_per_day = 4.0 * scale;
+  for (const auto& unit : scenario.treated) {
+    vantage.pop = unit.access_pop;
+    platform.AddVantage(vantage);
+  }
+  for (auto donor : scenario.donors) {
+    vantage.pop = donor;
+    platform.AddVantage(vantage);
+  }
+}
+
+/// table1's panel geometry: 6-hour buckets over the scenario's horizon.
+measure::StreamingOptions Table1Streaming(
+    const netsim::ScenarioZaOptions& options) {
+  measure::StreamingOptions streaming;
+  streaming.panel.bucket = core::SimTime::FromHours(6);
+  streaming.panel.periods = static_cast<std::size_t>(
+      options.horizon.minutes() / streaming.panel.bucket.minutes());
+  return streaming;
+}
+
 // The streaming counterpart of BM_CampaignDayThroughput: one simulated day
 // of the Table 1 campaign at 40x the default test rates (table1's --scale
 // 40), each step through GenerateStep and StreamingCampaign::IngestBatch —
 // the loop perfbench's stream, audited and durable workloads run. items/s
 // is records generated and ingested.
 void BM_StreamingDayThroughput(benchmark::State& state) {
-  constexpr double kScale = 40.0;
   const core::SimTime until = core::SimTime::FromDays(1);
   std::int64_t records = 0;
   for (auto _ : state) {
@@ -257,23 +284,9 @@ void BM_StreamingDayThroughput(benchmark::State& state) {
     platform_options.server = scenario.content_jnb;
     platform_options.step = core::SimTime::FromHours(1);
     measure::Platform platform(*scenario.simulator, platform_options);
-    measure::VantageConfig vantage;
-    vantage.baseline_tests_per_day = 10.0 * kScale;
-    vantage.user_tests_per_day = 4.0 * kScale;
-    for (const auto& unit : scenario.treated) {
-      vantage.pop = unit.access_pop;
-      platform.AddVantage(vantage);
-    }
-    for (auto donor : scenario.donors) {
-      vantage.pop = donor;
-      platform.AddVantage(vantage);
-    }
-    measure::StreamingOptions streaming;
-    streaming.panel.bucket = core::SimTime::FromHours(6);
-    streaming.panel.periods = static_cast<std::size_t>(
-        options.horizon.minutes() / streaming.panel.bucket.minutes());
+    AddTable1Vantages(platform, scenario, 40.0);
     measure::StreamingCampaign campaign(platform_options.validation,
-                                        streaming);
+                                        Table1Streaming(options));
     core::Rng rng(options.seed);
     state.ResumeTiming();
     while (platform.Now() < until) {
@@ -286,6 +299,39 @@ void BM_StreamingDayThroughput(benchmark::State& state) {
   state.SetItemsProcessed(records);
 }
 BENCHMARK(BM_StreamingDayThroughput)->Unit(benchmark::kMillisecond);
+
+// Shard ingest alone: the same day (24 hourly steps, about 22.8K records)
+// is generated once, outside the timed loop, and each iteration ingests
+// its steps through StreamingCampaign::IngestBatch into a fresh campaign,
+// built and torn down with the timer paused. items/s is records ingested.
+void BM_IngestBatch(benchmark::State& state) {
+  const core::SimTime until = core::SimTime::FromDays(1);
+  const netsim::ScenarioZaOptions options;
+  auto scenario = netsim::BuildScenarioZa(options);
+  measure::PlatformOptions platform_options;
+  platform_options.server = scenario.content_jnb;
+  platform_options.step = core::SimTime::FromHours(1);
+  measure::Platform platform(*scenario.simulator, platform_options);
+  AddTable1Vantages(platform, scenario, 40.0);
+  core::Rng rng(options.seed);
+  std::vector<std::vector<measure::PendingRecord>> steps;
+  std::int64_t day_records = 0;
+  while (platform.Now() < until) {
+    steps.push_back(platform.GenerateStep(until, rng).records);
+    day_records += static_cast<std::int64_t>(steps.back().size());
+  }
+  std::optional<measure::StreamingCampaign> campaign;
+  for (auto _ : state) {
+    state.PauseTiming();
+    campaign.emplace(platform_options.validation, Table1Streaming(options));
+    state.ResumeTiming();
+    for (const auto& step : steps) campaign->IngestBatch(step);
+    benchmark::DoNotOptimize(campaign->store().size());
+  }
+  state.SetItemsProcessed(day_records *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_IngestBatch)->Unit(benchmark::kMillisecond);
 
 // Write-ahead journal append throughput at representative step-batch
 // payload sizes (a scale-1 table1 step serializes to a few KiB). The cost

@@ -49,7 +49,7 @@ void Platform::RunTests(const VantageState& vantage,
 void Platform::RunOneTest(const VantageState& vantage,
                           const StepSignal& signal, Intent intent,
                           core::Rng& rng, VantageBatch& batch) {
-  SISYPHUS_METRIC_COUNT("measure.probes.attempted", 1);
+  ++batch.attempted;
   const netsim::PopIndex pop = vantage.config.pop;
   netsim::PopIndex server = options_.server;
   if (steering_ != nullptr) {
@@ -71,7 +71,7 @@ void Platform::RunOneTest(const VantageState& vantage,
   for (std::uint32_t attempt = 1;
        attempt <= options_.retry.max_attempts; ++attempt) {
     if (attempt > 1) {
-      SISYPHUS_METRIC_COUNT("measure.probes.retried", 1);
+      ++batch.retried;
       attempt_time = attempt_time + backoff;
       backoff = core::SimTime(static_cast<std::int64_t>(
           static_cast<double>(backoff.minutes()) *
@@ -121,7 +121,7 @@ void Platform::RunOneTest(const VantageState& vantage,
                                              intent, rng, options_.test_model);
     record.time = attempt_time;
     record.attempts = attempt;
-    SISYPHUS_METRIC_COUNT("measure.probes.succeeded", 1);
+    ++batch.succeeded;
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
@@ -316,9 +316,23 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
   StepOutput out;
   out.step_end = step_end;
   std::size_t total_records = 0, total_failures = 0;
+  std::uint64_t attempted = 0, retried = 0, succeeded = 0;
   for (const VantageBatch& batch : batches) {
     total_records += batch.records.size();
     total_failures += batch.failures.size();
+    attempted += batch.attempted;
+    retried += batch.retried;
+    succeeded += batch.succeeded;
+  }
+  // One add per counter per step. A counter is registered, and so listed
+  // in metrics.json, from its first nonzero add, as it was when each
+  // probe added to it.
+  if (attempted > 0) {
+    SISYPHUS_METRIC_COUNT("measure.probes.attempted", attempted);
+  }
+  if (retried > 0) SISYPHUS_METRIC_COUNT("measure.probes.retried", retried);
+  if (succeeded > 0) {
+    SISYPHUS_METRIC_COUNT("measure.probes.succeeded", succeeded);
   }
   out.records.reserve(total_records);
   out.failures.reserve(total_failures);
@@ -475,7 +489,7 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   // merged step) and group batch indices by owning shard. The grouping is
   // a pure function of the batch contents, so each shard task sees a
   // fixed record sequence no matter how many lanes execute.
-  for (std::vector<std::uint32_t>& entries : by_shard_) entries.clear();
+  for (ShardSlice& slice : by_shard_) slice.entries.clear();
   std::size_t shard = 0;
   std::uint64_t max_id = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -483,7 +497,7 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
     if (i == 0 || record.unit != batch[i - 1].record.unit) {
       shard = store_.ShardOf(record.UnitKey());
     }
-    by_shard_[shard].push_back(static_cast<std::uint32_t>(i));
+    by_shard_[shard].entries.push_back(static_cast<std::uint32_t>(i));
     max_id = std::max(max_id, record.id.value());
   }
   // Shard tasks write each record's lineage verdict in place at id - 1,
@@ -499,19 +513,18 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   ingested_ += batch.size();
 }
 
-void StreamingCampaign::IngestShard(
-    std::size_t shard, const std::vector<PendingRecord>& batch,
-    const std::vector<std::uint32_t>& entries) {
+void StreamingCampaign::IngestShard(std::size_t shard,
+                                    const std::vector<PendingRecord>& batch,
+                                    ShardSlice& slice) {
+  store_.AppendShard(shard, batch, slice.entries, slice.archived);
   const bool lineage = obs::Lineage::enabled();
-  for (const std::uint32_t i : entries) {
-    const PendingRecord& pending = batch[i];
+  for (std::size_t k = 0; k < slice.entries.size(); ++k) {
+    const PendingRecord& pending = batch[slice.entries[k]];
     const std::string& unit = pending.record.UnitKey();
     // Duplicate copies share id and content: one lineage verdict covers
-    // both appends, and only archived copies reach the panel. The verdict
-    // is written in place: this task owns the record's id.
-    bool archived_first = false;
-    if (pending.duplicate) archived_first = store_.Append(shard, pending.record);
-    const bool archived = store_.Append(shard, pending.record) || archived_first;
+    // both rows, and only archived copies reach the panel. The verdict is
+    // written in place: this task owns the record's id.
+    const bool archived = slice.archived[k] != 0;
     if (lineage) {
       obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
     }

@@ -119,9 +119,10 @@ struct StepOutput {
 /// fans out across the core::ThreadPool with one task per shard
 /// (shard = hash(unit)), so validation, quarantine metrics, lineage
 /// emission, and panel folds all run inside the owning shard's task.
-/// Because the shard layout is a pure function of unit keys and the pool
-/// replays captured metric/lineage writes in shard-index order, every
-/// artifact is byte-identical at any SISYPHUS_THREADS (DESIGN.md §10).
+/// Because the shard layout is a pure function of unit keys, lineage
+/// verdicts are written in place at each record's id, and the pool replays
+/// captured metric writes in shard-index order, every artifact is
+/// byte-identical at any SISYPHUS_THREADS (DESIGN.md §10).
 class StreamingCampaign {
  public:
   StreamingCampaign(StoreValidationOptions validation,
@@ -148,16 +149,24 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
-  /// Per-shard ingest body: one shard's slice of a batch (its records'
-  /// batch indices), applied inside the shard's pool task, in batch order.
+  /// One shard's share of a batch: its records' batch indices, in batch
+  /// order, and the store's verdict on each. Refilled per batch (kept for
+  /// capacity).
+  struct ShardSlice {
+    std::vector<std::uint32_t> entries;
+    std::vector<std::uint8_t> archived;
+  };
+
+  /// Per-shard ingest body, run inside the shard's pool task: one store
+  /// call for the whole slice, then each entry's lineage verdict and the
+  /// panel folds of its archived copies, in batch order.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
-                   const std::vector<std::uint32_t>& entries);
+                   ShardSlice& slice);
 
   StreamingOptions options_;
   ShardedMeasurementStore store_;
   IncrementalPanelBuilder panel_;
-  /// Each shard's batch indices, refilled per batch (kept for capacity).
-  std::vector<std::vector<std::uint32_t>> by_shard_;
+  std::vector<ShardSlice> by_shard_;
   std::uint64_t batches_ = 0;
   std::uint64_t ingested_ = 0;
 };
@@ -289,6 +298,11 @@ class Platform {
   struct VantageBatch {
     std::vector<PendingRecord> records;
     std::vector<ProbeFailure> failures;
+    /// measure.probes.{attempted,retried,succeeded} tallies, which
+    /// GenerateStep sums and adds once per step.
+    std::uint64_t attempted = 0;
+    std::uint64_t retried = 0;
+    std::uint64_t succeeded = 0;
   };
 
   void RunTests(const VantageState& vantage, const StepSignal& signal,

@@ -66,53 +66,113 @@ std::size_t ShardedMeasurementStore::ShardOf(std::string_view unit) const {
   return static_cast<std::size_t>(core::Fnv1a64(unit) % shards_.size());
 }
 
-bool ShardedMeasurementStore::Append(std::size_t shard,
-                                     const SpeedTestRecord& record) {
-  Columns& arena = shards_[shard];
-  if (auto status = ValidateRecord(record, validation_); !status.ok()) {
-    const std::string reason = status.error().ToText();
-    const std::string tag = QuarantineReasonTag(reason);
-    ++arena.quarantine_reason_counts[tag];
-    ++arena.quarantined;
-    SISYPHUS_METRIC_COUNT("measure.store.quarantined", 1);
-    // Per-reason counters need a dynamic name; Registry registration is
-    // mutex-guarded and Add() is capture-aware, so this is safe (and
-    // deterministic) from inside a shard task.
-    obs::Registry::Global()
-        .GetCounter("measure.store.quarantined." + tag)
-        ->Add(1);
+namespace {
+
+/// Quarantines `copies` copies of a record that failed validation with
+/// `error`: each copy is counted by reason tag and logged.
+void Quarantine(ShardedMeasurementStore::Columns& arena,
+                const SpeedTestRecord& record, const Error& error,
+                std::size_t copies) {
+  const std::string reason = error.ToText();
+  const std::string tag = QuarantineReasonTag(reason);
+  arena.quarantine_reason_counts[tag] += copies;
+  arena.quarantined += copies;
+  SISYPHUS_METRIC_COUNT("measure.store.quarantined", copies);
+  // Per-reason counters need a dynamic name; Registry registration is
+  // mutex-guarded and Add() is capture-aware, so this is safe (and
+  // deterministic) from inside a shard task.
+  obs::Registry::Global()
+      .GetCounter("measure.store.quarantined." + tag)
+      ->Add(copies);
+  for (std::size_t copy = 0; copy < copies; ++copy) {
     (SISYPHUS_LOG(kDebug) << "record quarantined")
         .With("unit", record.UnitKey())
         .With("tag", tag)
         .With("reason", reason);
-    return false;
   }
-  SISYPHUS_METRIC_COUNT("measure.store.archived", 1);
-  if (arena.unit_names.empty() || record.unit != arena.last_unit) {
-    const std::string& unit = record.UnitKey();
-    auto it = arena.unit_index.find(unit);
-    if (it == arena.unit_index.end()) {
-      it = arena.unit_index
-               .emplace(unit,
-                        static_cast<std::uint32_t>(arena.unit_names.size()))
-               .first;
-      arena.unit_names.push_back(unit);
+}
+
+/// Grows `column` by `rows` rows and returns the first new one. The
+/// capacity is the one `rows` push_backs would leave (doubled from at
+/// least 1 until the rows fit), so the arena's footprint does not change.
+template <typename T>
+T* GrowBy(std::vector<T>& column, std::size_t rows) {
+  const std::size_t size = column.size();
+  if (size + rows > column.capacity()) {
+    std::size_t capacity = std::max<std::size_t>(column.capacity(), 1);
+    while (capacity < size + rows) capacity *= 2;
+    column.reserve(capacity);
+  }
+  column.resize(size + rows);
+  return column.data() + size;
+}
+
+}  // namespace
+
+void ShardedMeasurementStore::AppendShard(
+    std::size_t shard, std::span<const PendingRecord> batch,
+    std::span<const std::uint32_t> entries,
+    std::vector<std::uint8_t>& archived) {
+  Columns& arena = shards_[shard];
+  archived.resize(entries.size());
+  std::size_t rows = 0;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const PendingRecord& pending = batch[entries[k]];
+    const std::size_t copies = pending.duplicate ? 2 : 1;
+    const core::Status status = ValidateRecord(pending.record, validation_);
+    archived[k] = status.ok();
+    if (status.ok()) {
+      rows += copies;
+    } else {
+      Quarantine(arena, pending.record, status.error(), copies);
     }
-    arena.last_unit = record.unit;
-    arena.last_unit_index = it->second;
   }
-  arena.id.push_back(record.id.value());
-  arena.time_minutes.push_back(record.time.minutes());
-  arena.unit.push_back(arena.last_unit_index);
-  arena.rtt_ms.push_back(record.rtt_ms);
-  arena.loss_rate.push_back(record.loss_rate);
-  arena.throughput_mbps.push_back(record.throughput_mbps);
-  arena.intent.push_back(static_cast<std::uint8_t>(record.intent));
-  arena.attempts.push_back(
-      static_cast<std::uint8_t>(std::min<std::uint32_t>(record.attempts, 255)));
-  arena.vantage_pop.push_back(record.vantage_pop);
-  arena.ixp_crossing.push_back(record.ixp_crossing);
-  return true;
+  if (rows == 0) return;
+  SISYPHUS_METRIC_COUNT("measure.store.archived", rows);
+
+  std::uint64_t* id = GrowBy(arena.id, rows);
+  std::int64_t* time_minutes = GrowBy(arena.time_minutes, rows);
+  std::uint32_t* unit = GrowBy(arena.unit, rows);
+  double* rtt_ms = GrowBy(arena.rtt_ms, rows);
+  double* loss_rate = GrowBy(arena.loss_rate, rows);
+  double* throughput_mbps = GrowBy(arena.throughput_mbps, rows);
+  std::uint8_t* intent = GrowBy(arena.intent, rows);
+  std::uint8_t* attempts = GrowBy(arena.attempts, rows);
+  std::uint32_t* vantage_pop = GrowBy(arena.vantage_pop, rows);
+  std::uint16_t* ixp_crossing = GrowBy(arena.ixp_crossing, rows);
+  std::size_t row = 0;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    if (!archived[k]) continue;
+    const PendingRecord& pending = batch[entries[k]];
+    const SpeedTestRecord& record = pending.record;
+    if (arena.unit_names.empty() || record.unit != arena.last_unit) {
+      const std::string& key = record.UnitKey();
+      auto it = arena.unit_index.find(key);
+      if (it == arena.unit_index.end()) {
+        it = arena.unit_index
+                 .emplace(key,
+                          static_cast<std::uint32_t>(arena.unit_names.size()))
+                 .first;
+        arena.unit_names.push_back(key);
+      }
+      arena.last_unit = record.unit;
+      arena.last_unit_index = it->second;
+    }
+    const std::size_t copies = pending.duplicate ? 2 : 1;
+    for (std::size_t copy = 0; copy < copies; ++copy, ++row) {
+      id[row] = record.id.value();
+      time_minutes[row] = record.time.minutes();
+      unit[row] = arena.last_unit_index;
+      rtt_ms[row] = record.rtt_ms;
+      loss_rate[row] = record.loss_rate;
+      throughput_mbps[row] = record.throughput_mbps;
+      intent[row] = static_cast<std::uint8_t>(record.intent);
+      attempts[row] = static_cast<std::uint8_t>(
+          std::min<std::uint32_t>(record.attempts, 255));
+      vantage_pop[row] = record.vantage_pop;
+      ixp_crossing[row] = record.ixp_crossing;
+    }
+  }
 }
 
 std::uint64_t ShardedMeasurementStore::size() const {

@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -26,8 +27,8 @@
 
 namespace sisyphus::measure {
 
-/// What Add() accepts into the archive. Everything outside these bounds is
-/// quarantined, not dropped.
+/// What AppendShard() accepts into the archive. Everything outside these
+/// bounds is quarantined, not dropped.
 struct StoreValidationOptions {
   double max_rtt_ms = 60'000.0;  ///< 1 minute: beyond any sane speed test
   core::SimTime min_time{0};
@@ -82,12 +83,19 @@ class ShardedMeasurementStore {
   /// layout never depends on SISYPHUS_THREADS.
   std::size_t ShardOf(std::string_view unit) const;
 
-  /// Validating columnar append of one record copy into `shard`'s arena.
-  /// Returns true when the copy is archived, false when it is quarantined
-  /// (ValidateRecord), bumping measure.store.archived or
-  /// measure.store.quarantined[.<tag>].
-  /// Precondition: shard == ShardOf(record.UnitKey()).
-  bool Append(std::size_t shard, const SpeedTestRecord& record);
+  /// Validating columnar append of one shard's share of a step batch: the
+  /// copies of batch[entries[k]] for every k, in entry order, a
+  /// duplicate's two copies on adjacent rows. Each entry is validated once
+  /// (ValidateRecord; a duplicate's copies share content, so they share
+  /// the verdict); each copy of a failing entry is quarantined and counted
+  /// in measure.store.quarantined[.<tag>]. Every column grows once by the
+  /// archived rows, which measure.store.archived counts in one add.
+  /// On return archived[k] is 1 when entry k's copies were archived and 0
+  /// when they were quarantined.
+  /// Precondition: every entry's unit belongs to `shard` (ShardOf).
+  void AppendShard(std::size_t shard, std::span<const PendingRecord> batch,
+                   std::span<const std::uint32_t> entries,
+                   std::vector<std::uint8_t>& archived);
 
   /// One shard's arena, in append order. Parallel arrays: entry i of every
   /// column describes the i-th archived record copy of the shard.
@@ -102,9 +110,9 @@ class ShardedMeasurementStore {
     std::vector<std::uint8_t> attempts;  ///< clamped to 255
     std::vector<std::uint32_t> vantage_pop;
     std::vector<std::uint16_t> ixp_crossing;  ///< or kNoIxpCrossing
-    std::vector<std::string> unit_names;  ///< unit keys, first-seen order
+    std::vector<std::string> unit_names;  ///< unit keys, first-archived order
     std::map<std::string, std::uint32_t, std::less<>> unit_index;
-    /// The unit of the last append and its index: a shard's records
+    /// The unit of the last archived row and its index: a shard's records
     /// arrive in runs of one unit, so only a run's first record searches
     /// unit_index.
     Unit last_unit;

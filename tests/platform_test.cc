@@ -10,9 +10,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/parallel.h"
 #include "measure/platform.h"
 #include "netsim/scenario_random.h"
 #include "netsim/scenario_za.h"
+#include "obs/metrics.h"
 
 namespace sisyphus::measure {
 namespace {
@@ -616,6 +618,102 @@ TEST(PlatformFaultTest, SameFaultSeedReplaysByteIdenticalStream) {
   const std::string second = run_campaign();
   EXPECT_GT(first.size(), 100u);
   EXPECT_EQ(first, second);
+}
+
+// ---- Probe counters -------------------------------------------------------
+
+/// The measure.probes.* counter deltas of a two-day ZA campaign at
+/// `threads` lanes, beside the tallies of its step outputs they must equal.
+struct ProbeCounts {
+  std::uint64_t attempted = 0;
+  std::uint64_t retried = 0;
+  std::uint64_t succeeded = 0;
+  std::uint64_t records = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t exhausted = 0;   ///< failures that used every attempt
+  std::uint64_t duplicates = 0;
+  std::uint64_t extra_attempts = 0;  ///< sum of attempts - 1
+};
+
+ProbeCounts RunZaProbeCampaign(std::size_t threads) {
+  core::ThreadPool::SetGlobalThreadCount(threads);
+  const obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t attempted = registry.CounterValue(
+      "measure.probes.attempted");
+  const std::uint64_t retried = registry.CounterValue("measure.probes.retried");
+  const std::uint64_t succeeded =
+      registry.CounterValue("measure.probes.succeeded");
+
+  netsim::ScenarioZa scenario = netsim::BuildScenarioZa();
+  PlatformOptions options;
+  options.server = scenario.content_jnb;
+  Platform platform(*scenario.simulator, options);
+  VantageConfig vantage;
+  vantage.baseline_tests_per_day = 10.0;
+  vantage.user_tests_per_day = 4.0;
+  for (const auto& unit : scenario.treated) {
+    vantage.pop = unit.access_pop;
+    platform.AddVantage(vantage);
+  }
+  for (netsim::PopIndex donor : scenario.donors) {
+    vantage.pop = donor;
+    platform.AddVantage(vantage);
+  }
+  FaultPlan plan;
+  plan.seed = 37;
+  plan.probe_loss_probability = 0.4;
+  plan.duplicate_probability = 0.05;
+  FaultInjector injector(plan);
+  platform.SetFaultInjector(&injector);
+
+  ProbeCounts out;
+  StreamingCampaign campaign(options.validation, {});
+  core::Rng rng(41);
+  const SimTime until = SimTime::FromDays(2);
+  while (platform.Now() < until) {
+    const StepOutput step = platform.GenerateStep(until, rng);
+    for (const PendingRecord& pending : step.records) {
+      ++out.records;
+      if (pending.duplicate) ++out.duplicates;
+      out.extra_attempts += pending.record.attempts - 1;
+    }
+    for (const ProbeFailure& failure : step.failures) {
+      ++out.failures;
+      if (failure.attempts == options.retry.max_attempts) ++out.exhausted;
+      out.extra_attempts += failure.attempts - 1;
+    }
+    campaign.IngestBatch(step.records);
+    platform.CommitFailures(step.failures);
+  }
+  out.attempted =
+      registry.CounterValue("measure.probes.attempted") - attempted;
+  out.retried = registry.CounterValue("measure.probes.retried") - retried;
+  out.succeeded =
+      registry.CounterValue("measure.probes.succeeded") - succeeded;
+  return out;
+}
+
+TEST(PlatformProbeCounterTest, StepTalliesMatchRecordsAndFailures) {
+  const bool metrics_were_enabled = obs::Registry::enabled();
+  obs::Registry::Enable(true);
+  const ProbeCounts one = RunZaProbeCampaign(1);
+  const ProbeCounts four = RunZaProbeCampaign(4);
+  core::ThreadPool::SetGlobalThreadCount(0);
+  obs::Registry::Enable(metrics_were_enabled);
+
+  // The plan forces retries, exhausted retries and duplicates.
+  EXPECT_GT(one.extra_attempts, 0u);
+  EXPECT_GT(one.exhausted, 0u);
+  EXPECT_GT(one.duplicates, 0u);
+  for (const ProbeCounts* run : {&one, &four}) {
+    EXPECT_EQ(run->attempted, run->records + run->failures);
+    EXPECT_EQ(run->succeeded, run->records);
+    EXPECT_EQ(run->retried, run->extra_attempts);
+  }
+  EXPECT_EQ(four.attempted, one.attempted);
+  EXPECT_EQ(four.retried, one.retried);
+  EXPECT_EQ(four.succeeded, one.succeeded);
+  EXPECT_EQ(four.records, one.records);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for speed-test execution and the campaign store.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "measure/store.h"
 #include "netsim/simulator.h"
@@ -18,9 +20,15 @@ using netsim::NetworkSimulator;
 using netsim::Relationship;
 using netsim::Topology;
 
-/// Appends one record copy to its unit's shard, as campaign ingest does.
+/// Appends one record copy to its unit's shard, as a one-entry slice of
+/// the bulk call campaign ingest makes; true when it was archived.
 bool Add(ShardedMeasurementStore& store, const SpeedTestRecord& record) {
-  return store.Append(store.ShardOf(record.UnitKey()), record);
+  const PendingRecord pending{record};
+  const std::uint32_t entry = 0;
+  std::vector<std::uint8_t> archived;
+  store.AppendShard(store.ShardOf(record.UnitKey()), {&pending, 1},
+                    {&entry, 1}, archived);
+  return archived.at(0) != 0;
 }
 
 struct Fixture {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -15,6 +17,7 @@
 #include "measure/panel.h"
 #include "measure/platform.h"
 #include "measure/store.h"
+#include "obs/metrics.h"
 #include "stats/descriptive.h"
 
 namespace sisyphus {
@@ -34,6 +37,18 @@ measure::SpeedTestRecord MakeRecord(std::uint64_t id, std::uint32_t asn,
   r.intent = (id % 3 == 0) ? measure::Intent::kUserInitiated
                            : measure::Intent::kBaseline;
   return r;
+}
+
+/// Appends one record copy to its unit's shard through the bulk call, as
+/// a one-entry shard slice; true when the copy was archived.
+bool AppendOne(measure::ShardedMeasurementStore& store,
+               const measure::SpeedTestRecord& record) {
+  const measure::PendingRecord pending{record};
+  const std::uint32_t entry = 0;
+  std::vector<std::uint8_t> archived;
+  store.AppendShard(store.ShardOf(record.UnitKey()), {&pending, 1},
+                    {&entry, 1}, archived);
+  return archived.at(0) != 0;
 }
 
 // ---- Compensated summation ------------------------------------------------
@@ -75,7 +90,7 @@ TEST(ShardedStoreTest, ValidatesAndTagsQuarantine) {
   std::size_t archived = 0;
   std::uint64_t baseline = 0;
   for (const auto& r : records) {
-    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) {
+    if (AppendOne(sharded, r)) {
       ++archived;
       if (r.intent == measure::Intent::kBaseline) ++baseline;
     }
@@ -102,7 +117,7 @@ TEST(ShardedStoreTest, ShardOfPartitionsUnitsDeterministically) {
     const std::size_t shard = store.ShardOf(r.UnitKey());
     EXPECT_EQ(shard, store.ShardOf(r.UnitKey()));
     ASSERT_LT(shard, store.shard_count());
-    ASSERT_TRUE(store.Append(shard, r));
+    ASSERT_TRUE(AppendOne(store, r));
   }
   // Every unit's arena entry lives in exactly one shard.
   std::size_t interned = 0;
@@ -116,17 +131,107 @@ TEST(ShardedStoreTest, InternsUnitsAndClampsAttempts) {
   measure::ShardedMeasurementStore store;
   auto r = MakeRecord(1, 3741, "East London", 60, 12.0);
   r.attempts = 1000;
-  const std::size_t shard = store.ShardOf(r.UnitKey());
-  ASSERT_TRUE(store.Append(shard, r));
+  ASSERT_TRUE(AppendOne(store, r));
   r.id = core::MeasurementId(2);
   r.attempts = 3;
-  ASSERT_TRUE(store.Append(shard, r));
-  const auto& columns = store.shard(shard);
+  ASSERT_TRUE(AppendOne(store, r));
+  const auto& columns = store.shard(store.ShardOf(r.UnitKey()));
   ASSERT_EQ(columns.size(), 2u);
   EXPECT_EQ(columns.unit[0], columns.unit[1]);  // interned once
   EXPECT_EQ(columns.unit_names.size(), 1u);
   EXPECT_EQ(columns.attempts[0], 255);
   EXPECT_EQ(columns.attempts[1], 3);
+}
+
+TEST(ShardedStoreTest, AppendShardArchivesEntriesInOrderOnce) {
+  const bool metrics_were_enabled = obs::Registry::enabled();
+  obs::Registry::Enable(true);
+  const obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t archived_before =
+      registry.CounterValue("measure.store.archived");
+  const std::uint64_t quarantined_before =
+      registry.CounterValue("measure.store.quarantined");
+
+  // Units A, c and d share a shard; e lives in another one.
+  measure::ShardedMeasurementStore store;
+  const auto unit = [](const std::string& city) {
+    return MakeRecord(1, 3741, city, 60, 10.0);
+  };
+  const std::size_t shard = store.ShardOf(unit("A").UnitKey());
+  std::vector<std::string> same_shard, other_shard;
+  for (int i = 0; same_shard.size() < 2 || other_shard.empty(); ++i) {
+    const std::string city = "C" + std::to_string(i);
+    (store.ShardOf(unit(city).UnitKey()) == shard ? same_shard : other_shard)
+        .push_back(city);
+  }
+  const std::string c = same_shard[0], d = same_shard[1], e = other_shard[0];
+  const auto pending = [](measure::SpeedTestRecord record,
+                          bool duplicate = false) {
+    return measure::PendingRecord{record, duplicate};
+  };
+
+  auto bad_rtt = MakeRecord(1, 3741, d, 60, 10.0);
+  bad_rtt.rtt_ms = std::numeric_limits<double>::quiet_NaN();
+  auto many_attempts = MakeRecord(2, 3741, "A", 61, 11.0);
+  many_attempts.attempts = 1000;
+  auto bad_time = MakeRecord(4, 3741, "A", 62, 12.0);
+  bad_time.time = core::SimTime(-5);
+  auto bad_loss = MakeRecord(6, 3741, "A", 64, 14.0);
+  bad_loss.loss_rate = 2.0;
+  const std::vector<measure::PendingRecord> first = {
+      pending(bad_rtt),                              // d: quarantined
+      pending(many_attempts),                        // A: row 0
+      pending(MakeRecord(3, 3741, e, 60, 10.0)),     // another shard
+      pending(bad_time),                             // A: quarantined
+      pending(MakeRecord(5, 3741, "A", 63, 13.0), true),  // A: rows 1, 2
+      pending(bad_loss, true),                       // A: quarantined twice
+      pending(MakeRecord(7, 3741, c, 65, 15.0)),     // c: row 3
+  };
+  std::vector<std::uint8_t> archived;
+  store.AppendShard(shard, first, std::vector<std::uint32_t>{0, 1, 3, 4, 5, 6},
+                    archived);
+  EXPECT_EQ(archived, (std::vector<std::uint8_t>{0, 1, 0, 1, 0, 1}));
+
+  // The second call continues c's run, then archives d's first copies.
+  const std::vector<measure::PendingRecord> second = {
+      pending(MakeRecord(8, 3741, c, 66, 16.0)),        // c: row 4
+      pending(MakeRecord(9, 3741, d, 67, 17.0), true),  // d: rows 5, 6
+  };
+  store.AppendShard(shard, second, std::vector<std::uint32_t>{0, 1},
+                    archived);
+  EXPECT_EQ(archived, (std::vector<std::uint8_t>{1, 1}));
+
+  const measure::ShardedMeasurementStore::Columns& columns =
+      store.shard(shard);
+  EXPECT_EQ(columns.id, (std::vector<std::uint64_t>{2, 5, 5, 7, 8, 9, 9}));
+  EXPECT_EQ(columns.time_minutes,
+            (std::vector<std::int64_t>{61, 63, 63, 65, 66, 67, 67}));
+  EXPECT_EQ(columns.rtt_ms,
+            (std::vector<double>{11.0, 13.0, 13.0, 15.0, 16.0, 17.0, 17.0}));
+  EXPECT_EQ(columns.unit, (std::vector<std::uint32_t>{0, 0, 0, 1, 1, 2, 2}));
+  const std::vector<std::string> names = {
+      unit("A").UnitKey(), unit(c).UnitKey(), unit(d).UnitKey()};
+  EXPECT_EQ(columns.unit_names, names);
+  EXPECT_EQ(columns.attempts,
+            (std::vector<std::uint8_t>{255, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(columns.loss_rate.size(), 7u);
+  EXPECT_EQ(columns.throughput_mbps.size(), 7u);
+  EXPECT_EQ(columns.intent.size(), 7u);
+  EXPECT_EQ(columns.vantage_pop.size(), 7u);
+  EXPECT_EQ(columns.ixp_crossing.size(), 7u);
+  EXPECT_EQ(store.size(), 7u);
+  EXPECT_EQ(store.shard(store.ShardOf(unit(e).UnitKey())).size(), 0u);
+
+  EXPECT_EQ(store.quarantined(), 4u);
+  const std::map<std::string, std::uint64_t> reasons = {
+      {"loss_rate", 2}, {"rtt", 1}, {"timestamp", 1}};
+  EXPECT_EQ(store.QuarantineReasonCounts(), reasons);
+  EXPECT_EQ(registry.CounterValue("measure.store.archived") - archived_before,
+            7u);
+  EXPECT_EQ(
+      registry.CounterValue("measure.store.quarantined") - quarantined_before,
+      4u);
+  obs::Registry::Enable(metrics_were_enabled);
 }
 
 TEST(ShardedStoreTest, ToCsvIsDeterministic) {
@@ -136,7 +241,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
                                 "City" + std::to_string(i % 4),
                                 static_cast<std::int64_t>(i * 30),
                                 10.0 + static_cast<double>(i) * 0.25);
-      store.Append(store.ShardOf(r.UnitKey()), r);
+      AppendOne(store, r);
     }
   };
   measure::ShardedMeasurementStore a, b;

@@ -1,14 +1,18 @@
 # Compares the structural work counters of a table1 run's metrics.json, the
 # byte sizes of the audit.bin and timeline.bin beside it, and the byte size
 # of a durable run's journal.bin with the golden copy. These count work
-# items (route-cache reads, BGP table builds, SVD calls and their Jacobi
-# sweeps, QR calls) and bytes written, never floating-point results, so
-# they hold byte for byte on any host; a change that moves one must update
-# the golden on purpose.
+# items (probes attempted and succeeded, record copies archived,
+# route-cache reads, BGP table builds, SVD calls and their Jacobi sweeps,
+# QR calls) and bytes written, never floating-point results, so they hold
+# byte for byte on any host; a change that moves one must update the
+# golden on purpose.
 #
 #   cmake -DMETRICS=<metrics.json> -DJOURNAL=<journal.bin>
 #         -DGOLDEN=<counters file> -P table1_work_counters_golden.cmake
 set(counters
+  measure.probes.attempted
+  measure.probes.succeeded
+  measure.store.archived
   netsim.bgp.route_cache_hits
   netsim.bgp.route_cache_misses
   netsim.bgp.tables_computed
