@@ -300,12 +300,15 @@ void BM_StreamingDayThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingDayThroughput)->Unit(benchmark::kMillisecond);
 
-// Shard ingest alone: the same day (24 hourly steps, about 22.8K records)
-// is generated once, outside the timed loop, and each iteration ingests
-// its steps through StreamingCampaign::IngestBatch into a fresh campaign,
-// built and torn down with the timer paused. items/s is records ingested.
+// Shard ingest alone: range(0) days of the Table 1 campaign at table1's
+// --scale 40 rates (24 hourly steps a day, about 22.8K records) are
+// generated once, outside the timed loop, and each iteration ingests all
+// of those steps through StreamingCampaign::IngestBatch into a fresh
+// campaign, built and torn down with the timer paused. A longer campaign
+// grows the arenas further, which is where column growth costs show.
+// items/s is records ingested.
 void BM_IngestBatch(benchmark::State& state) {
-  const core::SimTime until = core::SimTime::FromDays(1);
+  const core::SimTime until = core::SimTime::FromDays(state.range(0));
   const netsim::ScenarioZaOptions options;
   auto scenario = netsim::BuildScenarioZa(options);
   measure::PlatformOptions platform_options;
@@ -315,10 +318,10 @@ void BM_IngestBatch(benchmark::State& state) {
   AddTable1Vantages(platform, scenario, 40.0);
   core::Rng rng(options.seed);
   std::vector<std::vector<measure::PendingRecord>> steps;
-  std::int64_t day_records = 0;
+  std::int64_t campaign_records = 0;
   while (platform.Now() < until) {
     steps.push_back(platform.GenerateStep(until, rng).records);
-    day_records += static_cast<std::int64_t>(steps.back().size());
+    campaign_records += static_cast<std::int64_t>(steps.back().size());
   }
   std::optional<measure::StreamingCampaign> campaign;
   for (auto _ : state) {
@@ -328,10 +331,34 @@ void BM_IngestBatch(benchmark::State& state) {
     for (const auto& step : steps) campaign->IngestBatch(step);
     benchmark::DoNotOptimize(campaign->store().size());
   }
-  state.SetItemsProcessed(day_records *
+  state.SetItemsProcessed(campaign_records *
                           static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_IngestBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IngestBatch)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
+
+// One step's path resolution: ResolveProbePath for each of the Table 1
+// campaign's 38 vantages towards the measurement server, on a warm route
+// cache, as GenerateStep's serial prewarm does. items/s is paths resolved.
+void BM_ResolveProbePath(benchmark::State& state) {
+  const netsim::ScenarioZaOptions options;
+  auto scenario = netsim::BuildScenarioZa(options);
+  std::vector<netsim::PopIndex> vantages;
+  for (const auto& unit : scenario.treated) vantages.push_back(unit.access_pop);
+  vantages.insert(vantages.end(), scenario.donors.begin(),
+                  scenario.donors.end());
+  netsim::NetworkSimulator& simulator = *scenario.simulator;
+  simulator.AdvanceTo(core::SimTime::FromHours(20));
+  simulator.WarmRoutes({scenario.content_jnb});
+  for (auto _ : state) {
+    for (const netsim::PopIndex vantage : vantages) {
+      benchmark::DoNotOptimize(
+          measure::ResolveProbePath(simulator, vantage, scenario.content_jnb));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(vantages.size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ResolveProbePath);
 
 // Write-ahead journal append throughput at representative step-batch
 // payload sizes (a scale-1 table1 step serializes to a few KiB). The cost

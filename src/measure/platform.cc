@@ -126,7 +126,7 @@ void Platform::RunOneTest(const VantageState& vantage,
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
       duplicate = injector_->ApplyRecordFaults(
-          record, path->hop_count(), path->ixp_hop, rng, &fault_mask);
+          record, path->hop_count, path->ixp_hop, rng, &fault_mask);
     }
     // The id is assigned at merge time (vantage order), not here: task
     // scheduling must not influence archive contents.
@@ -373,12 +373,13 @@ void Platform::SkipStep(core::SimTime until) {
       std::min(until, simulator_.Now() + options_.step);
   simulator_.AdvanceTo(step_end);
   route_change_cursor_ = simulator_.route_changes().size();
-  // Touch every (vantage, server) route so the BGP route cache ends the
-  // skipped step exactly as warm as a live step would leave it — the
-  // netsim cache counters must match an uninterrupted run when the
-  // subsequent live steps re-execute under verification.
+  // Read every (vantage, server) route, in place as ResolveProbePath
+  // does, so the BGP route cache ends the skipped step exactly as warm as
+  // a live step would leave it — the netsim cache counters must match an
+  // uninterrupted run when the subsequent live steps re-execute under
+  // verification.
   for (const VantageState& vantage : vantages_) {
-    (void)simulator_.RouteBetween(vantage.config.pop, options_.server);
+    (void)simulator_.bgp().FindRoute(vantage.config.pop, options_.server);
   }
 }
 

@@ -145,7 +145,10 @@ class StreamingCampaign {
   const ShardedMeasurementStore& store() const { return store_; }
   const IncrementalPanelBuilder& panel_builder() const { return panel_; }
   std::uint64_t batches() const { return batches_; }
-  /// Record copies offered for ingest (archived + quarantined).
+  /// Batch entries offered for ingest: the records the steps generated. A
+  /// duplicate's two copies are one entry, so under duplicate faults this
+  /// falls short of store().size() + store().quarantined(). Both step
+  /// loops report this count as measure.stream.records_ingested.
   std::uint64_t ingested() const { return ingested_; }
 
  private:

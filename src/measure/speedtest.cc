@@ -50,8 +50,9 @@ Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
                                    netsim::PopIndex vantage,
                                    netsim::PopIndex server,
                                    netsim::AddressFamily af) {
-  auto route = simulator.RouteBetween(vantage, server, af);
-  if (!route.ok()) return route.error();
+  const auto found = simulator.bgp().FindRoute(vantage, server, af);
+  if (!found.ok()) return found.error();
+  const netsim::BgpRoute& route = *found.value();
 
   ProbePath path;
   path.vantage = vantage;
@@ -61,13 +62,14 @@ Result<ProbePath> ResolveProbePath(netsim::NetworkSimulator& simulator,
   const auto& pop = simulator.topology().GetPop(vantage);
   path.unit =
       Unit::Intern(pop.asn, simulator.topology().cities().Get(pop.city).name);
-  path.mean_rtt_ms = simulator.latency().PathRttMs(route.value(), path.time);
-  path.loss_rate = simulator.latency().PathLossRate(route.value(), path.time);
-  path.route = std::move(route).value();
-  if (const auto hop = FirstIxpHop(simulator.topology(), path.route)) {
+  const auto means = simulator.latency().PathRttAndLoss(route, path.time);
+  path.mean_rtt_ms = means.rtt_ms;
+  path.loss_rate = means.loss_rate;
+  if (const auto hop = FirstIxpHop(simulator.topology(), route)) {
     path.ixp_crossing = static_cast<std::uint16_t>(hop->ixp.value());
     path.ixp_hop = hop->hop;
   }
+  path.hop_count = route.pop_path.size();
   return path;
 }
 

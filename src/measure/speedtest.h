@@ -133,22 +133,24 @@ struct ProbePath {
   netsim::AddressFamily address_family = netsim::AddressFamily::kIpv4;
   core::SimTime time;        ///< when the path was resolved
   Unit unit;                 ///< the vantage's ⟨ASN, city⟩, interned
-  double mean_rtt_ms = 0.0;  ///< LatencyModel::PathRttMs (no jitter)
-  double loss_rate = 0.0;    ///< LatencyModel::PathLossRate
-  netsim::BgpRoute route;
+  /// LatencyModel::PathRttAndLoss of the route (no jitter).
+  double mean_rtt_ms = 0.0;
+  double loss_rate = 0.0;
   /// FirstIxpHop of the route: the IXP (or kNoIxpCrossing) every record
   /// sampled over this path carries, and the index of the hop that shows
   /// it, which a truncation must keep for the crossing to survive.
   std::uint16_t ixp_crossing = kNoIxpCrossing;
   std::size_t ixp_hop = 0;
-
-  /// Hop count of the traceroute the route elicits (SimulateTraceroute).
-  std::size_t hop_count() const { return route.pop_path.size(); }
+  /// Hop count of the traceroute the route elicits (SimulateTraceroute):
+  /// the route's PoP count.
+  std::size_t hop_count = 0;
 };
 
-/// Resolves `vantage` -> `server` at the simulator's current time, interns
-/// the vantage's unit and finds the route's IXP crossing. Fails
-/// (kNotFound) when the vantage cannot reach the server.
+/// Resolves `vantage` -> `server` at the simulator's current time: reads
+/// the route in place from the BGP cache (one RoutesTo read, no copy),
+/// takes its mean RTT and loss from one walk over its links, interns the
+/// vantage's unit and finds the route's IXP crossing. Fails (kNotFound,
+/// BgpSimulator::Route's error) when the vantage cannot reach the server.
 core::Result<ProbePath> ResolveProbePath(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server,

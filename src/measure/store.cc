@@ -92,21 +92,6 @@ void Quarantine(ShardedMeasurementStore::Columns& arena,
   }
 }
 
-/// Grows `column` by `rows` rows and returns the first new one. The
-/// capacity is the one `rows` push_backs would leave (doubled from at
-/// least 1 until the rows fit), so the arena's footprint does not change.
-template <typename T>
-T* GrowBy(std::vector<T>& column, std::size_t rows) {
-  const std::size_t size = column.size();
-  if (size + rows > column.capacity()) {
-    std::size_t capacity = std::max<std::size_t>(column.capacity(), 1);
-    while (capacity < size + rows) capacity *= 2;
-    column.reserve(capacity);
-  }
-  column.resize(size + rows);
-  return column.data() + size;
-}
-
 }  // namespace
 
 void ShardedMeasurementStore::AppendShard(
@@ -130,23 +115,37 @@ void ShardedMeasurementStore::AppendShard(
   if (rows == 0) return;
   SISYPHUS_METRIC_COUNT("measure.store.archived", rows);
 
-  std::uint64_t* id = GrowBy(arena.id, rows);
-  std::int64_t* time_minutes = GrowBy(arena.time_minutes, rows);
-  std::uint32_t* unit = GrowBy(arena.unit, rows);
-  double* rtt_ms = GrowBy(arena.rtt_ms, rows);
-  double* loss_rate = GrowBy(arena.loss_rate, rows);
-  double* throughput_mbps = GrowBy(arena.throughput_mbps, rows);
-  std::uint8_t* intent = GrowBy(arena.intent, rows);
-  std::uint8_t* attempts = GrowBy(arena.attempts, rows);
-  std::uint32_t* vantage_pop = GrowBy(arena.vantage_pop, rows);
-  std::uint16_t* ixp_crossing = GrowBy(arena.ixp_crossing, rows);
-  std::size_t row = 0;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    if (!archived[k]) continue;
-    const PendingRecord& pending = batch[entries[k]];
-    const SpeedTestRecord& record = pending.record;
-    if (arena.unit_names.empty() || record.unit != arena.last_unit) {
-      const std::string& key = record.UnitKey();
+  // One column at a time, so that one write stream is open at once: the
+  // ten columns' segments are allocated together, and written row by row
+  // their streams share cache sets (DESIGN.md §10). `value` runs once per
+  // archived entry, in entry order; the pointer is fetched again where a
+  // segment ends.
+  const std::size_t first = arena.size();
+  const auto fill = [&](auto& column, auto value) {
+    column.Grow(rows);
+    std::size_t row = first;
+    std::size_t run = 0;  // rows the pointer may still walk
+    decltype(&column[0]) out = nullptr;
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      if (!archived[k]) continue;
+      const PendingRecord& pending = batch[entries[k]];
+      const auto cell = value(pending.record);
+      const std::size_t copies = pending.duplicate ? 2 : 1;
+      for (std::size_t copy = 0; copy < copies; ++copy, ++row, --run) {
+        if (run == 0) {
+          run = column.ContiguousFrom(row);
+          out = &column[row];
+        }
+        *out++ = cell;
+      }
+    }
+  };
+  fill(arena.id, [](const SpeedTestRecord& r) { return r.id.value(); });
+  fill(arena.time_minutes,
+       [](const SpeedTestRecord& r) { return r.time.minutes(); });
+  fill(arena.unit, [&arena](const SpeedTestRecord& r) {
+    if (arena.unit_names.empty() || r.unit != arena.last_unit) {
+      const std::string& key = r.UnitKey();
       auto it = arena.unit_index.find(key);
       if (it == arena.unit_index.end()) {
         it = arena.unit_index
@@ -155,24 +154,25 @@ void ShardedMeasurementStore::AppendShard(
                  .first;
         arena.unit_names.push_back(key);
       }
-      arena.last_unit = record.unit;
+      arena.last_unit = r.unit;
       arena.last_unit_index = it->second;
     }
-    const std::size_t copies = pending.duplicate ? 2 : 1;
-    for (std::size_t copy = 0; copy < copies; ++copy, ++row) {
-      id[row] = record.id.value();
-      time_minutes[row] = record.time.minutes();
-      unit[row] = arena.last_unit_index;
-      rtt_ms[row] = record.rtt_ms;
-      loss_rate[row] = record.loss_rate;
-      throughput_mbps[row] = record.throughput_mbps;
-      intent[row] = static_cast<std::uint8_t>(record.intent);
-      attempts[row] = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(record.attempts, 255));
-      vantage_pop[row] = record.vantage_pop;
-      ixp_crossing[row] = record.ixp_crossing;
-    }
-  }
+    return arena.last_unit_index;
+  });
+  fill(arena.rtt_ms, [](const SpeedTestRecord& r) { return r.rtt_ms; });
+  fill(arena.loss_rate, [](const SpeedTestRecord& r) { return r.loss_rate; });
+  fill(arena.throughput_mbps,
+       [](const SpeedTestRecord& r) { return r.throughput_mbps; });
+  fill(arena.intent, [](const SpeedTestRecord& r) {
+    return static_cast<std::uint8_t>(r.intent);
+  });
+  fill(arena.attempts, [](const SpeedTestRecord& r) {
+    return static_cast<std::uint8_t>(std::min<std::uint32_t>(r.attempts, 255));
+  });
+  fill(arena.vantage_pop,
+       [](const SpeedTestRecord& r) { return r.vantage_pop; });
+  fill(arena.ixp_crossing,
+       [](const SpeedTestRecord& r) { return r.ixp_crossing; });
 }
 
 std::uint64_t ShardedMeasurementStore::size() const {
@@ -213,8 +213,8 @@ std::uint64_t ShardedMeasurementStore::CountByIntent(Intent intent) const {
   const auto wanted = static_cast<std::uint8_t>(intent);
   std::uint64_t count = 0;
   for (const Columns& arena : shards_) {
-    for (std::uint8_t tag : arena.intent) {
-      if (tag == wanted) ++count;
+    for (std::size_t i = 0; i < arena.size(); ++i) {
+      if (arena.intent[i] == wanted) ++count;
     }
   }
   return count;

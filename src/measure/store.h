@@ -11,10 +11,12 @@
 // PendingRecords it ingests are trivially copyable values.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,6 +58,60 @@ struct PendingRecord {
 static_assert(std::is_trivially_copyable_v<PendingRecord> &&
               sizeof(PendingRecord) == 80);
 
+/// An append-only column whose rows never move. Rows live in segments:
+/// the first holds kFirstSegmentRows rows and each next one twice as many
+/// as the one before. A segment is allocated when the column grows into
+/// it and freed only with the column, so growing never copies a row, and
+/// the unused capacity stays below size() + kFirstSegmentRows, as under a
+/// doubling std::vector.
+template <typename T>
+class SegmentedColumn {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  static constexpr std::size_t kFirstSegmentRows = 1024;
+
+  std::size_t size() const { return size_; }
+  /// Rows the allocated segments hold.
+  std::size_t capacity() const { return SegmentStart(segments_.size()); }
+
+  T& operator[](std::size_t row) {
+    const std::size_t segment = SegmentOf(row);
+    return segments_[segment][row - SegmentStart(segment)];
+  }
+  const T& operator[](std::size_t row) const {
+    const std::size_t segment = SegmentOf(row);
+    return segments_[segment][row - SegmentStart(segment)];
+  }
+
+  /// Appends `rows` uninitialized rows, allocating each segment they reach.
+  void Grow(std::size_t rows) {
+    size_ += rows;
+    while (capacity() < size_) {
+      segments_.push_back(std::make_unique_for_overwrite<T[]>(
+          kFirstSegmentRows << segments_.size()));
+    }
+  }
+
+  /// Rows from `row` to the end of its segment: how far a pointer to
+  /// `row` may walk.
+  static std::size_t ContiguousFrom(std::size_t row) {
+    return SegmentStart(SegmentOf(row) + 1) - row;
+  }
+
+ private:
+  static std::size_t SegmentOf(std::size_t row) {
+    return static_cast<std::size_t>(
+        std::bit_width(row / kFirstSegmentRows + 1) - 1);
+  }
+  static std::size_t SegmentStart(std::size_t segment) {
+    return kFirstSegmentRows * ((std::size_t{1} << segment) - 1);
+  }
+
+  std::vector<std::unique_ptr<T[]>> segments_;
+  std::size_t size_ = 0;
+};
+
 /// The campaign archive: records land in columnar (structure-of-arrays)
 /// arenas, one arena per shard, shard = Fnv1a64(unit key) % shard_count.
 /// Sharding by *unit* — never by thread — keeps every unit's records in
@@ -89,7 +145,8 @@ class ShardedMeasurementStore {
   /// (ValidateRecord; a duplicate's copies share content, so they share
   /// the verdict); each copy of a failing entry is quarantined and counted
   /// in measure.store.quarantined[.<tag>]. Every column grows once by the
-  /// archived rows, which measure.store.archived counts in one add.
+  /// archived rows, which are written in place (no earlier row moves) and
+  /// which measure.store.archived counts in one add.
   /// On return archived[k] is 1 when entry k's copies were archived and 0
   /// when they were quarantined.
   /// Precondition: every entry's unit belongs to `shard` (ShardOf).
@@ -97,19 +154,19 @@ class ShardedMeasurementStore {
                    std::span<const std::uint32_t> entries,
                    std::vector<std::uint8_t>& archived);
 
-  /// One shard's arena, in append order. Parallel arrays: entry i of every
+  /// One shard's arena, in append order. Parallel columns: row i of every
   /// column describes the i-th archived record copy of the shard.
   struct Columns {
-    std::vector<std::uint64_t> id;
-    std::vector<std::int64_t> time_minutes;
-    std::vector<std::uint32_t> unit;  ///< index into unit_names
-    std::vector<double> rtt_ms;
-    std::vector<double> loss_rate;
-    std::vector<double> throughput_mbps;
-    std::vector<std::uint8_t> intent;
-    std::vector<std::uint8_t> attempts;  ///< clamped to 255
-    std::vector<std::uint32_t> vantage_pop;
-    std::vector<std::uint16_t> ixp_crossing;  ///< or kNoIxpCrossing
+    SegmentedColumn<std::uint64_t> id;
+    SegmentedColumn<std::int64_t> time_minutes;
+    SegmentedColumn<std::uint32_t> unit;  ///< index into unit_names
+    SegmentedColumn<double> rtt_ms;
+    SegmentedColumn<double> loss_rate;
+    SegmentedColumn<double> throughput_mbps;
+    SegmentedColumn<std::uint8_t> intent;
+    SegmentedColumn<std::uint8_t> attempts;  ///< clamped to 255
+    SegmentedColumn<std::uint32_t> vantage_pop;
+    SegmentedColumn<std::uint16_t> ixp_crossing;  ///< or kNoIxpCrossing
     std::vector<std::string> unit_names;  ///< unit keys, first-archived order
     std::map<std::string, std::uint32_t, std::less<>> unit_index;
     /// The unit of the last archived row and its index: a shard's records

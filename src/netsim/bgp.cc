@@ -269,13 +269,21 @@ void BgpSimulator::WarmRoutes(const std::vector<PopIndex>& destinations,
 
 Result<BgpRoute> BgpSimulator::Route(PopIndex source, PopIndex destination,
                                      AddressFamily af) {
+  const auto route = FindRoute(source, destination, af);
+  if (!route.ok()) return route.error();
+  return *route.value();
+}
+
+Result<const BgpRoute*> BgpSimulator::FindRoute(PopIndex source,
+                                                PopIndex destination,
+                                                AddressFamily af) {
   const RouteTable& table = RoutesTo(destination, af);
   if (source >= table.best.size() || !table.best[source].has_value()) {
     return Error(ErrorCode::kNotFound,
                  "Route: " + topology_.GetPop(source).label +
                      " cannot reach " + topology_.GetPop(destination).label);
   }
-  return *table.best[source];
+  return &*table.best[source];
 }
 
 namespace {

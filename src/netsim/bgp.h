@@ -163,6 +163,13 @@ class BgpSimulator {
   core::Result<BgpRoute> Route(PopIndex source, PopIndex destination,
                                AddressFamily af = AddressFamily::kIpv4);
 
+  /// Route without the copy: the best route read in place from the cached
+  /// table, with one RoutesTo read, or Route's kNotFound error. The
+  /// pointer stays valid until the next policy or topology mutation.
+  core::Result<const BgpRoute*> FindRoute(
+      PopIndex source, PopIndex destination,
+      AddressFamily af = AddressFamily::kIpv4);
+
   /// Number of cached (destination, family) tables.
   std::size_t CachedTableCount() const;
 

@@ -38,18 +38,14 @@ double LatencyModel::LinkUtilization(core::LinkId link,
   return std::clamp(u, 0.0, 0.97);
 }
 
-double LatencyModel::LinkDelayMs(core::LinkId link, core::SimTime time) const {
-  const Link& l = topology_.GetLink(link);
-  const double rho = LinkUtilization(link, time);
+double LatencyModel::DelayMsAt(const Link& link, double rho) const {
   const double queue =
       std::min(options_.max_queue_ms,
                options_.queue_scale_ms * rho / std::max(0.03, 1.0 - rho));
-  return l.propagation_ms + queue + options_.per_hop_ms;
+  return link.propagation_ms + queue + options_.per_hop_ms;
 }
 
-double LatencyModel::LinkLossRate(core::LinkId link,
-                                  core::SimTime time) const {
-  const double rho = LinkUtilization(link, time);
+double LatencyModel::LossRateAt(double rho) const {
   const double onset = options_.congestion_loss_onset;
   double loss = options_.base_loss;
   if (rho > onset && onset < 1.0) {
@@ -59,14 +55,13 @@ double LatencyModel::LinkLossRate(core::LinkId link,
   return std::min(1.0, loss);
 }
 
-double LatencyModel::PathLossRate(const BgpRoute& route,
+double LatencyModel::LinkDelayMs(core::LinkId link, core::SimTime time) const {
+  return DelayMsAt(topology_.GetLink(link), LinkUtilization(link, time));
+}
+
+double LatencyModel::LinkLossRate(core::LinkId link,
                                   core::SimTime time) const {
-  double delivered = 1.0;
-  for (core::LinkId link : route.links) {
-    const double survive = 1.0 - LinkLossRate(link, time);
-    delivered *= survive * survive;  // forward and return direction
-  }
-  return 1.0 - delivered;
+  return LossRateAt(LinkUtilization(link, time));
 }
 
 double LatencyModel::PathRttMs(const BgpRoute& route,
@@ -74,6 +69,19 @@ double LatencyModel::PathRttMs(const BgpRoute& route,
   double one_way = 0.0;
   for (core::LinkId link : route.links) one_way += LinkDelayMs(link, time);
   return 2.0 * one_way;
+}
+
+LatencyModel::PathMeans LatencyModel::PathRttAndLoss(
+    const BgpRoute& route, core::SimTime time) const {
+  double one_way = 0.0;
+  double delivered = 1.0;
+  for (core::LinkId link : route.links) {
+    const double rho = LinkUtilization(link, time);
+    one_way += DelayMsAt(topology_.GetLink(link), rho);
+    const double survive = 1.0 - LossRateAt(rho);
+    delivered *= survive * survive;  // forward and return direction
+  }
+  return {2.0 * one_way, 1.0 - delivered};
 }
 
 double LatencyModel::SampleRttMs(const BgpRoute& route, core::SimTime time,

@@ -48,13 +48,21 @@ class LatencyModel {
   /// Packet-loss probability of a link at `time` (one direction).
   double LinkLossRate(core::LinkId link, core::SimTime time) const;
 
-  /// End-to-end loss along a route (both directions, independent links):
-  /// 1 - prod (1 - l_i)^2.
-  double PathLossRate(const BgpRoute& route, core::SimTime time) const;
-
   /// Mean RTT along a converged route at `time` (no jitter): twice the
   /// one-way sum, assuming symmetric reverse routing.
   double PathRttMs(const BgpRoute& route, core::SimTime time) const;
+
+  /// A route's mean RTT and end-to-end loss at one instant.
+  struct PathMeans {
+    double rtt_ms = 0.0;     ///< PathRttMs
+    double loss_rate = 0.0;  ///< both directions: 1 - prod (1 - l_i)^2
+  };
+
+  /// PathRttMs and the route's end-to-end loss (both directions,
+  /// independent links) from one walk over its links, which evaluates
+  /// each link's utilization once. Bit for bit the sums and products the
+  /// per-link queries give, in link order.
+  PathMeans PathRttAndLoss(const BgpRoute& route, core::SimTime time) const;
 
   /// One sampled RTT: mean path RTT times lognormal jitter (rng).
   double SampleRttMs(const BgpRoute& route, core::SimTime time,
@@ -73,6 +81,11 @@ class LatencyModel {
     core::SimTime end;
     double extra = 0.0;
   };
+
+  /// The per-link formulas at utilization `rho`, shared by the link and
+  /// path queries.
+  double DelayMsAt(const Link& link, double rho) const;
+  double LossRateAt(double rho) const;
 
   const Topology& topology_;
   LatencyModelOptions options_;

@@ -103,13 +103,11 @@ TEST(DualStackTest, SpeedTestCarriesFamilyAndPath) {
   EXPECT_EQ(v4.value().address_family, AddressFamily::kIpv4);
   EXPECT_EQ(v6.value().address_family, AddressFamily::kIpv6);
   // The two families probe over different AS paths.
-  const auto v4_path = measure::ResolveProbePath(*f.sim, f.src, f.dst,
-                                                 AddressFamily::kIpv4);
-  const auto v6_path = measure::ResolveProbePath(*f.sim, f.src, f.dst,
-                                                 AddressFamily::kIpv6);
-  ASSERT_TRUE(v4_path.ok());
-  ASSERT_TRUE(v6_path.ok());
-  EXPECT_NE(v4_path.value().route.asn_path, v6_path.value().route.asn_path);
+  const auto v4_route = f.sim->RouteBetween(f.src, f.dst, AddressFamily::kIpv4);
+  const auto v6_route = f.sim->RouteBetween(f.src, f.dst, AddressFamily::kIpv6);
+  ASSERT_TRUE(v4_route.ok());
+  ASSERT_TRUE(v6_route.ok());
+  EXPECT_NE(v4_route.value().asn_path, v6_route.value().asn_path);
 }
 
 TEST(DualStackTest, FamilyToggleActsAsInstrument) {

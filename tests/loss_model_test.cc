@@ -68,7 +68,8 @@ TEST(LossModelTest, PathLossCombinesBothDirections) {
   const SimTime t = SimTime::FromHours(4.0);
   const double link_loss = model.LinkLossRate(f.link, t);
   const double expected = 1.0 - (1.0 - link_loss) * (1.0 - link_loss);
-  EXPECT_NEAR(model.PathLossRate(route.value(), t), expected, 1e-12);
+  EXPECT_NEAR(model.PathRttAndLoss(route.value(), t).loss_rate, expected,
+              1e-12);
 }
 
 TEST(LossModelTest, SpeedTestRecordsLossAndThroughputDrops) {

@@ -279,8 +279,10 @@ TEST(PlatformTest, RecordsCarryTheProbePathsIxpCrossing) {
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path.value().ixp_crossing, ixp.value());
   EXPECT_EQ(path.value().ixp_hop, 1u);
+  const auto route = sim.RouteBetween(user, server);
+  ASSERT_TRUE(route.ok());
   const auto detected = DetectIxpCrossings(
-      sim.topology(), SimulateTraceroute(sim.topology(), path.value().route));
+      sim.topology(), SimulateTraceroute(sim.topology(), route.value()));
   ASSERT_EQ(detected.size(), 1u);
   EXPECT_EQ(detected[0], ixp);
 
@@ -332,8 +334,10 @@ std::set<std::uint16_t> ExpectCrossingsFollowHopMatching(
     for (const netsim::PopIndex pop : vantages) {
       const auto path = ResolveProbePath(sim, pop, server);
       if (!path.ok()) continue;
-      const Traceroute traceroute =
-          SimulateTraceroute(topology, path.value().route);
+      const auto route = sim.RouteBetween(pop, server);
+      EXPECT_TRUE(route.ok());
+      if (!route.ok()) continue;
+      const Traceroute traceroute = SimulateTraceroute(topology, route.value());
       const auto detected = DetectIxpCrossings(topology, traceroute);
       if (detected.empty()) {
         EXPECT_EQ(path.value().ixp_crossing, kNoIxpCrossing);
@@ -635,6 +639,22 @@ struct ProbeCounts {
   std::uint64_t extra_attempts = 0;  ///< sum of attempts - 1
 };
 
+/// Registers table1's vantages at its default test rates: the treated
+/// units, then the donors.
+void AddZaVantages(Platform& platform, const netsim::ScenarioZa& scenario) {
+  VantageConfig vantage;
+  vantage.baseline_tests_per_day = 10.0;
+  vantage.user_tests_per_day = 4.0;
+  for (const auto& unit : scenario.treated) {
+    vantage.pop = unit.access_pop;
+    platform.AddVantage(vantage);
+  }
+  for (netsim::PopIndex donor : scenario.donors) {
+    vantage.pop = donor;
+    platform.AddVantage(vantage);
+  }
+}
+
 ProbeCounts RunZaProbeCampaign(std::size_t threads) {
   core::ThreadPool::SetGlobalThreadCount(threads);
   const obs::Registry& registry = obs::Registry::Global();
@@ -648,17 +668,7 @@ ProbeCounts RunZaProbeCampaign(std::size_t threads) {
   PlatformOptions options;
   options.server = scenario.content_jnb;
   Platform platform(*scenario.simulator, options);
-  VantageConfig vantage;
-  vantage.baseline_tests_per_day = 10.0;
-  vantage.user_tests_per_day = 4.0;
-  for (const auto& unit : scenario.treated) {
-    vantage.pop = unit.access_pop;
-    platform.AddVantage(vantage);
-  }
-  for (netsim::PopIndex donor : scenario.donors) {
-    vantage.pop = donor;
-    platform.AddVantage(vantage);
-  }
+  AddZaVantages(platform, scenario);
   FaultPlan plan;
   plan.seed = 37;
   plan.probe_loss_probability = 0.4;
@@ -714,6 +724,41 @@ TEST(PlatformProbeCounterTest, StepTalliesMatchRecordsAndFailures) {
   EXPECT_EQ(four.retried, one.retried);
   EXPECT_EQ(four.succeeded, one.succeeded);
   EXPECT_EQ(four.records, one.records);
+}
+
+// ingested() counts batch entries, the records the steps generated: a
+// duplicate's two copies are one entry, so under duplicates it falls
+// short of the copies archived and quarantined.
+TEST(StreamingCampaignTest, IngestedCountsBatchEntries) {
+  netsim::ScenarioZa scenario = netsim::BuildScenarioZa();
+  PlatformOptions options;
+  options.server = scenario.content_jnb;
+  Platform platform(*scenario.simulator, options);
+  AddZaVantages(platform, scenario);
+  FaultPlan plan;
+  plan.seed = 53;
+  plan.duplicate_probability = 0.05;
+  FaultInjector injector(plan);
+  platform.SetFaultInjector(&injector);
+
+  StreamingCampaign campaign(options.validation, {});
+  core::Rng rng(43);
+  std::uint64_t entries = 0, duplicates = 0;
+  const SimTime until = SimTime::FromDays(2);
+  while (platform.Now() < until) {
+    const StepOutput step = platform.GenerateStep(until, rng);
+    entries += step.records.size();
+    for (const PendingRecord& pending : step.records) {
+      if (pending.duplicate) ++duplicates;
+    }
+    campaign.IngestBatch(step.records);
+  }
+  const std::uint64_t copies =
+      campaign.store().size() + campaign.store().quarantined();
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_EQ(campaign.ingested(), entries);
+  EXPECT_LT(campaign.ingested(), copies);
+  EXPECT_EQ(copies, entries + duplicates);
 }
 
 }  // namespace

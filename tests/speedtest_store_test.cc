@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "measure/store.h"
 #include "netsim/simulator.h"
+#include "obs/metrics.h"
 
 namespace sisyphus::measure {
 namespace {
@@ -75,8 +77,10 @@ TEST(SpeedTestTest, RecordFieldsPopulated) {
   EXPECT_EQ(r.ixp_crossing, kNoIxpCrossing);
   const auto path = ResolveProbePath(*f.sim, f.user, f.server);
   ASSERT_TRUE(path.ok());
-  EXPECT_EQ(path.value().hop_count(), 3u);
-  EXPECT_EQ(path.value().route.asn_path.size(), 3u);
+  EXPECT_EQ(path.value().hop_count, 3u);
+  const auto route = f.sim->RouteBetween(f.user, f.server);
+  ASSERT_TRUE(route.ok());
+  EXPECT_EQ(route.value().asn_path.size(), 3u);
 }
 
 TEST(SpeedTestTest, RttIncludesLastMileOverhead) {
@@ -139,6 +143,74 @@ TEST(SpeedTestTest, UnreachableDestinationFails) {
       RunSpeedTest(*f.sim, f.user, f.server, Intent::kUserInitiated, rng);
   ASSERT_FALSE(record.ok());
   EXPECT_EQ(record.error().code(), core::ErrorCode::kNotFound);
+}
+
+// ResolveProbePath reads its route in place and takes RTT and loss from
+// one walk over the route's links: the bits must be those of the per-link
+// queries in link order, under a shock that pushes a link past the
+// congestion-loss onset as well as without it.
+TEST(ProbePathTest, OneWalkMatchesPerLinkQueries) {
+  Topology topo;
+  const auto jnb = topo.cities().Add({"Johannesburg", {-26.2, 28.0}, 2.0});
+  const auto user = topo.AddPop(Asn{3741}, jnb, AsRole::kAccess).value();
+  const auto transit = topo.AddPop(Asn{2}, jnb, AsRole::kTransit).value();
+  const auto server = topo.AddPop(Asn{3}, jnb, AsRole::kMeasurement).value();
+  const auto island = topo.AddPop(Asn{4}, jnb, AsRole::kAccess).value();
+  const core::LinkId access =
+      topo.AddLink(user, transit, Relationship::kCustomerToProvider).value();
+  ASSERT_TRUE(
+      topo.AddLink(server, transit, Relationship::kCustomerToProvider).ok());
+  NetworkSimulator sim(std::move(topo));
+  sim.latency().AddUtilizationShock(access, SimTime::FromHours(16),
+                                    SimTime::FromHours(22), 0.45);
+  const netsim::LatencyModel& latency = sim.latency();
+  const auto route = sim.RouteBetween(user, server);
+  ASSERT_TRUE(route.ok());
+  ASSERT_EQ(route.value().links.size(), 2u);
+
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  bool past_onset = false;
+  for (const double hour : {4.0, 11.0, 17.5, 20.5, 23.0}) {
+    const SimTime time = SimTime::FromHours(hour);
+    sim.AdvanceTo(time);
+    ASSERT_EQ(sim.Now(), time);
+    const auto path = ResolveProbePath(sim, user, server);
+    ASSERT_TRUE(path.ok());
+    double delivered = 1.0;
+    for (const core::LinkId link : route.value().links) {
+      const double survive = 1.0 - latency.LinkLossRate(link, time);
+      delivered *= survive * survive;
+      past_onset = past_onset || latency.LinkUtilization(link, time) >
+                                     latency.options().congestion_loss_onset;
+    }
+    EXPECT_TRUE(same_bits(path.value().mean_rtt_ms,
+                          latency.PathRttMs(route.value(), time)))
+        << "hour " << hour;
+    EXPECT_TRUE(same_bits(path.value().loss_rate, 1.0 - delivered))
+        << "hour " << hour;
+    EXPECT_EQ(path.value().hop_count, route.value().pop_path.size());
+  }
+  EXPECT_TRUE(past_onset);
+
+  // An unreachable pair fails with Route's error after one cache read.
+  const bool metrics_were_enabled = obs::Registry::enabled();
+  obs::Registry::Enable(true);
+  const obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t hits =
+      registry.CounterValue("netsim.bgp.route_cache_hits");
+  const std::uint64_t misses =
+      registry.CounterValue("netsim.bgp.route_cache_misses");
+  const auto unreachable = ResolveProbePath(sim, island, server);
+  EXPECT_EQ(registry.CounterValue("netsim.bgp.route_cache_hits") - hits, 1u);
+  EXPECT_EQ(registry.CounterValue("netsim.bgp.route_cache_misses"), misses);
+  obs::Registry::Enable(metrics_were_enabled);
+  ASSERT_FALSE(unreachable.ok());
+  const auto expected = sim.RouteBetween(island, server);
+  ASSERT_FALSE(expected.ok());
+  EXPECT_EQ(unreachable.error().code(), core::ErrorCode::kNotFound);
+  EXPECT_EQ(unreachable.error().message(), expected.error().message());
 }
 
 TEST(UnitTest, EqualPairsInternToOneEntry) {

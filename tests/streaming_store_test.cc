@@ -51,6 +51,14 @@ bool AppendOne(measure::ShardedMeasurementStore& store,
   return archived.at(0) != 0;
 }
 
+/// A column's rows, in order.
+template <typename T>
+std::vector<T> Rows(const measure::SegmentedColumn<T>& column) {
+  std::vector<T> rows;
+  for (std::size_t i = 0; i < column.size(); ++i) rows.push_back(column[i]);
+  return rows;
+}
+
 // ---- Compensated summation ------------------------------------------------
 
 TEST(CompensatedSumTest, SurvivesCatastrophicCancellation) {
@@ -203,16 +211,18 @@ TEST(ShardedStoreTest, AppendShardArchivesEntriesInOrderOnce) {
 
   const measure::ShardedMeasurementStore::Columns& columns =
       store.shard(shard);
-  EXPECT_EQ(columns.id, (std::vector<std::uint64_t>{2, 5, 5, 7, 8, 9, 9}));
-  EXPECT_EQ(columns.time_minutes,
+  EXPECT_EQ(Rows(columns.id),
+            (std::vector<std::uint64_t>{2, 5, 5, 7, 8, 9, 9}));
+  EXPECT_EQ(Rows(columns.time_minutes),
             (std::vector<std::int64_t>{61, 63, 63, 65, 66, 67, 67}));
-  EXPECT_EQ(columns.rtt_ms,
+  EXPECT_EQ(Rows(columns.rtt_ms),
             (std::vector<double>{11.0, 13.0, 13.0, 15.0, 16.0, 17.0, 17.0}));
-  EXPECT_EQ(columns.unit, (std::vector<std::uint32_t>{0, 0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(Rows(columns.unit),
+            (std::vector<std::uint32_t>{0, 0, 0, 1, 1, 2, 2}));
   const std::vector<std::string> names = {
       unit("A").UnitKey(), unit(c).UnitKey(), unit(d).UnitKey()};
   EXPECT_EQ(columns.unit_names, names);
-  EXPECT_EQ(columns.attempts,
+  EXPECT_EQ(Rows(columns.attempts),
             (std::vector<std::uint8_t>{255, 1, 1, 1, 1, 1, 1}));
   EXPECT_EQ(columns.loss_rate.size(), 7u);
   EXPECT_EQ(columns.throughput_mbps.size(), 7u);
@@ -232,6 +242,142 @@ TEST(ShardedStoreTest, AppendShardArchivesEntriesInOrderOnce) {
       registry.CounterValue("measure.store.quarantined") - quarantined_before,
       4u);
   obs::Registry::Enable(metrics_were_enabled);
+}
+
+TEST(ShardedStoreTest, RowsNeverMoveAcrossSegmentBoundaries) {
+  constexpr std::size_t kFirst =
+      measure::SegmentedColumn<std::uint64_t>::kFirstSegmentRows;
+  // Units A, B and C share one shard, so every call lands in one arena.
+  measure::ShardedMeasurementStore store;
+  const auto key = [](const std::string& city) {
+    return measure::Unit::Intern(core::Asn(3741), city).key();
+  };
+  const std::size_t shard = store.ShardOf(key("A"));
+  std::vector<std::string> cities = {"A"};
+  for (int i = 0; cities.size() < 3; ++i) {
+    const std::string city = "S" + std::to_string(i);
+    if (store.ShardOf(key(city)) == shard) cities.push_back(city);
+  }
+
+  // Every field varies with the id; the unit switches every 100 ids.
+  std::uint64_t next_id = 1;
+  const auto record = [&] {
+    const std::uint64_t id = next_id++;
+    measure::SpeedTestRecord r =
+        MakeRecord(id, 3741, cities[(id / 100) % cities.size()],
+                   static_cast<std::int64_t>(id),
+                   10.0 + static_cast<double>(id) * 1e-3);
+    r.loss_rate = static_cast<double>(id % 50) * 1e-3;
+    r.throughput_mbps = 20.0 + static_cast<double>(id % 13);
+    r.attempts = static_cast<std::uint32_t>(id % 300);
+    r.vantage_pop = static_cast<netsim::PopIndex>(id % 11);
+    r.ixp_crossing = id % 5 == 0 ? 3 : measure::kNoIxpCrossing;
+    return measure::PendingRecord{r};
+  };
+  const auto quarantined = [&] {
+    measure::PendingRecord pending = record();
+    pending.record.rtt_ms = -1.0;
+    return pending;
+  };
+  const auto duplicate = [&] {
+    measure::PendingRecord pending = record();
+    pending.duplicate = true;
+    return pending;
+  };
+
+  // The archive the offered entries should leave, one element per row.
+  std::vector<measure::SpeedTestRecord> expected;
+  std::uint64_t expected_quarantined = 0;
+  const auto append = [&](const std::vector<measure::PendingRecord>& batch) {
+    std::vector<std::uint32_t> entries(batch.size());
+    for (std::uint32_t k = 0; k < entries.size(); ++k) entries[k] = k;
+    std::vector<std::uint8_t> archived;
+    store.AppendShard(shard, batch, entries, archived);
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const std::size_t copies = batch[k].duplicate ? 2 : 1;
+      const bool valid = batch[k].record.rtt_ms > 0.0;
+      EXPECT_EQ(archived[k] != 0, valid) << "entry " << k;
+      if (!valid) expected_quarantined += copies;
+      for (std::size_t copy = 0; valid && copy < copies; ++copy) {
+        expected.push_back(batch[k].record);
+      }
+    }
+  };
+
+  // 1. Rows 0 .. kFirst - 2: inside the first segment.
+  std::vector<measure::PendingRecord> batch;
+  for (std::size_t i = 0; i + 1 < kFirst; ++i) batch.push_back(record());
+  append(batch);
+  const measure::ShardedMeasurementStore::Columns& columns = store.shard(shard);
+  ASSERT_EQ(columns.size(), kFirst - 1);
+  const std::vector<const void*> row0 = {
+      &columns.id[0],           &columns.time_minutes[0],
+      &columns.unit[0],         &columns.rtt_ms[0],
+      &columns.loss_rate[0],    &columns.throughput_mbps[0],
+      &columns.intent[0],       &columns.attempts[0],
+      &columns.vantage_pop[0],  &columns.ixp_crossing[0]};
+
+  // 2. A quarantined entry just before the boundary, then a duplicate
+  // whose two rows the boundary splits.
+  append({quarantined(), duplicate()});
+  ASSERT_EQ(columns.size(), kFirst + 1);
+
+  // 3. One call whose rows cover the rest of the second segment, all of
+  // the third and the start of the fourth, with duplicates and quarantined
+  // entries (some of them duplicates) among them.
+  batch.clear();
+  for (std::size_t i = 0; i < 6300; ++i) {
+    if (i % 89 == 0) {
+      batch.push_back(quarantined());
+      batch.back().duplicate = i % 2 == 0;
+    } else {
+      batch.push_back(i % 97 == 0 ? duplicate() : record());
+    }
+  }
+  append(batch);
+  ASSERT_GT(columns.size(), 7 * kFirst);  // past the third segment's end
+
+  // 4. Past the fourth segment's end, straddling it.
+  batch.clear();
+  for (std::size_t i = 0; i < 8300; ++i) {
+    batch.push_back(i % 101 == 0 ? duplicate() : record());
+  }
+  append(batch);
+  ASSERT_GT(columns.size(), 15 * kFirst);
+
+  ASSERT_EQ(columns.size(), expected.size());
+  EXPECT_EQ(store.size(), expected.size());
+  EXPECT_EQ(store.quarantined(), expected_quarantined);
+  const std::map<std::string, std::uint64_t> reasons = {
+      {"rtt", expected_quarantined}};
+  EXPECT_EQ(store.QuarantineReasonCounts(), reasons);
+  ASSERT_EQ(columns.unit_names.size(), cities.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const measure::SpeedTestRecord& r = expected[i];
+    ASSERT_EQ(columns.id[i], r.id.value()) << "row " << i;
+    ASSERT_EQ(columns.time_minutes[i], r.time.minutes()) << "row " << i;
+    ASSERT_EQ(columns.unit_names[columns.unit[i]], r.UnitKey()) << "row " << i;
+    ASSERT_EQ(columns.rtt_ms[i], r.rtt_ms) << "row " << i;
+    ASSERT_EQ(columns.loss_rate[i], r.loss_rate) << "row " << i;
+    ASSERT_EQ(columns.throughput_mbps[i], r.throughput_mbps) << "row " << i;
+    ASSERT_EQ(columns.intent[i], static_cast<std::uint8_t>(r.intent))
+        << "row " << i;
+    ASSERT_EQ(columns.attempts[i], std::min<std::uint32_t>(r.attempts, 255))
+        << "row " << i;
+    ASSERT_EQ(columns.vantage_pop[i], r.vantage_pop) << "row " << i;
+    ASSERT_EQ(columns.ixp_crossing[i], r.ixp_crossing) << "row " << i;
+  }
+
+  // Growing never moved a row, and the unused capacity stays below the
+  // rows stored plus one first segment.
+  const std::vector<const void*> row0_after = {
+      &columns.id[0],           &columns.time_minutes[0],
+      &columns.unit[0],         &columns.rtt_ms[0],
+      &columns.loss_rate[0],    &columns.throughput_mbps[0],
+      &columns.intent[0],       &columns.attempts[0],
+      &columns.vantage_pop[0],  &columns.ixp_crossing[0]};
+  EXPECT_EQ(row0_after, row0);
+  EXPECT_LT(columns.id.capacity() - columns.size(), columns.size() + kFirst);
 }
 
 TEST(ShardedStoreTest, ToCsvIsDeterministic) {
