@@ -5,10 +5,11 @@
 // no iteration-order dependence (unit and probe-failure maps are already
 // sorted; estimate directories are sorted stably by label at write time).
 // The ledger itself is lane-count invariant (per-record verdicts are
-// written in place at each record's id; other task-side events replay in
-// task order), and a durable resume rebuilds it by feeding the journaled
-// steps through the live commit path, so a killed-and-resumed run holds
-// the exact ledger and therefore writes the exact audit.bin.
+// written in place at each record's id, fit marks from pool tasks set
+// flags once, and every other write is serial), and a durable resume
+// rebuilds it by feeding the journaled steps through the live commit
+// path, so a killed-and-resumed run holds the exact ledger and therefore
+// writes the exact audit.bin.
 //
 // Cost: a few passes over each run's records plus O(units x facets) per
 // estimate. Facets are dense counters (by intent code, fault bit and a

@@ -99,7 +99,7 @@ SyntheticControlFit DiagnoseWeights(const SyntheticControlInput& input,
 /// ledger (treated_name → treated, or donor for placebo rotations; every
 /// named donor → donor). No-op while lineage is disabled or names are
 /// absent. Called by both estimators on success; safe inside parallel
-/// tasks (events are captured and replayed deterministically).
+/// tasks (a mark sets a flag once, so the marks' order cannot matter).
 void MarkFitLineage(const SyntheticControlInput& input);
 
 }  // namespace sisyphus::causal

@@ -34,6 +34,8 @@ RegionTelemetrySilencer::~RegionTelemetrySilencer() {
 
 bool RegionTelemetrySilenced() { return t_region_telemetry_silenced; }
 
+bool InParallelTask() { return t_in_parallel_task; }
+
 struct ThreadPool::Region {
   const std::function<void(std::size_t)>* body = nullptr;
   TaskObserver* observer = nullptr;

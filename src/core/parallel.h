@@ -78,8 +78,8 @@ TaskObserver* GetTaskObserver();
 /// counting such regions in the metrics registry would leak the execution
 /// shape into metrics.json. Inside this scope the
 /// observer still buffers and replays per-task side channels (metric writes
-/// made *by* tasks, lineage events, trace spans, pool stats) -- only the
-/// engine's own region/task counters are suppressed. Scopes nest.
+/// made *by* tasks, trace spans, pool stats) -- only the engine's own
+/// region/task counters are suppressed. Scopes nest.
 class RegionTelemetrySilencer {
  public:
   RegionTelemetrySilencer();
@@ -95,6 +95,13 @@ class RegionTelemetrySilencer {
 /// Observers consult this from RegionBegin/RegionEnd (both run on the
 /// region's calling thread, so the answer is stable across one region).
 bool RegionTelemetrySilenced();
+
+/// True while the calling thread runs a task of a multi-lane region, on a
+/// worker lane or as the participating caller; a region nested in such a
+/// task runs inline and keeps the answer. An inline region (one lane or
+/// one task) at top level does not set it: its tasks run serially on the
+/// caller, in index order.
+bool InParallelTask();
 
 /// Fixed-size thread pool. `thread_count` counts execution lanes including
 /// the calling thread, so ThreadPool(4) spawns 3 workers and ThreadPool(1)

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -58,13 +59,19 @@ core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec) {
     const std::string_view key = part.substr(0, eq);
     const std::string_view value =
         eq == std::string_view::npos ? std::string_view() : part.substr(eq + 1);
+    // Decimal digits only, and no number past UINT64_MAX: one that wraps
+    // would run a different drill than the one asked for.
     const auto parse_u64 = [](std::string_view v,
                               std::uint64_t* out) -> bool {
       if (v.empty()) return false;
       std::uint64_t n = 0;
       for (char c : v) {
         if (c < '0' || c > '9') return false;
-        n = n * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (n > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+          return false;
+        }
+        n = n * 10 + digit;
       }
       *out = n;
       return true;

@@ -8,6 +8,7 @@
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/logging.h"
+#include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "stats/descriptive.h"
 #include "stats/timeseries.h"
@@ -95,11 +96,9 @@ std::uint64_t IncrementalPanelBuilder::observed() const {
   return total;
 }
 
-void IncrementalPanelBuilder::VisitRunningMeans(
-    const std::function<void(std::string_view, std::uint64_t, double)>& visit)
-    const {
-  // Shards partition units, so the sorted concatenation of the per-shard
-  // maps is the global sorted unit order (same gather as Finalize).
+std::vector<std::pair<std::string_view,
+                      const IncrementalPanelBuilder::UnitCells*>>
+IncrementalPanelBuilder::SortedUnits() const {
   std::vector<std::pair<std::string_view, const UnitCells*>> units;
   for (const Shard& shard : shards_) {
     for (const auto& [unit, cells] : shard.units) {
@@ -108,7 +107,13 @@ void IncrementalPanelBuilder::VisitRunningMeans(
   }
   std::sort(units.begin(), units.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [unit, cells] : units) {
+  return units;
+}
+
+void IncrementalPanelBuilder::VisitRunningMeans(
+    const std::function<void(std::string_view, std::uint64_t, double)>& visit)
+    const {
+  for (const auto& [unit, cells] : SortedUnits()) {
     visit(unit, cells->running_count,
           cells->running_sum + cells->running_comp);
   }
@@ -117,33 +122,14 @@ void IncrementalPanelBuilder::VisitRunningMeans(
 Panel IncrementalPanelBuilder::Finalize() const {
   Panel panel;
   panel.options = options_;
-  // Shards partition units, so sorting the concatenation of the per-shard
-  // maps yields each unit once, in global key order.
-  std::vector<std::pair<std::string_view, const UnitCells*>> units;
-  for (const Shard& shard : shards_) {
-    for (const auto& [unit, cells] : shard.units) {
-      units.emplace_back(unit, &cells);
-    }
-  }
-  std::sort(units.begin(), units.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  for (const auto& [unit_view, unit_cells] : units) {
+  for (const auto& [unit_view, unit_cells] : SortedUnits()) {
     const std::string unit(unit_view);
+    // A median is a function of the cell's value multiset, so no arrival
+    // order reaches it.
     std::vector<std::optional<double>> buckets(options_.periods);
-    std::vector<std::uint32_t> counts(options_.periods, 0);
-    std::vector<double> means(options_.periods, 0.0);
     for (std::size_t t = 0; t < options_.periods; ++t) {
-      const CellAccumulator& cell = unit_cells->cells[t];
-      if (cell.values.empty()) continue;
-      // Sorting pins every aggregate to the cell's value *multiset*:
-      // medians by definition, means via compensated summation over the
-      // sorted values — so every arrival order agrees bit-for-bit.
-      std::vector<double> sorted = cell.values;
-      std::sort(sorted.begin(), sorted.end());
-      buckets[t] = stats::Median(sorted);
-      means[t] = stats::CompensatedMean(sorted);
-      counts[t] = static_cast<std::uint32_t>(sorted.size());
+      const std::vector<double>& values = unit_cells->cells[t].values;
+      if (!values.empty()) buckets[t] = stats::Median(values);
     }
     if (stats::AllMissing(buckets)) {
       SISYPHUS_METRIC_COUNT("measure.panel.units_empty", 1);
@@ -196,18 +182,14 @@ Panel IncrementalPanelBuilder::Finalize() const {
     for (const auto& bucket : buckets) {
       out.observed.push_back(bucket.has_value());
     }
-    out.cell_counts = std::move(counts);
-    out.cell_means = std::move(means);
     if (lineage_) {
       obs::Lineage::Global().PanelUnitKept(
           unit, missing, observed_cells, buckets.size() - observed_cells);
-      out.cell_ids.resize(options_.periods);
       for (std::size_t t = 0; t < bucket_ids.size(); ++t) {
         if (bucket_ids[t].empty()) continue;
-        auto ids = obs::IdRunSet::FromSorted(bucket_ids[t]);
         obs::Lineage::Global().PanelCell(
-            unit, static_cast<std::uint32_t>(t), ids);
-        out.cell_ids[t] = std::move(ids);
+            unit, static_cast<std::uint32_t>(t),
+            obs::IdRunSet::FromSorted(bucket_ids[t]));
       }
     }
     panel.units.push_back(std::move(out));

@@ -15,12 +15,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "causal/synthetic_control.h"
 #include "core/result.h"
 #include "core/sim_time.h"
-#include "obs/lineage.h"
 
 namespace sisyphus::measure {
 
@@ -41,17 +41,6 @@ struct UnitSeries {
   /// unobserved periods are interpolation artifacts, and missing-aware
   /// estimators must not treat them as measurements.
   std::vector<bool> observed;
-  /// Contributing record ids per period (lineage provenance). Populated
-  /// only while obs::Lineage is enabled — empty otherwise; unobserved
-  /// periods hold empty sets.
-  std::vector<obs::IdRunSet> cell_ids;
-  /// Records contributing to each period's cell (0 at unobserved periods).
-  std::vector<std::uint32_t> cell_counts;
-  /// Per-period mean RTT over the cell's records (0 at unobserved
-  /// periods — consult `observed`). Computed with compensated summation
-  /// over the cell's *sorted* values, so it is exactly reproducible no
-  /// matter what order records arrived in.
-  std::vector<double> cell_means;
 };
 
 /// A unit excluded from the panel, with enough context to tell "never
@@ -76,16 +65,16 @@ struct Panel {
 /// Maintains per-cell running aggregates as records arrive, so a panel
 /// is assembled incrementally from ingest batches (StreamingCampaign)
 /// instead of a full pass over an in-memory archive. Every cell aggregate
-/// (median, compensated mean, count, id set) is a pure function of the
-/// cell's value multiset, never of arrival order, so the panel is
-/// byte-identical at any thread count and across kill/resume
-/// (DESIGN.md §10).
+/// (the median and the lineage id set) is a pure function of the cell's
+/// value multiset, never of arrival order, so the panel is byte-identical
+/// at any thread count and across kill/resume (DESIGN.md §10).
 ///
 /// Shard discipline mirrors ShardedMeasurementStore: a unit's cells live
 /// in exactly one shard, distinct shards may be fed concurrently, and a
-/// single shard must only be touched by one thread at a time. Lineage
-/// events emitted inside shard tasks are diverted to the pool's per-task
-/// buffers and replayed in shard-index order.
+/// single shard must only be touched by one thread at a time. The one
+/// lineage write a shard task makes is Observe's out_of_panel verdict,
+/// in place at the record's id; the unit and cell writes come from the
+/// serial Finalize.
 class IncrementalPanelBuilder {
  public:
   /// Snapshot of obs::Lineage::enabled() is taken here: enable lineage
@@ -126,8 +115,8 @@ class IncrementalPanelBuilder {
                                double sum)>& visit) const;
 
   /// Assembles the panel — units in ascending key order, empty and
-  /// too-sparse units dropped (and listed in panel.dropped) — and emits
-  /// the per-unit metrics and lineage events (units_empty/dropped/kept,
+  /// too-sparse units dropped (and listed in panel.dropped) — and writes
+  /// the per-unit metrics and lineage entries (units_empty/dropped/kept,
   /// cells observed/masked, per-cell id sets in ascending period order).
   /// Serial; call once, after the last Observe.
   Panel Finalize() const;
@@ -155,6 +144,12 @@ class IncrementalPanelBuilder {
     const std::string* last_unit = nullptr;
     UnitCells* last_cells = nullptr;
   };
+
+  /// Every shard's units in ascending key order. Shards partition units,
+  /// so the sorted concatenation of the per-shard maps holds each unit
+  /// once, in global key order.
+  std::vector<std::pair<std::string_view, const UnitCells*>> SortedUnits()
+      const;
 
   PanelOptions options_;
   bool lineage_ = false;

@@ -4,15 +4,13 @@
 
 #include "core/error.h"
 #include "core/hash.h"
+#include "core/parallel.h"
 
 namespace sisyphus::obs {
 
 namespace internal {
 bool g_lineage_enabled = false;
-thread_local std::vector<LineageEvent>* t_lineage_buffer = nullptr;
 }  // namespace internal
-
-using internal::LineageEvent;
 
 const char* ToString(LineageStage stage) {
   switch (stage) {
@@ -108,7 +106,7 @@ void UpgradeAll(std::vector<Lineage::RecordEntry>& records,
 template <typename Fn>
 void Lineage::WriteVerdict(std::uint64_t id, Fn&& write) {
   if (!enabled() || id == 0) return;
-  if (internal::t_lineage_buffer != nullptr) {
+  if (core::InParallelTask()) {
     // A pool task: ReserveRecords sized the column before the region and
     // tasks own disjoint ids, so the entry is written without the lock.
     // Growing the column here would move it under the other tasks.
@@ -161,173 +159,104 @@ void Lineage::RecordOutOfPanel(std::uint64_t id) {
   });
 }
 
-void Lineage::Emit(LineageEvent&& event) {
+template <typename Fn>
+void Lineage::WriteRun(const char* mutator, bool from_tasks, Fn&& write) {
   if (!enabled()) return;
-  if (internal::t_lineage_buffer != nullptr) {
-    internal::t_lineage_buffer->push_back(std::move(event));
-    return;
-  }
+  SISYPHUS_REQUIRE(from_tasks || !core::InParallelTask(),
+                   std::string("Lineage::") + mutator +
+                       " called inside a multi-lane pool task, where its "
+                       "order in the ledger would follow lane scheduling");
   std::lock_guard<std::mutex> lock(mu_);
-  Apply(event);
-}
-
-void Lineage::Replay(const std::vector<LineageEvent>& events) {
-  if (events.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const LineageEvent& event : events) Apply(event);
-}
-
-void Lineage::Apply(const LineageEvent& event) {
-  using Kind = LineageEvent::Kind;
-  if (event.kind == Kind::kBeginRun) {
-    if (!runs_.empty() && runs_.back().event_count == 0 &&
-        runs_.back().records.empty()) {
-      runs_.back().label = event.name;
-    } else {
-      runs_.emplace_back();
-      runs_.back().label = event.name;
-    }
-    return;
-  }
-  RunLedger& run = CurrentRun();
-  ++run.event_count;
-  switch (event.kind) {
-    case Kind::kBeginRun:
-      break;  // handled above
-    case Kind::kProbeFailure:
-      run.probe_failures[event.name] += event.count;
-      break;
-    case Kind::kUnitEmpty:
-      ++run.empty_units;
-      break;
-    case Kind::kUnitKept: {
-      UnitLedger& unit = run.units[event.name];
-      unit.dropped = false;
-      unit.missing_fraction = event.number;
-      unit.observed_cells = event.count;
-      unit.masked_cells = event.count2;
-      break;
-    }
-    case Kind::kUnitDropped: {
-      UnitLedger& unit = run.units[event.name];
-      unit.dropped = true;
-      unit.missing_fraction = event.number;
-      unit.observed_cells = event.count;
-      unit.masked_cells = event.count2;
-      unit.dropped_ids = event.ids;
-      UpgradeAll(run.records, event.ids, LineageStage::kDroppedSparsity);
-      break;
-    }
-    case Kind::kCell: {
-      UnitLedger& unit = run.units[event.name];
-      unit.cells.push_back({event.period, event.ids});
-      UpgradeAll(run.records, event.ids, LineageStage::kAggregated);
-      break;
-    }
-    case Kind::kMarkTreated: {
-      const auto it = run.units.find(event.name);
-      if (it != run.units.end() && !it->second.dropped) {
-        it->second.used_treated = true;
-      }
-      break;
-    }
-    case Kind::kMarkDonor: {
-      const auto it = run.units.find(event.name);
-      if (it != run.units.end() && !it->second.dropped) {
-        it->second.used_donor = true;
-      }
-      break;
-    }
-    case Kind::kEstimate:
-      run.estimates.push_back(
-          {event.name, event.unit, event.names, event.number, event.number2});
-      break;
-  }
+  write(CurrentRun());
 }
 
 void Lineage::BeginRun(std::string label) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kBeginRun;
-  event.name = std::move(label);
-  Emit(std::move(event));
+  WriteRun("BeginRun", false, [&](RunLedger& run) {
+    if (run.writes != 0 || !run.records.empty()) runs_.emplace_back();
+    runs_.back().label = std::move(label);
+  });
 }
 
 void Lineage::RecordProbeFailure(std::string_view reason,
                                  std::uint64_t count) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kProbeFailure;
-  event.name = std::string(reason);
-  event.count = count;
-  Emit(std::move(event));
+  WriteRun("RecordProbeFailure", false, [&](RunLedger& run) {
+    ++run.writes;
+    run.probe_failures[std::string(reason)] += count;
+  });
 }
 
-void Lineage::PanelUnitEmpty(std::string_view unit) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kUnitEmpty;
-  event.name = std::string(unit);
-  Emit(std::move(event));
+void Lineage::PanelUnitEmpty(std::string_view /*unit*/) {
+  WriteRun("PanelUnitEmpty", false, [](RunLedger& run) {
+    ++run.writes;
+    ++run.empty_units;
+  });
 }
 
 void Lineage::PanelUnitKept(std::string_view unit, double missing_fraction,
                             std::uint64_t observed_cells,
                             std::uint64_t masked_cells) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kUnitKept;
-  event.name = std::string(unit);
-  event.number = missing_fraction;
-  event.count = observed_cells;
-  event.count2 = masked_cells;
-  Emit(std::move(event));
+  WriteRun("PanelUnitKept", false, [&](RunLedger& run) {
+    ++run.writes;
+    UnitLedger& entry = run.units[std::string(unit)];
+    entry.dropped = false;
+    entry.missing_fraction = missing_fraction;
+    entry.observed_cells = observed_cells;
+    entry.masked_cells = masked_cells;
+  });
 }
 
 void Lineage::PanelUnitDropped(std::string_view unit, double missing_fraction,
                                std::uint64_t observed_cells,
                                std::uint64_t masked_cells, IdRunSet ids) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kUnitDropped;
-  event.name = std::string(unit);
-  event.number = missing_fraction;
-  event.count = observed_cells;
-  event.count2 = masked_cells;
-  event.ids = std::move(ids);
-  Emit(std::move(event));
+  WriteRun("PanelUnitDropped", false, [&](RunLedger& run) {
+    ++run.writes;
+    UnitLedger& entry = run.units[std::string(unit)];
+    entry.dropped = true;
+    entry.missing_fraction = missing_fraction;
+    entry.observed_cells = observed_cells;
+    entry.masked_cells = masked_cells;
+    UpgradeAll(run.records, ids, LineageStage::kDroppedSparsity);
+    entry.dropped_ids = std::move(ids);
+  });
 }
 
 void Lineage::PanelCell(std::string_view unit, std::uint32_t period,
                         IdRunSet ids) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kCell;
-  event.name = std::string(unit);
-  event.period = period;
-  event.ids = std::move(ids);
-  Emit(std::move(event));
+  WriteRun("PanelCell", false, [&](RunLedger& run) {
+    ++run.writes;
+    UpgradeAll(run.records, ids, LineageStage::kAggregated);
+    run.units[std::string(unit)].cells.push_back({period, std::move(ids)});
+  });
 }
 
 void Lineage::MarkTreated(std::string_view unit) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kMarkTreated;
-  event.name = std::string(unit);
-  Emit(std::move(event));
+  WriteRun("MarkTreated", true, [&](RunLedger& run) {
+    ++run.writes;
+    const auto it = run.units.find(unit);
+    if (it != run.units.end() && !it->second.dropped) {
+      it->second.used_treated = true;
+    }
+  });
 }
 
 void Lineage::MarkDonor(std::string_view unit) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kMarkDonor;
-  event.name = std::string(unit);
-  Emit(std::move(event));
+  WriteRun("MarkDonor", true, [&](RunLedger& run) {
+    ++run.writes;
+    const auto it = run.units.find(unit);
+    if (it != run.units.end() && !it->second.dropped) {
+      it->second.used_donor = true;
+    }
+  });
 }
 
 void Lineage::AddEstimate(std::string label, std::string treated_unit,
                           std::vector<std::string> donor_units, double effect,
                           double p_value) {
-  LineageEvent event;
-  event.kind = LineageEvent::Kind::kEstimate;
-  event.name = std::move(label);
-  event.unit = std::move(treated_unit);
-  event.names = std::move(donor_units);
-  event.number = effect;
-  event.number2 = p_value;
-  Emit(std::move(event));
+  WriteRun("AddEstimate", false, [&](RunLedger& run) {
+    ++run.writes;
+    run.estimates.push_back({std::move(label), std::move(treated_unit),
+                             std::move(donor_units), effect, p_value});
+  });
 }
 
 std::vector<LineageStage> Lineage::ResolveStages(const RunLedger& run) {

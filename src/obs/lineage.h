@@ -22,18 +22,20 @@
 //  - enabled (--obs-out): per-record verdicts are writes in place into
 //    the run's record column, without the lock from the shard tasks of a
 //    parallel ingest; panel attribution, fit marks and estimates are
-//    mutex-guarded ledger events (once per build, per fit).
+//    writes into the run ledger under its mutex (once per unit, cell,
+//    fit and estimate).
 //
 // Determinism contract: the ledger reflects only what the instrumented
 // code did — never wall-clock — and is byte-identical at any
-// SISYPHUS_THREADS, by two mechanisms. A per-record verdict (emitted,
-// shed, out_of_panel) is written in place at id - 1: ids are assigned at
-// the serial merge, so the writes of parallel shard tasks touch disjoint
-// entries and their order cannot matter. Every other event raised inside
-// a core::ParallelFor task is captured into the task's buffer and
-// replayed in ascending task-index order (the TaskObserver side-channel
-// shared with the metrics registry). audit.bin, built from the ledger,
-// inherits the guarantee.
+// SISYPHUS_THREADS, by three rules. A per-record verdict (emitted, shed,
+// out_of_panel) is written in place at id - 1: ids are assigned at the
+// serial merge, so the writes of parallel shard tasks touch disjoint
+// entries and their order cannot matter. A fit mark (MarkTreated,
+// MarkDonor) may come from a pool task: it sets a unit's flag once, so
+// the order of marks cannot matter either. Every other mutator is called
+// serially, and fails a precondition naming it when called inside a task
+// of a multi-lane region, where its order would follow lane scheduling.
+// audit.bin, built from the ledger, inherits the guarantee.
 //
 // Layering: obs cannot depend on measure/causal, so the ledger speaks in
 // primitives (ids, unit-key strings, intent codes, fault bits). The
@@ -207,39 +209,6 @@ struct LineageRecordInfo {
 
 namespace internal {
 extern bool g_lineage_enabled;
-
-// One buffered ledger mutation. Public mutators other than the per-record
-// verdicts funnel through events so the capture path (inside parallel
-// tasks) and the direct path apply the exact same logic; field meaning
-// depends on `kind` (see lineage.cc).
-struct LineageEvent {
-  enum class Kind : std::uint8_t {
-    kBeginRun,
-    kProbeFailure,
-    kUnitEmpty,
-    kUnitKept,
-    kUnitDropped,
-    kCell,
-    kMarkTreated,
-    kMarkDonor,
-    kEstimate,
-  };
-  Kind kind = Kind::kBeginRun;
-  std::string name;                // run label / reason / unit / estimate label
-  std::string unit;                // kEstimate: treated unit
-  std::vector<std::string> names;  // kEstimate: donor units
-  std::uint32_t period = 0;        // kCell
-  std::uint64_t count = 0;         // failure count / observed cells
-  std::uint64_t count2 = 0;        // masked cells
-  double number = 0.0;             // missing fraction / effect
-  double number2 = 0.0;            // p-value
-  IdRunSet ids;                    // kCell / kUnitDropped
-};
-
-// Non-null while this thread executes a core::ParallelFor task with
-// lineage enabled: events are captured here (set by the metrics TaskBuffer
-// machinery) and replayed in task-index order.
-extern thread_local std::vector<LineageEvent>* t_lineage_buffer;
 }  // namespace internal
 
 /// Aggregate waterfall accounting (per run or summed across runs).
@@ -250,7 +219,7 @@ struct LineageWaterfall {
   std::uint64_t delivered = 0;         ///< copies (duplication counts twice)
   std::uint64_t quarantined_copies = 0;
   std::uint64_t archived_copies = 0;
-  /// Ids referenced by panel events without a matching RecordEmitted
+  /// Ids referenced by panel writes without a matching RecordEmitted
   /// (possible only when a store is fed outside the platform, e.g. tests).
   std::uint64_t untracked = 0;
   /// terminal[stage] = records whose deepest stage is `stage`; sums to
@@ -283,14 +252,18 @@ class Lineage {
   /// Starts a new run ledger (one per campaign). Relabels the current run
   /// when it has recorded nothing yet, so an ObsRun-opened ledger can be
   /// renamed by the first campaign.
+  ///
+  /// BeginRun and every mutator below but the per-record verdicts and the
+  /// fit marks are serial: called inside a task of a multi-lane region,
+  /// each throws std::logic_error naming itself.
   void BeginRun(std::string label);
 
   // -- per-record verdicts ----------------------------------------------
   // RecordEmitted, RecordShed and RecordOutOfPanel write the record's
   // entry in place at id - 1 of the current run's column (id 0 is
   // ignored). On a serial caller the write takes the ledger lock and grows
-  // the column as needed. Inside a pool task with lineage capture active
-  // it takes no lock and may not grow the column: the caller sizes it with
+  // the column as needed. Inside a task of a multi-lane region it takes no
+  // lock and may not grow the column: the caller sizes it with
   // ReserveRecords before the region, and a write past it throws.
 
   /// Grows the current run's record column to hold ids 1..max_id. Call on
@@ -319,7 +292,8 @@ class Lineage {
 
   // -- causal ------------------------------------------------------------
   /// Marks a kept unit's records as used by a fit. Idempotent; treated
-  /// outranks donor. Safe inside parallel tasks (captured + replayed).
+  /// outranks donor. Safe inside parallel tasks: a mark sets a flag once,
+  /// so the marks' order cannot reach the ledger.
   void MarkTreated(std::string_view unit);
   void MarkDonor(std::string_view unit);
   /// Registers an estimate with the units backing it; the serialized entry
@@ -333,10 +307,6 @@ class Lineage {
   LineageWaterfall Totals() const;
   /// Number of run ledgers (diagnostics/tests).
   std::size_t run_count() const;
-
-  /// Applies a captured per-task event buffer in order (called from the
-  /// TaskObserver merge on the region's calling thread).
-  void Replay(const std::vector<internal::LineageEvent>& events);
 
   // Ledger internals, public so read-only consumers (the audit artifact
   // writer in src/audit/) can walk the resolved ledger through VisitRuns
@@ -375,12 +345,13 @@ class Lineage {
     std::string label;
     std::vector<RecordEntry> records;  ///< index = id - 1
     std::map<std::string, std::uint64_t> probe_failures;
-    std::map<std::string, UnitLedger> units;
+    std::map<std::string, UnitLedger, std::less<>> units;
     std::vector<EstimateEntry> estimates;
     std::uint64_t empty_units = 0;
-    /// Events applied. BeginRun relabels a run with no events and no
-    /// record entries instead of opening a new one.
-    std::uint64_t event_count = 0;
+    /// Mutator calls applied, BeginRun's and the verdicts' aside. BeginRun
+    /// relabels a run with none and no record entries instead of opening a
+    /// new one.
+    std::uint64_t writes = 0;
   };
 
   /// Per-record stages with used_treated/used_donor unit flags folded in
@@ -402,9 +373,13 @@ class Lineage {
   }
 
  private:
-  void Emit(internal::LineageEvent&& event);
-  void Apply(const internal::LineageEvent& event);  // mu_ held
-  RunLedger& CurrentRun();                          // mu_ held
+  /// The one writer behind every mutator but the verdicts: takes mu_ and
+  /// applies `write` to the current run, opened if there is none. Unless
+  /// `from_tasks` (the fit marks), a caller inside a task of a multi-lane
+  /// region fails a precondition naming `mutator`.
+  template <typename Fn>
+  void WriteRun(const char* mutator, bool from_tasks, Fn&& write);
+  RunLedger& CurrentRun();                                  // mu_ held
   RecordEntry& EntryFor(RunLedger& run, std::uint64_t id);  // mu_ held
   /// Applies `write` to the entry of `id` in place (see RecordEmitted).
   template <typename Fn>

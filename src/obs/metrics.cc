@@ -8,7 +8,6 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "core/parallel.h"
-#include "obs/lineage.h"
 #include "obs/trace.h"
 
 namespace sisyphus::obs {
@@ -31,24 +30,16 @@ struct MetricEvent {
   std::uint64_t uvalue = 0;
 };
 
-// Per-task side-channel buffer: metric writes (and lineage events)
-// captured on the executing thread, replayed in task-index order on the
-// region's calling thread.
+// Per-task side-channel buffer: metric writes captured on the executing
+// thread, replayed in task-index order on the region's calling thread.
 struct TaskBuffer {
   std::vector<MetricEvent> events;
-  std::vector<internal::LineageEvent> lineage_events;
-  std::size_t task_index = 0;
   bool tracing = false;     // emit a wall span at TaskEnd
   bool pool_stats = false;  // feed PoolStats at TaskEnd
   std::chrono::steady_clock::time_point span_start{};
 };
 
 thread_local TaskBuffer* t_buffer = nullptr;
-
-// True while this thread executes a pool task: nested inline regions
-// (RegionBegin/RegionEnd with no task hooks) must not disturb the
-// top-level region's PoolStats bookkeeping.
-thread_local bool t_in_task = false;
 
 double SteadyNowUs() {
   return std::chrono::duration<double, std::micro>(
@@ -77,21 +68,18 @@ class ParallelMetricsObserver final : public core::TaskObserver {
       SISYPHUS_METRIC_GAUGE("core.parallel.region.tasks",
                             static_cast<double>(task_count));
     }
-    if (PoolStats::enabled() && !t_in_task) {
+    // A region nested in a pool task runs inline and must not disturb the
+    // top-level region's PoolStats bookkeeping.
+    if (PoolStats::enabled() && !core::InParallelTask()) {
       PoolStats::Global().RegionBegin(task_count, lanes);
     }
   }
 
-  void* TaskBegin(std::size_t task_index) override {
-    t_in_task = true;
+  void* TaskBegin(std::size_t /*task_index*/) override {
     const bool tracing = Tracer::Global().enabled();
     const bool pool_stats = PoolStats::enabled();
-    const bool lineage = Lineage::enabled();
-    if (!internal::g_enabled && !tracing && !pool_stats && !lineage) {
-      return nullptr;
-    }
+    if (!internal::g_enabled && !tracing && !pool_stats) return nullptr;
     auto* buffer = new TaskBuffer;
-    buffer->task_index = task_index;
     buffer->tracing = tracing;
     buffer->pool_stats = pool_stats;
     if (tracing || pool_stats) {
@@ -102,15 +90,12 @@ class ParallelMetricsObserver final : public core::TaskObserver {
       t_buffer = buffer;
       internal::t_capturing = true;
     }
-    if (lineage) internal::t_lineage_buffer = &buffer->lineage_events;
     return buffer;
   }
 
   void TaskEnd(void* token) override {
     internal::t_capturing = false;
     t_buffer = nullptr;
-    internal::t_lineage_buffer = nullptr;
-    t_in_task = false;
     auto* buffer = static_cast<TaskBuffer*>(token);
     if (buffer == nullptr) return;
     if (buffer->tracing || buffer->pool_stats) {
@@ -144,12 +129,11 @@ class ParallelMetricsObserver final : public core::TaskObserver {
           break;
       }
     }
-    Lineage::Global().Replay(buffer->lineage_events);
     delete buffer;
   }
 
   void RegionEnd() override {
-    if (PoolStats::enabled() && !t_in_task) {
+    if (PoolStats::enabled() && !core::InParallelTask()) {
       PoolStats::Global().RegionEnd();
     }
   }

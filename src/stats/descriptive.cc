@@ -14,29 +14,6 @@ double Mean(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double CompensatedSum(std::span<const double> xs) {
-  // Neumaier's variant of Kahan summation: the compensation term also
-  // survives the case |x| > |sum|, so partial sums of wildly mixed
-  // magnitudes stay exact to the last bit in practice.
-  double sum = 0.0;
-  double compensation = 0.0;
-  for (double x : xs) {
-    const double t = sum + x;
-    if (std::abs(sum) >= std::abs(x)) {
-      compensation += (sum - t) + x;
-    } else {
-      compensation += (x - t) + sum;
-    }
-    sum = t;
-  }
-  return sum + compensation;
-}
-
-double CompensatedMean(std::span<const double> xs) {
-  SISYPHUS_REQUIRE(!xs.empty(), "CompensatedMean: empty input");
-  return CompensatedSum(xs) / static_cast<double>(xs.size());
-}
-
 double Variance(std::span<const double> xs) {
   SISYPHUS_REQUIRE(xs.size() >= 2, "Variance: need >= 2 samples");
   const double mu = Mean(xs);

@@ -13,16 +13,6 @@ namespace sisyphus::stats {
 /// Arithmetic mean. Precondition: non-empty.
 double Mean(std::span<const double> xs);
 
-/// Neumaier-compensated sum: tracks a running error term so the result is
-/// nearly independent of accumulation order and magnitude disparity. The
-/// panel builder feeds it *sorted* cell values, which pins the result to
-/// the value multiset, so cells agree bit-for-bit no matter what order
-/// records arrived in.
-double CompensatedSum(std::span<const double> xs);
-
-/// CompensatedSum(xs) / xs.size(). Precondition: non-empty.
-double CompensatedMean(std::span<const double> xs);
-
 /// Unbiased sample variance (n-1 denominator). Precondition: size >= 2.
 double Variance(std::span<const double> xs);
 

@@ -20,6 +20,7 @@
 #include "audit/format.h"
 #include "audit/reader.h"
 #include "audit/writer.h"
+#include "causal/placebo.h"
 #include "causal/robust_synthetic_control.h"
 #include "core/hash.h"
 #include "core/parallel.h"
@@ -32,6 +33,7 @@
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "section_file_test.h"
+#include "stats/decomposition.h"
 
 namespace sisyphus {
 namespace {
@@ -49,11 +51,15 @@ struct ScopedLineage {
   ~ScopedLineage() { Lineage::Enable(false); }
 };
 
-/// One small ZA campaign under `plan`, panel + one robust fit — the full
+/// How RunCampaign fits the first treated unit.
+enum class Fit { kRobust, kPlacebo };
+
+/// One small ZA campaign under `plan`, panel + one fit — the full
 /// emit -> panel -> estimate lineage path (mirrors lineage_test). The
 /// records go through the sharded ingest fan-out, whose tasks write their
-/// lineage verdicts in place.
-void RunCampaign(const measure::FaultPlan& plan) {
+/// lineage verdicts in place. A placebo analysis fits its donor rotations
+/// in pool tasks, which write their fit marks straight into the ledger.
+void RunCampaign(const measure::FaultPlan& plan, Fit fit = Fit::kRobust) {
   netsim::ScenarioZaOptions options;
   options.donor_units = 6;
   options.treatment_time = core::SimTime::FromDays(3);
@@ -89,14 +95,24 @@ void RunCampaign(const measure::FaultPlan& plan) {
   auto input = measure::MakeSyntheticControlInput(
       panel, scenario.treated[0].name, scenario.donor_names,
       options.treatment_time);
-  if (input.ok()) {
-    auto fit = causal::FitRobustSyntheticControl(input.value());
+  if (fit == Fit::kPlacebo) {
+    ASSERT_TRUE(input.ok()) << input.error().message();
+    // More donors than one lockstep group: the rotations take more than
+    // one pool task, so at several lanes they run in a multi-lane region.
+    ASSERT_GT(input.value().donors.cols(), stats::kJacobiBatchLanes);
+    const auto placebo = causal::RunPlaceboAnalysis(input.value());
+    ASSERT_TRUE(placebo.ok()) << placebo.error().message();
+    Lineage::Global().AddEstimate(
+        "audit.placebo.unit0", scenario.treated[0].name, scenario.donor_names,
+        placebo.value().treated_fit.average_effect, placebo.value().p_value);
+  } else if (input.ok()) {
+    auto robust = causal::FitRobustSyntheticControl(input.value());
     // Register the estimate the way the shipped benches do, so the
     // artifact carries a real estimate entry with composition pools.
-    if (fit.ok()) {
+    if (robust.ok()) {
       Lineage::Global().AddEstimate(
           "audit.robust.unit0", scenario.treated[0].name,
-          scenario.donor_names, fit.value().base.average_effect,
+          scenario.donor_names, robust.value().base.average_effect,
           std::numeric_limits<double>::quiet_NaN());
     }
   }
@@ -571,14 +587,41 @@ TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {
   const std::string serial = run(1);
   EXPECT_GT(out_of_panel, 0u);
   // The audit artifact is a pure function of the final ledger. The ledger
-  // is lane-count invariant: task events are captured and replayed in task
-  // order, and the shard tasks write each record's verdict in place at its
-  // own id. So the whole indexed file, checksums and all, is byte-identical
-  // at any lane count.
+  // is lane-count invariant: the shard tasks write each record's verdict in
+  // place at its own id, and every other write is serial. So the whole
+  // indexed file, checksums and all, is byte-identical at any lane count.
   EXPECT_EQ(serial, run(4));
   EXPECT_EQ(serial, run(8));
   EXPECT_GT(out_of_panel, 0u);
   EXPECT_GT(serial.size(), core::section_file::kHeaderSize);
+}
+
+TEST(AuditStoreTest, PlaceboFitMarksFromTasksAreLaneCountInvariant) {
+  // At 4 and 8 lanes the placebo rotations (one pool task per group of four
+  // donors) write their fit marks from the tasks of a multi-lane region, in
+  // whatever order the lanes reach them. A mark sets a unit's flag once, so
+  // the ledger and its artifact must equal the serial run's bytes.
+  measure::FaultPlan plan;
+  plan.seed = 37;
+  plan.probe_loss_probability = 0.1;
+  plan.duplicate_probability = 0.1;
+  std::uint64_t donor_records = 0;
+  const auto run = [&](std::size_t lanes) {
+    core::ThreadPool::SetGlobalThreadCount(lanes);
+    ScopedLineage scoped;
+    Lineage::Global().BeginRun("placebo");
+    RunCampaign(plan, Fit::kPlacebo);
+    std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
+    donor_records = Lineage::Global().Totals().terminal[static_cast<
+        std::size_t>(obs::LineageStage::kDonor)];
+    core::ThreadPool::SetGlobalThreadCount(0);
+    return artifact;
+  };
+  const std::string serial = run(1);
+  EXPECT_GT(donor_records, 0u);
+  EXPECT_EQ(serial, run(4));
+  EXPECT_EQ(serial, run(8));
+  EXPECT_GT(donor_records, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1083,6 +1084,23 @@ TEST(ChaosSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(durable::ParseChaosSpec("kill-after=x").ok());
   EXPECT_FALSE(durable::ParseChaosSpec("corrupt=panel").ok());
   EXPECT_FALSE(durable::ParseChaosSpec("bogus-knob=1").ok());
+}
+
+TEST(ChaosSpecTest, RejectsNumbersPastUint64Max) {
+  // Wrapped, these would read "kill after step 1" and some other seed.
+  const auto kill = durable::ParseChaosSpec("kill-after=18446744073709551617");
+  ASSERT_FALSE(kill.ok());
+  EXPECT_EQ(kill.error().code(), core::ErrorCode::kParseError);
+  EXPECT_EQ(kill.error().message(), "chaos: bad kill-after value");
+  const auto seed = durable::ParseChaosSpec("seed=99999999999999999999");
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.error().code(), core::ErrorCode::kParseError);
+  EXPECT_EQ(seed.error().message(), "chaos: bad seed value");
+
+  const auto max = durable::ParseChaosSpec("kill-after=18446744073709551615");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value().kill_after_steps,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -322,6 +323,105 @@ TEST(LineageVerdictTest, TasksWriteOnlyInsideTheReservedColumn) {
   EXPECT_EQ(Lineage::Global().Totals().emitted, 8u);
   EXPECT_THROW(emit(2), std::logic_error);  // id 9 was never reserved
   core::ThreadPool::SetGlobalThreadCount(0);
+}
+
+// ---------------------------------------------------------------------------
+// Ledger writes from pool tasks. The fit marks may come from the tasks of
+// a multi-lane region; every other mutator is serial and refuses one.
+
+std::string MarkUnit(std::size_t i) { return "unit-" + std::to_string(i); }
+
+/// One run of eight kept units, unit i holding records 2i+1 and 2i+2.
+void BuildMarkLedger() {
+  Lineage& lineage = Lineage::Global();
+  lineage.Reset();
+  lineage.BeginRun("marks");
+  for (std::uint64_t id = 1; id <= 16; ++id) {
+    obs::LineageRecordInfo info;
+    info.id = id;
+    info.archived = true;
+    lineage.RecordEmitted(info);
+  }
+  for (std::uint64_t u = 0; u < 8; ++u) {
+    lineage.PanelUnitKept(MarkUnit(u), 0.0, 1, 0);
+    lineage.PanelCell(MarkUnit(u), 0,
+                      IdRunSet::FromSorted({2 * u + 1, 2 * u + 2}));
+  }
+}
+
+TEST(LineageTaskTest, FitMarksFromTasksMatchASerialLoop) {
+  ScopedLineage scoped;
+  core::ThreadPool::SetGlobalThreadCount(4);
+  // Task i marks unit i treated when i is even and its neighbour donor, as
+  // a fit and its placebo rotations would.
+  const auto mark = [](std::size_t i) {
+    if (i % 2 == 0) Lineage::Global().MarkTreated(MarkUnit(i));
+    Lineage::Global().MarkDonor(MarkUnit((i + 1) % 8));
+  };
+  BuildMarkLedger();
+  for (std::size_t i = 0; i < 8; ++i) mark(i);
+  const LineageWaterfall serial = Lineage::Global().Totals();
+  BuildMarkLedger();
+  core::ParallelFor(8, mark);
+  const LineageWaterfall tasks = Lineage::Global().Totals();
+  core::ThreadPool::SetGlobalThreadCount(0);
+
+  EXPECT_EQ(tasks.terminal, serial.terminal);
+  EXPECT_EQ(tasks.emitted, serial.emitted);
+  EXPECT_EQ(tasks.units_kept, serial.units_kept);
+  EXPECT_EQ(serial.terminal[static_cast<std::size_t>(
+                obs::LineageStage::kTreated)],
+            8u);
+  EXPECT_EQ(serial.terminal[static_cast<std::size_t>(
+                obs::LineageStage::kDonor)],
+            8u);
+}
+
+TEST(LineageTaskTest, SerialMutatorsRefuseAMultiLaneTask) {
+  ScopedLineage scoped;
+  core::ThreadPool::SetGlobalThreadCount(4);
+  Lineage::Global().BeginRun("serial");
+  const auto expect_refused = [](const std::string& mutator,
+                                 const std::function<void()>& write) {
+    try {
+      core::ParallelFor(8, [&](std::size_t) { write(); });
+      ADD_FAILURE() << mutator << " wrote the ledger from a pool task";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("Lineage::" + mutator),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused("PanelCell", [] {
+    Lineage::Global().PanelCell("unit", 0, IdRunSet::FromSorted({1}));
+  });
+  expect_refused("AddEstimate", [] {
+    Lineage::Global().AddEstimate("est", "unit", {}, 0.0, 0.0);
+  });
+  expect_refused("BeginRun", [] { Lineage::Global().BeginRun("task"); });
+  const auto cells_and_estimates = [] {
+    std::size_t count = 0;
+    Lineage::Global().VisitRuns(
+        [&](const std::vector<Lineage::RunLedger>& runs) {
+      EXPECT_EQ(runs.size(), 1u);
+      for (const auto& [name, unit] : runs.back().units) {
+        count += unit.cells.size();
+      }
+      count += runs.back().estimates.size();
+    });
+    return count;
+  };
+  EXPECT_EQ(cells_and_estimates(), 0u);
+
+  // At one lane the region runs inline on the caller, in index order, so
+  // the same writes are serial and allowed.
+  core::ThreadPool::SetGlobalThreadCount(1);
+  core::ParallelFor(2, [](std::size_t i) {
+    Lineage::Global().PanelCell("unit", static_cast<std::uint32_t>(i),
+                                IdRunSet::FromSorted({i + 1}));
+  });
+  core::ThreadPool::SetGlobalThreadCount(0);
+  EXPECT_EQ(cells_and_estimates(), 2u);
 }
 
 }  // namespace
