@@ -44,6 +44,23 @@ Result<double> RobustObservedFraction(
                  "(observed fraction " + std::to_string(p_hat) + " < " +
                      std::to_string(options.min_observed_fraction) + ")");
   }
+  // A donor with no observed pre-period is not uniformly missing: zero
+  // filled and rescaled by 1/p̂, it would drag the fit, so it fails like a
+  // treated series short of min_observed_pre_periods.
+  const stats::Matrix& observed = input.donor_observed;
+  const std::size_t pre = std::min(input.pre_periods, observed.rows());
+  for (std::size_t c = 0; c < observed.cols(); ++c) {
+    std::size_t t = 0;
+    while (t < pre && observed(t, c) == 0.0) ++t;
+    if (t == pre) {
+      return Error(ErrorCode::kNumericalFailure,
+                   "FitRobustSyntheticControl: donor " +
+                       (c < input.donor_names.size()
+                            ? "'" + input.donor_names[c] + "'"
+                            : std::to_string(c)) +
+                       " has no observed pre-period");
+    }
+  }
   return p_hat;
 }
 

@@ -71,7 +71,9 @@ stats::Matrix ZeroFilledDonors(const SyntheticControlInput& input,
 
 /// The observed fraction p̂ of the donor matrix (1.0 off the masked path),
 /// or the kNumericalFailure a fit returns before it takes any SVD: p̂ is 0,
-/// or below options.min_observed_fraction. With input.Validate(), these
+/// or below options.min_observed_fraction, or a donor has no observed cell
+/// in the pre-period (the error names the donor, by its index when the
+/// input has no names). With input.Validate(), these
 /// are every check FitRobustSyntheticControl makes before the donor
 /// spectrum, so the placebo engine (FitPlaceboRotations) uses it to leave
 /// a rotation that would fail them out of its SVD batch.

@@ -14,10 +14,11 @@
 // regenerates.
 //
 // On a resume from a snapshot at seq k the journal plays two roles
-// (DESIGN.md §11). Frames 1..k are the SOURCE of the ingest side (store
-// arenas, panel aggregates, lineage, probe failures): a snapshot carries
-// only generator state, the registry and the timeline, so those frames
-// are decoded and re-ingested. Frames after k are an integrity *witness*:
+// (DESIGN.md §11). Frames 1..k are the SOURCE of everything but the
+// generator state (store arenas, panel aggregates, lineage, probe
+// failures, metrics registry, timeline): a snapshot carries only the
+// generator state, so those frames are decoded and their steps'
+// commits and telemetry re-run. Frames after k are an integrity *witness*:
 // those steps are re-executed from the restored RNG/simulator state and
 // the regenerated payload is compared byte-for-byte against the journaled
 // frame.

@@ -181,6 +181,11 @@ core::Result<measure::StepOutput> DecodeStep(
     return malformed(std::string(entry) + " " + std::to_string(i) + " has " +
                      field + " " + std::to_string(value));
   };
+  // Every probe makes 1..max_attempts attempts; the rebuilt
+  // measure.probes.retried counts them.
+  const auto attempts_ok = [&](std::uint32_t attempts) {
+    return attempts >= 1 && attempts <= platform.options().retry.max_attempts;
+  };
   binio::Reader r(payload);
   measure::StepOutput step;
   step.step_end = core::SimTime(r.GetI64());
@@ -234,6 +239,9 @@ core::Result<measure::StepOutput> DecodeStep(
                        "'s unit " + unit->key());
     }
     if (intent > kMaxIntent) return bad("record", i, "intent byte", intent);
+    if (!attempts_ok(rec.attempts)) {
+      return bad("record", i, "attempts", rec.attempts);
+    }
     if (rec.ixp_crossing != measure::kNoIxpCrossing &&
         rec.ixp_crossing >= platform.topology().IxpCount()) {
       return malformed("record " + std::to_string(i) + " crosses IXP " +
@@ -277,6 +285,9 @@ core::Result<measure::StepOutput> DecodeStep(
     if (reason > kMaxProbeFault) {
       return bad("failure", i, "reason byte", reason);
     }
+    if (!attempts_ok(f.attempts)) {
+      return bad("failure", i, "attempts", f.attempts);
+    }
     f.intent = static_cast<measure::Intent>(intent);
     f.reason = static_cast<measure::ProbeFault>(reason);
     step.failures.push_back(f);
@@ -289,49 +300,42 @@ core::Result<measure::StepOutput> DecodeStep(
 
 namespace {
 
-/// A snapshot holds only what the journal cannot reproduce: the seq, the
-/// platform's record-id watermark, route-change cursor and EWMAs, the RNG,
-/// then the registry and timeline. The store, panel aggregates, lineage
-/// ledger and probe failures are rebuilt from journal frames 1..seq.
+/// A snapshot holds only what neither the journal nor Platform::SkipStep
+/// can reproduce: the seq, the platform's record-id watermark, the RNG and
+/// the vantage EWMAs. The store, panel aggregates, lineage ledger, probe
+/// failures, metrics registry and timeline are rebuilt from journal
+/// frames 1..seq.
 std::string EncodeSnapshotPayload(std::uint64_t seq, const core::Rng& rng,
                                   const measure::Platform& platform) {
   binio::Writer w;
   w.PutU64(seq);
   const measure::Platform::StreamState stream = platform.CaptureStreamState();
   w.PutU64(stream.next_record_id);
-  w.PutU64(stream.route_change_cursor);
   const core::Rng::State rng_state = rng.SaveState();
   for (std::uint64_t word : rng_state.s) w.PutU64(word);
   w.PutBool(rng_state.has_cached_gaussian);
   w.PutDouble(rng_state.cached_gaussian);
   binio::PutDoubleVector(w, stream.ewma_rtt);
-  obs::Registry::Global().Save(w);
-  obs::Timeline::Global().Save(w);
   return std::move(w).Take();
 }
 
-/// The part of a snapshot that must be parsed BEFORE the fast-forward
-/// (seq, platform state, RNG); `tail` holds the registry/timeline bytes
-/// applied after it.
 struct SnapshotHead {
   std::uint64_t seq = 0;
   core::Rng::State rng;
   measure::Platform::StreamState stream;
-  std::string tail;
 };
 
+/// False on a payload that is not exactly EncodeSnapshotPayload's layout,
+/// trailing bytes included.
 bool DecodeSnapshotHead(const std::string& payload, SnapshotHead* head) {
   binio::Reader r(payload);
   head->seq = r.GetU64();
   head->stream.next_record_id = r.GetU64();
-  head->stream.route_change_cursor = r.GetU64();
   for (std::uint64_t& word : head->rng.s) word = r.GetU64();
   head->rng.has_cached_gaussian = r.GetBool();
   head->rng.cached_gaussian = r.GetDouble();
   head->stream.ewma_rtt = binio::GetDoubleVector(r);
-  if (!r.ok()) return false;
-  head->tail = payload.substr(payload.size() - r.remaining());
-  return true;
+  return r.ok() && r.remaining() == 0;
 }
 
 /// The record-id watermark journal frame `seq` ends at (1 before frame 1):
@@ -357,25 +361,6 @@ bool FlipByte(const std::string& path, std::size_t offset) {
   std::fclose(file);
   return ok;
 }
-
-/// Pauses the registry and the timeline while a resume re-executes steps
-/// the restored snapshot already counts, restoring both flags even if the
-/// re-execution throws. Lineage stays as the caller set it: the snapshot
-/// does not carry the ledger, so the journal rebuild must write it.
-struct TelemetryPause {
-  bool registry_enabled;
-  bool timeline_enabled;
-  TelemetryPause()
-      : registry_enabled(obs::Registry::enabled()),
-        timeline_enabled(obs::Timeline::enabled()) {
-    obs::Registry::Enable(false);
-    obs::Timeline::Enable(false);
-  }
-  ~TelemetryPause() {
-    obs::Registry::Enable(registry_enabled);
-    obs::Timeline::Enable(timeline_enabled);
-  }
-};
 
 }  // namespace
 
@@ -403,6 +388,14 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   if (options_.dir.empty()) {
     return core::Error(core::ErrorCode::kInvalidArgument,
                        "durable: options.dir is required");
+  }
+  if (platform_.edge_steering() != nullptr) {
+    // A resume rebuilds the netsim metrics through SkipStep, which does not
+    // replay a steered probe's route reads, and no snapshot holds the
+    // steering controller's decision log.
+    return core::Error(core::ErrorCode::kInvalidArgument,
+                       "durable: edge steering is installed, and a resume "
+                       "cannot rebuild a steered campaign from its journal");
   }
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
@@ -524,42 +517,32 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
     return shed;
   };
 
-  // -- fast-forward, state restore, journal rebuild ------------------------
+  // -- fast-forward and journal rebuild ------------------------------------
+  measure::DeclareStreamTelemetrySeries();
   if (restored) {
-    // The restored registry and timeline already count steps 1..k, so
-    // neither the skipped steps' clock/route-cache effects nor the rebuild
-    // may count them again.
-    TelemetryPause pause;
-    for (std::uint64_t i = 0; i < start_seq; ++i) platform_.SkipStep(until);
-    binio::Reader tail(head.tail);
-    if (!obs::Registry::Global().Load(tail) ||
-        !obs::Timeline::Global().Load(tail) || tail.remaining() != 0) {
-      return core::Error(core::ErrorCode::kParseError,
-                         "durable resume: snapshot state failed to load "
-                         "(checksum passed but decoding diverged)");
-    }
-    if (const core::Status s = platform_.RestoreStreamState(head.stream);
-        !s.ok()) {
-      return core::Error(core::ErrorCode::kInvalidArgument,
-                         "durable resume: " + s.error().message());
-    }
-    rng.RestoreState(head.rng);
-    // The ingest side — store arenas, panel aggregates, lineage, probe
-    // failures — is a pure function of frames 1..k: feed each through the
-    // commit its live step made.
+    // Everything but the generator state is a pure function of frames
+    // 1..k: replay each covered step as its live step ran it, minus the
+    // generation — the fast-forward (simulator, route reads), the step's
+    // probe counters, the live commit, the step's telemetry — so the
+    // store, panel, lineage, failures, registry and timeline come out as
+    // the live run left them.
     std::uint64_t next_record_id = 1;
     for (std::uint64_t seq = 1; seq <= start_seq; ++seq) {
-      core::Result<measure::StepOutput> step =
-          DecodeStep(scan.frames[seq - 1].payload, next_record_id, platform_);
-      if (!step.ok()) {
-        return core::Error(core::ErrorCode::kParseError,
-                           "durable resume: journal frame " +
-                               std::to_string(seq) + " does not decode: " +
-                               step.error().message());
-      }
-      next_record_id += step.value().records.size();
       try {
+        platform_.SkipStep(until);
+        core::Result<measure::StepOutput> step = DecodeStep(
+            scan.frames[seq - 1].payload, next_record_id, platform_);
+        if (!step.ok()) {
+          return core::Error(core::ErrorCode::kParseError,
+                             "durable resume: journal frame " +
+                                 std::to_string(seq) + " does not decode: " +
+                                 step.error().message());
+        }
+        next_record_id += step.value().records.size();
+        measure::CountProbes(step.value());
         commit(step.value());
+        measure::EmitStepTelemetry(seq, campaign_.ingested(), 0, 0,
+                                   &campaign_, false);
       } catch (const std::exception& e) {
         return core::Error(core::ErrorCode::kInvalidArgument,
                            "durable resume: journal frame " +
@@ -568,6 +551,12 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       }
       ++stats.rebuilt_steps;
     }
+    if (const core::Status s = platform_.RestoreStreamState(head.stream);
+        !s.ok()) {
+      return core::Error(core::ErrorCode::kInvalidArgument,
+                         "durable resume: " + s.error().message());
+    }
+    rng.RestoreState(head.rng);
     core::LogLine(core::LogLevel::kInfo, "durable: resumed from snapshot",
                   {{"seq", start_seq},
                    {"journal_high_water", high_water},
@@ -593,8 +582,6 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       chaos_kill_seq = 1 + h % 24;
     }
   }
-
-  measure::DeclareStreamTelemetrySeries();
 
   std::uint64_t last_snapshot_seq = start_seq;
   const auto write_snapshot = [&](std::uint64_t seq) -> core::Result<bool> {
@@ -653,8 +640,6 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       stats.journal_high_water = seq;
     }
 
-    // The telemetry commit is inside the try too: a timeline restored from
-    // a doctored snapshot fails its step-order precondition here.
     try {
       if (options_.ingest_fault) options_.ingest_fault(seq);
       stats.shed_records += commit(step);

@@ -12,30 +12,29 @@
 //      copies (conservation stays exact);
 //   4. ingest — StreamingCampaign::IngestBatch, then the step's telemetry
 //      and timeline commit, all on the step-loop thread;
-//   5. snapshot — every `snapshot_every` steps, the state the journal
-//      cannot reproduce (seq, RNG, the platform's EWMAs, record-id
-//      watermark and route-change cursor, the metrics registry, the
-//      timeline) is written atomically. It does not grow with the record
-//      count: the store, the panel aggregates, the lineage ledger and the
-//      probe failures are left to the journal.
+//   5. snapshot — every `snapshot_every` steps, the generator state that
+//      neither the journal nor Platform::SkipStep can reproduce (seq,
+//      record-id watermark, RNG, the vantage EWMAs) is written atomically:
+//      a few hundred bytes, the same at every step and record count.
 //
-// Recovery = snapshot restore + journal rebuild + deterministic VERIFIED
-// RE-EXECUTION. Resume loads the newest valid snapshot (seq k) whose
-// record-id watermark matches journal frame k's, fast-forwards the
-// simulator k steps with the registry and timeline paused, restores the
-// saved state, and then rebuilds the ingest side from frames 1..k: each
-// is decoded (DecodeStep, a Status on any malformed frame, its records
-// resolved against their vantages' interned units) and fed through the
-// commit a live step makes — the shed cut, IngestBatch,
-// CommitFailures — with the registry and timeline still paused (the
-// snapshot already counts those steps) and lineage as the caller set it.
-// Frames after k stay integrity witnesses: those steps are re-generated
-// live and their serialized form compared byte-for-byte against the
-// journaled frame — any divergence fails the resume loudly. Because
-// every artifact byte is a pure function of the restored state and the
-// frames, a killed-and-resumed run produces
-// panel.csv/metrics.json/audit.bin byte-identical to an uninterrupted
-// one, at any SISYPHUS_THREADS.
+// Recovery = journal rebuild + snapshot restore + deterministic VERIFIED
+// RE-EXECUTION. Resume picks the newest valid snapshot (seq k) whose
+// record-id watermark matches journal frame k's, then replays frames
+// 1..k as their live steps ran them, minus the generation: for each, in
+// the live loop's order, SkipStep (the simulator and its route reads),
+// DecodeStep (a Status on any malformed frame, its records resolved
+// against their vantages' interned units), the step's probe counters
+// (CountProbes), the live commit (shed cut, IngestBatch, CommitFailures)
+// and the step's telemetry (EmitStepTelemetry). Nothing is paused: the
+// store, panel, lineage ledger, probe failures, metrics registry and
+// timeline all come out as the live run left them. Then the generator
+// state is restored. Frames after k stay integrity witnesses: those steps
+// are re-generated live and their serialized form compared byte-for-byte
+// against the journaled frame — any divergence fails the resume loudly.
+// Because every artifact byte is a pure function of the restored state
+// and the frames, a killed-and-resumed run produces
+// panel.csv/metrics.json/audit.bin/timeline.bin byte-identical to an
+// uninterrupted one, at any SISYPHUS_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -146,7 +145,8 @@ std::string EncodeStep(const measure::StepOutput& step,
 /// count beyond the bytes, an id out of sequence, a record whose vantage
 /// is not one of the platform's or whose ASN and city bytes are not its
 /// vantage's unit, an IXP crossing the platform's topology does not have,
-/// a watermark other than the last id + 1, an intent, fault-mask,
+/// a record or failure whose attempts fall outside 1..max_attempts, a
+/// watermark other than the last id + 1, an intent, fault-mask,
 /// failure-intent or failure-reason byte outside its enum, a bool byte
 /// other than 0 or 1, or trailing bytes.
 core::Result<measure::StepOutput> DecodeStep(
@@ -157,9 +157,12 @@ class DurableStreamingService {
  public:
   /// The platform and campaign must outlive the service. The campaign
   /// must be freshly constructed (Run) or reconstructed identically to
-  /// the original run (Resume) — lineage enablement included, since
-  /// IncrementalPanelBuilder snapshots the flag at construction and the
-  /// resume rebuilds the ledger from the journal.
+  /// the original run (Resume) — lineage, registry and timeline
+  /// enablement included, since IncrementalPanelBuilder snapshots the
+  /// lineage flag at construction and the resume rebuilds the ledger, the
+  /// registry and the timeline from the journal. Run and Resume refuse a
+  /// platform with edge steering installed (kInvalidArgument): SkipStep
+  /// does not replay a steered probe's route reads.
   DurableStreamingService(measure::Platform& platform,
                           measure::StreamingCampaign& campaign,
                           DurableOptions options);
@@ -168,15 +171,16 @@ class DurableStreamingService {
   /// Clears stale journal/snapshot state in the directory first.
   core::Result<RunStats> Run(core::SimTime until, core::Rng& rng);
 
-  /// Crash-tolerant resume: newest valid snapshot, the ingest side
-  /// rebuilt from the journal frames it covers, verified re-execution of
-  /// the journal tail, then normal operation to `until`. Corrupt
-  /// snapshots, and snapshots whose record-id watermark disagrees with
-  /// their journal frame, fall back to the previous one (loud failure
-  /// when none is valid but some exist); journal corruption before the
-  /// tail, or a covered frame that does not decode, fails loudly. With no
-  /// snapshot and no journal this degrades to a cold Run without clearing
-  /// the directory.
+  /// Crash-tolerant resume: newest valid snapshot, everything but the
+  /// generator state rebuilt from the journal frames it covers, verified
+  /// re-execution of the journal tail, then normal operation to `until`.
+  /// Corrupt or undecodable snapshots (trailing bytes included), and
+  /// snapshots whose record-id watermark disagrees with their journal
+  /// frame, fall back to the previous one (loud failure when none is
+  /// valid but some exist); journal corruption before the tail, or a
+  /// covered frame that does not decode, fails loudly. With no snapshot
+  /// and no journal this degrades to a cold Run without clearing the
+  /// directory.
   core::Result<RunStats> Resume(core::SimTime until, core::Rng& rng);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -122,19 +123,17 @@ std::vector<SnapshotEntry> ListSnapshots(const std::string& dir) {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("snap-", 0) != 0) continue;
-    if (name.size() < 10 || name.substr(name.size() - 4) != ".bin") continue;
-    const std::string digits = name.substr(5, name.size() - 9);
-    std::uint64_t seq = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
+    if (name.size() != 29 || name.rfind("snap-", 0) != 0 ||
+        name.compare(25, 4, ".bin") != 0) {
+      continue;
     }
-    if (!numeric) continue;
+    // 20 digits, and no value past UINT64_MAX: a wrapped one would sort a
+    // stray file as the newest snapshot, and pruning would then delete a
+    // real one in its place.
+    std::uint64_t seq = 0;
+    const char* digits = name.data() + 5;
+    const auto [end, error] = std::from_chars(digits, digits + 20, seq);
+    if (error != std::errc() || end != digits + 20) continue;
     entries.push_back(SnapshotEntry{seq, entry.path().string()});
   }
   std::sort(entries.begin(), entries.end(),

@@ -12,8 +12,8 @@
 // length or checksum check on read, and recovery falls back to the
 // previous snapshot (DESIGN.md §11).
 //
-// Snapshots are named `snap-<seq, zero-padded>.bin` so a lexicographic
-// directory listing is also seq-ordered.
+// Snapshots are named `snap-<seq, 20 digits>.bin` so a lexicographic
+// directory listing is also seq-ordered; no other name is a snapshot.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,14 @@
 
 namespace sisyphus::durable {
 
-/// Names the payload layout and the checksum: snapshots that still
-/// carried the store, panel and lineage ("SISYSNAP") or were checksummed
-/// with FNV-1a ("SISYSNP2") fail the magic check, which names the magic
-/// found, and are rejected rather than misread.
-inline constexpr std::uint64_t kSnapshotMagic = 0x33504e5359534953ull;  // "SISYSNP3"
+/// Names the payload layout and the checksum. The payload holds the
+/// generator state only: seq, record-id watermark, RNG and vantage EWMAs.
+/// Snapshots that still carried the store, panel and lineage ("SISYSNAP"),
+/// were checksummed with FNV-1a ("SISYSNP2") or carried the metrics
+/// registry, the timeline and a route-change cursor ("SISYSNP3") fail the
+/// magic check, which names the magic found, and are rejected rather than
+/// misread.
+inline constexpr std::uint64_t kSnapshotMagic = 0x34504e5359534953ull;  // "SISYSNP4"
 
 /// `<dir>/snap-00000000000000000042.bin`.
 std::string SnapshotPath(const std::string& dir, std::uint64_t seq);
@@ -52,8 +55,10 @@ struct SnapshotEntry {
   std::string path;
 };
 
-/// All `snap-*.bin` files in `dir`, ascending by seq. Missing directory
-/// yields an empty list.
+/// All files in `dir` named as SnapshotPath names them — `snap-`, exactly
+/// 20 decimal digits whose value fits in a u64, `.bin` — ascending by seq.
+/// Any other name is not a snapshot, so it is neither restored nor pruned.
+/// Missing directory yields an empty list.
 std::vector<SnapshotEntry> ListSnapshots(const std::string& dir);
 
 /// Deletes all but the newest `keep` snapshots in `dir`.

@@ -49,7 +49,6 @@ void Platform::RunTests(const VantageState& vantage,
 void Platform::RunOneTest(const VantageState& vantage,
                           const StepSignal& signal, Intent intent,
                           core::Rng& rng, VantageBatch& batch) {
-  ++batch.attempted;
   const netsim::PopIndex pop = vantage.config.pop;
   netsim::PopIndex server = options_.server;
   if (steering_ != nullptr) {
@@ -71,7 +70,6 @@ void Platform::RunOneTest(const VantageState& vantage,
   for (std::uint32_t attempt = 1;
        attempt <= options_.retry.max_attempts; ++attempt) {
     if (attempt > 1) {
-      ++batch.retried;
       attempt_time = attempt_time + backoff;
       backoff = core::SimTime(static_cast<std::int64_t>(
           static_cast<double>(backoff.minutes()) *
@@ -121,7 +119,6 @@ void Platform::RunOneTest(const VantageState& vantage,
                                              intent, rng, options_.test_model);
     record.time = attempt_time;
     record.attempts = attempt;
-    ++batch.succeeded;
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
@@ -309,6 +306,10 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
     // identical forked-stream structure serially — same output, one lane.
     for (std::size_t i = 0; i < vantages_.size(); ++i) run_vantage(i);
   } else {
+    // Telemetry-silent, like the shard ingest fan-out: the region is an
+    // execution detail of generation that a resume's journal rebuild,
+    // and a steered campaign's serial loop, do not repeat.
+    core::RegionTelemetrySilencer silencer;
     core::ParallelFor(vantages_.size(), run_vantage);
   }
 
@@ -316,23 +317,9 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
   StepOutput out;
   out.step_end = step_end;
   std::size_t total_records = 0, total_failures = 0;
-  std::uint64_t attempted = 0, retried = 0, succeeded = 0;
   for (const VantageBatch& batch : batches) {
     total_records += batch.records.size();
     total_failures += batch.failures.size();
-    attempted += batch.attempted;
-    retried += batch.retried;
-    succeeded += batch.succeeded;
-  }
-  // One add per counter per step. A counter is registered, and so listed
-  // in metrics.json, from its first nonzero add, as it was when each
-  // probe added to it.
-  if (attempted > 0) {
-    SISYPHUS_METRIC_COUNT("measure.probes.attempted", attempted);
-  }
-  if (retried > 0) SISYPHUS_METRIC_COUNT("measure.probes.retried", retried);
-  if (succeeded > 0) {
-    SISYPHUS_METRIC_COUNT("measure.probes.succeeded", succeeded);
   }
   out.records.reserve(total_records);
   out.failures.reserve(total_failures);
@@ -347,7 +334,27 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
       out.failures.push_back(failure);
     }
   }
+  CountProbes(out);
   return out;
+}
+
+void CountProbes(const StepOutput& step) {
+  const std::uint64_t succeeded = step.records.size();
+  const std::uint64_t attempted = succeeded + step.failures.size();
+  std::uint64_t retried = 0;
+  for (const PendingRecord& pending : step.records) {
+    retried += pending.record.attempts - 1;
+  }
+  for (const ProbeFailure& failure : step.failures) {
+    retried += failure.attempts - 1;
+  }
+  if (attempted > 0) {
+    SISYPHUS_METRIC_COUNT("measure.probes.attempted", attempted);
+  }
+  if (retried > 0) SISYPHUS_METRIC_COUNT("measure.probes.retried", retried);
+  if (succeeded > 0) {
+    SISYPHUS_METRIC_COUNT("measure.probes.succeeded", succeeded);
+  }
 }
 
 void Platform::CommitFailures(const std::vector<ProbeFailure>& failures) {
@@ -375,9 +382,8 @@ void Platform::SkipStep(core::SimTime until) {
   route_change_cursor_ = simulator_.route_changes().size();
   // Read every (vantage, server) route, in place as ResolveProbePath
   // does, so the BGP route cache ends the skipped step exactly as warm as
-  // a live step would leave it — the netsim cache counters must match an
-  // uninterrupted run when the subsequent live steps re-execute under
-  // verification.
+  // a live step would leave it, and the netsim cache counters count what
+  // the live step counted.
   for (const VantageState& vantage : vantages_) {
     (void)simulator_.bgp().FindRoute(vantage.config.pop, options_.server);
   }
@@ -386,7 +392,6 @@ void Platform::SkipStep(core::SimTime until) {
 Platform::StreamState Platform::CaptureStreamState() const {
   StreamState state;
   state.next_record_id = next_record_id_;
-  state.route_change_cursor = route_change_cursor_;
   state.ewma_rtt.reserve(vantages_.size());
   for (const VantageState& vantage : vantages_) {
     state.ewma_rtt.push_back(vantage.ewma_rtt);
@@ -403,7 +408,6 @@ core::Status Platform::RestoreStreamState(const StreamState& state) {
                            std::to_string(vantages_.size()) + " vantages");
   }
   next_record_id_ = state.next_record_id;
-  route_change_cursor_ = static_cast<std::size_t>(state.route_change_cursor);
   for (std::size_t i = 0; i < vantages_.size(); ++i) {
     vantages_[i].ewma_rtt = state.ewma_rtt[i];
   }

@@ -194,6 +194,7 @@ class Platform {
   /// Non-owning; pass nullptr to revert. The steering object must outlive
   /// the platform while installed.
   void SetEdgeSteering(EdgeSteering* steering) { steering_ = steering; }
+  const EdgeSteering* edge_steering() const { return steering_; }
 
   /// Installs a fault injector consulted on every probe attempt and every
   /// successful record. Non-owning; pass nullptr for a failure-free
@@ -233,20 +234,23 @@ class Platform {
 
   /// Fast-forwards one step of simulated time WITHOUT generating tests,
   /// consuming RNG draws, or touching EWMAs: advances the simulator,
-  /// swallows the step's route changes, and touches every
-  /// (vantage, server) route so the BGP route cache is as warm as a live
-  /// step would leave it. Recovery replays k snapshot-covered steps with
-  /// this before restoring state (DESIGN.md §11).
+  /// swallows the step's route changes (leaving the route-change cursor
+  /// where GenerateStep would), and reads every (vantage, server) route
+  /// as GenerateStep's prewarm does, so the BGP route cache and the
+  /// netsim.* metrics end the step as a live step leaves them. A resume
+  /// runs it once per snapshot-covered step, before that step's journal
+  /// frame is committed (DESIGN.md §11). A steered probe's own route
+  /// reads are not replayed, so the durable service refuses edge
+  /// steering.
   void SkipStep(core::SimTime until);
 
-  /// The platform-side mutable state a snapshot must carry: everything a
-  /// resumed process cannot re-derive from re-construction or the journal
-  /// (EWMAs evolve per step; the id watermark and route-change cursor
-  /// advance). failures() is not part of it: a resume rebuilds it by
-  /// committing the journaled steps' failures (DESIGN.md §11).
+  /// The platform-side mutable state a snapshot must carry: what a resumed
+  /// process cannot re-derive from re-construction, SkipStep or the
+  /// journal (EWMAs evolve per step; the id watermark advances).
+  /// failures() is not part of it: a resume rebuilds it by committing the
+  /// journaled steps' failures (DESIGN.md §11).
   struct StreamState {
     std::uint64_t next_record_id = 1;
-    std::uint64_t route_change_cursor = 0;
     std::vector<double> ewma_rtt;  ///< one per vantage, AddVantage order
   };
   StreamState CaptureStreamState() const;
@@ -301,11 +305,6 @@ class Platform {
   struct VantageBatch {
     std::vector<PendingRecord> records;
     std::vector<ProbeFailure> failures;
-    /// measure.probes.{attempted,retried,succeeded} tallies, which
-    /// GenerateStep sums and adds once per step.
-    std::uint64_t attempted = 0;
-    std::uint64_t retried = 0;
-    std::uint64_t succeeded = 0;
   };
 
   void RunTests(const VantageState& vantage, const StepSignal& signal,
@@ -335,15 +334,25 @@ class Platform {
   FaultInjector* injector_ = nullptr;
 };
 
+/// Adds one step's measure.probes.{attempted,retried,succeeded}: every
+/// probe ends in exactly one record or one failure, and its retries are
+/// its attempts after the first (faults never change `attempts`), so
+/// attempted = records + failures, succeeded = records and retried =
+/// Σ(attempts − 1). Each counter is added once, and only when nonzero, so
+/// it is registered, and listed in metrics.json, from the first step that
+/// counts one. GenerateStep calls it on its merged step, and a durable
+/// resume on each journal frame it rebuilds.
+void CountProbes(const StepOutput& step);
+
 /// Step-boundary telemetry, called once per committed step by both step
-/// loops (Platform::Run and the durable service) so they emit the same
-/// stream:
-/// the measure.stream.{records_ingested,journal_high_water} gauges, an
-/// info-level progress line every `every` steps, and the step's timeline
-/// sample and commit (DESIGN.md §15) — the stream and netsim.bgp.*
-/// counters plus, when `campaign` is non-null, each panel unit's running
-/// RTT mean (`rtt.mean.<unit>`). The third and sixth parameters are
-/// unused; they remain so existing callers keep compiling.
+/// loops (Platform::Run and the durable service, whose resume also calls
+/// it for each step it rebuilds from the journal) so they emit the same
+/// stream: the measure.stream.{records_ingested,journal_high_water}
+/// gauges, an info-level progress line every `every` steps (0 = never),
+/// and the step's timeline sample and commit (DESIGN.md §15) — the stream
+/// and netsim.bgp.* counters plus, when `campaign` is non-null, each panel
+/// unit's running RTT mean (`rtt.mean.<unit>`). The third and sixth
+/// parameters are unused; they remain so existing callers keep compiling.
 void EmitStepTelemetry(std::uint64_t committed_steps,
                        std::uint64_t committed_records, std::size_t,
                        std::size_t every, const StreamingCampaign* campaign,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
-#include "core/binio.h"
 #include "core/error.h"
 #include "core/json.h"
 #include "core/parallel.h"
@@ -34,12 +34,17 @@ struct MetricEvent {
 // thread, replayed in task-index order on the region's calling thread.
 struct TaskBuffer {
   std::vector<MetricEvent> events;
-  bool tracing = false;     // emit a wall span at TaskEnd
   bool pool_stats = false;  // feed PoolStats at TaskEnd
-  std::chrono::steady_clock::time_point span_start{};
+  std::chrono::steady_clock::time_point start{};
 };
 
 thread_local TaskBuffer* t_buffer = nullptr;
+
+// Start of the traced top-level multi-lane region this thread has open;
+// such regions never nest on one thread (a region opened inside a task
+// runs inline, on one lane).
+thread_local std::optional<std::chrono::steady_clock::time_point>
+    t_region_start;
 
 double SteadyNowUs() {
   return std::chrono::duration<double, std::micro>(
@@ -47,7 +52,7 @@ double SteadyNowUs() {
       .count();
 }
 
-// TaskObserver wiring metric capture + per-task trace spans + pool gauges
+// TaskObserver wiring metric capture + per-region trace spans + pool gauges
 // into core::ParallelFor. Installed at static-init time (core holds only a
 // raw pointer, so init order against other statics is harmless).
 class ParallelMetricsObserver final : public core::TaskObserver {
@@ -69,23 +74,27 @@ class ParallelMetricsObserver final : public core::TaskObserver {
                             static_cast<double>(task_count));
     }
     // A region nested in a pool task runs inline and must not disturb the
-    // top-level region's PoolStats bookkeeping.
-    if (PoolStats::enabled() && !core::InParallelTask()) {
+    // top-level region's PoolStats bookkeeping or its trace span.
+    if (core::InParallelTask()) return;
+    if (PoolStats::enabled()) {
       PoolStats::Global().RegionBegin(task_count, lanes);
+    }
+    // One wall span per multi-lane region; its tasks' durations are the
+    // manifest's pool.task_us.
+    if (lanes > 1 && Tracer::Global().enabled()) {
+      t_region_start = std::chrono::steady_clock::now();
     }
   }
 
   void* TaskBegin(std::size_t /*task_index*/) override {
-    const bool tracing = Tracer::Global().enabled();
     const bool pool_stats = PoolStats::enabled();
-    if (!internal::g_enabled && !tracing && !pool_stats) return nullptr;
+    if (!internal::g_enabled && !pool_stats) return nullptr;
     auto* buffer = new TaskBuffer;
-    buffer->tracing = tracing;
     buffer->pool_stats = pool_stats;
-    if (tracing || pool_stats) {
-      buffer->span_start = std::chrono::steady_clock::now();
+    if (pool_stats) {
+      buffer->start = std::chrono::steady_clock::now();
+      PoolStats::Global().TaskStart();
     }
-    if (pool_stats) PoolStats::Global().TaskStart();
     if (internal::g_enabled) {
       t_buffer = buffer;
       internal::t_capturing = true;
@@ -97,20 +106,11 @@ class ParallelMetricsObserver final : public core::TaskObserver {
     internal::t_capturing = false;
     t_buffer = nullptr;
     auto* buffer = static_cast<TaskBuffer*>(token);
-    if (buffer == nullptr) return;
-    if (buffer->tracing || buffer->pool_stats) {
-      const auto now = std::chrono::steady_clock::now();
-      if (buffer->tracing) {
-        Tracer::Global().RecordWallSpan("parallel.task", "parallel",
-                                        buffer->span_start, now);
-      }
-      if (buffer->pool_stats) {
-        PoolStats::Global().TaskEnd(
-            std::chrono::duration<double, std::micro>(now -
-                                                      buffer->span_start)
-                .count());
-      }
-    }
+    if (buffer == nullptr || !buffer->pool_stats) return;
+    PoolStats::Global().TaskEnd(
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - buffer->start)
+            .count());
   }
 
   void TaskMerge(void* token) override {
@@ -133,8 +133,13 @@ class ParallelMetricsObserver final : public core::TaskObserver {
   }
 
   void RegionEnd() override {
-    if (PoolStats::enabled() && !core::InParallelTask()) {
-      PoolStats::Global().RegionEnd();
+    if (core::InParallelTask()) return;
+    if (PoolStats::enabled()) PoolStats::Global().RegionEnd();
+    if (t_region_start.has_value()) {
+      Tracer::Global().RecordWallSpan("parallel.region", "parallel",
+                                      *t_region_start,
+                                      std::chrono::steady_clock::now());
+      t_region_start.reset();
     }
   }
 };
@@ -224,14 +229,6 @@ void Histogram::Reset() {
   sum_ = 0.0;
 }
 
-void Histogram::LoadState(const std::vector<std::uint64_t>& counts,
-                          std::uint64_t count, double sum) {
-  if (counts.size() != counts_.size()) return;
-  counts_ = counts;
-  count_ = count;
-  sum_ = sum;
-}
-
 const std::vector<double>& DefaultHistogramBounds() {
   static const std::vector<double> kBounds = [] {
     std::vector<double> bounds;
@@ -309,90 +306,6 @@ const Histogram* Registry::FindHistogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-void Registry::Save(core::binio::Writer& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  w.PutU64(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    w.PutString(name);
-    w.PutU64(counter->value());
-  }
-  w.PutU64(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    w.PutString(name);
-    w.PutDouble(gauge->value());
-  }
-  w.PutU64(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    w.PutString(name);
-    core::binio::PutDoubleVector(w, histogram->upper_bounds());
-    core::binio::PutU64Vector(w, histogram->bucket_counts());
-    w.PutU64(histogram->count());
-    w.PutDouble(histogram->sum());
-  }
-}
-
-bool Registry::Load(core::binio::Reader& r) {
-  // The whole payload is decoded and checked before any of it is applied,
-  // so a rejected one leaves the registry as it was.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  const std::uint64_t counter_count = r.GetU64();
-  for (std::uint64_t i = 0; i < counter_count && r.ok(); ++i) {
-    std::string name = r.GetString();
-    counters.emplace_back(std::move(name), r.GetU64());
-  }
-  std::vector<std::pair<std::string, double>> gauges;
-  const std::uint64_t gauge_count = r.GetU64();
-  for (std::uint64_t i = 0; i < gauge_count && r.ok(); ++i) {
-    std::string name = r.GetString();
-    gauges.emplace_back(std::move(name), r.GetDouble());
-  }
-  struct HistogramState {
-    std::string name;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  std::vector<HistogramState> histograms;
-  const std::uint64_t histogram_count = r.GetU64();
-  for (std::uint64_t i = 0; i < histogram_count && r.ok(); ++i) {
-    HistogramState h;
-    h.name = r.GetString();
-    h.bounds = core::binio::GetDoubleVector(r);
-    h.counts = core::binio::GetU64Vector(r);
-    h.count = r.GetU64();
-    h.sum = r.GetDouble();
-    if (!r.ok()) break;
-    // Bounds the Histogram constructor would refuse, a bucket vector that
-    // does not match them, a total that is not the buckets' sum, a name
-    // out of Save's order, or bounds other than the ones already
-    // registered under the name.
-    std::uint64_t bucket_total = 0;
-    for (std::uint64_t c : h.counts) bucket_total += c;
-    if (h.bounds.empty() ||
-        !std::all_of(h.bounds.begin(), h.bounds.end(),
-                     [](double b) { return std::isfinite(b); }) ||
-        !std::is_sorted(h.bounds.begin(), h.bounds.end()) ||
-        h.counts.size() != h.bounds.size() + 1 || bucket_total != h.count ||
-        (!histograms.empty() && h.name <= histograms.back().name)) {
-      return false;
-    }
-    if (const Histogram* existing = FindHistogram(h.name);
-        existing != nullptr && existing->upper_bounds() != h.bounds) {
-      return false;
-    }
-    histograms.push_back(std::move(h));
-  }
-  if (!r.ok()) return false;
-  for (const auto& [name, value] : counters) GetCounter(name)->LoadValue(value);
-  for (const auto& [name, value] : gauges) GetGauge(name)->LoadValue(value);
-  for (HistogramState& h : histograms) {
-    GetHistogram(h.name, std::move(h.bounds))
-        ->LoadState(h.counts, h.count, h.sum);
-  }
-  return true;
 }
 
 std::string Registry::SnapshotJson(int indent) const {

@@ -10,8 +10,11 @@
 //
 // Determinism contract: metric values reflect only what the instrumented
 // code did — never wall-clock time — so a seeded run snapshots to
-// byte-identical JSON every time (ISSUE 3 acceptance bar; wall-clock spans
-// live in obs::Tracer instead).
+// byte-identical JSON every time (wall-clock spans live in obs::Tracer
+// instead). Nothing saves or restores the registry: a durable resume
+// rebuilds it by re-running each journaled step's fast-forward and commit
+// (DESIGN.md §11), which is why a step's metrics must be a function of
+// its journal frame and the simulator alone.
 //
 // Threading (DESIGN.md §7): registration is mutex-guarded, and metric
 // writes issued from inside a core::ParallelFor task are diverted to a
@@ -36,11 +39,6 @@ namespace sisyphus::core::json {
 class Writer;
 }  // namespace sisyphus::core::json
 
-namespace sisyphus::core::binio {
-class Writer;
-class Reader;
-}  // namespace sisyphus::core::binio
-
 namespace sisyphus::obs {
 
 /// Monotonically increasing count of events (probes attempted, cache
@@ -54,10 +52,6 @@ class Counter {
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
-  /// Overwrites the count (snapshot restore, DESIGN.md §11).
-  void LoadValue(std::uint64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-  }
 
  private:
   std::string name_;
@@ -77,8 +71,6 @@ class Gauge {
   double value() const { return value_; }
   const std::string& name() const { return name_; }
   void Reset() { value_ = 0.0; }
-  /// Overwrites the value (snapshot restore).
-  void LoadValue(double v) { value_ = v; }
 
  private:
   std::string name_;
@@ -109,10 +101,6 @@ class Histogram {
   /// q in [0, 1]; 0 when the histogram is empty.
   double Quantile(double q) const;
   void Reset();
-  /// Overwrites the full bucket state (snapshot restore). `counts` must
-  /// have upper_bounds() + 1 entries; mismatches are ignored.
-  void LoadState(const std::vector<std::uint64_t>& counts,
-                 std::uint64_t count, double sum);
 
  private:
   std::string name_;
@@ -162,19 +150,6 @@ class Registry {
   /// Registered histogram by name, nullptr when absent. Read-only — never
   /// registers; the pointer is stable for the registry's lifetime.
   const Histogram* FindHistogram(std::string_view name) const;
-
-  /// Serializes every registered metric (names, values, histogram bucket
-  /// state) for a durable snapshot. Load() registers any missing metric
-  /// and overwrites values — the resumed process may have registered a
-  /// subset of the saved names before restore, never a superset with
-  /// different values (DESIGN.md §11 registration-safety invariant). It
-  /// returns false, changing nothing, on a truncated payload or a
-  /// histogram with empty, unsorted or non-finite bounds, a bucket count
-  /// other than bounds + 1, a total other than the buckets' sum, a name
-  /// out of Save's order, or bounds other than an already registered
-  /// histogram's of that name.
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
 
  private:
   mutable std::mutex mu_;  // guards the maps (registration / snapshot)

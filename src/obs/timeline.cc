@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/binio.h"
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/logging.h"
@@ -401,102 +402,6 @@ std::string Timeline::BuildArtifact() const {
             }
           });
   return std::move(file).Finish(kTimelineFormat);
-}
-
-void Timeline::Save(core::binio::Writer& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SISYPHUS_REQUIRE(pending_step_ == 0,
-                   "Timeline::Save: partial step in flight at snapshot");
-  w.PutU64(committed_step_);
-  w.PutU64(first_step_);
-  w.PutU64(step_offset_);
-  w.PutU64(series_.size());
-  for (const Series& series : series_) {
-    w.PutString(series.name);
-    w.PutU8(static_cast<std::uint8_t>(series.kind));
-    w.PutU8(static_cast<std::uint8_t>(series.detector));
-    w.PutDouble(series.shift.ewma_alpha);
-    w.PutDouble(series.shift.drift);
-    w.PutDouble(series.shift.threshold);
-    w.PutU64(series.shift.min_samples);
-    w.PutU64(series.churn.min_delta);
-    w.PutU64(series.fingerprint);
-    w.PutU64(series.first_step);
-    w.PutU64(series.sample_count);
-    w.PutString(series.data);
-    w.PutU64(series.last_counter);
-    w.PutDouble(series.last_gauge);
-    w.PutU64(series.prev_count);
-    w.PutDouble(series.prev_sum);
-    w.PutBool(series.det_armed);
-    w.PutDouble(series.det_mu);
-    w.PutDouble(series.det_s_pos);
-    w.PutDouble(series.det_s_neg);
-    w.PutU64(series.det_n);
-    w.PutU64(series.prev_value);
-  }
-  w.PutU64(events_.size());
-  for (const DetectionEvent& event : events_) {
-    w.PutU64(event.step);
-    w.PutU32(event.series);
-    w.PutI64(event.direction);
-    w.PutDouble(event.magnitude);
-    w.PutU64(event.fingerprint);
-  }
-}
-
-bool Timeline::Load(core::binio::Reader& r) {
-  std::lock_guard<std::mutex> lock(mu_);
-  series_.clear();
-  by_name_.clear();
-  pending_.clear();
-  pending_step_ = 0;
-  events_.clear();
-  committed_step_ = r.GetU64();
-  first_step_ = r.GetU64();
-  step_offset_ = r.GetU64();
-  const std::uint64_t series_count = r.GetU64();
-  for (std::uint64_t i = 0; i < series_count && r.ok(); ++i) {
-    Series series;
-    series.name = r.GetString();
-    series.kind = static_cast<SeriesKind>(r.GetU8());
-    series.detector = static_cast<DetectorKind>(r.GetU8());
-    series.shift.ewma_alpha = r.GetDouble();
-    series.shift.drift = r.GetDouble();
-    series.shift.threshold = r.GetDouble();
-    series.shift.min_samples = r.GetU64();
-    series.churn.min_delta = r.GetU64();
-    series.fingerprint = r.GetU64();
-    series.first_step = r.GetU64();
-    series.sample_count = r.GetU64();
-    series.data = r.GetString();
-    series.last_counter = r.GetU64();
-    series.last_gauge = r.GetDouble();
-    series.prev_count = r.GetU64();
-    series.prev_sum = r.GetDouble();
-    series.det_armed = r.GetBool();
-    series.det_mu = r.GetDouble();
-    series.det_s_pos = r.GetDouble();
-    series.det_s_neg = r.GetDouble();
-    series.det_n = r.GetU64();
-    series.prev_value = r.GetU64();
-    if (!r.ok()) return false;
-    by_name_.emplace(series.name, static_cast<std::uint32_t>(series_.size()));
-    series_.push_back(std::move(series));
-  }
-  const std::uint64_t event_count = r.GetU64();
-  if (!r.ok() || event_count > r.remaining() / 36) return false;
-  events_.reserve(event_count);
-  for (std::uint64_t i = 0; i < event_count && r.ok(); ++i) {
-    DetectionEvent event;
-    event.step = r.GetU64();
-    event.series = r.GetU32();
-    event.direction = static_cast<std::int32_t>(r.GetI64());
-    event.magnitude = r.GetDouble();
-    event.fingerprint = r.GetU64();
-    events_.push_back(event);
-  }
-  return r.ok();
 }
 
 // ---------------------------------------------------------------------------

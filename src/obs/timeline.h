@@ -5,11 +5,11 @@
 // reconvergence counters, per-unit RTT running means from the incremental
 // panel builder — is sampled into columnar series buffers that are a pure
 // function of committed state, so `timeline.bin` is byte-identical at any
-// SISYPHUS_THREADS and across a kill/resume (timeline state rides in the
-// durable snapshot beside the registry, where the journal cannot rebuild
-// it: samples are committed per step, not derived from the records). The
-// file is a core/section_file.h container, like audit.bin; this header
-// holds its schema.
+// SISYPHUS_THREADS and across a kill/resume. Nothing saves or restores a
+// timeline: a durable resume rebuilds it by sampling and committing each
+// step it rebuilds from the journal, as the live step did (DESIGN.md
+// §11, §15). The file is a core/section_file.h container, like audit.bin;
+// this header holds its schema.
 //
 // On top of the series run online detectors: an EWMA-referenced CUSUM
 // level-shift detector (per-unit RTT means) and a route-churn detector
@@ -38,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/binio.h"
 #include "core/result.h"
 #include "core/section_file.h"
 
@@ -178,10 +177,6 @@ class Timeline {
   /// committed state (an in-flight step is excluded; there is none at any
   /// artifact-writing point by construction).
   std::string BuildArtifact() const;
-
-  // -- durable snapshot capture/restore ------------------------------------
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
 
  private:
   struct Series {

@@ -58,8 +58,8 @@ class Tracer {
                         core::SimTime at);
 
   /// Recorded events. Only safe while no parallel region is in flight
-  /// (the Record* methods are mutex-guarded for the per-task spans emitted
-  /// from pool worker threads; this accessor is not).
+  /// (the Record* methods are mutex-guarded, since a span may end on any
+  /// thread; this accessor is not).
   const std::vector<TraceEvent>& events() const { return events_; }
 
   /// {"traceEvents": [...]} — wall spans on tid 0, sim spans on tid 1

@@ -13,10 +13,12 @@
 //     recovers that step from the journal;
 //   * a resume on a platform with a different vantage count fails loudly;
 //   * a covered journal frame that passes its checksum but does not decode
-//     fails the resume naming the frame, a snapshot whose record-id
-//     watermark disagrees with its frame is fallen back from, and one whose
-//     timeline disagrees with its seq fails the resume with a Status;
-//   * a snapshot's size does not grow with the record count;
+//     fails the resume naming the frame, and a snapshot whose record-id
+//     watermark disagrees with its frame, or whose payload has trailing
+//     bytes, is fallen back from;
+//   * a snapshot's size grows neither with the record count nor with the
+//     step count, and only names that SnapshotPath writes are snapshots;
+//   * an edge-steered platform is refused;
 //   * shed-on-overload preserves byte-identity;
 //   * SIGTERM interrupts cleanly and the run resumes to the same bytes.
 //
@@ -690,6 +692,18 @@ TEST_F(DurableStreamTest, HostileCoveredFrameFailsResumeNamingIt) {
        "record 0 has vantage 9999, not one of the platform's vantages"},
       {"crossing of IXP 7", ixp_7,
        "record 0 crosses IXP 7, not one of the topology's 1 IXPs"},
+      // The rebuilt measure.probes.retried counts attempts after the first.
+      {"record attempts 0",
+       with([](measure::StepOutput& s) { s.records[0].record.attempts = 0; },
+            watermark),
+       "record 0 has attempts 0"},
+      {"failure attempts 4",
+       with([](measure::StepOutput& s) {
+              s.failures.push_back({s.step_end, 0, measure::Intent::kBaseline,
+                                    measure::ProbeFault::kProbeLoss, 4});
+            },
+            watermark),
+       "failure " + first_failure + " has attempts 4"},
   };
   for (const auto& [name, payload, message] : cases) {
     const core::Result<measure::StepOutput> decoded =
@@ -754,50 +768,84 @@ TEST_F(DurableStreamTest, SnapshotWatermarkMismatchFallsBack) {
   ExpectIdentical(resumed.artifacts, reference, "snapshot watermark bumped");
 }
 
-// A snapshot's parts must agree with each other, not only with the
-// journal. Grafting snapshot 5's registry and timeline onto snapshot 10's
-// generator state leaves a timeline five steps behind, whose first
-// re-executed commit fails its step-order precondition: the resume must
-// return that as a Status, not let the exception escape.
-TEST_F(DurableStreamTest, SnapshotWithStaleTimelineFailsResumeCleanly) {
-  obs::Timeline::Enable(true);
-  const std::string dir = MakeDir("durable-stale-timeline");
+// A snapshot payload is exactly the generator state: one with bytes after
+// it is undecodable, and the resume falls back to the previous snapshot
+// instead of failing.
+TEST_F(DurableStreamTest, SnapshotWithTrailingBytesFallsBack) {
+  const Artifacts reference = Reference();
+  const std::string dir = MakeDir("durable-trailing");
   RunSpec crash;
   crash.dir = dir;
   crash.stop_after = 12;  // snapshots at 5 and 10
   ASSERT_TRUE(RunDurable(crash).ok);
 
-  const auto snaps = durable::ListSnapshots(dir);
-  ASSERT_EQ(snaps.size(), 2u);
-  const std::string older = durable::ReadSnapshotFile(snaps[0].path).payload;
-  const std::string newer = durable::ReadSnapshotFile(snaps[1].path).payload;
-  // The generator state ends with the EWMA vector, whose u64 length sits
-  // after seq, watermark, cursor and the RNG (4 words, a bool, a double).
-  const std::size_t ewma_at = 8 + 8 + 8 + 32 + 1 + 8;
-  ASSERT_GT(newer.size(), ewma_at + 8);
-  std::uint64_t ewmas = 0;
-  for (int i = 0; i < 8; ++i) {
-    ewmas |= std::uint64_t{static_cast<unsigned char>(newer[ewma_at + i])}
-             << (8 * i);
-  }
-  const std::size_t head = ewma_at + 8 + 8 * ewmas;
-  ASSERT_LT(head, older.size());
-  ASSERT_TRUE(durable::WriteSnapshotFile(
-      snaps[1].path, newer.substr(0, head) + older.substr(head)));
+  const std::string newest = NewestSnapshot(dir);
+  const durable::SnapshotRead read = durable::ReadSnapshotFile(newest);
+  ASSERT_TRUE(read.ok) << read.diagnostic;
+  ASSERT_TRUE(
+      durable::WriteSnapshotFile(newest, read.payload + std::string(8, '\0')));
 
   RunSpec resume;
   resume.dir = dir;
   resume.resume = true;
   const RunResult resumed = RunDurable(resume);
-  ASSERT_FALSE(resumed.ok);
-  EXPECT_NE(resumed.error.find("at step 11"), std::string::npos)
-      << resumed.error;
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
+  EXPECT_EQ(resumed.stats.rebuilt_steps, 5u);
+  EXPECT_EQ(resumed.stats.replayed_steps, 7u);
+  ExpectIdentical(resumed.artifacts, reference, "snapshot trailing bytes");
 }
 
-// A snapshot holds generator state, the registry and the timeline, never
-// the records: the same 40 steps at four times the test rate leave a
-// newest snapshot of exactly the same size. Without a fault plan both
-// runs register the same metric names, which is what makes the gate exact.
+// The registry and the timeline are rebuilt from the journal, not carried:
+// with both on, a snapshot holds the same fields at every step.
+TEST_F(DurableStreamTest, SnapshotSizeDoesNotGrowWithSteps) {
+  obs::Timeline::Enable(true);
+  const std::string dir = MakeDir("durable-snapsteps");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;  // snapshots at 5 and 10
+  ASSERT_TRUE(RunDurable(crash).ok);
+  EXPECT_GT(obs::Timeline::Global().GetSummary().samples, 0u);
+  const auto snaps = durable::ListSnapshots(dir);
+  ASSERT_EQ(snaps.size(), 2u);
+  ASSERT_EQ(snaps[0].seq, 5u);
+  ASSERT_EQ(snaps[1].seq, 10u);
+  EXPECT_EQ(fs::file_size(snaps[0].path), fs::file_size(snaps[1].path));
+}
+
+// A resume rebuilds the netsim metrics by fast-forwarding, which does not
+// replay a steered probe's route reads: the service refuses steering up
+// front, for a run and a resume alike, before it touches the directory.
+TEST_F(DurableStreamTest, RefusesEdgeSteeredPlatform) {
+  const std::string dir = MakeDir("durable-steered");
+  RunSpec spec;
+  spec.dir = dir;
+  Campaign campaign = MakeCampaign(spec);
+  measure::EdgeSteering steering(*campaign.scenario.simulator,
+                                 {campaign.scenario.content_jnb});
+  campaign.platform->SetEdgeSteering(&steering);
+  measure::StreamingCampaign stream(campaign.platform->options().validation,
+                                    measure::StreamingOptions{});
+  durable::DurableOptions options;
+  options.dir = dir;
+  durable::DurableStreamingService service(*campaign.platform, stream,
+                                           options);
+  for (const bool resume : {false, true}) {
+    core::Rng rng(1);
+    const core::Result<durable::RunStats> run =
+        resume ? service.Resume(SmallScenario().horizon, rng)
+               : service.Run(SmallScenario().horizon, rng);
+    ASSERT_FALSE(run.ok()) << (resume ? "resume" : "run");
+    EXPECT_EQ(run.error().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(run.error().message().find("edge steering"), std::string::npos)
+        << run.error().message();
+  }
+  EXPECT_TRUE(fs::is_empty(dir));
+}
+
+// A snapshot holds generator state, never the records: the same 40 steps
+// at four times the test rate leave a newest snapshot of exactly the same
+// size.
 TEST_F(DurableStreamTest, SnapshotSizeDoesNotGrowWithRecords) {
   std::uintmax_t bytes[2] = {0, 0};
   std::uint64_t records[2] = {0, 0};
@@ -1033,7 +1081,26 @@ TEST(DurableSnapshotTest, RefusesTheFnvFormatByMagic) {
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.diagnostic.find("\"SISYSNP2\""), std::string::npos)
       << read.diagnostic;
+  EXPECT_NE(read.diagnostic.find("\"SISYSNP4\""), std::string::npos)
+      << read.diagnostic;
+}
+
+TEST(DurableSnapshotTest, RefusesTheTelemetryCarryingFormatByMagic) {
+  // "SISYSNP3" checksums like the current format; its payload also carried
+  // a route-change cursor, the registry and the timeline. Only the magic
+  // tells them apart, and the read names both.
+  const std::string dir = MakeDir("durable-snap3");
+  const std::string path = durable::SnapshotPath(dir, 7);
+  core::binio::Writer w;
+  w.PutRaw("SISYSNP3");
+  w.PutString("snapshot payload");
+  w.PutU64(core::Checksum64("snapshot payload"));
+  WriteBytes(path, std::move(w).Take());
+  const durable::SnapshotRead read = durable::ReadSnapshotFile(path);
+  EXPECT_FALSE(read.ok);
   EXPECT_NE(read.diagnostic.find("\"SISYSNP3\""), std::string::npos)
+      << read.diagnostic;
+  EXPECT_NE(read.diagnostic.find("\"SISYSNP4\""), std::string::npos)
       << read.diagnostic;
 }
 
@@ -1049,6 +1116,43 @@ TEST(DurableSnapshotTest, PruneKeepsNewest) {
   ASSERT_EQ(listed.size(), 2u);
   EXPECT_EQ(listed[0].seq, 3u);
   EXPECT_EQ(listed[1].seq, 4u);
+}
+
+// A file is a snapshot only under the name SnapshotPath gives it. A stray
+// 20-digit name past UINT64_MAX would otherwise wrap to some seq, sort as
+// the newest snapshot, and make pruning delete a real one in its place.
+TEST(DurableSnapshotTest, ListTakesOnlyNamesSnapshotPathWrites) {
+  const std::string dir = MakeDir("durable-snapnames");
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    ASSERT_TRUE(
+        durable::WriteSnapshotFile(durable::SnapshotPath(dir, seq), "p"));
+  }
+  const std::vector<std::string> strays = {
+      "snap-99999999999999999999.bin",  // 20 digits past UINT64_MAX
+      "snap-42.bin",                    // too few digits
+      "snap-000000000000000000042.bin", // too many digits
+      "snap-0000000000000000004x.bin",  // not a digit
+      "snap-00000000000000000042.tmp"};
+  for (const std::string& name : strays) {
+    WriteBytes((fs::path(dir) / name).string(), "stray");
+  }
+  const auto max_path = durable::SnapshotPath(
+      dir, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(durable::WriteSnapshotFile(max_path, "p"));
+  auto listed = durable::ListSnapshots(dir);
+  ASSERT_EQ(listed.size(), 5u);
+  EXPECT_EQ(listed.back().seq, std::numeric_limits<std::uint64_t>::max());
+  fs::remove(max_path);
+
+  durable::PruneSnapshots(dir, 3);
+  listed = durable::ListSnapshots(dir);
+  ASSERT_EQ(listed.size(), 3u);
+  EXPECT_EQ(listed[0].seq, 2u);
+  EXPECT_EQ(listed[1].seq, 3u);
+  EXPECT_EQ(listed[2].seq, 4u);
+  for (const std::string& name : strays) {
+    EXPECT_TRUE(fs::exists(fs::path(dir) / name)) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

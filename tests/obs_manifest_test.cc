@@ -1,6 +1,7 @@
-// Tests for obs::RunManifest / ScopedPhase / WriteRunArtifacts and the
-// determinism contract: a seeded in-process campaign snapshots to
-// byte-identical metrics JSON on repeat runs.
+// Tests for obs::RunManifest / ScopedPhase / WriteRunArtifacts, the
+// determinism contract (a seeded in-process campaign snapshots to
+// byte-identical metrics JSON on repeat runs), and the trace's pool-region
+// spans.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "core/json.h"
+#include "core/parallel.h"
 #include "measure/platform.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
@@ -211,6 +213,35 @@ TEST_F(ManifestTest, TraceJsonUsesSeparateTracks) {
   EXPECT_EQ(event.Find("ph")->string, "X");
   EXPECT_DOUBLE_EQ(event.Find("tid")->number, 1.0);
   EXPECT_DOUBLE_EQ(event.Find("dur")->number, 5.0);
+}
+
+// Tracing a pool region costs one span, not one per task: a multi-lane
+// region records one "parallel.region" wall span, a region nested in one
+// of its tasks (inline, one lane) adds none, and on a one-lane pool no
+// region records a span. Task durations stay in the manifest's pool stats.
+TEST_F(ManifestTest, PoolRegionsTraceOneSpanEach) {
+  const auto region_spans = [] {
+    std::size_t spans = 0;
+    for (const TraceEvent& event : Tracer::Global().events()) {
+      EXPECT_EQ(event.name, "parallel.region");
+      EXPECT_EQ(event.category, "parallel");
+      EXPECT_FALSE(event.sim_clock);
+      ++spans;
+    }
+    return spans;
+  };
+  core::ThreadPool::SetGlobalThreadCount(4);
+  core::ParallelFor(16, [](std::size_t) {
+    core::ParallelFor(3, [](std::size_t) {});
+  });
+  core::ParallelFor(8, [](std::size_t) {});
+  EXPECT_EQ(region_spans(), 2u);
+
+  Tracer::Global().Clear();
+  core::ThreadPool::SetGlobalThreadCount(1);
+  core::ParallelFor(16, [](std::size_t) {});
+  EXPECT_EQ(region_spans(), 0u);
+  core::ThreadPool::SetGlobalThreadCount(0);
 }
 
 }  // namespace

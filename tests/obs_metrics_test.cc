@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "core/binio.h"
 #include "core/json.h"
 #include "obs/metrics.h"
 
@@ -165,69 +163,6 @@ TEST_F(RegistryTest, SnapshotIsValidJsonWithSchema) {
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->Find("bucket_counts")->array.size(),
             histogram->Find("upper_bounds")->array.size() + 1);
-}
-
-// Registry::Load restores most of a durable snapshot, whose checksum a
-// crafted file can satisfy. One histogram named `name` in Save's encoding.
-std::string HistogramPayload(const std::string& name,
-                             const std::vector<double>& bounds,
-                             const std::vector<std::uint64_t>& counts,
-                             std::uint64_t count) {
-  core::binio::Writer w;
-  w.PutU64(0);  // counters
-  w.PutU64(0);  // gauges
-  w.PutU64(1);  // histograms
-  w.PutString(name);
-  core::binio::PutDoubleVector(w, bounds);
-  core::binio::PutU64Vector(w, counts);
-  w.PutU64(count);
-  w.PutDouble(0.0);  // sum
-  return std::move(w).Take();
-}
-
-bool LoadPayload(const std::string& payload) {
-  core::binio::Reader r(payload);
-  return Registry::Global().Load(r);
-}
-
-// A histogram the registry could not hold is refused — not loaded as an
-// empty one, and not thrown on — and nothing is registered for it.
-TEST_F(RegistryTest, LoadRejectsMalformedHistograms) {
-  const std::string name = "test.hist.hostile";
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(LoadPayload(
-      HistogramPayload(name, {1.0, 2.0}, {1, 1, 1, 1, 1, 1, 1}, 7)))
-      << "7 bucket counts for 2 bounds";
-  EXPECT_FALSE(LoadPayload(HistogramPayload(name, {2.0, 1.0}, {0, 0, 0}, 0)))
-      << "unsorted bounds";
-  EXPECT_FALSE(LoadPayload(HistogramPayload(name, {}, {0}, 0)))
-      << "no bounds";
-  EXPECT_FALSE(LoadPayload(HistogramPayload(name, {1.0, nan}, {0, 0, 0}, 0)))
-      << "non-finite bound";
-  EXPECT_FALSE(LoadPayload(HistogramPayload(name, {1.0, 2.0}, {1, 2, 3}, 7)))
-      << "total other than the buckets' sum";
-  // One name twice would register the first entry's bounds and then load
-  // the second entry's buckets into them.
-  core::binio::Writer twice;
-  twice.PutU64(0);  // counters
-  twice.PutU64(0);  // gauges
-  twice.PutU64(2);  // histograms
-  for (const double top : {2.0, 10.0}) {
-    twice.PutString(name);
-    core::binio::PutDoubleVector(twice, {1.0, top});
-    core::binio::PutU64Vector(twice, {0, 0, 0});
-    twice.PutU64(0);
-    twice.PutDouble(0.0);
-  }
-  EXPECT_FALSE(LoadPayload(std::move(twice).Take())) << "a name twice";
-  EXPECT_EQ(Registry::Global().FindHistogram(name), nullptr);
-
-  Registry::Global().GetHistogram(name, {1.0, 10.0});
-  EXPECT_FALSE(LoadPayload(HistogramPayload(name, {1.0, 2.0}, {0, 0, 0}, 0)))
-      << "bounds other than the registered histogram's";
-  ASSERT_TRUE(LoadPayload(HistogramPayload(name, {1.0, 10.0}, {1, 2, 4}, 7)));
-  EXPECT_EQ(Registry::Global().FindHistogram(name)->count(), 7u);
-  EXPECT_EQ(Registry::Global().FindHistogram(name)->bucket_counts()[2], 4u);
 }
 
 }  // namespace

@@ -292,6 +292,40 @@ INSTANTIATE_TEST_SUITE_P(
                       Degeneracy::kMaskedPrePeriod, Degeneracy::kThreeDonors,
                       Degeneracy::kWidePool));
 
+// A donor with no observed pre-period is not uniformly missing: zero
+// filled and rescaled by 1/p̂, it moved these panels' robust effect by up
+// to 204 ms. The fit refuses it by name instead (by index when the input
+// has no names), and so does a robust placebo analysis.
+TEST(PlaceboMaskedDonorTest, NoObservedPrePeriodFailsTheRobustFit) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    core::Rng rng(800 + seed);
+    SyntheticControlInput input =
+        DegeneratePanel(Degeneracy::kMaskedPrePeriod, rng);
+    std::size_t masked = input.donors.cols();
+    for (std::size_t c = 0; c < input.donors.cols(); ++c) {
+      if (input.donor_observed(0, c) == 0.0) masked = c;
+    }
+    ASSERT_LT(masked, input.donors.cols());
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", donor " +
+                 std::to_string(masked));
+    const auto expect_refused = [](const auto& result,
+                                   const std::string& donor) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.error().code(), core::ErrorCode::kNumericalFailure);
+      EXPECT_EQ(result.error().message(),
+                "FitRobustSyntheticControl: donor " + donor +
+                    " has no observed pre-period");
+    };
+    const std::string name = "'d" + std::to_string(masked) + "'";
+    expect_refused(FitRobustSyntheticControl(input), name);
+    PlaceboOptions options;
+    options.method = SyntheticControlMethod::kRobust;
+    expect_refused(RunPlaceboAnalysis(input, options), name);
+    input.donor_names.clear();
+    expect_refused(FitRobustSyntheticControl(input), std::to_string(masked));
+  }
+}
+
 // ---- Shared-QR rotations vs explicitly built leave-one-out fits ------------
 
 /// The placebo input of rotation j, built independently of placebo.cc:
@@ -399,9 +433,11 @@ TEST(PlaceboRotationTest, MaskedPanelMatchesSingleFits) {
       if (rng.Bernoulli(0.2)) input.donor_observed(t, j) = 0.0;
     }
   }
-  // Donor 0 has no observed pre-periods: its rotation must be skipped.
+  // Donor 0 is observed in one pre-period only: too few for its own
+  // rotation (min_observed_pre_periods is 2), which must be skipped, and
+  // enough to stay in every other fit's pool.
   for (std::size_t t = 0; t < input.pre_periods; ++t) {
-    input.donor_observed(t, 0) = 0.0;
+    input.donor_observed(t, 0) = t == 0 ? 1.0 : 0.0;
   }
   ExpectRotationsMatchSingleFits(input);
   auto result = RunPlaceboAnalysis(input);

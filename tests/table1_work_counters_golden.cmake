@@ -1,14 +1,17 @@
 # Compares the structural work counters of a table1 run's metrics.json, the
-# byte sizes of the audit.bin and timeline.bin beside it, and the byte size
-# of a durable run's journal.bin with the golden copy. These count work
-# items (probes attempted and succeeded, record copies archived,
-# route-cache reads, BGP table builds, SVD calls and their Jacobi sweeps,
-# QR calls) and bytes written, never floating-point results, so they hold
-# byte for byte on any host; a change that moves one must update the
-# golden on purpose.
+# byte sizes of the audit.bin and timeline.bin beside it, and the byte
+# sizes of a durable run's journal.bin and newest snapshot with the golden
+# copy. These count work items (probes attempted and succeeded, record
+# copies archived, route-cache reads, BGP table builds, SVD calls and their
+# Jacobi sweeps, QR calls) and bytes written, never floating-point results,
+# so they hold byte for byte on any host; a change that moves one must
+# update the golden on purpose. The snapshot holds generator state only,
+# so a change that puts per-step or per-record state back into it moves
+# its size.
 #
 #   cmake -DMETRICS=<metrics.json> -DJOURNAL=<journal.bin>
-#         -DGOLDEN=<counters file> -P table1_work_counters_golden.cmake
+#         -DSNAPSHOT=<snap-*.bin> -DGOLDEN=<counters file>
+#         -P table1_work_counters_golden.cmake
 set(counters
   measure.probes.attempted
   measure.probes.succeeded
@@ -37,11 +40,15 @@ foreach(artifact audit.bin timeline.bin)
   file(SIZE ${run_dir}/${artifact} bytes)
   string(APPEND actual "${artifact}.bytes ${bytes}\n")
 endforeach()
-if(NOT EXISTS ${JOURNAL})
-  message(FATAL_ERROR "no journal at ${JOURNAL}")
-endif()
+foreach(file JOURNAL SNAPSHOT)
+  if(NOT EXISTS ${${file}})
+    message(FATAL_ERROR "no durable file at ${${file}}")
+  endif()
+endforeach()
 file(SIZE ${JOURNAL} bytes)
 string(APPEND actual "journal.bin.bytes ${bytes}\n")
+file(SIZE ${SNAPSHOT} bytes)
+string(APPEND actual "snapshot.bin.bytes ${bytes}\n")
 file(READ ${GOLDEN} golden)
 if(NOT actual STREQUAL golden)
   message(FATAL_ERROR

@@ -1,8 +1,8 @@
 // Tests for the deterministic telemetry timeline (src/obs/timeline,
 // DESIGN.md §15): detector semantics against hand-computed recurrences,
-// dense-fill and epoch invariants, snapshot Save/Load continuation,
-// rejection of hostile counts in the artifact's schema (its container is
-// section_file_test's), a cross-commit byte pin, and the two byte-identity
+// dense-fill and epoch invariants, rejection of hostile counts in the
+// artifact's schema (its container is section_file_test's), a
+// cross-commit byte pin, and the two byte-identity
 // properties the artifact exists for — 1-vs-8-thread identity of a full
 // campaign's timeline.bin, and kill-at-every-step/resume identity under
 // the durable service.
@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/binio.h"
 #include "core/hash.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -284,50 +283,6 @@ TEST_F(TimelineTest, SecondCampaignGetsANewEpoch) {
   ASSERT_EQ(values.size(), 10u);
   EXPECT_DOUBLE_EQ(values[4], 5.0);
   EXPECT_DOUBLE_EQ(values[5], 101.0);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot capture/restore.
-
-// Save mid-run, Load into a fresh timeline, continue both with the same
-// samples: byte-identical artifacts, and detector state must survive the
-// round trip (the CUSUM fires post-restore exactly as it would have).
-TEST_F(TimelineTest, SaveLoadContinuesByteIdentical) {
-  LevelShiftConfig config;
-  config.drift = 0.5;
-  config.threshold = 8.0;
-  config.min_samples = 4;
-
-  Timeline original;
-  const std::uint32_t id = original.DeclareGauge("test.level", &config);
-  for (std::uint64_t step = 1; step <= 20; ++step) {
-    GaugeStep(original, step, id, 10.0);
-  }
-
-  core::binio::Writer writer;
-  original.Save(writer);
-  const std::string snapshot = std::move(writer).Take();
-
-  Timeline restored;
-  core::binio::Reader reader(snapshot);
-  ASSERT_TRUE(restored.Load(reader));
-  ASSERT_EQ(reader.remaining(), 0u);
-  EXPECT_EQ(restored.GetSummary().last_step, 20u);
-
-  for (std::uint64_t step = 21; step <= 28; ++step) {
-    GaugeStep(original, step, id, 16.0);
-    GaugeStep(restored, step, id, 16.0);
-  }
-  EXPECT_EQ(restored.BuildArtifact(), original.BuildArtifact());
-  ASSERT_EQ(restored.Events().size(), 1u);
-  EXPECT_EQ(restored.Events()[0].step, 22u);
-}
-
-TEST_F(TimelineTest, LoadRejectsGarbage) {
-  Timeline timeline;
-  const std::string garbage = "definitely not a timeline snapshot";
-  core::binio::Reader reader(garbage);
-  EXPECT_FALSE(timeline.Load(reader));
 }
 
 // ---------------------------------------------------------------------------
@@ -602,8 +557,8 @@ TEST_F(TimelineCampaignTest, StreamingTimelineByteIdenticalAt1And8Threads) {
 
 // Kill after EVERY step (a crash whose journal survived), resume at the
 // other thread count, and the finished timeline.bin must match an
-// uninterrupted run byte for byte — the timeline state rides in the
-// durable snapshot and fast-forwards over skipped steps.
+// uninterrupted run byte for byte — the resume re-samples and re-commits
+// every step it rebuilds from the journal.
 TEST_F(TimelineCampaignTest, KillAtEveryStepResumesByteIdentical) {
   CampaignSpec reference_spec;
   reference_spec.dir = MakeDir("timeline-reference");
