@@ -28,10 +28,10 @@ stats::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// The production kernel (operator*: AVX2 register-tiled with a blocked
-// scalar fallback). Compare per-size
-// against BM_MatrixMultiplyReference below; matrix_test pins the two to
-// identical results, so the gap in BENCH_linalg.json is pure kernel speed.
+// The production kernel (operator*: AVX2 register-tiled with a scalar
+// fallback). Compare per-size against BM_MatrixMultiplyReference below;
+// matrix_test pins the two to identical results, so the gap in
+// BENCH_linalg.json is pure kernel speed.
 void BM_MatrixMultiply(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = RandomMatrix(n, n, 1);

@@ -26,11 +26,12 @@
 // against their vantages' interned units), the step's probe counters
 // (CountProbes), the live commit (shed cut, IngestBatch, CommitFailures)
 // and the step's telemetry (EmitStepTelemetry). Nothing is paused: the
-// store, panel, lineage ledger, probe failures, metrics registry and
-// timeline all come out as the live run left them. Then the generator
-// state is restored. Frames after k stay integrity witnesses: those steps
-// are re-generated live and their serialized form compared byte-for-byte
-// against the journaled frame — any divergence fails the resume loudly.
+// store (which the panel is built from), the running means, lineage
+// ledger, probe failures, metrics registry and timeline all come out as
+// the live run left them. Then the generator state is restored. Frames
+// after k stay integrity witnesses: those steps are re-generated live and
+// their serialized form compared byte-for-byte against the journaled
+// frame — any divergence fails the resume loudly.
 // Because every artifact byte is a pure function of the restored state
 // and the frames, a killed-and-resumed run produces
 // panel.csv/metrics.json/audit.bin/timeline.bin byte-identical to an
@@ -158,11 +159,11 @@ class DurableStreamingService {
   /// The platform and campaign must outlive the service. The campaign
   /// must be freshly constructed (Run) or reconstructed identically to
   /// the original run (Resume) — lineage, registry and timeline
-  /// enablement included, since IncrementalPanelBuilder snapshots the
-  /// lineage flag at construction and the resume rebuilds the ledger, the
-  /// registry and the timeline from the journal. Run and Resume refuse a
-  /// platform with edge steering installed (kInvalidArgument): SkipStep
-  /// does not replay a steered probe's route reads.
+  /// enablement included, since the campaign snapshots the lineage flag
+  /// at construction and the resume rebuilds the ledger, the registry and
+  /// the timeline from the journal. Run and Resume refuse a platform with
+  /// edge steering installed (kInvalidArgument): SkipStep does not replay
+  /// a steered probe's route reads.
   DurableStreamingService(measure::Platform& platform,
                           measure::StreamingCampaign& campaign,
                           DurableOptions options);

@@ -1,12 +1,11 @@
 #include "measure/panel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "core/error.h"
-#include "core/hash.h"
 #include "core/logging.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
@@ -36,165 +35,71 @@ Result<std::size_t> Panel::Find(const std::string& unit) const {
   return Error(ErrorCode::kNotFound, "Panel: no unit '" + unit + "'");
 }
 
-IncrementalPanelBuilder::IncrementalPanelBuilder(PanelOptions options,
-                                                 std::size_t shard_count)
-    : options_(options), lineage_(obs::Lineage::enabled()) {
-  SISYPHUS_REQUIRE(shard_count > 0, "IncrementalPanelBuilder: zero shards");
-  SISYPHUS_REQUIRE(options.bucket.minutes() > 0,
-                   "IncrementalPanelBuilder: zero bucket");
-  shards_.resize(shard_count);
-}
-
-std::size_t IncrementalPanelBuilder::ShardOf(std::string_view unit) const {
-  return static_cast<std::size_t>(core::Fnv1a64(unit) % shards_.size());
-}
-
-void IncrementalPanelBuilder::Observe(std::size_t shard, std::string_view unit,
-                                      core::SimTime time, double rtt_ms,
-                                      std::uint64_t id) {
-  Shard& owner = shards_[shard];
-  if (owner.last_unit == nullptr || *owner.last_unit != unit) {
-    auto it = owner.units.find(unit);
-    if (it == owner.units.end()) {
-      it = owner.units.emplace(std::string(unit), UnitCells{}).first;
-      it->second.cells.resize(options_.periods);
-    }
-    owner.last_unit = &it->first;
-    owner.last_cells = &it->second;
+void AddPanelUnit(const std::string& unit,
+                  std::span<const std::vector<double>> values,
+                  std::span<std::vector<std::uint64_t>> ids, Panel& panel) {
+  const bool lineage = !ids.empty();
+  std::vector<std::optional<double>> buckets(values.size());
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    if (!values[t].empty()) buckets[t] = stats::Median(values[t]);
   }
-  UnitCells& unit_cells = *owner.last_cells;
-  // Cell attribution mirrors the bucketed-median windows exactly: bucket i
-  // covers [origin + i*bucket, origin + (i+1)*bucket).
-  const std::int64_t from_origin =
-      time.minutes() - options_.origin.minutes();
-  const std::int64_t idx =
-      from_origin >= 0 ? from_origin / options_.bucket.minutes() : -1;
-  if (idx < 0 || idx >= static_cast<std::int64_t>(options_.periods)) {
-    // Skew/backoff can push a record outside the panel horizon: it
-    // terminates here, contributing to no cell (the unit entry above still
-    // counts it toward "unit exists but panel-empty").
-    if (lineage_) obs::Lineage::Global().RecordOutOfPanel(id);
+  if (stats::AllMissing(buckets)) {
+    SISYPHUS_METRIC_COUNT("measure.panel.units_empty", 1);
+    if (lineage) obs::Lineage::Global().PanelUnitEmpty(unit);
+    (SISYPHUS_LOG(kDebug) << "panel unit skipped: no observed buckets")
+        .With("unit", unit);
     return;
   }
-  CellAccumulator& cell = unit_cells.cells[static_cast<std::size_t>(idx)];
-  cell.values.push_back(rtt_ms);
-  if (lineage_) cell.ids.push_back(id);
-  ++unit_cells.running_count;
-  const double t = unit_cells.running_sum + rtt_ms;
-  if (std::abs(unit_cells.running_sum) >= std::abs(rtt_ms)) {
-    unit_cells.running_comp += (unit_cells.running_sum - t) + rtt_ms;
-  } else {
-    unit_cells.running_comp += (rtt_ms - t) + unit_cells.running_sum;
+  const double missing = stats::MissingFraction(buckets);
+  std::size_t observed_cells = 0;
+  for (const auto& bucket : buckets) {
+    if (bucket.has_value()) ++observed_cells;
   }
-  unit_cells.running_sum = t;
-  ++owner.observed;
-}
-
-std::uint64_t IncrementalPanelBuilder::observed() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.observed;
-  return total;
-}
-
-std::vector<std::pair<std::string_view,
-                      const IncrementalPanelBuilder::UnitCells*>>
-IncrementalPanelBuilder::SortedUnits() const {
-  std::vector<std::pair<std::string_view, const UnitCells*>> units;
-  for (const Shard& shard : shards_) {
-    for (const auto& [unit, cells] : shard.units) {
-      units.emplace_back(unit, &cells);
-    }
+  SISYPHUS_METRIC_COUNT("measure.panel.cells_observed", observed_cells);
+  SISYPHUS_METRIC_COUNT("measure.panel.cells_masked",
+                        buckets.size() - observed_cells);
+  for (std::vector<std::uint64_t>& cell_ids : ids) {
+    std::sort(cell_ids.begin(), cell_ids.end());
   }
-  std::sort(units.begin(), units.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return units;
-}
-
-void IncrementalPanelBuilder::VisitRunningMeans(
-    const std::function<void(std::string_view, std::uint64_t, double)>& visit)
-    const {
-  for (const auto& [unit, cells] : SortedUnits()) {
-    visit(unit, cells->running_count,
-          cells->running_sum + cells->running_comp);
-  }
-}
-
-Panel IncrementalPanelBuilder::Finalize() const {
-  Panel panel;
-  panel.options = options_;
-  for (const auto& [unit_view, unit_cells] : SortedUnits()) {
-    const std::string unit(unit_view);
-    // A median is a function of the cell's value multiset, so no arrival
-    // order reaches it.
-    std::vector<std::optional<double>> buckets(options_.periods);
-    for (std::size_t t = 0; t < options_.periods; ++t) {
-      const std::vector<double>& values = unit_cells->cells[t].values;
-      if (!values.empty()) buckets[t] = stats::Median(values);
-    }
-    if (stats::AllMissing(buckets)) {
-      SISYPHUS_METRIC_COUNT("measure.panel.units_empty", 1);
-      if (lineage_) obs::Lineage::Global().PanelUnitEmpty(unit);
-      (SISYPHUS_LOG(kDebug) << "panel unit skipped: no observed buckets")
-          .With("unit", unit);
-      continue;
-    }
-    const double missing = stats::MissingFraction(buckets);
-    std::size_t observed_cells = 0;
-    for (const auto& bucket : buckets) {
-      if (bucket.has_value()) ++observed_cells;
-    }
-    SISYPHUS_METRIC_COUNT("measure.panel.cells_observed", observed_cells);
-    SISYPHUS_METRIC_COUNT("measure.panel.cells_masked",
-                          buckets.size() - observed_cells);
-    std::vector<std::vector<std::uint64_t>> bucket_ids;
-    if (lineage_) {
-      bucket_ids.resize(options_.periods);
-      for (std::size_t t = 0; t < options_.periods; ++t) {
-        bucket_ids[t] = unit_cells->cells[t].ids;
-        std::sort(bucket_ids[t].begin(), bucket_ids[t].end());
+  const double max_missing = panel.options.max_missing_fraction;
+  if (missing > max_missing) {
+    SISYPHUS_METRIC_COUNT("measure.panel.units_dropped", 1);
+    if (lineage) {
+      std::vector<std::uint64_t> in_range;
+      for (const auto& cell_ids : ids) {
+        in_range.insert(in_range.end(), cell_ids.begin(), cell_ids.end());
       }
+      std::sort(in_range.begin(), in_range.end());
+      obs::Lineage::Global().PanelUnitDropped(
+          unit, missing, observed_cells, buckets.size() - observed_cells,
+          obs::IdRunSet::FromSorted(in_range));
     }
-    if (missing > options_.max_missing_fraction) {
-      SISYPHUS_METRIC_COUNT("measure.panel.units_dropped", 1);
-      if (lineage_) {
-        std::vector<std::uint64_t> in_range;
-        for (const auto& ids : bucket_ids) {
-          in_range.insert(in_range.end(), ids.begin(), ids.end());
-        }
-        std::sort(in_range.begin(), in_range.end());
-        obs::Lineage::Global().PanelUnitDropped(
-            unit, missing, observed_cells, buckets.size() - observed_cells,
-            obs::IdRunSet::FromSorted(in_range));
-      }
-      (SISYPHUS_LOG(kDebug) << "panel unit dropped for sparsity")
-          .With("unit", unit)
-          .With("missing_fraction", missing)
-          .With("max_missing_fraction", options_.max_missing_fraction);
-      panel.dropped.push_back({unit, missing});
-      continue;
-    }
-    SISYPHUS_METRIC_COUNT("measure.panel.units_kept", 1);
-    UnitSeries out;
-    out.unit = unit;
-    out.values = stats::InterpolateMissing(buckets);
-    out.missing_fraction = missing;
-    out.observed.reserve(buckets.size());
-    for (const auto& bucket : buckets) {
-      out.observed.push_back(bucket.has_value());
-    }
-    if (lineage_) {
-      obs::Lineage::Global().PanelUnitKept(
-          unit, missing, observed_cells, buckets.size() - observed_cells);
-      for (std::size_t t = 0; t < bucket_ids.size(); ++t) {
-        if (bucket_ids[t].empty()) continue;
-        obs::Lineage::Global().PanelCell(
-            unit, static_cast<std::uint32_t>(t),
-            obs::IdRunSet::FromSorted(bucket_ids[t]));
-      }
-    }
-    panel.units.push_back(std::move(out));
+    (SISYPHUS_LOG(kDebug) << "panel unit dropped for sparsity")
+        .With("unit", unit)
+        .With("missing_fraction", missing)
+        .With("max_missing_fraction", max_missing);
+    panel.dropped.push_back({unit, missing});
+    return;
   }
-  return panel;
+  SISYPHUS_METRIC_COUNT("measure.panel.units_kept", 1);
+  UnitSeries out;
+  out.unit = unit;
+  out.values = stats::InterpolateMissing(buckets);
+  out.missing_fraction = missing;
+  out.observed.reserve(buckets.size());
+  for (const auto& bucket : buckets) {
+    out.observed.push_back(bucket.has_value());
+  }
+  if (lineage) {
+    obs::Lineage::Global().PanelUnitKept(
+        unit, missing, observed_cells, buckets.size() - observed_cells);
+    for (std::size_t t = 0; t < ids.size(); ++t) {
+      if (ids[t].empty()) continue;
+      obs::Lineage::Global().PanelCell(unit, static_cast<std::uint32_t>(t),
+                                       obs::IdRunSet::FromSorted(ids[t]));
+    }
+  }
+  panel.units.push_back(std::move(out));
 }
 
 Result<causal::SyntheticControlInput> MakeSyntheticControlInput(

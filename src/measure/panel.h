@@ -4,18 +4,16 @@
 // This mirrors the paper's pipeline: aggregate user tests per ⟨ASN, city⟩
 // per time bucket to medians (robust to last-mile spikes), interpolate
 // sparse buckets, and assemble a SyntheticControlInput for each treated
-// unit against a donor pool that never crosses the IXP. Records are folded
-// into their cells as the campaign ingests them (IncrementalPanelBuilder,
-// fed by StreamingCampaign); no pass over a stored archive is needed.
+// unit against a donor pool that never crosses the IXP. The campaign's
+// store holds the one copy of each archived record: when the campaign
+// ends, StreamingCampaign::FinalizePanel groups one shard's copies at a
+// time by unit and cell, and AddPanelUnit turns each unit's cells into a
+// series.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <optional>
+#include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "causal/synthetic_control.h"
@@ -62,99 +60,31 @@ struct Panel {
   core::Result<std::size_t> Find(const std::string& unit) const;
 };
 
-/// Maintains per-cell running aggregates as records arrive, so a panel
-/// is assembled incrementally from ingest batches (StreamingCampaign)
-/// instead of a full pass over an in-memory archive. Every cell aggregate
-/// (the median and the lineage id set) is a pure function of the cell's
-/// value multiset, never of arrival order, so the panel is byte-identical
-/// at any thread count and across kill/resume (DESIGN.md §10).
-///
-/// Shard discipline mirrors ShardedMeasurementStore: a unit's cells live
-/// in exactly one shard, distinct shards may be fed concurrently, and a
-/// single shard must only be touched by one thread at a time. The one
-/// lineage write a shard task makes is Observe's out_of_panel verdict,
-/// in place at the record's id; the unit and cell writes come from the
-/// serial Finalize.
-class IncrementalPanelBuilder {
- public:
-  /// Snapshot of obs::Lineage::enabled() is taken here: enable lineage
-  /// before constructing the builder.
-  explicit IncrementalPanelBuilder(PanelOptions options,
-                                   std::size_t shard_count = 1);
-  // Each shard caches pointers into its own unit map, which a copy would
-  // leave pointing into the original; a move keeps the map's nodes.
-  IncrementalPanelBuilder(const IncrementalPanelBuilder&) = delete;
-  IncrementalPanelBuilder& operator=(const IncrementalPanelBuilder&) = delete;
-  IncrementalPanelBuilder(IncrementalPanelBuilder&&) = default;
-  IncrementalPanelBuilder& operator=(IncrementalPanelBuilder&&) = default;
+/// The cell of `time`: cell i covers [origin + i*bucket, origin +
+/// (i+1)*bucket), and a time outside the panel's horizon is -1. Ingest
+/// and finalize bucket with this one rule. Precondition: bucket > 0.
+inline std::int64_t PanelCellOf(const PanelOptions& options,
+                                core::SimTime time) {
+  const std::int64_t from_origin = time.minutes() - options.origin.minutes();
+  const std::int64_t cell =
+      from_origin >= 0 ? from_origin / options.bucket.minutes() : -1;
+  return cell < static_cast<std::int64_t>(options.periods) ? cell : -1;
+}
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t ShardOf(std::string_view unit) const;
-
-  /// Folds one archived record copy into its unit's cell. Records outside
-  /// [origin, origin + periods*bucket) terminate as out-of-panel in the
-  /// lineage ledger — but still create the unit entry, so a unit whose
-  /// records all miss the horizon finalizes as "empty".
-  /// Precondition: shard == ShardOf(unit).
-  void Observe(std::size_t shard, std::string_view unit, core::SimTime time,
-               double rtt_ms, std::uint64_t id);
-
-  /// Record copies folded in so far (in-horizon only), across shards.
-  std::uint64_t observed() const;
-
-  /// Visits every unit's running in-horizon RTT aggregate — (unit name,
-  /// record count, compensated sum) — in ascending unit-name order across
-  /// shards. The sum is maintained incrementally in arrival order with
-  /// Neumaier compensation, so it is bit-identical across thread counts
-  /// and kill/resume (per-unit arrival order is deterministic: one unit
-  /// lives in one shard, shards replay batches in step order, and a resume
-  /// rebuilds the aggregates by re-ingesting the journaled batches in that
-  /// order). This is the timeline sampler's read API.
-  void VisitRunningMeans(
-      const std::function<void(std::string_view unit, std::uint64_t count,
-                               double sum)>& visit) const;
-
-  /// Assembles the panel — units in ascending key order, empty and
-  /// too-sparse units dropped (and listed in panel.dropped) — and writes
-  /// the per-unit metrics and lineage entries (units_empty/dropped/kept,
-  /// cells observed/masked, per-cell id sets in ascending period order).
-  /// Serial; call once, after the last Observe.
-  Panel Finalize() const;
-
- private:
-  struct CellAccumulator {
-    std::vector<double> values;       ///< arrival order (finalize sorts)
-    std::vector<std::uint64_t> ids;   ///< only while lineage is enabled
-  };
-  struct UnitCells {
-    std::vector<CellAccumulator> cells;  ///< length = options.periods
-    // Unit-wide running RTT aggregate in arrival order (Neumaier
-    // compensated), for the timeline sampler. Kept incrementally —
-    // recomputing from cell values would change summation order and break
-    // kill/resume bit-identity.
-    std::uint64_t running_count = 0;
-    double running_sum = 0.0;
-    double running_comp = 0.0;
-  };
-  struct Shard {
-    std::map<std::string, UnitCells, std::less<>> units;
-    std::uint64_t observed = 0;
-    /// The last observed unit's map entry: a shard's records arrive in
-    /// runs of one unit, so only a run's first record searches `units`.
-    const std::string* last_unit = nullptr;
-    UnitCells* last_cells = nullptr;
-  };
-
-  /// Every shard's units in ascending key order. Shards partition units,
-  /// so the sorted concatenation of the per-shard maps holds each unit
-  /// once, in global key order.
-  std::vector<std::pair<std::string_view, const UnitCells*>> SortedUnits()
-      const;
-
-  PanelOptions options_;
-  bool lineage_ = false;
-  std::vector<Shard> shards_;
-};
+/// Adds one unit to `panel` from its in-horizon RTT copies grouped by
+/// cell: values[t] holds cell t's, and with lineage on ids[t] holds their
+/// record ids, which it sorts in place (ids is empty with lineage off).
+/// Each cell with data is the median of its value multiset, so no arrival
+/// order reaches it. A unit with no such cell is empty (counted, listed
+/// nowhere); one with more than max_missing_fraction of its cells empty
+/// goes to panel.dropped; any other is interpolated into panel.units.
+/// Writes the unit's measure.panel.* counters and, with lineage on, its
+/// ledger entries (the cells' id sets in ascending period order). Units
+/// may arrive in any order: the caller sorts panel.units and
+/// panel.dropped by key. Serial.
+void AddPanelUnit(const std::string& unit,
+                  std::span<const std::vector<double>> values,
+                  std::span<std::vector<std::uint64_t>> ids, Panel& panel);
 
 /// Assembles a synthetic-control input: `treated_unit`'s series versus the
 /// given donor units (donors absent from the panel are skipped; their

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -186,8 +188,8 @@ void Platform::Run(core::SimTime until, core::Rng& rng,
   std::uint64_t records = 0;
   while (simulator_.Now() < until) {
     // The whole step's merge-ordered batch goes to the campaign, whose
-    // per-shard fan-out does validation, store append, lineage, and panel
-    // folds. Failures stay platform-side.
+    // per-shard fan-out does validation, store append, lineage and the
+    // running means. Failures stay platform-side.
     const StepOutput step = GenerateStep(until, rng);
     campaign.IngestBatch(step.records);
     CommitFailures(step.failures);
@@ -469,7 +471,7 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
   }
   if (campaign != nullptr) {
     const obs::LevelShiftConfig shift;
-    campaign->panel_builder().VisitRunningMeans(
+    campaign->VisitRunningMeans(
         [&](std::string_view unit, std::uint64_t count, double sum) {
           std::string name = "rtt.mean.";
           name.append(unit);
@@ -483,9 +485,12 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
 StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
                                      StreamingOptions options)
     : options_(options),
+      lineage_(obs::Lineage::enabled()),
       store_(validation),
-      panel_(options.panel, ShardedMeasurementStore::kDefaultShardCount),
-      by_shard_(ShardedMeasurementStore::kDefaultShardCount) {}
+      by_shard_(store_.shard_count()) {
+  SISYPHUS_REQUIRE(options.panel.bucket.minutes() > 0,
+                   "StreamingCampaign: zero panel bucket");
+}
 
 void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   const std::size_t shards = store_.shard_count();
@@ -494,7 +499,7 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   // merged step) and group batch indices by owning shard. The grouping is
   // a pure function of the batch contents, so each shard task sees a
   // fixed record sequence no matter how many lanes execute.
-  for (ShardSlice& slice : by_shard_) slice.entries.clear();
+  for (ShardIngest& ingest : by_shard_) ingest.entries.clear();
   std::size_t shard = 0;
   std::uint64_t max_id = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -520,28 +525,93 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
 
 void StreamingCampaign::IngestShard(std::size_t shard,
                                     const std::vector<PendingRecord>& batch,
-                                    ShardSlice& slice) {
-  store_.AppendShard(shard, batch, slice.entries, slice.archived);
-  const bool lineage = obs::Lineage::enabled();
-  for (std::size_t k = 0; k < slice.entries.size(); ++k) {
-    const PendingRecord& pending = batch[slice.entries[k]];
-    const std::string& unit = pending.record.UnitKey();
-    // Duplicate copies share id and content: one lineage verdict covers
-    // both rows, and only archived copies reach the panel. The verdict is
-    // written in place: this task owns the record's id.
-    const bool archived = slice.archived[k] != 0;
-    if (lineage) {
-      obs::Lineage::Global().RecordEmitted(LineageInfoOf(pending, archived));
-    }
-    if (archived) {
-      if (pending.duplicate) {
-        panel_.Observe(shard, unit, pending.record.time,
-                       pending.record.rtt_ms, pending.record.id.value());
-      }
-      panel_.Observe(shard, unit, pending.record.time,
-                     pending.record.rtt_ms, pending.record.id.value());
+                                    ShardIngest& ingest) {
+  const ShardedMeasurementStore::Columns& arena = store_.shard(shard);
+  const std::size_t first = arena.size();
+  store_.AppendShard(shard, batch, ingest.entries, ingest.archived);
+  // Duplicate copies share id and content: one lineage verdict covers
+  // both rows. The verdict is written in place: this task owns the
+  // record's id.
+  if (obs::Lineage::enabled()) {
+    for (std::size_t k = 0; k < ingest.entries.size(); ++k) {
+      obs::Lineage::Global().RecordEmitted(
+          LineageInfoOf(batch[ingest.entries[k]], ingest.archived[k] != 0));
     }
   }
+  // Skew and backoff can push a copy outside the panel's horizon: it ends
+  // there, in no cell. Every other copy joins its unit's running sum.
+  ingest.running.resize(arena.unit_names.size());
+  for (std::size_t row = first; row < arena.size(); ++row) {
+    const core::SimTime time(arena.time_minutes[row]);
+    if (PanelCellOf(options_.panel, time) < 0) {
+      if (lineage_) obs::Lineage::Global().RecordOutOfPanel(arena.id[row]);
+      continue;
+    }
+    RunningSum& running = ingest.running[arena.unit[row]];
+    const double rtt = arena.rtt_ms[row];
+    const double t = running.sum + rtt;
+    running.comp += std::abs(running.sum) >= std::abs(rtt)
+                        ? (running.sum - t) + rtt
+                        : (rtt - t) + running.sum;
+    running.sum = t;
+    ++running.count;
+  }
+}
+
+void StreamingCampaign::VisitRunningMeans(
+    const std::function<void(std::string_view, std::uint64_t, double)>& visit)
+    const {
+  // Shards partition units, so the sorted concatenation of the shards'
+  // units holds each unit once, in key order.
+  std::vector<std::pair<std::string_view, const RunningSum*>> units;
+  for (std::size_t s = 0; s < by_shard_.size(); ++s) {
+    const std::vector<std::string>& names = store_.shard(s).unit_names;
+    for (std::size_t u = 0; u < names.size(); ++u) {
+      units.emplace_back(names[u], &by_shard_[s].running[u]);
+    }
+  }
+  std::sort(units.begin(), units.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [unit, running] : units) {
+    visit(unit, running->count, running->sum + running->comp);
+  }
+}
+
+Panel StreamingCampaign::FinalizePanel() const {
+  const PanelOptions& options = options_.panel;
+  const std::size_t periods = options.periods;
+  Panel panel;
+  panel.options = options;
+  for (std::size_t s = 0; s < store_.shard_count(); ++s) {
+    // This shard's in-horizon copies by unit and cell: cell t of the
+    // shard's unit u is entry u * periods + t.
+    const ShardedMeasurementStore::Columns& arena = store_.shard(s);
+    const std::size_t units = arena.unit_names.size();
+    std::vector<std::vector<double>> values(units * periods);
+    std::vector<std::vector<std::uint64_t>> ids(lineage_ ? values.size() : 0);
+    for (std::size_t row = 0; row < arena.size(); ++row) {
+      const std::int64_t cell =
+          PanelCellOf(options, core::SimTime(arena.time_minutes[row]));
+      if (cell < 0) continue;
+      const std::size_t at =
+          arena.unit[row] * periods + static_cast<std::size_t>(cell);
+      values[at].push_back(arena.rtt_ms[row]);
+      if (lineage_) ids[at].push_back(arena.id[row]);
+    }
+    for (std::size_t u = 0; u < units; ++u) {
+      AddPanelUnit(arena.unit_names[u],
+                   std::span(values).subspan(u * periods, periods),
+                   lineage_ ? std::span(ids).subspan(u * periods, periods)
+                            : std::span<std::vector<std::uint64_t>>(),
+                   panel);
+    }
+  }
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.unit < b.unit;
+  };
+  std::sort(panel.units.begin(), panel.units.end(), by_key);
+  std::sort(panel.dropped.begin(), panel.dropped.end(), by_key);
+  return panel;
 }
 
 }  // namespace sisyphus::measure

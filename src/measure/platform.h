@@ -15,18 +15,21 @@
 // Proposal (3), the exogenous-intervention API, lives in intervention.h.
 //
 // One driver runs every campaign: Run loops GenerateStep and hands each
-// step's merge-ordered batch to a StreamingCampaign (sharded store +
-// incremental panel), and the durable service (durable/service.h) drives
-// the same step API under a journal. Records are scalar values
-// (speedtest.h): each vantage's ⟨ASN, city⟩ unit is interned once, when
-// the vantage is registered, and every record carries that handle and the
-// IXP its probe path crosses, resolved once per vantage per step.
+// step's merge-ordered batch to a StreamingCampaign (sharded store,
+// per-unit running means, panel built from the store at the end), and the
+// durable service (durable/service.h) drives the same step API under a
+// journal. Records are scalar values (speedtest.h): each vantage's
+// ⟨ASN, city⟩ unit is interned once, when the vantage is registered, and
+// every record carries that handle and the IXP its probe path crosses,
+// resolved once per vantage per step.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.h"
@@ -113,37 +116,53 @@ struct StepOutput {
   core::SimTime step_end;
 };
 
-/// The campaign sink: owns the sharded columnar store and the incremental
-/// panel builder, and ingests merge-ordered batches as the platform
+/// The campaign sink: owns the sharded columnar store, the archive's one
+/// copy of each record, and ingests merge-ordered batches as the platform
 /// produces them. One batch = one platform step; within a batch, ingest
 /// fans out across the core::ThreadPool with one task per shard
 /// (shard = hash(unit)), so validation, quarantine metrics, lineage
-/// emission, and panel folds all run inside the owning shard's task.
-/// Because the shard layout is a pure function of unit keys, lineage
-/// verdicts are written in place at each record's id, and the pool replays
-/// captured metric writes in shard-index order, every artifact is
+/// verdicts and the per-unit running RTT sums all run inside the owning
+/// shard's task. Because the shard layout is a pure function of unit keys,
+/// lineage verdicts are written in place at each record's id, and the pool
+/// replays captured metric writes in shard-index order, every artifact is
 /// byte-identical at any SISYPHUS_THREADS (DESIGN.md §10).
+///
+/// The lineage flag is read once, at construction: enable lineage before
+/// constructing the campaign.
 class StreamingCampaign {
  public:
+  /// Precondition: options.panel.bucket > 0.
   StreamingCampaign(StoreValidationOptions validation,
                     StreamingOptions options);
 
   /// Ingests one merge-ordered batch (ids already assigned). Every record
-  /// reaches exactly one terminal verdict: archived into its shard's arena
-  /// and folded into the panel, or quarantined — with its metrics and
-  /// lineage verdict. A record's shard is hashed
-  /// from its interned unit key once per run of consecutive records with
-  /// the same unit, which the vantage-ordered merge makes one run per
-  /// vantage; no key string is built.
+  /// reaches exactly one terminal verdict: archived into its shard's arena,
+  /// or quarantined — with its metrics and lineage verdict. Each archived
+  /// copy outside the panel's horizon gets its out_of_panel verdict here,
+  /// and each one inside joins its unit's running RTT sum. A record's shard
+  /// is hashed from its interned unit key once per run of consecutive
+  /// records with the same unit, which the vantage-ordered merge makes one
+  /// run per vantage; no key string is built.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
-  /// Assembles the panel from the running cell aggregates (serial; call
-  /// after the campaign ends).
-  Panel FinalizePanel() const { return panel_.Finalize(); }
+  /// Assembles the panel from the store (serial; call after the campaign
+  /// ends): one pass per shard groups its in-horizon copies by unit and
+  /// cell, AddPanelUnit adds each unit, and the units are sorted by key.
+  /// Only one shard's copies are held beside the store at a time.
+  Panel FinalizePanel() const;
 
-  ShardedMeasurementStore& store() { return store_; }
+  /// Visits every archived unit's running in-horizon RTT aggregate — (unit
+  /// name, copy count, Neumaier-compensated sum) — in ascending unit-name
+  /// order. Ingest adds a unit's copies in the order its shard archives
+  /// them, which no lane count changes, and a resume rebuilds the sums by
+  /// re-ingesting the journaled batches in that order, so every sum is
+  /// bit-identical across thread counts and kill/resume. This is the
+  /// timeline sampler's read API.
+  void VisitRunningMeans(
+      const std::function<void(std::string_view unit, std::uint64_t count,
+                               double sum)>& visit) const;
+
   const ShardedMeasurementStore& store() const { return store_; }
-  const IncrementalPanelBuilder& panel_builder() const { return panel_; }
   std::uint64_t batches() const { return batches_; }
   /// Batch entries offered for ingest: the records the steps generated. A
   /// duplicate's two copies are one entry, so under duplicate faults this
@@ -152,24 +171,33 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
-  /// One shard's share of a batch: its records' batch indices, in batch
-  /// order, and the store's verdict on each. Refilled per batch (kept for
-  /// capacity).
-  struct ShardSlice {
+  /// A unit's in-horizon RTT copies so far, added in archive order.
+  struct RunningSum {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double comp = 0.0;  ///< Neumaier compensation
+  };
+
+  /// One shard's ingest state: its share of the current batch (its
+  /// records' batch indices, in batch order, and the store's verdict on
+  /// each; refilled per batch, kept for capacity) and its units' running
+  /// sums, indexed like the shard's unit_names.
+  struct ShardIngest {
     std::vector<std::uint32_t> entries;
     std::vector<std::uint8_t> archived;
+    std::vector<RunningSum> running;
   };
 
   /// Per-shard ingest body, run inside the shard's pool task: one store
-  /// call for the whole slice, then each entry's lineage verdict and the
-  /// panel folds of its archived copies, in batch order.
+  /// call for the whole share, each entry's lineage verdict, then one walk
+  /// over the rows just archived, in row order.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
-                   ShardSlice& slice);
+                   ShardIngest& ingest);
 
   StreamingOptions options_;
+  bool lineage_ = false;
   ShardedMeasurementStore store_;
-  IncrementalPanelBuilder panel_;
-  std::vector<ShardSlice> by_shard_;
+  std::vector<ShardIngest> by_shard_;
   std::uint64_t batches_ = 0;
   std::uint64_t ingested_ = 0;
 };
@@ -350,9 +378,10 @@ void CountProbes(const StepOutput& step);
 /// stream: the measure.stream.{records_ingested,journal_high_water}
 /// gauges, an info-level progress line every `every` steps (0 = never),
 /// and the step's timeline sample and commit (DESIGN.md §15) — the stream
-/// and netsim.bgp.* counters plus, when `campaign` is non-null, each panel
-/// unit's running RTT mean (`rtt.mean.<unit>`). The third and sixth
-/// parameters are unused; they remain so existing callers keep compiling.
+/// and netsim.bgp.* counters plus, when `campaign` is non-null, each
+/// archived unit's running RTT mean (`rtt.mean.<unit>`). The third and
+/// sixth parameters are unused; they remain so existing callers keep
+/// compiling.
 void EmitStepTelemetry(std::uint64_t committed_steps,
                        std::uint64_t committed_records, std::size_t,
                        std::size_t every, const StreamingCampaign* campaign,

@@ -2,8 +2,8 @@
 // detection (DESIGN.md §15). Where metrics.json is a campaign-final
 // snapshot, the timeline records the run as a *process*: at every committed
 // step boundary a declared set of series — stream gauges, `netsim.bgp.*`
-// reconvergence counters, per-unit RTT running means from the incremental
-// panel builder — is sampled into columnar series buffers that are a pure
+// reconvergence counters, per-unit RTT running means the campaign keeps
+// as it ingests — is sampled into columnar series buffers that are a pure
 // function of committed state, so `timeline.bin` is byte-identical at any
 // SISYPHUS_THREADS and across a kill/resume. Nothing saves or restores a
 // timeline: a durable resume rebuilds it by sampling and committing each
@@ -21,7 +21,7 @@
 //
 // Layering: like the lineage ledger, the timeline speaks in primitives
 // (names, counters, gauges, running sums); the sampling glue that knows
-// about platforms and panel builders lives in src/measure.
+// about platforms and campaigns lives in src/measure.
 //
 // Sampling model: the step loop samples one step at a time — every
 // Sample* call for step N, then CommitStep(N) — so series contents and

@@ -1,7 +1,8 @@
 // Descriptive statistics over spans of doubles.
 //
 // All functions are NaN-intolerant by contract: callers filter missing
-// values first (the panel builder in sisyphus::measure does this).
+// values first (measure::AddPanelUnit takes the median of observed
+// cells only).
 #pragma once
 
 #include <cstddef>

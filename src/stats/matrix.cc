@@ -128,6 +128,25 @@ Matrix MultiplyReference(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+// out(i, j) for rows [i0, i1) and columns [j0, n): one scalar accumulator
+// per element, summed from 0.0 over k in ascending order with separate
+// multiply and add — the order MultiplyReference sums in, so the two agree
+// to the last bit (but for the sign of an exact zero, as the reference
+// skips zero a(i, k) terms). The AVX2 kernel runs it over the rows and
+// columns its tiles leave, and a CPU without AVX2 over the whole product.
+static void MultiplyScalar(const double* ad, const double* bd, double* od,
+                           std::size_t i0, std::size_t i1, std::size_t j0,
+                           std::size_t inner, std::size_t n) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const double* arow = ad + i * inner;
+    for (std::size_t j = j0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < inner; ++k) acc += arow[k] * bd[k * n + j];
+      od[i * n + j] = acc;
+    }
+  }
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SISYPHUS_HAVE_AVX2_KERNEL 1
 // Register-tiled AVX2 microkernel: a 4x8 output tile lives in 8 ymm
@@ -135,7 +154,7 @@ Matrix MultiplyReference(const Matrix& a, const Matrix& b) {
 // Every out(i,j) is a single accumulator summed over k in ascending
 // order with separate multiply and add (target("avx2") without "fma",
 // so GCC cannot contract a*b+c into one rounding) — bit-identical to
-// MultiplyReference, just like the scalar blocked kernel below.
+// MultiplyReference, as MultiplyScalar is.
 __attribute__((target("avx2"))) static void MultiplyTiledAvx2(
     const double* ad, const double* bd, double* od, std::size_t m,
     std::size_t inner, std::size_t n) {
@@ -182,23 +201,9 @@ __attribute__((target("avx2"))) static void MultiplyTiledAvx2(
     }
   }
   // Remainder columns (j >= n8) for the tiled rows, and remainder rows
-  // (i >= m4) in full: one scalar accumulator per element, k ascending.
-  for (std::size_t i = 0; i < m4; ++i) {
-    const double* arow = ad + i * inner;
-    for (std::size_t j = n8; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) acc += arow[k] * bd[k * n + j];
-      od[i * n + j] = acc;
-    }
-  }
-  for (std::size_t i = m4; i < m; ++i) {
-    const double* arow = ad + i * inner;
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) acc += arow[k] * bd[k * n + j];
-      od[i * n + j] = acc;
-    }
-  }
+  // (i >= m4) in full.
+  MultiplyScalar(ad, bd, od, 0, m4, n8, inner, n);
+  MultiplyScalar(ad, bd, od, m4, m, 0, inner, n);
 }
 #endif  // SISYPHUS_HAVE_AVX2_KERNEL
 
@@ -217,56 +222,8 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
     return out;
   }
 #endif
-  // Portable fallback: cache-blocked ikj kernel. A k-tile of B (kBlockK
-  // rows) stays resident
-  // across a 4-row micro-panel of A, so each B row loaded from memory feeds
-  // four independent accumulator streams (better ILP, 4x the arithmetic per
-  // byte of B traffic). Each out(i,j) still accumulates over k in strictly
-  // ascending order — per-element FP semantics match MultiplyReference, so
-  // results agree to the last bit (modulo the reference's skip of exact-zero
-  // a(i,k) terms, which only affects the sign of exact zeros).
-  constexpr std::size_t kBlockK = 64;
-  constexpr std::size_t kUnrollI = 4;
-  const double* ad = a.data_.data();
-  const double* bd = b.data_.data();
-  double* od = out.data_.data();
-  for (std::size_t k0 = 0; k0 < inner; k0 += kBlockK) {
-    const std::size_t k1 = std::min(k0 + kBlockK, inner);
-    std::size_t i = 0;
-    for (; i + kUnrollI <= m; i += kUnrollI) {
-      const double* a0 = ad + i * inner;
-      const double* a1 = a0 + inner;
-      const double* a2 = a1 + inner;
-      const double* a3 = a2 + inner;
-      double* o0 = od + i * n;
-      double* o1 = o0 + n;
-      double* o2 = o1 + n;
-      double* o3 = o2 + n;
-      for (std::size_t k = k0; k < k1; ++k) {
-        const double* br = bd + k * n;
-        const double a0k = a0[k];
-        const double a1k = a1[k];
-        const double a2k = a2[k];
-        const double a3k = a3[k];
-        for (std::size_t j = 0; j < n; ++j) {
-          const double bkj = br[j];
-          o0[j] += a0k * bkj;
-          o1[j] += a1k * bkj;
-          o2[j] += a2k * bkj;
-          o3[j] += a3k * bkj;
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const double* arow = ad + i * inner;
-      double* orow = od + i * n;
-      for (std::size_t k = k0; k < k1; ++k) {
-        const double aik = arow[k];
-        const double* br = bd + k * n;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += aik * br[j];
-      }
-    }
-  }
+  MultiplyScalar(a.data_.data(), b.data_.data(), out.data_.data(), 0, m, 0,
+                 inner, n);
   return out;
 }
 

@@ -97,9 +97,9 @@ class Matrix {
 /// Reference naive ikj multiply (the pre-blocking kernel). Kept for
 /// equality tests and the kernel-vs-reference comparison in
 /// bench/perf_linalg; operator* is the production kernel (register-tiled
-/// AVX2 where the CPU has it, cache-blocked scalar otherwise — both
-/// accumulate each element over k in ascending order without FMA
-/// contraction, so all three kernels agree to the last bit).
+/// AVX2 where the CPU has it, one scalar accumulator per element
+/// otherwise — both accumulate each element over k in ascending order
+/// without FMA contraction, so all three kernels agree to the last bit).
 Matrix MultiplyReference(const Matrix& a, const Matrix& b);
 
 /// A^T * B without materializing the transpose. Accumulation order matches

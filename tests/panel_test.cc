@@ -1,41 +1,47 @@
 // Tests for panel construction from raw measurements.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "measure/panel.h"
+#include "measure/platform.h"
 
 namespace sisyphus::measure {
 namespace {
 
 using core::SimTime;
 
-/// One archived record as the panel sees it: unit key, time and RTT.
-struct Record {
-  std::string unit;
-  SimTime time;
-  double rtt_ms = 0.0;
-};
-
-Record MakeRecord(const std::string& unit_asn, const std::string& city,
-                  SimTime time, double rtt) {
-  return {unit_asn + " / " + city, time, rtt};
+/// One record as the panel sees it: the unit "<asn> / <city>", the time
+/// and the RTT.
+SpeedTestRecord MakeRecord(const std::string& unit_asn,
+                           const std::string& city, SimTime time,
+                           double rtt) {
+  SpeedTestRecord record;
+  record.unit = Unit::Intern(
+      core::Asn(static_cast<std::uint32_t>(std::stoul(unit_asn))), city);
+  record.time = time;
+  record.rtt_ms = rtt;
+  return record;
 }
 
-/// Folds `records` in order through a single-shard builder, ids 1, 2, ...
-Panel BuildPanel(const std::vector<Record>& records,
+/// Ingests `records` in order as one batch, ids 1, 2, ..., through a
+/// campaign and builds the panel from its store.
+Panel BuildPanel(const std::vector<SpeedTestRecord>& records,
                  const PanelOptions& options) {
-  IncrementalPanelBuilder builder(options);
-  std::uint64_t id = 0;
-  for (const Record& record : records) {
-    builder.Observe(0, record.unit, record.time, record.rtt_ms, ++id);
+  StreamingCampaign campaign({}, {options});
+  std::vector<PendingRecord> batch;
+  for (const SpeedTestRecord& record : records) {
+    batch.push_back({record});
+    batch.back().record.id = core::MeasurementId(batch.size());
   }
-  return builder.Finalize();
+  campaign.IngestBatch(batch);
+  return campaign.FinalizePanel();
 }
 
 TEST(PanelTest, BucketedMediansPerUnit) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   // Unit A: rtt 10 in bucket 0, 20 in bucket 1.
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 9));
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(2), 10));
@@ -58,7 +64,7 @@ TEST(PanelTest, BucketedMediansPerUnit) {
 }
 
 TEST(PanelTest, SparseUnitsDropped) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   // Unit with data only in 1 of 8 buckets (87% missing > 25% cap).
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   PanelOptions options;
@@ -69,7 +75,7 @@ TEST(PanelTest, SparseUnitsDropped) {
 }
 
 TEST(PanelTest, InterpolationFillsGaps) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   // bucket 1 empty
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
@@ -83,9 +89,9 @@ TEST(PanelTest, InterpolationFillsGaps) {
   EXPECT_NEAR(panel.units[0].missing_fraction, 1.0 / 3.0, 1e-12);
 }
 
-std::vector<Record> MakeRecordsOfUnits(const std::vector<std::string>& asns,
-                                       std::size_t periods, double base) {
-  std::vector<Record> records;
+std::vector<SpeedTestRecord> MakeRecordsOfUnits(
+    const std::vector<std::string>& asns, std::size_t periods, double base) {
+  std::vector<SpeedTestRecord> records;
   for (std::size_t u = 0; u < asns.size(); ++u) {
     for (std::size_t t = 0; t < periods; ++t) {
       records.push_back(MakeRecord(
@@ -146,7 +152,7 @@ TEST(SyntheticControlInputBuilderTest, ErrorsSurface) {
 }
 
 TEST(PanelTest, DroppedUnitFindNamesSparsityCause) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   // One healthy unit and one sparse unit (1 of 8 buckets observed).
   for (int t = 0; t < 8; ++t) {
     records.push_back(
@@ -176,7 +182,7 @@ TEST(PanelTest, DroppedUnitFindNamesSparsityCause) {
 }
 
 TEST(PanelTest, ObservedMaskMarksInterpolatedBuckets) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   // bucket 1 empty -> interpolated
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
@@ -197,7 +203,7 @@ TEST(PanelTest, OutOfOrderRecordsAreSortedBeforeBucketing) {
   // Clock-skewed / retried records arrive out of time order; the panel
   // builder must tolerate that rather than tripping the time-series
   // monotonicity requirement.
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(13), 30));
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(1), 10));
   records.push_back(MakeRecord("100", "X", SimTime::FromHours(7), 20));
@@ -212,7 +218,7 @@ TEST(PanelTest, OutOfOrderRecordsAreSortedBeforeBucketing) {
 }
 
 TEST(SyntheticControlInputBuilderTest, MissingnessMaskPropagates) {
-  std::vector<Record> records;
+  std::vector<SpeedTestRecord> records;
   // Treated: fully observed. Donor: bucket 1 of 4 missing.
   for (int t = 0; t < 4; ++t) {
     records.push_back(

@@ -8,12 +8,17 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "causal/event_study.h"
 #include "causal/placebo.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "measure/panel.h"
+#include "measure/platform.h"
+#include "netsim/scenario_random.h"
 #include "obs/metrics.h"
 #include "stats/descriptive.h"
 
@@ -248,41 +253,46 @@ SyntheticControlInput DegeneratePanel(Degeneracy kind, core::Rng& rng) {
   return input;
 }
 
+/// Runs a placebo analysis of `input` under both methods: each returns
+/// finite numbers or a Status, never a throw or a NaN.
+void ExpectFiniteNumbersOrAStatus(const SyntheticControlInput& input) {
+  for (const SyntheticControlMethod method : kMethods) {
+    SCOPED_TRACE("method " + std::to_string(static_cast<int>(method)));
+    PlaceboOptions options;
+    options.method = method;
+    core::Result<PlaceboResult> result =
+        core::Error(core::ErrorCode::kInvalidArgument, "not run");
+    ASSERT_NO_THROW(result = RunPlaceboAnalysis(input, options));
+    if (!result.ok()) {
+      EXPECT_FALSE(result.error().message().empty());
+      continue;
+    }
+    const PlaceboResult& placebo = result.value();
+    const SyntheticControlFit& fit = placebo.treated_fit;
+    for (const double x : {fit.average_effect, fit.rmse_pre, fit.rmse_post,
+                           fit.rmse_ratio, placebo.p_value}) {
+      EXPECT_TRUE(std::isfinite(x)) << x;
+    }
+    for (const stats::Vector* values :
+         {&fit.weights, &fit.synthetic, &fit.post_effects,
+          &placebo.placebo_ratios}) {
+      for (const double x : *values) EXPECT_TRUE(std::isfinite(x)) << x;
+    }
+    EXPECT_GT(placebo.p_value, 0.0);
+    EXPECT_LE(placebo.p_value, 1.0);
+    EXPECT_EQ(placebo.placebo_ratios.size() + placebo.skipped_donors,
+              input.donors.cols());
+  }
+}
+
 class PlaceboDegeneratePanelTest : public ::testing::TestWithParam<Degeneracy> {
 };
 
 TEST_P(PlaceboDegeneratePanelTest, FiniteNumbersOrAStatusUnderBothMethods) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     core::Rng rng(800 + seed);
-    const SyntheticControlInput input = DegeneratePanel(GetParam(), rng);
-    for (const SyntheticControlMethod method : kMethods) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", method " +
-                   std::to_string(static_cast<int>(method)));
-      PlaceboOptions options;
-      options.method = method;
-      core::Result<PlaceboResult> result =
-          core::Error(core::ErrorCode::kInvalidArgument, "not run");
-      ASSERT_NO_THROW(result = RunPlaceboAnalysis(input, options));
-      if (!result.ok()) {
-        EXPECT_FALSE(result.error().message().empty());
-        continue;
-      }
-      const PlaceboResult& placebo = result.value();
-      const SyntheticControlFit& fit = placebo.treated_fit;
-      for (const double x : {fit.average_effect, fit.rmse_pre, fit.rmse_post,
-                             fit.rmse_ratio, placebo.p_value}) {
-        EXPECT_TRUE(std::isfinite(x)) << x;
-      }
-      for (const stats::Vector* values :
-           {&fit.weights, &fit.synthetic, &fit.post_effects,
-            &placebo.placebo_ratios}) {
-        for (const double x : *values) EXPECT_TRUE(std::isfinite(x)) << x;
-      }
-      EXPECT_GT(placebo.p_value, 0.0);
-      EXPECT_LE(placebo.p_value, 1.0);
-      EXPECT_EQ(placebo.placebo_ratios.size() + placebo.skipped_donors,
-                input.donors.cols());
-    }
+    ExpectFiniteNumbersOrAStatus(DegeneratePanel(GetParam(), rng));
   }
 }
 
@@ -291,6 +301,49 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Degeneracy::kConstantDonor, Degeneracy::kDuplicateDonors,
                       Degeneracy::kMaskedPrePeriod, Degeneracy::kThreeDonors,
                       Degeneracy::kWidePool));
+
+// Panels of short seeded campaigns over random three-tier internets,
+// built by the campaign from its store: a few treated units, each against
+// every other kept unit, through both methods.
+TEST(PlaceboRandomInternetTest, FiniteNumbersOrAStatusUnderBothMethods) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    netsim::RandomInternetOptions world_options;
+    world_options.access_count = 16;
+    world_options.seed = seed;
+    netsim::RandomInternet world = netsim::BuildRandomInternet(world_options);
+    measure::PlatformOptions platform_options;
+    platform_options.server = world.content[0];
+    measure::Platform platform(*world.simulator, platform_options);
+    measure::VantageConfig vantage;
+    vantage.baseline_tests_per_day = 12.0;
+    vantage.user_tests_per_day = 4.0;
+    for (const netsim::PopIndex pop : world.access) {
+      vantage.pop = pop;
+      platform.AddVantage(vantage);
+    }
+    measure::StreamingOptions campaign_options;
+    campaign_options.panel.periods = 4 * 8;  // 8 days of 6h buckets
+    measure::StreamingCampaign campaign(platform_options.validation,
+                                        campaign_options);
+    core::Rng rng(seed);
+    platform.Run(core::SimTime::FromDays(8), rng, campaign);
+    const measure::Panel panel = campaign.FinalizePanel();
+    ASSERT_GE(panel.units.size(), 6u);
+
+    std::vector<std::string> units;
+    for (const measure::UnitSeries& series : panel.units) {
+      units.push_back(series.unit);
+    }
+    for (std::size_t treated = 0; treated < 3; ++treated) {
+      SCOPED_TRACE("treated " + units[treated]);
+      auto input = measure::MakeSyntheticControlInput(
+          panel, units[treated], units, core::SimTime::FromDays(4));
+      ASSERT_TRUE(input.ok()) << input.error().message();
+      ExpectFiniteNumbersOrAStatus(input.value());
+    }
+  }
+}
 
 // A donor with no observed pre-period is not uniformly missing: zero
 // filled and rescaled by 1/p̂, it moved these panels' robust effect by up

@@ -1,23 +1,28 @@
 // Campaign ingest units: the sharded columnar store's validation and
-// quarantine accounting, and an incremental panel builder that reproduces
-// a single-shard, in-order fold cell-for-cell no matter how records are
+// quarantine accounting, and the panel a campaign builds from its store,
+// which matches an in-order ingest cell for cell however records are
 // sharded or in what order they arrive — the property the end-to-end
-// byte-identity fixtures (stream_parity_test) lean on.
+// byte-identity fixtures (stream_parity_test) lean on — together with the
+// running means and lineage verdicts ingest keeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "measure/export.h"
 #include "measure/panel.h"
 #include "measure/platform.h"
 #include "measure/store.h"
+#include "obs/lineage.h"
 #include "obs/metrics.h"
+#include "stats/descriptive.h"
 
 namespace sisyphus {
 namespace {
@@ -377,7 +382,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
   EXPECT_NE(csv.find("shard,id,time_minutes,unit"), std::string::npos);
 }
 
-// ---- IncrementalPanelBuilder ------------------------------------------------
+// ---- Panels built from the campaign's store --------------------------------
 
 std::vector<measure::SpeedTestRecord> PanelFixtureRecords() {
   std::vector<measure::SpeedTestRecord> records;
@@ -408,61 +413,271 @@ measure::PanelOptions FixtureOptions() {
   return options;
 }
 
-TEST(IncrementalPanelBuilderTest, ShardedScrambledMatchesInOrderFold) {
-  const auto records = PanelFixtureRecords();
-  measure::IncrementalPanelBuilder in_order(FixtureOptions(), 1);
-  for (const auto& r : records) {
-    in_order.Observe(0, r.UnitKey(), r.time, r.rtt_ms, r.id.value());
+/// Ingests `records` through a fresh campaign in batches of at most
+/// `batch_size` entries, in the order given, and builds its panel.
+measure::Panel IngestAndFinalize(
+    const std::vector<measure::SpeedTestRecord>& records,
+    std::size_t batch_size) {
+  measure::StreamingCampaign campaign({}, {FixtureOptions()});
+  for (std::size_t first = 0; first < records.size(); first += batch_size) {
+    std::vector<measure::PendingRecord> batch;
+    for (std::size_t i = first;
+         i < std::min(records.size(), first + batch_size); ++i) {
+      batch.push_back({records[i]});
+    }
+    campaign.IngestBatch(batch);
   }
-  const measure::Panel batch = in_order.Finalize();
+  return campaign.FinalizePanel();
+}
 
-  // Four shards, records arriving in scrambled order.
+TEST(CampaignPanelTest, ShardScrambledArrivalMatchesInOrderIngest) {
+  const auto records = PanelFixtureRecords();
+  const measure::Panel in_order = IngestAndFinalize(records, records.size());
+
+  // Records arriving in scrambled order, a few per step: each unit's rows
+  // reach its shard out of time order, over many steps.
   auto scrambled = records;
   std::shuffle(scrambled.begin(), scrambled.end(),
                std::mt19937(20260808));
-  measure::IncrementalPanelBuilder builder(FixtureOptions(), 4);
-  for (const auto& r : scrambled) {
-    builder.Observe(builder.ShardOf(r.UnitKey()), r.UnitKey(), r.time,
-                    r.rtt_ms, r.id.value());
-  }
-  const measure::Panel streamed = builder.Finalize();
+  const measure::Panel streamed = IngestAndFinalize(scrambled, 7);
 
-  EXPECT_EQ(measure::PanelToCsv(streamed), measure::PanelToCsv(batch));
-  ASSERT_EQ(streamed.units.size(), batch.units.size());
-  ASSERT_EQ(streamed.dropped.size(), batch.dropped.size());
-  for (std::size_t u = 0; u < batch.units.size(); ++u) {
-    EXPECT_EQ(streamed.units[u].unit, batch.units[u].unit);
-    EXPECT_EQ(streamed.units[u].observed, batch.units[u].observed);
-    EXPECT_EQ(streamed.units[u].values, batch.units[u].values);
+  EXPECT_EQ(measure::PanelToCsv(streamed), measure::PanelToCsv(in_order));
+  ASSERT_EQ(streamed.units.size(), 2u);
+  ASSERT_EQ(streamed.units.size(), in_order.units.size());
+  ASSERT_EQ(streamed.dropped.size(), in_order.dropped.size());
+  for (std::size_t u = 0; u < in_order.units.size(); ++u) {
+    EXPECT_EQ(streamed.units[u].unit, in_order.units[u].unit);
+    EXPECT_EQ(streamed.units[u].observed, in_order.units[u].observed);
+    EXPECT_EQ(streamed.units[u].values, in_order.units[u].values);
   }
   // The all-out-of-horizon unit is empty: neither kept nor listed as a
   // sparsity drop.
+  ASSERT_EQ(streamed.dropped.size(), 1u);
+  EXPECT_EQ(streamed.dropped[0].unit, "3750 / Sparse");
   for (const auto& unit : streamed.units) EXPECT_NE(unit.unit, "3760 / Late");
-  for (const auto& drop : streamed.dropped) EXPECT_NE(drop.unit, "3760 / Late");
 }
 
-TEST(IncrementalPanelBuilderTest, ArrivalOrderIsIrrelevant) {
+TEST(CampaignPanelTest, ArrivalOrderIsIrrelevant) {
   const auto records = PanelFixtureRecords();
   std::string reference;
   for (unsigned seed : {1u, 2u, 3u}) {
     auto scrambled = records;
     std::shuffle(scrambled.begin(), scrambled.end(), std::mt19937(seed));
-    measure::IncrementalPanelBuilder builder(FixtureOptions(), 3);
-    for (const auto& r : scrambled) {
-      builder.Observe(builder.ShardOf(r.UnitKey()), r.UnitKey(), r.time,
-                      r.rtt_ms, r.id.value());
-    }
-    const std::string csv = measure::PanelToCsv(builder.Finalize());
+    const std::string csv =
+        measure::PanelToCsv(IngestAndFinalize(scrambled, 2 + seed));
     if (reference.empty()) reference = csv;
     EXPECT_EQ(csv, reference) << "seed " << seed;
   }
 }
 
-TEST(IncrementalPanelBuilderTest, CountsObservedInHorizonOnly) {
-  measure::IncrementalPanelBuilder builder(FixtureOptions(), 1);
-  builder.Observe(0, "3741 / Dense", core::SimTime(60), 20.0, 1);
-  builder.Observe(0, "3741 / Dense", core::SimTime(5000), 20.0, 2);  // late
-  EXPECT_EQ(builder.observed(), 1u);
+TEST(CampaignPanelTest, QuarantinedAndLateCopiesReachNoCell) {
+  std::vector<measure::SpeedTestRecord> records;
+  for (int t = 0; t < 7; ++t) {
+    records.push_back(MakeRecord(records.size() + 1, 3741, "Dense",
+                                 t * 360 + 60, 20.0));
+  }
+  records.push_back(MakeRecord(8, 3741, "Dense", 7 * 360 + 60, -1.0));
+  records.push_back(MakeRecord(9, 3741, "Dense", 5000, 20.0));  // late
+  measure::StreamingCampaign campaign({}, {FixtureOptions()});
+  std::vector<measure::PendingRecord> batch;
+  for (const auto& r : records) batch.push_back({r});
+  campaign.IngestBatch(batch);
+  EXPECT_EQ(campaign.store().size(), 8u);
+  EXPECT_EQ(campaign.store().quarantined(), 1u);
+
+  // Only the seven in-horizon archived copies count toward the running
+  // mean, and the quarantined copy's cell stays unobserved.
+  std::vector<std::string> visited;
+  campaign.VisitRunningMeans(
+      [&](std::string_view unit, std::uint64_t count, double sum) {
+        visited.emplace_back(unit);
+        EXPECT_EQ(count, 7u);
+        EXPECT_EQ(sum, 140.0);
+      });
+  EXPECT_EQ(visited, std::vector<std::string>{"3741 / Dense"});
+  const measure::Panel panel = campaign.FinalizePanel();
+  ASSERT_EQ(panel.units.size(), 1u);
+  EXPECT_EQ(panel.units[0].observed,
+            (std::vector<bool>{true, true, true, true, true, true, true,
+                               false}));
+  EXPECT_DOUBLE_EQ(panel.units[0].missing_fraction, 1.0 / 8.0);
+}
+
+/// The reference running sum: Neumaier-compensated, in the order given.
+struct ReferenceSum {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double comp = 0.0;
+  void Add(double x) {
+    const double t = sum + x;
+    if (std::abs(sum) >= std::abs(x)) {
+      comp += (sum - t) + x;
+    } else {
+      comp += (x - t) + sum;
+    }
+    sum = t;
+    ++count;
+  }
+};
+
+TEST(CampaignPanelTest, ShardPastSegmentBoundaryMatchesBruteForce) {
+  constexpr std::size_t kFirst =
+      measure::SegmentedColumn<std::uint64_t>::kFirstSegmentRows;
+  const measure::PanelOptions options = FixtureOptions();
+  const std::int64_t horizon = 8 * 360;
+  // Three units and a fourth whose copies are all quarantined share one
+  // shard of the default layout, which the campaign's store has too; a
+  // fifth unit, in another shard, has only out-of-horizon copies.
+  measure::ShardedMeasurementStore layout;
+  const auto key = [](const std::string& city) {
+    return measure::Unit::Intern(core::Asn(3741), city).key();
+  };
+  const std::size_t shard = layout.ShardOf(key("A"));
+  std::vector<std::string> cities = {"A"};
+  std::string late;
+  for (int i = 0; cities.size() < 4 || late.empty(); ++i) {
+    const std::string city = "S" + std::to_string(i);
+    if (layout.ShardOf(key(city)) == shard) {
+      if (cities.size() < 4) cities.push_back(city);
+    } else if (late.empty()) {
+      late = city;
+    }
+  }
+  const std::string quarantined_city = cities[3];
+
+  // Lineage on for this test only, before the campaign reads the flag.
+  struct ScopedLineage {
+    ScopedLineage() {
+      obs::Lineage::Enable(true);
+      obs::Lineage::Global().Reset();
+    }
+    ~ScopedLineage() { obs::Lineage::Enable(false); }
+  } lineage;
+  measure::StreamingCampaign campaign({}, {options});
+
+  // Offered entries, and per unit the running sum ingest should keep.
+  std::vector<measure::PendingRecord> offered;
+  std::map<std::string, ReferenceSum> running;
+  std::mt19937 rng(20261020);
+  std::uint64_t next_id = 1;
+  for (int step = 0; step < 6; ++step) {
+    std::vector<measure::PendingRecord> batch;
+    for (int i = 0; i < 260; ++i) {
+      const std::uint64_t id = next_id++;
+      const std::string& city = i % 50 == 49 ? quarantined_city
+                                : i % 40 == 39 ? late
+                                               : cities[(i / 30) % 3];
+      // Mostly inside the horizon, with copies past it and a timestamp
+      // the store refuses.
+      std::int64_t minutes =
+          static_cast<std::int64_t>(rng() % (horizon + 600));
+      if (city == late) minutes = horizon + minutes % 300;
+      if (id % 97 == 0) minutes = -5;
+      double rtt = 10.0 + static_cast<double>(rng() % 10'000) * 1e-3;
+      if (city == quarantined_city || id % 61 == 0) rtt = -1.0;
+      measure::PendingRecord pending{
+          MakeRecord(id, 3741, city, minutes, rtt)};
+      pending.duplicate = id % 7 == 0;
+      batch.push_back(pending);
+    }
+    // Entries arrive in runs of one unit, as a vantage-ordered merge
+    // delivers them; ids stay in offer order within the step.
+    std::stable_sort(batch.begin(), batch.end(), [](const auto& a,
+                                                    const auto& b) {
+      return a.record.UnitKey() < b.record.UnitKey();
+    });
+    campaign.IngestBatch(batch);
+    for (const measure::PendingRecord& pending : batch) {
+      offered.push_back(pending);
+      const measure::SpeedTestRecord& r = pending.record;
+      if (!measure::ValidateRecord(r).ok()) continue;
+      ReferenceSum& sum = running[r.UnitKey()];
+      if (measure::PanelCellOf(options, r.time) < 0) continue;
+      for (int copy = 0; copy < (pending.duplicate ? 2 : 1); ++copy) {
+        sum.Add(r.rtt_ms);
+      }
+    }
+    std::vector<std::string> visited;
+    campaign.VisitRunningMeans(
+        [&](std::string_view unit, std::uint64_t count, double sum) {
+          visited.emplace_back(unit);
+          const ReferenceSum& expected = running.at(std::string(unit));
+          EXPECT_EQ(count, expected.count) << unit << ", step " << step;
+          EXPECT_EQ(sum, expected.sum + expected.comp)
+              << unit << ", step " << step;
+        });
+    std::vector<std::string> expected_units;
+    for (const auto& [unit, sum] : running) expected_units.push_back(unit);
+    EXPECT_EQ(visited, expected_units) << "step " << step;
+  }
+  ASSERT_GT(campaign.store().shard(shard).size(), kFirst);
+
+  // Brute force over the offered entries: each unit's archived
+  // in-horizon copies by cell, and each record's expected terminal.
+  std::map<std::string, std::vector<std::vector<double>>> cells;
+  std::map<std::string, std::vector<std::vector<std::uint64_t>>> cell_ids;
+  for (const measure::PendingRecord& pending : offered) {
+    const measure::SpeedTestRecord& r = pending.record;
+    const std::int64_t cell = measure::PanelCellOf(options, r.time);
+    if (!measure::ValidateRecord(r).ok() || cell < 0) continue;
+    auto& unit_cells = cells[r.UnitKey()];
+    auto& unit_ids = cell_ids[r.UnitKey()];
+    unit_cells.resize(options.periods);
+    unit_ids.resize(options.periods);
+    for (int copy = 0; copy < (pending.duplicate ? 2 : 1); ++copy) {
+      unit_cells[static_cast<std::size_t>(cell)].push_back(r.rtt_ms);
+    }
+    unit_ids[static_cast<std::size_t>(cell)].push_back(r.id.value());
+  }
+  const measure::Panel panel = campaign.FinalizePanel();
+  ASSERT_EQ(panel.units.size(), 3u);
+  EXPECT_TRUE(panel.dropped.empty());
+  for (const measure::UnitSeries& series : panel.units) {
+    const auto& expected = cells.at(series.unit);
+    for (std::size_t t = 0; t < options.periods; ++t) {
+      ASSERT_EQ(series.observed[t], !expected[t].empty())
+          << series.unit << ", cell " << t;
+      if (!expected[t].empty()) {
+        EXPECT_EQ(series.values[t], stats::Median(expected[t]))
+            << series.unit << ", cell " << t;
+      }
+    }
+  }
+
+  obs::Lineage::Global().VisitRuns(
+      [&](const std::vector<obs::Lineage::RunLedger>& runs) {
+        ASSERT_EQ(runs.size(), 1u);
+        const obs::Lineage::RunLedger& run = runs[0];
+        EXPECT_EQ(run.empty_units, 1u);  // Late
+        ASSERT_EQ(run.units.size(), 3u);
+        for (const auto& [unit, ledger] : run.units) {
+          std::vector<std::vector<std::uint64_t>> expected =
+              cell_ids.at(unit);
+          std::size_t observed = 0;
+          for (std::size_t t = 0; t < expected.size(); ++t) {
+            if (expected[t].empty()) continue;
+            std::sort(expected[t].begin(), expected[t].end());
+            ASSERT_LT(observed, ledger.cells.size()) << unit;
+            const obs::Lineage::CellEntry& cell = ledger.cells[observed++];
+            EXPECT_EQ(cell.period, t) << unit;
+            EXPECT_EQ(cell.ids.Expand(), expected[t])
+                << unit << ", cell " << t;
+          }
+          EXPECT_EQ(ledger.cells.size(), observed) << unit;
+        }
+        ASSERT_EQ(run.records.size(), offered.size());
+        for (const measure::PendingRecord& pending : offered) {
+          const measure::SpeedTestRecord& r = pending.record;
+          const obs::LineageStage expected =
+              !measure::ValidateRecord(r).ok()
+                  ? obs::LineageStage::kQuarantined
+              : measure::PanelCellOf(options, r.time) < 0
+                  ? obs::LineageStage::kOutOfPanel
+                  : obs::LineageStage::kAggregated;
+          EXPECT_EQ(run.records[r.id.value() - 1].stage, expected)
+              << "id " << r.id.value();
+        }
+      });
 }
 
 }  // namespace

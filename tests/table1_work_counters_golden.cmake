@@ -2,8 +2,9 @@
 # byte sizes of the audit.bin and timeline.bin beside it, and the byte
 # sizes of a durable run's journal.bin and newest snapshot with the golden
 # copy. These count work items (probes attempted and succeeded, record
-# copies archived, route-cache reads, BGP table builds, SVD calls and their
-# Jacobi sweeps, QR calls) and bytes written, never floating-point results,
+# copies archived, panel units kept and cells observed and masked,
+# route-cache reads, BGP table builds, SVD calls and their Jacobi sweeps,
+# QR calls) and bytes written, never floating-point results,
 # so they hold byte for byte on any host; a change that moves one must
 # update the golden on purpose. The snapshot holds generator state only,
 # so a change that puts per-step or per-record state back into it moves
@@ -16,6 +17,9 @@ set(counters
   measure.probes.attempted
   measure.probes.succeeded
   measure.store.archived
+  measure.panel.units_kept
+  measure.panel.cells_observed
+  measure.panel.cells_masked
   netsim.bgp.route_cache_hits
   netsim.bgp.route_cache_misses
   netsim.bgp.tables_computed
