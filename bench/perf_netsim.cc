@@ -336,6 +336,36 @@ void BM_IngestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestBatch)->Arg(1)->Arg(14)->Unit(benchmark::kMillisecond);
 
+// Panel finalize alone: range(0) days of the Table 1 campaign at table1's
+// --scale 40 rates are generated and ingested once, outside the timed
+// loop, and each iteration builds the panel from that campaign's store
+// through StreamingCampaign::FinalizePanel (lineage off): a counting sort
+// of each shard's in-horizon copies by unit and cell, then a median per
+// observed cell. items/s is archived record copies.
+void BM_FinalizePanel(benchmark::State& state) {
+  const core::SimTime until = core::SimTime::FromDays(state.range(0));
+  const netsim::ScenarioZaOptions options;
+  auto scenario = netsim::BuildScenarioZa(options);
+  measure::PlatformOptions platform_options;
+  platform_options.server = scenario.content_jnb;
+  platform_options.step = core::SimTime::FromHours(1);
+  measure::Platform platform(*scenario.simulator, platform_options);
+  AddTable1Vantages(platform, scenario, 40.0);
+  measure::StreamingCampaign campaign(platform_options.validation,
+                                      Table1Streaming(options));
+  core::Rng rng(options.seed);
+  while (platform.Now() < until) {
+    campaign.IngestBatch(platform.GenerateStep(until, rng).records);
+  }
+  for (auto _ : state) {
+    const measure::Panel panel = campaign.FinalizePanel();
+    benchmark::DoNotOptimize(panel.units.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(campaign.store().size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FinalizePanel)->Arg(14)->Arg(56)->Unit(benchmark::kMillisecond);
+
 // One step's path resolution: ResolveProbePath for each of the Table 1
 // campaign's 38 vantages towards the measurement server, on a warm route
 // cache, as GenerateStep's serial prewarm does. items/s is paths resolved.

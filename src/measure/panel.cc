@@ -36,12 +36,18 @@ Result<std::size_t> Panel::Find(const std::string& unit) const {
 }
 
 void AddPanelUnit(const std::string& unit,
-                  std::span<const std::vector<double>> values,
-                  std::span<std::vector<std::uint64_t>> ids, Panel& panel) {
-  const bool lineage = !ids.empty();
-  std::vector<std::optional<double>> buckets(values.size());
-  for (std::size_t t = 0; t < values.size(); ++t) {
-    if (!values[t].empty()) buckets[t] = stats::Median(values[t]);
+                  std::span<const std::size_t> offsets,
+                  std::span<double> values, std::span<std::uint64_t> ids,
+                  bool lineage, Panel& panel) {
+  const std::size_t periods = offsets.size() - 1;
+  const auto cell = [&offsets](auto buffer, std::size_t t) {
+    return buffer.subspan(offsets[t], offsets[t + 1] - offsets[t]);
+  };
+  std::vector<std::optional<double>> buckets(periods);
+  for (std::size_t t = 0; t < periods; ++t) {
+    if (offsets[t] < offsets[t + 1]) {
+      buckets[t] = stats::QuantileInPlace(cell(values, t), 0.5);
+    }
   }
   if (stats::AllMissing(buckets)) {
     SISYPHUS_METRIC_COUNT("measure.panel.units_empty", 1);
@@ -58,17 +64,13 @@ void AddPanelUnit(const std::string& unit,
   SISYPHUS_METRIC_COUNT("measure.panel.cells_observed", observed_cells);
   SISYPHUS_METRIC_COUNT("measure.panel.cells_masked",
                         buckets.size() - observed_cells);
-  for (std::vector<std::uint64_t>& cell_ids : ids) {
-    std::sort(cell_ids.begin(), cell_ids.end());
-  }
   const double max_missing = panel.options.max_missing_fraction;
   if (missing > max_missing) {
     SISYPHUS_METRIC_COUNT("measure.panel.units_dropped", 1);
     if (lineage) {
-      std::vector<std::uint64_t> in_range;
-      for (const auto& cell_ids : ids) {
-        in_range.insert(in_range.end(), cell_ids.begin(), cell_ids.end());
-      }
+      // No cell is read past here: the unit's ids sort as one set.
+      const std::span<std::uint64_t> in_range = ids.subspan(
+          offsets.front(), offsets.back() - offsets.front());
       std::sort(in_range.begin(), in_range.end());
       obs::Lineage::Global().PanelUnitDropped(
           unit, missing, observed_cells, buckets.size() - observed_cells,
@@ -93,10 +95,14 @@ void AddPanelUnit(const std::string& unit,
   if (lineage) {
     obs::Lineage::Global().PanelUnitKept(
         unit, missing, observed_cells, buckets.size() - observed_cells);
-    for (std::size_t t = 0; t < ids.size(); ++t) {
-      if (ids[t].empty()) continue;
+    for (std::size_t t = 0; t < periods; ++t) {
+      const std::span<std::uint64_t> cell_ids = cell(ids, t);
+      if (cell_ids.empty()) continue;
+      if (!std::is_sorted(cell_ids.begin(), cell_ids.end())) {
+        std::sort(cell_ids.begin(), cell_ids.end());
+      }
       obs::Lineage::Global().PanelCell(unit, static_cast<std::uint32_t>(t),
-                                       obs::IdRunSet::FromSorted(ids[t]));
+                                       obs::IdRunSet::FromSorted(cell_ids));
     }
   }
   panel.units.push_back(std::move(out));

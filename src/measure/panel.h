@@ -6,9 +6,9 @@
 // sparse buckets, and assemble a SyntheticControlInput for each treated
 // unit against a donor pool that never crosses the IXP. The campaign's
 // store holds the one copy of each archived record: when the campaign
-// ends, StreamingCampaign::FinalizePanel groups one shard's copies at a
-// time by unit and cell, and AddPanelUnit turns each unit's cells into a
-// series.
+// ends, StreamingCampaign::FinalizePanel counting-sorts one shard's
+// copies at a time by unit and cell, and AddPanelUnit turns each unit's
+// cells into a series.
 #pragma once
 
 #include <cstdint>
@@ -71,20 +71,25 @@ inline std::int64_t PanelCellOf(const PanelOptions& options,
   return cell < static_cast<std::int64_t>(options.periods) ? cell : -1;
 }
 
-/// Adds one unit to `panel` from its in-horizon RTT copies grouped by
-/// cell: values[t] holds cell t's, and with lineage on ids[t] holds their
-/// record ids, which it sorts in place (ids is empty with lineage off).
-/// Each cell with data is the median of its value multiset, so no arrival
-/// order reaches it. A unit with no such cell is empty (counted, listed
+/// Adds one unit to `panel` from its in-horizon copies, grouped by cell
+/// in flat buffers: offsets holds periods + 1 entries, and cell t's RTTs
+/// are values[offsets[t], offsets[t + 1]), which it permutes. With
+/// `lineage` on, ids holds those copies' record ids at the same indices
+/// (ids is unused with lineage off). Each cell with data is the median of
+/// its value multiset (stats::QuantileInPlace), so no arrival order
+/// reaches it. A unit with no such cell is empty (counted, listed
 /// nowhere); one with more than max_missing_fraction of its cells empty
 /// goes to panel.dropped; any other is interpolated into panel.units.
 /// Writes the unit's measure.panel.* counters and, with lineage on, its
-/// ledger entries (the cells' id sets in ascending period order). Units
-/// may arrive in any order: the caller sorts panel.units and
-/// panel.dropped by key. Serial.
+/// ledger entries (the cells' id sets in ascending period order). A
+/// cell's ids are sorted in place unless they already are, as they are
+/// when they sit in archive order and the records arrived in id order,
+/// as a platform delivers them. Units may arrive in any order: the
+/// caller sorts panel.units and panel.dropped by key. Serial.
 void AddPanelUnit(const std::string& unit,
-                  std::span<const std::vector<double>> values,
-                  std::span<std::vector<std::uint64_t>> ids, Panel& panel);
+                  std::span<const std::size_t> offsets,
+                  std::span<double> values, std::span<std::uint64_t> ids,
+                  bool lineage, Panel& panel);
 
 /// Assembles a synthetic-control input: `treated_unit`'s series versus the
 /// given donor units (donors absent from the panel are skipped; their

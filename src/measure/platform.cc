@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -577,33 +578,73 @@ void StreamingCampaign::VisitRunningMeans(
   }
 }
 
+namespace {
+
+/// Calls visit(row, slot) for each in-horizon copy of `arena`, in row
+/// order, where slot = unit * periods + cell. The time and unit columns
+/// are read through pointers, one segment at a time (every column splits
+/// its rows into segments alike). A step's rows lie within hours of each
+/// other, so consecutive rows mostly share a cell: each row first tries
+/// the last in-horizon cell's [start, start + bucket) window, and
+/// PanelCellOf's division runs only for a row outside it.
+template <typename Visit>
+void ForEachPanelSlot(const ShardedMeasurementStore::Columns& arena,
+                      const PanelOptions& options, Visit visit) {
+  const std::int64_t bucket = options.bucket.minutes();
+  std::int64_t start = 0;
+  std::int64_t cell = -1;  // none yet
+  for (std::size_t row = 0; row < arena.size();) {
+    const std::size_t end = std::min(
+        arena.size(), row + SegmentedColumn<std::int64_t>::ContiguousFrom(row));
+    const std::int64_t* time = &arena.time_minutes[row];
+    const std::uint32_t* unit = &arena.unit[row];
+    for (; row < end; ++row, ++time, ++unit) {
+      const std::int64_t minutes = *time;
+      if (cell < 0 || minutes < start || minutes - start >= bucket) {
+        cell = PanelCellOf(options, core::SimTime(minutes));
+        if (cell < 0) continue;
+        start = options.origin.minutes() + cell * bucket;
+      }
+      visit(row, *unit * options.periods + static_cast<std::size_t>(cell));
+    }
+  }
+}
+
+}  // namespace
+
 Panel StreamingCampaign::FinalizePanel() const {
   const PanelOptions& options = options_.panel;
   const std::size_t periods = options.periods;
   Panel panel;
   panel.options = options;
+  // One shard at a time, a counting sort of its in-horizon copies by slot
+  // (unit u's cell t is slot u * periods + t) into flat buffers that the
+  // next shard reuses. The count pass adds slot s's copies at
+  // offsets[s + 2], so after the prefix sum offsets[s + 1] is where slot s
+  // starts; the scatter pass advances it to where slot s ends, which
+  // leaves slot s at [offsets[s], offsets[s + 1]), in row order.
+  std::vector<std::size_t> offsets;
+  std::vector<double> values;
+  std::vector<std::uint64_t> ids;
   for (std::size_t s = 0; s < store_.shard_count(); ++s) {
-    // This shard's in-horizon copies by unit and cell: cell t of the
-    // shard's unit u is entry u * periods + t.
     const ShardedMeasurementStore::Columns& arena = store_.shard(s);
     const std::size_t units = arena.unit_names.size();
-    std::vector<std::vector<double>> values(units * periods);
-    std::vector<std::vector<std::uint64_t>> ids(lineage_ ? values.size() : 0);
-    for (std::size_t row = 0; row < arena.size(); ++row) {
-      const std::int64_t cell =
-          PanelCellOf(options, core::SimTime(arena.time_minutes[row]));
-      if (cell < 0) continue;
-      const std::size_t at =
-          arena.unit[row] * periods + static_cast<std::size_t>(cell);
-      values[at].push_back(arena.rtt_ms[row]);
-      if (lineage_) ids[at].push_back(arena.id[row]);
-    }
+    offsets.assign(units * periods + 2, 0);
+    ForEachPanelSlot(arena, options, [&offsets](std::size_t, std::size_t slot) {
+      ++offsets[slot + 2];
+    });
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    values.resize(offsets.back());
+    if (lineage_) ids.resize(offsets.back());
+    ForEachPanelSlot(arena, options, [&](std::size_t row, std::size_t slot) {
+      const std::size_t at = offsets[slot + 1]++;
+      values[at] = arena.rtt_ms[row];
+      if (lineage_) ids[at] = arena.id[row];
+    });
     for (std::size_t u = 0; u < units; ++u) {
       AddPanelUnit(arena.unit_names[u],
-                   std::span(values).subspan(u * periods, periods),
-                   lineage_ ? std::span(ids).subspan(u * periods, periods)
-                            : std::span<std::vector<std::uint64_t>>(),
-                   panel);
+                   std::span(offsets).subspan(u * periods, periods + 1),
+                   values, ids, lineage_, panel);
     }
   }
   const auto by_key = [](const auto& a, const auto& b) {

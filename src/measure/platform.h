@@ -146,9 +146,10 @@ class StreamingCampaign {
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
   /// Assembles the panel from the store (serial; call after the campaign
-  /// ends): one pass per shard groups its in-horizon copies by unit and
-  /// cell, AddPanelUnit adds each unit, and the units are sorted by key.
-  /// Only one shard's copies are held beside the store at a time.
+  /// ends): one counting sort per shard groups its in-horizon copies by
+  /// unit and cell into flat buffers, AddPanelUnit adds each unit, and the
+  /// units are sorted by key. Only one shard's copies are held beside the
+  /// store at a time.
   Panel FinalizePanel() const;
 
   /// Visits every archived unit's running in-horizon RTT aggregate — (unit

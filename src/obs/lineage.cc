@@ -32,7 +32,7 @@ std::string LineageIntentName(std::uint8_t code) {
   return "intent" + std::to_string(code);
 }
 
-IdRunSet IdRunSet::FromSorted(const std::vector<std::uint64_t>& sorted_ids) {
+IdRunSet IdRunSet::FromSorted(std::span<const std::uint64_t> sorted_ids) {
   Encoder encoder;
   for (std::uint64_t id : sorted_ids) encoder.Append(id);
   return FromEncoded(encoder.Finish());

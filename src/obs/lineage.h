@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -140,7 +141,7 @@ class IdRunSet {
   IdRunSet() = default;
 
   /// Builds from ids sorted ascending (duplicates are collapsed).
-  static IdRunSet FromSorted(const std::vector<std::uint64_t>& sorted_ids);
+  static IdRunSet FromSorted(std::span<const std::uint64_t> sorted_ids);
 
   /// Adopts an encoded() vector — an Encoder's output, or a slice read
   /// back from audit.bin; size and digest are recomputed from the

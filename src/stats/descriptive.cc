@@ -1,6 +1,7 @@
 #include "stats/descriptive.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/error.h"
@@ -24,17 +25,79 @@ double Variance(std::span<const double> xs) {
 
 double StdDev(std::span<const double> xs) { return std::sqrt(Variance(xs)); }
 
-double Quantile(std::span<const double> xs, double q) {
+namespace {
+
+/// Moves the elements of xs[lo, hi) that `front` accepts ahead of the
+/// others and returns where they end. Branchless Lomuto: each element
+/// swaps with the first one not yet known to belong in front -- both
+/// belong behind when it does not -- and the boundary advances by the
+/// comparison's result, so no branch depends on the data.
+template <typename Front>
+std::size_t PartitionFront(std::span<double> xs, std::size_t lo,
+                           std::size_t hi, Front front) {
+  std::size_t boundary = lo;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double x = xs[i];
+    const bool in_front = front(x);
+    xs[i] = xs[boundary];
+    xs[boundary] = x;
+    boundary += in_front;
+  }
+  return boundary;
+}
+
+/// Permutes xs so that xs[k] holds its k-th smallest value, no value
+/// before it is greater and none after it is smaller. Each round splits
+/// the range holding k three ways about a median-of-3 pivot (below, equal,
+/// above), which always shrinks it, so runs of one value cost one round;
+/// past the depth bound std::nth_element finishes the range.
+void SelectInPlace(std::span<double> xs, std::size_t k) {
+  std::size_t lo = 0;
+  std::size_t hi = xs.size();
+  for (int depth = 2 * std::bit_width(xs.size()); hi - lo > 1; --depth) {
+    if (depth == 0) {
+      std::nth_element(xs.begin() + lo, xs.begin() + k, xs.begin() + hi);
+      return;
+    }
+    const double a = xs[lo];
+    const double b = xs[lo + (hi - lo) / 2];
+    const double c = xs[hi - 1];
+    const double pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+    const std::size_t below = PartitionFront(
+        xs, lo, hi, [pivot](double x) { return x < pivot; });
+    if (k < below) {
+      hi = below;
+      continue;
+    }
+    const std::size_t equal = PartitionFront(
+        xs, below, hi, [pivot](double x) { return !(pivot < x); });
+    if (k < equal) return;
+    lo = equal;
+  }
+}
+
+}  // namespace
+
+double QuantileInPlace(std::span<double> xs, double q) {
   SISYPHUS_REQUIRE(!xs.empty(), "Quantile: empty input");
   SISYPHUS_REQUIRE(q >= 0.0 && q <= 1.0, "Quantile: q outside [0,1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t n = xs.size();
+  if (n == 1) return xs.front();
+  const double pos = q * static_cast<double>(n - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  SelectInPlace(xs, lo);
+  double above = xs[lo];
+  if (lo + 1 < n) {
+    above = xs[lo + 1];
+    for (std::size_t i = lo + 2; i < n; ++i) above = std::min(above, xs[i]);
+  }
+  return xs[lo] * (1.0 - frac) + above * frac;
+}
+
+double Quantile(std::span<const double> xs, double q) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  return QuantileInPlace(copy, q);
 }
 
 double Median(std::span<const double> xs) { return Quantile(xs, 0.5); }

@@ -20,7 +20,22 @@ double Variance(std::span<const double> xs);
 /// sqrt(Variance).
 double StdDev(std::span<const double> xs);
 
-/// Linear-interpolated quantile, q in [0, 1]. Precondition: non-empty.
+/// Linear-interpolated quantile, q in [0, 1], of xs, which it permutes:
+/// with pos = q * (n - 1), lo = floor(pos) and frac = pos - lo, it
+/// returns a * (1 - frac) + b * frac, where a is the lo-th smallest value
+/// (0-based) and b the smallest of the values above it (a itself when
+/// lo = n - 1) -- the arithmetic on xs sorted ascending, as
+/// sorted[lo] * (1 - frac) + sorted[min(lo + 1, n - 1)] * frac, on the
+/// same two values, without sorting. Values that compare equal are
+/// interchangeable here, so the bits equal that sorted computation's for
+/// any input that does not hold both +0.0 and -0.0. It selects a by a
+/// branchless three-way quickselect (median-of-3 pivot, a depth bound of
+/// 2 * bit_width(n) partitions, then std::nth_element) and finds b in one
+/// pass over the values above a: expected O(n), O(n log n) at worst.
+/// Precondition: non-empty, q in [0, 1].
+double QuantileInPlace(std::span<double> xs, double q);
+
+/// QuantileInPlace on a copy of xs. Precondition: non-empty.
 double Quantile(std::span<const double> xs, double q);
 
 /// Quantile(0.5).

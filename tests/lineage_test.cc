@@ -30,6 +30,7 @@ using measure::FaultPlan;
 using obs::IdRunSet;
 using obs::Lineage;
 using obs::LineageWaterfall;
+using Ids = std::vector<std::uint64_t>;
 
 TEST(IdRunSetTest, RoundTripsSortedIds) {
   const std::vector<std::uint64_t> ids = {1, 2, 3, 7, 8, 20};
@@ -41,7 +42,7 @@ TEST(IdRunSetTest, RoundTripsSortedIds) {
 }
 
 TEST(IdRunSetTest, CollapsesDuplicates) {
-  const IdRunSet set = IdRunSet::FromSorted({5, 5, 6, 6, 6, 7});
+  const IdRunSet set = IdRunSet::FromSorted(Ids{5, 5, 6, 6, 6, 7});
   EXPECT_EQ(set.Expand(), (std::vector<std::uint64_t>{5, 6, 7}));
   EXPECT_EQ(set.encoded(), (std::vector<std::uint64_t>{5, 3}));
   // The encoder FromSorted wraps, fed one id at a time as the audit
@@ -56,9 +57,9 @@ TEST(IdRunSetTest, EmptyAndDigest) {
   const IdRunSet empty;
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.size(), 0u);
-  const IdRunSet a = IdRunSet::FromSorted({1, 2, 3});
-  const IdRunSet b = IdRunSet::FromSorted({1, 2, 3});
-  const IdRunSet c = IdRunSet::FromSorted({1, 2, 4});
+  const IdRunSet a = IdRunSet::FromSorted(Ids{1, 2, 3});
+  const IdRunSet b = IdRunSet::FromSorted(Ids{1, 2, 3});
+  const IdRunSet c = IdRunSet::FromSorted(Ids{1, 2, 4});
   // The digest is a pure function of the member set.
   EXPECT_EQ(a.digest(), b.digest());
   EXPECT_NE(a.digest(), c.digest());
@@ -345,7 +346,7 @@ void BuildMarkLedger() {
   for (std::uint64_t u = 0; u < 8; ++u) {
     lineage.PanelUnitKept(MarkUnit(u), 0.0, 1, 0);
     lineage.PanelCell(MarkUnit(u), 0,
-                      IdRunSet::FromSorted({2 * u + 1, 2 * u + 2}));
+                      IdRunSet::FromSorted(Ids{2 * u + 1, 2 * u + 2}));
   }
 }
 
@@ -393,7 +394,7 @@ TEST(LineageTaskTest, SerialMutatorsRefuseAMultiLaneTask) {
     }
   };
   expect_refused("PanelCell", [] {
-    Lineage::Global().PanelCell("unit", 0, IdRunSet::FromSorted({1}));
+    Lineage::Global().PanelCell("unit", 0, IdRunSet::FromSorted(Ids{1}));
   });
   expect_refused("AddEstimate", [] {
     Lineage::Global().AddEstimate("est", "unit", {}, 0.0, 0.0);
@@ -418,7 +419,7 @@ TEST(LineageTaskTest, SerialMutatorsRefuseAMultiLaneTask) {
   core::ThreadPool::SetGlobalThreadCount(1);
   core::ParallelFor(2, [](std::size_t i) {
     Lineage::Global().PanelCell("unit", static_cast<std::uint32_t>(i),
-                                IdRunSet::FromSorted({i + 1}));
+                                IdRunSet::FromSorted(Ids{i + 1}));
   });
   core::ThreadPool::SetGlobalThreadCount(0);
   EXPECT_EQ(cells_and_estimates(), 2u);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "audit/writer.h"
 #include "core/hash.h"
@@ -128,9 +129,11 @@ inline std::string SmallAuditArtifact() {
     lineage.RecordEmitted(info);
   }
   lineage.PanelUnitKept("unit-a", 0.0, 1, 0);
-  lineage.PanelCell("unit-a", 0, obs::IdRunSet::FromSorted({1, 2}));
+  lineage.PanelCell(
+      "unit-a", 0, obs::IdRunSet::FromSorted(std::vector<std::uint64_t>{1, 2}));
   lineage.PanelUnitKept("unit-b", 0.0, 1, 0);
-  lineage.PanelCell("unit-b", 0, obs::IdRunSet::FromSorted({3, 4}));
+  lineage.PanelCell(
+      "unit-b", 0, obs::IdRunSet::FromSorted(std::vector<std::uint64_t>{3, 4}));
   std::string artifact = audit::BuildAuditArtifact(lineage);
   lineage.Reset();
   obs::Lineage::Enable(false);

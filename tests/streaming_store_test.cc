@@ -22,7 +22,6 @@
 #include "measure/store.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
-#include "stats/descriptive.h"
 
 namespace sisyphus {
 namespace {
@@ -430,6 +429,54 @@ measure::Panel IngestAndFinalize(
   return campaign.FinalizePanel();
 }
 
+/// Lineage on, with an empty ledger, for one scope; a campaign reads the
+/// flag when it is constructed, so construct it inside.
+struct ScopedLineage {
+  ScopedLineage() {
+    obs::Lineage::Enable(true);
+    obs::Lineage::Global().Reset();
+  }
+  ~ScopedLineage() {
+    obs::Lineage::Global().Reset();
+    obs::Lineage::Enable(false);
+  }
+};
+
+/// What finalize wrote to the ledger's one run, as text: each unit's
+/// PanelUnitKept or PanelUnitDropped entry with its cells' (or, dropped,
+/// its copies') id sets, and the PanelUnitEmpty count.
+std::string PanelLedgerText() {
+  std::string text;
+  const auto ids = [&text](const obs::IdRunSet& set) {
+    for (std::uint64_t id : set.Expand()) text += " " + std::to_string(id);
+  };
+  obs::Lineage::Global().VisitRuns(
+      [&](const std::vector<obs::Lineage::RunLedger>& runs) {
+        if (runs.size() != 1) {
+          text = std::to_string(runs.size()) + " runs";
+          return;
+        }
+        for (const auto& [unit, ledger] : runs[0].units) {
+          text += unit + (ledger.dropped ? " dropped" : " kept") +
+                  " missing " + std::to_string(ledger.missing_fraction) +
+                  " observed " + std::to_string(ledger.observed_cells) +
+                  " masked " + std::to_string(ledger.masked_cells) + "\n";
+          for (const obs::Lineage::CellEntry& cell : ledger.cells) {
+            text += "  cell " + std::to_string(cell.period) + ":";
+            ids(cell.ids);
+            text += "\n";
+          }
+          if (ledger.dropped) {
+            text += "  copies:";
+            ids(ledger.dropped_ids);
+            text += "\n";
+          }
+        }
+        text += "empty " + std::to_string(runs[0].empty_units) + "\n";
+      });
+  return text;
+}
+
 TEST(CampaignPanelTest, ShardScrambledArrivalMatchesInOrderIngest) {
   const auto records = PanelFixtureRecords();
   const measure::Panel in_order = IngestAndFinalize(records, records.size());
@@ -459,15 +506,62 @@ TEST(CampaignPanelTest, ShardScrambledArrivalMatchesInOrderIngest) {
 
 TEST(CampaignPanelTest, ArrivalOrderIsIrrelevant) {
   const auto records = PanelFixtureRecords();
-  std::string reference;
+  const std::string reference =
+      measure::PanelToCsv(IngestAndFinalize(records, records.size()));
   for (unsigned seed : {1u, 2u, 3u}) {
     auto scrambled = records;
     std::shuffle(scrambled.begin(), scrambled.end(), std::mt19937(seed));
-    const std::string csv =
-        measure::PanelToCsv(IngestAndFinalize(scrambled, 2 + seed));
-    if (reference.empty()) reference = csv;
-    EXPECT_EQ(csv, reference) << "seed " << seed;
+    EXPECT_EQ(measure::PanelToCsv(IngestAndFinalize(scrambled, 2 + seed)),
+              reference)
+        << "seed " << seed;
   }
+
+  // With lineage on the ledger's panel entries match the in-order run's
+  // too. Scrambled batches archive a unit's copies out of id order, so
+  // each cell's ids leave the scatter unsorted.
+  const ScopedLineage lineage;
+  EXPECT_EQ(measure::PanelToCsv(IngestAndFinalize(records, records.size())),
+            reference);
+  const std::string in_order = PanelLedgerText();
+  for (const char* entry :
+       {"3741 / Dense kept", "3742 / Dense kept", "  cell 7:",
+        "3750 / Sparse dropped", "  copies: 97 98 99", "empty 1"}) {
+    EXPECT_NE(in_order.find(entry), std::string::npos) << entry;
+  }
+  for (unsigned seed : {1u, 2u, 3u}) {
+    obs::Lineage::Global().Reset();
+    auto scrambled = records;
+    std::shuffle(scrambled.begin(), scrambled.end(), std::mt19937(seed));
+    EXPECT_EQ(measure::PanelToCsv(IngestAndFinalize(scrambled, 2 + seed)),
+              reference)
+        << "seed " << seed;
+    EXPECT_EQ(PanelLedgerText(), in_order) << "seed " << seed;
+  }
+}
+
+TEST(CampaignPanelTest, AllLateUnitIsEmptyWithLineageOn) {
+  // Every copy lies past the horizon, so the unit's shard has no copy in
+  // any cell; finalize still writes its PanelUnitEmpty and counts it.
+  const bool metrics_were_enabled = obs::Registry::enabled();
+  obs::Registry::Enable(true);
+  obs::Registry::Global().ResetAll();
+  std::vector<measure::SpeedTestRecord> records;
+  for (const auto& r : PanelFixtureRecords()) {
+    if (r.UnitKey() == "3760 / Late") records.push_back(r);
+  }
+  ASSERT_EQ(records.size(), 4u);
+  {
+    const ScopedLineage lineage;
+    const measure::Panel panel = IngestAndFinalize(records, records.size());
+    EXPECT_TRUE(panel.units.empty());
+    EXPECT_TRUE(panel.dropped.empty());
+    EXPECT_EQ(PanelLedgerText(), "empty 1\n");
+    EXPECT_EQ(
+        obs::Registry::Global().CounterValue("measure.panel.units_empty"),
+        1u);
+  }
+  obs::Registry::Global().ResetAll();
+  obs::Registry::Enable(metrics_were_enabled);
 }
 
 TEST(CampaignPanelTest, QuarantinedAndLateCopiesReachNoCell) {
@@ -520,6 +614,18 @@ struct ReferenceSum {
   }
 };
 
+/// The reference cell median: sort a copy and interpolate between the two
+/// middle values, the arithmetic the panel's median promises.
+double SortedMedian(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  if (values.size() == 1) return values.front();
+  const double pos = 0.5 * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
 TEST(CampaignPanelTest, ShardPastSegmentBoundaryMatchesBruteForce) {
   constexpr std::size_t kFirst =
       measure::SegmentedColumn<std::uint64_t>::kFirstSegmentRows;
@@ -545,14 +651,7 @@ TEST(CampaignPanelTest, ShardPastSegmentBoundaryMatchesBruteForce) {
   }
   const std::string quarantined_city = cities[3];
 
-  // Lineage on for this test only, before the campaign reads the flag.
-  struct ScopedLineage {
-    ScopedLineage() {
-      obs::Lineage::Enable(true);
-      obs::Lineage::Global().Reset();
-    }
-    ~ScopedLineage() { obs::Lineage::Enable(false); }
-  } lineage;
+  const ScopedLineage lineage;
   measure::StreamingCampaign campaign({}, {options});
 
   // Offered entries, and per unit the running sum ingest should keep.
@@ -638,7 +737,7 @@ TEST(CampaignPanelTest, ShardPastSegmentBoundaryMatchesBruteForce) {
       ASSERT_EQ(series.observed[t], !expected[t].empty())
           << series.unit << ", cell " << t;
       if (!expected[t].empty()) {
-        EXPECT_EQ(series.values[t], stats::Median(expected[t]))
+        EXPECT_EQ(series.values[t], SortedMedian(expected[t]))
             << series.unit << ", cell " << t;
       }
     }
